@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use vllm_model::{contiguous_attention_decode, paged_attention_decode, KvPool};
+use vllm_model::{backend, contiguous_attention_decode, pool, KvPool, SeqRows};
 
 const N_HEADS: usize = 8;
 const HEAD_DIM: usize = 64;
@@ -25,7 +25,8 @@ fn fill(seed: u64, len: usize) -> Vec<f32> {
 
 fn build_pool(k: &[f32], v: &[f32], ctx: usize, block_size: usize) -> (KvPool, Vec<usize>) {
     let n_blocks = ctx.div_ceil(block_size);
-    let mut pool = KvPool::new(1, n_blocks + 1, block_size, HIDDEN);
+    let element = backend::selected().kv_layout().element;
+    let mut pool = KvPool::with_element(1, n_blocks + 1, block_size, HIDDEN, element);
     let table: Vec<usize> = (0..n_blocks).map(|j| n_blocks - j).collect();
     for t in 0..ctx {
         pool.write(
@@ -67,14 +68,14 @@ fn bench_attention(c: &mut Criterion) {
                 &ctx,
                 |b, &ctx| {
                     b.iter(|| {
-                        paged_attention_decode(
+                        backend::selected().paged_attention(
                             black_box(&q),
                             black_box(&pool),
                             0,
-                            black_box(&table),
-                            ctx,
+                            &[SeqRows::decode(black_box(&table), ctx)],
                             N_HEADS,
                             HEAD_DIM,
+                            pool::global(),
                             &mut out,
                         );
                     });

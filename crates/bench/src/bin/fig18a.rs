@@ -3,14 +3,16 @@
 //! kernel, measured on the real CPU kernels of `vllm-model`.
 //!
 //! Paper reference: the GPU PagedAttention kernel is 20–26% slower than
-//! the fused FasterTransformer kernel. The CPU analog measures the same
-//! quantity (block-table indirection overhead) on this machine; the
-//! absolute ratio differs but stays a bounded constant factor that only
-//! affects the attention operator.
+//! the fused FasterTransformer kernel — both tuned, so the gap is the
+//! block-table indirection. Here the paged kernel is the tuned one
+//! (block-tiled, vectorised) and the contiguous kernel the plain two-pass
+//! oracle, so the ratio goes the other way; what carries over is that the
+//! block walk costs a bounded constant factor of the attention operator
+//! only. The `kernels` bench repeats the comparison per backend.
 
 use std::time::Instant;
 
-use vllm_model::{contiguous_attention_decode, paged_attention_decode, KvPool};
+use vllm_model::{backend, contiguous_attention_decode, pool, KvPool, SeqRows};
 
 const N_HEADS: usize = 8;
 const HEAD_DIM: usize = 64;
@@ -50,6 +52,10 @@ fn main() {
         "  {:>6} {:>6} {:>16} {:>16} {:>10}",
         "batch", "ctx", "contiguous(us)", "paged(us)", "overhead"
     );
+    // The backend named by VLLM_KERNEL_BACKEND (default scalar), one row per
+    // call as the contiguous kernel runs them.
+    let be = backend::selected();
+    let workers = pool::global();
     for &batch in &[1usize, 8, 32] {
         for &ctx in &[64usize, 256, 1024] {
             let k = fill(3, ctx * HIDDEN);
@@ -58,7 +64,8 @@ fn main() {
 
             // Paged copy of the same KV, scattered over a block table.
             let n_blocks = ctx.div_ceil(BLOCK_SIZE);
-            let mut pool = KvPool::new(1, n_blocks + 2, BLOCK_SIZE, HIDDEN);
+            let element = be.kv_layout().element;
+            let mut pool = KvPool::with_element(1, n_blocks + 2, BLOCK_SIZE, HIDDEN, element);
             let table: Vec<usize> = (0..n_blocks).map(|j| (n_blocks + 1) - j).collect();
             for t in 0..ctx {
                 pool.write(
@@ -83,9 +90,8 @@ fn main() {
             let t_paged = bench(
                 || {
                     for q in &qs {
-                        paged_attention_decode(
-                            q, &pool, 0, &table, ctx, N_HEADS, HEAD_DIM, &mut out,
-                        );
+                        let row = [SeqRows::decode(&table, ctx)];
+                        be.paged_attention(q, &pool, 0, &row, N_HEADS, HEAD_DIM, workers, &mut out);
                     }
                 },
                 iters,
@@ -103,6 +109,8 @@ fn main() {
     println!(
         "\npaper (GPU): paged kernel 20-26% slower than FasterTransformer's \
          fused kernel; the simulator's end-to-end runs charge a 22% KV-read \
-         overhead to vLLM accordingly."
+         overhead to vLLM accordingly. Here a negative overhead means the \
+         block-tiled paged kernel ({}) beats the un-tiled contiguous oracle.",
+        be.name()
     );
 }

@@ -2,21 +2,65 @@
 //!
 //! For every [`BackendKind`] (scalar, simd, quant-kv8) the bench measures
 //! decode throughput (per-sequence and batched) against the seed
-//! repository's scalar baseline, a serial GEMM microbench, the kernel
-//! timing counters, and — via [`BlockSpaceManager`] sizing at a fixed
-//! memory budget — the KV block capacity and the max concurrent batch a
-//! small engine simulation sustains. One flat JSON record per backend is
-//! written to `BENCH_kernels.json` (JSON lines).
+//! repository's scalar baseline, serial GEMM at the prefill shape and at
+//! the one-row decode shape, the PagedAttention kernel (one decode call at
+//! context 256 / 2048 / 32768 and one 256-row prefill: ns, computed KV
+//! bytes, GB/s) beside the contiguous oracle — Fig. 18a re-measured per
+//! backend — the kernel timing counters, and — via [`BlockSpaceManager`]
+//! sizing at a fixed memory budget — the KV block capacity and the max
+//! concurrent batch a small engine simulation sustains.
+//!
+//! GEMM and attention cells are timed in interleaved rounds (every backend
+//! once per round, the order rotated, the minimum kept), so a slow spell of
+//! the host lands on all of them and cross-backend ratios stay meaningful.
+//!
+//! # What the numbers said (PR 14)
+//!
+//! - *simd per-sequence decode slower than scalar (528 vs 844 tok/s)*: real.
+//!   It is the one-row GEMM: `gemm_m1_speedup_vs_scalar` is ≈ 0.5 — the
+//!   simd kernel walks the weight matrix down a 16-column stripe, one cache
+//!   line per row at a 4 KB stride (serve_bench finding 6). GEMM is out of
+//!   this bench's remit; the row keeps the evidence.
+//! - *quant-kv8 GEMM at 0.71× scalar though it is the same kernel*: a
+//!   measurement bug. Each backend's GEMM was one short sample taken after
+//!   that backend's decode phases, and this host switches between two speed
+//!   states 1.33× apart every few seconds. Interleaved, it reads 0.96–1.00×.
+//!   The per-backend decode phases still run one after another, so their
+//!   tok/s and kernel counters carry that noise (±30 %).
+//! - *paged vs contiguous (Fig. 18a)*: simd's tiled kernel is 2.5–3.3× the
+//!   two-pass oracle while the KV fits a cache level. At 32768 positions
+//!   (67 MB of f32 KV) it streams at 7.8–8.8 GB/s of the ~10–16 GB/s one
+//!   thread of this host can read: memory sets the time, not arithmetic,
+//!   and the ratio to the oracle moved between 1.9× and 3.2× from run to
+//!   run with how the host served the oracle's streams — hence the lower
+//!   gate there.
+//! - *simd vs scalar attention*: the K tile is stored dimension-major, so
+//!   the scalar backend's plain loops autovectorise at baseline width; simd
+//!   is 1.7–1.9× scalar in cache and 1.3–1.4× once both wait on memory.
+//! - *the block walk*: a reversed block table costs 4–7 % over a sequential
+//!   one at 32768 with f32 tiles (16 KB each) and 14–18 % for quant-kv8
+//!   (4 KB tiles) — the hardware prefetcher restarting at each tile; the
+//!   table lookup itself does not register. The f32 figure is under the
+//!   10 % that would make the walk worth an issue; the quant-kv8 one is
+//!   over it, on a kernel that is otherwise waiting on int8→f32 converts.
+//!
+//! Each run *appends* one record set — one flat JSON line per backend,
+//! tagged with `commit` and `nproc` — to `BENCH_kernels.json`, which is
+//! therefore the trajectory of these numbers across PRs.
 //!
 //! With `--ci` it gates:
 //! - per backend: batched logits bit-identical to per-sequence decode,
 //!   kernel counters advancing;
 //! - scalar: batched decode ≥ 2× the seed scalar path at batch 16;
 //! - simd: serial GEMM ≥ 1.3× the scalar backend's serial GEMM;
+//! - simd: paged decode attention ≥ 2× the contiguous oracle at context
+//!   2048 and ≥ 1.5× at 32768, and ≥ 1.15× the scalar backend's plain
+//!   loops at both (see "What the numbers said" below for why not 2× and
+//!   1.5×);
 //! - quant-kv8: ≥ 1.8× the scalar block capacity at equal cache bytes
 //!   (asserted through `BlockSpaceManager`, not just arithmetic) and a
 //!   strictly larger max concurrent batch in the engine simulation;
-//! - JSON round-trip of every record.
+//! - JSON round-trip of every record of this run.
 
 use std::time::Instant;
 
@@ -24,8 +68,8 @@ use vllm_core::{BlockSpaceManager, CacheConfig, LlmEngine, SamplingParams, Sched
 use vllm_model::backend::{self, BackendKind, KvElement, KvLayout};
 use vllm_model::ops::{self, timing};
 use vllm_model::{
-    paged_attention_decode, pool, CpuModelExecutor, DecodeInput, KvPool, ModelConfig,
-    PositionEncoding, Transformer,
+    contiguous_causal_attention, pool, CpuModelExecutor, KvPool, ModelConfig, PositionEncoding,
+    SeqInput, SeqRows, Transformer,
 };
 
 /// Decode batch width the CI gate is defined over.
@@ -44,8 +88,22 @@ const GEMM_M: usize = 16;
 const GEMM_K: usize = 256;
 /// GEMM width.
 const GEMM_N: usize = 1024;
-/// GEMM microbench iterations per kernel.
-const GEMM_ITERS: usize = 20;
+/// GEMM microbench iterations per kernel per round.
+const GEMM_ITERS: usize = 10;
+/// `--ci` floors for simd paged decode attention at each gated context:
+/// `(case, × the contiguous oracle, × the scalar backend)`.
+const SIMD_ATTENTION_GATES: [(&str, f64, f64); 2] =
+    [("decode_2048", 2.0, 1.15), ("decode_32768", 1.5, 1.15)];
+/// Interleaved timing rounds per microbench cell (the minimum is kept).
+const ROUNDS: usize = 5;
+/// The attention microbench cells: `(name, context, query rows)`. A decode
+/// call is one row at the end of the context; the prefill is all 256 rows.
+const ATTN_CASES: [(&str, usize, usize); 4] = [
+    ("decode_256", 256, 1),
+    ("decode_2048", 2048, 1),
+    ("decode_32768", 32768, 1),
+    ("prefill_256", 256, 256),
+];
 /// Layer-norm epsilon (matches the transformer's).
 const LN_EPS: f32 = 1e-5;
 /// Memory budget for the capacity comparison: what 64 f32 blocks of the
@@ -97,8 +155,9 @@ fn lm_head_seed(model: &Transformer, hidden_state: &[f32], logits: &mut [f32]) {
 
 /// The seed repository's per-sequence decode step, reconstructed as the
 /// "old path" throughput baseline: scalar ikj [`ops::matmul_reference`]
-/// for every projection and a scalar LM-head loop. Attention reuses the
-/// shared f32 PagedAttention kernel (unchanged math between old and new).
+/// for every projection and a scalar LM-head loop. Attention is today's
+/// scalar-backend PagedAttention kernel, so the ratio isolates the dense
+/// kernels and the batching.
 fn forward_decode_seed(
     model: &Transformer,
     token: u32,
@@ -131,14 +190,14 @@ fn forward_decode_seed(
             &qkv[h..2 * h],
             &qkv[2 * h..3 * h],
         );
-        paged_attention_decode(
+        backend::by_kind(BackendKind::Scalar).paged_attention(
             &qkv[..h],
             kv,
             li,
-            table,
-            ctx,
+            &[SeqRows::decode(table, ctx)],
             model.config.n_heads,
             model.config.head_dim(),
+            pool::global(),
             &mut attn,
         );
         ops::matmul_reference(&attn, &lw.w_o, 1, h, h, &mut proj);
@@ -160,114 +219,36 @@ fn forward_decode_seed(
     logits
 }
 
-/// One backend's measurements; serialized as one JSON line.
+/// One backend's measurements; serialized as one flat JSON line.
 struct BackendReport {
     backend: &'static str,
-    batch_size: usize,
-    decode_steps: usize,
-    seed_scalar_tokens_per_sec: f64,
-    per_seq_tokens_per_sec: f64,
-    batched_tokens_per_sec: f64,
-    batched_decode_speedup: f64,
-    gemm_m: usize,
-    gemm_k: usize,
-    gemm_n: usize,
-    gemm_serial_ns: f64,
-    gemm_speedup_vs_scalar: f64,
-    kernel_matmul_ns: u64,
-    kernel_matmul_calls: u64,
-    kernel_paged_attention_ns: u64,
-    kernel_paged_attention_calls: u64,
-    kernel_logits_ns: u64,
-    kernel_logits_calls: u64,
-    kv_bytes_per_block: usize,
-    num_gpu_blocks_at_budget: usize,
-    block_capacity_ratio_vs_scalar: f64,
-    max_concurrent_batch: usize,
-    threads: usize,
-    configured_threads: usize,
+    /// `git describe --always --dirty` of the tree the bench was built in.
+    commit: String,
     logits_match: bool,
+    /// Every numeric field, in output order.
+    nums: Vec<(String, f64)>,
 }
 
 impl BackendReport {
-    /// One-line flat JSON document: a `backend` string, numbers, and one
-    /// boolean; no nesting so the round-trip parser stays trivial.
+    fn set(&mut self, key: &str, v: f64) {
+        self.nums.push((key.to_string(), v));
+    }
+
+    fn get(&self, key: &str) -> f64 {
+        let found = self.nums.iter().find(|(k, _)| k == key);
+        found.unwrap_or_else(|| panic!("no field {key}")).1
+    }
+
+    /// One-line flat JSON document: two strings, numbers, and one boolean;
+    /// no nesting so the round-trip parser stays trivial.
     fn to_json(&self) -> String {
-        let mut s = format!("{{\"backend\":\"{}\",", self.backend);
-        let push_num = |s: &mut String, key: &str, v: f64| {
+        let mut s = format!(
+            "{{\"backend\":\"{}\",\"commit\":\"{}\",",
+            self.backend, self.commit
+        );
+        for (key, v) in &self.nums {
             s.push_str(&format!("\"{key}\":{v:.4},"));
-        };
-        push_num(&mut s, "batch_size", self.batch_size as f64);
-        push_num(&mut s, "decode_steps", self.decode_steps as f64);
-        push_num(
-            &mut s,
-            "seed_scalar_tokens_per_sec",
-            self.seed_scalar_tokens_per_sec,
-        );
-        push_num(
-            &mut s,
-            "per_seq_tokens_per_sec",
-            self.per_seq_tokens_per_sec,
-        );
-        push_num(
-            &mut s,
-            "batched_tokens_per_sec",
-            self.batched_tokens_per_sec,
-        );
-        push_num(
-            &mut s,
-            "batched_decode_speedup",
-            self.batched_decode_speedup,
-        );
-        push_num(&mut s, "gemm_m", self.gemm_m as f64);
-        push_num(&mut s, "gemm_k", self.gemm_k as f64);
-        push_num(&mut s, "gemm_n", self.gemm_n as f64);
-        push_num(&mut s, "gemm_serial_ns", self.gemm_serial_ns);
-        push_num(
-            &mut s,
-            "gemm_speedup_vs_scalar",
-            self.gemm_speedup_vs_scalar,
-        );
-        push_num(&mut s, "kernel_matmul_ns", self.kernel_matmul_ns as f64);
-        push_num(
-            &mut s,
-            "kernel_matmul_calls",
-            self.kernel_matmul_calls as f64,
-        );
-        push_num(
-            &mut s,
-            "kernel_paged_attention_ns",
-            self.kernel_paged_attention_ns as f64,
-        );
-        push_num(
-            &mut s,
-            "kernel_paged_attention_calls",
-            self.kernel_paged_attention_calls as f64,
-        );
-        push_num(&mut s, "kernel_logits_ns", self.kernel_logits_ns as f64);
-        push_num(
-            &mut s,
-            "kernel_logits_calls",
-            self.kernel_logits_calls as f64,
-        );
-        push_num(&mut s, "kv_bytes_per_block", self.kv_bytes_per_block as f64);
-        push_num(
-            &mut s,
-            "num_gpu_blocks_at_budget",
-            self.num_gpu_blocks_at_budget as f64,
-        );
-        push_num(
-            &mut s,
-            "block_capacity_ratio_vs_scalar",
-            self.block_capacity_ratio_vs_scalar,
-        );
-        push_num(
-            &mut s,
-            "max_concurrent_batch",
-            self.max_concurrent_batch as f64,
-        );
-        push_num(&mut s, "threads", self.threads as f64);
-        push_num(&mut s, "configured_threads", self.configured_threads as f64);
+        }
         s.push_str(&format!("\"logits_match\":{}}}", self.logits_match));
         s
     }
@@ -293,39 +274,191 @@ fn repo_root() -> std::path::PathBuf {
         .unwrap_or_else(|_| std::path::PathBuf::from("."))
 }
 
-/// Serial GEMM microbench for one backend: average nanoseconds per
-/// `matmul_serial` call, with the scalar backend's output as the
-/// correctness reference.
-fn bench_gemm_serial(kind: BackendKind) -> f64 {
-    let mut state = 0x1234_5678_u64;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1);
-        ((state >> 33) as f32 / (1u64 << 31) as f32) - 0.5
-    };
-    let a: Vec<f32> = (0..GEMM_M * GEMM_K).map(|_| next()).collect();
-    let b: Vec<f32> = (0..GEMM_K * GEMM_N).map(|_| next()).collect();
-    let be = backend::by_kind(kind);
-    let mut out = vec![0.0f32; GEMM_M * GEMM_N];
-    let mut out_ref = vec![0.0f32; GEMM_M * GEMM_N];
+/// The commit the numbers belong to, `-dirty` if the tree has local edits.
+fn commit_label() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .current_dir(repo_root())
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
+}
 
-    // Warm and verify against the scalar reference before timing.
-    ops::matmul_reference(&a, &b, GEMM_M, GEMM_K, GEMM_N, &mut out_ref);
-    be.matmul_serial(&a, &b, GEMM_M, GEMM_K, GEMM_N, &mut out);
-    for (r, v) in out_ref.iter().zip(&out) {
-        assert!(
-            (r - v).abs() < 1e-2,
-            "{} matmul diverged from reference: {r} vs {v}",
-            kind.name()
-        );
+/// Times every cell in `ROUNDS` interleaved rounds — each cell `iters`
+/// calls per round, the starting cell rotated — and returns each cell's
+/// best nanoseconds per call.
+fn interleaved_min_ns(cells: &mut [&mut dyn FnMut()], iters: usize) -> Vec<f64> {
+    let mut best = vec![f64::INFINITY; cells.len()];
+    for cell in cells.iter_mut() {
+        cell(); // warm
     }
+    for round in 0..ROUNDS {
+        for i in 0..cells.len() {
+            let c = (i + round) % cells.len();
+            let t0 = Instant::now();
+            for _ in 0..iters {
+                cells[c]();
+            }
+            best[c] = best[c].min(t0.elapsed().as_nanos() as f64 / iters as f64);
+        }
+    }
+    best
+}
 
-    let t0 = Instant::now();
-    for _ in 0..GEMM_ITERS {
-        be.matmul_serial(&a, &b, GEMM_M, GEMM_K, GEMM_N, &mut out);
+/// xorshift stream of values in `[-0.5, 0.5)`.
+fn fill(seed: u64, len: usize) -> Vec<f32> {
+    let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    (0..len)
+        .map(|_| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            ((s % 1000) as f32 / 1000.0) - 0.5
+        })
+        .collect()
+}
+
+/// Serial GEMM `m × GEMM_K × GEMM_N` on every backend, interleaved; best
+/// nanoseconds per `matmul_serial` call, in [`BackendKind::all`] order.
+fn bench_gemm_serial(m: usize) -> Vec<f64> {
+    let a = fill(1, m * GEMM_K);
+    let b = fill(2, GEMM_K * GEMM_N);
+    let mut out_ref = vec![0.0f32; m * GEMM_N];
+    ops::matmul_reference(&a, &b, m, GEMM_K, GEMM_N, &mut out_ref);
+    let mut outs = vec![vec![0.0f32; m * GEMM_N]; BackendKind::all().len()];
+    let mut cells: Vec<Box<dyn FnMut() + '_>> = Vec::new();
+    for (kind, out) in BackendKind::all().into_iter().zip(outs.iter_mut()) {
+        let (a, b) = (&a, &b);
+        let be = backend::by_kind(kind);
+        cells.push(Box::new(move || {
+            be.matmul_serial(a, b, m, GEMM_K, GEMM_N, out);
+        }));
     }
-    t0.elapsed().as_nanos() as f64 / GEMM_ITERS as f64
+    let mut refs: Vec<&mut dyn FnMut()> = cells.iter_mut().map(|c| &mut **c as _).collect();
+    let best = interleaved_min_ns(&mut refs, GEMM_ITERS);
+    drop(cells);
+    for (kind, out) in BackendKind::all().into_iter().zip(&outs) {
+        for (r, v) in out_ref.iter().zip(out) {
+            assert!(
+                (r - v).abs() < 1e-2,
+                "{} matmul diverged from reference: {r} vs {v}",
+                kind.name()
+            );
+        }
+    }
+    best
+}
+
+/// One attention cell's numbers for one backend.
+struct AttnCell {
+    ns: f64,
+    /// K and V bytes the call reads, computed from the backend's layout.
+    kv_bytes: f64,
+    oracle_ns: f64,
+}
+
+/// The PagedAttention kernel of every backend beside the contiguous
+/// two-pass oracle, on the bench model's attention shape, over
+/// [`ATTN_CASES`]. K/V sit behind a reversed (maximally non-sequential)
+/// block table. Returns `[backend][case]` cells and, for the longest decode
+/// case, each backend's time with a sequential block table instead — the
+/// difference is what physical scatter costs the block walk.
+fn bench_attention() -> (Vec<Vec<AttnCell>>, Vec<f64>) {
+    let cfg = bench_config(BackendKind::Scalar);
+    let (n_heads, hd, hidden) = (cfg.n_heads, cfg.head_dim(), cfg.hidden);
+    let kinds = BackendKind::all();
+    let workers = pool::global();
+    let mut cells: Vec<Vec<AttnCell>> = kinds.iter().map(|_| Vec::new()).collect();
+    let mut sequential_ns = Vec::new();
+    for (name, ctx, rows) in ATTN_CASES {
+        let n_blocks = ctx.div_ceil(BLOCK_SIZE);
+        let k = fill(11, ctx * hidden);
+        let v = fill(12, ctx * hidden);
+        let q = fill(13, rows * hidden);
+        let reversed: Vec<usize> = (0..n_blocks).rev().collect();
+        let sequential: Vec<usize> = (0..n_blocks).collect();
+        let build = |kind: BackendKind, table: &[usize]| {
+            let element = backend::by_kind(kind).kv_layout().element;
+            let mut kv = KvPool::with_element(1, n_blocks, BLOCK_SIZE, hidden, element);
+            for t in 0..ctx {
+                let (block, slot) = (table[t / BLOCK_SIZE], t % BLOCK_SIZE);
+                kv.write(
+                    0,
+                    block,
+                    slot,
+                    &k[t * hidden..(t + 1) * hidden],
+                    &v[t * hidden..(t + 1) * hidden],
+                );
+            }
+            kv
+        };
+        let segment = |table| SeqRows {
+            block_table: table,
+            first_position: ctx - rows,
+            n_rows: rows,
+        };
+        let positions_read: usize = (ctx - rows..ctx).map(|p| p + 1).sum();
+        let iters = (1 << 21) / (positions_read * hidden).max(1) + 1;
+
+        // One interleaved group: every backend behind the reversed table,
+        // the oracle, and — for the longest decode — every backend behind
+        // the sequential table too, so the two table orders share rounds.
+        let with_sequential = name == "decode_32768";
+        let pools: Vec<KvPool> = kinds.iter().map(|&kind| build(kind, &reversed)).collect();
+        let seq_pools: Vec<KvPool> = kinds
+            .iter()
+            .filter(|_| with_sequential)
+            .map(|&kind| build(kind, &sequential))
+            .collect();
+        let mut outs = vec![vec![0.0f32; rows * hidden]; kinds.len() + 1 + seq_pools.len()];
+        let (paged_outs, rest) = outs.split_at_mut(kinds.len());
+        let (oracle_out, seq_outs) = rest.split_first_mut().expect("oracle slot");
+        let mut fns: Vec<Box<dyn FnMut() + '_>> = Vec::new();
+        let placed = pools
+            .iter()
+            .map(|kv| (kv, &reversed))
+            .chain(seq_pools.iter().map(|kv| (kv, &sequential)));
+        let paged_outs = paged_outs.iter_mut().chain(seq_outs.iter_mut());
+        for ((&kind, (kv, table)), out) in kinds.iter().cycle().zip(placed).zip(paged_outs) {
+            let (q, be) = (&q, backend::by_kind(kind));
+            fns.push(Box::new(move || {
+                be.paged_attention(q, kv, 0, &[segment(table)], n_heads, hd, workers, out);
+            }));
+        }
+        fns.push(Box::new(|| {
+            contiguous_causal_attention(&q, &k, &v, rows, ctx, ctx - rows, n_heads, hd, oracle_out);
+        }));
+        let mut refs: Vec<&mut dyn FnMut()> = fns.iter_mut().map(|c| &mut **c as _).collect();
+        let best = interleaved_min_ns(&mut refs, iters);
+        drop(fns);
+        let oracle_ns = *best.last().expect("oracle cell");
+        for (i, &kind) in kinds.iter().enumerate() {
+            let bytes_per_position = backend::by_kind(kind).kv_layout().bytes_per_token(hidden);
+            cells[i].push(AttnCell {
+                ns: best[i],
+                kv_bytes: (positions_read * bytes_per_position) as f64,
+                oracle_ns,
+            });
+        }
+        if with_sequential {
+            sequential_ns = best[kinds.len()..2 * kinds.len()].to_vec();
+        }
+        // f32 outputs must sit on the oracle (quant-kv8 reads other data).
+        for (i, &kind) in kinds.iter().enumerate() {
+            if kind != BackendKind::QuantKv8 {
+                for (a, b) in outs[i].iter().zip(&outs[kinds.len()]) {
+                    assert!(
+                        (a - b).abs() < 1e-4,
+                        "{} {name}: {a} vs oracle {b}",
+                        kind.name()
+                    );
+                }
+            }
+        }
+    }
+    (cells, sequential_ns)
 }
 
 /// GPU block capacity the block manager derives for `kind` at the shared
@@ -386,13 +519,10 @@ fn max_concurrent_batch(kind: BackendKind) -> usize {
     max_running
 }
 
-/// Measures one backend's decode paths against the shared seed baseline.
-fn run_backend_bench(
-    kind: BackendKind,
-    seed_scalar_tps: f64,
-    scalar_gemm_ns: f64,
-    scalar_blocks: usize,
-) -> BackendReport {
+/// Measures one backend's decode paths against the shared seed baseline:
+/// `(per-sequence tok/s, batched tok/s, kernel counters over the batched
+/// phase, batched logits bit-identical to per-sequence)`.
+fn bench_decode(kind: BackendKind) -> (f64, f64, timing::KernelSnapshot, bool) {
     let config = bench_config(kind);
     let vocab = config.vocab_size;
     let model = Transformer::new(config.clone());
@@ -415,55 +545,49 @@ fn run_backend_bench(
     for (i, table) in tables.iter().enumerate() {
         let tokens: Vec<u32> = (0..PREFILL).map(|p| tok(i, p, vocab)).collect();
         let positions: Vec<usize> = (0..PREFILL).collect();
-        model.forward_paged(&tokens, &positions, &mut kv, table, 0);
+        model.forward_paged(&tokens, &positions, &mut kv, table);
     }
 
     // Both decode paths run the SAME tokens at the SAME positions: each
     // pass rewrites K/V at those positions with bit-identical values, so
     // the bit-identity check at the end compares consistent states.
-    let step_inputs: Vec<Vec<(u32, usize)>> = (0..WARMUP_STEPS + DECODE_STEPS)
-        .map(|s| {
-            let pos = PREFILL + s;
-            (0..BATCH).map(|i| (tok(i, pos, vocab), pos)).collect()
-        })
+    let step_tokens: Vec<Vec<u32>> = (0..WARMUP_STEPS + DECODE_STEPS)
+        .map(|s| (0..BATCH).map(|i| tok(i, PREFILL + s, vocab)).collect())
         .collect();
+    let inputs = |s: usize| -> Vec<SeqInput<'_>> {
+        (0..BATCH)
+            .map(|i| SeqInput {
+                tokens: &step_tokens[s][i..=i],
+                first_position: PREFILL + s,
+                block_table: &tables[i],
+            })
+            .collect()
+    };
 
     // This backend's kernels, one sequence at a time.
     let mut per_seq_last = vec![Vec::new(); BATCH];
-    for step in &step_inputs[..WARMUP_STEPS] {
-        for (i, &(t, pos)) in step.iter().enumerate() {
-            model.forward_paged(&[t], &[pos], &mut kv, &tables[i], pos);
+    for s in 0..WARMUP_STEPS {
+        for input in inputs(s) {
+            model.forward(&[input], &mut kv);
         }
     }
     let t0 = Instant::now();
-    for step in &step_inputs[WARMUP_STEPS..] {
-        for (i, &(t, pos)) in step.iter().enumerate() {
-            per_seq_last[i] = model.forward_paged(&[t], &[pos], &mut kv, &tables[i], pos);
+    for s in WARMUP_STEPS..WARMUP_STEPS + DECODE_STEPS {
+        for (i, input) in inputs(s).into_iter().enumerate() {
+            per_seq_last[i] = model.forward(&[input], &mut kv);
         }
     }
     let per_seq_elapsed = t0.elapsed();
 
     // One stacked batched forward per step.
-    let run_batched = |kv: &mut KvPool, step: &[(u32, usize)]| -> Vec<f32> {
-        let inputs: Vec<DecodeInput<'_>> = step
-            .iter()
-            .enumerate()
-            .map(|(i, &(t, pos))| DecodeInput {
-                token: t,
-                position: pos,
-                block_table: &tables[i],
-            })
-            .collect();
-        model.forward_decode_batch(&inputs, kv)
-    };
-    for step in &step_inputs[..WARMUP_STEPS] {
-        run_batched(&mut kv, step);
+    for s in 0..WARMUP_STEPS {
+        model.forward(&inputs(s), &mut kv);
     }
     let kernels_before = timing::snapshot();
     let mut batched_last = Vec::new();
     let t0 = Instant::now();
-    for step in &step_inputs[WARMUP_STEPS..] {
-        batched_last = run_batched(&mut kv, step);
+    for s in WARMUP_STEPS..WARMUP_STEPS + DECODE_STEPS {
+        batched_last = model.forward(&inputs(s), &mut kv);
     }
     let batched_elapsed = t0.elapsed();
     let kernels = timing::snapshot().delta_since(&kernels_before);
@@ -474,39 +598,13 @@ fn run_backend_bench(
     let logits_match =
         (0..BATCH).all(|i| per_seq_last[i][..] == batched_last[i * vocab..(i + 1) * vocab]);
 
-    let gemm_ns = bench_gemm_serial(kind);
-    let (bytes_per_block, blocks_at_budget) = capacity_at_budget(kind);
-
     let decoded_tokens = (BATCH * DECODE_STEPS) as f64;
-    let per_seq_tps = decoded_tokens / per_seq_elapsed.as_secs_f64();
-    let batched_tps = decoded_tokens / batched_elapsed.as_secs_f64();
-    BackendReport {
-        backend: kind.name(),
-        batch_size: BATCH,
-        decode_steps: DECODE_STEPS,
-        seed_scalar_tokens_per_sec: seed_scalar_tps,
-        per_seq_tokens_per_sec: per_seq_tps,
-        batched_tokens_per_sec: batched_tps,
-        batched_decode_speedup: batched_tps / seed_scalar_tps,
-        gemm_m: GEMM_M,
-        gemm_k: GEMM_K,
-        gemm_n: GEMM_N,
-        gemm_serial_ns: gemm_ns,
-        gemm_speedup_vs_scalar: scalar_gemm_ns / gemm_ns,
-        kernel_matmul_ns: kernels.matmul_ns,
-        kernel_matmul_calls: kernels.matmul_calls,
-        kernel_paged_attention_ns: kernels.attention_ns,
-        kernel_paged_attention_calls: kernels.attention_calls,
-        kernel_logits_ns: kernels.logits_ns,
-        kernel_logits_calls: kernels.logits_calls,
-        kv_bytes_per_block: bytes_per_block,
-        num_gpu_blocks_at_budget: blocks_at_budget,
-        block_capacity_ratio_vs_scalar: blocks_at_budget as f64 / scalar_blocks as f64,
-        max_concurrent_batch: max_concurrent_batch(kind),
-        threads: pool::global().parallelism(),
-        configured_threads: pool::configured_threads(),
+    (
+        decoded_tokens / per_seq_elapsed.as_secs_f64(),
+        decoded_tokens / batched_elapsed.as_secs_f64(),
+        kernels,
         logits_match,
-    }
+    )
 }
 
 /// Measures the seed repository's scalar per-sequence decode throughput
@@ -528,7 +626,7 @@ fn run_seed_baseline() -> f64 {
     for (i, table) in tables.iter().enumerate() {
         let tokens: Vec<u32> = (0..PREFILL).map(|p| tok(i, p, vocab)).collect();
         let positions: Vec<usize> = (0..PREFILL).collect();
-        model.forward_paged(&tokens, &positions, &mut kv, table, 0);
+        model.forward_paged(&tokens, &positions, &mut kv, table);
     }
     let step_inputs: Vec<Vec<(u32, usize)>> = (0..WARMUP_STEPS + DECODE_STEPS)
         .map(|s| {
@@ -553,42 +651,64 @@ fn run_seed_baseline() -> f64 {
 fn print_report(r: &BackendReport) {
     println!("=== backend: {} ===", r.backend);
     println!(
-        "  threads: {} (VLLM_NUM_THREADS={})",
-        r.threads, r.configured_threads
+        "  threads: {} (VLLM_NUM_THREADS={}), nproc {}, commit {}",
+        r.get("threads"),
+        r.get("configured_threads"),
+        r.get("nproc"),
+        r.commit
     );
     println!(
-        "  decode (batch {}, {} steps): seed scalar {:.1} tok/s | per-seq {:.1} tok/s | batched {:.1} tok/s ({:.2}x vs seed)",
-        r.batch_size,
-        r.decode_steps,
-        r.seed_scalar_tokens_per_sec,
-        r.per_seq_tokens_per_sec,
-        r.batched_tokens_per_sec,
-        r.batched_decode_speedup
+        "  decode (batch {BATCH}, {DECODE_STEPS} steps): seed scalar {:.1} tok/s | per-seq {:.1} tok/s | batched {:.1} tok/s ({:.2}x vs seed)",
+        r.get("seed_scalar_tokens_per_sec"),
+        r.get("per_seq_tokens_per_sec"),
+        r.get("batched_tokens_per_sec"),
+        r.get("batched_decode_speedup")
     );
     println!(
         "  batched logits bit-identical to per-sequence: {}",
         r.logits_match
     );
     println!(
-        "  serial GEMM {}x{}x{}: {:.0} ns ({:.2}x vs scalar backend)",
-        r.gemm_m, r.gemm_k, r.gemm_n, r.gemm_serial_ns, r.gemm_speedup_vs_scalar
+        "  serial GEMM {GEMM_M}x{GEMM_K}x{GEMM_N}: {:.0} ns ({:.2}x vs scalar backend); 1x{GEMM_K}x{GEMM_N}: {:.0} ns ({:.2}x)",
+        r.get("gemm_serial_ns"),
+        r.get("gemm_speedup_vs_scalar"),
+        r.get("gemm_m1_serial_ns"),
+        r.get("gemm_m1_speedup_vs_scalar")
+    );
+    for (name, ctx, rows) in ATTN_CASES {
+        println!(
+            "  attention {name} ({rows} row(s), context {ctx}): {:.0} ns, {:.2} MB KV, {:.2} GB/s | contiguous oracle {:.0} ns ({:.2}x) | {:.2}x vs scalar backend",
+            r.get(&format!("attn_{name}_ns")),
+            r.get(&format!("attn_{name}_kv_bytes")) / 1e6,
+            r.get(&format!("attn_{name}_gbps")),
+            r.get(&format!("attn_{name}_oracle_ns")),
+            r.get(&format!("attn_{name}_vs_oracle")),
+            r.get(&format!("attn_{name}_vs_scalar"))
+        );
+    }
+    println!(
+        "  attention decode_32768 behind a sequential block table: {:.0} ns (physical scatter costs {:.1}% of the kernel)",
+        r.get("attn_decode_32768_sequential_table_ns"),
+        r.get("attn_decode_32768_scatter_share") * 100.0
     );
     println!(
         "  KV bytes/block {} -> {} GPU blocks at the shared budget ({:.2}x scalar capacity)",
-        r.kv_bytes_per_block, r.num_gpu_blocks_at_budget, r.block_capacity_ratio_vs_scalar
+        r.get("kv_bytes_per_block"),
+        r.get("num_gpu_blocks_at_budget"),
+        r.get("block_capacity_ratio_vs_scalar")
     );
     println!(
-        "  max concurrent batch in sim ({} reqs, equal bytes): {}",
-        SIM_REQUESTS, r.max_concurrent_batch
+        "  max concurrent batch in sim ({SIM_REQUESTS} reqs, equal bytes): {}",
+        r.get("max_concurrent_batch")
     );
     println!(
         "  kernel counters over batched phase: matmul {} ns/{} calls, attention {} ns/{} calls, logits {} ns/{} calls",
-        r.kernel_matmul_ns,
-        r.kernel_matmul_calls,
-        r.kernel_paged_attention_ns,
-        r.kernel_paged_attention_calls,
-        r.kernel_logits_ns,
-        r.kernel_logits_calls
+        r.get("kernel_matmul_ns"),
+        r.get("kernel_matmul_calls"),
+        r.get("kernel_paged_attention_ns"),
+        r.get("kernel_paged_attention_calls"),
+        r.get("kernel_logits_ns"),
+        r.get("kernel_logits_calls")
     );
 }
 
@@ -597,38 +717,102 @@ fn main() {
 
     println!("=== kernels: per-backend numeric-layer microbenchmarks ===");
     let seed_scalar_tps = run_seed_baseline();
-
-    // The scalar backend anchors the cross-backend comparisons.
-    let scalar_gemm_ns = bench_gemm_serial(BackendKind::Scalar);
+    let gemm_ns = bench_gemm_serial(GEMM_M);
+    let gemm_m1_ns = bench_gemm_serial(1);
+    let (attn, attn_sequential_ns) = bench_attention();
     let (_, scalar_blocks) = capacity_at_budget(BackendKind::Scalar);
+    let commit = commit_label();
+    let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
-    let mut reports: Vec<BackendReport> = BackendKind::all()
-        .iter()
-        .map(|&kind| run_backend_bench(kind, seed_scalar_tps, scalar_gemm_ns, scalar_blocks))
+    // The scalar backend (first in `all()`) anchors cross-backend ratios.
+    let reports: Vec<BackendReport> = BackendKind::all()
+        .into_iter()
+        .enumerate()
+        .map(|(b, kind)| {
+            let (per_seq_tps, batched_tps, kernels, logits_match) = bench_decode(kind);
+            let (bytes_per_block, blocks_at_budget) = capacity_at_budget(kind);
+            let mut r = BackendReport {
+                backend: kind.name(),
+                commit: commit.clone(),
+                logits_match,
+                nums: Vec::new(),
+            };
+            r.set("nproc", nproc as f64);
+            r.set("threads", pool::global().parallelism() as f64);
+            r.set("configured_threads", pool::configured_threads() as f64);
+            r.set("batch_size", BATCH as f64);
+            r.set("decode_steps", DECODE_STEPS as f64);
+            r.set("seed_scalar_tokens_per_sec", seed_scalar_tps);
+            r.set("per_seq_tokens_per_sec", per_seq_tps);
+            r.set("batched_tokens_per_sec", batched_tps);
+            r.set("batched_decode_speedup", batched_tps / seed_scalar_tps);
+            r.set("gemm_m", GEMM_M as f64);
+            r.set("gemm_k", GEMM_K as f64);
+            r.set("gemm_n", GEMM_N as f64);
+            r.set("gemm_serial_ns", gemm_ns[b]);
+            r.set("gemm_speedup_vs_scalar", gemm_ns[0] / gemm_ns[b]);
+            r.set("gemm_m1_serial_ns", gemm_m1_ns[b]);
+            r.set("gemm_m1_speedup_vs_scalar", gemm_m1_ns[0] / gemm_m1_ns[b]);
+            for (c, (name, _, _)) in ATTN_CASES.into_iter().enumerate() {
+                let cell = &attn[b][c];
+                r.set(&format!("attn_{name}_ns"), cell.ns);
+                r.set(&format!("attn_{name}_kv_bytes"), cell.kv_bytes);
+                r.set(&format!("attn_{name}_gbps"), cell.kv_bytes / cell.ns);
+                r.set(&format!("attn_{name}_oracle_ns"), cell.oracle_ns);
+                r.set(&format!("attn_{name}_vs_oracle"), cell.oracle_ns / cell.ns);
+                r.set(&format!("attn_{name}_vs_scalar"), attn[0][c].ns / cell.ns);
+            }
+            let scattered_ns = r.get("attn_decode_32768_ns");
+            r.set(
+                "attn_decode_32768_sequential_table_ns",
+                attn_sequential_ns[b],
+            );
+            r.set(
+                "attn_decode_32768_scatter_share",
+                1.0 - attn_sequential_ns[b] / scattered_ns,
+            );
+            r.set("kernel_matmul_ns", kernels.matmul_ns as f64);
+            r.set("kernel_matmul_calls", kernels.matmul_calls as f64);
+            r.set("kernel_paged_attention_ns", kernels.attention_ns as f64);
+            r.set(
+                "kernel_paged_attention_calls",
+                kernels.attention_calls as f64,
+            );
+            r.set("kernel_logits_ns", kernels.logits_ns as f64);
+            r.set("kernel_logits_calls", kernels.logits_calls as f64);
+            r.set("kv_bytes_per_block", bytes_per_block as f64);
+            r.set("num_gpu_blocks_at_budget", blocks_at_budget as f64);
+            r.set(
+                "block_capacity_ratio_vs_scalar",
+                blocks_at_budget as f64 / scalar_blocks as f64,
+            );
+            r.set("max_concurrent_batch", max_concurrent_batch(kind) as f64);
+            r
+        })
         .collect();
-    // Re-anchor GEMM speedups on the scalar record's own in-loop timing so
-    // the scalar row reads exactly 1.0x and cross-backend ratios share one
-    // measurement context.
-    let scalar_loop_gemm_ns = reports
-        .iter()
-        .find(|r| r.backend == "scalar")
-        .map_or(scalar_gemm_ns, |r| r.gemm_serial_ns);
-    for r in &mut reports {
-        r.gemm_speedup_vs_scalar = scalar_loop_gemm_ns / r.gemm_serial_ns;
-    }
     for r in &reports {
         print_report(r);
         println!();
     }
 
+    // Append this run's record set: the file is the trajectory.
     let path = repo_root().join("BENCH_kernels.json");
     let mut json = String::new();
     for r in &reports {
         json.push_str(&r.to_json());
         json.push('\n');
     }
-    std::fs::write(&path, &json).expect("write BENCH_kernels.json");
-    println!("wrote {} ({} records)", path.display(), reports.len());
+    {
+        use std::io::Write;
+        let mut file = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&path)
+            .expect("open BENCH_kernels.json");
+        file.write_all(json.as_bytes())
+            .expect("append to BENCH_kernels.json");
+    }
+    println!("appended {} records to {}", reports.len(), path.display());
 
     if !ci {
         return;
@@ -661,9 +845,9 @@ fn main() {
             ),
         );
         check(
-            r.kernel_matmul_calls > 0
-                && r.kernel_paged_attention_calls > 0
-                && r.kernel_logits_calls > 0,
+            r.get("kernel_matmul_calls") > 0.0
+                && r.get("kernel_paged_attention_calls") > 0.0
+                && r.get("kernel_logits_calls") > 0.0,
             &format!(
                 "{}: kernel timing counters did not advance during the batched phase",
                 r.backend
@@ -671,70 +855,64 @@ fn main() {
         );
     }
     check(
-        scalar.batched_decode_speedup >= 2.0,
+        scalar.get("batched_decode_speedup") >= 2.0,
         &format!(
-            "scalar batched decode speedup {:.2}x is below the 2x gate at batch {}",
-            scalar.batched_decode_speedup, scalar.batch_size
+            "scalar batched decode speedup {:.2}x is below the 2x gate at batch {BATCH}",
+            scalar.get("batched_decode_speedup")
         ),
     );
     check(
-        simd.gemm_speedup_vs_scalar >= 1.3,
+        simd.get("gemm_speedup_vs_scalar") >= 1.3,
         &format!(
             "simd serial GEMM speedup {:.2}x is below the 1.3x gate",
-            simd.gemm_speedup_vs_scalar
+            simd.get("gemm_speedup_vs_scalar")
         ),
     );
+    for (name, oracle_gate, scalar_gate) in SIMD_ATTENTION_GATES {
+        let vs_oracle = simd.get(&format!("attn_{name}_vs_oracle"));
+        check(
+            vs_oracle >= oracle_gate,
+            &format!("simd paged attention {name} is {vs_oracle:.2}x the contiguous oracle, below the {oracle_gate}x gate"),
+        );
+        let vs_scalar = simd.get(&format!("attn_{name}_vs_scalar"));
+        check(
+            vs_scalar >= scalar_gate,
+            &format!("simd paged attention {name} is {vs_scalar:.2}x the scalar backend, below the {scalar_gate}x gate"),
+        );
+    }
     check(
-        quant.num_gpu_blocks_at_budget as f64 >= 1.8 * scalar.num_gpu_blocks_at_budget as f64,
+        quant.get("num_gpu_blocks_at_budget") >= 1.8 * scalar.get("num_gpu_blocks_at_budget"),
         &format!(
             "quant-kv8 block capacity {} is below 1.8x the scalar capacity {} at equal bytes",
-            quant.num_gpu_blocks_at_budget, scalar.num_gpu_blocks_at_budget
+            quant.get("num_gpu_blocks_at_budget"),
+            scalar.get("num_gpu_blocks_at_budget")
         ),
     );
     check(
-        quant.max_concurrent_batch > scalar.max_concurrent_batch,
+        quant.get("max_concurrent_batch") > scalar.get("max_concurrent_batch"),
         &format!(
             "quant-kv8 max concurrent batch {} does not exceed scalar's {} at equal bytes",
-            quant.max_concurrent_batch, scalar.max_concurrent_batch
+            quant.get("max_concurrent_batch"),
+            scalar.get("max_concurrent_batch")
         ),
     );
 
-    // JSON round trip: every record must name its backend and preserve its
-    // numeric fields through write + parse.
+    // JSON round trip: the file's last record set must be this run's, every
+    // numeric field preserved through write + parse.
     let written = std::fs::read_to_string(&path).expect("read back BENCH_kernels.json");
+    let lines: Vec<&str> = written.lines().collect();
+    let tail = &lines[lines.len().saturating_sub(reports.len())..];
     let close = |a: f64, b: f64| (a - b).abs() <= 1e-3 * a.abs().max(1.0);
     for r in &reports {
-        let line = written
-            .lines()
-            .find(|l| l.contains(&format!("\"backend\":\"{}\"", r.backend)));
-        let Some(line) = line else {
+        let tag = format!("\"backend\":\"{}\",\"commit\":\"{}\"", r.backend, r.commit);
+        let Some(line) = tail.iter().find(|l| l.contains(&tag)) else {
             check(false, &format!("round-trip lost the {} record", r.backend));
             continue;
         };
-        let fields: Vec<(&str, f64)> = vec![
-            ("batch_size", r.batch_size as f64),
-            ("decode_steps", r.decode_steps as f64),
-            ("seed_scalar_tokens_per_sec", r.seed_scalar_tokens_per_sec),
-            ("per_seq_tokens_per_sec", r.per_seq_tokens_per_sec),
-            ("batched_tokens_per_sec", r.batched_tokens_per_sec),
-            ("batched_decode_speedup", r.batched_decode_speedup),
-            ("gemm_serial_ns", r.gemm_serial_ns),
-            ("gemm_speedup_vs_scalar", r.gemm_speedup_vs_scalar),
-            ("kernel_matmul_ns", r.kernel_matmul_ns as f64),
-            ("kernel_logits_calls", r.kernel_logits_calls as f64),
-            ("kv_bytes_per_block", r.kv_bytes_per_block as f64),
-            (
-                "num_gpu_blocks_at_budget",
-                r.num_gpu_blocks_at_budget as f64,
-            ),
-            ("max_concurrent_batch", r.max_concurrent_batch as f64),
-            ("threads", r.threads as f64),
-            ("configured_threads", r.configured_threads as f64),
-        ];
-        for (key, expect) in fields {
+        for (key, expect) in &r.nums {
             match json_get(line, key) {
                 Some(v) => check(
-                    close(v, expect),
+                    close(v, *expect),
                     &format!(
                         "{}: round-trip mismatch for {key}: wrote {expect}, parsed {v}",
                         r.backend

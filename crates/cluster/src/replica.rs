@@ -29,7 +29,7 @@
 //!   frontends can be exercised against replica loss.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -400,6 +400,62 @@ struct EngineLoopFlags<'a> {
     max_inflight: usize,
 }
 
+/// How long an idle engine loop sleeps on its command channel before it
+/// looks at the kill and shutdown flags again.
+const IDLE_WAIT: Duration = Duration::from_millis(5);
+
+/// Applies one command to the engine: a generation request is admitted (or
+/// answered with its rejection), a prefix operation runs synchronously.
+/// Returns whether a request joined the engine.
+fn handle_command<E: ModelExecutor>(
+    engine: &mut LlmEngine<E>,
+    pending: &mut Vec<(String, Sender<EngineReply>)>,
+    flags: &EngineLoopFlags<'_>,
+    cmd: EngineCommand,
+) -> bool {
+    match cmd {
+        EngineCommand::Generate(req) => {
+            if pending.len() >= flags.max_inflight {
+                // Bounded admission: explicit backpressure instead of
+                // silent queueing.
+                let _ = req.reply.send(Err(VllmError::Rejected {
+                    retry_after: REJECT_RETRY_AFTER,
+                }));
+                return false;
+            }
+            match engine.add_generation_request(req.request_id.clone(), req.prompt, &req.request) {
+                Ok(()) => {
+                    pending.push((req.request_id, req.reply));
+                    true
+                }
+                Err(e) => {
+                    let _ = req.reply.send(Err(e));
+                    false
+                }
+            }
+        }
+        EngineCommand::Prefix(p) => {
+            // Control plane: synchronous, exempt from the in-flight bound.
+            let result = match p.op {
+                PrefixOp::Register { tokens } => engine
+                    .register_prefix(tokens)
+                    .map(|id| PrefixReply::Registered { id }),
+                PrefixOp::Export { id } => engine
+                    .export_prefix(id)
+                    .map(|(tokens, blocks)| PrefixReply::Exported { tokens, blocks }),
+                PrefixOp::Install { tokens, blocks } => engine
+                    .import_prefix(tokens, blocks)
+                    .map(|id| PrefixReply::Installed { id }),
+                PrefixOp::Release { id } => {
+                    engine.release_prefix(id).map(|()| PrefixReply::Released)
+                }
+            };
+            let _ = p.reply.send(result);
+            false
+        }
+    }
+}
+
 /// The engine loop: drain new requests, run one iteration, route finished
 /// outputs back to their reply channels.
 ///
@@ -455,61 +511,31 @@ fn engine_loop<E: ModelExecutor>(
             coverage_version = Some(engine.prefix_pool().version());
             *coverage.lock() = Arc::new(engine.prefix_coverage());
         }
-        // Admit everything that arrived since the last iteration. A closed
-        // channel is not an exit condition by itself: accepted work still
-        // drains below.
+        // Admit everything that arrived since the last iteration; with
+        // nothing in flight, sleep on the channel until something does (the
+        // kill and shutdown flags are looked at again within `IDLE_WAIT`).
+        // A closed channel is not an exit condition by itself: accepted
+        // work still drains below.
         let mut admitted = false;
         let mut disconnected = false;
+        let mut next = if engine.has_unfinished() {
+            rx.try_recv()
+        } else {
+            rx.recv_timeout(IDLE_WAIT).map_err(|e| match e {
+                RecvTimeoutError::Timeout => TryRecvError::Empty,
+                RecvTimeoutError::Disconnected => TryRecvError::Disconnected,
+            })
+        };
         loop {
-            match rx.try_recv() {
-                Ok(EngineCommand::Generate(req)) => {
-                    if pending.len() >= flags.max_inflight {
-                        // Bounded admission: explicit backpressure instead
-                        // of silent queueing.
-                        let _ = req.reply.send(Err(VllmError::Rejected {
-                            retry_after: REJECT_RETRY_AFTER,
-                        }));
-                        continue;
-                    }
-                    match engine.add_generation_request(
-                        req.request_id.clone(),
-                        req.prompt,
-                        &req.request,
-                    ) {
-                        Ok(()) => {
-                            pending.push((req.request_id, req.reply));
-                            admitted = true;
-                        }
-                        Err(e) => {
-                            let _ = req.reply.send(Err(e));
-                        }
-                    }
-                }
-                Ok(EngineCommand::Prefix(p)) => {
-                    // Control plane: synchronous, exempt from the in-flight
-                    // bound.
-                    let result = match p.op {
-                        PrefixOp::Register { tokens } => engine
-                            .register_prefix(tokens)
-                            .map(|id| PrefixReply::Registered { id }),
-                        PrefixOp::Export { id } => engine
-                            .export_prefix(id)
-                            .map(|(tokens, blocks)| PrefixReply::Exported { tokens, blocks }),
-                        PrefixOp::Install { tokens, blocks } => engine
-                            .import_prefix(tokens, blocks)
-                            .map(|id| PrefixReply::Installed { id }),
-                        PrefixOp::Release { id } => {
-                            engine.release_prefix(id).map(|()| PrefixReply::Released)
-                        }
-                    };
-                    let _ = p.reply.send(result);
-                }
+            match next {
+                Ok(cmd) => admitted |= handle_command(&mut engine, &mut pending, flags, cmd),
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => {
                     disconnected = true;
                     break;
                 }
             }
+            next = rx.try_recv();
         }
         if admitted {
             *stats.lock() = snapshot_stats(&engine, finished_total);
@@ -518,7 +544,6 @@ fn engine_loop<E: ModelExecutor>(
             if flags.shutdown.load(Ordering::SeqCst) || disconnected {
                 break; // Drained: nothing queued, nothing in flight.
             }
-            std::thread::sleep(Duration::from_millis(1));
             continue;
         }
         let outputs = match engine.step() {
@@ -713,6 +738,26 @@ mod tests {
                 Err(e) => assert!(e.is_retryable()),
             }
         }
+    }
+
+    #[test]
+    fn idle_replica_wakes_on_arrival_not_on_a_timer() {
+        // 200 back-to-back control-plane round trips (releasing an unknown
+        // prefix: the cheapest op) against an idle engine loop. When the
+        // loop slept out a 1 ms tick between looks at its channel this took
+        // over 200 ms; woken by the arrival it is thread hand-offs only.
+        let replica = Replica::spawn(0, small_engine());
+        let unknown = PrefixOp::Release { id: 999 };
+        assert!(replica.prefix_op(unknown.clone()).is_err()); // loop is up
+        let start = std::time::Instant::now();
+        for _ in 0..200 {
+            assert!(replica.prefix_op(unknown.clone()).is_err());
+        }
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(100),
+            "200 idle round trips took {elapsed:?}"
+        );
     }
 
     #[test]

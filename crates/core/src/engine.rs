@@ -688,7 +688,15 @@ impl<E: ModelExecutor> LlmEngine<E> {
             block_size: bs,
             ..StepPlan::default()
         };
-        self.executor.begin_step(&warmup)?;
+        // A forward pass outside `step()`: it is no scheduler iteration (the
+        // step counters stay put) but it is execute time and model time, so
+        // it joins the same totals the per-replica wall identity sums.
+        let t = Instant::now();
+        let result = self.executor.begin_step(&warmup)?;
+        let execute = t.elapsed().as_secs_f64();
+        self.trace_stats.add_execute(execute);
+        self.tmetrics.step_execute_seconds.observe(execute);
+        self.tmetrics.step_model_seconds.observe(result.elapsed);
         let id = self.prefix_pool.insert(tokens, blocks);
         self.prefix_pool.mark_computed(id);
         Ok(id)

@@ -324,6 +324,12 @@ impl TraceStats {
         self.num_recompute_preemptions += trace.num_recompute_preemptions() as u64;
     }
 
+    /// Adds execute-stage time spent outside any step (the KV-only warm-up
+    /// forward of a prefix registration).
+    pub fn add_execute(&mut self, seconds: f64) {
+        self.stage_totals.execute += seconds;
+    }
+
     /// Number of steps observed (prompt, decode, and empty steps alike).
     #[must_use]
     pub fn num_steps(&self) -> u64 {

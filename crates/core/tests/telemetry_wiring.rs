@@ -396,6 +396,70 @@ fn model_kernel_histograms_are_registered_and_observed() {
         .is_some());
 }
 
+/// Times every `begin_step` from outside, as the serving bench's decorator
+/// does, and makes each one long enough to see.
+struct TimedExecutor {
+    inner: MockExecutor,
+    begin_step_seconds: std::sync::Arc<std::sync::Mutex<f64>>,
+}
+
+impl vllm_core::ModelExecutor for TimedExecutor {
+    fn begin_step(
+        &mut self,
+        plan: &vllm_core::StepPlan,
+    ) -> vllm_core::Result<vllm_core::StepResult> {
+        let start = std::time::Instant::now();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let result = self.inner.begin_step(plan);
+        *self.begin_step_seconds.lock().unwrap() += start.elapsed().as_secs_f64();
+        result
+    }
+}
+
+#[test]
+fn prefix_registration_forward_counts_as_execute_time_but_not_as_a_step() {
+    // The per-replica wall identity sums the stage totals; a forward pass
+    // that runs outside `step()` has to be in them or the identity leaks.
+    let cache = CacheConfig::new(BS, 64, 0)
+        .unwrap()
+        .with_watermark(0.0)
+        .unwrap();
+    let sched = SchedulerConfig::new(2048, 64, 2048).unwrap();
+    let begin_step_seconds = std::sync::Arc::new(std::sync::Mutex::new(0.0));
+    let exec = TimedExecutor {
+        inner: MockExecutor::new(1000),
+        begin_step_seconds: std::sync::Arc::clone(&begin_step_seconds),
+    };
+    let mut e = LlmEngine::new(exec, cache, sched);
+
+    e.register_prefix((0..16).collect()).unwrap();
+    assert_eq!(e.trace_stats().num_steps(), 0, "a registration is no step");
+    let registration = *begin_step_seconds.lock().unwrap();
+    assert!(registration >= 0.002);
+    assert!(e.trace_stats().stage_totals().execute >= registration);
+
+    let mut prompt: Vec<u32> = (0..16).collect();
+    prompt.extend([90, 91, 92]);
+    e.add_request("a", prompt, SamplingParams::greedy(5))
+        .unwrap();
+    e.run_to_completion().unwrap();
+
+    // The execute total brackets every `begin_step` from outside: never
+    // less than what the executor saw, and only call overhead more.
+    let inside = *begin_step_seconds.lock().unwrap();
+    let execute = e.trace_stats().stage_totals().execute;
+    assert!(execute >= inside, "execute {execute} < begin_step {inside}");
+    assert!(
+        execute < inside * 1.05,
+        "execute {execute} vs begin_step {inside}"
+    );
+    // The histogram exposition carries the same total.
+    let snap = e.metrics_snapshot();
+    let h = snap.histogram("vllm_step_execute_seconds").unwrap();
+    assert!((h.sum - execute).abs() < 1e-9 * execute.max(1.0) + 1e-9);
+    assert_eq!(h.count, e.trace_stats().num_steps() + 1);
+}
+
 #[test]
 fn span_pipeline_round_trips_and_validates() {
     use vllm_core::telemetry::{

@@ -1,12 +1,34 @@
 //! Attention kernels: the contiguous reference and the PagedAttention
-//! kernel that reads K/V through a block table (§4.1, Eq. 4).
+//! kernel that reads K/V in place through a block table (§4.1, Eq. 4).
 //!
-//! The paged kernel streams over KV blocks with an online-softmax
-//! accumulator, exactly mirroring the blockwise decomposition of Eq. 4: per
-//! block it computes the score row `A_ij = softmax(q·K_j)` contribution and
-//! accumulates `V_j A_ij` without materializing the full attention row.
+//! There is one paged kernel, [`paged_attention`], for decode rows and
+//! prefill/chunk rows alike. Its tile is a *logical* KV block — positions
+//! `j·B .. (j+1)·B` of the sequence, one contiguous `B × hidden` region of
+//! the pool — and per (query row, tile) it does what Eq. 4 says:
+//!
+//! 1. **scores** for every slot of the tile and every head at once from the
+//!    dimension-major K tile, slots as lanes ([`TileLanes::scores`]);
+//! 2. **softmax step**: one tile max, one `exp(m − m_new)` correction per
+//!    head and the slot weights `exp(s − m_new)`, through the deterministic
+//!    vector `exp` of the `wide` shim ([`softmax_step`]);
+//! 3. **accumulate** `acc = acc·corr + Σ_slot w·V` from the V tile
+//!    ([`TileLanes::accumulate`]).
+//!
+//! Backends supply only the two tile primitives; the row loop, the tiling
+//! and the softmax recurrence exist once, here.
+//!
+//! **Determinism contract.** A row's output is a pure function of its query
+//! vector, the KV contents at positions `0 ..= p`, and the block size:
+//! tiles are logical blocks counted from position 0 (never chunk-, batch-
+//! or physical-block-relative), every reduction runs in a fixed order
+//! (`d`-ascending dot products, slot-ascending sums), and rows share no
+//! state. So per backend, bit for bit: batched ≡ solo, chunked ≡
+//! monolithic, any worker count, any physical block placement — and a
+//! prefill row ≡ the decode row at the same position.
 
-use crate::kv_cache::KvPool;
+use wide::f32x8;
+
+use crate::kv_cache::{KvPool, KvTile};
 use crate::ops::{axpy, dot, softmax, timing};
 use crate::pool::WorkerPool;
 
@@ -14,9 +36,10 @@ use crate::pool::WorkerPool;
 ///
 /// Queries `q` are `nq × hidden` at absolute positions `q_start ..
 /// q_start + nq`; keys/values are `nk × hidden` at positions `0 .. nk`.
-/// Query at absolute position `p` attends to keys `0 ..= p`. Used for the
-/// prompt phase ("the prefill step uses a conventional self-attention
-/// algorithm", §4.3) and as the FasterTransformer-style baseline kernel.
+/// Query at absolute position `p` attends to keys `0 ..= p`. A two-pass
+/// softmax over materialized score rows: the oracle the paged kernel is
+/// tested against and the FasterTransformer-style baseline of Fig. 18a —
+/// not on the serving path.
 ///
 /// # Panics
 ///
@@ -64,56 +87,6 @@ pub fn contiguous_causal_attention(
     }
 }
 
-/// Prefill attention over paged K/V (whole prompts and scheduler-budgeted
-/// chunks): gathers the first `context_len` positions through the block
-/// table — dequantizing as the pool's layout requires — then runs the
-/// contiguous causal kernel over query rows `num_cached .. num_cached + nq`.
-/// Rows attend to every prior chunk's KV plus a causal intra-chunk mask.
-///
-/// Determinism contract: per row, score and output accumulation orders are
-/// functions of the reduction index alone (k-order [`dot`], t-order
-/// [`axpy`]), so a row's output depends only on its query and KV
-/// `[0 ..= row]` — never on which chunk the row arrived in or what else is
-/// batched. This is the property that makes chunked prefill logits
-/// bit-identical to an unchunked prefill on every backend.
-///
-/// # Panics
-///
-/// Panics if shapes disagree or the block table does not cover
-/// `context_len`.
-#[allow(clippy::too_many_arguments)]
-pub fn paged_attention_prefill(
-    q: &[f32],
-    pool: &KvPool,
-    layer: usize,
-    block_table: &[usize],
-    nq: usize,
-    context_len: usize,
-    num_cached: usize,
-    n_heads: usize,
-    head_dim: usize,
-    out: &mut [f32],
-) {
-    assert!(
-        block_table.len() * pool.block_size() >= context_len,
-        "block table too short for prefill context"
-    );
-    let t0 = std::time::Instant::now();
-    let (ks, vs) = pool.gather(layer, block_table, context_len);
-    contiguous_causal_attention(
-        q,
-        &ks,
-        &vs,
-        nq,
-        context_len,
-        num_cached,
-        n_heads,
-        head_dim,
-        out,
-    );
-    timing::record_attention(t0.elapsed());
-}
-
 /// Single-query attention over contiguous K/V (the FasterTransformer-style
 /// decode kernel used as the Fig. 18a baseline).
 ///
@@ -142,243 +115,400 @@ pub fn contiguous_attention_decode(
     );
 }
 
-/// PagedAttention for one query token (§4.1): K/V are fetched block by
-/// block through `block_table` from the paged pool, with an online softmax
-/// so the full score row is never materialized.
-///
-/// `context_len` counts the valid KV slots (the query token's own K/V must
-/// already be written at position `context_len - 1`).
-///
-/// # Panics
-///
-/// Panics if the block table is too short for `context_len` or shapes
-/// disagree.
-#[allow(clippy::too_many_arguments)]
-pub fn paged_attention_decode(
-    q: &[f32],
-    pool: &KvPool,
-    layer: usize,
-    block_table: &[usize],
-    context_len: usize,
-    n_heads: usize,
-    head_dim: usize,
-    out: &mut [f32],
-) {
-    check_decode_shapes(q, pool, block_table, context_len, n_heads, head_dim, out);
-    for h in 0..n_heads {
-        let ho = h * head_dim;
-        decode_head(
-            &q[ho..ho + head_dim],
-            pool,
-            layer,
-            block_table,
-            context_len,
-            ho,
-            &mut out[ho..ho + head_dim],
-        );
-    }
-}
-
-/// Validates the shared preconditions of a solo decode call: query/output
-/// widths, pool width, and block-table coverage of `context_len`.
-///
-/// # Panics
-///
-/// Panics when any precondition is violated.
-pub(crate) fn check_decode_shapes(
-    q: &[f32],
-    pool: &KvPool,
-    block_table: &[usize],
-    context_len: usize,
-    n_heads: usize,
-    head_dim: usize,
-    out: &[f32],
-) {
-    let hidden = n_heads * head_dim;
-    assert_eq!(q.len(), hidden);
-    assert_eq!(out.len(), hidden);
-    assert_eq!(pool.hidden(), hidden);
-    let bs = pool.block_size();
-    let num_blocks = context_len.div_ceil(bs);
-    assert!(
-        block_table.len() >= num_blocks,
-        "block table has {} entries, context needs {num_blocks}",
-        block_table.len()
-    );
-}
-
-/// Online-softmax PagedAttention for one (query, head) pair: the shared
-/// inner routine of the solo and batched decode kernels, so their outputs
-/// are bit-identical by construction. Backends with their own inner loops
-/// (SIMD lanes, quantized KV) supply a head routine of this same shape to
-/// [`decode_batch_driver`].
-///
-/// `q_h` and `o` are `head_dim`-sized slices; `ho` is the head's offset
-/// into the `hidden`-wide K/V vectors of the pool.
-pub(crate) fn decode_head(
-    q_h: &[f32],
-    pool: &KvPool,
-    layer: usize,
-    block_table: &[usize],
-    context_len: usize,
-    ho: usize,
-    o: &mut [f32],
-) {
-    let head_dim = q_h.len();
-    let hidden = pool.hidden();
-    let bs = pool.block_size();
-    let num_blocks = context_len.div_ceil(bs);
-    let scale = 1.0 / (head_dim as f32).sqrt();
-    // Online softmax state for this head.
-    let mut m = f32::NEG_INFINITY;
-    let mut l = 0.0f32;
-    let mut acc = vec![0.0f32; head_dim];
-    for (j, &block) in block_table.iter().take(num_blocks).enumerate() {
-        let fill = (context_len - j * bs).min(bs);
-        let k_block = pool.key_block(layer, block);
-        let v_block = pool.value_block(layer, block);
-        for slot in 0..fill {
-            let k_h = &k_block[slot * hidden + ho..slot * hidden + ho + head_dim];
-            let s = dot(q_h, k_h) * scale;
-            let m_new = m.max(s);
-            let correction = (m - m_new).exp();
-            let w = (s - m_new).exp();
-            l = l * correction + w;
-            for a in acc.iter_mut() {
-                *a *= correction;
-            }
-            let v_h = &v_block[slot * hidden + ho..slot * hidden + ho + head_dim];
-            axpy(&mut acc, w, v_h);
-            m = m_new;
-        }
-    }
-    if l > 0.0 {
-        for (dst, a) in o.iter_mut().zip(&acc) {
-            *dst = a / l;
-        }
-    } else {
-        o.fill(0.0);
-    }
-}
-
-/// One sequence's KV addressing for the batched decode kernel.
+/// One sequence's query rows for [`paged_attention`]: `n_rows` consecutive
+/// positions starting at `first_position`, attending through `block_table`.
+/// The row at position `p` sees KV positions `0 ..= p`, all of which —
+/// its own included — must already be written. A decode step is a one-row
+/// segment; a prefill chunk is one segment of many rows.
 #[derive(Debug, Clone, Copy)]
-pub struct DecodeSeq<'a> {
+pub struct SeqRows<'a> {
     /// Physical block indices for the sequence's logical blocks.
     pub block_table: &'a [usize],
-    /// Valid KV slots (the query's own K/V already written at the end).
-    pub context_len: usize,
+    /// Absolute position of the first query row.
+    pub first_position: usize,
+    /// Number of consecutive query rows.
+    pub n_rows: usize,
 }
 
-/// Batched PagedAttention decode (§4.3, §5.1): one query token per
-/// sequence, all sequences in one call, parallelized over (sequence, head)
-/// pairs on the worker pool with independent online-softmax state per
-/// pair.
-///
-/// `q` and `out` are `batch × hidden` with row `i` belonging to `seqs[i]`.
-/// Each pair runs the same inner routine as [`paged_attention_decode`], so
-/// every output row is bit-identical to a solo call for that sequence.
+impl<'a> SeqRows<'a> {
+    /// The single decode row of a sequence holding `context_len` KV slots
+    /// (the query token's own K/V at position `context_len − 1`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `context_len` is zero.
+    #[must_use]
+    pub fn decode(block_table: &'a [usize], context_len: usize) -> Self {
+        assert!(context_len > 0, "empty context");
+        Self {
+            block_table,
+            first_position: context_len - 1,
+            n_rows: 1,
+        }
+    }
+}
+
+/// Shapes the tile primitives need.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TileDims {
+    pub n_heads: usize,
+    pub head_dim: usize,
+    /// `n_heads * head_dim`, the width of one K/V slot.
+    pub hidden: usize,
+    /// Length of one head's score row: the block size rounded up to whole
+    /// `f32x8` vectors.
+    pub stride: usize,
+    /// `1 / sqrt(head_dim)`.
+    pub scale: f32,
+}
+
+/// The two tile primitives a backend supplies to the kernel. Score and
+/// weight buffers are head-major: head `h`, slot `s` at `h * stride + s`.
+pub(crate) trait TileLanes {
+    /// `scores[h·stride + s] = (q_h · K[s]_h) · scale` for every head and
+    /// every slot `s < fill` of the dimension-major K tile, each dot
+    /// product summed in ascending `d` (an int8 tile folds the slot's
+    /// dequantization scale in). May leave anything in slots `fill ..`.
+    fn scores(q: &[f32], k: KvTile<'_>, fill: usize, dims: &TileDims, scores: &mut [f32]);
+
+    /// `acc_h = acc_h · corr[h] + Σ_{s < fill} w[h·stride + s] · V[s]_h`
+    /// over the slot-major V tile, slots added in ascending order.
+    fn accumulate(
+        corr: &[f32],
+        w: &[f32],
+        v: KvTile<'_>,
+        fill: usize,
+        dims: &TileDims,
+        acc: &mut [f32],
+    );
+
+    /// Runs [`attend_rows`] with these primitives. A backend with a wider
+    /// instruction set overrides this to re-instantiate the row loop under
+    /// its `#[target_feature]`.
+    fn attend(task: &RowTask<'_>, out: &mut [f32])
+    where
+        Self: Sized,
+    {
+        attend_rows::<Self>(task, out);
+    }
+}
+
+/// Plain-loop tile primitives over f32 or int8 tiles (the scalar and
+/// quant-kv8 backends, and the SIMD backend's fallback for shapes that are
+/// not whole vectors).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PlainLanes;
+
+impl TileLanes for PlainLanes {
+    #[inline(always)]
+    fn scores(q: &[f32], k: KvTile<'_>, fill: usize, dims: &TileDims, scores: &mut [f32]) {
+        match k {
+            KvTile::F32(k) => plain_scores(q, k, None, fill, dims, scores),
+            KvTile::Int8 { q: kq, scales } => plain_scores(q, kq, Some(scales), fill, dims, scores),
+        }
+    }
+
+    #[inline(always)]
+    fn accumulate(
+        corr: &[f32],
+        w: &[f32],
+        v: KvTile<'_>,
+        fill: usize,
+        dims: &TileDims,
+        acc: &mut [f32],
+    ) {
+        match v {
+            KvTile::F32(v) => plain_accumulate(corr, w, v, None, fill, dims, acc),
+            KvTile::Int8 { q: vq, scales } => {
+                plain_accumulate(corr, w, vq, Some(scales), fill, dims, acc);
+            }
+        }
+    }
+}
+
+#[inline(always)]
+fn plain_scores<E: Copy + Into<f32>>(
+    q: &[f32],
+    k: &[E],
+    slot_scales: Option<&[f32]>,
+    fill: usize,
+    dims: &TileDims,
+    scores: &mut [f32],
+) {
+    let bs = k.len() / dims.hidden;
+    for (h, q_h) in q.chunks_exact(dims.head_dim).enumerate() {
+        let row = &mut scores[h * dims.stride..h * dims.stride + fill];
+        row.fill(0.0);
+        for (d, &q_d) in q_h.iter().enumerate() {
+            let column = (h * dims.head_dim + d) * bs;
+            for (sum, &x) in row.iter_mut().zip(&k[column..column + fill]) {
+                let x: f32 = x.into();
+                *sum += q_d * x;
+            }
+        }
+        for (s, sum) in row.iter_mut().enumerate() {
+            if let Some(scales) = slot_scales {
+                *sum *= scales[s];
+            }
+            *sum *= dims.scale;
+        }
+    }
+}
+
+#[inline(always)]
+fn plain_accumulate<E: Copy + Into<f32>>(
+    corr: &[f32],
+    w: &[f32],
+    v: &[E],
+    slot_scales: Option<&[f32]>,
+    fill: usize,
+    dims: &TileDims,
+    acc: &mut [f32],
+) {
+    for (h, acc_h) in acc.chunks_exact_mut(dims.head_dim).enumerate() {
+        for a in acc_h.iter_mut() {
+            *a *= corr[h];
+        }
+        for (s, v_row) in v.chunks_exact(dims.hidden).take(fill).enumerate() {
+            let mut w_s = w[h * dims.stride + s];
+            if let Some(scales) = slot_scales {
+                w_s *= scales[s];
+            }
+            let v_h = &v_row[h * dims.head_dim..(h + 1) * dims.head_dim];
+            for (a, &x) in acc_h.iter_mut().zip(v_h) {
+                let x: f32 = x.into();
+                *a += w_s * x;
+            }
+        }
+    }
+}
+
+/// One query row: where its KV lives and how far it may look.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Row<'a> {
+    block_table: &'a [usize],
+    position: usize,
+}
+
+/// A contiguous run of query rows handed to one worker.
+#[derive(Debug)]
+pub(crate) struct RowTask<'a> {
+    /// The rows' query vectors, `rows.len() × hidden`.
+    q: &'a [f32],
+    rows: &'a [Row<'a>],
+    pool: &'a KvPool,
+    layer: usize,
+    dims: TileDims,
+}
+
+/// Online-softmax state of one query row plus the per-tile work buffers;
+/// allocated once per [`RowTask`] and reused for every row and tile.
+struct RowState {
+    /// Scores, then in place the slot weights: `n_heads × stride`.
+    scores: Vec<f32>,
+    /// Running max per head. Like `m_new`, `corr` and `l` it is padded to
+    /// whole vectors; the padding lanes hold 0 so their `exp` stays finite.
+    m: Vec<f32>,
+    m_new: Vec<f32>,
+    corr: Vec<f32>,
+    /// Running softmax denominator per head.
+    l: Vec<f32>,
+    /// Running weighted-V sum, `hidden`.
+    acc: Vec<f32>,
+}
+
+impl RowState {
+    fn new(dims: &TileDims) -> Self {
+        let padded_heads = dims.n_heads.next_multiple_of(f32x8::LANES);
+        Self {
+            scores: vec![0.0; dims.n_heads * dims.stride],
+            m: vec![0.0; padded_heads],
+            m_new: vec![0.0; padded_heads],
+            corr: vec![0.0; padded_heads],
+            l: vec![0.0; padded_heads],
+            acc: vec![0.0; dims.hidden],
+        }
+    }
+
+    fn reset(&mut self, n_heads: usize) {
+        self.m[..n_heads].fill(f32::NEG_INFINITY);
+        self.l.fill(0.0);
+        self.acc.fill(0.0);
+    }
+}
+
+/// Phase 2 of a tile: turns `st.scores` into slot weights in place and
+/// advances `(m, l)`, leaving the accumulator correction in `st.corr`.
+/// Slots `fill ..` are masked to `-inf`, so their weight is exactly 0.
+#[inline(always)]
+fn softmax_step(fill: usize, dims: &TileDims, st: &mut RowState) {
+    for (h, row) in st.scores.chunks_exact_mut(dims.stride).enumerate() {
+        row[fill..].fill(f32::NEG_INFINITY);
+        let mut tile_max = f32x8::splat(f32::NEG_INFINITY);
+        for c in row.chunks_exact(f32x8::LANES) {
+            tile_max = tile_max.max(f32x8::from_slice(c));
+        }
+        let tile_max = tile_max.reduce_max();
+        st.m_new[h] = if st.m[h] > tile_max {
+            st.m[h]
+        } else {
+            tile_max
+        };
+    }
+    for ((m, m_new), corr) in
+        st.m.chunks_exact(f32x8::LANES)
+            .zip(st.m_new.chunks_exact(f32x8::LANES))
+            .zip(st.corr.chunks_exact_mut(f32x8::LANES))
+    {
+        (f32x8::from_slice(m) - f32x8::from_slice(m_new))
+            .exp()
+            .write_to_slice(corr);
+    }
+    // The weights, as a pass of nothing but `exp` (kept apart from the sums
+    // below so it compiles to straight whole-vector code).
+    for (h, row) in st.scores.chunks_exact_mut(dims.stride).enumerate() {
+        let m_new = f32x8::splat(st.m_new[h]);
+        for c in row.chunks_exact_mut(f32x8::LANES) {
+            (f32x8::from_slice(c) - m_new).exp().write_to_slice(c);
+        }
+    }
+    for (h, row) in st.scores.chunks_exact(dims.stride).enumerate() {
+        let mut sum = f32x8::ZERO;
+        for c in row.chunks_exact(f32x8::LANES) {
+            sum = sum + f32x8::from_slice(c);
+        }
+        st.l[h] = st.l[h] * st.corr[h] + sum.reduce_add();
+        st.m[h] = st.m_new[h];
+    }
+}
+
+/// The row loop: for each query row, walk its logical KV blocks
+/// `0 ..= position / B` and run the three phases per tile, then normalize.
+#[inline(always)]
+pub(crate) fn attend_rows<L: TileLanes>(task: &RowTask<'_>, out: &mut [f32]) {
+    let dims = &task.dims;
+    let bs = task.pool.block_size();
+    let mut st = RowState::new(dims);
+    let rows = task
+        .rows
+        .iter()
+        .zip(task.q.chunks_exact(dims.hidden))
+        .zip(out.chunks_exact_mut(dims.hidden));
+    for ((row, q), o) in rows {
+        st.reset(dims.n_heads);
+        let ctx = row.position + 1;
+        for (j, &block) in row.block_table[..ctx.div_ceil(bs)].iter().enumerate() {
+            let fill = (ctx - j * bs).min(bs);
+            L::scores(
+                q,
+                task.pool.key_tile(task.layer, block),
+                fill,
+                dims,
+                &mut st.scores,
+            );
+            softmax_step(fill, dims, &mut st);
+            L::accumulate(
+                &st.corr,
+                &st.scores,
+                task.pool.value_tile(task.layer, block),
+                fill,
+                dims,
+                &mut st.acc,
+            );
+        }
+        let heads = o
+            .chunks_exact_mut(dims.head_dim)
+            .zip(st.acc.chunks_exact(dims.head_dim));
+        for (h, (o_h, acc_h)) in heads.enumerate() {
+            for (dst, a) in o_h.iter_mut().zip(acc_h) {
+                *dst = a / st.l[h];
+            }
+        }
+    }
+}
+
+/// PagedAttention (§4.1, §5.1) over any mix of decode rows and prefill
+/// rows: `q` and `out` are `total_rows × hidden`, rows laid out sequence
+/// after sequence in the order of `seqs`. K/V are read tile by tile through
+/// each sequence's block table from `pool`; nothing is gathered. Rows are
+/// split into contiguous ranges across `workers` — the split cannot change
+/// any output (see the module's determinism contract). The call is
+/// recorded as one span in the attention kernel counters.
 ///
 /// # Panics
 ///
-/// Panics if shapes disagree or any block table is too short for its
-/// context length.
+/// Panics if shapes disagree or a block table is too short for its rows.
 #[allow(clippy::too_many_arguments)]
-pub fn paged_attention_decode_batch(
+pub(crate) fn paged_attention<L: TileLanes>(
     q: &[f32],
     pool: &KvPool,
     layer: usize,
-    seqs: &[DecodeSeq<'_>],
+    seqs: &[SeqRows<'_>],
     n_heads: usize,
     head_dim: usize,
     workers: &WorkerPool,
     out: &mut [f32],
 ) {
-    decode_batch_driver(
-        q,
-        pool,
-        layer,
-        seqs,
-        n_heads,
-        head_dim,
-        workers,
-        out,
-        decode_head,
-    );
-}
-
-/// The batched-decode scaffolding shared by every backend: validates
-/// shapes, splits the (sequence, head) pair space across the worker pool,
-/// runs `head` on each pair, and records the span into the attention
-/// kernel counters. Solo/batched bit-identity per backend follows from
-/// each backend passing the same head routine to both entry points.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn decode_batch_driver<F>(
-    q: &[f32],
-    pool: &KvPool,
-    layer: usize,
-    seqs: &[DecodeSeq<'_>],
-    n_heads: usize,
-    head_dim: usize,
-    workers: &WorkerPool,
-    out: &mut [f32],
-    head: F,
-) where
-    F: Fn(&[f32], &KvPool, usize, &[usize], usize, usize, &mut [f32]) + Sync,
-{
     let start = std::time::Instant::now();
     let hidden = n_heads * head_dim;
-    let batch = seqs.len();
-    assert_eq!(q.len(), batch * hidden);
-    assert_eq!(out.len(), batch * hidden);
     assert_eq!(pool.hidden(), hidden);
     let bs = pool.block_size();
+    let mut rows = Vec::with_capacity(seqs.iter().map(|s| s.n_rows).sum());
     for s in seqs {
-        let num_blocks = s.context_len.div_ceil(bs);
+        let num_blocks = (s.first_position + s.n_rows).div_ceil(bs);
         assert!(
             s.block_table.len() >= num_blocks,
             "block table has {} entries, context needs {num_blocks}",
             s.block_table.len()
         );
+        rows.extend((0..s.n_rows).map(|i| Row {
+            block_table: s.block_table,
+            position: s.first_position + i,
+        }));
     }
-    let total_pairs = batch * n_heads;
-    if total_pairs == 0 {
+    assert_eq!(q.len(), rows.len() * hidden);
+    assert_eq!(out.len(), rows.len() * hidden);
+    if rows.is_empty() {
         return;
     }
-    // Split the (sequence, head) pair space into contiguous ranges, one
-    // per worker. `out` is pair-major (`batch × n_heads × head_dim`), so a
-    // pair range is a contiguous `&mut` chunk.
-    let n_tasks = workers.parallelism().min(total_pairs);
-    let pairs_per_task = total_pairs.div_ceil(n_tasks);
-    let head = &head;
-    workers.scoped(|scope| {
-        for (t, out_chunk) in out.chunks_mut(pairs_per_task * head_dim).enumerate() {
-            let base = t * pairs_per_task;
-            scope.spawn(move || {
-                for (i, o) in out_chunk.chunks_mut(head_dim).enumerate() {
-                    let pair = base + i;
-                    let seq = pair / n_heads;
-                    let ho = (pair % n_heads) * head_dim;
-                    let q_h = &q[seq * hidden + ho..seq * hidden + ho + head_dim];
-                    head(
-                        q_h,
-                        pool,
-                        layer,
-                        seqs[seq].block_table,
-                        seqs[seq].context_len,
-                        ho,
-                        o,
-                    );
-                }
-            });
-        }
-    });
+    let dims = TileDims {
+        n_heads,
+        head_dim,
+        hidden,
+        stride: bs.next_multiple_of(f32x8::LANES),
+        scale: 1.0 / (head_dim as f32).sqrt(),
+    };
+    let task = |q, rows| RowTask {
+        q,
+        rows,
+        pool,
+        layer,
+        dims,
+    };
+    let threads = workers.parallelism();
+    if threads == 1 || rows.len() == 1 {
+        L::attend(&task(q, &rows[..]), out);
+    } else {
+        // A few ranges per thread: later rows of a prefill see longer
+        // contexts, so equal row counts are not equal work.
+        let per_task = rows.len().div_ceil(4 * threads);
+        workers.scoped(|scope| {
+            let chunks = rows
+                .chunks(per_task)
+                .zip(q.chunks(per_task * hidden))
+                .zip(out.chunks_mut(per_task * hidden));
+            for ((rows, q), out) in chunks {
+                scope.spawn(move || L::attend(&task(q, rows), out));
+            }
+        });
+    }
     timing::record_attention(start.elapsed());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::KvElement;
 
     const H: usize = 2;
     const HD: usize = 4;
@@ -397,19 +527,21 @@ mod tests {
             .collect()
     }
 
-    fn build_pool(k: &[f32], v: &[f32], ctx: usize, bs: usize) -> (KvPool, Vec<usize>) {
+    /// A pool holding `k`/`v` for positions `0..ctx` behind a scrambled
+    /// (distinct, non-monotonic) block table.
+    fn build_pool(
+        k: &[f32],
+        v: &[f32],
+        ctx: usize,
+        bs: usize,
+        element: KvElement,
+    ) -> (KvPool, Vec<usize>) {
         let num_blocks = ctx.div_ceil(bs) + 2;
-        let mut pool = KvPool::new(1, num_blocks, bs, HIDDEN);
-        // Scramble the physical order to prove non-contiguity is handled.
-        let table: Vec<usize> = (0..ctx.div_ceil(bs))
-            .map(|j| (j * 7 + 3) % num_blocks)
-            .collect();
-        // Ensure table entries are distinct.
+        let mut pool = KvPool::with_element(1, num_blocks, bs, HIDDEN, element);
         let mut seen = std::collections::HashSet::new();
-        let table: Vec<usize> = table
-            .into_iter()
-            .map(|b| {
-                let mut b = b;
+        let table: Vec<usize> = (0..ctx.div_ceil(bs))
+            .map(|j| {
+                let mut b = (j * 7 + 3) % num_blocks;
                 while !seen.insert(b) {
                     b = (b + 1) % num_blocks;
                 }
@@ -428,8 +560,15 @@ mod tests {
         (pool, table)
     }
 
+    fn plain(q: &[f32], pool: &KvPool, seqs: &[SeqRows<'_>], workers: &WorkerPool) -> Vec<f32> {
+        let mut out = vec![0.0; q.len()];
+        paged_attention::<PlainLanes>(q, pool, 0, seqs, H, HD, workers, &mut out);
+        out
+    }
+
     #[test]
     fn paged_matches_contiguous_across_shapes() {
+        let workers = WorkerPool::new(1);
         for &ctx in &[1usize, 2, 5, 16, 17, 33, 64] {
             for &bs in &[1usize, 2, 4, 16] {
                 let q = fill(1, HIDDEN);
@@ -438,12 +577,11 @@ mod tests {
                 let mut reference = vec![0.0; HIDDEN];
                 contiguous_attention_decode(&q, &k, &v, ctx, H, HD, &mut reference);
 
-                let (pool, table) = build_pool(&k, &v, ctx, bs);
-                let mut paged = vec![0.0; HIDDEN];
-                paged_attention_decode(&q, &pool, 0, &table, ctx, H, HD, &mut paged);
+                let (pool, table) = build_pool(&k, &v, ctx, bs, KvElement::F32);
+                let paged = plain(&q, &pool, &[SeqRows::decode(&table, ctx)], &workers);
                 for (i, (a, b)) in reference.iter().zip(&paged).enumerate() {
                     assert!(
-                        (a - b).abs() < 1e-4,
+                        (a - b).abs() < 1e-5,
                         "ctx={ctx} bs={bs} idx={i}: {a} vs {b}"
                     );
                 }
@@ -462,10 +600,21 @@ mod tests {
         for (o, expect) in out.iter().zip(&v[0..HIDDEN]) {
             assert!((o - expect).abs() < 1e-5);
         }
+        // And the paged kernel on the same data.
+        let (pool, table) = build_pool(&k, &v, 4, 2, KvElement::F32);
+        let paged = plain(
+            &q,
+            &pool,
+            &[SeqRows::decode(&table, 1)],
+            &WorkerPool::new(1),
+        );
+        for (o, expect) in paged.iter().zip(&v[0..HIDDEN]) {
+            assert!((o - expect).abs() < 1e-6);
+        }
     }
 
     #[test]
-    fn prefill_last_row_matches_decode() {
+    fn contiguous_prefill_last_row_matches_decode() {
         let ctx = 9;
         let q = fill(20, ctx * HIDDEN);
         let k = fill(21, ctx * HIDDEN);
@@ -505,8 +654,48 @@ mod tests {
     }
 
     #[test]
-    fn batched_decode_bit_identical_to_solo() {
-        let workers = WorkerPool::new(3);
+    fn prefill_rows_match_contiguous_and_equal_decode_rows_bitwise() {
+        // Rows 5..19 of a 19-token context as one segment: each row within
+        // tolerance of the oracle, and bit-equal to the decode row at its
+        // position — whatever the block size.
+        let (ctx, first) = (19usize, 5usize);
+        let n = ctx - first;
+        let q = fill(30, n * HIDDEN);
+        let k = fill(31, ctx * HIDDEN);
+        let v = fill(32, ctx * HIDDEN);
+        let mut oracle = vec![0.0; n * HIDDEN];
+        contiguous_causal_attention(&q, &k, &v, n, ctx, first, H, HD, &mut oracle);
+        let workers = WorkerPool::new(1);
+        for &bs in &[1usize, 4, 16] {
+            let (pool, table) = build_pool(&k, &v, ctx, bs, KvElement::F32);
+            let segment = SeqRows {
+                block_table: &table,
+                first_position: first,
+                n_rows: n,
+            };
+            let rows = plain(&q, &pool, &[segment], &workers);
+            for (i, (a, b)) in oracle.iter().zip(&rows).enumerate() {
+                assert!((a - b).abs() < 1e-5, "bs={bs} idx={i}: {a} vs {b}");
+            }
+            for i in 0..n {
+                let q_i = &q[i * HIDDEN..(i + 1) * HIDDEN];
+                let solo = plain(
+                    q_i,
+                    &pool,
+                    &[SeqRows::decode(&table, first + i + 1)],
+                    &workers,
+                );
+                assert_eq!(
+                    &rows[i * HIDDEN..(i + 1) * HIDDEN],
+                    &solo[..],
+                    "bs={bs} row={i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn batched_rows_bit_identical_to_solo_for_any_pool_width() {
         for &bs in &[1usize, 4, 16] {
             let ctxs = [1usize, 5, 17, 33];
             // One shared physical pool holding all sequences.
@@ -532,34 +721,47 @@ mod tests {
                 tables.push(table);
             }
             let q = fill(300, ctxs.len() * HIDDEN);
-            let seqs: Vec<DecodeSeq<'_>> = ctxs
+            let seqs: Vec<SeqRows<'_>> = ctxs
                 .iter()
                 .zip(&tables)
-                .map(|(&context_len, table)| DecodeSeq {
-                    block_table: table,
-                    context_len,
+                .map(|(&ctx, table)| SeqRows::decode(table, ctx))
+                .collect();
+            let solo: Vec<f32> = seqs
+                .iter()
+                .enumerate()
+                .flat_map(|(si, s)| {
+                    plain(
+                        &q[si * HIDDEN..(si + 1) * HIDDEN],
+                        &pool,
+                        &[*s],
+                        &WorkerPool::new(1),
+                    )
                 })
                 .collect();
-            let mut batched = vec![0.0; ctxs.len() * HIDDEN];
-            paged_attention_decode_batch(&q, &pool, 0, &seqs, H, HD, &workers, &mut batched);
-            for (si, s) in seqs.iter().enumerate() {
-                let mut solo = vec![0.0; HIDDEN];
-                paged_attention_decode(
-                    &q[si * HIDDEN..(si + 1) * HIDDEN],
-                    &pool,
-                    0,
-                    s.block_table,
-                    s.context_len,
-                    H,
-                    HD,
-                    &mut solo,
-                );
-                assert_eq!(
-                    &batched[si * HIDDEN..(si + 1) * HIDDEN],
-                    &solo[..],
-                    "bs={bs} seq={si}: batched row must be bit-identical to solo"
-                );
+            for threads in [1usize, 2, 3, 8] {
+                let batched = plain(&q, &pool, &seqs, &WorkerPool::new(threads));
+                assert_eq!(batched, solo, "bs={bs} threads={threads}");
             }
+        }
+    }
+
+    #[test]
+    fn int8_tiles_stay_close_to_f32_tiles() {
+        let (ctx, bs) = (33usize, 4usize);
+        let q = fill(1, HIDDEN);
+        let k = fill(2, ctx * HIDDEN);
+        let v = fill(3, ctx * HIDDEN);
+        let workers = WorkerPool::new(1);
+        let (f32_pool, table) = build_pool(&k, &v, ctx, bs, KvElement::F32);
+        let (q8_pool, q8_table) = build_pool(&k, &v, ctx, bs, KvElement::Int8Scaled);
+        assert_eq!(table, q8_table);
+        let exact = plain(&q, &f32_pool, &[SeqRows::decode(&table, ctx)], &workers);
+        let quant = plain(&q, &q8_pool, &[SeqRows::decode(&table, ctx)], &workers);
+        // The output is a convex combination of values whose per-element
+        // quantization error is <= scale/2 <= max|v|/254, so it stays
+        // within ~1% of the value range here.
+        for (i, (a, b)) in exact.iter().zip(&quant).enumerate() {
+            assert!((a - b).abs() < 2e-2, "idx {i}: {a} vs {b}");
         }
     }
 
@@ -568,7 +770,6 @@ mod tests {
     fn short_block_table_panics() {
         let pool = KvPool::new(1, 2, 4, HIDDEN);
         let q = vec![0.0; HIDDEN];
-        let mut out = vec![0.0; HIDDEN];
-        paged_attention_decode(&q, &pool, 0, &[0], 9, H, HD, &mut out);
+        plain(&q, &pool, &[SeqRows::decode(&[0], 9)], &WorkerPool::new(1));
     }
 }

@@ -2,19 +2,21 @@
 //!
 //! A [`KernelBackend`] owns every dense-kernel entry point the transformer
 //! uses — matmul (pool-dispatched and serial), the LM-head/logits
-//! projections, and PagedAttention decode (solo and batched) — plus the KV
-//! block storage layout ([`KvLayout`]) its attention kernel reads. The
+//! projections, and PagedAttention — plus the KV block storage layout
+//! ([`KvLayout`]) its attention reads. Attention is one kernel shared by
+//! all backends ([`crate::attention`]); a backend contributes only the two
+//! tile primitives it runs on. The
 //! executor sizes the KV cache from the backend's byte-width, so a backend
 //! that stores KV in fewer bytes per token yields more blocks from the same
 //! memory budget (the paper's Fig. 12 capacity argument).
 //!
 //! Three backends ship:
 //!
-//! | backend     | matmul                        | KV layout        |
-//! |-------------|-------------------------------|------------------|
-//! | `scalar`    | cache-blocked, 4-deep unroll  | f32              |
-//! | `simd`      | f32x8 register-tiled lanes    | f32              |
-//! | `quant-kv8` | scalar matmul                 | int8 + f32 scale |
+//! | backend     | matmul                        | attention tiles | KV layout        |
+//! |-------------|-------------------------------|-----------------|------------------|
+//! | `scalar`    | cache-blocked, 4-deep unroll  | plain loops     | f32              |
+//! | `simd`      | f32x8 register-tiled lanes    | f32x8 lanes     | f32              |
+//! | `quant-kv8` | scalar matmul                 | plain loops     | int8 + f32 scale |
 //!
 //! Every backend upholds the *k-only accumulation-order contract*: per
 //! output element, the floating-point accumulation order is a function of
@@ -35,10 +37,10 @@ pub use quant::QuantKv8Backend;
 pub use scalar::ScalarBackend;
 pub use simd::SimdBackend;
 
+use crate::attention::{self, PlainLanes, SeqRows};
 use crate::kv_cache::KvPool;
 use crate::ops::{self, timing};
 use crate::pool::{self, WorkerPool};
-use crate::DecodeSeq;
 
 /// Environment variable selecting the kernel backend
 /// (`scalar` | `simd` | `quant-kv8`; default `scalar`).
@@ -198,88 +200,38 @@ pub trait KernelBackend: Send + Sync + std::fmt::Debug {
     /// Panics if slice lengths disagree with the shapes.
     fn matmul_transb(&self, a: &[f32], bt: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]);
 
-    /// PagedAttention for one query token (§4.1 of the paper), reading K/V
-    /// through `block_table` from a pool allocated with this backend's
-    /// [`Self::kv_layout`].
+    /// PagedAttention (§4.1) over any mix of decode rows and prefill rows
+    /// — the one attention entry point (see [`crate::attention`] for the
+    /// kernel and its determinism contract). `q` and `out` are
+    /// `total_rows × hidden`, rows laid out sequence after sequence in the
+    /// order of `seqs`; K/V are read in place through each block table from
+    /// a pool allocated with this backend's [`Self::kv_layout`]. Rows are
+    /// split across `workers`; the call is recorded into the attention
+    /// kernel counters.
+    ///
+    /// The default runs the kernel on plain-loop tile primitives, which
+    /// read f32 and int8 tiles alike.
     ///
     /// # Panics
     ///
-    /// Panics if the block table is too short for `context_len`, shapes
-    /// disagree, or the pool's element type doesn't match the layout.
+    /// Panics if shapes disagree or a block table is too short for its
+    /// rows.
     #[allow(clippy::too_many_arguments)]
-    fn paged_attention_decode(
+    fn paged_attention(
         &self,
         q: &[f32],
         pool: &KvPool,
         layer: usize,
-        block_table: &[usize],
-        context_len: usize,
-        n_heads: usize,
-        head_dim: usize,
-        out: &mut [f32],
-    );
-
-    /// PagedAttention over a prefill chunk (scheduler-budgeted chunked
-    /// prefill): query rows `num_cached .. num_cached + nq` attend to the
-    /// first `context_len` positions read through `block_table`. Every
-    /// backend routes this through the contiguous causal kernel after a
-    /// layout-aware gather, so per-row accumulation order is a function of
-    /// the reduction index alone and chunked logits are bit-identical to an
-    /// unchunked prefill.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block table is too short for `context_len`, shapes
-    /// disagree, or the pool's element type doesn't match the layout.
-    #[allow(clippy::too_many_arguments)]
-    fn paged_attention_prefill(
-        &self,
-        q: &[f32],
-        pool: &KvPool,
-        layer: usize,
-        block_table: &[usize],
-        nq: usize,
-        context_len: usize,
-        num_cached: usize,
-        n_heads: usize,
-        head_dim: usize,
-        out: &mut [f32],
-    ) {
-        crate::attention::paged_attention_prefill(
-            q,
-            pool,
-            layer,
-            block_table,
-            nq,
-            context_len,
-            num_cached,
-            n_heads,
-            head_dim,
-            out,
-        );
-    }
-
-    /// Batched PagedAttention decode: one query token per sequence,
-    /// parallelized over (sequence, head) pairs on `workers`, recorded into
-    /// the attention kernel counters. Each output row is bit-identical to a
-    /// solo [`Self::paged_attention_decode`] call for that sequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes disagree or any block table is too short for its
-    /// context length.
-    #[allow(clippy::too_many_arguments)]
-    fn paged_attention_decode_batch(
-        &self,
-        q: &[f32],
-        pool: &KvPool,
-        layer: usize,
-        seqs: &[DecodeSeq<'_>],
+        seqs: &[SeqRows<'_>],
         n_heads: usize,
         head_dim: usize,
         workers: &WorkerPool,
         out: &mut [f32],
-    );
+    ) {
+        attention::paged_attention::<PlainLanes>(
+            q, pool, layer, seqs, n_heads, head_dim, workers, out,
+        );
+    }
 }
 
 static SCALAR: ScalarBackend = ScalarBackend;

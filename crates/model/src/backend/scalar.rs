@@ -5,11 +5,7 @@
 //! kernels (the `logits_match` gate in `BENCH_kernels.json`).
 
 use super::{BackendKind, KernelBackend, KvElement, KvLayout};
-use crate::attention;
-use crate::kv_cache::KvPool;
 use crate::ops;
-use crate::pool::WorkerPool;
-use crate::DecodeSeq;
 
 /// Cache-blocked scalar f32 kernels with f32 KV storage.
 #[derive(Debug, Clone, Copy, Default)]
@@ -40,71 +36,5 @@ impl KernelBackend for ScalarBackend {
 
     fn matmul_transb(&self, a: &[f32], bt: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
         super::dispatch_transb_timed(a, bt, m, k, n, out);
-    }
-
-    fn paged_attention_decode(
-        &self,
-        q: &[f32],
-        pool: &KvPool,
-        layer: usize,
-        block_table: &[usize],
-        context_len: usize,
-        n_heads: usize,
-        head_dim: usize,
-        out: &mut [f32],
-    ) {
-        attention::paged_attention_decode(
-            q,
-            pool,
-            layer,
-            block_table,
-            context_len,
-            n_heads,
-            head_dim,
-            out,
-        );
-    }
-
-    fn paged_attention_prefill(
-        &self,
-        q: &[f32],
-        pool: &KvPool,
-        layer: usize,
-        block_table: &[usize],
-        nq: usize,
-        context_len: usize,
-        num_cached: usize,
-        n_heads: usize,
-        head_dim: usize,
-        out: &mut [f32],
-    ) {
-        attention::paged_attention_prefill(
-            q,
-            pool,
-            layer,
-            block_table,
-            nq,
-            context_len,
-            num_cached,
-            n_heads,
-            head_dim,
-            out,
-        );
-    }
-
-    fn paged_attention_decode_batch(
-        &self,
-        q: &[f32],
-        pool: &KvPool,
-        layer: usize,
-        seqs: &[DecodeSeq<'_>],
-        n_heads: usize,
-        head_dim: usize,
-        workers: &WorkerPool,
-        out: &mut [f32],
-    ) {
-        attention::paged_attention_decode_batch(
-            q, pool, layer, seqs, n_heads, head_dim, workers, out,
-        );
     }
 }

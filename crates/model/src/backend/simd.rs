@@ -10,17 +10,16 @@
 //! mod 16) use single-accumulator sequential-`k` loops with the same
 //! per-element order, so tiling and pool striping never change results.
 //!
-//! The paged-attention decode head vectorizes the q·k dot products and the
-//! weighted-V accumulation over `head_dim` with `f32x8` lanes and a fixed
-//! pairwise horizontal reduction.
+//! For attention the backend supplies [`SimdLanes`], the `f32x8` tile
+//! primitives of the shared PagedAttention kernel, and re-instantiates the
+//! kernel's row loop under AVX2.
 
 use wide::f32x8;
 
 use super::{BackendKind, KernelBackend, KvElement, KvLayout};
-use crate::attention;
-use crate::kv_cache::KvPool;
+use crate::attention::{self, PlainLanes, RowTask, SeqRows, TileDims, TileLanes};
+use crate::kv_cache::{KvPool, KvTile};
 use crate::pool::WorkerPool;
-use crate::DecodeSeq;
 
 /// Rows per register tile.
 const MR: usize = 4;
@@ -164,126 +163,141 @@ fn one_row_cols_impl(a: &[f32], b: &[f32], n: usize, j0: usize, out: &mut [f32])
     }
 }
 
-/// Vectorized dot product with a fixed pairwise lane reduction; the scalar
-/// tail folds into the reduced sum in ascending order.
-#[inline]
-fn dot_simd(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let len = a.len();
-    let main = len - len % 8;
-    let mut acc = f32x8::ZERO;
-    let mut p = 0;
-    while p < main {
-        acc = f32x8::from_slice(&a[p..]).mul_add(f32x8::from_slice(&b[p..]), acc);
-        p += 8;
+/// The SIMD backend's attention tile primitives: `f32x8` lanes over f32
+/// tiles — eight slots of the K tile per vector (block sizes that are whole
+/// vectors), eight elements of the V sum per vector (head widths that are
+/// whole vectors) — and the plain loops otherwise. Both compute every
+/// output element in the same operation order, so which path a shape takes
+/// never shows in the result.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SimdLanes;
+
+/// Independent accumulators a vector loop keeps in flight: one dependent
+/// mul→add step is ~8 cycles deep, eight of them fill both FP pipes.
+const CHAINS: usize = 8;
+
+impl TileLanes for SimdLanes {
+    #[inline(always)]
+    fn scores(q: &[f32], k: KvTile<'_>, fill: usize, dims: &TileDims, scores: &mut [f32]) {
+        match k {
+            // `stride` is the block size rounded up to whole vectors.
+            KvTile::F32(k) if k.len() == dims.hidden * dims.stride => {
+                let mut h = 0;
+                while h + CHAINS <= dims.n_heads {
+                    score_heads::<CHAINS>(h, q, k, fill, dims, scores);
+                    h += CHAINS;
+                }
+                while h < dims.n_heads {
+                    score_heads::<1>(h, q, k, fill, dims, scores);
+                    h += 1;
+                }
+            }
+            _ => PlainLanes::scores(q, k, fill, dims, scores),
+        }
     }
-    let mut s = acc.reduce_add();
-    while p < len {
-        s += a[p] * b[p];
-        p += 1;
+
+    #[inline(always)]
+    fn accumulate(
+        corr: &[f32],
+        w: &[f32],
+        v: KvTile<'_>,
+        fill: usize,
+        dims: &TileDims,
+        acc: &mut [f32],
+    ) {
+        match v {
+            KvTile::F32(v) if dims.head_dim.is_multiple_of(f32x8::LANES) => {
+                let chunks = dims.hidden / f32x8::LANES;
+                let mut c = 0;
+                while c + CHAINS <= chunks {
+                    accumulate_chunks::<CHAINS>(c, corr, w, v, fill, dims, acc);
+                    c += CHAINS;
+                }
+                while c < chunks {
+                    accumulate_chunks::<1>(c, corr, w, v, fill, dims, acc);
+                    c += 1;
+                }
+            }
+            _ => PlainLanes::accumulate(corr, w, v, fill, dims, acc),
+        }
     }
-    s
+
+    fn attend(task: &RowTask<'_>, out: &mut [f32]) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 support was just verified at runtime.
+            unsafe { attend_rows_avx2(task, out) };
+            return;
+        }
+        attention::attend_rows::<Self>(task, out);
+    }
 }
 
-/// Vectorized `acc += s * v`.
-#[inline]
-fn axpy_simd(acc: &mut [f32], s: f32, v: &[f32]) {
-    debug_assert_eq!(acc.len(), v.len());
-    let len = acc.len();
-    let main = len - len % 8;
-    let sv = f32x8::splat(s);
-    let mut p = 0;
-    while p < main {
-        let r = sv.mul_add(f32x8::from_slice(&v[p..]), f32x8::from_slice(&acc[p..]));
-        r.write_to_slice(&mut acc[p..]);
-        p += 8;
-    }
-    while p < len {
-        acc[p] += s * v[p];
-        p += 1;
-    }
-}
-
-/// Online-softmax decode head with `f32x8` dot/axpy inner loops. Shared by
-/// the solo and batched entry points, so their rows are bit-identical.
-pub(crate) fn decode_head(
-    q_h: &[f32],
-    pool: &KvPool,
-    layer: usize,
-    block_table: &[usize],
-    context_len: usize,
-    ho: usize,
-    o: &mut [f32],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime.
-        unsafe { decode_head_avx2(q_h, pool, layer, block_table, context_len, ho, o) };
-        return;
-    }
-    decode_head_impl(q_h, pool, layer, block_table, context_len, ho, o);
-}
-
-/// AVX2 instantiation of [`decode_head_impl`]; lane-wise identical.
+/// AVX2 instantiation of the row loop — tile primitives and the vector
+/// `exp` of the softmax step included; lane-wise identical arithmetic.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn decode_head_avx2(
-    q_h: &[f32],
-    pool: &KvPool,
-    layer: usize,
-    block_table: &[usize],
-    context_len: usize,
-    ho: usize,
-    o: &mut [f32],
-) {
-    decode_head_impl(q_h, pool, layer, block_table, context_len, ho, o);
+unsafe fn attend_rows_avx2(task: &RowTask<'_>, out: &mut [f32]) {
+    attention::attend_rows::<SimdLanes>(task, out);
 }
 
+/// Scores of `N` adjacent heads against one dimension-major f32 K tile
+/// whose block size is whole vectors: per group of eight slots, `N` running
+/// sums — one per head — each taking `q[d] · K[d][slots]` in ascending `d`.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn decode_head_impl(
-    q_h: &[f32],
-    pool: &KvPool,
-    layer: usize,
-    block_table: &[usize],
-    context_len: usize,
-    ho: usize,
-    o: &mut [f32],
+fn score_heads<const N: usize>(
+    h0: usize,
+    q: &[f32],
+    k: &[f32],
+    fill: usize,
+    dims: &TileDims,
+    scores: &mut [f32],
 ) {
-    let head_dim = q_h.len();
-    let hidden = pool.hidden();
-    let bs = pool.block_size();
-    let num_blocks = context_len.div_ceil(bs);
-    let scale = 1.0 / (head_dim as f32).sqrt();
-    let mut m = f32::NEG_INFINITY;
-    let mut l = 0.0f32;
-    let mut acc = vec![0.0f32; head_dim];
-    for (j, &block) in block_table.iter().take(num_blocks).enumerate() {
-        let fill = (context_len - j * bs).min(bs);
-        let k_block = pool.key_block(layer, block);
-        let v_block = pool.value_block(layer, block);
-        for slot in 0..fill {
-            let k_h = &k_block[slot * hidden + ho..slot * hidden + ho + head_dim];
-            let s = dot_simd(q_h, k_h) * scale;
-            let m_new = m.max(s);
-            let correction = (m - m_new).exp();
-            let w = (s - m_new).exp();
-            l = l * correction + w;
-            for a in acc.iter_mut() {
-                *a *= correction;
+    let (hd, bs) = (dims.head_dim, dims.stride);
+    let scale = f32x8::splat(dims.scale);
+    let q_h: [&[f32]; N] = std::array::from_fn(|i| &q[(h0 + i) * hd..][..hd]);
+    let k_h: [&[f32]; N] = std::array::from_fn(|i| &k[(h0 + i) * hd * bs..][..hd * bs]);
+    for g in (0..fill).step_by(f32x8::LANES) {
+        let mut sum = [f32x8::ZERO; N];
+        for d in 0..hd {
+            for i in 0..N {
+                let lanes = f32x8::from_slice(&k_h[i][d * bs + g..]);
+                sum[i] = f32x8::splat(q_h[i][d]).mul_add(lanes, sum[i]);
             }
-            let v_h = &v_block[slot * hidden + ho..slot * hidden + ho + head_dim];
-            axpy_simd(&mut acc, w, v_h);
-            m = m_new;
+        }
+        for i in 0..N {
+            (sum[i] * scale).write_to_slice(&mut scores[(h0 + i) * bs + g..]);
         }
     }
-    if l > 0.0 {
-        for (dst, a) in o.iter_mut().zip(&acc) {
-            *dst = a / l;
+}
+
+/// `N` adjacent 8-wide chunks of the accumulator through one slot-major f32
+/// V tile, the `N` running sums held in registers across all its slots.
+#[inline(always)]
+fn accumulate_chunks<const N: usize>(
+    c0: usize,
+    corr: &[f32],
+    w: &[f32],
+    v: &[f32],
+    fill: usize,
+    dims: &TileDims,
+    acc: &mut [f32],
+) {
+    let lanes = f32x8::LANES;
+    let acc = &mut acc[c0 * lanes..(c0 + N) * lanes];
+    let head: [usize; N] = std::array::from_fn(|i| (c0 + i) * lanes / dims.head_dim);
+    let w_h: [&[f32]; N] = std::array::from_fn(|i| &w[head[i] * dims.stride..][..fill]);
+    let mut a: [f32x8; N] =
+        std::array::from_fn(|i| f32x8::from_slice(&acc[i * lanes..]) * f32x8::splat(corr[head[i]]));
+    for (s, v_row) in v.chunks_exact(dims.hidden).take(fill).enumerate() {
+        let v_row = &v_row[c0 * lanes..(c0 + N) * lanes];
+        for i in 0..N {
+            let v_s = f32x8::from_slice(&v_row[i * lanes..]);
+            a[i] = f32x8::splat(w_h[i][s]).mul_add(v_s, a[i]);
         }
-    } else {
-        o.fill(0.0);
+    }
+    for i in 0..N {
+        a[i].write_to_slice(&mut acc[i * lanes..]);
     }
 }
 
@@ -318,84 +332,19 @@ impl KernelBackend for SimdBackend {
         super::dispatch_transb_timed(a, bt, m, k, n, out);
     }
 
-    fn paged_attention_decode(
+    fn paged_attention(
         &self,
         q: &[f32],
         pool: &KvPool,
         layer: usize,
-        block_table: &[usize],
-        context_len: usize,
-        n_heads: usize,
-        head_dim: usize,
-        out: &mut [f32],
-    ) {
-        attention::check_decode_shapes(q, pool, block_table, context_len, n_heads, head_dim, out);
-        for h in 0..n_heads {
-            let ho = h * head_dim;
-            decode_head(
-                &q[ho..ho + head_dim],
-                pool,
-                layer,
-                block_table,
-                context_len,
-                ho,
-                &mut out[ho..ho + head_dim],
-            );
-        }
-    }
-
-    fn paged_attention_prefill(
-        &self,
-        q: &[f32],
-        pool: &KvPool,
-        layer: usize,
-        block_table: &[usize],
-        nq: usize,
-        context_len: usize,
-        num_cached: usize,
-        n_heads: usize,
-        head_dim: usize,
-        out: &mut [f32],
-    ) {
-        // The SIMD decode path keeps its own per-head online-softmax kernel,
-        // but chunked prefill must preserve the k-order/t-order accumulation
-        // contract, so it shares the contiguous-gather path with every other
-        // backend.
-        attention::paged_attention_prefill(
-            q,
-            pool,
-            layer,
-            block_table,
-            nq,
-            context_len,
-            num_cached,
-            n_heads,
-            head_dim,
-            out,
-        );
-    }
-
-    fn paged_attention_decode_batch(
-        &self,
-        q: &[f32],
-        pool: &KvPool,
-        layer: usize,
-        seqs: &[DecodeSeq<'_>],
+        seqs: &[SeqRows<'_>],
         n_heads: usize,
         head_dim: usize,
         workers: &WorkerPool,
         out: &mut [f32],
     ) {
-        attention::decode_batch_driver(
-            q,
-            pool,
-            layer,
-            seqs,
-            n_heads,
-            head_dim,
-            workers,
-            out,
-            decode_head,
+        attention::paged_attention::<SimdLanes>(
+            q, pool, layer, seqs, n_heads, head_dim, workers, out,
         );
     }
 }
@@ -477,21 +426,77 @@ mod tests {
     }
 
     #[test]
-    fn dot_and_axpy_match_scalar_within_tolerance() {
-        for &len in &[1usize, 7, 8, 9, 31, 32, 100] {
-            let a = fill(1, len);
-            let b = fill(2, len);
-            let scalar: f32 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
-            assert!((dot_simd(&a, &b) - scalar).abs() <= 1e-4 * (len as f32));
-            let mut acc = fill(3, len);
-            let mut acc_ref = acc.clone();
-            axpy_simd(&mut acc, 0.75, &b);
-            for (r, &x) in acc_ref.iter_mut().zip(&b) {
-                *r += 0.75 * x;
+    fn vector_tile_primitives_match_the_plain_loops_bit_for_bit() {
+        // Shapes on both sides of every path choice: block sizes that are
+        // and are not whole vectors, head widths that are and are not,
+        // head counts above and below the chain width, partial last tiles.
+        let workers = WorkerPool::new(1);
+        for &(n_heads, hd, bs, ctx) in &[
+            (8usize, 8usize, 16usize, 45usize),
+            (9, 8, 16, 33),
+            (8, 32, 16, 64),
+            (3, 64, 32, 70),
+            (4, 12, 16, 21),
+            (2, 8, 4, 11),
+            (10, 16, 8, 25),
+        ] {
+            let hidden = n_heads * hd;
+            let mut pool = KvPool::new(1, ctx.div_ceil(bs), bs, hidden);
+            let k = fill(7, ctx * hidden);
+            let v = fill(8, ctx * hidden);
+            let table: Vec<usize> = (0..ctx.div_ceil(bs)).rev().collect();
+            for t in 0..ctx {
+                let (block, slot) = (table[t / bs], t % bs);
+                pool.write(
+                    0,
+                    block,
+                    slot,
+                    &k[t * hidden..(t + 1) * hidden],
+                    &v[t * hidden..(t + 1) * hidden],
+                );
             }
-            for (x, y) in acc.iter().zip(&acc_ref) {
-                assert!((x - y).abs() <= 1e-5);
+            let q = fill(9, ctx * hidden);
+            let rows = [SeqRows {
+                block_table: &table,
+                first_position: 0,
+                n_rows: ctx,
+            }];
+            let mut plain = vec![0.0; ctx * hidden];
+            attention::paged_attention::<PlainLanes>(
+                &q, &pool, 0, &rows, n_heads, hd, &workers, &mut plain,
+            );
+            let mut simd = vec![0.0; ctx * hidden];
+            SimdBackend.paged_attention(&q, &pool, 0, &rows, n_heads, hd, &workers, &mut simd);
+            assert_eq!(plain, simd, "heads={n_heads} hd={hd} bs={bs} ctx={ctx}");
+            // And the portable instantiation of the vector path.
+            let mut portable = vec![0.0; ctx * hidden];
+            struct Portable;
+            impl TileLanes for Portable {
+                fn scores(q: &[f32], k: KvTile<'_>, f: usize, d: &TileDims, s: &mut [f32]) {
+                    SimdLanes::scores(q, k, f, d, s);
+                }
+                fn accumulate(
+                    c: &[f32],
+                    w: &[f32],
+                    v: KvTile<'_>,
+                    f: usize,
+                    d: &TileDims,
+                    acc: &mut [f32],
+                ) {
+                    SimdLanes::accumulate(c, w, v, f, d, acc);
+                }
             }
+            attention::paged_attention::<Portable>(
+                &q,
+                &pool,
+                0,
+                &rows,
+                n_heads,
+                hd,
+                &workers,
+                &mut portable,
+            );
+            assert_eq!(plain, portable, "portable: heads={n_heads} hd={hd} bs={bs}");
         }
     }
 }

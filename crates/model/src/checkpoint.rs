@@ -225,8 +225,8 @@ mod tests {
         let loaded = load(&save(&model)).unwrap();
         let mut pool_a = KvPool::new(cfg.n_layers, 8, 4, cfg.hidden);
         let mut pool_b = KvPool::new(cfg.n_layers, 8, 4, cfg.hidden);
-        let a = model.forward_paged(&[3, 1, 4], &[0, 1, 2], &mut pool_a, &[0, 1], 0);
-        let b = loaded.forward_paged(&[3, 1, 4], &[0, 1, 2], &mut pool_b, &[0, 1], 0);
+        let a = model.forward_paged(&[3, 1, 4], &[0, 1, 2], &mut pool_a, &[0, 1]);
+        let b = loaded.forward_paged(&[3, 1, 4], &[0, 1, 2], &mut pool_b, &[0, 1]);
         assert_eq!(a, b);
     }
 

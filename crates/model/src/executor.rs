@@ -10,7 +10,7 @@ use crate::config::ModelConfig;
 use crate::kv_cache::KvCache;
 use crate::ops::timing;
 use crate::sampler::{mix_seed, sample_candidates};
-use crate::transformer::{DecodeInput, Transformer};
+use crate::transformer::{SeqInput, Transformer};
 use vllm_core::config::CacheConfig;
 
 /// Cached telemetry handles for the CPU executor, registered lazily when the
@@ -43,7 +43,7 @@ impl KernelTelemetry {
             ),
             attention_seconds: r.histogram(
                 &format!("vllm_model_kernel_paged_attention_seconds{{backend=\"{backend}\"}}"),
-                "Time in PagedAttention decode kernels per step.",
+                "Time in the PagedAttention kernel per step (decode and prefill rows).",
                 vllm_telemetry::BucketSpec::seconds(),
             ),
             logits_seconds: r.histogram(
@@ -61,6 +61,82 @@ impl KernelTelemetry {
         self.attention_seconds.observe(d.attention_ns as f64 / 1e9);
         self.logits_seconds.observe(d.logits_ns as f64 / 1e9);
     }
+}
+
+/// The forward inputs of a step: for each plan item the rows past what its
+/// mapped blocks already hold (shared-prefix prefills and prompt chunks
+/// skip their cached tokens; at least one row always runs).
+pub(crate) fn step_inputs(plan: &StepPlan) -> Result<Vec<SeqInput<'_>>> {
+    plan.items
+        .iter()
+        .map(|item| {
+            if item.tokens.is_empty() {
+                return Err(VllmError::Executor("empty step input".into()));
+            }
+            let skip = item.num_cached_tokens.min(item.tokens.len() - 1);
+            Ok(SeqInput {
+                tokens: &item.tokens[skip..],
+                first_position: item.first_position + skip,
+                block_table: &item.block_table,
+            })
+        })
+        .collect()
+}
+
+/// Runs a step's `inputs` through `forward` — multi-row inputs one sequence
+/// per call, in plan order, then every one-row input (generation steps,
+/// fully-cached prompts, one-token chunks) stacked in ONE call — and
+/// samples each item's candidates from its last-row logits.
+pub(crate) fn run_forwards(
+    plan: &StepPlan,
+    inputs: &[SeqInput<'_>],
+    vocab: usize,
+    mut forward: impl FnMut(&[SeqInput<'_>]) -> Vec<f32>,
+) -> Vec<SeqStepOutput> {
+    let mut logits = vec![0.0f32; inputs.len() * vocab];
+    let mut decode = Vec::new();
+    for (i, input) in inputs.iter().enumerate() {
+        if input.tokens.len() == 1 {
+            decode.push(i);
+        } else {
+            let row = forward(std::slice::from_ref(input));
+            logits[i * vocab..(i + 1) * vocab].copy_from_slice(&row);
+        }
+    }
+    if !decode.is_empty() {
+        let stacked: Vec<SeqInput<'_>> = decode.iter().map(|&i| inputs[i]).collect();
+        let rows = forward(&stacked);
+        for (row, &i) in rows.chunks_exact(vocab).zip(&decode) {
+            logits[i * vocab..(i + 1) * vocab].copy_from_slice(row);
+        }
+    }
+    plan.items
+        .iter()
+        .zip(logits.chunks_exact(vocab))
+        .map(|(item, logits)| {
+            let seed = mix_seed(item.seed, item.seq_id, item.context_len());
+            SeqStepOutput {
+                seq_id: item.seq_id,
+                candidates: sample_candidates(logits, item.mode, item.num_candidates, seed),
+            }
+        })
+        .collect()
+}
+
+/// Per-kernel time accumulated since `before`, as a step result reports it.
+pub(crate) fn kernel_timings(before: &timing::KernelSnapshot) -> Vec<KernelTiming> {
+    let d = timing::snapshot().delta_since(before);
+    [
+        ("matmul", d.matmul_ns),
+        ("paged_attention", d.attention_ns),
+        ("logits", d.logits_ns),
+    ]
+    .into_iter()
+    .map(|(name, ns)| KernelTiming {
+        name: name.to_string(),
+        seconds: ns as f64 / 1e9,
+    })
+    .collect()
 }
 
 /// Executes scheduled iterations on a CPU transformer with a paged KV cache.
@@ -127,95 +203,15 @@ impl ModelExecutor for CpuModelExecutor {
         // arrive with the step's control message).
         self.cache.apply(&plan.cache_ops);
 
-        // Split the step into decode-phase items (computed suffix of one
-        // token: generation steps, but also fully-prefix-cached prefills)
-        // and prompt-phase items. Decode items run as ONE stacked forward;
-        // prompt items keep their per-sequence path.
-        let mut outputs: Vec<Option<SeqStepOutput>> = plan.items.iter().map(|_| None).collect();
-        let mut decode: Vec<(usize, usize)> = Vec::new(); // (item index, skip)
-        for (i, item) in plan.items.iter().enumerate() {
-            if item.tokens.is_empty() {
-                return Err(VllmError::Executor("empty step input".into()));
-            }
-            // Shared-prefix prefills only compute the suffix; the prefix KV
-            // already sits in the mapped blocks. Chunked prefill items skip
-            // exactly the rows earlier chunks computed and must never take
-            // the decode path, even for a one-row final chunk: the decode
-            // kernel's accumulation order differs and would break the
-            // chunked/unchunked bit-identity contract.
-            let skip = if item.chunked || item.tokens.len() > 1 {
-                item.num_cached_tokens.min(item.tokens.len() - 1)
-            } else {
-                0
-            };
-            if !item.chunked && item.tokens.len() - skip == 1 {
-                decode.push((i, skip));
-                continue;
-            }
-            let tokens = &item.tokens[skip..];
-            let positions: Vec<usize> =
-                (item.first_position + skip..item.first_position + item.tokens.len()).collect();
-            let logits = if item.chunked {
-                self.model.forward_prefill_chunk(
-                    tokens,
-                    &positions,
-                    &mut self.cache.gpu,
-                    &item.block_table,
-                    item.first_position + skip,
-                )
-            } else {
-                self.model.forward_paged(
-                    tokens,
-                    &positions,
-                    &mut self.cache.gpu,
-                    &item.block_table,
-                    item.first_position + skip,
-                )
-            };
-            self.tokens_processed += tokens.len() as u64;
-            let seed = mix_seed(item.seed, item.seq_id, item.context_len());
-            let candidates = sample_candidates(&logits, item.mode, item.num_candidates, seed);
-            outputs[i] = Some(SeqStepOutput {
-                seq_id: item.seq_id,
-                candidates,
-            });
-        }
-        if !decode.is_empty() {
-            let inputs: Vec<DecodeInput<'_>> = decode
-                .iter()
-                .map(|&(i, skip)| {
-                    let item = &plan.items[i];
-                    DecodeInput {
-                        token: item.tokens[skip],
-                        position: item.first_position + skip,
-                        block_table: &item.block_table,
-                    }
-                })
-                .collect();
-            let logits = self
-                .model
-                .forward_decode_batch(&inputs, &mut self.cache.gpu);
-            let vocab = self.model.config.vocab_size;
-            for (row, &(i, _)) in decode.iter().enumerate() {
-                let item = &plan.items[i];
-                let seed = mix_seed(item.seed, item.seq_id, item.context_len());
-                let candidates = sample_candidates(
-                    &logits[row * vocab..(row + 1) * vocab],
-                    item.mode,
-                    item.num_candidates,
-                    seed,
-                );
-                outputs[i] = Some(SeqStepOutput {
-                    seq_id: item.seq_id,
-                    candidates,
-                });
-            }
-            self.tokens_processed += decode.len() as u64;
-        }
-        let outputs: Vec<SeqStepOutput> = outputs
-            .into_iter()
-            .map(|o| o.expect("every plan item produced an output"))
-            .collect();
+        let inputs = step_inputs(plan)?;
+        self.tokens_processed += inputs
+            .iter()
+            .map(|inp| inp.tokens.len() as u64)
+            .sum::<u64>();
+        let (model, kv) = (&self.model, &mut self.cache.gpu);
+        let outputs = run_forwards(plan, &inputs, model.config.vocab_size, |batch| {
+            model.forward(batch, kv)
+        });
         let elapsed = start.elapsed().as_secs_f64();
         if let Some(t) = &self.telemetry {
             t.forward_seconds.observe(elapsed);
@@ -223,25 +219,10 @@ impl ModelExecutor for CpuModelExecutor {
             t.steps_total.inc();
             t.kernels.observe_step(&kernels_before);
         }
-        let kd = timing::snapshot().delta_since(&kernels_before);
-        let kernels = vec![
-            KernelTiming {
-                name: "matmul".to_string(),
-                seconds: kd.matmul_ns as f64 / 1e9,
-            },
-            KernelTiming {
-                name: "paged_attention".to_string(),
-                seconds: kd.attention_ns as f64 / 1e9,
-            },
-            KernelTiming {
-                name: "logits".to_string(),
-                seconds: kd.logits_ns as f64 / 1e9,
-            },
-        ];
         Ok(StepResult {
             outputs,
             elapsed,
-            kernels,
+            kernels: kernel_timings(&kernels_before),
         })
     }
 

@@ -2,8 +2,14 @@
 //!
 //! A [`KvPool`] owns one contiguous allocation per layer ("the block engine
 //! allocates a contiguous chunk and divides it into physical KV blocks") and
-//! addresses token slots by `(physical block, offset)`. The element type of
-//! the stored K/V scalars is chosen by the kernel backend's
+//! addresses token slots by `(physical block, offset)`. Within a block the
+//! two tiles are laid out for the way the attention kernel reads them (the
+//! "memory layout optimized for block read" of §5.1): **V slot-major**
+//! (`[slot][hidden]`, the weighted sum runs across `hidden`) and **K
+//! dimension-major** (`[hidden][slot]`, as in vLLM's own K cache, so the
+//! score pass reads the slots of a block as contiguous lanes). Block copies,
+//! swaps and handoff payloads move whole tiles and never look inside. The
+//! element type of the stored K/V scalars is chosen by the kernel backend's
 //! [`KvElement`] layout: plain `f32`, or `i8` with one `f32` dequantization
 //! scale per stored vector (`quant-kv8`), which shrinks bytes-per-block and
 //! therefore buys more blocks per memory budget. [`KvCache`] pairs a GPU
@@ -33,6 +39,22 @@ enum KvStorage {
     },
 }
 
+/// One K or V block of one layer — the tile the PagedAttention kernel
+/// works on: `block_size × hidden` contiguous scalars (see
+/// [`KvPool::key_tile`] and [`KvPool::value_tile`] for the two layouts).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum KvTile<'a> {
+    /// Plain f32 vectors.
+    F32(&'a [f32]),
+    /// int8 vectors with one dequantization scale per slot.
+    Int8 {
+        /// Quantized values, laid out like the f32 tile.
+        q: &'a [i8],
+        /// Per-slot scales, `block_size`.
+        scales: &'a [f32],
+    },
+}
+
 /// Per-layer paged key/value storage for one device.
 #[derive(Debug, Clone)]
 pub struct KvPool {
@@ -43,18 +65,14 @@ pub struct KvPool {
     hidden: usize,
 }
 
-/// Quantizes one vector into int8: `scale = max|x| / 127`, elements
-/// `round(x / scale)`. Returns the scale (0 for an all-zero vector, whose
-/// dequantization is exactly zero). Reconstruction error per element is at
-/// most `scale / 2`.
-fn quantize_slot(src: &[f32], dst: &mut [i8]) -> f32 {
+/// Quantizes one vector into int8, element `i` landing at `dst[i * stride]`:
+/// `scale = max|x| / 127`, elements `round(x / scale)`. Returns the scale (0
+/// for an all-zero vector, whose dequantization is exactly zero).
+/// Reconstruction error per element is at most `scale / 2`.
+fn quantize_slot(src: &[f32], dst: &mut [i8], stride: usize) -> f32 {
     let max_abs = src.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
-    if max_abs == 0.0 {
-        dst.fill(0);
-        return 0.0;
-    }
-    let inv = 127.0 / max_abs;
-    for (d, &x) in dst.iter_mut().zip(src) {
+    let inv = if max_abs == 0.0 { 0.0 } else { 127.0 / max_abs };
+    for (d, &x) in dst.iter_mut().step_by(stride).zip(src) {
         *d = (x * inv).round().clamp(-127.0, 127.0) as i8;
     }
     max_abs / 127.0
@@ -151,8 +169,10 @@ impl KvPool {
     }
 
     /// Writes the key/value vectors of one token into `(block, slot)` for
-    /// `layer` (the "fused reshape and block write" path, §5.1). On an
-    /// int8 pool the vectors are quantized in place with one scale each.
+    /// `layer` (the "fused reshape and block write" path, §5.1): the value
+    /// as one contiguous row, the key scattered down the slot's column of
+    /// the dimension-major K tile. On an int8 pool the vectors are
+    /// quantized on the way in with one scale each.
     ///
     /// # Panics
     ///
@@ -160,12 +180,16 @@ impl KvPool {
     pub fn write(&mut self, layer: usize, block: usize, slot: usize, key: &[f32], value: &[f32]) {
         debug_assert_eq!(key.len(), self.hidden);
         debug_assert_eq!(value.len(), self.hidden);
-        let o = self.offset(block, slot);
-        let h = self.hidden;
+        let (h, bs) = (self.hidden, self.block_size);
+        let tile = self.offset(block, 0);
+        let row = self.offset(block, slot);
         match &mut self.storage {
             KvStorage::F32 { k, v } => {
-                k[layer][o..o + h].copy_from_slice(key);
-                v[layer][o..o + h].copy_from_slice(value);
+                let column = k[layer][tile + slot..tile + bs * h].iter_mut().step_by(bs);
+                for (dst, &x) in column.zip(key) {
+                    *dst = x;
+                }
+                v[layer][row..row + h].copy_from_slice(value);
             }
             KvStorage::Int8 {
                 k,
@@ -173,104 +197,68 @@ impl KvPool {
                 k_scale,
                 v_scale,
             } => {
-                let si = block * self.block_size + slot;
-                k_scale[layer][si] = quantize_slot(key, &mut k[layer][o..o + h]);
-                v_scale[layer][si] = quantize_slot(value, &mut v[layer][o..o + h]);
+                let si = block * bs + slot;
+                k_scale[layer][si] =
+                    quantize_slot(key, &mut k[layer][tile + slot..tile + bs * h], bs);
+                v_scale[layer][si] = quantize_slot(value, &mut v[layer][row..row + h], 1);
             }
         }
     }
 
-    /// Key vector stored at `(layer, block, slot)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an int8-quantized pool — use [`Self::key_block_q8`].
+    /// The key vector stored at `(layer, block, slot)`, dequantized if the
+    /// pool is int8 (tests and the oracle path; the kernel reads tiles).
     #[must_use]
-    pub fn key(&self, layer: usize, block: usize, slot: usize) -> &[f32] {
-        let o = self.offset(block, slot);
-        match &self.storage {
-            KvStorage::F32 { k, .. } => &k[layer][o..o + self.hidden],
-            KvStorage::Int8 { .. } => panic!("f32 KV accessor on int8-quantized pool"),
+    pub fn key(&self, layer: usize, block: usize, slot: usize) -> Vec<f32> {
+        let column = (0..self.hidden).map(|d| d * self.block_size + slot);
+        match self.key_tile(layer, block) {
+            KvTile::F32(k) => column.map(|i| k[i]).collect(),
+            KvTile::Int8 { q, scales } => column.map(|i| f32::from(q[i]) * scales[slot]).collect(),
         }
     }
 
-    /// Value vector stored at `(layer, block, slot)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an int8-quantized pool — use [`Self::value_block_q8`].
+    /// The value vector stored at `(layer, block, slot)`, dequantized if
+    /// the pool is int8.
     #[must_use]
-    pub fn value(&self, layer: usize, block: usize, slot: usize) -> &[f32] {
-        let o = self.offset(block, slot);
-        match &self.storage {
-            KvStorage::F32 { v, .. } => &v[layer][o..o + self.hidden],
-            KvStorage::Int8 { .. } => panic!("f32 KV accessor on int8-quantized pool"),
+    pub fn value(&self, layer: usize, block: usize, slot: usize) -> Vec<f32> {
+        let row = slot * self.hidden..(slot + 1) * self.hidden;
+        match self.value_tile(layer, block) {
+            KvTile::F32(v) => v[row].to_vec(),
+            KvTile::Int8 { q, scales } => q[row]
+                .iter()
+                .map(|&x| f32::from(x) * scales[slot])
+                .collect(),
         }
     }
 
-    /// The whole key block `(layer, block)` as `block_size × hidden`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an int8-quantized pool — use [`Self::key_block_q8`].
+    /// The key tile `(layer, block)` as the attention kernel reads it:
+    /// dimension-major, element `d` of slot `s` at `d * block_size + s`.
     #[must_use]
-    pub fn key_block(&self, layer: usize, block: usize) -> &[f32] {
+    pub fn key_tile(&self, layer: usize, block: usize) -> KvTile<'_> {
         let o = self.offset(block, 0);
-        match &self.storage {
-            KvStorage::F32 { k, .. } => &k[layer][o..o + self.block_size * self.hidden],
-            KvStorage::Int8 { .. } => panic!("f32 KV accessor on int8-quantized pool"),
-        }
-    }
-
-    /// The whole value block `(layer, block)` as `block_size × hidden`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an int8-quantized pool — use [`Self::value_block_q8`].
-    #[must_use]
-    pub fn value_block(&self, layer: usize, block: usize) -> &[f32] {
-        let o = self.offset(block, 0);
-        match &self.storage {
-            KvStorage::F32 { v, .. } => &v[layer][o..o + self.block_size * self.hidden],
-            KvStorage::Int8 { .. } => panic!("f32 KV accessor on int8-quantized pool"),
-        }
-    }
-
-    /// The whole quantized key block `(layer, block)`: `block_size × hidden`
-    /// int8 values plus `block_size` per-slot dequantization scales.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an f32 pool — use [`Self::key_block`].
-    #[must_use]
-    pub fn key_block_q8(&self, layer: usize, block: usize) -> (&[i8], &[f32]) {
-        let o = self.offset(block, 0);
+        let len = self.block_size * self.hidden;
         let so = block * self.block_size;
         match &self.storage {
-            KvStorage::Int8 { k, k_scale, .. } => (
-                &k[layer][o..o + self.block_size * self.hidden],
-                &k_scale[layer][so..so + self.block_size],
-            ),
-            KvStorage::F32 { .. } => panic!("int8 KV accessor on f32 pool"),
+            KvStorage::F32 { k, .. } => KvTile::F32(&k[layer][o..o + len]),
+            KvStorage::Int8 { k, k_scale, .. } => KvTile::Int8 {
+                q: &k[layer][o..o + len],
+                scales: &k_scale[layer][so..so + self.block_size],
+            },
         }
     }
 
-    /// The whole quantized value block `(layer, block)`: values + scales,
-    /// like [`Self::key_block_q8`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on an f32 pool — use [`Self::value_block`].
+    /// The value tile `(layer, block)`: slot-major, element `d` of slot `s`
+    /// at `s * hidden + d`.
     #[must_use]
-    pub fn value_block_q8(&self, layer: usize, block: usize) -> (&[i8], &[f32]) {
+    pub fn value_tile(&self, layer: usize, block: usize) -> KvTile<'_> {
         let o = self.offset(block, 0);
+        let len = self.block_size * self.hidden;
         let so = block * self.block_size;
         match &self.storage {
-            KvStorage::Int8 { v, v_scale, .. } => (
-                &v[layer][o..o + self.block_size * self.hidden],
-                &v_scale[layer][so..so + self.block_size],
-            ),
-            KvStorage::F32 { .. } => panic!("int8 KV accessor on f32 pool"),
+            KvStorage::F32 { v, .. } => KvTile::F32(&v[layer][o..o + len]),
+            KvStorage::Int8 { v, v_scale, .. } => KvTile::Int8 {
+                q: &v[layer][o..o + len],
+                scales: &v_scale[layer][so..so + self.block_size],
+            },
         }
     }
 
@@ -491,36 +479,18 @@ impl KvPool {
     }
 
     /// Gathers the K and V vectors of positions `0..len` addressed through a
-    /// block table into contiguous `len × hidden` f32 buffers (used by
-    /// prefill over cached prefixes and by equivalence tests). Quantized
-    /// pools are dequantized on the way out.
+    /// block table into contiguous `len × hidden` f32 buffers, dequantizing
+    /// as the layout requires. Not on the serving path — the attention
+    /// kernel reads tiles in place; this feeds the contiguous oracle in
+    /// tests and benches.
     #[must_use]
     pub fn gather(&self, layer: usize, block_table: &[usize], len: usize) -> (Vec<f32>, Vec<f32>) {
         let mut ks = Vec::with_capacity(len * self.hidden);
         let mut vs = Vec::with_capacity(len * self.hidden);
         for t in 0..len {
-            let block = block_table[t / self.block_size];
-            let slot = t % self.block_size;
-            let o = self.offset(block, slot);
-            match &self.storage {
-                KvStorage::F32 { k, v } => {
-                    ks.extend_from_slice(&k[layer][o..o + self.hidden]);
-                    vs.extend_from_slice(&v[layer][o..o + self.hidden]);
-                }
-                KvStorage::Int8 {
-                    k,
-                    v,
-                    k_scale,
-                    v_scale,
-                } => {
-                    let si = block * self.block_size + slot;
-                    let kq = &k[layer][o..o + self.hidden];
-                    let vq = &v[layer][o..o + self.hidden];
-                    let (ksc, vsc) = (k_scale[layer][si], v_scale[layer][si]);
-                    ks.extend(kq.iter().map(|&q| f32::from(q) * ksc));
-                    vs.extend(vq.iter().map(|&q| f32::from(q) * vsc));
-                }
-            }
+            let (block, slot) = (block_table[t / self.block_size], t % self.block_size);
+            ks.extend(self.key(layer, block, slot));
+            vs.extend(self.value(layer, block, slot));
         }
         (ks, vs)
     }
@@ -806,22 +776,16 @@ mod tests {
     #[test]
     fn quantized_copy_and_swap_preserve_scales() {
         let p = filled_q8_pool();
-        let (before_vals, before_scales) = {
-            let (vals, scales) = p.key_block_q8(1, 3);
-            (vals.to_vec(), scales.to_vec())
-        };
+        let before = p.key_tile(1, 3);
+        assert!(matches!(before, KvTile::Int8 { .. }));
         // In-pool copy.
         let mut p2 = p.clone();
         p2.copy_block_within(3, 0);
-        let (vals, scales) = p2.key_block_q8(1, 0);
-        assert_eq!(vals, &before_vals[..]);
-        assert_eq!(scales, &before_scales[..]);
+        assert_eq!(p2.key_tile(1, 0), before);
         // Cross-pool copy (swap transfer).
         let mut other = KvPool::with_element(2, 4, 2, 3, KvElement::Int8Scaled);
         p.copy_block_to(3, &mut other, 1);
-        let (vals, scales) = other.key_block_q8(1, 1);
-        assert_eq!(vals, &before_vals[..]);
-        assert_eq!(scales, &before_scales[..]);
+        assert_eq!(other.key_tile(1, 1), before);
     }
 
     #[test]
@@ -845,10 +809,8 @@ mod tests {
         let mut q = KvPool::with_element(2, 4, 2, 3, KvElement::Int8Scaled);
         assert!(q.import_block_bytes(0, &bytes));
         for layer in 0..2 {
-            let (want_vals, want_scales) = p.key_block_q8(layer, 3);
-            let (got_vals, got_scales) = q.key_block_q8(layer, 0);
-            assert_eq!(got_vals, want_vals);
-            assert_eq!(got_scales, want_scales);
+            assert_eq!(q.key_tile(layer, 0), p.key_tile(layer, 3));
+            assert_eq!(q.value_tile(layer, 0), p.value_tile(layer, 3));
         }
         // Dequantized reads agree too.
         assert_eq!(p.gather(1, &[3], 2), q.gather(1, &[0], 2));
@@ -887,13 +849,6 @@ mod tests {
         });
         assert_eq!(cache.num_block_installs, 1);
         assert_eq!(cache.gpu.key(0, 0, 1), src.key(0, 3, 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "f32 KV accessor")]
-    fn f32_accessor_on_quantized_pool_panics() {
-        let p = filled_q8_pool();
-        let _ = p.key_block(0, 0);
     }
 
     #[test]

@@ -37,18 +37,15 @@ pub mod sampler;
 pub mod tokenizer;
 pub mod transformer;
 
-pub use attention::{
-    contiguous_attention_decode, contiguous_causal_attention, paged_attention_decode,
-    paged_attention_decode_batch, DecodeSeq,
-};
+pub use attention::{contiguous_attention_decode, contiguous_causal_attention, SeqRows};
 pub use backend::{BackendKind, KernelBackend, KvElement, KvLayout, BACKEND_ENV};
 pub use bpe::BpeTokenizer;
 pub use checkpoint::{load as load_checkpoint, save as save_checkpoint, CheckpointError};
 pub use config::{ModelConfig, PositionEncoding};
 pub use executor::CpuModelExecutor;
-pub use kv_cache::{KvCache, KvPool};
+pub use kv_cache::{KvCache, KvPool, KvTile};
 pub use parallel::TensorParallelExecutor;
 pub use pool::WorkerPool;
 pub use sampler::{mix_seed, sample_candidates};
 pub use tokenizer::{ByteTokenizer, BOS, EOS, PAD, VOCAB_SIZE};
-pub use transformer::{DecodeInput, LayerWeights, Transformer};
+pub use transformer::{LayerWeights, SeqInput, Transformer};

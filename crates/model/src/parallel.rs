@@ -16,51 +16,38 @@
 
 use std::time::Instant;
 
-use vllm_core::error::{Result, VllmError};
-use vllm_core::executor::{KernelTiming, ModelExecutor, SeqStepOutput, StepResult};
+use vllm_core::error::Result;
+use vllm_core::executor::{ModelExecutor, StepResult};
 use vllm_core::plan::StepPlan;
 
 use vllm_core::config::CacheConfig;
 
-use crate::attention::contiguous_causal_attention;
+use crate::attention::SeqRows;
 use crate::config::PositionEncoding;
-use crate::executor::KernelTelemetry;
+use crate::executor::{kernel_timings, run_forwards, step_inputs, KernelTelemetry};
 use crate::kv_cache::KvCache;
 use crate::ops::{add_bias, add_inplace, gelu, layer_norm, timing};
 use crate::pool;
-use crate::sampler::{mix_seed, sample_candidates};
-use crate::transformer::{apply_rope, DecodeInput, Transformer};
+use crate::transformer::{apply_rope, last_rows, SeqInput, Transformer};
 
 const LN_EPS: f32 = 1e-5;
 
-/// Replicated token (+ absolute position) embedding. Reads only the
-/// replicated weights, never the KV pools, so it can run concurrently with
-/// cache-op application on the workers.
-fn embed(model: &Transformer, tokens: &[u32], positions: &[usize]) -> Vec<f32> {
+/// Replicated token (+ absolute position) embedding of every row of
+/// `inputs`, sequence after sequence. Reads only the replicated weights,
+/// never the KV pools, so it can run concurrently with cache-op application
+/// on the workers.
+fn embed(model: &Transformer, inputs: &[SeqInput<'_>]) -> Vec<f32> {
     let h = model.config.hidden;
     let rotary = model.config.position_encoding == PositionEncoding::Rotary;
-    let mut x = vec![0.0f32; tokens.len() * h];
-    for (i, (&tok, &pos)) in tokens.iter().zip(positions).enumerate() {
-        let e = &model.wte[tok as usize * h..(tok as usize + 1) * h];
-        let p = &model.wpe[pos * h..(pos + 1) * h];
-        for j in 0..h {
-            x[i * h + j] = if rotary { e[j] } else { e[j] + p[j] };
+    let mut x = Vec::with_capacity(inputs.iter().map(|inp| inp.tokens.len() * h).sum());
+    for inp in inputs {
+        for (&tok, pos) in inp.tokens.iter().zip(inp.first_position..) {
+            let e = &model.wte[tok as usize * h..(tok as usize + 1) * h];
+            let p = &model.wpe[pos * h..(pos + 1) * h];
+            x.extend((0..h).map(|j| if rotary { e[j] } else { e[j] + p[j] }));
         }
     }
     x
-}
-
-/// Suffix of a step input that still needs compute (shared-prefix prefills
-/// skip their cached tokens), as `(tokens, positions)`.
-fn compute_suffix(item: &vllm_core::executor::SeqStepInput) -> (Vec<u32>, Vec<usize>) {
-    let skip = if item.tokens.len() > 1 {
-        item.num_cached_tokens.min(item.tokens.len() - 1)
-    } else {
-        0
-    };
-    let tokens = item.tokens[skip..].to_vec();
-    let positions = (item.first_position + skip..item.first_position + item.tokens.len()).collect();
-    (tokens, positions)
 }
 
 /// One worker's weight shard for one layer.
@@ -213,52 +200,59 @@ impl TensorParallelExecutor {
         &self.model
     }
 
-    /// Forward over the shards, returning last-position logits.
+    /// One stacked forward over the shards — the tensor-parallel twin of
+    /// [`Transformer::forward`]: any mix of prompt rows and decode rows, one
+    /// pool task per worker per phase, returning `inputs.len() × vocab`
+    /// logits taken at each sequence's last row. Row results do not depend
+    /// on what else is stacked (batch-independent matmul accumulation; the
+    /// one per-row attention kernel).
     ///
-    /// `embedded`, when provided, is the precomputed replicated embedding for
-    /// `tokens`/`positions` (see [`embed`]); `begin_step` computes it while
-    /// the workers are still applying the step's cache operations.
-    /// `force_prefill_attn` keeps one-row chunked-prefill steps on the
-    /// contiguous causal kernel (decode accumulation order differs and would
-    /// break chunked/unchunked bit-identity).
-    fn forward_tp(
-        &mut self,
-        tokens: &[u32],
-        positions: &[usize],
-        block_table: &[usize],
-        num_cached: usize,
-        embedded: Option<Vec<f32>>,
-        force_prefill_attn: bool,
-    ) -> Vec<f32> {
+    /// `embedded`, when provided, is the precomputed replicated embedding of
+    /// `inputs` (see [`embed`]); `begin_step` computes it while the workers
+    /// are still applying the step's cache operations.
+    fn forward_tp(&mut self, inputs: &[SeqInput<'_>], embedded: Option<Vec<f32>>) -> Vec<f32> {
         let cfg = &self.model.config;
-        let n = tokens.len();
         let h = cfg.hidden;
         let w_count = self.num_workers;
         let heads_local = cfg.n_heads / w_count;
         let hd = cfg.head_dim();
         let hl = h / w_count;
         let ml = 4 * h / w_count;
-        let ctx = positions[n - 1] + 1;
         let rotary = cfg.position_encoding == PositionEncoding::Rotary;
         let be = self.model.backend();
         let bs = self.workers[0].cache.gpu.block_size();
-        assert!(block_table.len() * bs >= ctx, "block table too short");
+        for inp in inputs {
+            let ctx = inp.first_position + inp.tokens.len();
+            assert!(ctx <= cfg.max_position, "position overflow");
+            assert!(inp.block_table.len() * bs >= ctx, "block table too short");
+        }
+        // One (position, block table) per row, sequence after sequence.
+        let rows: Vec<(usize, &[usize])> = inputs
+            .iter()
+            .flat_map(|inp| {
+                (inp.first_position..inp.first_position + inp.tokens.len())
+                    .map(|pos| (pos, inp.block_table))
+            })
+            .collect();
+        let n = rows.len();
+        let seqs: Vec<SeqRows<'_>> = inputs.iter().map(SeqInput::rows).collect();
 
         // Replicated embedding (positions via RoPE for rotary models),
         // unless `begin_step` already computed it during the cache-op window.
-        let mut x = embedded.unwrap_or_else(|| embed(&self.model, tokens, positions));
+        let mut x = embedded.unwrap_or_else(|| embed(&self.model, inputs));
         debug_assert_eq!(x.len(), n * h);
 
         for layer_idx in 0..cfg.n_layers {
             let lw = &self.model.layers[layer_idx];
-            // Attention: each worker computes its heads, projects through
-            // its w_o rows, and the partials are all-reduced (summed).
+            // Attention: each worker computes its heads for every row,
+            // projects through its w_o rows, and the partials are
+            // all-reduced (summed).
             let mut hst = x.clone();
             layer_norm(&mut hst, &lw.ln1_g, &lw.ln1_b, LN_EPS);
             let mut partials = vec![vec![0.0f32; n * h]; w_count];
             pool::global().scoped(|s| {
                 for (worker, partial) in self.workers.iter_mut().zip(partials.iter_mut()) {
-                    let hst = &hst;
+                    let (hst, rows, seqs) = (&hst, &rows, &seqs);
                     s.spawn(move || {
                         let shard = &worker.layers[layer_idx];
                         let mut qkv = vec![0.0f32; n * 3 * hl];
@@ -266,18 +260,16 @@ impl TensorParallelExecutor {
                         be.matmul_serial(hst, &shard.w_qkv, n, h, 3 * hl, &mut qkv);
                         timing::record_matmul(t_mm.elapsed());
                         add_bias(&mut qkv, &shard.b_qkv);
-                        if rotary {
-                            for (i, &pos) in positions.iter().enumerate() {
-                                let row = &mut qkv[i * 3 * hl..(i + 1) * 3 * hl];
+                        // Write local K/V slices into this worker's pool
+                        // under the shared block table.
+                        let mut q = vec![0.0f32; n * hl];
+                        for (i, &(pos, block_table)) in rows.iter().enumerate() {
+                            let row = &mut qkv[i * 3 * hl..(i + 1) * 3 * hl];
+                            if rotary {
                                 let (q_part, kv_part) = row.split_at_mut(hl);
                                 apply_rope(q_part, pos, hd);
                                 apply_rope(&mut kv_part[..hl], pos, hd);
                             }
-                        }
-                        // Write local K/V slices into this worker's pool
-                        // under the shared block table.
-                        for (i, &pos) in positions.iter().enumerate() {
-                            let row = &qkv[i * 3 * hl..(i + 1) * 3 * hl];
                             worker.cache.gpu.write(
                                 layer_idx,
                                 block_table[pos / bs],
@@ -285,61 +277,27 @@ impl TensorParallelExecutor {
                                 &row[hl..2 * hl],
                                 &row[2 * hl..3 * hl],
                             );
+                            q[i * hl..(i + 1) * hl].copy_from_slice(&row[..hl]);
                         }
                         let mut attn = vec![0.0f32; n * hl];
-                        let t_attn = Instant::now();
-                        if n == 1 && !force_prefill_attn {
-                            be.paged_attention_decode(
-                                &qkv[0..hl],
-                                &worker.cache.gpu,
-                                layer_idx,
-                                block_table,
-                                ctx,
-                                heads_local,
-                                hd,
-                                &mut attn,
-                            );
-                        } else {
-                            let (ks, vs) = worker.cache.gpu.gather(layer_idx, block_table, ctx);
-                            let mut q = vec![0.0f32; n * hl];
-                            for i in 0..n {
-                                q[i * hl..(i + 1) * hl]
-                                    .copy_from_slice(&qkv[i * 3 * hl..i * 3 * hl + hl]);
-                            }
-                            contiguous_causal_attention(
-                                &q,
-                                &ks,
-                                &vs,
-                                n,
-                                ctx,
-                                num_cached,
-                                heads_local,
-                                hd,
-                                &mut attn,
-                            );
-                        }
-                        timing::record_attention(t_attn.elapsed());
+                        be.paged_attention(
+                            &q,
+                            &worker.cache.gpu,
+                            layer_idx,
+                            seqs,
+                            heads_local,
+                            hd,
+                            pool::global(),
+                            &mut attn,
+                        );
                         let t_mm = Instant::now();
                         be.matmul_serial(&attn, &shard.w_o, n, hl, h, partial);
                         timing::record_matmul(t_mm.elapsed());
                     });
                 }
             });
-            // All-reduce: sum the partials, then add the (replicated) bias
-            // once and the residual.
-            let ar_start = Instant::now();
-            let mut reduced = vec![0.0f32; n * h];
-            for p in &partials {
-                add_inplace(&mut reduced, p);
-            }
+            all_reduce(&partials, &lw.b_o, &mut x, self.telemetry.as_ref());
             self.num_all_reduces += 1;
-            if let Some(t) = &self.telemetry {
-                t.all_reduce_seconds
-                    .observe(ar_start.elapsed().as_secs_f64());
-                t.all_reduces_total.inc();
-            }
-            add_bias(&mut reduced, &lw.b_o);
-            add_inplace(&mut x, &reduced);
 
             // MLP: column/row split with one more all-reduce.
             let mut hst = x.clone();
@@ -360,168 +318,41 @@ impl TensorParallelExecutor {
                     });
                 }
             });
-            let ar_start = Instant::now();
-            let mut reduced = vec![0.0f32; n * h];
-            for p in &partials {
-                add_inplace(&mut reduced, p);
-            }
+            all_reduce(&partials, &lw.b_proj, &mut x, self.telemetry.as_ref());
             self.num_all_reduces += 1;
-            if let Some(t) = &self.telemetry {
-                t.all_reduce_seconds
-                    .observe(ar_start.elapsed().as_secs_f64());
-                t.all_reduces_total.inc();
-            }
-            add_bias(&mut reduced, &lw.b_proj);
-            add_inplace(&mut x, &reduced);
         }
 
-        // Replicated LM head on the last position.
-        let mut last = x[(n - 1) * h..n * h].to_vec();
+        // Replicated LM head on each sequence's last row.
+        let mut last = last_rows(&x, inputs, h);
         layer_norm(&mut last, &self.model.ln_f_g, &self.model.ln_f_b, LN_EPS);
-        let mut logits = vec![0.0f32; cfg.vocab_size];
-        be.matmul_logits(&last, &self.model.wte_t, 1, h, cfg.vocab_size, &mut logits);
-        logits
-    }
-
-    /// Batched single-token decode across the worker shards: one stacked
-    /// forward for every decode-phase item of the step, one pool task per
-    /// worker per phase. Row `i` of the returned `batch × vocab` logits is
-    /// bit-identical to a solo [`Self::forward_tp`] decode for `inputs[i]`
-    /// (batch-independent matmul accumulation; the same per-sequence
-    /// attention routine).
-    fn forward_decode_batch_tp(&mut self, inputs: &[DecodeInput<'_>]) -> Vec<f32> {
-        let cfg = &self.model.config;
-        let b = inputs.len();
-        let h = cfg.hidden;
-        let w_count = self.num_workers;
-        let heads_local = cfg.n_heads / w_count;
-        let hd = cfg.head_dim();
-        let hl = h / w_count;
-        let ml = 4 * h / w_count;
-        let rotary = cfg.position_encoding == PositionEncoding::Rotary;
-        let be = self.model.backend();
-        let bs = self.workers[0].cache.gpu.block_size();
-        for inp in inputs {
-            let ctx = inp.position + 1;
-            assert!(ctx <= cfg.max_position, "position overflow");
-            assert!(inp.block_table.len() * bs >= ctx, "block table too short");
-        }
-
-        let tokens: Vec<u32> = inputs.iter().map(|i| i.token).collect();
-        let positions: Vec<usize> = inputs.iter().map(|i| i.position).collect();
-        let mut x = embed(&self.model, &tokens, &positions);
-
-        for layer_idx in 0..cfg.n_layers {
-            let lw = &self.model.layers[layer_idx];
-            // Attention phase: each worker runs the whole batch over its
-            // head shard, with per-sequence paged attention.
-            let mut hst = x.clone();
-            layer_norm(&mut hst, &lw.ln1_g, &lw.ln1_b, LN_EPS);
-            let mut partials = vec![vec![0.0f32; b * h]; w_count];
-            pool::global().scoped(|s| {
-                for (worker, partial) in self.workers.iter_mut().zip(partials.iter_mut()) {
-                    let hst = &hst;
-                    s.spawn(move || {
-                        let shard = &worker.layers[layer_idx];
-                        let mut qkv = vec![0.0f32; b * 3 * hl];
-                        let t_mm = Instant::now();
-                        be.matmul_serial(hst, &shard.w_qkv, b, h, 3 * hl, &mut qkv);
-                        timing::record_matmul(t_mm.elapsed());
-                        add_bias(&mut qkv, &shard.b_qkv);
-                        if rotary {
-                            for (i, inp) in inputs.iter().enumerate() {
-                                let row = &mut qkv[i * 3 * hl..(i + 1) * 3 * hl];
-                                let (q_part, kv_part) = row.split_at_mut(hl);
-                                apply_rope(q_part, inp.position, hd);
-                                apply_rope(&mut kv_part[..hl], inp.position, hd);
-                            }
-                        }
-                        for (i, inp) in inputs.iter().enumerate() {
-                            let row = &qkv[i * 3 * hl..(i + 1) * 3 * hl];
-                            worker.cache.gpu.write(
-                                layer_idx,
-                                inp.block_table[inp.position / bs],
-                                inp.position % bs,
-                                &row[hl..2 * hl],
-                                &row[2 * hl..3 * hl],
-                            );
-                        }
-                        let mut attn = vec![0.0f32; b * hl];
-                        let t_attn = Instant::now();
-                        for (i, inp) in inputs.iter().enumerate() {
-                            be.paged_attention_decode(
-                                &qkv[i * 3 * hl..i * 3 * hl + hl],
-                                &worker.cache.gpu,
-                                layer_idx,
-                                inp.block_table,
-                                inp.position + 1,
-                                heads_local,
-                                hd,
-                                &mut attn[i * hl..(i + 1) * hl],
-                            );
-                        }
-                        timing::record_attention(t_attn.elapsed());
-                        let t_mm = Instant::now();
-                        be.matmul_serial(&attn, &shard.w_o, b, hl, h, partial);
-                        timing::record_matmul(t_mm.elapsed());
-                    });
-                }
-            });
-            let ar_start = Instant::now();
-            let mut reduced = vec![0.0f32; b * h];
-            for p in &partials {
-                add_inplace(&mut reduced, p);
-            }
-            self.num_all_reduces += 1;
-            if let Some(t) = &self.telemetry {
-                t.all_reduce_seconds
-                    .observe(ar_start.elapsed().as_secs_f64());
-                t.all_reduces_total.inc();
-            }
-            add_bias(&mut reduced, &lw.b_o);
-            add_inplace(&mut x, &reduced);
-
-            // MLP phase.
-            let mut hst = x.clone();
-            layer_norm(&mut hst, &lw.ln2_g, &lw.ln2_b, LN_EPS);
-            let mut partials = vec![vec![0.0f32; b * h]; w_count];
-            pool::global().scoped(|s| {
-                for (worker, partial) in self.workers.iter().zip(partials.iter_mut()) {
-                    let hst = &hst;
-                    s.spawn(move || {
-                        let shard = &worker.layers[layer_idx];
-                        let mut mid = vec![0.0f32; b * ml];
-                        let t_mm = Instant::now();
-                        be.matmul_serial(hst, &shard.w_fc, b, h, ml, &mut mid);
-                        add_bias(&mut mid, &shard.b_fc);
-                        gelu(&mut mid);
-                        be.matmul_serial(&mid, &shard.w_proj, b, ml, h, partial);
-                        timing::record_matmul(t_mm.elapsed());
-                    });
-                }
-            });
-            let ar_start = Instant::now();
-            let mut reduced = vec![0.0f32; b * h];
-            for p in &partials {
-                add_inplace(&mut reduced, p);
-            }
-            self.num_all_reduces += 1;
-            if let Some(t) = &self.telemetry {
-                t.all_reduce_seconds
-                    .observe(ar_start.elapsed().as_secs_f64());
-                t.all_reduces_total.inc();
-            }
-            add_bias(&mut reduced, &lw.b_proj);
-            add_inplace(&mut x, &reduced);
-        }
-
-        // Replicated LM head over all batch rows.
-        layer_norm(&mut x, &self.model.ln_f_g, &self.model.ln_f_b, LN_EPS);
         let vocab = cfg.vocab_size;
-        let mut logits = vec![0.0f32; b * vocab];
-        be.matmul_logits(&x, &self.model.wte_t, b, h, vocab, &mut logits);
+        let mut logits = vec![0.0f32; inputs.len() * vocab];
+        be.matmul_logits(
+            &last,
+            &self.model.wte_t,
+            inputs.len(),
+            h,
+            vocab,
+            &mut logits,
+        );
         logits
     }
+}
+
+/// All-reduce: sums the workers' partials, adds the (replicated) bias once,
+/// and adds the result onto the residual stream `x`.
+fn all_reduce(partials: &[Vec<f32>], bias: &[f32], x: &mut [f32], telemetry: Option<&TpTelemetry>) {
+    let start = Instant::now();
+    let mut reduced = vec![0.0f32; x.len()];
+    for p in partials {
+        add_inplace(&mut reduced, p);
+    }
+    if let Some(t) = telemetry {
+        t.all_reduce_seconds.observe(start.elapsed().as_secs_f64());
+        t.all_reduces_total.inc();
+    }
+    add_bias(&mut reduced, bias);
+    add_inplace(x, &reduced);
 }
 
 impl ModelExecutor for TensorParallelExecutor {
@@ -529,20 +360,8 @@ impl ModelExecutor for TensorParallelExecutor {
         let start = Instant::now();
         let kernels_before = timing::snapshot();
         self.steps += 1;
-        for item in &plan.items {
-            if item.tokens.is_empty() {
-                return Err(VllmError::Executor("empty step input".into()));
-            }
-        }
-        // Partition the step: decode-phase items (computed suffix of one
-        // token) run as one stacked forward, prompt-phase items keep their
-        // per-sequence path.
-        let suffixes: Vec<(Vec<u32>, Vec<usize>)> = plan.items.iter().map(compute_suffix).collect();
-        let first_prefill = plan
-            .items
-            .iter()
-            .zip(&suffixes)
-            .position(|(item, (tokens, _))| item.chunked || tokens.len() > 1);
+        let inputs = step_inputs(plan)?;
+        let first_prefill = inputs.iter().position(|inp| inp.tokens.len() > 1);
         // Every worker applies the same cache operations to its shard (block
         // ids are shared, data differs per head slice) — on a pool task per
         // worker, overlapped with the first prefill's replicated embedding:
@@ -557,10 +376,7 @@ impl ModelExecutor for TensorParallelExecutor {
                     let ops = &plan.cache_ops;
                     s.spawn(move || worker.cache.apply(ops));
                 }
-                first_prefill.map(|i| {
-                    let (tokens, positions) = &suffixes[i];
-                    embed(model, tokens, positions)
-                })
+                first_prefill.map(|i| embed(model, &inputs[i..=i]))
             })
         };
         if let Some(t) = &self.telemetry {
@@ -569,90 +385,22 @@ impl ModelExecutor for TensorParallelExecutor {
                     .observe(cache_op_start.elapsed().as_secs_f64());
             }
         }
-        let mut outputs: Vec<Option<SeqStepOutput>> = plan.items.iter().map(|_| None).collect();
-        let mut decode: Vec<usize> = Vec::new();
-        for (i, (item, (tokens, positions))) in plan.items.iter().zip(&suffixes).enumerate() {
-            // Chunked-prefill items never join the stacked decode batch,
-            // even when only one prompt row remains.
-            if !item.chunked && tokens.len() == 1 {
-                decode.push(i);
-                continue;
-            }
-            let embedded = if first_prefill == Some(i) {
-                first_embedding.take()
-            } else {
-                None
-            };
-            let logits = self.forward_tp(
-                tokens,
-                positions,
-                &item.block_table,
-                positions[0],
-                embedded,
-                item.chunked,
-            );
-            let seed = mix_seed(item.seed, item.seq_id, item.context_len());
-            let candidates = sample_candidates(&logits, item.mode, item.num_candidates, seed);
-            outputs[i] = Some(SeqStepOutput {
-                seq_id: item.seq_id,
-                candidates,
-            });
-        }
-        if !decode.is_empty() {
-            let inputs: Vec<DecodeInput<'_>> = decode
-                .iter()
-                .map(|&i| DecodeInput {
-                    token: suffixes[i].0[0],
-                    position: suffixes[i].1[0],
-                    block_table: &plan.items[i].block_table,
-                })
-                .collect();
-            let logits = self.forward_decode_batch_tp(&inputs);
-            let vocab = self.model.config.vocab_size;
-            for (row, &i) in decode.iter().enumerate() {
-                let item = &plan.items[i];
-                let seed = mix_seed(item.seed, item.seq_id, item.context_len());
-                let candidates = sample_candidates(
-                    &logits[row * vocab..(row + 1) * vocab],
-                    item.mode,
-                    item.num_candidates,
-                    seed,
-                );
-                outputs[i] = Some(SeqStepOutput {
-                    seq_id: item.seq_id,
-                    candidates,
-                });
-            }
-        }
-        let outputs: Vec<SeqStepOutput> = outputs
-            .into_iter()
-            .map(|o| o.expect("every plan item produced an output"))
-            .collect();
+        // Multi-row inputs run first, in plan order, so the first forward
+        // is the one the precomputed embedding belongs to.
+        let vocab = self.model.config.vocab_size;
+        let outputs = run_forwards(plan, &inputs, vocab, |batch| {
+            self.forward_tp(batch, first_embedding.take())
+        });
         let elapsed = start.elapsed().as_secs_f64();
         if let Some(t) = &self.telemetry {
             t.forward_seconds.observe(elapsed);
             t.steps_total.inc();
             t.kernels.observe_step(&kernels_before);
         }
-        let kd = timing::snapshot().delta_since(&kernels_before);
-        let kernels = vec![
-            KernelTiming {
-                name: "matmul".to_string(),
-                seconds: kd.matmul_ns as f64 / 1e9,
-            },
-            KernelTiming {
-                name: "paged_attention".to_string(),
-                seconds: kd.attention_ns as f64 / 1e9,
-            },
-            KernelTiming {
-                name: "logits".to_string(),
-                seconds: kd.logits_ns as f64 / 1e9,
-            },
-        ];
         Ok(StepResult {
             outputs,
             elapsed,
-            kernels,
+            kernels: kernel_timings(&kernels_before),
         })
     }
 
@@ -705,6 +453,14 @@ mod tests {
         CacheConfig::new(4, 64, 16).unwrap()
     }
 
+    fn seq<'a>(tokens: &'a [u32], first_position: usize, block_table: &'a [usize]) -> SeqInput<'a> {
+        SeqInput {
+            tokens,
+            first_position,
+            block_table,
+        }
+    }
+
     #[test]
     fn tp_logits_match_serial() {
         let cfg = ModelConfig::tiny();
@@ -713,12 +469,12 @@ mod tests {
         let table: Vec<usize> = vec![5, 2, 7];
         let tokens = [4u32, 9, 1, 17, 3];
         let positions: Vec<usize> = (0..5).collect();
-        let expect = serial.forward_paged(&tokens, &positions, &mut pool, &table, 0);
+        let expect = serial.forward_paged(&tokens, &positions, &mut pool, &table);
 
         for workers in [1, 2, 4] {
             let mut tp =
                 TensorParallelExecutor::new(Transformer::new(cfg.clone()), workers, &cache_cfg());
-            let got = tp.forward_tp(&tokens, &positions, &table, 0, None, false);
+            let got = tp.forward_tp(&[seq(&tokens, 0, &table)], None);
             for (i, (a, b)) in expect.iter().zip(&got).enumerate() {
                 assert!(
                     (a - b).abs() < 2e-3,
@@ -735,12 +491,12 @@ mod tests {
         let serial = Transformer::new(cfg.clone());
         let mut pool = KvPool::new(cfg.n_layers, 8, 4, cfg.hidden);
         let table: Vec<usize> = vec![1, 6];
-        serial.forward_paged(&[4, 9, 1], &[0, 1, 2], &mut pool, &table, 0);
-        let expect = serial.forward_paged(&[7], &[3], &mut pool, &table, 3);
+        serial.forward_paged(&[4, 9, 1], &[0, 1, 2], &mut pool, &table);
+        let expect = serial.forward_paged(&[7], &[3], &mut pool, &table);
 
         let mut tp = TensorParallelExecutor::new(Transformer::new(cfg), 2, &cache_cfg());
-        tp.forward_tp(&[4, 9, 1], &[0, 1, 2], &table, 0, None, false);
-        let got = tp.forward_tp(&[7], &[3], &table, 3, None, false);
+        tp.forward_tp(&[seq(&[4, 9, 1], 0, &table)], None);
+        let got = tp.forward_tp(&[seq(&[7], 3, &table)], None);
         for (i, (a, b)) in expect.iter().zip(&got).enumerate() {
             assert!((a - b).abs() < 2e-3, "logit {i}: {a} vs {b}");
         }
@@ -825,11 +581,11 @@ mod tests {
         let table: Vec<usize> = vec![3, 6];
         let tokens = [4u32, 9, 1, 17, 3];
         let positions: Vec<usize> = (0..5).collect();
-        let expect = serial.forward_paged(&tokens, &positions, &mut pool, &table, 0);
+        let expect = serial.forward_paged(&tokens, &positions, &mut pool, &table);
         for workers in [2, 4] {
             let mut tp =
                 TensorParallelExecutor::new(Transformer::new(cfg.clone()), workers, &cache_cfg());
-            let got = tp.forward_tp(&tokens, &positions, &table, 0, None, false);
+            let got = tp.forward_tp(&[seq(&tokens, 0, &table)], None);
             for (i, (a, b)) in expect.iter().zip(&got).enumerate() {
                 assert!(
                     (a - b).abs() < 2e-3,

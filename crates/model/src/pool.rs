@@ -239,7 +239,14 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        // Raised under the queue lock: a worker is then either before its
+        // check (and sees the flag) or already parked (and gets the
+        // notification) — never in between, where the wake-up would be lost
+        // and the join below would hang.
+        {
+            let _queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+            self.shared.shutdown.store(true, Ordering::SeqCst);
+        }
         self.shared.job_cv.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
@@ -384,6 +391,25 @@ mod tests {
             .or_else(|| err.downcast_ref::<String>().cloned())
             .unwrap_or_default();
         assert!(msg.contains("kernel exploded"), "payload preserved: {msg}");
+    }
+
+    #[test]
+    fn pools_dropped_right_after_use_always_join() {
+        // Dropping races the workers' way back to their condvar wait; a
+        // shutdown flag raised outside the queue lock loses the wake-up now
+        // and then and the join never returns.
+        for _ in 0..2000 {
+            let pool = WorkerPool::new(3);
+            let hits = AtomicUsize::new(0);
+            pool.scoped(|s| {
+                for _ in 0..3 {
+                    s.spawn(|| {
+                        hits.fetch_add(1, Ordering::SeqCst);
+                    });
+                }
+            });
+            assert_eq!(hits.load(Ordering::SeqCst), 3);
+        }
     }
 
     #[test]

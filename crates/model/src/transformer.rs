@@ -1,13 +1,12 @@
 //! A GPT/OPT-style decoder-only transformer (§2.1) executing over the paged
 //! KV cache.
 //!
-//! The forward pass covers all three execution shapes of §4.3 with one code
-//! path: full prefill (`num_cached = 0`, all positions new), prefix-extended
-//! prefill (`num_cached = c`, new positions `c..n` attend to cached blocks),
-//! and single-token decode (one new position, attention via the
-//! PagedAttention kernel).
+//! One forward pass ([`Transformer::forward`]) covers every execution shape
+//! of §4.3: full prefill (all positions new), prefix-extended or chunked
+//! prefill (new positions attend to cached blocks), and single-token decode
+//! — stacked in any mix, all through the one PagedAttention kernel.
 
-use crate::attention::DecodeSeq;
+use crate::attention::SeqRows;
 use crate::backend::{self, KernelBackend};
 use crate::config::{ModelConfig, PositionEncoding};
 use crate::kv_cache::KvPool;
@@ -163,82 +162,58 @@ impl Transformer {
         }
     }
 
-    /// Runs the model over `tokens` at absolute `positions`, writing each
-    /// new token's K/V into the paged `pool` through `block_table`, and
-    /// returns the logits at the last position (`vocab`-sized).
+    /// One stacked forward over any mix of sequences (§4.3): `inputs[i]`
+    /// contributes `tokens.len()` rows at consecutive positions — a whole
+    /// prompt, the uncached suffix of a prefix-sharing prompt, one
+    /// scheduler-budgeted chunk, or a single generation token. Every row's
+    /// K/V is written into the paged `kv` through its sequence's block
+    /// table, then all rows go through the one PagedAttention kernel; each
+    /// projection is one `[rows × hidden]` matmul per layer.
     ///
-    /// `num_cached` is the number of leading positions whose K/V already
-    /// live in the pool (shared-prefix requests); `positions[0]` must equal
-    /// `num_cached` for multi-token runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape violations (positions out of order, block table too
-    /// short, positions beyond `max_position`).
-    pub fn forward_paged(
-        &self,
-        tokens: &[u32],
-        positions: &[usize],
-        pool: &mut KvPool,
-        block_table: &[usize],
-        num_cached: usize,
-    ) -> Vec<f32> {
-        self.forward_paged_impl(tokens, positions, pool, block_table, num_cached, false)
-    }
-
-    /// Runs one scheduler-budgeted prefill chunk: like
-    /// [`Transformer::forward_paged`] but always takes the prefill attention
-    /// path, even when the chunk holds a single token. Routing a one-row
-    /// final chunk through the decode kernel would change per-row
-    /// accumulation order and break the bit-identity contract between
-    /// chunked and unchunked prefill, so chunk execution must never fall
-    /// back to [`KernelBackend::paged_attention_decode`].
-    ///
-    /// `num_cached` is the chunk's start offset (prompt rows already
-    /// computed by earlier chunks, plus any shared-prefix cache);
-    /// `positions[0]` must equal it.
+    /// Returns `inputs.len() × vocab` logits, row `i` taken at the last
+    /// position of `inputs[i]`. Each is bit-identical to running that
+    /// sequence alone, however its rows were split into earlier calls: the
+    /// matmul kernels accumulate per output element in a batch-independent
+    /// order, an attention row depends only on its query and the KV at or
+    /// before its position, and KV writes land in sequence-exclusive
+    /// (copy-on-write-resolved) blocks.
     ///
     /// # Panics
     ///
-    /// Panics on shape violations, as [`Transformer::forward_paged`].
-    pub fn forward_prefill_chunk(
-        &self,
-        tokens: &[u32],
-        positions: &[usize],
-        pool: &mut KvPool,
-        block_table: &[usize],
-        num_cached: usize,
-    ) -> Vec<f32> {
-        self.forward_paged_impl(tokens, positions, pool, block_table, num_cached, true)
-    }
-
-    fn forward_paged_impl(
-        &self,
-        tokens: &[u32],
-        positions: &[usize],
-        pool: &mut KvPool,
-        block_table: &[usize],
-        num_cached: usize,
-        force_prefill_attn: bool,
-    ) -> Vec<f32> {
-        let n = tokens.len();
-        assert_eq!(positions.len(), n);
-        assert!(n > 0, "empty input");
+    /// Panics on shape violations (no inputs, an empty sequence, positions
+    /// beyond `max_position`, a block table too short for its context).
+    pub fn forward(&self, inputs: &[SeqInput<'_>], kv: &mut KvPool) -> Vec<f32> {
+        assert!(!inputs.is_empty(), "empty batch");
         let h = self.config.hidden;
-        let bs = pool.block_size();
-        let ctx = positions[n - 1] + 1;
-        assert!(ctx <= self.config.max_position, "position overflow");
-        assert!(block_table.len() * bs >= ctx, "block table too short");
-        if n > 1 || force_prefill_attn {
-            assert_eq!(positions[0], num_cached, "prefill must start at cache end");
+        let bs = kv.block_size();
+        for inp in inputs {
+            assert!(!inp.tokens.is_empty(), "empty input");
+            let ctx = inp.first_position + inp.tokens.len();
+            assert!(ctx <= self.config.max_position, "position overflow");
+            assert!(inp.block_table.len() * bs >= ctx, "block table too short");
         }
+        let workers = pool::global();
         let be = self.backend();
+        let hd = self.config.head_dim();
+
+        // One (token, position, block table) per row, sequence after
+        // sequence.
+        let rows: Vec<(u32, usize, &[usize])> = inputs
+            .iter()
+            .flat_map(|inp| {
+                let positions = inp.first_position..;
+                let row = |(&tok, pos)| (tok, pos, inp.block_table);
+                inp.tokens.iter().zip(positions).map(row)
+            })
+            .collect();
+        let n = rows.len();
+        let seqs: Vec<SeqRows<'_>> = inputs.iter().map(SeqInput::rows).collect();
 
         // Embedding + positions (learned embeddings only; rotary models
         // inject positions inside attention).
         let rotary = self.config.position_encoding == PositionEncoding::Rotary;
         let mut x = vec![0.0f32; n * h];
-        for (i, (&tok, &pos)) in tokens.iter().zip(positions).enumerate() {
+        for (i, &(tok, pos, _)) in rows.iter().enumerate() {
             let e = &self.wte[tok as usize * h..(tok as usize + 1) * h];
             let p = &self.wpe[pos * h..(pos + 1) * h];
             for j in 0..h {
@@ -247,6 +222,7 @@ impl Transformer {
         }
 
         let mut qkv = vec![0.0f32; n * 3 * h];
+        let mut q = vec![0.0f32; n * h];
         let mut attn = vec![0.0f32; n * h];
         let mut proj = vec![0.0f32; n * h];
         let mut mlp_mid = vec![0.0f32; n * 4 * h];
@@ -256,62 +232,36 @@ impl Transformer {
             layer_norm(&mut hst, &lw.ln1_g, &lw.ln1_b, LN_EPS);
             be.matmul(&hst, &lw.w_qkv, n, h, 3 * h, &mut qkv);
             add_bias(&mut qkv, &lw.b_qkv);
-            if rotary {
-                let hd = self.config.head_dim();
-                for (i, &pos) in positions.iter().enumerate() {
-                    let row = &mut qkv[i * 3 * h..(i + 1) * 3 * h];
+
+            // Fused reshape-and-block-write (§5.1): store every row's K/V
+            // as it is produced (keys post-rotation for rotary models),
+            // then one PagedAttention call over all rows.
+            for (i, &(_, pos, block_table)) in rows.iter().enumerate() {
+                let row = &mut qkv[i * 3 * h..(i + 1) * 3 * h];
+                if rotary {
                     let (q_part, kv_part) = row.split_at_mut(h);
                     apply_rope(q_part, pos, hd);
                     apply_rope(&mut kv_part[..h], pos, hd);
                 }
-            }
-
-            // Fused reshape-and-block-write (§5.1): store K/V as they are
-            // produced (keys post-rotation for rotary models).
-            for (i, &pos) in positions.iter().enumerate() {
-                let row = &qkv[i * 3 * h..(i + 1) * 3 * h];
-                pool.write(
+                kv.write(
                     layer_idx,
                     block_table[pos / bs],
                     pos % bs,
                     &row[h..2 * h],
                     &row[2 * h..3 * h],
                 );
+                q[i * h..(i + 1) * h].copy_from_slice(&row[..h]);
             }
-
-            if n == 1 && !force_prefill_attn {
-                // Generation step: the PagedAttention kernel (§4.1).
-                be.paged_attention_decode(
-                    &qkv[0..h],
-                    pool,
-                    layer_idx,
-                    block_table,
-                    ctx,
-                    self.config.n_heads,
-                    self.config.head_dim(),
-                    &mut attn,
-                );
-            } else {
-                // Prompt phase (whole prompt or one budgeted chunk): gather
-                // K/V (cached prefix + just-written tokens) and run
-                // conventional causal attention (§4.3) over the new rows.
-                let mut q = vec![0.0f32; n * h];
-                for i in 0..n {
-                    q[i * h..(i + 1) * h].copy_from_slice(&qkv[i * 3 * h..i * 3 * h + h]);
-                }
-                be.paged_attention_prefill(
-                    &q,
-                    pool,
-                    layer_idx,
-                    block_table,
-                    n,
-                    ctx,
-                    num_cached,
-                    self.config.n_heads,
-                    self.config.head_dim(),
-                    &mut attn,
-                );
-            }
+            be.paged_attention(
+                &q,
+                kv,
+                layer_idx,
+                &seqs,
+                self.config.n_heads,
+                hd,
+                workers,
+                &mut attn,
+            );
             be.matmul(&attn, &lw.w_o, n, h, h, &mut proj);
             add_bias(&mut proj, &lw.b_o);
             add_inplace(&mut x, &proj);
@@ -327,147 +277,86 @@ impl Transformer {
             add_inplace(&mut x, &proj);
         }
 
-        // Final norm + tied-embedding LM head on the last position.
-        let mut last = x[(n - 1) * h..n * h].to_vec();
+        // Final norm + tied-embedding LM head on each sequence's last row,
+        // via the pre-transposed hidden × vocab copy so the blocked kernel
+        // streams both operands row-major.
+        let mut last = last_rows(&x, inputs, h);
         layer_norm(&mut last, &self.ln_f_g, &self.ln_f_b, LN_EPS);
-        let mut logits = vec![0.0f32; self.config.vocab_size];
-        // logits = last @ wteᵀ, via the pre-transposed hidden × vocab copy
-        // so the blocked kernel streams both operands row-major.
-        be.matmul_logits(
-            &last,
-            &self.wte_t,
-            1,
-            h,
-            self.config.vocab_size,
-            &mut logits,
-        );
+        let vocab = self.config.vocab_size;
+        let mut logits = vec![0.0f32; inputs.len() * vocab];
+        be.matmul_logits(&last, &self.wte_t, inputs.len(), h, vocab, &mut logits);
         logits
     }
 
-    /// Batched single-token decode (§4.3): runs one generation step for
-    /// every sequence in `inputs` as a single stacked forward — one
-    /// `[batch × hidden]` matmul per projection per layer and one batched
-    /// PagedAttention call parallelized over (sequence, head) pairs.
-    ///
-    /// Returns `batch × vocab` logits, row `i` for `inputs[i]`. Every row
-    /// is bit-identical to a solo [`Transformer::forward_paged`] call for
-    /// that sequence: the matmul kernels accumulate per output element in
-    /// a batch-independent order and the attention batch kernel reuses the
-    /// solo per-head routine. KV writes all land in sequence-exclusive
-    /// (copy-on-write-resolved) blocks, so the write-then-read step order
-    /// matches the sequential per-sequence order as well.
+    /// [`Self::forward`] for one sequence: runs `tokens` at the consecutive
+    /// absolute `positions` and returns the logits at the last position
+    /// (`vocab`-sized). Positions before `positions[0]` must already have
+    /// their K/V in the pool (earlier chunks, a shared prefix, or previous
+    /// decode steps).
     ///
     /// # Panics
     ///
-    /// Panics on shape violations (position overflow, block table too
-    /// short for its context).
-    pub fn forward_decode_batch(&self, inputs: &[DecodeInput<'_>], kv: &mut KvPool) -> Vec<f32> {
-        let b = inputs.len();
-        assert!(b > 0, "empty batch");
-        let h = self.config.hidden;
-        let bs = kv.block_size();
-        for inp in inputs {
-            let ctx = inp.position + 1;
-            assert!(ctx <= self.config.max_position, "position overflow");
-            assert!(inp.block_table.len() * bs >= ctx, "block table too short");
-        }
-        let workers = pool::global();
-        let be = self.backend();
-
-        let rotary = self.config.position_encoding == PositionEncoding::Rotary;
-        let mut x = vec![0.0f32; b * h];
-        for (i, inp) in inputs.iter().enumerate() {
-            let e = &self.wte[inp.token as usize * h..(inp.token as usize + 1) * h];
-            let p = &self.wpe[inp.position * h..(inp.position + 1) * h];
-            for j in 0..h {
-                x[i * h + j] = if rotary { e[j] } else { e[j] + p[j] };
-            }
-        }
-
-        let seqs: Vec<DecodeSeq<'_>> = inputs
-            .iter()
-            .map(|inp| DecodeSeq {
-                block_table: inp.block_table,
-                context_len: inp.position + 1,
-            })
-            .collect();
-
-        let mut qkv = vec![0.0f32; b * 3 * h];
-        let mut q = vec![0.0f32; b * h];
-        let mut attn = vec![0.0f32; b * h];
-        let mut proj = vec![0.0f32; b * h];
-        let mut mlp_mid = vec![0.0f32; b * 4 * h];
-        for (layer_idx, lw) in self.layers.iter().enumerate() {
-            // Attention block.
-            let mut hst = x.clone();
-            layer_norm(&mut hst, &lw.ln1_g, &lw.ln1_b, LN_EPS);
-            be.matmul(&hst, &lw.w_qkv, b, h, 3 * h, &mut qkv);
-            add_bias(&mut qkv, &lw.b_qkv);
-            if rotary {
-                let hd = self.config.head_dim();
-                for (i, inp) in inputs.iter().enumerate() {
-                    let row = &mut qkv[i * 3 * h..(i + 1) * 3 * h];
-                    let (q_part, kv_part) = row.split_at_mut(h);
-                    apply_rope(q_part, inp.position, hd);
-                    apply_rope(&mut kv_part[..h], inp.position, hd);
-                }
-            }
-
-            // Fused reshape-and-block-write (§5.1) for every sequence,
-            // then one batched PagedAttention call over all of them.
-            for (i, inp) in inputs.iter().enumerate() {
-                let row = &qkv[i * 3 * h..(i + 1) * 3 * h];
-                kv.write(
-                    layer_idx,
-                    inp.block_table[inp.position / bs],
-                    inp.position % bs,
-                    &row[h..2 * h],
-                    &row[2 * h..3 * h],
-                );
-                q[i * h..(i + 1) * h].copy_from_slice(&row[..h]);
-            }
-            be.paged_attention_decode_batch(
-                &q,
-                kv,
-                layer_idx,
-                &seqs,
-                self.config.n_heads,
-                self.config.head_dim(),
-                workers,
-                &mut attn,
-            );
-            be.matmul(&attn, &lw.w_o, b, h, h, &mut proj);
-            add_bias(&mut proj, &lw.b_o);
-            add_inplace(&mut x, &proj);
-
-            // MLP block.
-            let mut hst = x.clone();
-            layer_norm(&mut hst, &lw.ln2_g, &lw.ln2_b, LN_EPS);
-            be.matmul(&hst, &lw.w_fc, b, h, 4 * h, &mut mlp_mid);
-            add_bias(&mut mlp_mid, &lw.b_fc);
-            gelu(&mut mlp_mid);
-            be.matmul(&mlp_mid, &lw.w_proj, b, 4 * h, h, &mut proj);
-            add_bias(&mut proj, &lw.b_proj);
-            add_inplace(&mut x, &proj);
-        }
-
-        layer_norm(&mut x, &self.ln_f_g, &self.ln_f_b, LN_EPS);
-        let vocab = self.config.vocab_size;
-        let mut logits = vec![0.0f32; b * vocab];
-        be.matmul_logits(&x, &self.wte_t, b, h, vocab, &mut logits);
-        logits
+    /// Panics on shape violations, as [`Self::forward`], or if `positions`
+    /// are not consecutive.
+    pub fn forward_paged(
+        &self,
+        tokens: &[u32],
+        positions: &[usize],
+        pool: &mut KvPool,
+        block_table: &[usize],
+    ) -> Vec<f32> {
+        assert_eq!(positions.len(), tokens.len());
+        assert!(!tokens.is_empty(), "empty input");
+        assert!(
+            positions
+                .iter()
+                .copied()
+                .eq(positions[0]..positions[0] + tokens.len()),
+            "positions must be consecutive"
+        );
+        let input = SeqInput {
+            tokens,
+            first_position: positions[0],
+            block_table,
+        };
+        self.forward(&[input], pool)
     }
 }
 
-/// One sequence's inputs to [`Transformer::forward_decode_batch`].
+/// The last row of every sequence out of the stacked activations `x`
+/// (`rows × h`, sequence after sequence), as `inputs.len() × h`.
+pub(crate) fn last_rows(x: &[f32], inputs: &[SeqInput<'_>], h: usize) -> Vec<f32> {
+    let mut last = Vec::with_capacity(inputs.len() * h);
+    let mut end = 0;
+    for inp in inputs {
+        end += inp.tokens.len();
+        last.extend_from_slice(&x[(end - 1) * h..end * h]);
+    }
+    last
+}
+
+/// One sequence's share of a [`Transformer::forward`] call.
 #[derive(Debug, Clone, Copy)]
-pub struct DecodeInput<'a> {
-    /// The new token to run.
-    pub token: u32,
-    /// Absolute position of `token` (its context length minus one).
-    pub position: usize,
-    /// Physical block indices covering positions `0 ..= position`.
+pub struct SeqInput<'a> {
+    /// The new tokens to run.
+    pub tokens: &'a [u32],
+    /// Absolute position of `tokens[0]`; every earlier position's K/V is
+    /// already in the pool.
+    pub first_position: usize,
+    /// Physical block indices covering positions
+    /// `0 .. first_position + tokens.len()`.
     pub block_table: &'a [usize],
+}
+
+impl<'a> SeqInput<'a> {
+    /// The attention kernel's view of this input: one query row per token.
+    pub(crate) fn rows(&self) -> SeqRows<'a> {
+        SeqRows {
+            block_table: self.block_table,
+            first_position: self.first_position,
+            n_rows: self.tokens.len(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -500,7 +389,7 @@ mod tests {
     fn logits_finite_and_distinct() {
         let (model, mut pool, table) = setup(2);
         let tokens = [1u32, 5, 9];
-        let logits = model.forward_paged(&tokens, &[0, 1, 2], &mut pool, &table, 0);
+        let logits = model.forward_paged(&tokens, &[0, 1, 2], &mut pool, &table);
         assert_eq!(logits.len(), model.config.vocab_size);
         assert!(logits.iter().all(|v| v.is_finite()));
         let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -518,14 +407,14 @@ mod tests {
 
         // Path A: full prefill.
         let positions: Vec<usize> = (0..n).collect();
-        let logits_full = model.forward_paged(&tokens, &positions, &mut pool_a, &table, 0);
+        let logits_full = model.forward_paged(&tokens, &positions, &mut pool_a, &table);
 
         // Path B: prefill the first 4, then decode 3 tokens one by one.
         let (_, mut pool_b, _) = setup(2);
-        model.forward_paged(&tokens[..4], &[0, 1, 2, 3], &mut pool_b, &table, 0);
+        model.forward_paged(&tokens[..4], &[0, 1, 2, 3], &mut pool_b, &table);
         let mut logits_inc = Vec::new();
         for p in 4..n {
-            logits_inc = model.forward_paged(&tokens[p..=p], &[p], &mut pool_b, &table, p);
+            logits_inc = model.forward_paged(&tokens[p..=p], &[p], &mut pool_b, &table);
         }
         for (i, (a, b)) in logits_full.iter().zip(&logits_inc).enumerate() {
             assert!((a - b).abs() < 2e-3, "logit {i}: {a} vs {b}");
@@ -541,7 +430,7 @@ mod tests {
         let cached = 4;
         let (model, mut pool_a, table) = setup(2);
         let positions: Vec<usize> = (0..n).collect();
-        let logits_full = model.forward_paged(&tokens, &positions, &mut pool_a, &table, 0);
+        let logits_full = model.forward_paged(&tokens, &positions, &mut pool_a, &table);
 
         let (_, mut pool_b, _) = setup(2);
         // Warm the prefix KV (provider-side prefill).
@@ -550,17 +439,11 @@ mod tests {
             &(0..cached).collect::<Vec<_>>(),
             &mut pool_b,
             &table,
-            0,
         );
         // Request-side prefill over the suffix only.
         let suffix_positions: Vec<usize> = (cached..n).collect();
-        let logits_prefix = model.forward_paged(
-            &tokens[cached..],
-            &suffix_positions,
-            &mut pool_b,
-            &table,
-            cached,
-        );
+        let logits_prefix =
+            model.forward_paged(&tokens[cached..], &suffix_positions, &mut pool_b, &table);
         for (i, (a, b)) in logits_full.iter().zip(&logits_prefix).enumerate() {
             assert!((a - b).abs() < 2e-3, "logit {i}: {a} vs {b}");
         }
@@ -572,7 +455,7 @@ mod tests {
         // (§2.2: "the KV cache of the same token appearing at different
         // positions will be different").
         let (model, mut pool, table) = setup(2);
-        model.forward_paged(&[7, 7], &[0, 1], &mut pool, &table, 0);
+        model.forward_paged(&[7, 7], &[0, 1], &mut pool, &table);
         let k0 = pool.key(0, table[0], 0).to_vec();
         let k1 = pool.key(0, table[0], 1).to_vec();
         assert_ne!(k0, k1);
@@ -582,7 +465,7 @@ mod tests {
     #[should_panic(expected = "block table too short")]
     fn short_block_table_rejected() {
         let (model, mut pool, _) = setup(2);
-        model.forward_paged(&[1, 2, 3, 4, 5], &[0, 1, 2, 3, 4], &mut pool, &[0], 0);
+        model.forward_paged(&[1, 2, 3, 4, 5], &[0, 1, 2, 3, 4], &mut pool, &[0]);
     }
 
     #[test]
@@ -598,30 +481,24 @@ mod tests {
         let tables: Vec<Vec<usize>> = vec![vec![0, 1], vec![2, 3], vec![4, 5]];
         for (p, table) in prompts.iter().zip(&tables) {
             let positions: Vec<usize> = (0..p.len()).collect();
-            model.forward_paged(p, &positions, &mut pool_batch, table, 0);
-            model.forward_paged(p, &positions, &mut pool_solo, table, 0);
+            model.forward_paged(p, &positions, &mut pool_batch, table);
+            model.forward_paged(p, &positions, &mut pool_solo, table);
         }
         // One decode step per sequence: batched vs per-sequence.
         let next: [u32; 3] = [11, 29, 63];
-        let inputs: Vec<DecodeInput<'_>> = prompts
+        let inputs: Vec<SeqInput<'_>> = prompts
             .iter()
             .zip(&tables)
-            .zip(&next)
-            .map(|((p, table), &token)| DecodeInput {
-                token,
-                position: p.len(),
+            .zip(next.chunks(1))
+            .map(|((p, table), tokens)| SeqInput {
+                tokens,
+                first_position: p.len(),
                 block_table: table,
             })
             .collect();
-        let batched = model.forward_decode_batch(&inputs, &mut pool_batch);
+        let batched = model.forward(&inputs, &mut pool_batch);
         for (i, inp) in inputs.iter().enumerate() {
-            let solo = model.forward_paged(
-                &[inp.token],
-                &[inp.position],
-                &mut pool_solo,
-                inp.block_table,
-                inp.position,
-            );
+            let solo = model.forward(&[*inp], &mut pool_solo);
             let v = cfg.vocab_size;
             assert_eq!(
                 &batched[i * v..(i + 1) * v],
@@ -631,8 +508,8 @@ mod tests {
         }
         // And the KV written by the batch step matches the solo writes.
         for (inp, table) in inputs.iter().zip(&tables) {
-            let block = table[inp.position / bs];
-            let slot = inp.position % bs;
+            let block = table[inp.first_position / bs];
+            let slot = inp.first_position % bs;
             for layer in 0..cfg.n_layers {
                 assert_eq!(
                     pool_batch.key(layer, block, slot),
@@ -667,13 +544,13 @@ mod rotary_tests {
         let n = tokens.len();
         let (model, mut pool_a, table) = setup(cfg.clone());
         let logits_full =
-            model.forward_paged(&tokens, &(0..n).collect::<Vec<_>>(), &mut pool_a, &table, 0);
+            model.forward_paged(&tokens, &(0..n).collect::<Vec<_>>(), &mut pool_a, &table);
 
         let (_, mut pool_b, _) = setup(cfg);
-        model.forward_paged(&tokens[..4], &[0, 1, 2, 3], &mut pool_b, &table, 0);
+        model.forward_paged(&tokens[..4], &[0, 1, 2, 3], &mut pool_b, &table);
         let mut logits_inc = Vec::new();
         for p in 4..n {
-            logits_inc = model.forward_paged(&tokens[p..=p], &[p], &mut pool_b, &table, p);
+            logits_inc = model.forward_paged(&tokens[p..=p], &[p], &mut pool_b, &table);
         }
         for (i, (a, b)) in logits_full.iter().zip(&logits_inc).enumerate() {
             assert!((a - b).abs() < 2e-3, "logit {i}: {a} vs {b}");
@@ -686,11 +563,11 @@ mod rotary_tests {
         // injects positions despite no learned embedding being added).
         let cfg = ModelConfig::tiny_rotary();
         let (model, mut pool_a, table) = setup(cfg.clone());
-        let a = model.forward_paged(&[5, 9], &[0, 1], &mut pool_a, &table, 0);
+        let a = model.forward_paged(&[5, 9], &[0, 1], &mut pool_a, &table);
         let (_, mut pool_b, _) = setup(cfg);
         // Warm positions 0..2 with other tokens, then the same pair later.
-        model.forward_paged(&[1, 1], &[0, 1], &mut pool_b, &table, 0);
-        let b = model.forward_paged(&[5], &[2], &mut pool_b, &table, 2);
+        model.forward_paged(&[1, 1], &[0, 1], &mut pool_b, &table);
+        let b = model.forward_paged(&[5], &[2], &mut pool_b, &table);
         let diff: f32 = a.iter().zip(&b).map(|(x, y)| (x - y).abs()).sum();
         assert!(diff > 1e-3, "positions must matter under RoPE");
     }

@@ -1,9 +1,9 @@
 //! Per-backend property tests for the pluggable kernel backends.
 //!
 //! - **Batched-vs-solo bit identity** (scalar, simd, quant-kv8): a stacked
-//!   `forward_decode_batch` step must produce logits bit-identical to
-//!   running each sequence alone through `forward_paged` — the k-only
-//!   accumulation-order contract every backend must keep.
+//!   `forward` step must produce logits bit-identical to running each
+//!   sequence alone through `forward_paged` — the k-only accumulation-order
+//!   contract every backend must keep.
 //! - **Quantized-KV round trip**: int8-with-per-slot-scale storage must
 //!   reproduce any written vector within half a quantization step of the
 //!   slot's scale (`max_abs / 127`).
@@ -16,7 +16,7 @@ use proptest::prelude::*;
 
 use vllm_core::{CacheConfig, LlmEngine, SamplingParams, SchedulerConfig};
 use vllm_model::backend::{self, BackendKind};
-use vllm_model::{CpuModelExecutor, DecodeInput, KvPool, ModelConfig, PositionEncoding};
+use vllm_model::{CpuModelExecutor, KvPool, ModelConfig, PositionEncoding, SeqInput};
 
 const BLOCK_SIZE: usize = 16;
 
@@ -51,7 +51,7 @@ fn fill(seed: u64, len: usize) -> Vec<f32> {
 }
 
 /// Prefills `batch` sequences, then decodes a few steps both ways (solo
-/// `forward_paged` and stacked `forward_decode_batch`) and asserts the
+/// `forward_paged` and stacked `forward`) and asserts the
 /// final-step logits are bit-identical per sequence.
 fn assert_batched_equals_solo(kind: BackendKind, batch: usize, prefill: usize, steps: usize) {
     let config = small_config(kind);
@@ -74,32 +74,27 @@ fn assert_batched_equals_solo(kind: BackendKind, batch: usize, prefill: usize, s
         for (i, table) in tables.iter().enumerate() {
             let tokens: Vec<u32> = (0..prefill).map(|p| tok(i, p, vocab)).collect();
             let positions: Vec<usize> = (0..prefill).collect();
-            model.forward_paged(&tokens, &positions, &mut kv, table, 0);
+            model.forward_paged(&tokens, &positions, &mut kv, table);
         }
         let mut last = vec![Vec::new(); batch];
         for s in 0..steps {
             let pos = prefill + s;
             if stacked {
-                let inputs: Vec<DecodeInput<'_>> = (0..batch)
-                    .map(|i| DecodeInput {
-                        token: tok(i, pos, vocab),
-                        position: pos,
+                let tokens: Vec<u32> = (0..batch).map(|i| tok(i, pos, vocab)).collect();
+                let inputs: Vec<SeqInput<'_>> = (0..batch)
+                    .map(|i| SeqInput {
+                        tokens: &tokens[i..=i],
+                        first_position: pos,
                         block_table: &tables[i],
                     })
                     .collect();
-                let logits = model.forward_decode_batch(&inputs, &mut kv);
+                let logits = model.forward(&inputs, &mut kv);
                 for (i, l) in last.iter_mut().enumerate() {
                     *l = logits[i * vocab..(i + 1) * vocab].to_vec();
                 }
             } else {
                 for (i, l) in last.iter_mut().enumerate() {
-                    *l = model.forward_paged(
-                        &[tok(i, pos, vocab)],
-                        &[pos],
-                        &mut kv,
-                        &tables[i],
-                        pos,
-                    );
+                    *l = model.forward_paged(&[tok(i, pos, vocab)], &[pos], &mut kv, &tables[i]);
                 }
             }
         }

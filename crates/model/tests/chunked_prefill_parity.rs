@@ -1,11 +1,10 @@
 //! Chunked-vs-unchunked prefill bit identity across every kernel backend.
 //!
 //! Splitting a prompt's prefill into arbitrary chunks (the scheduler-budget
-//! path, `forward_prefill_chunk`) must be *bit-identical* to the monolithic
-//! `forward_paged` prefill: every chunk runs the contiguous-gather causal
-//! kernel whose per-row accumulation order depends only on the reduction
-//! index, so the split point cannot move a single ulp. Verified at two
-//! levels:
+//! path) must be *bit-identical* to the monolithic prefill: every row goes
+//! through the one PagedAttention kernel, whose output for a row depends
+//! only on that row's query and the KV at or before its position, so the
+//! split point cannot move a single ulp. Verified at two levels:
 //!
 //! - **Model level** (property test): random prompt splits — final-chunk
 //!   logits and the logits of a decode step performed on the resulting KV
@@ -89,7 +88,7 @@ fn prefill_then_decode(
     let prefill_logits = match chunks {
         None => {
             let positions: Vec<usize> = (0..prompt_len).collect();
-            model.forward_paged(&tokens, &positions, &mut kv, &table, 0)
+            model.forward_paged(&tokens, &positions, &mut kv, &table)
         }
         Some(lens) => {
             let mut start = 0;
@@ -97,26 +96,15 @@ fn prefill_then_decode(
             for &len in lens {
                 let end = start + len;
                 let positions: Vec<usize> = (start..end).collect();
-                last = model.forward_prefill_chunk(
-                    &tokens[start..end],
-                    &positions,
-                    &mut kv,
-                    &table,
-                    start,
-                );
+                last = model.forward_paged(&tokens[start..end], &positions, &mut kv, &table);
                 start = end;
             }
             assert_eq!(start, prompt_len);
             last
         }
     };
-    let decode_logits = model.forward_paged(
-        &[tok(prompt_len, vocab)],
-        &[prompt_len],
-        &mut kv,
-        &table,
-        prompt_len,
-    );
+    let decode_logits =
+        model.forward_paged(&[tok(prompt_len, vocab)], &[prompt_len], &mut kv, &table);
     (prefill_logits, decode_logits)
 }
 

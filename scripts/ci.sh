@@ -22,7 +22,7 @@ cargo run --release -q -p vllm-bench --bin telemetry -- --ci
 echo "==> cluster routing check"
 cargo run --release -q -p vllm-bench --bin cluster -- --ci
 
-echo "==> kernel bench gate (all backends: batched >= 2x seed, simd GEMM >= 1.3x scalar, quant-kv8 blocks >= 1.8x at equal bytes)"
+echo "==> kernel bench gate (all backends: batched >= 2x seed, simd GEMM >= 1.3x scalar, simd paged attention >= 2x the contiguous oracle at 2k / 1.5x at 32k and >= 1.15x scalar, quant-kv8 blocks >= 1.8x at equal bytes)"
 cargo run --release -q -p vllm-bench --bin kernels -- --ci
 
 echo "==> fault-injection soak gate (kill/swap-exhaust, zero loss, deterministic)"
@@ -38,5 +38,8 @@ cargo run --release -q -p vllm-bench --bin elastic -- --ci
 
 echo "==> chunked-prefill gate (mixed-traffic TTFT: short-request p99 halved at equal throughput; chunked vs unchunked bit-identity on all backends; 32k-prompt smoke, zero leaks)"
 cargo run --release -q -p vllm-bench --bin prefill -- --ci
+
+echo "==> serving bench smoke (all four workloads over real TCP; output check: batched == solo, swapped == resident, tier-installed == recomputed)"
+cargo run --release --offline --quiet --manifest-path examples/serve_bench/Cargo.toml -- --quick
 
 echo "CI OK"

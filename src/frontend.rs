@@ -79,7 +79,7 @@
 //! through the normal scheduler.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -138,9 +138,19 @@ struct Shared {
     block_size: usize,
     next_id: AtomicU64,
     shutdown: AtomicBool,
+    /// Where the listener is reachable from this host: shutdown connects
+    /// here once to wake the accept loop out of its blocking `accept`.
+    wake_addr: SocketAddr,
 }
 
 impl Shared {
+    /// Raises the shutdown flag and wakes the accept loop, which sleeps in
+    /// `accept` rather than polling.
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.wake_addr);
+    }
+
     fn snapshots(&self) -> Vec<ReplicaSnapshot> {
         self.replicas
             .iter()
@@ -226,7 +236,13 @@ impl Server {
         }
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
+        let mut wake_addr = local;
+        if local.ip().is_unspecified() {
+            wake_addr.set_ip(match local {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let block_size = engines[0].cache_config().block_size;
         let max_inflight = cfg.max_inflight;
         let replicas: Vec<Replica> = engines
@@ -280,6 +296,7 @@ impl Server {
             block_size,
             next_id: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
+            wake_addr,
         });
         let accept_thread = {
             let shared = Arc::clone(&shared);
@@ -344,7 +361,7 @@ impl Server {
     }
 
     fn stop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.begin_shutdown();
         // Handlers first: one may still be waiting on an in-flight request,
         // which the (still running) engine loops will deliver.
         if let Some(t) = self.accept_thread.take() {
@@ -368,19 +385,15 @@ impl Drop for Server {
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = Arc::clone(shared);
-                handlers.push(std::thread::spawn(move || {
-                    let _ = handle_connection(stream, &shared);
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => break,
+    // Sleeps in `accept`; `Shared::begin_shutdown` connects once to end it.
+    while let Ok((stream, _)) = listener.accept() {
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
         }
+        let shared = Arc::clone(shared);
+        handlers.push(std::thread::spawn(move || {
+            let _ = handle_connection(stream, &shared);
+        }));
     }
     for h in handlers {
         let _ = h.join();
@@ -876,16 +889,27 @@ fn tier_snapshot(shared: &Shared) -> TierSnapshot {
     }
 }
 
+/// Appends one protocol line to a reply under construction.
+fn push_line(reply: &mut String, line: &str) {
+    reply.push_str(line);
+    reply.push('\n');
+}
+
 fn handle_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
     // A read timeout lets the handler notice server shutdown even while a
-    // client keeps its connection open but idle.
+    // client keeps its connection open but idle. Replies are small and the
+    // client waits for each one: Nagle's algorithm would only hold them back
+    // for the peer's delayed ACK.
     stream.set_read_timeout(Some(Duration::from_millis(100)))?;
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     let tokenizer = ByteTokenizer;
+    // Bytes of the line being received. It lives across read timeouts: a
+    // request may arrive in several segments, more than a timeout apart.
+    let mut pending = Vec::new();
     loop {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
+        match reader.read_until(b'\n', &mut pending) {
             Ok(0) => break, // Client closed the connection.
             Ok(_) => {}
             Err(e)
@@ -899,54 +923,48 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> 
             }
             Err(e) => return Err(e),
         }
-        let line = line.trim_end().to_string();
+        let line = String::from_utf8_lossy(&pending).trim_end().to_string();
+        pending.clear();
         if line.is_empty() {
             continue;
         }
         // Every inbound line becomes a typed Command or a typed error; the
-        // string form never crosses this point.
-        let command = match Command::parse(&line) {
-            Ok(c) => c,
-            Err(e) => {
-                writeln!(writer, "{}", Response::from_error(&e).wire())?;
-                continue;
-            }
-        };
-        match command {
-            Command::Hello { version } => {
-                let reply = match negotiate(version) {
+        // string form never crosses this point. The whole reply is built
+        // first and leaves in one write, so it is one segment on the wire
+        // where its size allows.
+        let mut reply = String::new();
+        let (mut shut_down, mut close) = (false, false);
+        match Command::parse(&line) {
+            Err(e) => push_line(&mut reply, &Response::from_error(&e).wire()),
+            Ok(Command::Hello { version }) => {
+                let hello = match negotiate(version) {
                     Ok(v) => Response::Hello { version: v },
                     Err(e) => Response::from_error(&e),
                 };
-                writeln!(writer, "{}", reply.wire())?;
+                push_line(&mut reply, &hello.wire());
             }
-            Command::Stats => {
+            Ok(Command::Stats) => {
                 let stats = shared
                     .replicas
                     .iter()
                     .map(Replica::stats)
                     .collect::<Vec<_>>();
-                writeln!(
-                    writer,
-                    "{}",
-                    Response::Stats(aggregate_stats(&stats)).wire()
-                )?;
+                push_line(&mut reply, &Response::Stats(aggregate_stats(&stats)).wire());
                 if shared.replicas.len() > 1 {
                     for (replica, s) in stats.iter().enumerate() {
-                        writeln!(writer, "{}", Response::RStats { replica, stats: *s }.wire())?;
+                        push_line(&mut reply, &Response::RStats { replica, stats: *s }.wire());
                     }
-                    writeln!(writer, "{}", Response::End.wire())?;
+                    push_line(&mut reply, &Response::End.wire());
                 }
             }
-            Command::Metrics(MetricsFormat::Prometheus) => {
-                let snapshot = metrics_snapshot(shared);
-                writer.write_all(snapshot.to_prometheus_text().as_bytes())?;
-                writeln!(writer, "{}", Response::End.wire())?;
+            Ok(Command::Metrics(MetricsFormat::Prometheus)) => {
+                reply.push_str(&metrics_snapshot(shared).to_prometheus_text());
+                push_line(&mut reply, &Response::End.wire());
             }
-            Command::Metrics(MetricsFormat::Json) => {
-                writeln!(writer, "{}", metrics_snapshot(shared).to_json())?;
+            Ok(Command::Metrics(MetricsFormat::Json)) => {
+                push_line(&mut reply, &metrics_snapshot(shared).to_json());
             }
-            Command::Events { request_id } => {
+            Ok(Command::Events { request_id }) => {
                 // Distinguish "never seen" from "seen but evicted" across
                 // the fleet: any replica with retained events wins;
                 // otherwise any eviction marker wins.
@@ -956,16 +974,12 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> 
                     match r.telemetry().events().query(&request_id) {
                         EventQuery::Events(events) => {
                             for ev in events {
-                                writeln!(
-                                    writer,
-                                    "{}",
-                                    Response::Event {
-                                        time: ev.time,
-                                        kind: ev.kind.label().to_string(),
-                                        detail: ev.kind.detail(),
-                                    }
-                                    .wire()
-                                )?;
+                                let event = Response::Event {
+                                    time: ev.time,
+                                    kind: ev.kind.label().to_string(),
+                                    detail: ev.kind.detail(),
+                                };
+                                push_line(&mut reply, &event.wire());
                             }
                             wrote = true;
                         }
@@ -974,11 +988,11 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> 
                     }
                 }
                 if !wrote {
-                    writeln!(writer, "{}", Response::NoEvents { evicted }.wire())?;
+                    push_line(&mut reply, &Response::NoEvents { evicted }.wire());
                 }
-                writeln!(writer, "{}", Response::End.wire())?;
+                push_line(&mut reply, &Response::End.wire());
             }
-            Command::Trace { trace_id } => {
+            Ok(Command::Trace { trace_id }) => {
                 let mut tracks: Vec<(String, Vec<Span>)> = shared
                     .replicas
                     .iter()
@@ -995,20 +1009,21 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> 
                     shared.cluster_telemetry.spans().spans_for_trace(trace_id),
                 ));
                 tracks.retain(|(_, spans)| !spans.is_empty());
-                writeln!(writer, "{}", spans_to_json(&tracks))?;
+                push_line(&mut reply, &spans_to_json(&tracks).to_string());
             }
-            Command::Handoff(payload) => match install_handoff(shared, payload) {
-                Ok(r) => writeln!(writer, "{}", r.wire())?,
-                Err(e) => writeln!(writer, "{}", Response::from_error(&e).wire())?,
-            },
-            Command::Tier => {
-                writeln!(writer, "{}", Response::Tier(tier_snapshot(shared)).wire())?;
+            Ok(Command::Handoff(payload)) => {
+                let installed = install_handoff(shared, payload);
+                let installed = installed.unwrap_or_else(|e| Response::from_error(&e));
+                push_line(&mut reply, &installed.wire());
             }
-            Command::Shutdown => {
-                writeln!(writer, "{}", Response::OkShutdown.wire())?;
-                shared.shutdown.store(true, Ordering::SeqCst);
+            Ok(Command::Tier) => {
+                push_line(&mut reply, &Response::Tier(tier_snapshot(shared)).wire());
             }
-            Command::Generate(spec) => {
+            Ok(Command::Shutdown) => {
+                push_line(&mut reply, &Response::OkShutdown.wire());
+                shut_down = true;
+            }
+            Ok(Command::Generate(spec)) => {
                 let request_id = format!("req-{}", shared.next_id.fetch_add(1, Ordering::SeqCst));
                 let result = build_request(&spec, &request_id).and_then(|(prompt, request)| {
                     if wants_handoff(shared, &request) {
@@ -1019,38 +1034,35 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> 
                 });
                 match result {
                     Ok(out) => {
-                        writeln!(
-                            writer,
-                            "{}",
-                            Response::Ok {
-                                request_id,
-                                num_outputs: out.outputs.len(),
-                            }
-                            .wire()
-                        )?;
+                        let ok = Response::Ok {
+                            request_id,
+                            num_outputs: out.outputs.len(),
+                        };
+                        push_line(&mut reply, &ok.wire());
                         for (index, c) in out.outputs.iter().enumerate() {
-                            let text = tokenizer.decode(&c.tokens).replace(['\t', '\n'], " ");
-                            writeln!(
-                                writer,
-                                "{}",
-                                Response::Out {
-                                    index,
-                                    cumulative_logprob: c.cumulative_logprob,
-                                    text,
-                                }
-                                .wire()
-                            )?;
+                            let out = Response::Out {
+                                index,
+                                cumulative_logprob: c.cumulative_logprob,
+                                text: tokenizer.decode(&c.tokens).replace(['\t', '\n'], " "),
+                            };
+                            push_line(&mut reply, &out.wire());
                         }
-                        writeln!(writer, "{}", Response::End.wire())?;
+                        push_line(&mut reply, &Response::End.wire());
                     }
                     Err(e) => {
-                        writeln!(writer, "{}", Response::from_error(&e).wire())?;
-                        if shared.shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
+                        push_line(&mut reply, &Response::from_error(&e).wire());
+                        close = shared.shutdown.load(Ordering::SeqCst);
                     }
                 }
             }
+        }
+        writer.write_all(reply.as_bytes())?;
+        if shut_down {
+            // Acknowledged first, then acted on.
+            shared.begin_shutdown();
+        }
+        if close {
+            break;
         }
     }
     Ok(())
@@ -1098,10 +1110,18 @@ impl Client {
     /// Returns an I/O error if the connection fails.
     pub fn connect(addr: SocketAddr) -> std::io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
+        // One small request, then a wait for its reply: nothing to coalesce.
+        stream.set_nodelay(true)?;
         Ok(Self {
             reader: BufReader::new(stream.try_clone()?),
             writer: stream,
         })
+    }
+
+    /// Sends one request line as a single write.
+    fn send_line(&mut self, mut line: String) -> std::io::Result<()> {
+        line.push('\n');
+        self.writer.write_all(line.as_bytes())
     }
 
     /// Performs `HELLO` version negotiation and returns the server's
@@ -1112,7 +1132,7 @@ impl Client {
     /// Returns an I/O error on connection failure, or `InvalidData` when
     /// the server rejects this client's [`PROTOCOL_VERSION`].
     pub fn hello(&mut self) -> std::io::Result<u32> {
-        writeln!(self.writer, "HELLO\tversion={PROTOCOL_VERSION}")?;
+        self.send_line(format!("HELLO\tversion={PROTOCOL_VERSION}"))?;
         let mut line = String::new();
         self.reader.read_line(&mut line)?;
         let line = line.trim_end();
@@ -1176,7 +1196,7 @@ impl Client {
         if let Some(p) = opts.priority {
             req.push_str(&format!("\tpriority={p}"));
         }
-        writeln!(self.writer, "{req}\t{prompt}")?;
+        self.send_line(format!("{req}\t{prompt}"))?;
         let mut line = String::new();
         self.reader.read_line(&mut line)?;
         let line = line.trim_end();
@@ -1218,7 +1238,7 @@ impl Client {
     ///
     /// Returns an I/O error on connection failure.
     pub fn shutdown_server(&mut self) -> std::io::Result<String> {
-        writeln!(self.writer, "SHUTDOWN")?;
+        self.send_line("SHUTDOWN".to_string())?;
         let mut line = String::new();
         self.reader.read_line(&mut line)?;
         Ok(line.trim_end().to_string())

@@ -6,11 +6,15 @@ use vllm::frontend::{Client, Server};
 use vllm::model::{CpuModelExecutor, ModelConfig};
 
 fn spawn_server() -> Server {
+    spawn_server_on("127.0.0.1:0")
+}
+
+fn spawn_server_on(addr: &str) -> Server {
     let cache = CacheConfig::new(16, 256, 64).unwrap();
     let sched = SchedulerConfig::new(2048, 64, 1024).unwrap();
     let exec = CpuModelExecutor::from_config(ModelConfig::small(), &cache);
     let engine = LlmEngine::new(exec, cache, sched);
-    Server::spawn("127.0.0.1:0", engine).expect("server binds")
+    Server::spawn(addr, engine).expect("server binds")
 }
 
 #[test]
@@ -924,4 +928,79 @@ fn handoff_verb_preseeds_the_decode_pool() {
     reader.read_line(&mut tier).unwrap();
     assert!(tier.contains("hits=1"), "got {tier:?}");
     server.shutdown();
+}
+
+#[test]
+fn request_split_across_a_read_timeout_is_served_whole() {
+    use std::io::{BufRead, BufReader, Write};
+    let server = spawn_server();
+    let expect = Client::connect(server.addr())
+        .unwrap()
+        .generate("split me in two", 6, 1, "greedy")
+        .unwrap();
+
+    // The same request as two writes 250 ms apart — more than two of the
+    // handler's 100 ms read timeouts pass with half a line received.
+    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .write_all(b"GENERATE\tmax_tokens=6\tn=1\tmode=gre")
+        .unwrap();
+    std::thread::sleep(std::time::Duration::from_millis(250));
+    stream.write_all(b"edy\tsplit me in two\n").unwrap();
+    let lines = read_until_end(&mut BufReader::new(stream.try_clone().unwrap()));
+    assert!(
+        lines[0].starts_with("OK\t"),
+        "first reply line {:?}",
+        lines[0]
+    );
+    let text = lines[1].splitn(4, '\t').nth(3).unwrap();
+    assert_eq!(text, expect[0].text);
+    assert_eq!(lines.len(), 2, "one OK and one OUT line before END");
+
+    // The connection is still in step: the next exchange gets its own reply.
+    stream.write_all(b"HELLO\tversion=2\n").unwrap();
+    let mut line = String::new();
+    BufReader::new(stream).read_line(&mut line).unwrap();
+    assert_eq!(line.trim_end(), "HELLO\tversion=2");
+    server.shutdown();
+}
+
+#[test]
+fn fifty_hellos_in_a_row_all_succeed_quickly() {
+    let server = spawn_server();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let mut round_trips = Vec::new();
+    for _ in 0..50 {
+        let start = std::time::Instant::now();
+        assert_eq!(client.hello().unwrap(), vllm::protocol::PROTOCOL_VERSION);
+        round_trips.push(start.elapsed());
+    }
+    round_trips.sort();
+    // With Nagle on and the reply in several writes, every exchange after
+    // the first waited ~40 ms for a delayed ACK.
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < std::time::Duration::from_millis(20),
+        "median HELLO round trip {median:?}"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn idle_server_shuts_down_without_a_poll() {
+    // The accept loop sleeps in `accept` instead of polling every 2 ms, so
+    // shutdown has to wake it — also when nobody ever connected and when
+    // the listener's own address (the wildcard) is not one to connect to.
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let server = spawn_server_on(addr);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            server.shutdown();
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .unwrap_or_else(|_| panic!("server on {addr} did not shut down"));
+    }
 }

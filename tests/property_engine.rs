@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use vllm::core::config::PreemptionMode;
 use vllm::core::mock::MockExecutor;
 use vllm::core::{CacheConfig, LlmEngine, SamplingParams, SchedulerConfig, SequenceStatus};
-use vllm::model::{CpuModelExecutor, DecodeInput, KvPool, ModelConfig, Transformer};
+use vllm::model::{CpuModelExecutor, KvPool, ModelConfig, SeqInput, Transformer};
 
 #[derive(Debug, Clone)]
 struct ReqSpec {
@@ -493,30 +493,29 @@ proptest! {
         for (i, &len) in lens.iter().enumerate() {
             let prompt: Vec<u32> = (0..len as u32).map(|t| (t * 7 + i as u32) % 128).collect();
             let positions: Vec<usize> = (0..len).collect();
-            model.forward_paged(&prompt, &positions, &mut kv, &tables[i], 0);
+            model.forward_paged(&prompt, &positions, &mut kv, &tables[i]);
         }
         let mut kv_solo = kv.clone();
 
-        let inputs: Vec<DecodeInput<'_>> = lens
+        let tokens: Vec<u32> = lens
             .iter()
             .enumerate()
-            .map(|(i, &len)| DecodeInput {
-                token: (len as u32 * 3 + i as u32) % 128,
-                position: len,
+            .map(|(i, &len)| (len as u32 * 3 + i as u32) % 128)
+            .collect();
+        let inputs: Vec<SeqInput<'_>> = lens
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| SeqInput {
+                tokens: &tokens[i..=i],
+                first_position: len,
                 block_table: &tables[i],
             })
             .collect();
-        let batched = model.forward_decode_batch(&inputs, &mut kv);
+        let batched = model.forward(&inputs, &mut kv);
 
         let vocab = config.vocab_size;
         for (i, inp) in inputs.iter().enumerate() {
-            let solo = model.forward_paged(
-                &[inp.token],
-                &[inp.position],
-                &mut kv_solo,
-                inp.block_table,
-                inp.position,
-            );
+            let solo = model.forward(&[*inp], &mut kv_solo);
             let row = &batched[i * vocab..(i + 1) * vocab];
             for (j, (&b, &s)) in row.iter().zip(&solo).enumerate() {
                 prop_assert!(

@@ -16,9 +16,7 @@
 //! writes its artifact under `target/ci-elastic/`, exiting non-zero on any
 //! failure.
 
-use std::fmt::Write as _;
-
-use vllm_bench::SystemKind;
+use vllm_bench::{append_trajectory, repo_root, SystemKind};
 use vllm_sim::{
     run_trace_with_timeline, trace_to_requests, CostModel, RunReport, ServerConfig,
     ACTIVATION_RESERVE_FRACTION,
@@ -159,16 +157,15 @@ fn main() {
         println!();
     }
 
-    // JSON-lines artifact (one row per measurement).
-    let mut lines = String::new();
-    for r in &rows {
-        writeln!(lines, "{}", row_json(r)).unwrap();
-    }
+    // JSON-lines artifact (one row per measurement): `results/` holds the
+    // latest run, `BENCH_elastic.json` the trajectory across runs.
+    let records: Vec<String> = rows.iter().map(row_json).collect();
+    let lines = records.join("\n") + "\n";
     let root = repo_root();
     std::fs::create_dir_all(root.join("results")).expect("create results dir");
     std::fs::write(root.join("results/elastic.json"), &lines).expect("write results/elastic.json");
-    std::fs::write(root.join("BENCH_elastic.json"), &lines).expect("write BENCH_elastic.json");
-    println!("wrote results/elastic.json and BENCH_elastic.json");
+    let appended = append_trajectory("BENCH_elastic.json", &records).len();
+    println!("wrote results/elastic.json, appended {appended} records to BENCH_elastic.json");
     if ci {
         std::fs::create_dir_all(root.join("target/ci-elastic")).expect("create ci dir");
         std::fs::write(root.join("target/ci-elastic/elastic.json"), &lines)
@@ -246,12 +243,4 @@ fn main() {
         std::process::exit(1);
     }
     println!("elastic capacity CI gate passed");
-}
-
-fn repo_root() -> std::path::PathBuf {
-    let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    manifest
-        .join("../..")
-        .canonicalize()
-        .unwrap_or_else(|_| std::path::PathBuf::from("."))
 }

@@ -64,6 +64,7 @@
 
 use std::time::Instant;
 
+use vllm_bench::append_trajectory;
 use vllm_core::{BlockSpaceManager, CacheConfig, LlmEngine, SamplingParams, SchedulerConfig};
 use vllm_model::backend::{self, BackendKind, KvElement, KvLayout};
 use vllm_model::ops::{self, timing};
@@ -222,8 +223,6 @@ fn forward_decode_seed(
 /// One backend's measurements; serialized as one flat JSON line.
 struct BackendReport {
     backend: &'static str,
-    /// `git describe --always --dirty` of the tree the bench was built in.
-    commit: String,
     logits_match: bool,
     /// Every numeric field, in output order.
     nums: Vec<(String, f64)>,
@@ -239,13 +238,11 @@ impl BackendReport {
         found.unwrap_or_else(|| panic!("no field {key}")).1
     }
 
-    /// One-line flat JSON document: two strings, numbers, and one boolean;
-    /// no nesting so the round-trip parser stays trivial.
+    /// One-line flat JSON document: a string, numbers, and one boolean; no
+    /// nesting so the round-trip parser stays trivial. `append_trajectory`
+    /// adds the `commit` and `nproc` tags.
     fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"backend\":\"{}\",\"commit\":\"{}\",",
-            self.backend, self.commit
-        );
+        let mut s = format!("{{\"backend\":\"{}\",", self.backend);
         for (key, v) in &self.nums {
             s.push_str(&format!("\"{key}\":{v:.4},"));
         }
@@ -263,27 +260,6 @@ fn json_get(doc: &str, key: &str) -> Option<f64> {
     let rest = &doc[start..];
     let end = rest.find([',', '}'])?;
     rest[..end].trim().parse().ok()
-}
-
-/// The repository root (two levels above the bench crate manifest).
-fn repo_root() -> std::path::PathBuf {
-    let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    manifest
-        .join("../..")
-        .canonicalize()
-        .unwrap_or_else(|_| std::path::PathBuf::from("."))
-}
-
-/// The commit the numbers belong to, `-dirty` if the tree has local edits.
-fn commit_label() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .current_dir(repo_root())
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
 }
 
 /// Times every cell in `ROUNDS` interleaved rounds — each cell `iters`
@@ -651,11 +627,9 @@ fn run_seed_baseline() -> f64 {
 fn print_report(r: &BackendReport) {
     println!("=== backend: {} ===", r.backend);
     println!(
-        "  threads: {} (VLLM_NUM_THREADS={}), nproc {}, commit {}",
+        "  threads: {} (VLLM_NUM_THREADS={})",
         r.get("threads"),
         r.get("configured_threads"),
-        r.get("nproc"),
-        r.commit
     );
     println!(
         "  decode (batch {BATCH}, {DECODE_STEPS} steps): seed scalar {:.1} tok/s | per-seq {:.1} tok/s | batched {:.1} tok/s ({:.2}x vs seed)",
@@ -721,8 +695,6 @@ fn main() {
     let gemm_m1_ns = bench_gemm_serial(1);
     let (attn, attn_sequential_ns) = bench_attention();
     let (_, scalar_blocks) = capacity_at_budget(BackendKind::Scalar);
-    let commit = commit_label();
-    let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
     // The scalar backend (first in `all()`) anchors cross-backend ratios.
     let reports: Vec<BackendReport> = BackendKind::all()
@@ -733,11 +705,9 @@ fn main() {
             let (bytes_per_block, blocks_at_budget) = capacity_at_budget(kind);
             let mut r = BackendReport {
                 backend: kind.name(),
-                commit: commit.clone(),
                 logits_match,
                 nums: Vec::new(),
             };
-            r.set("nproc", nproc as f64);
             r.set("threads", pool::global().parallelism() as f64);
             r.set("configured_threads", pool::configured_threads() as f64);
             r.set("batch_size", BATCH as f64);
@@ -796,23 +766,9 @@ fn main() {
     }
 
     // Append this run's record set: the file is the trajectory.
-    let path = repo_root().join("BENCH_kernels.json");
-    let mut json = String::new();
-    for r in &reports {
-        json.push_str(&r.to_json());
-        json.push('\n');
-    }
-    {
-        use std::io::Write;
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .expect("open BENCH_kernels.json");
-        file.write_all(json.as_bytes())
-            .expect("append to BENCH_kernels.json");
-    }
-    println!("appended {} records to {}", reports.len(), path.display());
+    let records: Vec<String> = reports.iter().map(BackendReport::to_json).collect();
+    let tail = append_trajectory("BENCH_kernels.json", &records);
+    println!("appended {} records to BENCH_kernels.json", tail.len());
 
     if !ci {
         return;
@@ -899,12 +855,9 @@ fn main() {
 
     // JSON round trip: the file's last record set must be this run's, every
     // numeric field preserved through write + parse.
-    let written = std::fs::read_to_string(&path).expect("read back BENCH_kernels.json");
-    let lines: Vec<&str> = written.lines().collect();
-    let tail = &lines[lines.len().saturating_sub(reports.len())..];
     let close = |a: f64, b: f64| (a - b).abs() <= 1e-3 * a.abs().max(1.0);
     for r in &reports {
-        let tag = format!("\"backend\":\"{}\",\"commit\":\"{}\"", r.backend, r.commit);
+        let tag = format!("\"backend\":\"{}\"", r.backend);
         let Some(line) = tail.iter().find(|l| l.contains(&tag)) else {
             check(false, &format!("round-trip lost the {} record", r.backend));
             continue;

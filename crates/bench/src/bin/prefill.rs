@@ -23,6 +23,7 @@
 use std::fmt::Write as _;
 
 use vllm_baselines::types::BatchSystem;
+use vllm_bench::{append_trajectory, repo_root};
 use vllm_core::config::{CacheConfig, PreemptionMode, SchedulerConfig};
 use vllm_core::engine::{LlmEngine, RequestOutput};
 use vllm_core::sampling::SamplingParams;
@@ -346,8 +347,10 @@ fn main() {
     let root = repo_root();
     std::fs::create_dir_all(root.join("results")).expect("create results dir");
     std::fs::write(root.join("results/prefill.json"), &lines).expect("write results/prefill.json");
-    std::fs::write(root.join("BENCH_prefill.json"), &lines).expect("write BENCH_prefill.json");
-    println!("wrote results/prefill.json and BENCH_prefill.json");
+    // `results/` holds the latest run, `BENCH_prefill.json` the trajectory.
+    let records: Vec<String> = lines.lines().map(str::to_string).collect();
+    let appended = append_trajectory("BENCH_prefill.json", &records).len();
+    println!("wrote results/prefill.json, appended {appended} records to BENCH_prefill.json");
     if ci {
         std::fs::create_dir_all(root.join("target/ci-prefill")).expect("create ci dir");
         std::fs::write(root.join("target/ci-prefill/prefill.json"), &lines)
@@ -442,12 +445,4 @@ fn main() {
         std::process::exit(1);
     }
     println!("chunked-prefill CI gate passed");
-}
-
-fn repo_root() -> std::path::PathBuf {
-    let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    manifest
-        .join("../..")
-        .canonicalize()
-        .unwrap_or_else(|_| std::path::PathBuf::from("."))
 }

@@ -217,6 +217,62 @@ pub fn write_metrics_artifacts(
     Ok((json_path, prom_path))
 }
 
+/// The repository root (two levels above the bench crate manifest).
+#[must_use]
+pub fn repo_root() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .canonicalize()
+        .unwrap_or_else(|_| std::path::PathBuf::from("."))
+}
+
+/// The commit the numbers belong to, `-dirty` if the tree has local edits.
+#[must_use]
+pub fn commit_label() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .current_dir(repo_root())
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
+}
+
+/// Appends one run's record set to the trajectory file `file` (relative to
+/// the repository root): every record — a flat one-line JSON object — gains
+/// leading `commit` and `nproc` fields, so the file reads as the history of
+/// these numbers across PRs and machines. Returns the set's lines as read
+/// back from the file.
+///
+/// # Panics
+///
+/// Panics on I/O failure, or if a record is not a one-line JSON object.
+#[must_use]
+pub fn append_trajectory(file: &str, records: &[String]) -> Vec<String> {
+    use std::io::Write;
+    let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let tag = format!("{{\"commit\":\"{}\",\"nproc\":{nproc},", commit_label());
+    let mut text = String::new();
+    for r in records {
+        let body = r.strip_prefix('{').filter(|b| !b.contains('\n'));
+        text.push_str(&tag);
+        text.push_str(body.expect("a record is a one-line JSON object"));
+        text.push('\n');
+    }
+    let path = repo_root().join(file);
+    std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(&path)
+        .and_then(|mut f| f.write_all(text.as_bytes()))
+        .unwrap_or_else(|e| panic!("append to {file}: {e}"));
+    let written = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {file}: {e}"));
+    let lines: Vec<&str> = written.lines().collect();
+    let tail = &lines[lines.len() - records.len()..];
+    tail.iter().map(ToString::to_string).collect()
+}
+
 /// The highest offered rate whose mean normalized latency stays under the
 /// threshold (the paper's "sustained request rate at similar latency").
 #[must_use]

@@ -40,30 +40,33 @@
 //! # Disaggregated fleets
 //!
 //! [`FaultCluster::with_fleet`] accepts a typed [`ClusterConfig`] whose
-//! [`ReplicaRole`]s split the fleet into prefill and decode pools. A
-//! request then runs as a one-token stub on a prefill replica, its KV
-//! hands off over the wire codec ([`HandoffPayload`] encode → decode), and
-//! a decode replica resumes the token loop from the installed prefix. The
-//! handoff is a first-class fault surface: transfers take
-//! [`TRANSFER_STEPS`] lockstep steps to commit, so a [`FaultKind`] event
-//! can kill the decode target mid-transfer (the payload re-routes and is
-//! delivered exactly once) or between commit and the first decode step
-//! (the request re-enters placement from scratch, releasing its imported
-//! prefix). Disaggregated fleets force sequence-invariant mock tokens, so
-//! the harness asserts the strongest property available: the token streams
-//! are bit-identical to a unified fleet's, faults and all.
+//! [`ReplicaRole`](crate::ReplicaRole)s split the fleet into prefill and
+//! decode pools. The harness is the lockstep driver of the same
+//! [`RequestFlow`] the TCP frontend runs — it decides nothing about a
+//! request's path, it executes the flow's commands against its engines and
+//! turns fault events into the flow's failure inputs. A request runs as a
+//! one-token stub on a prefill replica, its cut prefix crosses the wire
+//! codec, and a decode replica resumes the token loop from the installed
+//! prefix. The handoff is a first-class fault surface: a `Transfer` takes
+//! [`TRANSFER_STEPS`] lockstep steps, so a [`FaultKind`] event can kill the
+//! decode target mid-transfer (the flow learns `ReplicaDied` and restarts
+//! the attempt on a fresh route — nothing reached the client, so delivery
+//! stays exactly-once) or between install and the first decode step (the
+//! request re-enters placement, its pin void with the replica).
+//! Disaggregated fleets force sequence-invariant mock tokens, so the
+//! harness asserts the strongest property available: the token streams are
+//! bit-identical to a unified fleet's, faults and all.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use vllm_core::mock::MockExecutor;
-use vllm_core::telemetry::{trace_seed, Counter, MetricsSnapshot, Span, Telemetry, TraceContext};
-use vllm_core::{
-    chunk_hashes, CacheConfig, FaultControls, FaultInjector, GenerationRequest, HandoffPayload,
-    KvBlockBytes, LlmEngine, PrefixId, SchedulerConfig,
-};
+use vllm_core::telemetry::{Counter, MetricsSnapshot, Span, Telemetry};
+use vllm_core::{CacheConfig, FaultControls, FaultInjector, LlmEngine, SchedulerConfig, VllmError};
 
-use crate::config::{ClusterConfig, ReplicaRole};
+use crate::config::ClusterConfig;
+use crate::flow::{FlowCommand, FlowEffect, FlowInput, HandoffMetrics, RequestFlow};
+use crate::replica::{apply_prefix_op, REJECT_RETRY_AFTER};
 use crate::router::{ReplicaSnapshot, RoutePolicy, Router, RouterConfig};
 use crate::sim::ClusterRequest;
 use crate::stats::merge_labeled;
@@ -332,10 +335,10 @@ pub struct FaultReport {
     pub forward_failures: u64,
     /// Lockstep steps executed.
     pub steps: u64,
-    /// KV handoffs initiated (prefill stub finished, transfer started).
+    /// KV handoffs whose decode phase replied (`vllm_cluster_handoffs_total`).
     pub handoffs: u64,
-    /// Handoff transfers re-routed or re-sent after their decode target
-    /// died or backed up mid-transfer.
+    /// Handoff attempts that failed — a dead or backed-up decode target, a
+    /// kill mid-decode — and were retried on a fresh route.
     pub handoff_retries: u64,
     /// GPU blocks still allocated on live replicas after the run drained
     /// (must be zero: exact accounting survives every fault).
@@ -360,61 +363,22 @@ struct ReplicaSlot {
     stall_remaining: u64,
     /// Engine-side id → trace request id for everything in flight here.
     inflight: HashMap<String, u64>,
-    /// Bumped every time a fresh engine replaces this slot, so stale
-    /// imported-prefix handles from a previous engine generation are never
-    /// released against the wrong pool.
-    generation: u64,
 }
 
-/// Lockstep steps a KV handoff transfer takes to commit. Two steps open a
-/// window for fault events to land *mid-transfer*.
+/// Lockstep steps a KV `Transfer` takes to arrive. Two steps open a window
+/// for fault events to land *mid-transfer*.
 pub const TRANSFER_STEPS: u64 = 2;
-
-/// One KV handoff in flight between a prefill and a decode replica.
-struct Transfer {
-    id: u64,
-    payload: HandoffPayload,
-    dst: usize,
-    started_at: u64,
-    commit_at: u64,
-    /// Span context for the handoff; the decode attempt nests under it.
-    ctx: TraceContext,
-}
-
-/// A request running its decode phase after a committed handoff.
-struct DecodeInfo {
-    /// First sampled token, produced by the prefill stub; stitched back
-    /// onto the decode replica's output.
-    t0: u32,
-    /// Imported prefix to release on completion:
-    /// `(replica, engine generation, prefix id)`.
-    prefix: Option<(usize, u64, PrefixId)>,
-}
 
 /// Mutable bookkeeping for one run.
 struct RunState {
-    pending: HashMap<u64, PendingReq>,
+    /// Every request's flow, from the start of the run.
+    flows: HashMap<u64, RequestFlow>,
     outcomes: HashMap<u64, Outcome>,
-    /// `(ready_at_step, request_id)` retry entries.
-    retry_q: Vec<(u64, u64)>,
+    /// Parked flows: `(ready_at_step, request_id, transfer_target)`. A
+    /// backoff has no target; a transfer learns at `ready_at` whether its
+    /// target is still alive.
+    timers: Vec<(u64, u64, Option<usize>)>,
     duplicates: usize,
-    /// Requests currently running as one-token prefill stubs.
-    stubs: HashSet<u64>,
-    /// KV handoffs in flight (serialized, not yet committed).
-    transfers: Vec<Transfer>,
-    /// Requests in their decode phase, keyed by trace id.
-    decodes: HashMap<u64, DecodeInfo>,
-    /// Monotonic suffix for decode-phase engine ids (uniqueness across
-    /// re-deliveries).
-    admit_seq: u64,
-}
-
-struct PendingReq {
-    req: ClusterRequest,
-    attempts: u32,
-    /// Root trace context for the request; every placement attempt gets a
-    /// sibling child context so retries show up side by side in the tree.
-    root: TraceContext,
 }
 
 /// Fault counters registered on the cluster-level telemetry.
@@ -425,8 +389,6 @@ struct FaultCounters {
     swap_exhaustions: Counter,
     pool_pressures: Counter,
     prefill_stalls: Counter,
-    handoffs: Counter,
-    handoff_retries: Counter,
 }
 
 /// N engines in deterministic lockstep under a router, a request trace, and
@@ -437,10 +399,10 @@ pub struct FaultCluster {
     router: Router,
     telemetry: Arc<Telemetry>,
     counters: FaultCounters,
+    handoff: HandoffMetrics,
     block_size: usize,
-    /// One role per replica (all [`ReplicaRole::Unified`] for classic
-    /// fleets); prefill-role targets place requests as one-token stubs.
-    roles: Vec<ReplicaRole>,
+    /// Whether the fleet is role-specialized (requests may hand off).
+    disaggregated: bool,
     /// Whether replacement engines script sequence-invariant tokens.
     seq_invariant: bool,
     /// Spans and metrics salvaged from engines that were replaced (kill +
@@ -467,7 +429,7 @@ impl FaultCluster {
     }
 
     /// Builds the harness over a typed fleet: `fleet.roles` splits the
-    /// replicas into prefill and decode pools ([`ReplicaRole`]), routed and
+    /// replicas into prefill and decode pools ([`crate::ReplicaRole`]), routed and
     /// migrated through the KV-handoff path. A disaggregated fleet (or
     /// [`FaultClusterConfig::seq_invariant_tokens`]) switches the mock
     /// executors to sequence-invariant token scripting, so token streams
@@ -510,17 +472,10 @@ impl FaultCluster {
                 "vllm_fault_prefill_stalls_total",
                 "Chunked-prefill stall events fired.",
             ),
-            handoffs: r.counter(
-                "vllm_cluster_handoffs_total",
-                "KV handoffs initiated (prefill stub finished).",
-            ),
-            handoff_retries: r.counter(
-                "vllm_cluster_handoff_retries_total",
-                "Handoff transfers re-routed after a dead or backed-up decode target.",
-            ),
         };
+        let handoff = HandoffMetrics::attach(&telemetry);
         let slots: Vec<ReplicaSlot> = (0..cfg.num_replicas)
-            .map(|_| fresh_slot(seq_invariant, 0))
+            .map(|_| fresh_slot(seq_invariant))
             .collect();
         let block_size = slots[0].engine.cache_config().block_size;
         Self {
@@ -529,8 +484,9 @@ impl FaultCluster {
             router,
             telemetry,
             counters,
+            handoff,
             block_size,
-            roles: fleet.roles.clone(),
+            disaggregated: fleet.is_disaggregated(),
             seq_invariant,
             archived: Vec::new(),
             archived_drops: 0,
@@ -636,29 +592,26 @@ impl FaultCluster {
         let mut events = plan.events.clone();
         events.sort_by_key(|e| (e.at_step, e.replica));
         let mut st = RunState {
-            pending: requests
+            flows: requests
                 .iter()
                 .map(|r| {
-                    (
-                        r.id,
-                        PendingReq {
-                            req: r.clone(),
-                            attempts: 0,
-                            // Cluster traces are always sampled: the harness
-                            // exists to observe, and volume is bounded by
-                            // the trace length.
-                            root: TraceContext::mint(trace_seed(&r.id.to_string()), true),
-                        },
-                    )
+                    // No client context: the flow mints a sampled root from
+                    // the id — the harness exists to observe, and volume is
+                    // bounded by the trace length.
+                    let flow = RequestFlow::new(
+                        r.id.to_string(),
+                        r.prompt.clone(),
+                        r.request(),
+                        self.block_size,
+                        self.disaggregated,
+                        self.cfg.max_attempts,
+                    );
+                    (r.id, flow)
                 })
                 .collect(),
             outcomes: HashMap::new(),
-            retry_q: Vec::new(),
+            timers: Vec::new(),
             duplicates: 0,
-            stubs: HashSet::new(),
-            transfers: Vec::new(),
-            decodes: HashMap::new(),
-            admit_seq: 0,
         };
         let mut next_event = 0;
         let mut next_arrival = 0;
@@ -670,38 +623,41 @@ impl FaultCluster {
                 self.apply_event(&e, step, &mut st);
                 next_event += 1;
             }
-            // 1b. Commit (or re-route) due KV handoff transfers. Runs
-            // after events so a kill landing this step is seen as a dead
-            // transfer target — the mid-transfer fault window.
-            self.process_transfers(step, &mut st);
-            // 2. Re-place due retries (sorted for determinism).
-            let mut due: Vec<u64> = Vec::new();
-            st.retry_q.retain(|&(ready_at, id)| {
-                if ready_at <= step {
-                    due.push(id);
-                    false
-                } else {
-                    true
+            // 2. Wake due timers (sorted for determinism): an elapsed
+            // backoff re-routes; a transfer arrives — or, because this runs
+            // after the events, finds its target killed mid-transfer.
+            let mut due: Vec<(u64, Option<usize>)> = Vec::new();
+            st.timers.retain(|&(ready_at, id, target)| {
+                let is_due = ready_at <= step;
+                if is_due {
+                    due.push((id, target));
                 }
+                !is_due
             });
             due.sort_unstable();
-            for id in due {
-                self.try_place(id, step, &mut st);
+            for (id, target) in due {
+                let input = match target {
+                    Some(replica) if !self.slots[replica].alive => {
+                        FlowInput::ReplicaDied { replica }
+                    }
+                    _ => FlowInput::Done,
+                };
+                self.drive(id, input, step, &mut st);
             }
             // 3. Inject new arrivals.
             while next_arrival < requests.len() && requests[next_arrival].arrival <= step as f64 {
                 let id = requests[next_arrival].id;
                 next_arrival += 1;
-                self.try_place(id, step, &mut st);
+                self.drive(id, FlowInput::Start, step, &mut st);
             }
             // 4. Step every live, unstalled replica with work.
             for i in 0..self.slots.len() {
                 self.step_replica(i, step, &mut st);
             }
-            // 5. Quiescence: all arrivals in, no retries queued, every
-            // request terminal.
+            // 5. Quiescence: all arrivals in, nothing parked, every request
+            // terminal.
             let done = next_arrival == requests.len()
-                && st.retry_q.is_empty()
+                && st.timers.is_empty()
                 && st.outcomes.len() == num_requests;
             if done || step >= self.cfg.max_steps {
                 break;
@@ -737,8 +693,8 @@ impl FaultCluster {
             faults_injected: self.counters.injected.get(),
             kills: self.counters.kills.get(),
             forward_failures: self.counters.forward_failures.get(),
-            handoffs: self.counters.handoffs.get(),
-            handoff_retries: self.counters.handoff_retries.get(),
+            handoffs: self.handoff.handoffs.get(),
+            handoff_retries: self.handoff.retries.get(),
             steps: step,
             leaked_blocks,
             token_fingerprint: fingerprint(&st.outcomes),
@@ -767,11 +723,11 @@ impl FaultCluster {
                 if slot.engine.abort_all().is_ok() {
                     let _ = slot.engine.step();
                 }
-                // Zero-loss: everything in flight here is re-routed.
-                for (_, id) in slot.inflight.drain() {
-                    self.router.record_retry();
-                    st.retry_q.push((step + 1, id));
-                }
+                // Zero-loss: every flow in flight here learns of the death
+                // and re-routes.
+                self.fail_inflight(e.replica, step, st, |replica| FlowInput::ReplicaDied {
+                    replica,
+                });
             }
             FaultKind::RestartReplica => {
                 if self.slots[e.replica].alive {
@@ -781,8 +737,7 @@ impl FaultCluster {
                     self.router.mark_dead(e.replica);
                 } else {
                     self.archive_slot(e.replica);
-                    let generation = self.slots[e.replica].generation + 1;
-                    self.slots[e.replica] = fresh_slot(self.seq_invariant, generation);
+                    self.slots[e.replica] = fresh_slot(self.seq_invariant);
                     self.router.mark_alive(e.replica);
                 }
             }
@@ -861,74 +816,119 @@ impl FaultCluster {
         });
     }
 
-    /// Routes and admits one request; on failure, schedules a backoff retry
-    /// or records a terminal rejection.
-    fn try_place(&mut self, id: u64, step: u64, st: &mut RunState) {
-        if !st.pending.contains_key(&id) {
-            return;
-        }
-        // A re-placement restarts the request from scratch, so any
-        // in-progress handoff state from a previous attempt — stub marker,
-        // undelivered transfer, imported prefix — is torn down first. A
-        // retried request can therefore never leak pinned blocks or have a
-        // stale transfer deliver behind its back.
-        self.clear_handoff_state(id, st);
-        let (prompt, output_len, ctx, attempt) = {
-            let p = st.pending.get_mut(&id).expect("checked above");
-            p.attempts += 1;
-            // Each attempt is a sibling span under the request's root
-            // context; the engine adopts it instead of minting its own.
-            let ctx = p.root.child(100 + u64::from(p.attempts));
-            (p.req.prompt.clone(), p.req.output_len, ctx, p.attempts)
-        };
-        let hashes = chunk_hashes(&prompt, self.block_size);
-        let snaps = self.snapshots();
-        let d = self.router.route(&hashes, &snaps);
-        // On a prefill-role replica the request runs as a one-token stub:
-        // prompt phase plus the first sampled token, then a KV handoff
-        // moves it to the decode pool.
-        let stub = self.roles[d.replica] == ReplicaRole::Prefill && output_len > 1;
-        let request = if stub {
-            GenerationRequest::greedy(1)
-                .with_ignore_eos()
-                .with_seed(id)
-                .with_trace(ctx)
-        } else {
-            st.pending[&id].req.request().with_trace(ctx)
-        };
-        let cap = self.cfg.max_inflight;
-        let slot = &mut self.slots[d.replica];
-        if slot.alive && !slot.draining && slot.inflight.len() < cap {
-            // A fresh engine-side id per attempt: a request re-routed off a
-            // failing replica can never collide with its own stale state.
-            let engine_id = format!("{id}.{attempt}");
-            match slot
-                .engine
-                .add_generation_request(engine_id.clone(), prompt, &request)
-            {
-                Ok(()) => {
-                    slot.inflight.insert(engine_id, id);
-                    if stub {
-                        st.stubs.insert(id);
+    /// Advances request `id`'s flow with `input`, executing its commands
+    /// against the lockstep world until one parks: a `Submit` the engine
+    /// admitted (woken by its output, a kill or a step failure), or a
+    /// `Transfer` / `Backoff` timer.
+    fn drive(&mut self, id: u64, mut input: FlowInput, step: u64, st: &mut RunState) {
+        loop {
+            let flow = st
+                .flows
+                .get_mut(&id)
+                .expect("flow exists for every request");
+            let (effects, cmd) = flow.on(input, step as f64);
+            for effect in effects {
+                match effect {
+                    // A dead replica's pins died with it; no tier to publish to.
+                    FlowEffect::Release { replica, id } if self.slots[replica].alive => {
+                        let _ = self.slots[replica].engine.release_prefix(id);
                     }
-                    return;
-                }
-                Err(e) if e.is_retryable() => {}
-                Err(_) => {
-                    record(st, id, Outcome::Rejected);
-                    return;
+                    FlowEffect::Release { .. } | FlowEffect::PublishTier { .. } => {}
+                    seen => self.handoff.observe(self.telemetry.spans(), &seen),
                 }
             }
+            input = match cmd {
+                FlowCommand::Route => {
+                    let snaps = self.snapshots();
+                    FlowInput::Routed {
+                        replica: flow.route(&mut self.router, &snaps),
+                    }
+                }
+                FlowCommand::RouteDecode => {
+                    let snaps = self.snapshots();
+                    FlowInput::Routed {
+                        replica: self.router.route_decode(&snaps),
+                    }
+                }
+                // No tier in the harness: every lookup misses.
+                FlowCommand::TierLookup { .. } => FlowInput::Tier(None),
+                FlowCommand::PrefixOp { replica, op } => {
+                    let slot = &mut self.slots[replica];
+                    if slot.alive {
+                        FlowInput::Prefix(apply_prefix_op(&mut slot.engine, op))
+                    } else {
+                        FlowInput::ReplicaDied { replica }
+                    }
+                }
+                FlowCommand::Transfer { replica, .. } => {
+                    st.timers.push((step + TRANSFER_STEPS, id, Some(replica)));
+                    return;
+                }
+                FlowCommand::Submit {
+                    replica,
+                    engine_id,
+                    prompt,
+                    request,
+                } => {
+                    let cap = self.cfg.max_inflight;
+                    let slot = &mut self.slots[replica];
+                    // Dead (only routed to when the whole pool is), draining
+                    // or full: backpressure, as a real replica answers it.
+                    let admitted = if slot.alive && !slot.draining && slot.inflight.len() < cap {
+                        slot.engine
+                            .add_generation_request(engine_id.clone(), prompt, &request)
+                    } else {
+                        Err(VllmError::Rejected {
+                            retry_after: REJECT_RETRY_AFTER,
+                        })
+                    };
+                    match admitted {
+                        Ok(()) => {
+                            slot.inflight.insert(engine_id, id);
+                            return;
+                        }
+                        Err(e) => FlowInput::Reply(Err(e)),
+                    }
+                }
+                FlowCommand::Backoff { attempt, hint } => {
+                    // Backpressure (the error carried a hint) backs off
+                    // exponentially, capped; work lost with its replica or
+                    // step re-routes on the next step.
+                    let delay = match hint {
+                        Some(_) => (1u64 << (attempt + 1).min(6)).min(self.cfg.max_backoff_steps),
+                        None => 1,
+                    };
+                    st.timers.push((step + delay, id, None));
+                    return;
+                }
+                FlowCommand::Finish(result) => {
+                    let outcome = match result {
+                        Ok(out) => Outcome::Completed {
+                            tokens: out.outputs.into_iter().map(|c| c.tokens).collect(),
+                        },
+                        Err(_) => Outcome::Rejected,
+                    };
+                    record(st, id, outcome);
+                    return;
+                }
+            };
         }
-        // Backpressure / dead target / transient admission failure: capped
-        // exponential backoff, terminal rejection once attempts run out.
-        if attempt >= self.cfg.max_attempts {
-            record(st, id, Outcome::Rejected);
-            return;
+    }
+
+    /// Wakes every flow in flight on replica `i` with a failure input
+    /// (sorted, so the re-routes are deterministic).
+    fn fail_inflight(
+        &mut self,
+        i: usize,
+        step: u64,
+        st: &mut RunState,
+        input: impl Fn(usize) -> FlowInput,
+    ) {
+        let mut ids: Vec<u64> = self.slots[i].inflight.drain().map(|(_, id)| id).collect();
+        ids.sort_unstable();
+        for id in ids {
+            self.drive(id, input(i), step, st);
         }
-        self.router.record_retry();
-        let delay = (1u64 << attempt.min(6)).min(self.cfg.max_backoff_steps);
-        st.retry_q.push((step + delay, id));
     }
 
     /// Runs one lockstep step on replica `i`.
@@ -944,8 +944,7 @@ impl FaultCluster {
             if self.slots[i].draining {
                 // Drained: swap in a fresh engine and rejoin the fleet.
                 self.archive_slot(i);
-                let generation = self.slots[i].generation + 1;
-                self.slots[i] = fresh_slot(self.seq_invariant, generation);
+                self.slots[i] = fresh_slot(self.seq_invariant);
                 self.router.mark_alive(i);
             }
             return;
@@ -954,242 +953,26 @@ impl FaultCluster {
         match step_result {
             Ok(outs) => {
                 for out in outs {
-                    let Some(id) = self.slots[i].inflight.remove(&out.request_id) else {
-                        continue;
-                    };
-                    if st.stubs.remove(&id) {
-                        // Prefill stub finished: its single output token is
-                        // the request's first sampled token; serialize the
-                        // KV and start the transfer to the decode pool.
-                        let t0 = out
-                            .outputs
-                            .first()
-                            .and_then(|c| c.tokens.first().copied())
-                            .unwrap_or(0);
-                        self.begin_handoff(id, t0, step, st);
-                        continue;
+                    if let Some(id) = self.slots[i].inflight.remove(&out.request_id) {
+                        self.drive(id, FlowInput::Reply(Ok(out)), step, st);
                     }
-                    let mut tokens: Vec<Vec<u32>> =
-                        out.outputs.iter().map(|c| c.tokens.clone()).collect();
-                    if let Some(info) = st.decodes.remove(&id) {
-                        // Decode phase done: stitch the prefill-sampled
-                        // first token back on and release the imported
-                        // prefix (zero-leak accounting).
-                        if let Some(seq) = tokens.first_mut() {
-                            seq.insert(0, info.t0);
-                        }
-                        self.release_handoff_prefix(info.prefix);
-                    }
-                    record(st, id, Outcome::Completed { tokens });
                 }
             }
-            Err(_) => {
+            Err(e) => {
                 // Injected forward fault: abort everything live (exact
-                // block accounting), reap the aborted groups, and re-route
-                // the affected requests.
+                // block accounting), reap the aborted groups, and fail the
+                // affected flows so they re-route.
                 self.counters.forward_failures.inc();
                 let slot = &mut self.slots[i];
                 if slot.engine.abort_all().is_ok() {
                     let _ = slot.engine.step();
                 }
-                for (_, id) in slot.inflight.drain() {
-                    self.router.record_retry();
-                    st.retry_q.push((step + 1, id));
-                }
-            }
-        }
-    }
-
-    /// Serializes a finished prefill stub's KV through the wire codec and
-    /// starts its transfer to a decode replica.
-    fn begin_handoff(&mut self, id: u64, t0: u32, step: u64, st: &mut RunState) {
-        let Some(p) = st.pending.get(&id) else {
-            return;
-        };
-        // Round-trip the same codec the TCP frontend ships over, so
-        // framing or checksum bugs surface deterministically here. The
-        // mock executor has no addressable KV, so the block bodies are
-        // empty — the count and layout contract is still enforced.
-        let payload = HandoffPayload {
-            request_id: id.to_string(),
-            tokens: p.req.prompt.clone(),
-            first_token: Some(t0),
-            seed: id,
-            block_size: self.block_size,
-            blocks: vec![KvBlockBytes::empty(); p.req.prompt.len().div_ceil(self.block_size)],
-        };
-        let wire = payload.encode_wire();
-        let payload =
-            HandoffPayload::decode_wire(&wire).expect("handoff frames round-trip the wire codec");
-        payload
-            .validate()
-            .expect("decoded handoff payload is internally consistent");
-        // The handoff span nests under the request root, as a sibling of
-        // the placement attempts (slot offset keeps ids collision-free).
-        let ctx = p.root.child(200 + u64::from(p.attempts));
-        let snaps = self.snapshots();
-        let dst = self.router.route_decode(&snaps);
-        self.counters.handoffs.inc();
-        st.transfers.push(Transfer {
-            id,
-            payload,
-            dst,
-            started_at: step,
-            commit_at: step + TRANSFER_STEPS,
-            ctx,
-        });
-    }
-
-    /// Commits due transfers, re-routing any whose decode target died or
-    /// backed up mid-transfer. Each payload is delivered at most once: the
-    /// transfer entry is mutated in place on a retry and removed on
-    /// commit.
-    fn process_transfers(&mut self, step: u64, st: &mut RunState) {
-        let mut idx = 0;
-        while idx < st.transfers.len() {
-            if st.transfers[idx].commit_at > step {
-                idx += 1;
-                continue;
-            }
-            let dst = st.transfers[idx].dst;
-            let deliverable = self.slots[dst].alive
-                && !self.slots[dst].draining
-                && self.slots[dst].inflight.len() < self.cfg.max_inflight;
-            if !deliverable {
-                let snaps = self.snapshots();
-                let new_dst = self.router.route_decode(&snaps);
-                let t = &mut st.transfers[idx];
-                t.dst = new_dst;
-                t.commit_at = step + TRANSFER_STEPS;
-                self.counters.handoff_retries.inc();
-                self.router.record_retry();
-                idx += 1;
-                continue;
-            }
-            let t = st.transfers.remove(idx);
-            self.commit_handoff(t, step, st);
-        }
-    }
-
-    /// Installs a transferred prefix on the decode replica and admits the
-    /// request's decode phase (resumed prompt = original prompt plus the
-    /// prefill-sampled first token).
-    fn commit_handoff(&mut self, t: Transfer, step: u64, st: &mut RunState) {
-        if st.outcomes.contains_key(&t.id) {
-            return;
-        }
-        let Some(p) = st.pending.get(&t.id) else {
-            return;
-        };
-        let output_len = p.req.output_len;
-        let t0 = t
-            .payload
-            .first_token
-            .expect("prefill handoffs carry the first sampled token");
-        let mut resumed = t.payload.tokens.clone();
-        resumed.push(t0);
-        // Longest block-aligned *strict* prefix of the resumed prompt: the
-        // decode replica recomputes only the uncovered tail (>= 1 token),
-        // everything else comes from the installed blocks.
-        let keep = ((resumed.len() - 1) / self.block_size) * self.block_size;
-        let mut prefix = None;
-        if keep > 0 {
-            let blocks = t.payload.blocks[..keep / self.block_size].to_vec();
-            if let Ok(pid) = self.slots[t.dst]
-                .engine
-                .import_prefix(resumed[..keep].to_vec(), blocks)
-            {
-                prefix = Some((t.dst, self.slots[t.dst].generation, pid));
-            }
-        }
-        st.admit_seq += 1;
-        let engine_id = format!("{}.d{}", t.id, st.admit_seq);
-        let request = GenerationRequest::greedy(output_len - 1)
-            .with_ignore_eos()
-            .with_seed(t.id)
-            .with_trace(t.ctx.child(4));
-        match self.slots[t.dst]
-            .engine
-            .add_generation_request(engine_id.clone(), resumed, &request)
-        {
-            Ok(()) => {
-                self.slots[t.dst].inflight.insert(engine_id, t.id);
-                st.decodes.insert(t.id, DecodeInfo { t0, prefix });
-                self.record_handoff_spans(&t, step);
-            }
-            Err(e) if e.is_retryable() => {
-                // Roll the install back and resend the transfer later.
-                self.release_handoff_prefix(prefix);
-                self.counters.handoff_retries.inc();
-                self.router.record_retry();
-                st.transfers.push(Transfer {
-                    commit_at: step + TRANSFER_STEPS,
-                    ..t
+                let msg = format!("engine step failed: {e}");
+                self.fail_inflight(i, step, st, |_| {
+                    FlowInput::Reply(Err(VllmError::Unavailable(msg.clone())))
                 });
             }
-            Err(_) => {
-                self.release_handoff_prefix(prefix);
-                record(st, t.id, Outcome::Rejected);
-            }
         }
-    }
-
-    /// Tears down any in-progress handoff state for a request about to be
-    /// re-placed from scratch.
-    fn clear_handoff_state(&mut self, id: u64, st: &mut RunState) {
-        st.stubs.remove(&id);
-        st.transfers.retain(|t| t.id != id);
-        if let Some(info) = st.decodes.remove(&id) {
-            self.release_handoff_prefix(info.prefix);
-        }
-    }
-
-    /// Releases an imported prefix, but only against the engine generation
-    /// that created it — a restarted replica's fresh pool never sees a
-    /// stale handle.
-    fn release_handoff_prefix(&mut self, prefix: Option<(usize, u64, PrefixId)>) {
-        if let Some((replica, generation, pid)) = prefix {
-            let slot = &mut self.slots[replica];
-            if slot.alive && slot.generation == generation {
-                let _ = slot.engine.release_prefix(pid);
-            }
-        }
-    }
-
-    /// Records the committed handoff's span tree on the cluster telemetry:
-    /// a `handoff` parent under the request root, with `handoff.export`,
-    /// `handoff.transfer`, and `handoff.install` children nested inside
-    /// its bounds. The decode attempt's engine span hangs off slot 4 of
-    /// the same context.
-    fn record_handoff_spans(&self, t: &Transfer, commit: u64) {
-        let start = t.started_at as f64;
-        let end = commit as f64;
-        let spans = self.telemetry.spans();
-        spans.record(Span {
-            trace_id: t.ctx.trace_id,
-            span_id: t.ctx.span_id,
-            parent_span_id: t.ctx.parent_span_id,
-            name: "handoff".to_string(),
-            start,
-            end,
-            attrs: vec![
-                ("dst".to_string(), t.dst.to_string()),
-                ("kv_bytes".to_string(), t.payload.kv_bytes().to_string()),
-                ("blocks".to_string(), t.payload.blocks.len().to_string()),
-            ],
-        });
-        let child = |slot: u64, name: &str, s: f64, e: f64| Span {
-            trace_id: t.ctx.trace_id,
-            span_id: t.ctx.child(slot).span_id,
-            parent_span_id: t.ctx.span_id,
-            name: name.to_string(),
-            start: s,
-            end: e,
-            attrs: Vec::new(),
-        };
-        spans.record(child(1, "handoff.export", start, start));
-        spans.record(child(2, "handoff.transfer", start, end));
-        spans.record(child(3, "handoff.install", end, end));
     }
 
     /// Builds the router's per-replica view.
@@ -1205,7 +988,7 @@ impl FaultCluster {
 }
 
 /// A fresh replica slot: small identical engine behind a fault injector.
-fn fresh_slot(seq_invariant: bool, generation: u64) -> ReplicaSlot {
+fn fresh_slot(seq_invariant: bool) -> ReplicaSlot {
     let cache = CacheConfig::new(4, 64, 16).expect("valid cache config");
     let sched = SchedulerConfig::new(2048, 64, 2048).expect("valid scheduler config");
     let controls = FaultControls::new();
@@ -1226,7 +1009,6 @@ fn fresh_slot(seq_invariant: bool, generation: u64) -> ReplicaSlot {
         draining: false,
         stall_remaining: 0,
         inflight: HashMap::new(),
-        generation,
     }
 }
 
@@ -1598,14 +1380,22 @@ mod tests {
                     "{name} must nest inside the handoff bounds"
                 );
             }
-            // The decode attempt on the target engine hangs off the same
-            // handoff span.
-            assert!(
-                engine_spans
-                    .iter()
-                    .any(|s| s.name == "attempt" && s.parent_span_id == h.span_id),
-                "decode attempt span must be a child of the handoff"
-            );
+            // The transfer child is the lockstep transfer window.
+            let transfer = spans
+                .iter()
+                .find(|s| s.name == "handoff.transfer" && s.parent_span_id == h.span_id)
+                .expect("checked above");
+            assert_eq!(transfer.duration(), TRANSFER_STEPS as f64);
+            // One slot numbering per attempt: the stub and decode attempts
+            // on the engines are siblings of the handoff under the request
+            // root, so the decode span — which starts when the install ends
+            // — no longer overhangs a handoff span that parents it.
+            let siblings = engine_spans
+                .iter()
+                .filter(|s| s.name == "attempt" && s.trace_id == h.trace_id)
+                .inspect(|s| assert_eq!(s.parent_span_id, h.parent_span_id))
+                .count();
+            assert_eq!(siblings, 2, "stub and decode attempts beside the handoff");
         }
     }
 

@@ -16,6 +16,16 @@
 //!   KV cache of its leading block-aligned prompt chunks — the cluster-level
 //!   analog of §4.4 block sharing). Per-replica health tracking fails over
 //!   to the shortest healthy queue when a replica backs up.
+//! * [`RequestFlow`] ([`flow`]) — one request's life across replicas as a
+//!   pure, I/O-free state machine: two-phase eligibility, the block-aligned
+//!   cut, engine ids and trace slots, tier lookup → install-or-register,
+//!   export/publish, the handoff wire round trip, decode install, stitch,
+//!   pin release on every exit, retry classification, and the handoff
+//!   counters and span tree ([`HandoffMetrics`]). The TCP frontend (real
+//!   threads), [`ClusterSystem`] (virtual time) and [`FaultCluster`]
+//!   (lockstep) are its three drivers: each performs the flow's effects and
+//!   executes its commands in its own world, feeds the answers back, and
+//!   decides nothing else.
 //! * [`merge_labeled`] / [`aggregate_stats`] — fold per-replica telemetry
 //!   into one cluster view: metric names gain a `{replica="i"}` label and
 //!   still round-trip through both expositions.
@@ -41,6 +51,7 @@
 
 pub mod config;
 pub mod fault;
+pub mod flow;
 pub mod replica;
 pub mod router;
 pub mod sim;
@@ -49,9 +60,13 @@ pub mod tier;
 
 pub use config::{ClusterConfig, ReplicaRole};
 pub use fault::{FaultCluster, FaultClusterConfig, FaultEvent, FaultKind, FaultPlan, FaultReport};
+pub use flow::{
+    backoff_seconds, handoff_cut, FlowCommand, FlowEffect, FlowInput, HandoffMetrics,
+    HandoffRecord, PrefixKv, RequestFlow, MAX_SUBMIT_ATTEMPTS,
+};
 pub use replica::{
-    EngineCommand, EngineReply, EngineRequest, EngineStats, PrefixOp, PrefixReply, PrefixRequest,
-    Replica,
+    apply_prefix_op, EngineCommand, EngineReply, EngineRequest, EngineStats, PrefixOp, PrefixReply,
+    PrefixRequest, Replica,
 };
 pub use router::{ReplicaSnapshot, RouteDecision, RoutePolicy, Router, RouterConfig, RouterStats};
 pub use sim::{ClusterReport, ClusterRequest, ClusterSystem};

@@ -404,6 +404,30 @@ struct EngineLoopFlags<'a> {
 /// looks at the kill and shutdown flags again.
 const IDLE_WAIT: Duration = Duration::from_millis(5);
 
+/// Runs one prefix-pool operation on `engine` (what a replica thread does
+/// for a [`PrefixRequest`]; in-process drivers call it directly).
+///
+/// # Errors
+///
+/// Returns the engine's own error for the operation.
+pub fn apply_prefix_op<E: ModelExecutor>(
+    engine: &mut LlmEngine<E>,
+    op: PrefixOp,
+) -> Result<PrefixReply, VllmError> {
+    match op {
+        PrefixOp::Register { tokens } => engine
+            .register_prefix(tokens)
+            .map(|id| PrefixReply::Registered { id }),
+        PrefixOp::Export { id } => engine
+            .export_prefix(id)
+            .map(|(tokens, blocks)| PrefixReply::Exported { tokens, blocks }),
+        PrefixOp::Install { tokens, blocks } => engine
+            .import_prefix(tokens, blocks)
+            .map(|id| PrefixReply::Installed { id }),
+        PrefixOp::Release { id } => engine.release_prefix(id).map(|()| PrefixReply::Released),
+    }
+}
+
 /// Applies one command to the engine: a generation request is admitted (or
 /// answered with its rejection), a prefix operation runs synchronously.
 /// Returns whether a request joined the engine.
@@ -411,6 +435,7 @@ fn handle_command<E: ModelExecutor>(
     engine: &mut LlmEngine<E>,
     pending: &mut Vec<(String, Sender<EngineReply>)>,
     flags: &EngineLoopFlags<'_>,
+    stats: &Mutex<EngineStats>,
     cmd: EngineCommand,
 ) -> bool {
     match cmd {
@@ -436,20 +461,11 @@ fn handle_command<E: ModelExecutor>(
         }
         EngineCommand::Prefix(p) => {
             // Control plane: synchronous, exempt from the in-flight bound.
-            let result = match p.op {
-                PrefixOp::Register { tokens } => engine
-                    .register_prefix(tokens)
-                    .map(|id| PrefixReply::Registered { id }),
-                PrefixOp::Export { id } => engine
-                    .export_prefix(id)
-                    .map(|(tokens, blocks)| PrefixReply::Exported { tokens, blocks }),
-                PrefixOp::Install { tokens, blocks } => engine
-                    .import_prefix(tokens, blocks)
-                    .map(|id| PrefixReply::Installed { id }),
-                PrefixOp::Release { id } => {
-                    engine.release_prefix(id).map(|()| PrefixReply::Released)
-                }
-            };
+            // It pins or frees blocks and changes nothing else the snapshot
+            // shows, so only that field is republished — before the reply,
+            // so whoever sees a release answered finds the blocks free.
+            let result = apply_prefix_op(engine, p.op);
+            stats.lock().free_blocks = engine.scheduler().block_manager().num_free_gpu_blocks();
             let _ = p.reply.send(result);
             false
         }
@@ -528,7 +544,9 @@ fn engine_loop<E: ModelExecutor>(
         };
         loop {
             match next {
-                Ok(cmd) => admitted |= handle_command(&mut engine, &mut pending, flags, cmd),
+                Ok(cmd) => {
+                    admitted |= handle_command(&mut engine, &mut pending, flags, stats, cmd);
+                }
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => {
                     disconnected = true;

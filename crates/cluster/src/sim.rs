@@ -9,28 +9,43 @@
 //! and affinity-hit-rate curves come out analytically, with no threads and
 //! full determinism.
 //!
-//! Disaggregated mode ([`ClusterConfig::disaggregated`]): requests route to
-//! a *prefill* replica and run there as a one-token stub (the prompt phase
-//! plus the first sampled token). At the stub's finish — which is the
-//! request's TTFT — the prompt's KV blocks hand off to a *decode* replica
-//! ([`Router::route_decode`]): the blocks are published to the shared
-//! [`PrefixTier`], a block-transfer delay is charged at the interconnect
-//! (swap-bandwidth) rate, and the request resumes on the decode replica with
-//! the prompt KV installed via `import_prefix` — no recompute. Later
-//! arrivals that extend a published prompt hit the tier and install its
-//! blocks instead of prefitting them anywhere. The point of the split: p99
-//! TTFT no longer queues behind the memory-bound decode batch.
+//! Requests are driven through the same [`RequestFlow`] the TCP frontend
+//! runs — this module decides nothing about a request's path. It performs
+//! the flow's effects and executes its commands under virtual time: every
+//! request carries its own virtual *cursor* (arrival, then the finish time
+//! of each reply), a tier hit or a `Transfer` advances the cursor by the
+//! interconnect (swap-bandwidth) cost of its blocks, and a `Submit` is
+//! injected when the fleet's clocks reach the cursor. The simulator models
+//! timing, not tensor content: `Register` and `Export` are answered without
+//! touching the engine (the stub then computes — and is charged for — the
+//! whole prompt, exactly the work a real registration plus stub split
+//! between them), with empty-bodied blocks standing in for the KV; `Install`
+//! and `Release` are real, so installed prefixes do save prompt compute and
+//! do occupy blocks.
+//!
+//! Disaggregated mode ([`ClusterConfig::disaggregated`]): the stub's finish
+//! on a prefill replica is the request's TTFT, the cut prefix is published
+//! to the shared [`PrefixTier`] and installed on a decode replica
+//! ([`Router::route_decode`]) after the transfer delay, and later arrivals
+//! that extend a published prompt install its blocks from the tier instead
+//! of prefilling them. The point of the split: p99 TTFT no longer queues
+//! behind the memory-bound decode batch.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use vllm_baselines::types::StepWork;
-use vllm_core::telemetry::{Counter, MetricsSnapshot, Telemetry};
-use vllm_core::{chunk_hashes, GenerationRequest, KvBlockBytes, LatencyTracker, PrefixId, TokenId};
+use vllm_core::telemetry::{MetricsSnapshot, Telemetry};
+use vllm_core::{GenerationRequest, KvBlockBytes, LatencyTracker, PrefixId, TokenId};
 use vllm_sim::VllmSimSystem;
 
-use crate::config::{ClusterConfig, ReplicaRole};
-use crate::router::{ReplicaSnapshot, RouteDecision, Router, RouterConfig};
+use crate::config::ClusterConfig;
+use crate::flow::{
+    backoff_seconds, FlowCommand, FlowEffect, FlowInput, HandoffMetrics, RequestFlow,
+    MAX_SUBMIT_ATTEMPTS,
+};
+use crate::replica::{apply_prefix_op, PrefixOp, PrefixReply};
+use crate::router::{ReplicaSnapshot, Router, RouterConfig};
 use crate::stats::merge_labeled;
 use crate::tier::PrefixTier;
 
@@ -104,40 +119,65 @@ pub struct ClusterReport {
     /// 99th percentile time to first token (the latency the prefill/decode
     /// split is meant to protect).
     pub ttft_p99: f64,
-    /// KV handoffs performed (prefill → decode migrations).
+    /// KV handoffs whose decode phase replied (`vllm_cluster_handoffs_total`).
     pub handoffs: u64,
-    /// KV blocks shipped across the handoff path.
+    /// KV blocks those handoffs installed on decode replicas.
     pub handoff_blocks: u64,
     /// Handoffs routed to each replica, in index order.
     pub decode_routed_per_replica: Vec<u64>,
-    /// Shared prefix-tier lookups that found a usable prefix.
+    /// Requests whose first shared prefix-tier lookup found a usable prefix
+    /// (a retried attempt looks up again; that is not counted here).
     pub tier_hits: u64,
-    /// Shared prefix-tier lookups that found nothing.
+    /// Requests whose first shared prefix-tier lookup found nothing.
     pub tier_misses: u64,
     /// `tier_hits / (tier_hits + tier_misses)` (0 when the tier is off).
     pub tier_hit_rate: f64,
 }
 
-/// Cached telemetry handles for the KV-handoff path.
-#[derive(Debug)]
-struct HandoffMetrics {
-    handoffs: Counter,
-    blocks: Counter,
-    tier_installs: Counter,
+/// The id `Register` is answered with: no engine ever issues it, so the
+/// matching `Export` / `Release` are recognised and answered here too.
+const UNPINNED: PrefixId = PrefixId::MAX;
+
+/// One request in flight through its flow.
+struct Active {
+    flow: RequestFlow,
+    arrival: f64,
+    /// The request's own virtual time: its arrival, then the finish time of
+    /// its latest reply, plus any transfer or backoff since.
+    cursor: f64,
+    /// Tokens of the `Register` answered without the engine, for `Export`.
+    registered: Vec<TokenId>,
+    ttft_seen: bool,
+}
+
+/// Per-run bookkeeping.
+#[derive(Default)]
+struct Run {
+    active: HashMap<u64, Active>,
+    /// `Submit` commands waiting for the fleet's clocks to reach their
+    /// request's cursor: `(at, request id, command)`.
+    deferred: Vec<(f64, u64, FlowCommand)>,
+    /// Engine-side id → request id for everything admitted.
+    inflight: HashMap<String, u64>,
+    latency: LatencyTracker,
+    ttfts: Vec<f64>,
+    assignments: Vec<(u64, usize)>,
+    /// First-attempt tier lookups: `[misses, hits]`.
+    tier_lookups: [u64; 2],
 }
 
 /// N simulated engine replicas behind one router.
 pub struct ClusterSystem {
     replicas: Vec<VllmSimSystem>,
     router: Router,
-    roles: Vec<ReplicaRole>,
+    disaggregated: bool,
     tier: Option<PrefixTier>,
     clocks: Vec<f64>,
     block_size: usize,
     coverage: Vec<Arc<Vec<u64>>>,
     coverage_versions: Vec<Option<u64>>,
     telemetry: Arc<Telemetry>,
-    handoff_metrics: Option<HandoffMetrics>,
+    handoff: HandoffMetrics,
 }
 
 impl ClusterSystem {
@@ -176,34 +216,18 @@ impl ClusterSystem {
             t.attach_telemetry(&telemetry);
             t
         });
-        let handoff_metrics = cfg.is_disaggregated().then(|| {
-            let r = telemetry.registry();
-            HandoffMetrics {
-                handoffs: r.counter(
-                    "vllm_cluster_handoffs_total",
-                    "KV handoffs from prefill to decode replicas.",
-                ),
-                blocks: r.counter(
-                    "vllm_cluster_handoff_blocks_total",
-                    "KV blocks shipped across the handoff path.",
-                ),
-                tier_installs: r.counter(
-                    "vllm_cluster_handoff_tier_installs_total",
-                    "Prefix installs served from the shared tier instead of prefill.",
-                ),
-            }
-        });
+        let handoff = HandoffMetrics::attach(&telemetry);
         Self {
             replicas,
             router,
-            roles: cfg.roles,
+            disaggregated: cfg.is_disaggregated(),
             tier,
             clocks: vec![0.0; n],
             block_size,
             coverage: (0..n).map(|_| Arc::new(Vec::new())).collect(),
             coverage_versions: vec![None; n],
             telemetry,
-            handoff_metrics,
+            handoff,
         }
     }
 
@@ -278,12 +302,6 @@ impl ClusterSystem {
             .collect()
     }
 
-    fn route(&mut self, req: &ClusterRequest) -> RouteDecision {
-        let hashes = chunk_hashes(&req.prompt, self.block_size);
-        let snaps = self.refresh_snapshots();
-        self.router.route(&hashes, &snaps)
-    }
-
     /// Models the interconnect time to ship `nblocks` KV blocks to
     /// `replica` (swap-bandwidth rate from its cost model).
     fn transfer_delay(&self, replica: usize, nblocks: usize) -> f64 {
@@ -301,6 +319,118 @@ impl ClusterSystem {
             .step_latency(&work)
     }
 
+    /// Advances request `id`'s flow with `input`, executing its commands at
+    /// the request's cursor until a `Submit` parks it on the deferred queue
+    /// or it finishes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the request fails (an inadmissible prompt).
+    fn drive(&mut self, id: u64, mut input: FlowInput, run: &mut Run) {
+        loop {
+            let a = run.active.get_mut(&id).expect("flow exists while driven");
+            let (effects, cmd) = a.flow.on(input, a.cursor);
+            for effect in effects {
+                match effect {
+                    FlowEffect::Release { id: UNPINNED, .. } => {}
+                    FlowEffect::Release { replica, id } => {
+                        let _ = self.replicas[replica].engine_mut().release_prefix(id);
+                    }
+                    FlowEffect::PublishTier { tokens, blocks } => {
+                        if let Some(tier) = &mut self.tier {
+                            tier.publish(&tokens, blocks);
+                        }
+                    }
+                    seen => self.handoff.observe(self.telemetry.spans(), &seen),
+                }
+            }
+            input = match cmd {
+                FlowCommand::Route => {
+                    let snaps = self.refresh_snapshots();
+                    let replica = a.flow.route(&mut self.router, &snaps);
+                    if a.flow.attempt() == 0 {
+                        run.assignments.push((id, replica));
+                    }
+                    FlowInput::Routed { replica }
+                }
+                FlowCommand::RouteDecode => {
+                    let snaps = self.refresh_snapshots();
+                    FlowInput::Routed {
+                        replica: self.router.route_decode(&snaps),
+                    }
+                }
+                // A hit is fetched over the interconnect. The report counts
+                // each request's first lookup only, so retried attempts do
+                // not inflate the hit rate.
+                FlowCommand::TierLookup { replica, tokens } => {
+                    let hit = self.tier.as_mut().and_then(|t| t.fetch(&tokens));
+                    if let Some((_, blocks)) = &hit {
+                        a.cursor += self.transfer_delay(replica, blocks.len());
+                    }
+                    if a.flow.attempt() == 0 && self.tier.is_some() {
+                        run.tier_lookups[usize::from(hit.is_some())] += 1;
+                    }
+                    FlowInput::Tier(hit)
+                }
+                FlowCommand::Transfer { replica, blocks } => {
+                    a.cursor += self.transfer_delay(replica, blocks);
+                    FlowInput::Done
+                }
+                FlowCommand::PrefixOp { replica, op } => FlowInput::Prefix(match op {
+                    PrefixOp::Register { tokens } => {
+                        a.registered = tokens;
+                        Ok(PrefixReply::Registered { id: UNPINNED })
+                    }
+                    PrefixOp::Export { id: UNPINNED } => {
+                        let tokens = std::mem::take(&mut a.registered);
+                        let blocks = vec![KvBlockBytes::empty(); tokens.len() / self.block_size];
+                        Ok(PrefixReply::Exported { tokens, blocks })
+                    }
+                    op => apply_prefix_op(self.replicas[replica].engine_mut(), op),
+                }),
+                submit @ FlowCommand::Submit { .. } => {
+                    run.deferred.push((a.cursor, id, submit));
+                    return;
+                }
+                FlowCommand::Backoff { attempt, hint } => {
+                    a.cursor += backoff_seconds(attempt, hint);
+                    FlowInput::Done
+                }
+                FlowCommand::Finish(result) => {
+                    let out = result.unwrap_or_else(|e| panic!("request {id} failed: {e}"));
+                    // Latency spans every phase plus the transfers.
+                    run.latency
+                        .record(a.arrival, out.finish_time, out.mean_output_len());
+                    run.active.remove(&id);
+                    return;
+                }
+            };
+        }
+    }
+
+    /// Admits a deferred `Submit` at virtual time `at`.
+    fn inject(&mut self, at: f64, id: u64, submit: FlowCommand, run: &mut Run) {
+        let FlowCommand::Submit {
+            replica,
+            engine_id,
+            prompt,
+            request,
+        } = submit
+        else {
+            unreachable!("only submits are deferred");
+        };
+        self.clocks[replica] = self.clocks[replica].max(at);
+        let admitted = self.replicas[replica]
+            .engine_mut()
+            .add_generation_request_at(engine_id.clone(), prompt, &request, at);
+        match admitted {
+            Ok(()) => {
+                run.inflight.insert(engine_id, id);
+            }
+            Err(e) => self.drive(id, FlowInput::Reply(Err(e)), run),
+        }
+    }
+
     /// Runs the trace to completion and reports aggregate metrics.
     ///
     /// # Panics
@@ -309,37 +439,9 @@ impl ClusterSystem {
     pub fn run(&mut self, mut requests: Vec<ClusterRequest>) -> ClusterReport {
         requests.sort_by(|a, b| a.arrival.total_cmp(&b.arrival));
         let num_requests = requests.len();
-        let disaggregated = self.roles.iter().any(|r| *r != ReplicaRole::Unified);
-        let bs = self.block_size;
-        let mut latency = LatencyTracker::new();
-        let mut ttfts: Vec<f64> = Vec::with_capacity(num_requests);
-        let mut assignments = Vec::with_capacity(num_requests);
+        let (handoffs0, blocks0) = (self.handoff.handoffs.get(), self.handoff.blocks.get());
+        let mut run = Run::default();
         let mut next = 0;
-        // Requests mid-migration: a one-token stub runs the prompt phase on
-        // a prefill replica; its finish queues the decode phase for
-        // reinjection once the KV transfer lands.
-        struct PendingStub {
-            arrival: f64,
-            prompt: Vec<TokenId>,
-            output_len: usize,
-        }
-        struct DecodeInject {
-            at: f64,
-            id: u64,
-            replica: usize,
-            prompt: Vec<TokenId>,
-            remaining: usize,
-        }
-        struct DecodeMeta {
-            arrival: f64,
-            output_len: usize,
-            prefix: Option<(usize, PrefixId)>,
-        }
-        let mut stubs: HashMap<u64, PendingStub> = HashMap::new();
-        let mut reinjects: Vec<DecodeInject> = Vec::new();
-        let mut decode_meta: HashMap<u64, DecodeMeta> = HashMap::new();
-        let mut handoffs = 0u64;
-        let mut handoff_blocks = 0u64;
         loop {
             let min_busy_clock = self
                 .replicas
@@ -348,120 +450,52 @@ impl ClusterSystem {
                 .filter(|(_, r)| r.engine().has_unfinished())
                 .map(|(i, _)| self.clocks[i])
                 .min_by(f64::total_cmp);
-            // Earliest pending injection: a decode-phase reinjection or the
-            // next trace arrival (the reinjection wins ties so a migrated
-            // request resumes before new work lands on its replica).
-            let next_reinject = reinjects
+            // Earliest pending injection: a deferred submit or the next
+            // trace arrival (the submit wins ties, so a request already in
+            // the fleet moves before new work lands on its replica).
+            let next_deferred = run
+                .deferred
                 .iter()
                 .enumerate()
-                .min_by(|(_, a), (_, b)| a.at.total_cmp(&b.at).then(a.id.cmp(&b.id)))
-                .map(|(idx, inj)| (idx, inj.at));
+                .min_by(|(_, a), (_, b)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+                .map(|(idx, d)| (idx, d.0));
             let next_arrival = (next < requests.len()).then(|| requests[next].arrival);
-            let reinject_first = match (next_reinject, next_arrival) {
-                (Some((_, at)), Some(arr)) => at <= arr,
-                (Some(_), None) => true,
-                _ => false,
-            };
             // Inject when no replica's pending step could precede the
             // injection time (idle replicas fast-forward to it).
-            if reinject_first {
-                let (idx, at) = next_reinject.expect("reinject_first implies one");
-                if min_busy_clock.is_none_or(|c| at <= c) {
-                    let inj = reinjects.swap_remove(idx);
-                    self.clocks[inj.replica] = self.clocks[inj.replica].max(inj.at);
-                    let req = GenerationRequest::greedy(inj.remaining)
-                        .with_ignore_eos()
-                        .with_seed(inj.id);
-                    self.replicas[inj.replica]
-                        .engine_mut()
-                        .add_generation_request_at(
-                            format!("{}.d", inj.id),
-                            inj.prompt,
-                            &req,
-                            inj.at,
-                        )
-                        .expect("decode phase admitted");
-                    continue;
-                }
-            } else if let Some(arrival) = next_arrival {
-                if min_busy_clock.is_none_or(|c| arrival <= c) {
-                    let req = requests[next].clone();
-                    next += 1;
-                    let d = self.route(&req);
-                    assignments.push((req.id, d.replica));
-                    let mut inject_at = req.arrival;
-                    // Consult the shared tier: a published prefix longer
-                    // than what the chosen replica already covers installs
-                    // from CPU memory (one transfer) instead of prefilling.
-                    if let Some(tier) = &mut self.tier {
-                        if let Some(key) = tier.lookup(&req.prompt) {
-                            let (tokens, blocks) = {
-                                let e = tier.get(key).expect("hit key resolves");
-                                (e.tokens.clone(), e.blocks.clone())
-                            };
-                            if blocks.len() > d.covered_chunks {
-                                tier.acquire(key);
-                                let nblocks = blocks.len();
-                                let installed = self.replicas[d.replica]
-                                    .engine_mut()
-                                    .import_prefix(tokens, blocks)
-                                    .is_ok();
-                                tier.release(key);
-                                if installed {
-                                    let work = StepWork {
-                                        swapped_blocks: nblocks,
-                                        ..StepWork::default()
-                                    };
-                                    inject_at += self.replicas[d.replica]
-                                        .engine()
-                                        .executor()
-                                        .cost
-                                        .step_latency(&work);
-                                    if let Some(m) = &self.handoff_metrics {
-                                        m.tier_installs.inc();
-                                    }
-                                }
-                            }
-                        }
+            let may_inject = |at: f64| min_busy_clock.is_none_or(|c| at <= c);
+            match (next_deferred, next_arrival) {
+                (Some((idx, at)), arrival) if arrival.is_none_or(|arr| at <= arr) => {
+                    if may_inject(at) {
+                        let (_, id, submit) = run.deferred.swap_remove(idx);
+                        self.inject(at, id, submit, &mut run);
+                        continue;
                     }
-                    self.clocks[d.replica] = self.clocks[d.replica].max(inject_at);
-                    let stub_phase = disaggregated
-                        && self.roles[d.replica] == ReplicaRole::Prefill
-                        && req.output_len > 1;
-                    if stub_phase {
-                        stubs.insert(
-                            req.id,
-                            PendingStub {
-                                arrival: req.arrival,
-                                prompt: req.prompt.clone(),
-                                output_len: req.output_len,
-                            },
+                }
+                (_, Some(arrival)) => {
+                    if may_inject(arrival) {
+                        let req = requests[next].clone();
+                        next += 1;
+                        let flow = RequestFlow::new(
+                            req.id.to_string(),
+                            req.prompt.clone(),
+                            req.request(),
+                            self.block_size,
+                            self.disaggregated,
+                            MAX_SUBMIT_ATTEMPTS,
                         );
-                        let stub = GenerationRequest::greedy(1)
-                            .with_ignore_eos()
-                            .with_seed(req.id);
-                        self.replicas[d.replica]
-                            .engine_mut()
-                            .add_generation_request_at(
-                                req.id.to_string(),
-                                req.prompt.clone(),
-                                &stub,
-                                inject_at,
-                            )
-                            .expect("stub admitted");
-                    } else {
-                        self.replicas[d.replica]
-                            .engine_mut()
-                            .add_generation_request_at(
-                                req.id.to_string(),
-                                req.prompt.clone(),
-                                &req.request(),
-                                inject_at,
-                            )
-                            .expect("request admitted");
+                        let active = Active {
+                            flow,
+                            arrival,
+                            cursor: arrival,
+                            registered: Vec::new(),
+                            ttft_seen: false,
+                        };
+                        run.active.insert(req.id, active);
+                        self.drive(req.id, FlowInput::Start, &mut run);
+                        continue;
                     }
-                    continue;
                 }
+                (_, None) => {}
             }
             // Otherwise advance the furthest-behind busy replica one step.
             let Some(i) = self
@@ -483,91 +517,28 @@ impl ClusterSystem {
             };
             self.clocks[i] += elapsed.max(1e-9);
             for o in outs {
-                let base_id: u64 = o
-                    .request_id
-                    .split('.')
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(u64::MAX);
-                if let Some(stub) = stubs.remove(&base_id) {
-                    // Prompt phase done on the prefill replica: the stub's
-                    // finish IS the first token. Hand the KV off.
-                    let first = o.first_token_time.unwrap_or(o.finish_time);
-                    ttfts.push(first - stub.arrival);
-                    let t0 = o
-                        .outputs
-                        .first()
-                        .and_then(|c| c.tokens.first().copied())
-                        .unwrap_or(0);
-                    let mut prompt = stub.prompt;
-                    prompt.push(t0);
-                    // Longest block-aligned strict prefix of the resumed
-                    // prompt: what the decode replica can install verbatim.
-                    let keep = ((prompt.len() - 1) / bs) * bs;
-                    let nblocks = keep / bs;
-                    let snaps = self.refresh_snapshots();
-                    let target = self.router.route_decode(&snaps);
-                    let mut ready = o.finish_time;
-                    let mut prefix = None;
-                    if nblocks > 0 {
-                        // The simulator models timing, not tensor content:
-                        // empty-bodied payloads stand in for the serialized
-                        // KV (`HandoffPayload` carries real bytes in the
-                        // frontend path).
-                        let payload = vec![KvBlockBytes::empty(); nblocks];
-                        if let Some(tier) = &mut self.tier {
-                            tier.publish(&prompt[..keep], payload.clone());
-                        }
-                        if target != i {
-                            ready += self.transfer_delay(target, nblocks);
-                        }
-                        if let Ok(pid) = self.replicas[target]
-                            .engine_mut()
-                            .import_prefix(prompt[..keep].to_vec(), payload)
-                        {
-                            prefix = Some((target, pid));
-                        }
-                        handoff_blocks += nblocks as u64;
-                    }
-                    handoffs += 1;
-                    if let Some(m) = &self.handoff_metrics {
-                        m.handoffs.inc();
-                        m.blocks.inc_by(nblocks as u64);
-                    }
-                    decode_meta.insert(
-                        base_id,
-                        DecodeMeta {
-                            arrival: stub.arrival,
-                            output_len: stub.output_len,
-                            prefix,
-                        },
-                    );
-                    reinjects.push(DecodeInject {
-                        at: ready,
-                        id: base_id,
-                        replica: target,
-                        prompt,
-                        remaining: stub.output_len - 1,
-                    });
-                } else if let Some(meta) = decode_meta.remove(&base_id) {
-                    // Decode phase done: the request's latency spans both
-                    // phases plus the transfer; the imported prefix is
-                    // released so the decode pool does not leak blocks.
-                    latency.record(meta.arrival, o.finish_time, meta.output_len as f64);
-                    if let Some((replica, pid)) = meta.prefix {
-                        self.replicas[replica]
-                            .engine_mut()
-                            .release_prefix(pid)
-                            .expect("imported prefix releases");
-                    }
-                } else {
-                    if let Some(first) = o.first_token_time {
-                        ttfts.push(first - o.arrival_time);
-                    }
-                    latency.record(o.arrival_time, o.finish_time, o.mean_output_len());
+                let id = run.inflight.remove(&o.request_id).expect("admitted here");
+                let a = run.active.get_mut(&id).expect("in flight");
+                a.cursor = o.finish_time;
+                // The first reply with a token closes TTFT: the unified
+                // run's, or the prefill stub's.
+                if let (false, Some(first)) = (a.ttft_seen, o.first_token_time) {
+                    a.ttft_seen = true;
+                    run.ttfts.push(first - a.arrival);
                 }
+                self.drive(id, FlowInput::Reply(Ok(o)), &mut run);
             }
         }
+        let Run {
+            latency,
+            mut ttfts,
+            assignments,
+            tier_lookups: [tier_misses, tier_hits],
+            ..
+        } = run;
+        let disaggregated = self.disaggregated;
+        let handoffs = self.handoff.handoffs.get() - handoffs0;
+        let handoff_blocks = self.handoff.blocks.get() - blocks0;
         ttfts.sort_by(f64::total_cmp);
         let ttft_pct = |p: f64| -> f64 {
             if ttfts.is_empty() {
@@ -577,7 +548,6 @@ impl ClusterSystem {
                 ttfts[idx.min(ttfts.len() - 1)]
             }
         };
-        let tier_stats = self.tier.as_ref().map(|t| t.stats()).unwrap_or_default();
         let stats = self.router.stats();
         let duration = self.clocks.iter().copied().fold(0.0, f64::max);
         ClusterReport {
@@ -616,10 +586,10 @@ impl ClusterSystem {
             handoffs,
             handoff_blocks,
             decode_routed_per_replica: stats.decode_routed.clone(),
-            tier_hits: tier_stats.hits,
-            tier_misses: tier_stats.misses,
-            tier_hit_rate: if tier_stats.hits + tier_stats.misses > 0 {
-                tier_stats.hits as f64 / (tier_stats.hits + tier_stats.misses) as f64
+            tier_hits,
+            tier_misses,
+            tier_hit_rate: if tier_hits + tier_misses > 0 {
+                tier_hits as f64 / (tier_hits + tier_misses) as f64
             } else {
                 0.0
             },
@@ -745,21 +715,17 @@ mod tests {
         assert!(report.tier_hit_rate > 0.0);
         assert!(report.ttft_p99 > 0.0);
         assert!(report.ttft_p50 <= report.ttft_p99);
-        // Decode replicas released every imported prefix: zero leaks.
-        for r in &cluster.replicas()[2..] {
+        // Every pin was released — the decode-side installs when their
+        // decode finished, the prefill-side tier install once its stub had
+        // run: zero leaks fleet-wide.
+        for r in cluster.replicas() {
             let bm = r.engine().scheduler().block_manager();
             assert_eq!(bm.num_free_gpu_blocks(), bm.num_total_gpu_blocks());
         }
-        // Prefill replicas hold exactly the tier-installed prefix (4 blocks
-        // of the 64-token turn-1 context), nothing else.
-        let resident: usize = cluster.replicas()[..2]
-            .iter()
-            .map(|r| {
-                let bm = r.engine().scheduler().block_manager();
-                bm.num_total_gpu_blocks() - bm.num_free_gpu_blocks()
-            })
-            .sum();
-        assert_eq!(resident, 4);
+        // Turn 1's 64-token prompt is block-aligned, so its cut is 3 blocks
+        // (published, and shipped to decode); turn 2 installs those 3 from
+        // the tier and ships the same 3 on.
+        assert_eq!(report.handoff_blocks, 6);
         // Handoff + tier counters round-trip through the merged exposition.
         let merged = cluster.merged_snapshot();
         assert_eq!(merged.counter("vllm_cluster_handoffs_total"), Some(2));

@@ -245,6 +245,16 @@ impl PrefixTier {
         None
     }
 
+    /// [`lookup`](Self::lookup) plus a copy of the hit entry's tokens and
+    /// blocks: what a replica installs. The replica works on the copy, so
+    /// this needs no [`acquire`](Self::acquire) — that is for callers that
+    /// keep a key across calls.
+    pub fn fetch(&mut self, prompt: &[TokenId]) -> Option<(Vec<TokenId>, Vec<KvBlockBytes>)> {
+        let key = self.lookup(prompt)?;
+        let e = &self.entries[&key];
+        Some((e.tokens.clone(), e.blocks.clone()))
+    }
+
     /// The entry for a content key.
     #[must_use]
     pub fn get(&self, key: u64) -> Option<&TierEntry> {

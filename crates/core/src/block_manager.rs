@@ -171,6 +171,10 @@ pub struct BlockSpaceManager {
     gpu: BlockAllocator,
     cpu: BlockAllocator,
     block_tables: HashMap<SeqId, Vec<PhysicalBlock>>,
+    /// References on GPU blocks held by prefix-cache anchors rather than by
+    /// any sequence table (a block shared between two retained prefixes
+    /// holds two), so [`Self::assert_consistent`] can be exact.
+    anchor_refs: HashMap<PhysicalBlockId, u32>,
     /// Cumulative count of copy-on-write events (metrics).
     num_cow_copies: u64,
     /// Cumulative count of blocks swapped out / in (metrics).
@@ -204,6 +208,7 @@ impl BlockSpaceManager {
             gpu: BlockAllocator::new(Device::Gpu, config.num_gpu_blocks),
             cpu: BlockAllocator::new(Device::Cpu, config.num_cpu_blocks),
             block_tables: HashMap::new(),
+            anchor_refs: HashMap::new(),
             num_cow_copies: 0,
             num_swapped_out_blocks: 0,
             num_swapped_in_blocks: 0,
@@ -408,6 +413,13 @@ impl BlockSpaceManager {
                     }
                 }
             }
+            if device == Device::Gpu {
+                // Destinations were free holes, so no two anchors collide.
+                self.anchor_refs = std::mem::take(&mut self.anchor_refs)
+                    .into_iter()
+                    .map(|(id, n)| (mapping.get(&id).copied().unwrap_or(id), n))
+                    .collect();
+            }
         }
         Ok(mapping)
     }
@@ -570,7 +582,13 @@ impl BlockSpaceManager {
         if self.gpu.num_free() < n {
             return Err(VllmError::OutOfGpuBlocks);
         }
-        (0..n).map(|_| self.gpu.allocate()).collect()
+        let blocks = (0..n)
+            .map(|_| self.gpu.allocate())
+            .collect::<Result<Vec<_>>>()?;
+        for &b in &blocks {
+            *self.anchor_refs.entry(b).or_insert(0) += 1;
+        }
+        Ok(blocks)
     }
 
     /// Converts a sequence's block table into prefix-cache anchors without
@@ -600,6 +618,7 @@ impl BlockSpaceManager {
             }
             if j < num_blocks {
                 anchors.push(block.id);
+                *self.anchor_refs.entry(block.id).or_insert(0) += 1;
             } else {
                 self.gpu.free(block.id)?;
             }
@@ -607,14 +626,22 @@ impl BlockSpaceManager {
         Ok(anchors)
     }
 
-    /// Releases prefix-cache anchor blocks allocated with
-    /// [`Self::allocate_anchor_blocks`].
+    /// Releases prefix-cache anchor blocks handed out by
+    /// [`Self::allocate_anchor_blocks`] or [`Self::take_table_as_anchor`].
     ///
     /// # Errors
     ///
-    /// Propagates double-free errors.
+    /// Returns [`VllmError::DoubleFree`] for a block that holds no anchor
+    /// reference, and propagates allocator double-free errors.
     pub fn free_anchor_blocks(&mut self, blocks: &[PhysicalBlockId]) -> Result<()> {
         for &b in blocks {
+            match self.anchor_refs.get_mut(&b) {
+                Some(n) if *n > 1 => *n -= 1,
+                Some(_) => {
+                    self.anchor_refs.remove(&b);
+                }
+                None => return Err(VllmError::DoubleFree(b)),
+            }
             self.gpu.free(b)?;
         }
         Ok(())
@@ -981,9 +1008,11 @@ impl BlockSpaceManager {
         fill.values().sum()
     }
 
-    /// Verifies internal consistency: every table entry points at an
-    /// allocated block and the per-pool reference totals match the tables.
-    /// Intended for tests and debug assertions.
+    /// Verifies internal consistency: every block's reference count equals
+    /// the number of sequence-table entries naming it plus the prefix-cache
+    /// anchor references handed out on it — exactly, so a single leaked or
+    /// lost reference on any block is caught. Intended for tests and debug
+    /// assertions.
     ///
     /// # Panics
     ///
@@ -999,16 +1028,19 @@ impl BlockSpaceManager {
                 }
             }
         }
-        for (pool, refs, name) in [(&self.gpu, &gpu_refs, "gpu"), (&self.cpu, &cpu_refs, "cpu")] {
+        let no_anchors = HashMap::new();
+        for (pool, refs, anchors, name) in [
+            (&self.gpu, &gpu_refs, &self.anchor_refs, "gpu"),
+            (&self.cpu, &cpu_refs, &no_anchors, "cpu"),
+        ] {
             for id in 0..pool.num_blocks() {
-                let expected = refs.get(&id).copied().unwrap_or(0);
-                // Prefix-cache blocks hold one extra anchor reference not
-                // recorded in any sequence table, so allow `actual ==
-                // expected + 1` only when expected count comes from tables.
+                let tables = refs.get(&id).copied().unwrap_or(0);
+                let anchors = anchors.get(&id).copied().unwrap_or(0);
                 let actual = pool.ref_count(id).expect("in range");
-                assert!(
-                    actual == expected || actual == expected + 1,
-                    "{name} block {id}: ref count {actual} != table references {expected}"
+                assert_eq!(
+                    actual,
+                    tables + anchors,
+                    "{name} block {id}: ref count {actual} != {tables} table + {anchors} anchor references"
                 );
             }
         }
@@ -1325,6 +1357,46 @@ mod tests {
         assert_eq!(ops.moves.len(), 2);
         assert_eq!(ops.gpu_capacity, None, "compact alone never resizes");
         m.assert_consistent();
+    }
+
+    #[test]
+    #[should_panic(expected = "gpu block 0: ref count 2 != 1 table + 0 anchor references")]
+    fn assert_consistent_catches_one_leaked_reference_on_a_table_block() {
+        let mut m = manager(4, 0);
+        m.allocate(&group_with_prompt(0, 4)).unwrap(); // Block 0, no anchor.
+        m.assert_consistent();
+        m.gpu.incr_ref(0).unwrap(); // A reference nobody owns.
+        m.assert_consistent();
+    }
+
+    #[test]
+    fn anchor_references_are_counted_exactly_and_follow_compaction() {
+        let mut m = manager(8, 0);
+        let filler = group_with_prompt(9, 8); // Blocks 0, 1.
+        m.allocate(&filler).unwrap();
+        let anchors = m.allocate_anchor_blocks(2).unwrap(); // Blocks 2, 3.
+        let g = group_with_prompt(0, 12); // Shares both anchors, owns block 4.
+        m.allocate_with_prefix(&g, 8, &anchors).unwrap();
+        m.assert_consistent();
+        // The sequence's references become a second anchor on the shared
+        // blocks (a retained conversation on top of a registered prefix).
+        let retained = m.take_table_as_anchor(0, 2).unwrap();
+        assert_eq!(retained, anchors);
+        m.assert_consistent();
+        m.free(9).unwrap(); // Holes at 0, 1: compaction moves both anchors.
+        let remap = m.compact().unwrap();
+        let moved: Vec<_> = anchors.iter().map(|b| remap.gpu[b]).collect();
+        m.assert_consistent();
+        m.free_anchor_blocks(&moved).unwrap();
+        m.assert_consistent();
+        m.free_anchor_blocks(&moved).unwrap();
+        m.assert_consistent();
+        assert_eq!(m.num_free_gpu_blocks(), 8);
+        // Nothing holds an anchor now: a third release is a double free.
+        assert!(matches!(
+            m.free_anchor_blocks(&moved),
+            Err(VllmError::DoubleFree(_))
+        ));
     }
 
     #[test]

@@ -13,6 +13,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> non-test Rust lines per crate and file (informational)"
+scripts/loc.sh || true
+
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 

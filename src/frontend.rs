@@ -43,19 +43,28 @@
 //! mismatches, and the retired positional form map to `protocol` (never
 //! retryable). The connection stays usable after every error.
 //!
-//! # Disaggregated serving
+//! # Request flow
+//!
+//! A `GENERATE` is served by [`RequestFlow`] (`vllm_cluster::flow`), the one
+//! state machine that owns every decision of a request's life across
+//! replicas; this file is its thread-world driver (`serve`): each effect and
+//! command the flow emits is a blocking call on the connection's thread — a
+//! router pick under the router lock, a prefix-op or submit round trip over
+//! a replica's channel, a tier lookup or publish under the tier lock, a
+//! sleep for a backoff — and a command's answer is fed straight back.
 //!
 //! [`Server::spawn_cluster`] takes a typed [`ClusterConfig`]: per-replica
 //! roles (prefill / decode / unified), the admission bound, and the shared
 //! prefix-tier capacity. In a disaggregated fleet, a greedy single-sequence
-//! `GENERATE` runs in two phases:
+//! multi-token `GENERATE` runs in two phases:
 //!
 //! 1. **Prefill**: the router places the request on a prefill replica
 //!    (prefix-affinity over the prefill pool). The longest block-aligned
-//!    strict prefix of the prompt is made resident first — installed from
-//!    the cluster-shared [`PrefixTier`] when published there (skipping the
-//!    prompt recompute fleet-wide), registered otherwise — and a 1-token
-//!    stub computes the prompt phase plus the first sampled token (TTFT).
+//!    strict prefix of the prompt (`handoff_cut`) is made resident first —
+//!    installed from the cluster-shared [`PrefixTier`] when published there
+//!    (skipping the prompt recompute fleet-wide), registered otherwise — and
+//!    a 1-token stub computes the prompt phase plus the first sampled token
+//!    (TTFT).
 //! 2. **Handoff + decode**: the covered prefix is exported as serialized
 //!    KV blocks, published to the tier, round-tripped through the
 //!    [`HandoffPayload`] wire codec, and installed into a decode replica
@@ -64,19 +73,18 @@
 //!    `handoff.{export,transfer,install}` spans land on the cluster track;
 //!    `vllm_cluster_handoff*_total` counters track volume and retries.
 //!
-//! Non-greedy, multi-sequence, and single-token requests run entirely on
-//! the prefill pool. If every decode replica is dead, `route_decode` spills
-//! the token loop back onto the surviving replicas — degraded beats
-//! dropped. Retryable failures in either phase restart the whole flow on a
-//! fresh route (the stub re-runs; nothing was delivered, so the client
-//! still sees exactly-once).
+//! Everything else runs whole on the prefill pool. If every decode replica
+//! is dead, `route_decode` spills the token loop back onto the surviving
+//! replicas — degraded beats dropped. A retryable failure in either phase
+//! releases whatever the attempt pinned and restarts the whole flow on a
+//! fresh route, up to `MAX_SUBMIT_ATTEMPTS` placements with capped
+//! exponential backoff (the stub re-runs; nothing was delivered, so the
+//! client still sees exactly-once).
 //!
 //! `SHUTDOWN` stops accepting connections and drains: every accepted
 //! request finishes before the engine threads exit. Dropping the
-//! [`Server`] handle has the same semantics. The `GENERATE` path retries
-//! retryable failures up to a small bound with capped exponential backoff,
-//! re-routing each attempt; engine threads batch concurrent requests
-//! through the normal scheduler.
+//! [`Server`] handle has the same semantics. Engine threads batch
+//! concurrent requests through the normal scheduler.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -87,15 +95,14 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use vllm_cluster::{
-    aggregate_stats, merge_labeled, EngineRequest, PrefixOp, PrefixReply, PrefixTier, Replica,
-    ReplicaSnapshot, Router,
+    aggregate_stats, backoff_seconds, merge_labeled, EngineRequest, FlowCommand, FlowEffect,
+    FlowInput, HandoffMetrics, PrefixOp, PrefixReply, PrefixTier, Replica, ReplicaSnapshot,
+    RequestFlow, Router, MAX_SUBMIT_ATTEMPTS,
 };
-use vllm_core::telemetry::{
-    spans_to_json, trace_seed, Counter, EventQuery, Span, Telemetry, TraceContext,
-};
+use vllm_core::telemetry::{spans_to_json, EventQuery, Span, Telemetry};
 use vllm_core::{
-    chunk_hashes, ElasticConfig, ElasticController, EngineLoad, GenerationMode, GenerationRequest,
-    HandoffPayload, KvBlockBytes, LlmEngine, ModelExecutor, PrefixId, RequestOutput, VllmError,
+    ElasticConfig, ElasticController, EngineLoad, GenerationRequest, HandoffPayload, LlmEngine,
+    ModelExecutor, RequestOutput, VllmError,
 };
 use vllm_model::ByteTokenizer;
 
@@ -104,16 +111,6 @@ use crate::protocol::{
 };
 
 pub use vllm_cluster::{ClusterConfig, EngineStats, ReplicaRole, RoutePolicy};
-
-/// The frontend's handoff instruments, registered on the cluster registry.
-struct HandoffMetrics {
-    /// Completed prefill→decode handoffs.
-    handoffs: Counter,
-    /// KV blocks shipped across handoffs.
-    blocks: Counter,
-    /// Handoff attempts that failed and were retried on a fresh route.
-    retries: Counter,
-}
 
 /// State shared between the accept loop, connection handlers, and the
 /// server handle.
@@ -268,21 +265,7 @@ impl Server {
             t.attach_telemetry(&cluster_telemetry);
             Mutex::new(t)
         });
-        let r = cluster_telemetry.registry();
-        let handoff = HandoffMetrics {
-            handoffs: r.counter(
-                "vllm_cluster_handoffs_total",
-                "Prefill→decode KV handoffs completed by the frontend.",
-            ),
-            blocks: r.counter(
-                "vllm_cluster_handoff_blocks_total",
-                "KV blocks shipped across frontend handoffs.",
-            ),
-            retries: r.counter(
-                "vllm_cluster_handoff_retries_total",
-                "Handoff attempts retried on a fresh route.",
-            ),
-        };
+        let handoff = HandoffMetrics::attach(&cluster_telemetry);
         let shared = Arc::new(Shared {
             replicas,
             router: Mutex::new(router),
@@ -448,10 +431,6 @@ fn metrics_snapshot(shared: &Shared) -> vllm_core::telemetry::MetricsSnapshot {
     merged
 }
 
-/// Placement attempts per `GENERATE` request before the typed error is
-/// surfaced to the client.
-const MAX_SUBMIT_ATTEMPTS: u32 = 4;
-
 /// Submits one request to `replica` and blocks for the reply. A replica
 /// that proves dead (its loop exited, or its reply channel dropped) is
 /// reported to the router so subsequent routes avoid it.
@@ -461,7 +440,7 @@ fn await_reply(
     engine_id: String,
     prompt: Vec<u32>,
     request: GenerationRequest,
-) -> Result<RequestOutput, VllmError> {
+) -> FlowInput {
     let (reply_tx, reply_rx) = mpsc::channel();
     let sent = shared.replicas[replica].submit(EngineRequest {
         request_id: engine_id,
@@ -469,376 +448,89 @@ fn await_reply(
         request,
         reply: reply_tx,
     });
-    if sent.is_err() {
-        // The loop is gone: killed, or the server is draining.
+    // `None`: the loop is gone (killed, or the server is draining), or it
+    // dropped the reply channel without an answer.
+    let Some(reply) = sent.ok().and_then(|()| reply_rx.recv().ok()) else {
         shared.router.lock().mark_dead(replica);
-        return Err(VllmError::Unavailable("replica not accepting work".into()));
-    }
-    match reply_rx.recv() {
-        Ok(Ok(out)) => Ok(out),
-        Ok(Err(e)) => {
-            if e.is_retryable() && shared.replicas[replica].is_killed() {
-                shared.router.lock().mark_dead(replica);
-            }
-            Err(e)
-        }
-        Err(_) => {
-            // Reply channel dropped without an answer: replica died.
+        return FlowInput::ReplicaDied { replica };
+    };
+    if let Err(e) = &reply {
+        if e.is_retryable() && shared.replicas[replica].is_killed() {
             shared.router.lock().mark_dead(replica);
-            Err(VllmError::Unavailable("replica dropped the request".into()))
         }
     }
+    FlowInput::Reply(reply)
 }
 
-/// Capped exponential backoff before retry `attempt + 1`, seeded by the
-/// error's own hint.
-fn backoff(err: &VllmError, attempt: u32) {
-    let base = err.retry_after().unwrap_or(0.01);
-    let delay = (base * f64::from(1u32 << attempt)).min(0.2);
-    std::thread::sleep(Duration::from_secs_f64(delay));
-}
-
-/// Routes and submits one request, retrying retryable failures on a fresh
-/// route with capped exponential backoff; each retry increments
-/// `vllm_cluster_retries_total`.
-fn submit_with_retry(
+/// Runs one request to its single outcome: the thread-world driver of
+/// [`RequestFlow`], which owns every decision (two-phase or not, cut, ids,
+/// tier and prefix-op order, stitch, releases, retries). Each effect and
+/// command is a blocking call on this connection's thread; `Transfer` has
+/// nothing left to do because the payload crossed the wire codec inside the
+/// flow.
+fn serve(
     shared: &Shared,
     request_id: &str,
     prompt: Vec<u32>,
-    request: &GenerationRequest,
+    request: GenerationRequest,
 ) -> Result<RequestOutput, VllmError> {
-    let hashes = chunk_hashes(&prompt, shared.block_size);
-    // Root trace context: adopt the client's (`trace=` field) or mint one
-    // from the request id. Each placement attempt gets a sibling child
-    // context so retries show up side by side under one root in the tree.
-    let root = request
-        .trace
-        .unwrap_or_else(|| TraceContext::mint(trace_seed(request_id), true));
-    let mut last_err: Option<VllmError> = None;
-    for attempt in 0..MAX_SUBMIT_ATTEMPTS {
-        let replica = {
-            let snaps = shared.snapshots();
-            shared.router.lock().route(&hashes, &snaps).replica
-        };
-        // A fresh engine-side id per attempt keeps retries from colliding
-        // with stale state on a previously tried replica.
-        let engine_id = if attempt == 0 {
-            request_id.to_string()
-        } else {
-            format!("{request_id}.{attempt}")
-        };
-        let mut attempt_request = request.clone();
-        attempt_request.trace = Some(root.child(100 + u64::from(attempt) * 8 + 1));
-        match await_reply(shared, replica, engine_id, prompt.clone(), attempt_request) {
-            Ok(out) => return Ok(out),
-            Err(e) if !e.is_retryable() => return Err(e),
-            Err(e) => {
-                shared.router.lock().record_retry();
-                backoff(&e, attempt);
-                last_err = Some(e);
-            }
-        }
-    }
-    Err(last_err.unwrap_or_else(|| VllmError::Unavailable("retries exhausted".into())))
-}
-
-/// Whether a request takes the two-phase prefill→decode path: the fleet is
-/// role-specialized and the request is a greedy single-sequence multi-token
-/// generation (the shape whose first-token/decode split is well defined —
-/// everything else runs entirely on the prefill pool).
-fn wants_handoff(shared: &Shared, request: &GenerationRequest) -> bool {
-    shared.disaggregated
-        && request.mode == GenerationMode::Greedy
-        && request.n == 1
-        && request.max_tokens > 1
-}
-
-/// What the prefill replica holds pinned before its stub runs.
-struct PrefillPrefix {
-    id: PrefixId,
-    /// The tier entry's data when the prefix came from the shared tier
-    /// (`None` when it was registered fresh and must be exported after the
-    /// stub computes it).
-    tier: Option<(Vec<u32>, Vec<KvBlockBytes>)>,
-}
-
-/// Makes `want` (a block-aligned strict prefix of the prompt) resident on
-/// `replica`: installed from the cluster-shared tier on a published hit
-/// (skipping the recompute), registered fresh otherwise. Returns `None` on
-/// failure — callers degrade to running the full prompt phase.
-fn install_tier_prefix(shared: &Shared, replica: usize, want: &[u32]) -> Option<PrefillPrefix> {
-    if let Some(tier) = &shared.tier {
-        // Pin the entry only across the clone; the replica install works on
-        // the copy, so eviction afterwards is safe.
-        let hit = {
-            let mut t = tier.lock();
-            t.lookup(want).map(|key| {
-                t.acquire(key);
-                let e = t.get(key).expect("acquired tier entry");
-                let data = (e.tokens.clone(), e.blocks.clone());
-                t.release(key);
-                data
-            })
-        };
-        if let Some((tokens, blocks)) = hit {
-            if let Ok(PrefixReply::Installed { id }) =
-                shared.replicas[replica].prefix_op(PrefixOp::Install {
-                    tokens: tokens.clone(),
-                    blocks: blocks.clone(),
-                })
-            {
-                return Some(PrefillPrefix {
-                    id,
-                    tier: Some((tokens, blocks)),
-                });
-            }
-        }
-    }
-    match shared.replicas[replica].prefix_op(PrefixOp::Register {
-        tokens: want.to_vec(),
-    }) {
-        Ok(PrefixReply::Registered { id }) => Some(PrefillPrefix { id, tier: None }),
-        _ => None,
-    }
-}
-
-/// Best-effort release of a pinned prefix — the target may have died, which
-/// the enclosing retry loop handles separately.
-fn release_prefix_quiet(shared: &Shared, replica: usize, id: PrefixId) {
-    let _ = shared.replicas[replica].prefix_op(PrefixOp::Release { id });
-}
-
-/// Runs one request through the two-phase disaggregated flow, retrying the
-/// whole flow on retryable failures. Each failed attempt increments
-/// `vllm_cluster_handoff_retries_total` and re-routes from scratch; nothing
-/// was delivered, so the client still sees exactly-once.
-fn submit_disaggregated(
-    shared: &Shared,
-    request_id: &str,
-    prompt: &[u32],
-    request: &GenerationRequest,
-) -> Result<RequestOutput, VllmError> {
-    let hashes = chunk_hashes(prompt, shared.block_size);
-    let root = request
-        .trace
-        .unwrap_or_else(|| TraceContext::mint(trace_seed(request_id), true));
-    let mut last_err: Option<VllmError> = None;
-    for attempt in 0..MAX_SUBMIT_ATTEMPTS {
-        match handoff_attempt(shared, request_id, prompt, request, &hashes, root, attempt) {
-            Ok(out) => return Ok(out),
-            Err(e) if !e.is_retryable() => return Err(e),
-            Err(e) => {
-                shared.handoff.retries.inc();
-                shared.router.lock().record_retry();
-                backoff(&e, attempt);
-                last_err = Some(e);
-            }
-        }
-    }
-    Err(last_err.unwrap_or_else(|| VllmError::Unavailable("retries exhausted".into())))
-}
-
-/// One attempt of the disaggregated flow: prefill stub (prompt phase plus
-/// the first sampled token — TTFT — on a prefill replica), KV export and
-/// tier publication, wire-codec round trip, install on a decode replica,
-/// decode continuation, stitch. Greedy continuation from `prompt + [t0]`
-/// makes the stitched stream token-identical to a unified run.
-fn handoff_attempt(
-    shared: &Shared,
-    request_id: &str,
-    prompt: &[u32],
-    request: &GenerationRequest,
-    hashes: &[u64],
-    root: TraceContext,
-    attempt: u32,
-) -> Result<RequestOutput, VllmError> {
-    let bs = shared.block_size;
-    // Longest block-aligned STRICT prefix of the prompt: the prefix pool
-    // only matches prompts longer than the prefix, and `prompt + [t0]` on
-    // the decode side is longer still, so one cut serves both phases.
-    let keep = ((prompt.len() - 1) / bs) * bs;
-
-    // Phase 1: prefill. Prefix-affinity routing over the prefill pool.
-    let prefill = {
-        let snaps = shared.snapshots();
-        shared.router.lock().route(hashes, &snaps).replica
-    };
-    let prefix = if keep > 0 {
-        install_tier_prefix(shared, prefill, &prompt[..keep])
-    } else {
-        None
-    };
-    let stub_id = if attempt == 0 {
-        request_id.to_string()
-    } else {
-        format!("{request_id}.p{attempt}")
-    };
-    let mut stub_req = request.clone();
-    stub_req.max_tokens = 1;
-    stub_req.trace = Some(root.child(100 + u64::from(attempt) * 8 + 1));
-    let stub_started = shared.started.elapsed().as_secs_f64();
-    let stub = match await_reply(shared, prefill, stub_id, prompt.to_vec(), stub_req) {
-        Ok(out) => out,
-        Err(e) => {
-            if let Some(p) = &prefix {
-                release_prefix_quiet(shared, prefill, p.id);
-            }
-            return Err(e);
-        }
-    };
-    let first = stub.outputs.first().and_then(|c| c.tokens.first()).copied();
-    let stub_logprob = stub
-        .outputs
-        .first()
-        .map(|c| c.cumulative_logprob)
-        .unwrap_or_default();
-    let done = match first {
-        // No token sampled (deadline hit at admission): the stub result is
-        // the whole answer. EOS first: a unified run stops there too.
-        None => true,
-        Some(t) => t == vllm_model::EOS,
-    };
-    if done {
-        if let Some(p) = prefix {
-            release_prefix_quiet(shared, prefill, p.id);
-        }
-        return Ok(stub);
-    }
-    let t0 = first.expect("first token present");
-
-    // Collect the prefix KV for the decode install: already in hand on a
-    // tier hit, exported (and published to the tier for the rest of the
-    // fleet) otherwise. The prefill pin is dropped either way — the tier
-    // and the payload own copies.
-    let mut kv: Option<(Vec<u32>, Vec<KvBlockBytes>)> = None;
-    if let Some(p) = prefix {
-        if let Some(data) = p.tier {
-            kv = Some(data);
-        } else if let Ok(PrefixReply::Exported { tokens, blocks }) =
-            shared.replicas[prefill].prefix_op(PrefixOp::Export { id: p.id })
-        {
-            if let Some(tier) = &shared.tier {
-                tier.lock().publish(&tokens, blocks.clone());
-            }
-            kv = Some((tokens, blocks));
-        }
-        release_prefix_quiet(shared, prefill, p.id);
-    }
-    let export_done = shared.started.elapsed().as_secs_f64();
-
-    // Phase 2: ship and decode. The transport is the wire codec — encode,
-    // move, decode — so the payload semantics (checksum, validation) are
-    // exactly what a remote decode replica would see.
-    let payload = kv
-        .map(|(tokens, blocks)| {
-            let p = HandoffPayload {
-                request_id: request_id.to_string(),
-                tokens,
-                first_token: Some(t0),
-                seed: request.seed.unwrap_or_default(),
-                block_size: bs,
-                blocks,
-            };
-            HandoffPayload::decode_wire(&p.encode_wire())
-        })
-        .transpose()?;
-    let decode = {
-        let snaps = shared.snapshots();
-        shared.router.lock().route_decode(&snaps)
-    };
-    let mut decode_prefix: Option<PrefixId> = None;
-    let mut shipped = (0usize, 0usize); // (blocks, kv_bytes)
-    if let Some(p) = &payload {
-        match shared.replicas[decode].prefix_op(PrefixOp::Install {
-            tokens: p.tokens.clone(),
-            blocks: p.blocks.clone(),
-        }) {
-            Ok(PrefixReply::Installed { id }) => {
-                decode_prefix = Some(id);
-                shipped = (p.blocks.len(), p.kv_bytes());
-            }
-            // A dying decode target mid-transfer restarts the whole flow
-            // (exactly-once: nothing reached the client yet). Non-retryable
-            // install failures degrade — the decode replica recomputes.
-            Err(e) if e.is_retryable() => return Err(e),
-            _ => {}
-        }
-    }
-    let install_done = shared.started.elapsed().as_secs_f64();
-
-    let mut dprompt = prompt.to_vec();
-    dprompt.push(t0);
-    let mut dreq = request.clone();
-    dreq.max_tokens = request.max_tokens - 1;
-    dreq.trace = Some(root.child(100 + u64::from(attempt) * 8 + 2));
-    let result = await_reply(
-        shared,
-        decode,
-        format!("{request_id}.d{attempt}"),
-        dprompt,
-        dreq,
+    let mut flow = RequestFlow::new(
+        request_id,
+        prompt,
+        request,
+        shared.block_size,
+        shared.disaggregated,
+        MAX_SUBMIT_ATTEMPTS,
     );
-    if let Some(id) = decode_prefix {
-        release_prefix_quiet(shared, decode, id);
-    }
-    let mut out = result?;
-
-    // Stitch the stub's token back onto the front of the stream.
-    match out.outputs.first_mut() {
-        Some(c) => {
-            c.tokens.insert(0, t0);
-            c.cumulative_logprob += stub_logprob;
+    let mut input = FlowInput::Start;
+    loop {
+        let (effects, cmd) = flow.on(input, shared.started.elapsed().as_secs_f64());
+        for effect in effects {
+            match effect {
+                FlowEffect::Release { replica, id } => {
+                    let _ = shared.replicas[replica].prefix_op(PrefixOp::Release { id });
+                }
+                FlowEffect::PublishTier { tokens, blocks } => {
+                    if let Some(tier) = &shared.tier {
+                        tier.lock().publish(&tokens, blocks);
+                    }
+                }
+                seen => shared
+                    .handoff
+                    .observe(shared.cluster_telemetry.spans(), &seen),
+            }
         }
-        None => return Ok(stub), // decode produced nothing; TTFT stands
+        input = match cmd {
+            FlowCommand::Route => {
+                let snaps = shared.snapshots();
+                let replica = flow.route(&mut shared.router.lock(), &snaps);
+                FlowInput::Routed { replica }
+            }
+            FlowCommand::RouteDecode => {
+                let snaps = shared.snapshots();
+                let replica = shared.router.lock().route_decode(&snaps);
+                FlowInput::Routed { replica }
+            }
+            FlowCommand::TierLookup { tokens, .. } => {
+                FlowInput::Tier(shared.tier.as_ref().and_then(|t| t.lock().fetch(&tokens)))
+            }
+            FlowCommand::PrefixOp { replica, op } => {
+                FlowInput::Prefix(shared.replicas[replica].prefix_op(op))
+            }
+            FlowCommand::Submit {
+                replica,
+                engine_id,
+                prompt,
+                request,
+            } => await_reply(shared, replica, engine_id, prompt, request),
+            FlowCommand::Transfer { .. } => FlowInput::Done,
+            FlowCommand::Backoff { attempt, hint } => {
+                std::thread::sleep(Duration::from_secs_f64(backoff_seconds(attempt, hint)));
+                FlowInput::Done
+            }
+            FlowCommand::Finish(result) => return result,
+        };
     }
-    record_handoff_spans(
-        shared,
-        &root.child(200 + u64::from(attempt)),
-        decode,
-        shipped,
-        (stub_started, export_done, install_done),
-    );
-    shared.handoff.handoffs.inc();
-    shared.handoff.blocks.inc_by(shipped.0 as u64);
-    Ok(out)
-}
-
-/// Records the handoff span tree on the cluster telemetry track (the same
-/// scheme the fault harness uses): a `handoff` parent under the request
-/// root with `handoff.{export,transfer,install}` children.
-fn record_handoff_spans(
-    shared: &Shared,
-    ctx: &TraceContext,
-    dst: usize,
-    (blocks, kv_bytes): (usize, usize),
-    (start, transfer, end): (f64, f64, f64),
-) {
-    let spans = shared.cluster_telemetry.spans();
-    spans.record(Span {
-        trace_id: ctx.trace_id,
-        span_id: ctx.span_id,
-        parent_span_id: ctx.parent_span_id,
-        name: "handoff".to_string(),
-        start,
-        end,
-        attrs: vec![
-            ("dst".to_string(), dst.to_string()),
-            ("kv_bytes".to_string(), kv_bytes.to_string()),
-            ("blocks".to_string(), blocks.to_string()),
-        ],
-    });
-    let child = |slot: u64, name: &str, s: f64, e: f64| Span {
-        trace_id: ctx.trace_id,
-        span_id: ctx.child(slot).span_id,
-        parent_span_id: ctx.span_id,
-        name: name.to_string(),
-        start: s,
-        end: e,
-        attrs: Vec::new(),
-    };
-    spans.record(child(1, "handoff.export", start, transfer));
-    spans.record(child(2, "handoff.transfer", transfer, transfer));
-    spans.record(child(3, "handoff.install", transfer, end));
 }
 
 /// Installs an operator-shipped `HANDOFF` payload: the KV prefix lands in a
@@ -1025,13 +717,8 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> 
             }
             Ok(Command::Generate(spec)) => {
                 let request_id = format!("req-{}", shared.next_id.fetch_add(1, Ordering::SeqCst));
-                let result = build_request(&spec, &request_id).and_then(|(prompt, request)| {
-                    if wants_handoff(shared, &request) {
-                        submit_disaggregated(shared, &request_id, &prompt, &request)
-                    } else {
-                        submit_with_retry(shared, &request_id, prompt, &request)
-                    }
-                });
+                let result = build_request(&spec, &request_id)
+                    .and_then(|(prompt, request)| serve(shared, &request_id, prompt, request));
                 match result {
                     Ok(out) => {
                         let ok = Response::Ok {

@@ -868,6 +868,103 @@ fn disaggregated_serving_matches_unified_output() {
     server.shutdown();
 }
 
+/// Killing a decode replica under a live disaggregated fleet: the requests
+/// decoding on it restart their whole flow on a fresh route, every client
+/// still gets exactly one reply — byte-equal to a unified server's — and no
+/// surviving replica is left holding a pinned block.
+#[test]
+fn killed_decode_replica_restarts_handoffs_without_leaks() {
+    use std::io::{BufRead, BufReader, Write};
+    use vllm::cluster::ClusterConfig;
+
+    let prompts: Vec<String> = (0..6)
+        .map(|i| format!("client {i} asks: tell me a long story about paged attention"))
+        .collect();
+    let unified = spawn_server();
+    let mut c = Client::connect(unified.addr()).unwrap();
+    let expect: Vec<String> = prompts
+        .iter()
+        .map(|p| c.generate(p, 96, 1, "greedy").unwrap().remove(0).text)
+        .collect();
+    unified.shutdown();
+
+    let engines: Vec<_> = (0..3)
+        .map(|_| {
+            let cache = CacheConfig::new(16, 256, 64).unwrap();
+            let sched = SchedulerConfig::new(2048, 64, 1024).unwrap();
+            let exec = CpuModelExecutor::from_config(ModelConfig::small(), &cache);
+            LlmEngine::new(exec, cache, sched)
+        })
+        .collect();
+    let cfg = ClusterConfig::disaggregated(1, 2).with_prefix_tier_blocks(128);
+    let server = Server::spawn_cluster("127.0.0.1:0", engines, cfg).expect("server binds");
+    let addr = server.addr();
+
+    let clients: Vec<_> = prompts
+        .iter()
+        .cloned()
+        .map(|prompt| {
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                client.generate(&prompt, 96, 1, "greedy")
+            })
+        })
+        .collect();
+    // Kill decode replica 1 once a decode phase is running on it.
+    for _ in 0..2000 {
+        let s = &server.replica_stats()[1];
+        if s.running + s.waiting > 0 {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    server.kill_replica(1);
+
+    for (client, want) in clients.into_iter().zip(&expect) {
+        let outs = client
+            .join()
+            .expect("client thread")
+            .expect("request survives the kill");
+        assert_eq!(outs.len(), 1, "exactly one reply");
+        assert_eq!(
+            &outs[0].text, want,
+            "retried handoff must not change the text"
+        );
+    }
+
+    let stream = std::net::TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    writeln!(writer, "METRICS\tjson").unwrap();
+    let mut json = String::new();
+    reader.read_line(&mut json).unwrap();
+    let snap = vllm::core::telemetry::MetricsSnapshot::from_json(json.trim_end()).unwrap();
+    assert!(
+        snap.counter("vllm_cluster_handoff_retries_total")
+            .unwrap_or(0)
+            > 0,
+        "the kill must have failed at least one handoff attempt"
+    );
+    assert_eq!(snap.counter("vllm_cluster_handoffs_total"), Some(6));
+
+    // Every pin was released on the way out: the survivors' pools are whole
+    // (the snapshot after the last release is published just after its
+    // reply, hence the short wait).
+    for i in [0, 2] {
+        let mut s = server.replica_stats()[i];
+        for _ in 0..500 {
+            if s.free_blocks == s.total_blocks {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            s = server.replica_stats()[i];
+        }
+        assert_eq!(s.free_blocks, s.total_blocks, "replica {i} leaked: {s:?}");
+        assert_eq!(s.running + s.waiting + s.swapped, 0);
+    }
+    server.shutdown();
+}
+
 /// The `HANDOFF` verb installs an externally serialized KV prefix into the
 /// decode pool and publishes it to the tier, so a later `GENERATE`
 /// extending those tokens reuses it.

@@ -156,7 +156,7 @@ fn build_cluster(n: usize, policy: RoutePolicy) -> ClusterSystem {
         RouterConfig::new(policy),
     );
     for (p, tokens) in prefixes().into_iter().enumerate() {
-        cluster.register_prefix(p % n, tokens);
+        cluster.register_prefix(p % n, &tokens);
     }
     cluster
 }

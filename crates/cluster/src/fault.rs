@@ -52,7 +52,7 @@
 //! decode target mid-transfer (the flow learns `ReplicaDied` and restarts
 //! the attempt on a fresh route — nothing reached the client, so delivery
 //! stays exactly-once) or between install and the first decode step (the
-//! request re-enters placement, its pin void with the replica).
+//! request re-enters placement).
 //! Disaggregated fleets force sequence-invariant mock tokens, so the
 //! harness asserts the strongest property available: the token streams are
 //! bit-identical to a unified fleet's, faults and all.
@@ -65,7 +65,7 @@ use vllm_core::telemetry::{Counter, MetricsSnapshot, Span, Telemetry};
 use vllm_core::{CacheConfig, FaultControls, FaultInjector, LlmEngine, SchedulerConfig, VllmError};
 
 use crate::config::ClusterConfig;
-use crate::flow::{FlowCommand, FlowEffect, FlowInput, HandoffMetrics, RequestFlow};
+use crate::flow::{FlowCommand, FlowInput, HandoffMetrics, RequestFlow};
 use crate::replica::{apply_prefix_op, REJECT_RETRY_AFTER};
 use crate::router::{ReplicaSnapshot, RoutePolicy, Router, RouterConfig};
 use crate::sim::ClusterRequest;
@@ -828,14 +828,8 @@ impl FaultCluster {
                 .expect("flow exists for every request");
             let (effects, cmd) = flow.on(input, step as f64);
             for effect in effects {
-                match effect {
-                    // A dead replica's pins died with it; no tier to publish to.
-                    FlowEffect::Release { replica, id } if self.slots[replica].alive => {
-                        let _ = self.slots[replica].engine.release_prefix(id);
-                    }
-                    FlowEffect::Release { .. } | FlowEffect::PublishTier { .. } => {}
-                    seen => self.handoff.observe(self.telemetry.spans(), &seen),
-                }
+                // No tier to publish to; `observe` ignores the rest.
+                self.handoff.observe(self.telemetry.spans(), &effect);
             }
             input = match cmd {
                 FlowCommand::Route => {
@@ -847,7 +841,7 @@ impl FaultCluster {
                 FlowCommand::RouteDecode => {
                     let snaps = self.snapshots();
                     FlowInput::Routed {
-                        replica: self.router.route_decode(&snaps),
+                        replica: flow.route_decode(&mut self.router, &snaps),
                     }
                 }
                 // No tier in the harness: every lookup misses.

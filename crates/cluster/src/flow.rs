@@ -4,11 +4,13 @@
 //! "here is its one reply": whether it takes the two-phase prefill → decode
 //! path, the stub and decode request shapes, the block-aligned cut
 //! ([`handoff_cut`]), per-attempt engine ids and trace slots, tier lookup →
-//! install-or-register on the prefill side, export and publish, the
-//! [`HandoffPayload`] wire round trip, decode route and install, the stitch
-//! of the stub's token and logprob, the release of every pinned prefix on
-//! every exit path, which failures retry, attempt counting, and the handoff
-//! counters and span tree ([`HandoffMetrics`]).
+//! install on the prefill side, export and publish, decode route, which
+//! blocks cross (those the decode replica's coverage does not show), their
+//! [`HandoffPayload`] wire round trip and install, the stitch of the stub's
+//! token and logprob, which failures retry, attempt counting, and the
+//! handoff counters and span tree ([`HandoffMetrics`]). There is nothing to
+//! release on any path: installed and computed KV sits in free blocks of
+//! the replica's content-addressed cache (`vllm_core::BlockSpaceManager`).
 //!
 //! It performs no I/O and reads no clock. [`RequestFlow::on`] takes the
 //! answer to the previous [`FlowCommand`] (plus the driver's `now`) and
@@ -21,7 +23,7 @@
 //! | driver | clock | KV bodies | tier | `Transfer` | `Backoff` |
 //! |---|---|---|---|---|---|
 //! | `src/frontend.rs` (threads) | wall seconds | real | shared, locked | nothing to do: the payload already crossed the codec | sleeps `hint·2^attempt`, capped |
-//! | [`ClusterSystem`](crate::ClusterSystem) (virtual time) | the request's own virtual cursor | `Register`/`Export` answered without touching the engine, empty-bodied blocks | its own; a hit advances the cursor by the fetch's swap-bandwidth cost | advances the cursor by the swap-bandwidth cost | advances the cursor |
+//! | [`ClusterSystem`](crate::ClusterSystem) (virtual time) | the request's own virtual cursor | cost-model engine, empty-bodied | its own; a hit advances the cursor by the fetch's swap-bandwidth cost | advances the cursor by the swap-bandwidth cost | advances the cursor |
 //! | [`FaultCluster`](crate::FaultCluster) (lockstep) | step number | mock engine, empty-bodied | none: every lookup misses | parks [`TRANSFER_STEPS`](crate::fault::TRANSFER_STEPS), then `ReplicaDied` if the target is down | parks a capped number of steps |
 //!
 //! The transition table — the specification the drivers and
@@ -29,17 +31,17 @@
 
 use vllm_core::telemetry::{trace_seed, Counter, Span, SpanLog, Telemetry, TraceContext};
 use vllm_core::{
-    chunk_hashes, GenerationMode, GenerationRequest, HandoffPayload, KvBlockBytes, PrefixId,
-    RequestOutput, TokenId, VllmError,
+    chunk_hashes, GenerationMode, GenerationRequest, HandoffPayload, KvBlockBytes, RequestOutput,
+    TokenId, VllmError,
 };
 
 use crate::replica::{PrefixOp, PrefixReply};
-use crate::router::{ReplicaSnapshot, Router};
+use crate::router::{covered_chunks, ReplicaSnapshot, Router};
 
 /// Tokens of the longest block-aligned *strict* prefix of a prompt: what the
-/// prefill replica pins before the stub runs and what crosses to the decode
-/// replica. Strict because the prefix pool only matches prompts longer than
-/// the prefix, so the stub keeps at least one token to compute — and
+/// prefill replica exports once the stub has run and what crosses to the
+/// decode replica. Strict because admission maps at most that many cached
+/// tokens, so a request always keeps at least one row to compute — and
 /// `prompt + [t0]` on the decode side is longer still, so one cut serves
 /// both phases.
 #[must_use]
@@ -80,8 +82,8 @@ pub enum FlowInput {
     Reply(Result<RequestOutput, VllmError>),
     /// Answers `Transfer` and `Backoff`: the wait is over.
     Done,
-    /// Answers any command addressed to `replica`: it is gone. Pins on it
-    /// are void and the attempt fails as retryable.
+    /// Answers any command addressed to `replica`: it is gone, and the
+    /// attempt fails as retryable.
     ReplicaDied {
         /// The dead replica.
         replica: usize,
@@ -93,7 +95,7 @@ pub enum FlowInput {
 pub enum FlowCommand {
     /// Pick a prefill-capable replica: [`RequestFlow::route`].
     Route,
-    /// Pick the decode-capable replica (`Router::route_decode`).
+    /// Pick the decode-capable replica: [`RequestFlow::route_decode`].
     RouteDecode,
     /// Fetch the longest published prefix of `tokens` from the shared tier
     /// for `replica`.
@@ -111,7 +113,7 @@ pub enum FlowCommand {
         /// Blocks on the wire.
         blocks: usize,
     },
-    /// Run a prefix-pool operation (never a `Release`) on `replica`.
+    /// Run a KV export or install on `replica`.
     PrefixOp {
         /// Target replica.
         replica: usize,
@@ -143,17 +145,9 @@ pub enum FlowCommand {
 }
 
 /// Work the driver performs, in order, before executing the command it came
-/// with. Nothing is fed back: a release's target may have died, which the
-/// retry handles.
+/// with. Nothing is fed back.
 #[derive(Debug, Clone)]
 pub enum FlowEffect {
-    /// Unpin a prefix this flow registered or installed on `replica`.
-    Release {
-        /// The pinning replica.
-        replica: usize,
-        /// The pin.
-        id: PrefixId,
-    },
     /// Publish an exported prefix to the shared tier.
     PublishTier {
         /// Prefix tokens.
@@ -180,8 +174,8 @@ pub struct HandoffRecord {
     pub blocks: usize,
     /// Their serialized size.
     pub kv_bytes: usize,
-    /// Whether the KV came from the shared tier rather than a prefill
-    /// export.
+    /// Whether the prefill replica installed a tier hit instead of
+    /// computing that part of the prompt.
     pub from_tier: bool,
     /// Driver clock at: stub reply (export begins), prefill side done,
     /// payload at the decode replica, install done.
@@ -217,7 +211,7 @@ impl HandoffMetrics {
             ),
             tier_installs: r.counter(
                 "vllm_cluster_handoff_tier_installs_total",
-                "Completed handoffs whose KV came from the shared tier, not a prefill export.",
+                "Completed handoffs whose prefill replica installed a shared-tier hit.",
             ),
         }
     }
@@ -231,7 +225,7 @@ impl HandoffMetrics {
         let r = match effect {
             FlowEffect::HandoffRetry => return self.retries.inc(),
             FlowEffect::Handoff(r) => r,
-            FlowEffect::Release { .. } | FlowEffect::PublishTier { .. } => return,
+            FlowEffect::PublishTier { .. } => return,
         };
         self.handoffs.inc();
         self.blocks.inc_by(r.blocks as u64);
@@ -276,8 +270,7 @@ enum Phase {
     Idle,
     Routing,
     TierLookup,
-    TierInstall(PrefixKv),
-    Registering,
+    TierInstall,
     Unified,
     Stub,
     Exporting,
@@ -307,10 +300,11 @@ pub struct RequestFlow {
     decode: usize,
     /// Effects of the step being computed.
     effects: Vec<FlowEffect>,
-    /// Prefixes this flow pinned and has not yet released: `(replica, id)`.
-    pins: Vec<(usize, PrefixId)>,
-    /// The cut prefix's KV once in hand (from the tier, or exported).
+    /// The cut prefix's KV once exported.
     kv: Option<PrefixKv>,
+    /// Leading blocks of the prompt the decode replica's published coverage
+    /// already shows: they do not cross.
+    covered: usize,
     /// The stub's reply, kept for its token and logprob.
     stub: Option<RequestOutput>,
     /// What becomes the attempt's [`HandoffRecord`].
@@ -358,8 +352,8 @@ impl RequestFlow {
             prefill: 0,
             decode: 0,
             effects: Vec::new(),
-            pins: Vec::new(),
             kv: None,
+            covered: 0,
             stub: None,
             from_tier: false,
             shipped: (0, 0),
@@ -383,6 +377,14 @@ impl RequestFlow {
         router.route(&self.hashes, snaps).replica
     }
 
+    /// Executes [`FlowCommand::RouteDecode`] on the driver's router and view
+    /// of the fleet, and notes how much of the prompt the pick already holds.
+    pub fn route_decode(&mut self, router: &mut Router, snaps: &[ReplicaSnapshot]) -> usize {
+        let replica = router.route_decode(snaps);
+        self.covered = covered_chunks(&self.hashes, &snaps[replica].coverage);
+        replica
+    }
+
     /// Feeds the answer to the previous command (or [`FlowInput::Start`])
     /// and returns the effects to perform, then the next command. `now` is
     /// the driver's clock at the moment the answer became known.
@@ -400,14 +402,13 @@ impl RequestFlow {
     fn step(&mut self, input: FlowInput) -> FlowCommand {
         use {FlowCommand as C, FlowInput as I, Phase as P, PrefixReply as R};
         if let I::ReplicaDied { replica } = input {
-            self.pins.retain(|&(r, _)| r != replica);
             return self.fail(VllmError::Unavailable(format!("replica {replica} died")));
         }
         match (std::mem::replace(&mut self.phase, P::Finished), input) {
             (P::Idle, I::Start) | (P::Backoff, I::Done) => self.go(P::Routing, C::Route),
             (P::Routing, I::Routed { replica }) => {
                 self.prefill = replica;
-                self.kv = None;
+                (self.kv, self.from_tier, self.covered) = (None, false, 0);
                 if !self.two_phase {
                     let (prompt, max_tokens) = (self.prompt.clone(), self.request.max_tokens);
                     self.submit(P::Unified, replica, "", prompt, max_tokens, SLOT_FIRST)
@@ -421,34 +422,20 @@ impl RequestFlow {
             (P::Unified, I::Reply(Ok(out))) => self.finish(Ok(out)),
             (P::Unified | P::Stub, I::Reply(Err(e))) => self.fail(e),
 
-            // Prefill side: make the cut prefix resident — installed from
-            // the tier when published there (skipping the recompute),
-            // registered otherwise. Neither working degrades to a stub that
-            // computes the whole prompt and ships nothing.
-            (P::TierLookup, I::Tier(Some(kv))) => {
-                let op = PrefixOp::Install {
-                    tokens: kv.0.clone(),
-                    blocks: kv.1.clone(),
-                };
-                let replica = self.prefill;
-                self.go(P::TierInstall(kv), C::PrefixOp { replica, op })
+            // Prefill side: a prefix published to the tier is installed
+            // first (skipping its recompute; the replica keeps whatever of
+            // it is already resident), then the stub computes what is left
+            // of the prompt. An install that fails only means the stub
+            // computes more.
+            (P::TierLookup, I::Tier(Some((tokens, blocks)))) => {
+                let (replica, op) = (self.prefill, PrefixOp::Install { tokens, blocks });
+                self.go(P::TierInstall, C::PrefixOp { replica, op })
             }
-            (P::TierInstall(kv), I::Prefix(Ok(R::Installed { id }))) => {
-                self.pins.push((self.prefill, id));
-                self.kv = Some(kv);
+            (P::TierInstall, I::Prefix(reply)) => {
+                self.from_tier = reply.is_ok();
                 self.submit_stub()
             }
-            (P::TierLookup, I::Tier(None)) | (P::TierInstall(_), I::Prefix(_)) => {
-                let tokens = self.cut().to_vec();
-                let (replica, op) = (self.prefill, PrefixOp::Register { tokens });
-                self.go(P::Registering, C::PrefixOp { replica, op })
-            }
-            (P::Registering, I::Prefix(reply)) => {
-                if let Ok(R::Registered { id }) = reply {
-                    self.pins.push((self.prefill, id));
-                }
-                self.submit_stub()
-            }
+            (P::TierLookup, I::Tier(None)) => self.submit_stub(),
 
             (P::Stub, I::Reply(Ok(stub))) => {
                 let first = stub.outputs.first().and_then(|c| c.tokens.first().copied());
@@ -459,22 +446,29 @@ impl RequestFlow {
                     // replica.
                     return self.finish(Ok(stub));
                 }
-                (self.from_tier, self.marks) = (self.kv.is_some(), [self.now; 4]);
+                self.marks = [self.now; 4];
                 self.stub = Some(stub);
-                match (self.pins.last(), &self.kv) {
-                    // Registered here: export what the stub just computed.
-                    (Some(&(replica, id)), None) => {
-                        let op = PrefixOp::Export { id };
-                        self.go(P::Exporting, C::PrefixOp { replica, op })
-                    }
-                    _ => self.hand_off(),
+                if self.cut().is_empty() {
+                    return self.hand_off();
                 }
+                // Export what of the cut the stub left resident.
+                let tokens = self.cut().to_vec();
+                let (replica, op) = (self.prefill, PrefixOp::Export { tokens });
+                self.go(P::Exporting, C::PrefixOp { replica, op })
             }
             (P::Exporting, I::Prefix(reply)) => {
                 if let Ok(R::Exported { tokens, blocks }) = reply {
-                    self.kv = Some((tokens.clone(), blocks.clone()));
-                    self.effects
-                        .push(FlowEffect::PublishTier { tokens, blocks });
+                    if !blocks.is_empty() {
+                        // The tier keeps whole prefixes: one entry per
+                        // conversation (its first published cut), not one
+                        // per turn.
+                        if !self.from_tier {
+                            let (tokens, blocks) = (tokens.clone(), blocks.clone());
+                            self.effects
+                                .push(FlowEffect::PublishTier { tokens, blocks });
+                        }
+                        self.kv = Some((tokens, blocks));
+                    }
                 }
                 self.hand_off()
             }
@@ -496,23 +490,22 @@ impl RequestFlow {
             }
             (P::Transferring(p), I::Done) => {
                 (self.shipped, self.marks[2]) = ((p.blocks.len(), p.kv_bytes()), self.now);
+                // The payload's blocks end the run of tokens they extend.
+                let run = self.covered * self.block_size + p.tokens.len();
                 let op = PrefixOp::Install {
-                    tokens: p.tokens,
+                    tokens: self.prompt[..run].to_vec(),
                     blocks: p.blocks,
                 };
                 let replica = self.decode;
                 self.go(P::Installing, C::PrefixOp { replica, op })
             }
             (P::Installing, I::Prefix(reply)) => match reply {
-                Ok(R::Installed { id }) => {
-                    self.pins.push((self.decode, id));
-                    self.submit_decode()
-                }
-                // A target lost or too full mid-transfer restarts the whole
-                // flow while attempts remain (nothing reached the client
-                // yet); otherwise, and on a non-retryable refusal, the
-                // decode replica recomputes the prompt — degraded beats
-                // dropped.
+                Ok(_) => self.submit_decode(),
+                // A target lost mid-transfer restarts the whole flow while
+                // attempts remain (nothing reached the client yet);
+                // otherwise, and on a non-retryable refusal, the decode
+                // replica recomputes the prompt — degraded beats dropped. (A
+                // full pool is no refusal: it installs what fits.)
                 Err(e) if e.is_retryable() && self.attempts_remain() => self.fail(e),
                 _ => {
                     self.shipped = (0, 0);
@@ -549,16 +542,9 @@ impl RequestFlow {
         cmd
     }
 
-    /// Every exit path ends here or in a `Backoff`, pins released.
+    /// Every exit path ends here or in a `Backoff`.
     fn finish(&mut self, result: Result<RequestOutput, VllmError>) -> FlowCommand {
-        self.release();
         self.go(Phase::Finished, FlowCommand::Finish(result))
-    }
-
-    fn release(&mut self) {
-        let pins = self.pins.drain(..);
-        self.effects
-            .extend(pins.map(|(replica, id)| FlowEffect::Release { replica, id }));
     }
 
     fn attempts_remain(&self) -> bool {
@@ -570,7 +556,6 @@ impl RequestFlow {
         if !(e.is_retryable() && self.attempts_remain()) {
             return self.finish(Err(e));
         }
-        self.release();
         if self.two_phase {
             self.effects.push(FlowEffect::HandoffRetry);
         }
@@ -625,32 +610,34 @@ impl RequestFlow {
         self.submit(Phase::Stub, self.prefill, "p", prompt, 1, SLOT_FIRST)
     }
 
-    /// The prefill side is done: drop its pin (the tier and the payload own
-    /// copies) and route the decode.
+    /// The prefill side is done: route the decode.
     fn hand_off(&mut self) -> FlowCommand {
-        self.release();
         self.marks[1] = self.now;
         self.go(Phase::RoutingDecode, FlowCommand::RouteDecode)
     }
 
-    /// The KV in hand as the decode replica receives it. The transport is
-    /// the wire codec — encode, move, decode — so the payload installed has
-    /// passed the checksum and `validate` exactly as a remote one's would.
-    /// Built after the route, so the prefill pin's release is not kept
-    /// waiting behind the codec.
+    /// The KV in hand as the decode replica receives it: the blocks past
+    /// those its coverage already shows (a later turn of a conversation it
+    /// decoded before ships only the new turn). The transport is the wire
+    /// codec — encode, move, decode — so the payload installed has passed
+    /// the checksum and `validate` exactly as a remote one's would.
     fn payload(&mut self) -> Result<Option<HandoffPayload>, VllmError> {
-        let payload = self.kv.take().map(|(tokens, blocks)| {
-            let p = HandoffPayload {
-                request_id: self.id.clone(),
-                tokens,
-                first_token: Some(self.t0()),
-                seed: self.request.seed.unwrap_or_default(),
-                block_size: self.block_size,
-                blocks,
-            };
-            HandoffPayload::decode_wire(&p.encode_wire())
-        });
-        payload.transpose()
+        let Some((tokens, mut blocks)) = self.kv.take() else {
+            return Ok(None);
+        };
+        self.covered = self.covered.min(blocks.len());
+        if self.covered == blocks.len() {
+            return Ok(None);
+        }
+        let p = HandoffPayload {
+            request_id: self.id.clone(),
+            tokens: tokens[self.covered * self.block_size..].to_vec(),
+            first_token: Some(self.t0()),
+            seed: self.request.seed.unwrap_or_default(),
+            block_size: self.block_size,
+            blocks: blocks.split_off(self.covered),
+        };
+        HandoffPayload::decode_wire(&p.encode_wire()).map(Some)
     }
 
     /// The decode phase: greedy continuation from `prompt + [t0]` makes the

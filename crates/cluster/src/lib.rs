@@ -7,7 +7,7 @@
 //!
 //! * [`Replica`] — an [`LlmEngine`](vllm_core::LlmEngine) running on its own
 //!   thread, fed over a channel and publishing an [`EngineStats`] load
-//!   snapshot plus the chunk-hash coverage of its prefix pool. On shutdown
+//!   snapshot plus the chunk-hash coverage of its block cache. On shutdown
 //!   the loop *drains*: queued and in-flight requests finish before the
 //!   thread exits.
 //! * [`Router`] — pluggable routing policies ([`RoutePolicy`]):
@@ -18,9 +18,9 @@
 //!   to the shortest healthy queue when a replica backs up.
 //! * [`RequestFlow`] ([`flow`]) — one request's life across replicas as a
 //!   pure, I/O-free state machine: two-phase eligibility, the block-aligned
-//!   cut, engine ids and trace slots, tier lookup → install-or-register,
-//!   export/publish, the handoff wire round trip, decode install, stitch,
-//!   pin release on every exit, retry classification, and the handoff
+//!   cut, engine ids and trace slots, tier lookup → install, export/publish,
+//!   the handoff wire round trip, decode install, stitch, retry
+//!   classification, and the handoff
 //!   counters and span tree ([`HandoffMetrics`]). The TCP frontend (real
 //!   threads), [`ClusterSystem`] (virtual time) and [`FaultCluster`]
 //!   (lockstep) are its three drivers: each performs the flow's effects and
@@ -43,9 +43,9 @@
 //!   env-string-only wiring (env vars remain inputs via
 //!   [`ClusterConfig::with_env`]).
 //! * [`PrefixTier`] — the cluster-shared CPU prefix store: content-hash
-//!   keyed serialized KV blocks, refcounted while installing, evicted by
-//!   hits-per-block score. A prefix prefilled on one replica installs on
-//!   any other without recompute.
+//!   keyed serialized KV blocks, copied out to the installing replica,
+//!   evicted by hits-per-block score. A prefix prefilled on one replica
+//!   installs on any other without recompute.
 
 #![warn(missing_docs)]
 

@@ -37,7 +37,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 use vllm_core::telemetry::Telemetry;
 use vllm_core::{
-    GenerationRequest, KvBlockBytes, LlmEngine, ModelExecutor, PrefixId, RequestOutput, VllmError,
+    GenerationRequest, KvBlockBytes, LlmEngine, ModelExecutor, RequestOutput, VllmError,
 };
 
 /// Default bound on requests a replica holds in flight (queued + running)
@@ -118,62 +118,44 @@ pub struct EngineRequest {
     pub reply: Sender<EngineReply>,
 }
 
-/// A prefix-cache operation routed to an engine thread: the engine-side
-/// control plane of the KV handoff and the cluster-shared prefix tier.
-/// Unlike generation requests, prefix ops are handled synchronously at the
-/// next admission pass and are exempt from the in-flight bound — the control
-/// plane must not starve behind data-plane backpressure.
+/// A KV operation routed to an engine thread: the engine-side control plane
+/// of the KV handoff and the cluster-shared prefix tier. Unlike generation
+/// requests, prefix ops are handled synchronously at the next admission pass
+/// and are exempt from the in-flight bound — the control plane must not
+/// starve behind data-plane backpressure. Neither pins anything: what an
+/// install leaves behind sits in free blocks of the replica's cache.
 #[derive(Debug, Clone)]
 pub enum PrefixOp {
-    /// Pin and compute a block-aligned prefix in the replica's pool (§4.4
-    /// registration; runs a KV-only warm-up forward pass).
-    Register {
-        /// Prefix tokens (whole blocks are pinned for `len` rounded up).
+    /// Serialize the KV of the longest still-resident run of `tokens`'
+    /// leading blocks for a handoff.
+    Export {
+        /// The prefix wanted (a block-aligned cut of a prompt).
         tokens: Vec<u32>,
     },
-    /// Serialize a resident prefix's KV for a handoff.
-    Export {
-        /// Id returned by a prior `Register`/`Install` on this replica.
-        id: PrefixId,
-    },
-    /// Install a prefix whose KV was computed elsewhere (the receiving half
-    /// of a handoff: blocks are journaled as `CacheOps` installs).
+    /// Install KV computed elsewhere (the receiving half of a handoff:
+    /// blocks not resident yet are journaled as `CacheOps` installs).
     Install {
         /// Prefix tokens.
         tokens: Vec<u32>,
-        /// Serialized KV, one entry per block.
+        /// Serialized KV of the prefix's last `blocks.len()` blocks: all of
+        /// them, or only the tail the sender believes is not resident yet.
         blocks: Vec<KvBlockBytes>,
-    },
-    /// Unpin a prefix registered or installed earlier; in-flight sharers
-    /// keep their references.
-    Release {
-        /// Id returned by a prior `Register`/`Install` on this replica.
-        id: PrefixId,
     },
 }
 
 /// The reply to a [`PrefixOp`].
 #[derive(Debug, Clone)]
 pub enum PrefixReply {
-    /// `Register` pinned and computed the prefix.
-    Registered {
-        /// Pool id for `Export`/`Release` on this replica.
-        id: PrefixId,
-    },
-    /// `Export` serialized the prefix.
+    /// `Export` serialized what was resident.
     Exported {
-        /// The prefix tokens (block-aligned length as registered).
+        /// The tokens the exported blocks cover (a prefix of those asked
+        /// for; empty when nothing was resident).
         tokens: Vec<u32>,
         /// Serialized KV, one entry per block.
         blocks: Vec<KvBlockBytes>,
     },
-    /// `Install` journaled the payload and registered the prefix.
-    Installed {
-        /// Pool id for `Export`/`Release` on this replica.
-        id: PrefixId,
-    },
-    /// `Release` unpinned the prefix.
-    Released,
+    /// `Install` left the payload's blocks cached.
+    Installed,
 }
 
 /// A prefix op plus its reply channel.
@@ -310,8 +292,8 @@ impl Replica {
         *self.stats.lock()
     }
 
-    /// The latest published prefix coverage (sorted chunk hashes of every
-    /// computed prefix in the replica's pool).
+    /// The latest published prefix coverage (sorted hashes of every
+    /// block-aligned prefix whose KV is resident in the replica's pool).
     #[must_use]
     pub fn coverage(&self) -> Arc<Vec<u64>> {
         Arc::clone(&self.coverage.lock())
@@ -404,8 +386,8 @@ struct EngineLoopFlags<'a> {
 /// looks at the kill and shutdown flags again.
 const IDLE_WAIT: Duration = Duration::from_millis(5);
 
-/// Runs one prefix-pool operation on `engine` (what a replica thread does
-/// for a [`PrefixRequest`]; in-process drivers call it directly).
+/// Runs one KV operation on `engine` (what a replica thread does for a
+/// [`PrefixRequest`]; in-process drivers call it directly).
 ///
 /// # Errors
 ///
@@ -415,16 +397,13 @@ pub fn apply_prefix_op<E: ModelExecutor>(
     op: PrefixOp,
 ) -> Result<PrefixReply, VllmError> {
     match op {
-        PrefixOp::Register { tokens } => engine
-            .register_prefix(tokens)
-            .map(|id| PrefixReply::Registered { id }),
-        PrefixOp::Export { id } => engine
-            .export_prefix(id)
-            .map(|(tokens, blocks)| PrefixReply::Exported { tokens, blocks }),
+        PrefixOp::Export { tokens } => {
+            let (tokens, blocks) = engine.export_kv(&tokens);
+            Ok(PrefixReply::Exported { tokens, blocks })
+        }
         PrefixOp::Install { tokens, blocks } => engine
-            .import_prefix(tokens, blocks)
-            .map(|id| PrefixReply::Installed { id }),
-        PrefixOp::Release { id } => engine.release_prefix(id).map(|()| PrefixReply::Released),
+            .install_kv(&tokens, blocks)
+            .map(|()| PrefixReply::Installed),
     }
 }
 
@@ -435,7 +414,6 @@ fn handle_command<E: ModelExecutor>(
     engine: &mut LlmEngine<E>,
     pending: &mut Vec<(String, Sender<EngineReply>)>,
     flags: &EngineLoopFlags<'_>,
-    stats: &Mutex<EngineStats>,
     cmd: EngineCommand,
 ) -> bool {
     match cmd {
@@ -461,12 +439,9 @@ fn handle_command<E: ModelExecutor>(
         }
         EngineCommand::Prefix(p) => {
             // Control plane: synchronous, exempt from the in-flight bound.
-            // It pins or frees blocks and changes nothing else the snapshot
-            // shows, so only that field is republished — before the reply,
-            // so whoever sees a release answered finds the blocks free.
-            let result = apply_prefix_op(engine, p.op);
-            stats.lock().free_blocks = engine.scheduler().block_manager().num_free_gpu_blocks();
-            let _ = p.reply.send(result);
+            // It reads or rewrites free blocks and leaves them free, so
+            // nothing the stats snapshot shows has changed.
+            let _ = p.reply.send(apply_prefix_op(engine, p.op));
             false
         }
     }
@@ -479,7 +454,8 @@ fn handle_command<E: ModelExecutor>(
 /// published on startup, after admitting requests, after every iteration,
 /// and when the engine drains — never only at step boundaries, so load
 /// queries reflect completions even while the loop sits idle. The prefix
-/// coverage snapshot is recomputed only when the pool's version changes.
+/// coverage snapshot is recomputed only when the block index's version
+/// changes.
 ///
 /// The loop exits when the shutdown flag is set (or every sender is gone)
 /// *and* all accepted work has finished — or immediately when the kill
@@ -523,8 +499,8 @@ fn engine_loop<E: ModelExecutor>(
             *stats.lock() = snapshot_stats(&engine, finished_total);
             return;
         }
-        if coverage_version != Some(engine.prefix_pool().version()) {
-            coverage_version = Some(engine.prefix_pool().version());
+        if coverage_version != Some(engine.prefix_coverage_version()) {
+            coverage_version = Some(engine.prefix_coverage_version());
             *coverage.lock() = Arc::new(engine.prefix_coverage());
         }
         // Admit everything that arrived since the last iteration; with
@@ -545,7 +521,7 @@ fn engine_loop<E: ModelExecutor>(
         loop {
             match next {
                 Ok(cmd) => {
-                    admitted |= handle_command(&mut engine, &mut pending, flags, stats, cmd);
+                    admitted |= handle_command(&mut engine, &mut pending, flags, cmd);
                 }
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => {
@@ -760,16 +736,17 @@ mod tests {
 
     #[test]
     fn idle_replica_wakes_on_arrival_not_on_a_timer() {
-        // 200 back-to-back control-plane round trips (releasing an unknown
-        // prefix: the cheapest op) against an idle engine loop. When the
-        // loop slept out a 1 ms tick between looks at its channel this took
-        // over 200 ms; woken by the arrival it is thread hand-offs only.
+        // 200 back-to-back control-plane round trips (exporting a prefix
+        // nobody computed: the cheapest op) against an idle engine loop.
+        // When the loop slept out a 1 ms tick between looks at its channel
+        // this took over 200 ms; woken by the arrival it is thread hand-offs
+        // only.
         let replica = Replica::spawn(0, small_engine());
-        let unknown = PrefixOp::Release { id: 999 };
-        assert!(replica.prefix_op(unknown.clone()).is_err()); // loop is up
+        let unknown = PrefixOp::Export { tokens: vec![9; 8] };
+        assert!(replica.prefix_op(unknown.clone()).is_ok()); // loop is up
         let start = std::time::Instant::now();
         for _ in 0..200 {
-            assert!(replica.prefix_op(unknown.clone()).is_err());
+            assert!(replica.prefix_op(unknown.clone()).is_ok());
         }
         let elapsed = start.elapsed();
         assert!(
@@ -780,59 +757,98 @@ mod tests {
 
     #[test]
     fn prefix_ops_round_trip_across_replicas() {
-        // Register on one replica, export, install on another: the §4.4
-        // handoff control plane over the command channel.
+        // A finished request's KV is exported from one replica and installed
+        // on another: the §4.4 handoff control plane over the command
+        // channel, with nothing to release on either side.
         let src = Replica::spawn(0, small_engine());
         let dst = Replica::spawn(1, small_engine());
         let tokens: Vec<u32> = (1..=32).collect();
-        let PrefixReply::Registered { id } = src
-            .prefix_op(PrefixOp::Register {
-                tokens: tokens.clone(),
-            })
-            .expect("register")
-        else {
-            panic!("expected Registered");
+        let generate = |replica: &Replica, id: &str, prompt: Vec<u32>| {
+            let (reply_tx, reply_rx) = mpsc::channel();
+            let request = GenerationRequest::greedy(4);
+            let request = EngineRequest {
+                request_id: id.into(),
+                prompt,
+                request,
+                reply: reply_tx,
+            };
+            replica.submit(request).ok().expect("accepting");
+            reply_rx.recv().expect("reply").expect("success")
+        };
+        let mut prompt = tokens.clone();
+        prompt.extend([100, 101, 102]);
+        generate(&src, "warm", prompt.clone());
+        let export = PrefixOp::Export {
+            tokens: tokens.clone(),
         };
         let PrefixReply::Exported { tokens: t, blocks } =
-            src.prefix_op(PrefixOp::Export { id }).expect("export")
+            src.prefix_op(export.clone()).expect("export")
         else {
             panic!("expected Exported");
         };
         assert_eq!(t, tokens);
         assert_eq!(blocks.len(), 8); // 32 tokens / block size 4.
-        let PrefixReply::Installed { id: installed } = dst
-            .prefix_op(PrefixOp::Install { tokens: t, blocks })
-            .expect("install")
-        else {
-            panic!("expected Installed");
-        };
-        // A request extending the installed prefix shares its blocks.
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let mut prompt = tokens.clone();
-        prompt.extend([100, 101, 102]);
-        dst.submit(EngineRequest {
-            request_id: "r0".into(),
-            prompt,
-            request: GenerationRequest::greedy(4),
-            reply: reply_tx,
-        })
-        .ok()
-        .expect("accepting");
-        let out = reply_rx.recv().expect("reply").expect("success");
-        assert_eq!(out.outputs.len(), 1);
         assert!(matches!(
-            dst.prefix_op(PrefixOp::Release { id: installed }),
-            Ok(PrefixReply::Released)
+            dst.prefix_op(PrefixOp::Install { tokens: t, blocks }),
+            Ok(PrefixReply::Installed)
         ));
-        // Releasing on the source too; a second release is a typed error.
-        src.prefix_op(PrefixOp::Release { id }).expect("release");
-        assert!(src.prefix_op(PrefixOp::Release { id }).is_err());
+        // A request extending the installed prefix maps its blocks, and the
+        // installed blocks were free all along.
+        let out = generate(&dst, "r0", prompt);
+        assert_eq!(out.outputs.len(), 1);
+        for _ in 0..200 {
+            if dst.stats().finished == 1 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(dst.stats().free_blocks, dst.stats().total_blocks);
+        let hit = dst.telemetry().registry().snapshot();
+        assert_eq!(hit.counter("vllm_cache_prefix_hit_tokens_total"), Some(32));
+        // A sender that knows what a replica holds ships only the tail: the
+        // last two blocks of a ten-block run extending the eight above.
+        let mut longer = tokens.clone();
+        longer.extend(200..208);
+        generate(&src, "longer", longer.clone());
+        let PrefixReply::Exported { mut blocks, .. } = src
+            .prefix_op(PrefixOp::Export {
+                tokens: longer.clone(),
+            })
+            .expect("export")
+        else {
+            panic!("expected Exported");
+        };
+        let tail = blocks.split_off(8);
+        let install = |tokens: &[u32], blocks: &[KvBlockBytes]| {
+            dst.prefix_op(PrefixOp::Install {
+                tokens: tokens.to_vec(),
+                blocks: blocks.to_vec(),
+            })
+        };
+        assert!(matches!(
+            install(&longer, &tail),
+            Ok(PrefixReply::Installed)
+        ));
+        let PrefixReply::Exported { tokens: held, .. } = dst
+            .prefix_op(PrefixOp::Export {
+                tokens: longer.clone(),
+            })
+            .expect("export")
+        else {
+            panic!("expected Exported");
+        };
+        assert_eq!(held, longer);
+        // A tail whose prefix is not there (the sender's view was stale) is
+        // refused whole and for good; more blocks than tokens is malformed.
+        let mut unknown = longer.clone();
+        unknown[0] = 999;
+        for refused in [install(&unknown, &tail), install(&tokens[..4], &tail)] {
+            assert!(!refused.expect_err("nothing to extend").is_retryable());
+        }
         // Ops against a dead replica degrade to a retryable error.
         src.inject_kill();
         src.join();
-        let err = src
-            .prefix_op(PrefixOp::Register { tokens })
-            .expect_err("dead replica");
+        let err = src.prefix_op(export).expect_err("dead replica");
         assert!(err.is_retryable());
     }
 

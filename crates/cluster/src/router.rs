@@ -192,7 +192,7 @@ pub struct Router {
 
 /// Number of leading prompt chunks resident in `coverage` (chunk hashes are
 /// cumulative, so coverage stops at the first miss).
-fn covered_chunks(prompt_hashes: &[u64], coverage: &[u64]) -> usize {
+pub(crate) fn covered_chunks(prompt_hashes: &[u64], coverage: &[u64]) -> usize {
     prompt_hashes
         .iter()
         .take_while(|h| coverage.binary_search(h).is_ok())

@@ -16,12 +16,9 @@
 //! of each reply), a tier hit or a `Transfer` advances the cursor by the
 //! interconnect (swap-bandwidth) cost of its blocks, and a `Submit` is
 //! injected when the fleet's clocks reach the cursor. The simulator models
-//! timing, not tensor content: `Register` and `Export` are answered without
-//! touching the engine (the stub then computes — and is charged for — the
-//! whole prompt, exactly the work a real registration plus stub split
-//! between them), with empty-bodied blocks standing in for the KV; `Install`
-//! and `Release` are real, so installed prefixes do save prompt compute and
-//! do occupy blocks.
+//! timing, not tensor content: its engines answer `Export` and `Install`
+//! themselves with empty-bodied blocks standing in for the KV, so installed
+//! and cached prefixes do save prompt compute and do occupy (free) blocks.
 //!
 //! Disaggregated mode ([`ClusterConfig::disaggregated`]): the stub's finish
 //! on a prefill replica is the request's TTFT, the cut prefix is published
@@ -36,7 +33,7 @@ use std::sync::Arc;
 
 use vllm_baselines::types::StepWork;
 use vllm_core::telemetry::{MetricsSnapshot, Telemetry};
-use vllm_core::{GenerationRequest, KvBlockBytes, LatencyTracker, PrefixId, TokenId};
+use vllm_core::{GenerationRequest, LatencyTracker, TokenId};
 use vllm_sim::VllmSimSystem;
 
 use crate::config::ClusterConfig;
@@ -44,7 +41,7 @@ use crate::flow::{
     backoff_seconds, FlowCommand, FlowEffect, FlowInput, HandoffMetrics, RequestFlow,
     MAX_SUBMIT_ATTEMPTS,
 };
-use crate::replica::{apply_prefix_op, PrefixOp, PrefixReply};
+use crate::replica::apply_prefix_op;
 use crate::router::{ReplicaSnapshot, Router, RouterConfig};
 use crate::stats::merge_labeled;
 use crate::tier::PrefixTier;
@@ -134,10 +131,6 @@ pub struct ClusterReport {
     pub tier_hit_rate: f64,
 }
 
-/// The id `Register` is answered with: no engine ever issues it, so the
-/// matching `Export` / `Release` are recognised and answered here too.
-const UNPINNED: PrefixId = PrefixId::MAX;
-
 /// One request in flight through its flow.
 struct Active {
     flow: RequestFlow,
@@ -145,8 +138,6 @@ struct Active {
     /// The request's own virtual time: its arrival, then the finish time of
     /// its latest reply, plus any transfer or backoff since.
     cursor: f64,
-    /// Tokens of the `Register` answered without the engine, for `Export`.
-    registered: Vec<TokenId>,
     ttft_seen: bool,
 }
 
@@ -174,8 +165,6 @@ pub struct ClusterSystem {
     tier: Option<PrefixTier>,
     clocks: Vec<f64>,
     block_size: usize,
-    coverage: Vec<Arc<Vec<u64>>>,
-    coverage_versions: Vec<Option<u64>>,
     telemetry: Arc<Telemetry>,
     handoff: HandoffMetrics,
 }
@@ -224,20 +213,18 @@ impl ClusterSystem {
             tier,
             clocks: vec![0.0; n],
             block_size,
-            coverage: (0..n).map(|_| Arc::new(Vec::new())).collect(),
-            coverage_versions: vec![None; n],
             telemetry,
             handoff,
         }
     }
 
-    /// Registers a shared prefix on one replica (its KV cache is pinned
-    /// there, and the router's coverage view picks it up).
+    /// Warms a shared prefix into one replica's block cache (the router's
+    /// coverage view picks it up).
     ///
     /// # Panics
     ///
-    /// Panics if the prefix cannot be pinned.
-    pub fn register_prefix(&mut self, replica: usize, tokens: Vec<TokenId>) {
+    /// Panics if the prefix does not fit the replica's free pool.
+    pub fn register_prefix(&mut self, replica: usize, tokens: &[TokenId]) {
         self.replicas[replica].register_prefix(tokens);
     }
 
@@ -284,20 +271,14 @@ impl ClusterSystem {
         merged
     }
 
-    fn refresh_snapshots(&mut self) -> Vec<ReplicaSnapshot> {
-        for (i, r) in self.replicas.iter().enumerate() {
-            let version = r.engine().prefix_pool().version();
-            if self.coverage_versions[i] != Some(version) {
-                self.coverage_versions[i] = Some(version);
-                self.coverage[i] = Arc::new(r.engine().prefix_coverage());
-            }
-        }
+    /// The router's per-replica view. Coverage is read fresh: a replica's
+    /// block index moves with nearly every step it takes between routes.
+    fn snapshots(&self) -> Vec<ReplicaSnapshot> {
         self.replicas
             .iter()
-            .enumerate()
-            .map(|(i, r)| ReplicaSnapshot {
+            .map(|r| ReplicaSnapshot {
                 load: r.engine().load_snapshot(),
-                coverage: Arc::clone(&self.coverage[i]),
+                coverage: Arc::new(r.engine().prefix_coverage()),
             })
             .collect()
     }
@@ -332,10 +313,6 @@ impl ClusterSystem {
             let (effects, cmd) = a.flow.on(input, a.cursor);
             for effect in effects {
                 match effect {
-                    FlowEffect::Release { id: UNPINNED, .. } => {}
-                    FlowEffect::Release { replica, id } => {
-                        let _ = self.replicas[replica].engine_mut().release_prefix(id);
-                    }
                     FlowEffect::PublishTier { tokens, blocks } => {
                         if let Some(tier) = &mut self.tier {
                             tier.publish(&tokens, blocks);
@@ -346,7 +323,7 @@ impl ClusterSystem {
             }
             input = match cmd {
                 FlowCommand::Route => {
-                    let snaps = self.refresh_snapshots();
+                    let snaps = self.snapshots();
                     let replica = a.flow.route(&mut self.router, &snaps);
                     if a.flow.attempt() == 0 {
                         run.assignments.push((id, replica));
@@ -354,9 +331,9 @@ impl ClusterSystem {
                     FlowInput::Routed { replica }
                 }
                 FlowCommand::RouteDecode => {
-                    let snaps = self.refresh_snapshots();
+                    let snaps = self.snapshots();
                     FlowInput::Routed {
-                        replica: self.router.route_decode(&snaps),
+                        replica: a.flow.route_decode(&mut self.router, &snaps),
                     }
                 }
                 // A hit is fetched over the interconnect. The report counts
@@ -376,18 +353,9 @@ impl ClusterSystem {
                     a.cursor += self.transfer_delay(replica, blocks);
                     FlowInput::Done
                 }
-                FlowCommand::PrefixOp { replica, op } => FlowInput::Prefix(match op {
-                    PrefixOp::Register { tokens } => {
-                        a.registered = tokens;
-                        Ok(PrefixReply::Registered { id: UNPINNED })
-                    }
-                    PrefixOp::Export { id: UNPINNED } => {
-                        let tokens = std::mem::take(&mut a.registered);
-                        let blocks = vec![KvBlockBytes::empty(); tokens.len() / self.block_size];
-                        Ok(PrefixReply::Exported { tokens, blocks })
-                    }
-                    op => apply_prefix_op(self.replicas[replica].engine_mut(), op),
-                }),
+                FlowCommand::PrefixOp { replica, op } => {
+                    FlowInput::Prefix(apply_prefix_op(self.replicas[replica].engine_mut(), op))
+                }
                 submit @ FlowCommand::Submit { .. } => {
                     run.deferred.push((a.cursor, id, submit));
                     return;
@@ -487,7 +455,6 @@ impl ClusterSystem {
                             flow,
                             arrival,
                             cursor: arrival,
-                            registered: Vec::new(),
                             ttft_seen: false,
                         };
                         run.active.insert(req.id, active);
@@ -640,7 +607,7 @@ mod tests {
             ClusterSystem::new(replicas, RouterConfig::new(RoutePolicy::PrefixAffinity));
         // Replica 1 holds a 32-token (two-block) shared prefix.
         let prefix = sim_prompt_tokens(999, 32);
-        cluster.register_prefix(1, prefix.clone());
+        cluster.register_prefix(1, &prefix);
         let reqs: Vec<ClusterRequest> = (0..6)
             .map(|i| {
                 let mut prompt = prefix.clone();
@@ -715,17 +682,19 @@ mod tests {
         assert!(report.tier_hit_rate > 0.0);
         assert!(report.ttft_p99 > 0.0);
         assert!(report.ttft_p50 <= report.ttft_p99);
-        // Every pin was released — the decode-side installs when their
-        // decode finished, the prefill-side tier install once its stub had
-        // run: zero leaks fleet-wide.
+        // Nothing was ever pinned — installs and finished requests leave
+        // their KV in free blocks: zero leaks fleet-wide.
         for r in cluster.replicas() {
             let bm = r.engine().scheduler().block_manager();
             assert_eq!(bm.num_free_gpu_blocks(), bm.num_total_gpu_blocks());
+            bm.assert_consistent();
         }
         // Turn 1's 64-token prompt is block-aligned, so its cut is 3 blocks
         // (published, and shipped to decode); turn 2 installs those 3 from
-        // the tier and ships the same 3 on.
-        assert_eq!(report.handoff_blocks, 6);
+        // the tier and computes the rest of its 5-block cut, of which the
+        // decode replica — the one that decoded turn 1, whose 64 prompt + 8
+        // generated tokens left 4 full blocks cached — is sent the last one.
+        assert_eq!(report.handoff_blocks, 3 + 1);
         // Handoff + tier counters round-trip through the merged exposition.
         let merged = cluster.merged_snapshot();
         assert_eq!(merged.counter("vllm_cluster_handoffs_total"), Some(2));

@@ -1,6 +1,6 @@
 //! Cluster-shared CPU-tier prefix cache.
 //!
-//! A replica's own prefix pool (§4.4) only helps requests that land on it.
+//! A replica's own block cache (§4.4) only helps requests that land on it.
 //! The tier lifts that one level: when a prefill replica computes the KV of
 //! a shareable prefix, it publishes the serialized blocks here — keyed by a
 //! content hash of the prefix tokens — and *any* replica can later install
@@ -8,19 +8,19 @@
 //! prompt then prefill it once per fleet, not once per replica, no matter
 //! where the router lands them.
 //!
-//! The tier is a passive store with explicit lifecycle:
+//! The tier is a passive store:
 //!
 //! * **Content-hash keyed** — the key is the cumulative FNV-1a chunk hash of
-//!   the full prefix ([`vllm_core::chunk_hashes`]), so the same token
-//!   sequence maps to the same entry regardless of which replica produced
-//!   it, and lookups compose with the router's coverage matching.
-//! * **Refcounted** — [`PrefixTier::acquire`] pins an entry while a replica
-//!   is installing from it; pinned entries are never evicted. Publication
-//!   itself does not pin.
-//! * **Eviction-scored** — over capacity, unpinned entries are evicted in
-//!   ascending score order, `score = hits / blocks` with logical-clock
-//!   recency as tie-break: keep what earns the most reuse per block held,
-//!   and among equals, keep what was touched last.
+//!   the full prefix ([`vllm_core::chunk_hashes`], the same value a
+//!   replica's block index keys the prefix's last block under), so the same
+//!   token sequence maps to the same entry regardless of which replica
+//!   produced it, and lookups compose with the router's coverage matching.
+//! * **Copied out** — [`PrefixTier::fetch`] hands a replica a copy under the
+//!   caller's `&mut`, so no entry is ever pinned.
+//! * **Eviction-scored** — over capacity, entries are evicted in ascending
+//!   score order, `score = hits / blocks` with logical-clock recency as
+//!   tie-break: keep what earns the most reuse per block held, and among
+//!   equals, keep what was touched last.
 //!
 //! Exported metrics: `vllm_prefix_tier_{hits,misses,insertions,evictions}_total`
 //! counters plus `vllm_prefix_tier_entries` / `vllm_prefix_tier_blocks`
@@ -41,8 +41,6 @@ pub struct TierEntry {
     pub blocks: Vec<KvBlockBytes>,
     /// Cumulative chunk hashes of the tokens (for coverage matching).
     pub hashes: Vec<u64>,
-    /// Active pins (replicas mid-install).
-    refcount: usize,
     /// Lookup hits since publication.
     hits: u64,
     /// Logical time of the last hit or publication.
@@ -172,8 +170,7 @@ impl PrefixTier {
     /// Publishes a prefix computed by some replica. The token length is
     /// truncated to whole blocks (the tier only stores what other replicas
     /// can install block-aligned); returns the content key, or `None` when
-    /// the prefix is shorter than one block, larger than the whole tier, or
-    /// eviction cannot make room (everything pinned).
+    /// the prefix is shorter than one block or larger than the whole tier.
     pub fn publish(&mut self, tokens: &[TokenId], blocks: Vec<KvBlockBytes>) -> Option<u64> {
         let whole = (tokens.len() / self.block_size) * self.block_size;
         if whole == 0 {
@@ -205,7 +202,6 @@ impl PrefixTier {
                 tokens: tokens.to_vec(),
                 blocks,
                 hashes,
-                refcount: 0,
                 hits: 0,
                 last_touch: self.clock,
             },
@@ -246,9 +242,7 @@ impl PrefixTier {
     }
 
     /// [`lookup`](Self::lookup) plus a copy of the hit entry's tokens and
-    /// blocks: what a replica installs. The replica works on the copy, so
-    /// this needs no [`acquire`](Self::acquire) — that is for callers that
-    /// keep a key across calls.
+    /// blocks: what a replica installs.
     pub fn fetch(&mut self, prompt: &[TokenId]) -> Option<(Vec<TokenId>, Vec<KvBlockBytes>)> {
         let key = self.lookup(prompt)?;
         let e = &self.entries[&key];
@@ -261,27 +255,8 @@ impl PrefixTier {
         self.entries.get(&key)
     }
 
-    /// Pins an entry while a replica installs from it (pinned entries are
-    /// never evicted). Returns whether the key exists.
-    pub fn acquire(&mut self, key: u64) -> bool {
-        match self.entries.get_mut(&key) {
-            Some(e) => {
-                e.refcount += 1;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Releases a pin taken by [`Self::acquire`].
-    pub fn release(&mut self, key: u64) {
-        if let Some(e) = self.entries.get_mut(&key) {
-            e.refcount = e.refcount.saturating_sub(1);
-        }
-    }
-
-    /// Evicts unpinned entries (ascending score, oldest-touch tie-break)
-    /// until `needed` more blocks fit. Returns whether they do.
+    /// Evicts entries (ascending score, oldest-touch tie-break) until
+    /// `needed` more blocks fit. Returns whether they do.
     fn make_room(&mut self, needed: usize) -> bool {
         if needed > self.capacity_blocks {
             return false;
@@ -290,16 +265,13 @@ impl PrefixTier {
             let victim = self
                 .entries
                 .iter()
-                .filter(|(_, e)| e.refcount == 0)
                 .min_by(|(_, a), (_, b)| {
                     a.score()
                         .total_cmp(&b.score())
                         .then(a.last_touch.cmp(&b.last_touch))
                 })
                 .map(|(k, _)| *k);
-            let Some(key) = victim else {
-                return false; // Everything left is pinned.
-            };
+            let key = victim.expect("blocks are in use, so an entry holds them");
             let e = self.entries.remove(&key).expect("victim exists");
             self.used_blocks -= e.blocks.len();
             self.stats.evictions += 1;
@@ -373,7 +345,7 @@ mod tests {
     }
 
     #[test]
-    fn eviction_prefers_low_score_and_respects_pins() {
+    fn eviction_prefers_low_score_then_oldest_touch() {
         let mut tier = PrefixTier::new(4, 4);
         let a = tier.publish(&toks(1, 8), blocks(2)).unwrap(); // 2 blocks
         let b = tier.publish(&toks(2, 8), blocks(2)).unwrap(); // 2 blocks
@@ -385,13 +357,6 @@ mod tests {
         assert!(tier.get(c).is_some());
         assert_eq!(tier.stats().evictions, 1);
         assert_eq!(tier.used_blocks(), 4);
-        // Pin everything: publication must fail rather than evict a pinned
-        // entry.
-        assert!(tier.acquire(b) && tier.acquire(c));
-        assert_eq!(tier.publish(&toks(4, 8), blocks(2)), None);
-        tier.release(b);
-        assert!(tier.publish(&toks(4, 8), blocks(2)).is_some());
-        assert!(tier.get(b).is_none(), "unpinned entry became evictable");
     }
 
     #[test]

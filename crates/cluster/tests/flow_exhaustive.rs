@@ -4,8 +4,9 @@
 //! non-retryable error, replica death, refused install — is tried at every
 //! command the flow emits, recursively through every attempt, and on every
 //! resulting path the contracts the drivers rely on are asserted: one
-//! terminal outcome, balanced pins, fresh engine ids, the stitched stream,
-//! bounded attempts, retry and handoff accounting.
+//! terminal outcome, fresh engine ids, the stitched stream, bounded
+//! attempts, retry and handoff accounting. (There is no pin to balance: the
+//! flow asks replicas for nothing that has to be given back.)
 
 use std::collections::BTreeSet;
 
@@ -34,9 +35,6 @@ struct Scenario {
 #[derive(Clone, Default)]
 struct World {
     clock: f64,
-    /// Live pins `(replica, id)`: every successful Register/Install.
-    pins: BTreeSet<(usize, usize)>,
-    next_id: usize,
     dead: BTreeSet<usize>,
     engine_ids: BTreeSet<String>,
     routes: u32,
@@ -51,14 +49,7 @@ struct World {
 impl World {
     fn die(&mut self, replica: usize) -> FlowInput {
         self.dead.insert(replica);
-        self.pins.retain(|&(r, _)| r != replica);
         FlowInput::ReplicaDied { replica }
-    }
-
-    fn pin(&mut self, replica: usize) -> usize {
-        self.next_id += 1;
-        assert!(self.pins.insert((replica, self.next_id)));
-        self.next_id
     }
 }
 
@@ -130,32 +121,33 @@ fn answers(sc: Scenario, cmd: &FlowCommand, w: &World) -> Vec<(World, FlowInput)
             n.backoffs += 1;
             push(n, FlowInput::Done);
         }
-        FlowCommand::PrefixOp { replica, op } => match op {
-            PrefixOp::Release { .. } => panic!("releases are effects, not commands"),
-            PrefixOp::Export { id } => {
-                assert!(
-                    w.pins.contains(&(*replica, *id)),
-                    "export of an unpinned prefix"
-                );
-                let tokens = prompt()[..handoff_cut(prompt().len(), BLOCK)].to_vec();
-                let blocks = vec![KvBlockBytes::empty(); tokens.len() / BLOCK];
-                let reply = PrefixReply::Exported { tokens, blocks };
+        FlowCommand::PrefixOp { replica, op } => {
+            let cut = &prompt()[..handoff_cut(prompt().len(), BLOCK)];
+            let reply = match op {
+                PrefixOp::Export { tokens } => {
+                    assert_eq!(*replica, 0, "the prefill replica exports");
+                    assert_eq!(tokens, cut, "the export asks for the whole cut");
+                    // Everything resident, only the first block, nothing.
+                    for resident in [cut.len(), BLOCK, 0] {
+                        let tokens = cut[..resident].to_vec();
+                        let blocks = vec![KvBlockBytes::empty(); resident / BLOCK];
+                        let reply = PrefixReply::Exported { tokens, blocks };
+                        push(w.clone(), FlowInput::Prefix(Ok(reply)));
+                    }
+                    None
+                }
+                PrefixOp::Install { tokens, blocks } => {
+                    assert!(cut.starts_with(tokens), "installs a prefix of the cut");
+                    assert_eq!(tokens.len(), blocks.len() * BLOCK);
+                    Some(PrefixReply::Installed)
+                }
+            };
+            if let Some(reply) = reply {
                 push(w.clone(), FlowInput::Prefix(Ok(reply)));
-                push(w.clone(), FlowInput::Prefix(Err(retryable)));
-                push(w.clone(), FlowInput::Prefix(Err(terminal)));
             }
-            PrefixOp::Register { .. } | PrefixOp::Install { .. } => {
-                let mut n = w.clone();
-                let id = n.pin(*replica);
-                let reply = match op {
-                    PrefixOp::Register { .. } => PrefixReply::Registered { id },
-                    _ => PrefixReply::Installed { id },
-                };
-                push(n, FlowInput::Prefix(Ok(reply)));
-                push(w.clone(), FlowInput::Prefix(Err(retryable)));
-                push(w.clone(), FlowInput::Prefix(Err(terminal)));
-            }
-        },
+            push(w.clone(), FlowInput::Prefix(Err(retryable)));
+            push(w.clone(), FlowInput::Prefix(Err(terminal)));
+        }
         FlowCommand::Submit {
             engine_id,
             prompt: p,
@@ -192,11 +184,8 @@ fn explore(sc: Scenario, flow: &RequestFlow, w: &World, input: FlowInput, tally:
     let (effects, cmd) = flow.on(input, w.clock);
     for effect in effects {
         match effect {
-            FlowEffect::Release { replica, id } => assert!(
-                w.pins.remove(&(replica, id)),
-                "released {id} on {replica} twice, or never pinned it"
-            ),
             FlowEffect::PublishTier { tokens, blocks } => {
+                assert!(!blocks.is_empty(), "an empty export is not published");
                 assert_eq!(tokens.len(), blocks.len() * BLOCK);
             }
             FlowEffect::HandoffRetry => w.handoff_retries += 1,
@@ -210,17 +199,8 @@ fn explore(sc: Scenario, flow: &RequestFlow, w: &World, input: FlowInput, tally:
             }
         }
     }
-    // Pins are dropped where their use ends, not hoarded until `Finish`:
-    // a failed attempt keeps nothing, the prefill side nothing past export.
-    match &cmd {
-        FlowCommand::Backoff { attempt, .. } => {
-            assert_eq!(*attempt, w.routes - 1);
-            assert!(w.pins.is_empty(), "attempt ended holding {:?}", w.pins);
-        }
-        FlowCommand::RouteDecode => {
-            assert!(w.pins.is_empty(), "prefill pin outlived {:?}", w.pins);
-        }
-        _ => {}
+    if let FlowCommand::Backoff { attempt, .. } = &cmd {
+        assert_eq!(*attempt, w.routes - 1);
     }
     let FlowCommand::Finish(result) = &cmd else {
         for (next, input) in answers(sc, &cmd, &w) {
@@ -229,7 +209,6 @@ fn explore(sc: Scenario, flow: &RequestFlow, w: &World, input: FlowInput, tally:
         return;
     };
     tally.paths += 1;
-    assert!(w.pins.is_empty(), "leaked pins {:?}", w.pins);
     assert!((1..=sc.max_attempts).contains(&w.routes));
     // Every failed attempt but the last asked for exactly one backoff, and
     // the handoff-retry count is the number of failed disaggregated attempts
@@ -304,8 +283,9 @@ fn unified_flow_every_failure_at_every_command() {
 
 #[test]
 fn disaggregated_flow_every_failure_at_every_command() {
-    // ~10 000 paths on a tier miss; a hit's install-or-register makes the
-    // tree ~14x wider.
+    // A tier hit adds the prefill-side install (ok | retryable | terminal |
+    // died) in front of every stub, which widens the tree.
+    let mut paths = Vec::new();
     for tier_hit in [false, true] {
         let t = run(Scenario {
             disaggregated: true,
@@ -313,40 +293,28 @@ fn disaggregated_flow_every_failure_at_every_command() {
             max_attempts: 3,
         });
         assert!(t.paths > 5_000, "only {} paths (hit={tier_hit})", t.paths);
+        paths.push(t.paths);
     }
+    assert!(paths[1] > paths[0]);
 }
 
 /// Drives one flow along the all-success path, answering the stub with
-/// `stub_tokens`; returns the terminal outcome and whether pins balanced.
+/// `stub_tokens`; returns the terminal outcome.
 fn happy(prompt: Vec<u32>, stub_tokens: Vec<u32>, decode_outputs: bool) -> RequestOutput {
     let request = GenerationRequest::greedy(4).with_eos(EOS);
     let mut flow = RequestFlow::new("r", prompt.clone(), request, BLOCK, true, 1);
-    let mut pins = BTreeSet::new();
     let mut input = FlowInput::Start;
     for step in 0.. {
-        let (effects, cmd) = flow.on(input, f64::from(step));
-        for effect in effects {
-            if let FlowEffect::Release { replica, id } = effect {
-                assert!(pins.remove(&(replica, id)));
-            }
-        }
+        let (_, cmd) = flow.on(input, f64::from(step));
         input = match cmd {
             FlowCommand::Route => FlowInput::Routed { replica: 0 },
             FlowCommand::RouteDecode => FlowInput::Routed { replica: 1 },
             FlowCommand::TierLookup { .. } => FlowInput::Tier(None),
-            FlowCommand::PrefixOp { replica, op } => FlowInput::Prefix(Ok(match op {
-                PrefixOp::Release { .. } => panic!("releases are effects"),
-                PrefixOp::Register { .. } => {
-                    pins.insert((replica, 7));
-                    PrefixReply::Registered { id: 7 }
-                }
-                PrefixOp::Install { .. } => {
-                    pins.insert((replica, 8));
-                    PrefixReply::Installed { id: 8 }
-                }
-                PrefixOp::Export { .. } => PrefixReply::Exported {
-                    tokens: prompt[..handoff_cut(prompt.len(), BLOCK)].to_vec(),
-                    blocks: vec![KvBlockBytes::empty(); handoff_cut(prompt.len(), BLOCK) / BLOCK],
+            FlowCommand::PrefixOp { op, .. } => FlowInput::Prefix(Ok(match op {
+                PrefixOp::Install { .. } => PrefixReply::Installed,
+                PrefixOp::Export { tokens } => PrefixReply::Exported {
+                    blocks: vec![KvBlockBytes::empty(); tokens.len() / BLOCK],
+                    tokens,
                 },
             })),
             FlowCommand::Submit {
@@ -361,10 +329,7 @@ fn happy(prompt: Vec<u32>, stub_tokens: Vec<u32>, decode_outputs: bool) -> Reque
                 }
                 FlowInput::Reply(Ok(out))
             }
-            FlowCommand::Finish(result) => {
-                assert!(pins.is_empty(), "leaked {pins:?}");
-                return result.expect("happy path");
-            }
+            FlowCommand::Finish(result) => return result.expect("happy path"),
             _ => FlowInput::Done,
         };
     }
@@ -374,7 +339,7 @@ fn happy(prompt: Vec<u32>, stub_tokens: Vec<u32>, decode_outputs: bool) -> Reque
 #[test]
 fn stub_that_is_the_whole_answer_finishes_without_a_handoff() {
     // EOS first, or no token at all (deadline at admission): the stub's
-    // output is the reply, and the registered prefix is still released.
+    // output is the reply.
     assert_eq!(
         happy(prompt(), vec![EOS], true).outputs[0].tokens,
         vec![EOS]
@@ -391,4 +356,77 @@ fn prompt_within_one_block_ships_nothing() {
     assert_eq!(handoff_cut(0, BLOCK), 0);
     let out = happy(vec![1, 2], vec![10], true);
     assert_eq!(out.outputs[0].tokens, vec![10, 20, 21, 22]);
+}
+
+/// What of the cut crosses to the decode replica is what its published
+/// coverage does not already show: a later turn of a conversation it decoded
+/// before ships only the new blocks, and nothing at all when it holds them
+/// all.
+#[test]
+fn decode_coverage_trims_what_is_shipped() {
+    use std::sync::Arc;
+    use vllm_cluster::{ReplicaRole, ReplicaSnapshot, RoutePolicy, Router, RouterConfig};
+
+    let prompt: Vec<u32> = (1..=9).collect(); // cut: 4 blocks of 2
+    let hashes = vllm_core::chunk_hashes(&prompt, BLOCK);
+    for covered in 0..=4 {
+        let mut router = Router::new(RouterConfig::new(RoutePolicy::JoinShortestQueue), 2);
+        router.set_roles(vec![ReplicaRole::Prefill, ReplicaRole::Decode]);
+        let mut coverage = hashes[..covered].to_vec();
+        coverage.sort_unstable();
+        let snaps = [Vec::new(), coverage].map(|coverage| ReplicaSnapshot {
+            coverage: Arc::new(coverage),
+            ..ReplicaSnapshot::default()
+        });
+        let request = GenerationRequest::greedy(4).with_eos(EOS);
+        let mut flow = RequestFlow::new("r", prompt.clone(), request, BLOCK, true, 1);
+        let mut input = FlowInput::Start;
+        let (mut transferred, mut installed) = (0, Vec::new());
+        let out = loop {
+            let (_, cmd) = flow.on(input, 0.0);
+            input = match cmd {
+                FlowCommand::Route => FlowInput::Routed { replica: 0 },
+                FlowCommand::RouteDecode => FlowInput::Routed {
+                    replica: flow.route_decode(&mut router, &snaps),
+                },
+                FlowCommand::TierLookup { .. } => FlowInput::Tier(None),
+                FlowCommand::Transfer { replica, blocks } => {
+                    assert_eq!(replica, 1);
+                    transferred = blocks;
+                    FlowInput::Done
+                }
+                FlowCommand::PrefixOp { op, .. } => FlowInput::Prefix(Ok(match op {
+                    PrefixOp::Export { tokens } => PrefixReply::Exported {
+                        blocks: vec![KvBlockBytes::empty(); tokens.len() / BLOCK],
+                        tokens,
+                    },
+                    PrefixOp::Install { tokens, blocks } => {
+                        installed = vec![tokens.len(), blocks.len()];
+                        PrefixReply::Installed
+                    }
+                })),
+                FlowCommand::Submit {
+                    engine_id, request, ..
+                } => {
+                    let tokens = if request.max_tokens == 1 {
+                        vec![10]
+                    } else {
+                        vec![20, 21, 22]
+                    };
+                    FlowInput::Reply(Ok(output(&engine_id, tokens)))
+                }
+                FlowCommand::Backoff { .. } => unreachable!("nothing fails"),
+                FlowCommand::Finish(result) => break result.expect("happy path"),
+            };
+        };
+        assert_eq!(out.outputs[0].tokens, vec![10, 20, 21, 22]);
+        assert_eq!(transferred, 4 - covered, "covered {covered}");
+        // The install names the whole cut and carries its last blocks.
+        let want = if covered == 4 {
+            vec![]
+        } else {
+            vec![8, 4 - covered]
+        };
+        assert_eq!(installed, want, "covered {covered}");
+    }
 }

@@ -6,6 +6,16 @@
 //! while swapped out. Physical blocks are reference counted; writing into a
 //! block shared by several sequences triggers a block-granularity
 //! copy-on-write (Fig. 8).
+//!
+//! A *full, computed* GPU block is immutable, so any number of tables may
+//! point at it (§4.4). The manager indexes every such block by the hash of
+//! the token prefix it completes, and the allocator lets a block keep that
+//! hash after its last reference is gone, until the block is handed out
+//! again. A cached block is therefore simply a free block: admission
+//! ([`BlockSpaceManager::allocate`]) maps the longest indexed run of a
+//! prompt's leading blocks and reports how many tokens that skips, and
+//! reference counts plus free-list order are the only lifetime rule — there
+//! is nothing to pin, release or evict by hand.
 
 use std::collections::HashMap;
 
@@ -13,27 +23,9 @@ use crate::block::{BlockAllocator, Device, PhysicalBlock, PhysicalBlockId};
 use crate::config::CacheConfig;
 use crate::error::{Result, VllmError};
 use crate::executor::{BlockMove, CacheOps};
+use crate::prefix::{extend_hash, ROOT_HASH};
+use crate::sampling::TokenId;
 use crate::sequence::{SeqId, Sequence, SequenceGroup, SequenceStatus};
-
-/// Old→new block-id mappings produced by a compaction pass. Callers that
-/// hold raw block ids outside the manager's tables (the engine's prefix
-/// pool, the scheduler's admission-time prefix assignments) must remap
-/// through this.
-#[derive(Debug, Clone, Default)]
-pub struct PoolRemap {
-    /// GPU-pool migrations: old id → new id.
-    pub gpu: HashMap<PhysicalBlockId, PhysicalBlockId>,
-    /// CPU-pool migrations: old id → new id.
-    pub cpu: HashMap<PhysicalBlockId, PhysicalBlockId>,
-}
-
-impl PoolRemap {
-    /// Whether no block moved.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.gpu.is_empty() && self.cpu.is_empty()
-    }
-}
 
 /// Outcome of an admission check for a waiting group (§4.5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,6 +84,15 @@ pub struct BlockManagerMetrics {
     pub pool_fragmentation_ratio: vllm_telemetry::Gauge,
     /// `vllm_block_migrations_total` counter.
     pub block_migrations_total: vllm_telemetry::Counter,
+    /// `vllm_block_manager_gpu_blocks_cached_free` gauge: free GPU blocks
+    /// that still hold indexed content (cached and evictable).
+    pub gpu_blocks_cached_free: vllm_telemetry::Gauge,
+    /// `vllm_cache_prefix_lookup_tokens_total` counter: prompt tokens of
+    /// admissions that looked the block index up.
+    pub prefix_lookup_tokens_total: vllm_telemetry::Counter,
+    /// `vllm_cache_prefix_hit_tokens_total` counter: the tokens of those
+    /// prompts found in the index (their prefill was skipped).
+    pub prefix_hit_tokens_total: vllm_telemetry::Counter,
 }
 
 impl BlockManagerMetrics {
@@ -156,6 +157,81 @@ impl BlockManagerMetrics {
                 "vllm_block_migrations_total",
                 "Live KV blocks migrated by pool compaction.",
             ),
+            gpu_blocks_cached_free: r.gauge(
+                "vllm_block_manager_gpu_blocks_cached_free",
+                "Free GPU blocks still holding indexed content (cached, evictable).",
+            ),
+            prefix_lookup_tokens_total: r.counter(
+                "vllm_cache_prefix_lookup_tokens_total",
+                "Prompt tokens of admissions that looked the block index up.",
+            ),
+            prefix_hit_tokens_total: r.counter(
+                "vllm_cache_prefix_hit_tokens_total",
+                "Prompt tokens found in the block index at admission.",
+            ),
+        }
+    }
+}
+
+/// One indexed block: where the content lives and what it is.
+#[derive(Debug)]
+struct IndexedBlock {
+    block: PhysicalBlockId,
+    /// Hash of the prefix before this block ([`ROOT_HASH`] for a first one).
+    parent: u64,
+    /// The block's own `block_size` tokens.
+    tokens: Vec<TokenId>,
+}
+
+/// The content index: hash of a block-aligned token prefix → the GPU block
+/// holding the KV of that prefix's last block.
+#[derive(Debug, Default)]
+struct BlockIndex {
+    blocks: HashMap<u64, IndexedBlock>,
+    /// Bumped whenever the key set changes (coverage publishers poll it).
+    version: u64,
+}
+
+impl BlockIndex {
+    /// The block indexed under `hash`, if it really holds `tokens` after
+    /// the prefix hashing to `parent`. Hashes come from untrusted prompts,
+    /// so a 64-bit collision must read as a miss, never as someone else's
+    /// KV.
+    fn lookup(&self, hash: u64, parent: u64, tokens: &[TokenId]) -> Option<PhysicalBlockId> {
+        self.blocks
+            .get(&hash)
+            .filter(|b| b.parent == parent && b.tokens == tokens)
+            .map(|b| b.block)
+    }
+
+    /// Indexes `block` under `hash` unless the key is taken (the first
+    /// block to hold a content keeps it). Returns whether it was inserted.
+    fn insert(
+        &mut self,
+        hash: u64,
+        parent: u64,
+        tokens: &[TokenId],
+        block: PhysicalBlockId,
+    ) -> bool {
+        if self.blocks.contains_key(&hash) {
+            return false;
+        }
+        let tokens = tokens.to_vec();
+        self.blocks.insert(
+            hash,
+            IndexedBlock {
+                block,
+                parent,
+                tokens,
+            },
+        );
+        self.version += 1;
+        true
+    }
+
+    fn remove(&mut self, hash: u64) {
+        if self.blocks.remove(&hash).is_some() {
+            self.version += 1;
         }
     }
 }
@@ -171,10 +247,12 @@ pub struct BlockSpaceManager {
     gpu: BlockAllocator,
     cpu: BlockAllocator,
     block_tables: HashMap<SeqId, Vec<PhysicalBlock>>,
-    /// References on GPU blocks held by prefix-cache anchors rather than by
-    /// any sequence table (a block shared between two retained prefixes
-    /// holds two), so [`Self::assert_consistent`] can be exact.
-    anchor_refs: HashMap<PhysicalBlockId, u32>,
+    index: BlockIndex,
+    /// Whether blocks are indexed and admissions look the index up.
+    prefix_caching: bool,
+    /// Cumulative prompt tokens looked up / found at admission (metrics).
+    num_lookup_tokens: u64,
+    num_hit_tokens: u64,
     /// Cumulative count of copy-on-write events (metrics).
     num_cow_copies: u64,
     /// Cumulative count of blocks swapped out / in (metrics).
@@ -208,7 +286,10 @@ impl BlockSpaceManager {
             gpu: BlockAllocator::new(Device::Gpu, config.num_gpu_blocks),
             cpu: BlockAllocator::new(Device::Cpu, config.num_cpu_blocks),
             block_tables: HashMap::new(),
-            anchor_refs: HashMap::new(),
+            index: BlockIndex::default(),
+            prefix_caching: true,
+            num_lookup_tokens: 0,
+            num_hit_tokens: 0,
             num_cow_copies: 0,
             num_swapped_out_blocks: 0,
             num_swapped_in_blocks: 0,
@@ -231,6 +312,58 @@ impl BlockSpaceManager {
     #[must_use]
     pub fn swap_disabled(&self) -> bool {
         self.swap_disabled
+    }
+
+    /// Turns the content index on or off (on by default). Off is the
+    /// reference the parity tests and Fig. 16's "no prefix cache" rows
+    /// compare against: nothing is indexed, nothing is looked up, and the
+    /// allocator hands blocks out exactly as it did before hashes existed.
+    pub fn set_prefix_caching(&mut self, enabled: bool) {
+        self.prefix_caching = enabled;
+        if !enabled {
+            self.clear_cache();
+        }
+    }
+
+    /// Forgets every indexed block. Recovery after an executor failure uses
+    /// this: the failed step's cache operations may not have been applied,
+    /// so what the index says a block holds can no longer be trusted.
+    pub fn clear_cache(&mut self) {
+        for id in 0..self.gpu.num_blocks() {
+            self.gpu.clear_hash(id);
+        }
+        self.index = BlockIndex {
+            blocks: HashMap::new(),
+            version: self.index.version + 1,
+        };
+    }
+
+    /// Counter that moves whenever the set of indexed hashes does.
+    #[must_use]
+    pub fn cache_version(&self) -> u64 {
+        self.index.version
+    }
+
+    /// The sorted hashes of every indexed block: a prompt whose `k`-th
+    /// [`chunk_hash`](crate::prefix::chunk_hashes) appears here has the KV
+    /// of its first `k + 1` blocks resident (a replica's routing coverage).
+    #[must_use]
+    pub fn cached_hashes(&self) -> Vec<u64> {
+        let mut hashes: Vec<u64> = self.index.blocks.keys().copied().collect();
+        hashes.sort_unstable();
+        hashes
+    }
+
+    /// Free GPU blocks that still hold indexed content.
+    #[must_use]
+    pub fn num_cached_free_gpu_blocks(&self) -> usize {
+        self.gpu.num_cached_free()
+    }
+
+    /// Cumulative `(looked up, found)` prompt tokens over admissions.
+    #[must_use]
+    pub fn prefix_lookup_stats(&self) -> (u64, u64) {
+        (self.num_lookup_tokens, self.num_hit_tokens)
     }
 
     /// KV block size in tokens.
@@ -314,17 +447,17 @@ impl BlockSpaceManager {
     /// Growth mints fresh block ids above the old bound. Shrinkage first
     /// compacts: every live block above the new bound migrates to a free
     /// hole below it, the data moves are journaled into the pending
-    /// [`CacheOps`] (`moves` lane), and every sequence block table is
-    /// remapped. The returned [`PoolRemap`] carries the old→new ids so
-    /// callers holding raw ids elsewhere (prefix anchors) can follow.
-    /// The admission watermark is rescaled to the new pool size.
+    /// [`CacheOps`] (`moves` lane), and every sequence block table and the
+    /// content index follow. Free blocks above the new bound leave the pool
+    /// with whatever they cached. The admission watermark is rescaled to the
+    /// new pool size.
     ///
     /// # Errors
     ///
     /// Returns [`VllmError::InvalidConfig`] if `gpu_blocks` is zero or
     /// smaller than the number of live GPU blocks (likewise for the CPU
     /// pool); the pool is left unchanged on error.
-    pub fn resize(&mut self, gpu_blocks: usize, cpu_blocks: usize) -> Result<PoolRemap> {
+    pub fn resize(&mut self, gpu_blocks: usize, cpu_blocks: usize) -> Result<()> {
         if gpu_blocks == 0 {
             return Err(VllmError::InvalidConfig(
                 "GPU pool must keep at least one block".into(),
@@ -342,51 +475,48 @@ impl BlockSpaceManager {
                 self.cpu.num_allocated()
             )));
         }
-        let mut remap = PoolRemap::default();
         if gpu_blocks > self.gpu.num_blocks() {
             self.gpu.grow(gpu_blocks)?;
             self.pending.gpu_capacity = Some(gpu_blocks);
         } else if gpu_blocks < self.gpu.num_blocks() {
-            remap.gpu = self.compact_device(Device::Gpu, gpu_blocks)?;
-            self.gpu.shrink(gpu_blocks)?;
+            self.compact_device(Device::Gpu, gpu_blocks)?;
+            for hash in self.gpu.shrink(gpu_blocks)? {
+                self.index.remove(hash);
+            }
             self.pending.gpu_capacity = Some(gpu_blocks);
         }
         if cpu_blocks > self.cpu.num_blocks() {
             self.cpu.grow(cpu_blocks)?;
             self.pending.cpu_capacity = Some(cpu_blocks);
         } else if cpu_blocks < self.cpu.num_blocks() {
-            remap.cpu = self.compact_device(Device::Cpu, cpu_blocks)?;
+            self.compact_device(Device::Cpu, cpu_blocks)?;
             self.cpu.shrink(cpu_blocks)?;
             self.pending.cpu_capacity = Some(cpu_blocks);
         }
         self.watermark_blocks = (self.watermark * gpu_blocks as f64) as usize;
-        Ok(remap)
+        Ok(())
     }
 
     /// Fully defragments both pools without changing their size: every live
     /// block migrates to the lowest free hole, so live blocks end up packed
     /// at ids `[0, num_allocated)`. The data moves are journaled into the
-    /// pending [`CacheOps`]. Returns the old→new mapping.
+    /// pending [`CacheOps`].
     ///
     /// # Errors
     ///
     /// Propagates allocator errors, which indicate corrupted accounting.
-    pub fn compact(&mut self) -> Result<PoolRemap> {
-        Ok(PoolRemap {
-            gpu: self.compact_device(Device::Gpu, self.gpu.num_allocated())?,
-            cpu: self.compact_device(Device::Cpu, self.cpu.num_allocated())?,
-        })
+    pub fn compact(&mut self) -> Result<()> {
+        self.compact_device(Device::Gpu, self.gpu.num_allocated())?;
+        self.compact_device(Device::Cpu, self.cpu.num_allocated())
     }
 
     /// Migrates every live block of `device` with id at or above `bound`
     /// into a free hole below `bound`, journaling the moves and rewriting
-    /// every block-table entry. The caller guarantees feasibility
+    /// every block-table entry. A hole that still cached something loses
+    /// it (the move overwrites its data); the moved block's own index entry
+    /// follows it. The caller guarantees feasibility
     /// (`num_allocated <= bound`).
-    fn compact_device(
-        &mut self,
-        device: Device,
-        bound: usize,
-    ) -> Result<HashMap<PhysicalBlockId, PhysicalBlockId>> {
+    fn compact_device(&mut self, device: Device, bound: usize) -> Result<()> {
         let pool = match device {
             Device::Gpu => &mut self.gpu,
             Device::Cpu => &mut self.cpu,
@@ -397,7 +527,12 @@ impl BlockSpaceManager {
                 Device::Gpu => VllmError::OutOfGpuBlocks,
                 Device::Cpu => VllmError::OutOfCpuBlocks,
             })?;
-            pool.relocate(src, dst)?;
+            if let Some(evicted) = pool.relocate(src, dst)? {
+                self.index.remove(evicted);
+            }
+            if let Some(moved) = pool.hash(dst).and_then(|h| self.index.blocks.get_mut(&h)) {
+                moved.block = dst;
+            }
             mapping.insert(src, dst);
             self.pending.moves.push(BlockMove { device, src, dst });
             self.num_block_migrations += 1;
@@ -413,15 +548,8 @@ impl BlockSpaceManager {
                     }
                 }
             }
-            if device == Device::Gpu {
-                // Destinations were free holes, so no two anchors collide.
-                self.anchor_refs = std::mem::take(&mut self.anchor_refs)
-                    .into_iter()
-                    .map(|(id, n)| (mapping.get(&id).copied().unwrap_or(id), n))
-                    .collect();
-            }
         }
-        Ok(mapping)
+        Ok(())
     }
 
     /// Publishes the pool state to the cached telemetry handles.
@@ -454,6 +582,12 @@ impl BlockSpaceManager {
             .set(self.pool_fragmentation_ratio());
         m.block_migrations_total
             .set_to_at_least(self.num_block_migrations);
+        m.gpu_blocks_cached_free
+            .set(self.gpu.num_cached_free() as f64);
+        m.prefix_lookup_tokens_total
+            .set_to_at_least(self.num_lookup_tokens);
+        m.prefix_hit_tokens_total
+            .set_to_at_least(self.num_hit_tokens);
     }
 
     /// Drains the cache operations accumulated since the last call. The
@@ -495,156 +629,183 @@ impl BlockSpaceManager {
         }
     }
 
-    /// Allocates block tables for every waiting sequence in the group.
+    /// Allocates block tables for every waiting sequence in the group and
+    /// returns how many leading prompt tokens were found cached.
+    ///
+    /// A single waiting sequence looks its prompt up in the content index:
+    /// the longest indexed run of its leading full blocks is mapped instead
+    /// of allocated, capped at `(len - 1) / block_size` blocks so that at
+    /// least one row still runs (the first sampled token needs logits) and
+    /// every block the prefill writes is the sequence's own. A waiting
+    /// fan-out (several sequences returned by recomputation) allocates
+    /// plainly: its sequences carry cursors one cached count cannot
+    /// describe.
     ///
     /// # Errors
     ///
     /// Returns [`VllmError::OutOfGpuBlocks`] if the pool runs out; call
     /// [`Self::can_allocate`] first.
-    pub fn allocate(&mut self, group: &SequenceGroup) -> Result<()> {
-        for seq in group.seqs_with_status(SequenceStatus::Waiting) {
-            let n = seq.num_logical_blocks();
-            let mut table = Vec::with_capacity(n);
-            for _ in 0..n {
-                table.push(PhysicalBlock::gpu(self.gpu.allocate()?));
+    pub fn allocate(&mut self, group: &SequenceGroup) -> Result<usize> {
+        let waiting = group.seqs_with_status(SequenceStatus::Waiting);
+        let lookup = self.prefix_caching && waiting.len() == 1;
+        let mut cached_tokens = 0;
+        for seq in waiting {
+            let max_hits = if lookup {
+                seq.len().saturating_sub(1) / self.block_size
+            } else {
+                0
+            };
+            let hits = self.cached_blocks(seq.data.tokens(), max_hits);
+            let (blocks, hits) = self.map_blocks(hits, seq.num_logical_blocks())?;
+            if lookup {
+                cached_tokens = hits * self.block_size;
+                self.num_lookup_tokens += seq.len() as u64;
+                self.num_hit_tokens += cached_tokens as u64;
             }
+            let table = blocks.into_iter().map(PhysicalBlock::gpu).collect();
             self.block_tables.insert(seq.seq_id, table);
         }
-        Ok(())
+        Ok(cached_tokens)
     }
 
-    /// Allocates the block table for a waiting sequence whose prompt starts
-    /// with a cached shared prefix (§4.4 "shared prefix").
-    ///
-    /// The first `prefix_blocks.len()` logical blocks map to the cached
-    /// physical blocks. If the prefix ends mid-block (`prefix_len` not a
-    /// multiple of the block size) the last shared block must be writable by
-    /// this request's prefill, so it is copy-on-write-split immediately and
-    /// the returned [`BlockCopy`] must be executed before the step.
-    ///
-    /// # Errors
-    ///
-    /// Returns an allocation error if the GPU pool runs out, or
-    /// [`VllmError::UnknownSequence`] if the sequence is not waiting.
-    pub fn allocate_with_prefix(
+    /// The GPU blocks holding the longest indexed run of `tokens`' leading
+    /// full blocks, at most `max_blocks` of them: the one place a hit is
+    /// decided. Nothing is referenced — for reading (a KV export) the ids
+    /// are good until the next allocation.
+    #[must_use]
+    pub fn cached_blocks(&self, tokens: &[TokenId], max_blocks: usize) -> Vec<PhysicalBlockId> {
+        let mut run = Vec::new();
+        let mut parent = ROOT_HASH;
+        for chunk in tokens.chunks_exact(self.block_size).take(max_blocks) {
+            let hash = extend_hash(parent, chunk);
+            let Some(block) = self.index.lookup(hash, parent, chunk) else {
+                break;
+            };
+            run.push(block);
+            parent = hash;
+        }
+        run
+    }
+
+    /// Completes `blocks` — cached blocks found by [`Self::cached_blocks`]
+    /// — to a run of `n_blocks` GPU blocks: those hits are shared (a live
+    /// one gains a reference, a free one is revived), then fresh blocks are
+    /// allocated. Hits are taken first, so the allocator cannot evict a
+    /// block this run is about to map. Returns the run and how many of its
+    /// leading blocks were hits.
+    fn map_blocks(
         &mut self,
-        group: &SequenceGroup,
-        prefix_len: usize,
-        prefix_blocks: &[PhysicalBlockId],
-    ) -> Result<Vec<BlockCopy>> {
-        debug_assert_eq!(prefix_len.div_ceil(self.block_size), prefix_blocks.len());
-        let mut copies = Vec::new();
-        let waiting = group.seq_ids_with_status(SequenceStatus::Waiting);
-        for seq_id in waiting {
-            let seq = group
-                .get(seq_id)
-                .ok_or(VllmError::UnknownSequence(seq_id))?;
-            let n = seq.num_logical_blocks();
-            debug_assert!(seq.len() >= prefix_len, "prompt must contain the prefix");
-            let mut table = Vec::with_capacity(n);
-            let prefix_partial = !prefix_len.is_multiple_of(self.block_size);
-            for (j, &pb) in prefix_blocks.iter().enumerate() {
-                let is_last = j == prefix_blocks.len() - 1;
-                if is_last && prefix_partial {
-                    // Partially-filled last prefix block: the prefill will
-                    // write the remaining slots, so split it eagerly.
-                    let fresh = self.gpu.allocate()?;
-                    copies.push(BlockCopy {
-                        src: pb,
-                        dst: fresh,
-                    });
-                    self.num_cow_copies += 1;
-                    table.push(PhysicalBlock::gpu(fresh));
-                } else {
-                    // Fully-filled prefix block: share read-only.
-                    self.gpu.incr_ref(pb)?;
-                    table.push(PhysicalBlock::gpu(pb));
-                }
-            }
-            while table.len() < n {
-                table.push(PhysicalBlock::gpu(self.gpu.allocate()?));
-            }
-            self.block_tables.insert(seq_id, table);
+        mut blocks: Vec<PhysicalBlockId>,
+        n_blocks: usize,
+    ) -> Result<(Vec<PhysicalBlockId>, usize)> {
+        let hits = blocks.len();
+        for &block in &blocks {
+            self.gpu.acquire(block)?;
         }
-        self.pending.copies.extend_from_slice(&copies);
-        Ok(copies)
+        while blocks.len() < n_blocks {
+            blocks.push(self.allocate_gpu()?);
+        }
+        Ok((blocks, hits))
     }
 
-    /// Allocates `n` GPU blocks owned by the prefix cache rather than any
-    /// sequence (§4.4 "shared prefix": the provider reserves physical blocks
-    /// for predefined prefixes in advance). The anchor reference keeps the
-    /// blocks alive while requests map and unmap them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VllmError::OutOfGpuBlocks`] if the pool is exhausted.
-    pub fn allocate_anchor_blocks(&mut self, n: usize) -> Result<Vec<PhysicalBlockId>> {
-        if self.gpu.num_free() < n {
-            return Err(VllmError::OutOfGpuBlocks);
+    /// Takes a GPU block off the free blocks; if it still cached something,
+    /// that entry is evicted here.
+    fn allocate_gpu(&mut self) -> Result<PhysicalBlockId> {
+        let (block, evicted) = self.gpu.allocate()?;
+        if let Some(hash) = evicted {
+            self.index.remove(hash);
         }
-        let blocks = (0..n)
-            .map(|_| self.gpu.allocate())
-            .collect::<Result<Vec<_>>>()?;
-        for &b in &blocks {
-            *self.anchor_refs.entry(b).or_insert(0) += 1;
-        }
-        Ok(blocks)
+        Ok(block)
     }
 
-    /// Converts a sequence's block table into prefix-cache anchors without
-    /// copying or recomputing: the first `num_blocks` blocks keep this
-    /// sequence's reference as the anchor reference; the rest are freed.
-    /// Used to retain a finished request's KV cache across requests
-    /// (conversation reuse, an extension of §4.4).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VllmError::UnknownSequence`] if the sequence has no table
-    /// and [`VllmError::InvalidBlock`] if any kept block is not
-    /// GPU-resident (a swapped-out sequence cannot be promoted).
-    pub fn take_table_as_anchor(
+    /// Indexes `blocks`, the blocks of `tokens` from block `first` on, each
+    /// under the hash of the token prefix it completes. The hash of the
+    /// prefix before them is the preceding block's own when that block is
+    /// indexed (`before`), and is recomputed from the tokens otherwise.
+    fn index_blocks(
         &mut self,
-        seq_id: SeqId,
-        num_blocks: usize,
-    ) -> Result<Vec<PhysicalBlockId>> {
-        let table = self
-            .block_tables
-            .remove(&seq_id)
-            .ok_or(VllmError::UnknownSequence(seq_id))?;
-        let mut anchors = Vec::with_capacity(num_blocks.min(table.len()));
-        for (j, block) in table.into_iter().enumerate() {
-            if block.device != Device::Gpu {
-                return Err(VllmError::InvalidBlock(block.id));
+        tokens: &[TokenId],
+        first: usize,
+        before: Option<PhysicalBlockId>,
+        blocks: &[PhysicalBlockId],
+    ) {
+        let bs = self.block_size;
+        let mut parent = match before.and_then(|b| self.gpu.hash(b)) {
+            Some(hash) => hash,
+            None => extend_hash(ROOT_HASH, &tokens[..first * bs]),
+        };
+        for (chunk, &block) in tokens[first * bs..].chunks_exact(bs).zip(blocks) {
+            let hash = extend_hash(parent, chunk);
+            // A block already holding a hash (mapped from the index, or
+            // indexed by a forked sibling) and content some other block
+            // already serves stay as they are.
+            if self.gpu.hash(block).is_none() && self.index.insert(hash, parent, chunk, block) {
+                self.gpu.set_hash(block, hash);
             }
-            if j < num_blocks {
-                anchors.push(block.id);
-                *self.anchor_refs.entry(block.id).or_insert(0) += 1;
-            } else {
-                self.gpu.free(block.id)?;
-            }
+            parent = hash;
         }
-        Ok(anchors)
     }
 
-    /// Releases prefix-cache anchor blocks handed out by
-    /// [`Self::allocate_anchor_blocks`] or [`Self::take_table_as_anchor`].
+    /// Records that the KV of `seq` (GPU-resident), which covered its first
+    /// `was_computed` tokens, now covers `num_computed_tokens()`: every
+    /// block this completes enters the index. Prefill chunks and decode
+    /// appends alike come through here, which is why a finished request's
+    /// blocks are simply still there for the conversation's next turn.
+    pub fn mark_computed(&mut self, seq: &Sequence, was_computed: usize) {
+        let first = was_computed / self.block_size;
+        let end = seq.data.num_computed_tokens() / self.block_size;
+        let Some(table) = self.block_tables.get(&seq.seq_id) else {
+            return;
+        };
+        if !self.prefix_caching || first >= end {
+            return;
+        }
+        let before = first.checked_sub(1).map(|k| table[k].id);
+        let blocks: Vec<PhysicalBlockId> = table[first..end].iter().map(|b| b.id).collect();
+        self.index_blocks(seq.data.tokens(), first, before, &blocks);
+    }
+
+    /// Leaves the leading full blocks of `tokens` cached with no sequence
+    /// owning them — as many as the free pool holds, so this never fails for
+    /// want of space and takes nothing from a running sequence. Blocks the
+    /// index already holds are kept, the rest are allocated, filled by
+    /// `write(first_new_block, run, pending_ops)` — the caller's executor
+    /// call, a KV-only forward or a journaled install, which must carry the
+    /// manager's pending cache operations like any step's plan — then
+    /// indexed and freed, tail first. If the write fails the run is freed
+    /// unindexed.
     ///
     /// # Errors
     ///
-    /// Returns [`VllmError::DoubleFree`] for a block that holds no anchor
-    /// reference, and propagates allocator double-free errors.
-    pub fn free_anchor_blocks(&mut self, blocks: &[PhysicalBlockId]) -> Result<()> {
-        for &b in blocks {
-            match self.anchor_refs.get_mut(&b) {
-                Some(n) if *n > 1 => *n -= 1,
-                Some(_) => {
-                    self.anchor_refs.remove(&b);
-                }
-                None => return Err(VllmError::DoubleFree(b)),
-            }
-            self.gpu.free(b)?;
+    /// Returns the write's own error.
+    pub fn cache_blocks(
+        &mut self,
+        tokens: &[TokenId],
+        write: impl FnOnce(usize, &[PhysicalBlockId], CacheOps) -> Result<()>,
+    ) -> Result<()> {
+        let n_blocks = tokens.len() / self.block_size;
+        if !self.prefix_caching {
+            return Ok(());
         }
-        Ok(())
+        // A live hit costs no free block; every other block of the run does.
+        let mut cached = self.cached_blocks(tokens, n_blocks);
+        let live = |b: &&PhysicalBlockId| self.gpu.ref_count(**b).is_ok_and(|refs| refs > 0);
+        let n_blocks = n_blocks.min(self.gpu.num_free() + cached.iter().filter(live).count());
+        cached.truncate(n_blocks);
+        let (run, hits) = self.map_blocks(cached, n_blocks)?;
+        let written = if hits == n_blocks {
+            Ok(())
+        } else {
+            write(hits, &run, self.take_pending())
+        };
+        if written.is_ok() {
+            let before = hits.checked_sub(1).map(|k| run[k]);
+            self.index_blocks(tokens, hits, before, &run[hits..]);
+        }
+        for &block in run.iter().rev() {
+            self.gpu.free(block)?;
+        }
+        written
     }
 
     /// Whether every running sequence in the group could receive one more
@@ -678,8 +839,11 @@ impl BlockSpaceManager {
         );
         if table.len() < required {
             // The new token starts a fresh logical block.
-            let id = self.gpu.allocate()?;
-            table.push(PhysicalBlock::gpu(id));
+            let id = self.allocate_gpu()?;
+            self.block_tables
+                .get_mut(&seq.seq_id)
+                .ok_or(VllmError::UnknownSequence(seq.seq_id))?
+                .push(PhysicalBlock::gpu(id));
             return Ok(None);
         }
         // The new token lands in the last existing block; if that block is
@@ -687,7 +851,7 @@ impl BlockSpaceManager {
         let last = *table.last().ok_or(VllmError::UnknownSequence(seq.seq_id))?;
         debug_assert_eq!(last.device, Device::Gpu);
         if self.gpu.ref_count(last.id)? > 1 {
-            let fresh = self.gpu.allocate()?;
+            let fresh = self.allocate_gpu()?;
             self.gpu.free(last.id)?;
             let table = self
                 .block_tables
@@ -746,7 +910,7 @@ impl BlockSpaceManager {
         let mut copies = Vec::with_capacity(table.len());
         for block in &table {
             debug_assert_eq!(block.device, Device::Gpu, "eager fork of resident seq");
-            let fresh = self.gpu.allocate()?;
+            let fresh = self.allocate_gpu()?;
             copies.push(BlockCopy {
                 src: block.id,
                 dst: fresh,
@@ -758,7 +922,8 @@ impl BlockSpaceManager {
         Ok(copies)
     }
 
-    /// Frees all blocks of a sequence (the `free` primitive of §5.2).
+    /// Frees all blocks of a sequence (the `free` primitive of §5.2). What
+    /// they cached stays cached for as long as the blocks stay free.
     ///
     /// Freeing a sequence without a block table is a no-op so that waiting
     /// sequences can be aborted uniformly.
@@ -767,13 +932,39 @@ impl BlockSpaceManager {
     ///
     /// Propagates double-free errors, which indicate corrupted accounting.
     pub fn free(&mut self, seq_id: SeqId) -> Result<()> {
-        if let Some(table) = self.block_tables.remove(&seq_id) {
-            for block in table {
-                match block.device {
-                    Device::Gpu => self.gpu.free(block.id)?,
-                    Device::Cpu => self.cpu.free(block.id)?,
-                };
-            }
+        self.release(seq_id, true)
+    }
+
+    /// Frees all blocks of a sequence preempted by recomputation: those no
+    /// other table shares leave the index too, so the sequence pays for its
+    /// recompute when it is admitted again (§4.5) instead of reviving its
+    /// own blocks.
+    ///
+    /// # Errors
+    ///
+    /// Propagates double-free errors, which indicate corrupted accounting.
+    pub fn free_for_recompute(&mut self, seq_id: SeqId) -> Result<()> {
+        self.release(seq_id, false)
+    }
+
+    fn release(&mut self, seq_id: SeqId, keep_cached: bool) -> Result<()> {
+        let Some(table) = self.block_tables.remove(&seq_id) else {
+            return Ok(());
+        };
+        // Tail first: a prefix's blocks are freed after — and so evicted
+        // after — the blocks that extend it.
+        for block in table.into_iter().rev() {
+            match block.device {
+                Device::Gpu => {
+                    if !keep_cached && self.gpu.ref_count(block.id)? == 1 {
+                        if let Some(hash) = self.gpu.clear_hash(block.id) {
+                            self.index.remove(hash);
+                        }
+                    }
+                    self.gpu.free(block.id)?
+                }
+                Device::Cpu => self.cpu.free(block.id)?,
+            };
         }
         Ok(())
     }
@@ -887,7 +1078,7 @@ impl BlockSpaceManager {
                                 cpu_id
                             }
                             None => {
-                                let cpu_id = self.cpu.allocate()?;
+                                let (cpu_id, _) = self.cpu.allocate()?;
                                 mapping.insert(block.id, cpu_id);
                                 copies.push(BlockCopy {
                                     src: block.id,
@@ -933,7 +1124,7 @@ impl BlockSpaceManager {
                                 gpu_id
                             }
                             None => {
-                                let gpu_id = self.gpu.allocate()?;
+                                let gpu_id = self.allocate_gpu()?;
                                 mapping.insert(block.id, gpu_id);
                                 copies.push(BlockCopy {
                                     src: block.id,
@@ -974,10 +1165,7 @@ impl BlockSpaceManager {
         if logical == 0 {
             return 0.0;
         }
-        // Pinned prefix-anchor blocks can make `physical` exceed `logical`;
-        // they are provider-owned overhead, not sequence waste.
-        let physical = self.gpu.num_allocated();
-        logical.saturating_sub(physical) as f64 / logical as f64
+        (logical - self.gpu.num_allocated()) as f64 / logical as f64
     }
 
     /// Number of KV token slots actually holding token state in the GPU pool,
@@ -1008,11 +1196,12 @@ impl BlockSpaceManager {
         fill.values().sum()
     }
 
-    /// Verifies internal consistency: every block's reference count equals
-    /// the number of sequence-table entries naming it plus the prefix-cache
-    /// anchor references handed out on it — exactly, so a single leaked or
-    /// lost reference on any block is caught. Intended for tests and debug
-    /// assertions.
+    /// Verifies internal consistency, exactly: every block's reference
+    /// count equals the number of sequence-table entries naming it (so a
+    /// single leaked or lost reference on any block is caught); the blocks
+    /// holding a hash and the index entries are one-to-one; every free
+    /// block sits on the free list its hash puts it on; and nothing in the
+    /// CPU pool is hashed. Intended for tests and debug assertions.
     ///
     /// # Panics
     ///
@@ -1028,22 +1217,38 @@ impl BlockSpaceManager {
                 }
             }
         }
-        let no_anchors = HashMap::new();
-        for (pool, refs, anchors, name) in [
-            (&self.gpu, &gpu_refs, &self.anchor_refs, "gpu"),
-            (&self.cpu, &cpu_refs, &no_anchors, "cpu"),
-        ] {
+        for (pool, refs, name) in [(&self.gpu, &gpu_refs, "gpu"), (&self.cpu, &cpu_refs, "cpu")] {
             for id in 0..pool.num_blocks() {
                 let tables = refs.get(&id).copied().unwrap_or(0);
-                let anchors = anchors.get(&id).copied().unwrap_or(0);
                 let actual = pool.ref_count(id).expect("in range");
                 assert_eq!(
-                    actual,
-                    tables + anchors,
-                    "{name} block {id}: ref count {actual} != {tables} table + {anchors} anchor references"
+                    actual, tables,
+                    "{name} block {id}: ref count {actual} != {tables} table references"
                 );
             }
+            pool.assert_consistent();
         }
+        for (hash, entry) in &self.index.blocks {
+            assert_eq!(
+                self.gpu.hash(entry.block),
+                Some(*hash),
+                "index entry {hash:#x} names block {} which does not hold it",
+                entry.block
+            );
+            assert_eq!(entry.tokens.len(), self.block_size);
+        }
+        let hashed = |pool: &BlockAllocator| {
+            (0..pool.num_blocks())
+                .filter(|&id| pool.hash(id).is_some())
+                .count()
+        };
+        assert_eq!(
+            hashed(&self.gpu),
+            self.index.blocks.len(),
+            "a GPU block holds a hash the index does not map to it"
+        );
+        assert_eq!(hashed(&self.cpu), 0, "a CPU block is hashed");
+        assert!(self.prefix_caching || self.index.blocks.is_empty());
     }
 }
 
@@ -1236,26 +1441,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_allocation_shares_full_blocks() {
-        let mut m = manager(10, 0);
-        // Fake a cached prefix of 8 tokens (2 full blocks).
-        let pb0 = {
-            let g = group_with_prompt(99, 8);
-            m.allocate(&g).unwrap();
-            m.gpu_block_ids(99).unwrap()
-        };
-        // New request: 14-token prompt starting with the 8-token prefix.
-        let g = group_with_prompt(0, 14);
-        let copies = m.allocate_with_prefix(&g, 8, &pb0).unwrap();
-        assert!(copies.is_empty());
-        let t = m.block_table(0).unwrap();
-        assert_eq!(t.len(), 4);
-        assert_eq!(t[0].id, pb0[0]);
-        assert_eq!(t[1].id, pb0[1]);
-        m.assert_consistent();
-    }
-
-    #[test]
     fn pending_ops_mirror_returned_copies() {
         let mut m = manager(8, 8);
         let mut g = group_with_prompt(0, 6);
@@ -1308,14 +1493,13 @@ mod tests {
 
         // Shrink past the live blocks: they migrate into the holes and the
         // surviving table is remapped.
-        let remap = m.resize(2, 4).unwrap();
-        assert_eq!(remap.gpu.len(), 2);
+        m.resize(2, 4).unwrap();
         assert_eq!(m.num_total_gpu_blocks(), 2);
         assert_eq!(m.num_free_gpu_blocks(), 0);
-        let ids = m.gpu_block_ids(1).unwrap();
-        assert_eq!(ids, vec![remap.gpu[&2], remap.gpu[&3]]);
         let ops = m.take_pending();
         assert_eq!(ops.moves.len(), 2);
+        let moved_to = |src| ops.moves.iter().find(|mv| mv.src == src).unwrap().dst;
+        assert_eq!(m.gpu_block_ids(1).unwrap(), vec![moved_to(2), moved_to(3)]);
         assert_eq!(ops.gpu_capacity, Some(2));
         for mv in &ops.moves {
             assert_eq!(mv.device, Device::Gpu);
@@ -1349,54 +1533,13 @@ mod tests {
         m.free(9).unwrap(); // Holes at 0, 1.
         m.take_pending();
 
-        let remap = m.compact().unwrap();
-        assert_eq!(remap.gpu.len(), 2, "each shared block moves exactly once");
+        m.compact().unwrap();
         assert_eq!(m.block_table(0).unwrap(), m.block_table(1).unwrap());
         assert_eq!(m.gpu_block_ids(0).unwrap(), vec![0, 1]);
         let ops = m.take_pending();
-        assert_eq!(ops.moves.len(), 2);
+        assert_eq!(ops.moves.len(), 2, "each shared block moves exactly once");
         assert_eq!(ops.gpu_capacity, None, "compact alone never resizes");
         m.assert_consistent();
-    }
-
-    #[test]
-    #[should_panic(expected = "gpu block 0: ref count 2 != 1 table + 0 anchor references")]
-    fn assert_consistent_catches_one_leaked_reference_on_a_table_block() {
-        let mut m = manager(4, 0);
-        m.allocate(&group_with_prompt(0, 4)).unwrap(); // Block 0, no anchor.
-        m.assert_consistent();
-        m.gpu.incr_ref(0).unwrap(); // A reference nobody owns.
-        m.assert_consistent();
-    }
-
-    #[test]
-    fn anchor_references_are_counted_exactly_and_follow_compaction() {
-        let mut m = manager(8, 0);
-        let filler = group_with_prompt(9, 8); // Blocks 0, 1.
-        m.allocate(&filler).unwrap();
-        let anchors = m.allocate_anchor_blocks(2).unwrap(); // Blocks 2, 3.
-        let g = group_with_prompt(0, 12); // Shares both anchors, owns block 4.
-        m.allocate_with_prefix(&g, 8, &anchors).unwrap();
-        m.assert_consistent();
-        // The sequence's references become a second anchor on the shared
-        // blocks (a retained conversation on top of a registered prefix).
-        let retained = m.take_table_as_anchor(0, 2).unwrap();
-        assert_eq!(retained, anchors);
-        m.assert_consistent();
-        m.free(9).unwrap(); // Holes at 0, 1: compaction moves both anchors.
-        let remap = m.compact().unwrap();
-        let moved: Vec<_> = anchors.iter().map(|b| remap.gpu[b]).collect();
-        m.assert_consistent();
-        m.free_anchor_blocks(&moved).unwrap();
-        m.assert_consistent();
-        m.free_anchor_blocks(&moved).unwrap();
-        m.assert_consistent();
-        assert_eq!(m.num_free_gpu_blocks(), 8);
-        // Nothing holds an anchor now: a third release is a double free.
-        assert!(matches!(
-            m.free_anchor_blocks(&moved),
-            Err(VllmError::DoubleFree(_))
-        ));
     }
 
     #[test]
@@ -1413,13 +1556,12 @@ mod tests {
         m.free(9).unwrap();
         m.take_pending();
 
-        let remap = m.resize(4, 2).unwrap();
-        assert_eq!(remap.cpu.len(), 2);
-        assert!(remap.gpu.is_empty());
+        m.resize(4, 2).unwrap();
         let table = m.block_table(0).unwrap();
         assert!(table.iter().all(|b| b.device == Device::Cpu && b.id < 2));
         let ops = m.take_pending();
         assert_eq!(ops.cpu_capacity, Some(2));
+        assert_eq!(ops.moves.len(), 2);
         assert!(ops.moves.iter().all(|mv| mv.device == Device::Cpu));
         m.assert_consistent();
     }
@@ -1443,22 +1585,161 @@ mod tests {
     }
 
     #[test]
-    fn prefix_allocation_cow_splits_partial_block() {
+    #[should_panic(expected = "gpu block 0: ref count 2 != 1 table references")]
+    fn assert_consistent_catches_one_leaked_reference_on_a_table_block() {
+        let mut m = manager(4, 0);
+        m.allocate(&group_with_prompt(0, 4)).unwrap(); // Block 0.
+        m.assert_consistent();
+        m.gpu.incr_ref(0).unwrap(); // A reference nobody owns.
+        m.assert_consistent();
+    }
+
+    /// Allocates `g`'s prompt and marks all of it computed, as a finished
+    /// prefill would.
+    fn prefill(m: &mut BlockSpaceManager, g: &mut SequenceGroup) -> usize {
+        let cached = m.allocate(g).unwrap();
+        let id = g.seqs()[0].seq_id;
+        let seq = g.get_mut(id).unwrap();
+        seq.data.set_num_computed_tokens(seq.len());
+        m.mark_computed(seq, 0);
+        cached
+    }
+
+    #[test]
+    fn freed_blocks_stay_cached_and_a_later_prompt_maps_them() {
         let mut m = manager(10, 0);
-        // Cached prefix of 6 tokens: blocks 0 full, 1 half-full.
-        let pb = {
-            let g = group_with_prompt(99, 6);
-            m.allocate(&g).unwrap();
-            m.gpu_block_ids(99).unwrap()
-        };
-        let g = group_with_prompt(0, 10);
-        let copies = m.allocate_with_prefix(&g, 6, &pb).unwrap();
-        assert_eq!(copies.len(), 1);
-        assert_eq!(copies[0].src, pb[1]);
-        let t = m.block_table(0).unwrap();
-        assert_eq!(t[0].id, pb[0]);
-        assert_ne!(t[1].id, pb[1]);
-        assert_eq!(t.len(), 3);
+        let mut g0 = group_with_prompt(0, 10); // Two full blocks and a tail.
+        assert_eq!(prefill(&mut m, &mut g0), 0);
+        assert_eq!(m.cached_hashes().len(), 2, "only full blocks are indexed");
+        let blocks0 = m.gpu_block_ids(0).unwrap();
+
+        // A live hit: the second request shares the two full blocks.
+        let mut g1 = group_with_prompt(1, 14);
+        assert_eq!(prefill(&mut m, &mut g1), 8);
+        assert_eq!(m.gpu_block_ids(1).unwrap()[..2], blocks0[..2]);
+        assert_eq!(m.num_allocated_gpu_blocks(), 3 + 2);
+        m.assert_consistent();
+
+        // Freed, every block is free again and three of them still cached.
+        m.free(0).unwrap();
+        m.free(1).unwrap();
+        assert_eq!(m.num_free_gpu_blocks(), 10);
+        assert_eq!(m.num_cached_free_gpu_blocks(), 3);
+        m.assert_consistent();
+
+        // A free hit revives them: same blocks, and the strict-prefix rule
+        // keeps the prompt's last block (cached though it is) its own.
+        let mut g2 = group_with_prompt(2, 12);
+        assert_eq!(prefill(&mut m, &mut g2), 8);
+        assert_eq!(m.gpu_block_ids(2).unwrap()[..2], blocks0[..2]);
+        assert_eq!(m.prefix_lookup_stats(), (10 + 14 + 12, 8 + 8));
+        m.assert_consistent();
+    }
+
+    #[test]
+    fn same_hash_different_tokens_is_a_miss() {
+        let mut index = BlockIndex::default();
+        assert!(index.insert(42, ROOT_HASH, &[1, 2, 3, 4], 7));
+        assert_eq!(index.lookup(42, ROOT_HASH, &[1, 2, 3, 4]), Some(7));
+        // A colliding hash from other content, or after another prefix.
+        assert_eq!(index.lookup(42, ROOT_HASH, &[1, 2, 3, 5]), None);
+        assert_eq!(index.lookup(42, 9, &[1, 2, 3, 4]), None);
+        // The first block to hold a key keeps it.
+        assert!(!index.insert(42, ROOT_HASH, &[9, 9, 9, 9], 8));
+        assert_eq!(index.lookup(42, ROOT_HASH, &[1, 2, 3, 4]), Some(7));
+    }
+
+    #[test]
+    fn eviction_takes_unhashed_blocks_first_then_extensions_before_prefixes() {
+        let mut m = manager(4, 0);
+        let mut g0 = group_with_prompt(0, 12); // Blocks 0, 1, 2, all indexed.
+        prefill(&mut m, &mut g0);
+        m.free(0).unwrap();
+        assert_eq!(m.num_cached_free_gpu_blocks(), 3);
+        // Two blocks for unrelated content: the never-used block 3, then the
+        // tail of the cached run. The first two blocks of it survive.
+        let g1 = Sequence::new(1, (100..108).collect(), BS);
+        let g1 = SequenceGroup::new("r1", g1, SamplingParams::greedy(4), 0.0);
+        m.allocate(&g1).unwrap();
+        assert_eq!(m.gpu_block_ids(1).unwrap(), vec![3, 2]);
+        assert_eq!(m.cached_blocks(&(0..12).collect::<Vec<_>>(), 9), vec![0, 1]);
+        m.assert_consistent();
+    }
+
+    #[test]
+    fn recompute_free_drops_what_only_that_sequence_cached() {
+        let mut m = manager(10, 0);
+        let mut g0 = group_with_prompt(0, 12);
+        prefill(&mut m, &mut g0);
+        let mut g1 = group_with_prompt(1, 9); // Shares blocks 0 and 1.
+        assert_eq!(prefill(&mut m, &mut g1), 8);
+        m.free_for_recompute(0).unwrap();
+        // Block 2 was only sequence 0's: unindexed. The shared two stay.
+        assert_eq!(m.cached_hashes().len(), 2);
+        assert_eq!(m.num_cached_free_gpu_blocks(), 0);
+        m.free_for_recompute(1).unwrap();
+        assert!(m.cached_hashes().is_empty());
+        assert_eq!(m.num_free_gpu_blocks(), 10);
+        m.assert_consistent();
+    }
+
+    #[test]
+    fn compaction_and_shrink_keep_the_index_on_the_moved_blocks() {
+        let mut m = manager(8, 0);
+        let mut filler = group_with_prompt(9, 8); // Blocks 0, 1.
+        prefill(&mut m, &mut filler);
+        let mut g = group_with_prompt(0, 8); // Same content: maps block 0, owns 2.
+        assert_eq!(prefill(&mut m, &mut g), 4);
+        let other = Sequence::new(1, (50..58).collect(), BS); // Blocks 3, 4.
+        let mut other = SequenceGroup::new("r1", other, SamplingParams::greedy(4), 0.0);
+        prefill(&mut m, &mut other);
+        m.free(9).unwrap(); // Block 1 is now a cached hole; block 0 stays live.
+        m.assert_consistent();
+
+        // Shrink to the live set: block 4 moves into the cached hole 1
+        // (evicting what it cached), block 3 stays below... the bound is 4.
+        m.resize(4, 0).unwrap();
+        let moves = m.take_pending().moves;
+        assert_eq!((moves.len(), moves[0].src, moves[0].dst), (1, 4, 1));
+        m.assert_consistent();
+        let tokens: Vec<u32> = (50..58).collect();
+        assert_eq!(m.cached_blocks(&tokens, 9), vec![3, 1]);
+        assert_eq!(m.cached_blocks(&(0..8).collect::<Vec<_>>(), 9), vec![0]);
+    }
+
+    #[test]
+    fn cache_blocks_skips_what_is_cached_and_unwinds_on_failure() {
+        let mut m = manager(6, 0);
+        let tokens: Vec<u32> = (0..13).collect(); // Three full blocks.
+        m.cache_blocks(&tokens[..8], |first_new, run, _| {
+            assert_eq!((first_new, run.len()), (0, 2));
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!((m.num_free_gpu_blocks(), m.cached_hashes().len()), (6, 2));
+        // Only the third block is new; a failed write caches nothing more.
+        let failed = m.cache_blocks(&tokens, |first_new, run, _| {
+            assert_eq!((first_new, run.len()), (2, 3));
+            Err(VllmError::Executor("injected".into()))
+        });
+        assert!(failed.is_err());
+        assert_eq!((m.num_free_gpu_blocks(), m.cached_hashes().len()), (6, 2));
+        m.cache_blocks(&tokens, |_, _, _| Ok(())).unwrap();
+        assert_eq!(m.cached_blocks(&tokens, 9).len(), 3);
+        // Nothing to write when everything is cached already.
+        m.cache_blocks(&tokens, |_, _, _| panic!("nothing is missing"))
+            .unwrap();
+        // Of a run longer than the free pool, the leading blocks that fit:
+        // with one block held by a sequence, five of these seven.
+        m.allocate(&group_with_prompt(0, 3)).unwrap();
+        let long: Vec<u32> = (100..128).collect();
+        m.cache_blocks(&long, |first_new, run, _| {
+            assert_eq!((first_new, run.len()), (0, 5));
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(m.cached_blocks(&long, 9).len(), 5);
+        assert_eq!(m.num_free_gpu_blocks(), 5);
         m.assert_consistent();
     }
 }

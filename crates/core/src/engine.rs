@@ -22,7 +22,6 @@
 //! numeric backend, modeled for the simulator), so the same engine drives
 //! both real inference and trace-driven evaluation.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -30,15 +29,13 @@ use vllm_telemetry::{
     splitmix64, trace_seed, EventKind, MetricsSnapshot, SloMonitor, Span, Telemetry, TraceContext,
 };
 
-use crate::block_manager::PoolRemap;
 use crate::config::{CacheConfig, SchedulerConfig};
 use crate::elastic::{ElasticController, PoolPressure};
 use crate::error::{Result, VllmError};
-use crate::executor::{CacheOps, ModelExecutor, SeqStepInput, StepResult};
+use crate::executor::{ModelExecutor, SeqStepInput, StepResult};
 use crate::handoff::{KvBlockBytes, KvBlockInstall};
 use crate::metrics::{EngineMetrics, LatencyTracker, MemoryStats, StepSnapshot, TraceStats};
 use crate::plan::{materialize_batch, StageTimings, StepPlan, StepTrace};
-use crate::prefix::{PrefixId, PrefixPool};
 use crate::request::GenerationRequest;
 use crate::sampling::{DecodingMode, SamplingParams, TokenId};
 use crate::scheduler::Scheduler;
@@ -110,6 +107,24 @@ pub struct EngineLoad {
     pub norm_lat_p50: f64,
 }
 
+/// An executor call outside [`LlmEngine::step`] (a prefix warm-up, a KV
+/// install): it is no scheduler iteration — the step counters stay put — but
+/// it is execute time and model time, so it joins the same totals the
+/// per-replica wall identity sums.
+struct OutsideStep<'a, E>(&'a mut E, &'a mut TraceStats, &'a EngineMetrics);
+
+impl<E: ModelExecutor> OutsideStep<'_, E> {
+    fn begin_step(&mut self, plan: &StepPlan) -> Result<()> {
+        let t = Instant::now();
+        let result = self.0.begin_step(plan)?;
+        let execute = t.elapsed().as_secs_f64();
+        self.1.add_execute(execute);
+        self.2.step_execute_seconds.observe(execute);
+        self.2.step_model_seconds.observe(result.elapsed);
+        Ok(())
+    }
+}
+
 /// The serving engine, generic over the execution backend.
 #[derive(Debug)]
 pub struct LlmEngine<E: ModelExecutor> {
@@ -120,18 +135,10 @@ pub struct LlmEngine<E: ModelExecutor> {
     pub(crate) clock: f64,
     pub(crate) latency: LatencyTracker,
     pub(crate) memory_stats: MemoryStats,
-    pub(crate) prefix_pool: PrefixPool,
-    /// Automatically match new prompts against registered prefixes.
-    pub(crate) auto_prefix_match: bool,
     /// Whether forked sequences share blocks (copy-on-write). Disabling
     /// this replicates blocks eagerly — the contiguous-system behaviour —
     /// for the sharing ablation.
     pub(crate) sharing_enabled: bool,
-    /// Requests whose KV cache is promoted to the prefix cache on finish
-    /// (conversation reuse extension).
-    pub(crate) retain_requests: std::collections::HashSet<String>,
-    /// Prefix ids produced by retention, keyed by request id.
-    pub(crate) promoted_prefixes: HashMap<String, PrefixId>,
     /// Monotone step counter for trace indexing.
     step_counter: u64,
     /// Trace of the most recent step.
@@ -191,11 +198,7 @@ impl<E: ModelExecutor> LlmEngine<E> {
             clock: 0.0,
             latency: LatencyTracker::new(),
             memory_stats: MemoryStats::new(),
-            prefix_pool: PrefixPool::new(),
-            auto_prefix_match: true,
             sharing_enabled: true,
-            retain_requests: std::collections::HashSet::new(),
-            promoted_prefixes: HashMap::new(),
             step_counter: 0,
             last_trace: None,
             trace_stats: TraceStats::default(),
@@ -209,9 +212,13 @@ impl<E: ModelExecutor> LlmEngine<E> {
         }
     }
 
-    /// Disables automatic shared-prefix matching (ablation).
+    /// Turns content-addressed block caching off (or back on): the
+    /// ablation switch, and the uncached reference the parity tests compare
+    /// against. Off, no block is indexed and every prompt is computed whole.
     pub fn set_auto_prefix_match(&mut self, enabled: bool) {
-        self.auto_prefix_match = enabled;
+        self.scheduler
+            .block_manager_mut()
+            .set_prefix_caching(enabled);
     }
 
     /// Enables or disables block sharing between forked sequences
@@ -254,14 +261,6 @@ impl<E: ModelExecutor> LlmEngine<E> {
         &self.cache_config
     }
 
-    /// The shared-prefix registry (§4.4). Read-only; use
-    /// [`register_prefix`](Self::register_prefix) /
-    /// [`release_prefix`](Self::release_prefix) to mutate it.
-    #[must_use]
-    pub fn prefix_pool(&self) -> &PrefixPool {
-        &self.prefix_pool
-    }
-
     /// A point-in-time load summary for routing decisions. Cheap except for
     /// `outstanding_tokens`, which walks the live queues.
     #[must_use]
@@ -281,13 +280,22 @@ impl<E: ModelExecutor> LlmEngine<E> {
         }
     }
 
-    /// The chunk hashes of every computed prefix resident in this engine's
-    /// pool (see [`PrefixPool::coverage_hashes`]); the pool
-    /// [`version`](PrefixPool::version) lets callers cache the result.
+    /// The sorted hashes of every block-aligned prefix whose KV is resident
+    /// in this engine's pool (see [`BlockSpaceManager::cached_hashes`]);
+    /// [`prefix_coverage_version`](Self::prefix_coverage_version) lets
+    /// callers cache the result.
+    ///
+    /// [`BlockSpaceManager::cached_hashes`]: crate::BlockSpaceManager::cached_hashes
     #[must_use]
     pub fn prefix_coverage(&self) -> Vec<u64> {
-        self.prefix_pool
-            .coverage_hashes(self.cache_config.block_size)
+        self.scheduler.block_manager().cached_hashes()
+    }
+
+    /// Counter that moves whenever [`prefix_coverage`](Self::prefix_coverage)
+    /// would.
+    #[must_use]
+    pub fn prefix_coverage_version(&self) -> u64 {
+        self.scheduler.block_manager().cache_version()
     }
 
     /// The execution backend.
@@ -411,11 +419,7 @@ impl<E: ModelExecutor> LlmEngine<E> {
         if prompt.is_empty() {
             return Err(VllmError::InvalidConfig("empty prompt".into()));
         }
-        let seq = Sequence::new(
-            self.alloc_seq_id(),
-            prompt.clone(),
-            self.cache_config.block_size,
-        );
+        let seq = Sequence::new(self.alloc_seq_id(), prompt, self.cache_config.block_size);
         let mut group = SequenceGroup::new(request_id, seq, params, arrival_time);
         group.trace = trace.unwrap_or_else(|| {
             TraceContext::mint(
@@ -423,13 +427,6 @@ impl<E: ModelExecutor> LlmEngine<E> {
                 self.sample_decision(&group.request_id),
             )
         });
-        if self.auto_prefix_match {
-            if let Some(pid) = self.prefix_pool.match_prompt(&prompt) {
-                let prefix = self.prefix_pool.get(pid).expect("matched prefix exists");
-                group.cached_prefix_len = prefix.len();
-                group.prefix_blocks = prefix.blocks.clone();
-            }
-        }
         self.tmetrics.requests_arrived_total.inc();
         self.telemetry
             .events()
@@ -577,36 +574,31 @@ impl<E: ModelExecutor> LlmEngine<E> {
 
     /// Resizes the GPU and CPU block pools at runtime. Shrinking compacts
     /// first (live blocks migrate into holes below the new bound, journaled
-    /// as `moves` in the next step's cache ops); every holder of raw block
-    /// ids — block tables, pinned prefixes, groups' cached prefix ids — is
-    /// remapped here, so callers need no follow-up.
+    /// as `moves` in the next step's cache ops); block ids live only inside
+    /// the block manager, which follows its own moves.
     ///
     /// # Errors
     ///
     /// Returns [`VllmError::InvalidConfig`] if a pool would shrink below its
     /// live working set (the pools are left unchanged).
-    pub fn resize_pools(&mut self, gpu_blocks: usize, cpu_blocks: usize) -> Result<PoolRemap> {
-        let remap = self
-            .scheduler
+    pub fn resize_pools(&mut self, gpu_blocks: usize, cpu_blocks: usize) -> Result<()> {
+        self.scheduler
             .block_manager_mut()
             .resize(gpu_blocks, cpu_blocks)?;
-        self.apply_remap(&remap);
         self.cache_config.num_gpu_blocks = gpu_blocks;
         self.cache_config.num_cpu_blocks = cpu_blocks;
-        Ok(remap)
+        Ok(())
     }
 
     /// Fully defragments both pools without resizing: live blocks pack into
     /// the lowest ids, the data moves journaled into the next step's cache
-    /// ops, and all raw-id holders remapped.
+    /// ops.
     ///
     /// # Errors
     ///
     /// Propagates block-accounting errors (corrupted accounting).
-    pub fn compact_pools(&mut self) -> Result<PoolRemap> {
-        let remap = self.scheduler.block_manager_mut().compact()?;
-        self.apply_remap(&remap);
-        Ok(remap)
+    pub fn compact_pools(&mut self) -> Result<()> {
+        self.scheduler.block_manager_mut().compact()
     }
 
     /// Deflates the GPU pool to `fraction` of its configured size (fault
@@ -634,187 +626,119 @@ impl<E: ModelExecutor> LlmEngine<E> {
     ///
     /// Propagates resize errors.
     pub fn restore_pool(&mut self) -> Result<()> {
-        self.resize_pools(self.base_gpu_blocks, self.base_cpu_blocks)?;
-        Ok(())
+        self.resize_pools(self.base_gpu_blocks, self.base_cpu_blocks)
     }
 
-    /// Follows a compaction's old→new id mapping everywhere raw GPU block
-    /// ids live outside the block manager: the pinned prefix registry and
-    /// the cached prefix ids on live groups.
-    fn apply_remap(&mut self, remap: &PoolRemap) {
-        if remap.gpu.is_empty() {
-            return;
-        }
-        self.prefix_pool.remap_blocks(&remap.gpu);
-        self.scheduler.remap_prefix_blocks(&remap.gpu);
-    }
-
-    /// Registers a shared prefix (§4.4): pins blocks for it and runs a
-    /// KV-only prefill so later prompts that start with `tokens` skip the
-    /// prefix computation and share its blocks.
+    /// Warms the block cache with a shared prefix (§4.4): runs a KV-only
+    /// prefill over the full blocks of `tokens` that are not cached yet (as
+    /// many as the free pool holds) and leaves them cached, so later prompts
+    /// that start with them skip that compute and share the blocks. Nothing
+    /// is pinned and there is nothing to release: the blocks are free
+    /// blocks, evicted like any other cached content once the pool needs
+    /// them.
     ///
     /// This is an offline provisioning step; it does not advance the serving
     /// clock.
     ///
     /// # Errors
     ///
-    /// Returns [`VllmError::OutOfGpuBlocks`] if the pool cannot pin the
-    /// prefix, or executor errors from the warm-up run.
-    pub fn register_prefix(&mut self, tokens: Vec<TokenId>) -> Result<PrefixId> {
-        if tokens.is_empty() {
-            return Err(VllmError::InvalidConfig("empty prefix".into()));
-        }
+    /// Returns executor errors from the warm-up run.
+    pub fn register_prefix(&mut self, tokens: &[TokenId]) -> Result<()> {
         let bs = self.cache_config.block_size;
-        let n = tokens.len().div_ceil(bs);
-        let blocks = self
-            .scheduler
-            .block_manager_mut()
-            .allocate_anchor_blocks(n)?;
-        let warmup = StepPlan {
-            is_prompt_run: true,
-            items: vec![SeqStepInput {
-                // Prefix warm-ups use a reserved id space far above request
-                // sequence ids.
-                seq_id: u64::MAX - self.prefix_pool.len() as u64,
-                tokens: tokens.clone(),
-                first_position: 0,
-                num_cached_tokens: 0,
-                block_table: blocks.clone(),
-                num_candidates: 0,
-                mode: DecodingMode::Greedy,
-                seed: 0,
-                chunked: false,
-            }],
-            block_size: bs,
-            ..StepPlan::default()
-        };
-        // A forward pass outside `step()`: it is no scheduler iteration (the
-        // step counters stay put) but it is execute time and model time, so
-        // it joins the same totals the per-replica wall identity sums.
-        let t = Instant::now();
-        let result = self.executor.begin_step(&warmup)?;
-        let execute = t.elapsed().as_secs_f64();
-        self.trace_stats.add_execute(execute);
-        self.tmetrics.step_execute_seconds.observe(execute);
-        self.tmetrics.step_model_seconds.observe(result.elapsed);
-        let id = self.prefix_pool.insert(tokens, blocks);
-        self.prefix_pool.mark_computed(id);
-        Ok(id)
+        let mut outside = OutsideStep(&mut self.executor, &mut self.trace_stats, &self.tmetrics);
+        let manager = self.scheduler.block_manager_mut();
+        manager.cache_blocks(tokens, |cached_blocks, run, cache_ops| {
+            let warmup = StepPlan {
+                is_prompt_run: true,
+                cache_ops,
+                items: vec![SeqStepInput {
+                    // No request sequence ever gets this id.
+                    seq_id: u64::MAX,
+                    tokens: tokens[..run.len() * bs].to_vec(),
+                    first_position: 0,
+                    num_cached_tokens: cached_blocks * bs,
+                    block_table: run.to_vec(),
+                    num_candidates: 0,
+                    mode: DecodingMode::Greedy,
+                    seed: 0,
+                    chunked: false,
+                }],
+                block_size: bs,
+                ..StepPlan::default()
+            };
+            outside.begin_step(&warmup)
+        })
     }
 
-    /// Serializes a registered prefix for a KV handoff: its tokens plus one
-    /// [`KvBlockBytes`] per pinned block, read from the executor's KV
-    /// storage. Backends without addressable KV (mock, simulator) export
-    /// empty-bodied blocks — the handoff bookkeeping is identical, only the
-    /// install becomes a no-op.
+    /// Serializes the KV of the longest still-cached run of `tokens`'
+    /// leading full blocks for a handoff: the tokens that run covers plus
+    /// one [`KvBlockBytes`] per block, read from the executor's KV storage.
+    /// Backends without addressable KV (mock, simulator) export empty-bodied
+    /// blocks — the handoff bookkeeping is identical, only the install
+    /// becomes a no-op.
+    #[must_use]
+    pub fn export_kv(&self, tokens: &[TokenId]) -> (Vec<TokenId>, Vec<KvBlockBytes>) {
+        let manager = self.scheduler.block_manager();
+        let blocks = manager.cached_blocks(tokens, usize::MAX);
+        let resident = blocks.len() * self.cache_config.block_size;
+        (
+            tokens[..resident].to_vec(),
+            self.executor.export_kv_blocks(&blocks),
+        )
+    }
+
+    /// Installs KV computed *elsewhere* (the receiving half of a handoff,
+    /// §4.4 sharing stretched across replicas) for the full blocks of
+    /// `tokens`. `data` holds their *last* `data.len()` blocks — all of them,
+    /// or only the tail a sender that knows this replica's coverage chose to
+    /// ship. Blocks already cached here are skipped, the rest (as many
+    /// leading ones as the free pool holds — a full pool installs nothing
+    /// and the request computes its prompt) are journaled as
+    /// [`CacheOps`](crate::executor::CacheOps) `installs` — applied by the
+    /// executor under the same ordering contract as swaps and copies, never
+    /// behind the journal's back — and left cached. There is no forward
+    /// pass: the KV arrives in the payload, which is the entire point of
+    /// disaggregated prefill.
     ///
     /// # Errors
     ///
-    /// Returns [`VllmError::UnknownRequest`] if the prefix id is unknown.
-    pub fn export_prefix(&self, id: PrefixId) -> Result<(Vec<TokenId>, Vec<KvBlockBytes>)> {
-        let prefix = self
-            .prefix_pool
-            .get(id)
-            .ok_or_else(|| VllmError::UnknownRequest(format!("prefix {id}")))?;
-        let bytes = self.executor.export_kv_blocks(&prefix.blocks);
-        Ok((prefix.tokens.clone(), bytes))
-    }
-
-    /// Installs a prefix whose KV was computed *elsewhere* (the receiving
-    /// half of a KV handoff, §4.4 sharing stretched across replicas): pins
-    /// anchor blocks, journals the payload as [`CacheOps`] `installs` —
-    /// applied by the executor under the same ordering contract as swaps
-    /// and copies, never behind the journal's back — and registers the
-    /// prefix as computed. Unlike [`Self::register_prefix`] there is no
-    /// warm-up forward pass: the KV arrives in the payload, which is the
-    /// entire point of disaggregated prefill.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VllmError::Protocol`] when the block count disagrees with
-    /// the token count, [`VllmError::OutOfGpuBlocks`] when the pool cannot
-    /// pin the prefix, or executor errors from the install step.
-    pub fn import_prefix(
-        &mut self,
-        tokens: Vec<TokenId>,
-        data: Vec<KvBlockBytes>,
-    ) -> Result<PrefixId> {
-        if tokens.is_empty() {
-            return Err(VllmError::InvalidConfig("empty prefix".into()));
-        }
+    /// Returns [`VllmError::Protocol`] when `data` holds more blocks than
+    /// the tokens have, or when the blocks before a shipped tail are no
+    /// longer cached here (the sender's view was stale; nothing is
+    /// installed); or executor errors from the install step.
+    pub fn install_kv(&mut self, tokens: &[TokenId], data: Vec<KvBlockBytes>) -> Result<()> {
         let bs = self.cache_config.block_size;
-        let n = tokens.len().div_ceil(bs);
-        if data.len() != n {
+        // A partial last block may travel with the payload; it is not
+        // installable.
+        let Some(first_shipped) = tokens.len().div_ceil(bs).checked_sub(data.len()) else {
             return Err(VllmError::Protocol(format!(
-                "prefix import carries {} blocks but {} tokens need {}",
+                "KV install carries {} blocks but {} tokens have {}",
                 data.len(),
                 tokens.len(),
-                n
+                tokens.len().div_ceil(bs)
             )));
-        }
-        let blocks = self
-            .scheduler
-            .block_manager_mut()
-            .allocate_anchor_blocks(n)?;
-        let install = StepPlan {
-            cache_ops: CacheOps {
-                installs: blocks
-                    .iter()
-                    .zip(data)
-                    .map(|(&dst, data)| KvBlockInstall { dst, data })
-                    .collect(),
-                ..CacheOps::default()
-            },
-            block_size: bs,
-            ..StepPlan::default()
         };
-        if let Err(e) = self.executor.begin_step(&install) {
-            // Failed installs must not leak the anchors.
-            self.scheduler
-                .block_manager_mut()
-                .free_anchor_blocks(&blocks)?;
-            return Err(e);
-        }
-        let id = self.prefix_pool.insert(tokens, blocks);
-        self.prefix_pool.mark_computed(id);
-        Ok(id)
-    }
-
-    /// Marks a live request for KV retention: when its (single) sequence
-    /// finishes, its computed KV blocks are promoted into the prefix cache
-    /// in place — no copy, no recompute — so a follow-up prompt extending
-    /// this conversation skips the history prefill. Fetch the resulting id
-    /// with [`Self::promoted_prefix`].
-    ///
-    /// Only meaningful for `n == 1` requests; beam/parallel requests are
-    /// not promoted.
-    pub fn retain_kv(&mut self, request_id: impl Into<String>) {
-        self.retain_requests.insert(request_id.into());
-    }
-
-    /// The prefix id produced by [`Self::retain_kv`] for a finished
-    /// request, if promotion happened.
-    #[must_use]
-    pub fn promoted_prefix(&self, request_id: &str) -> Option<PrefixId> {
-        self.promoted_prefixes.get(request_id).copied()
-    }
-
-    /// Releases a registered prefix, unpinning its blocks. In-flight
-    /// requests that already mapped the prefix keep their references; the
-    /// blocks are reclaimed once the last sharer frees them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VllmError::UnknownRequest`] if the prefix id is unknown or
-    /// already released.
-    pub fn release_prefix(&mut self, id: PrefixId) -> Result<()> {
-        let prefix = self
-            .prefix_pool
-            .remove(id)
-            .ok_or_else(|| VllmError::UnknownRequest(format!("prefix {id}")))?;
-        self.scheduler
-            .block_manager_mut()
-            .free_anchor_blocks(&prefix.blocks)
+        let mut outside = OutsideStep(&mut self.executor, &mut self.trace_stats, &self.tmetrics);
+        let manager = self.scheduler.block_manager_mut();
+        manager.cache_blocks(tokens, |cached_blocks, run, mut cache_ops| {
+            if cached_blocks < first_shipped {
+                return Err(VllmError::Protocol(format!(
+                    "KV install starts at block {first_shipped} but only {cached_blocks} are cached"
+                )));
+            }
+            let shipped = data.into_iter().skip(cached_blocks - first_shipped);
+            cache_ops.installs = run[cached_blocks..]
+                .iter()
+                .zip(shipped)
+                .map(|(&dst, data)| KvBlockInstall { dst, data })
+                .collect();
+            let install = StepPlan {
+                cache_ops,
+                block_size: bs,
+                ..StepPlan::default()
+            };
+            outside.begin_step(&install)
+        })
     }
 
     /// Runs one iteration through the four pipeline stages (schedule →
@@ -987,6 +911,7 @@ impl<E: ModelExecutor> LlmEngine<E> {
                 continue;
             }
             group.first_scheduled_time = Some(self.clock);
+            group.cached_tokens = sg.num_cached_tokens;
             if group.trace.is_active() {
                 let q = group.trace.child(1);
                 self.telemetry.spans().record(Span {
@@ -1092,7 +1017,10 @@ impl<E: ModelExecutor> LlmEngine<E> {
             events.record(
                 &sg.request_id,
                 self.clock,
-                EventKind::Scheduled { prompt_tokens },
+                EventKind::Scheduled {
+                    prompt_tokens,
+                    cached_tokens: sg.num_cached_tokens,
+                },
             );
         }
         let chunks = plan
@@ -1220,38 +1148,83 @@ mod tests {
     // `tests/step_trace.rs`.
 
     #[test]
-    fn prefix_sharing_reuses_blocks() {
+    fn warmed_prefix_is_cached_not_pinned_and_shared_by_extensions() {
         let mut e = engine(64, 0);
         let prefix: Vec<TokenId> = (0..8).collect();
-        e.register_prefix(prefix.clone()).unwrap();
-        let allocated_after_prefix = e.scheduler().block_manager().num_allocated_gpu_blocks();
-        assert_eq!(allocated_after_prefix, 2);
-
-        let mut prompt = prefix.clone();
-        prompt.extend(200..204);
-        e.add_request("r0", prompt, SamplingParams::greedy(4))
-            .unwrap();
-        e.step().unwrap(); // Prompt step.
-                           // Prefix blocks shared: only 1 extra block allocated for the suffix.
+        e.register_prefix(&prefix).unwrap();
         let bm = e.scheduler().block_manager();
-        assert_eq!(bm.num_allocated_gpu_blocks(), 3);
+        assert_eq!(bm.num_free_gpu_blocks(), 64, "a warmed prefix pins nothing");
+        assert_eq!(bm.num_cached_free_gpu_blocks(), 2);
+
+        for (id, tail) in [("r0", 200..204), ("r1", 300..304)] {
+            let mut prompt = prefix.clone();
+            prompt.extend(tail);
+            e.add_request(id, prompt, SamplingParams::greedy(4))
+                .unwrap();
+        }
+        e.step().unwrap(); // Prompt step.
+        let bm = e.scheduler().block_manager();
+        // Both map the two prefix blocks and own one block for their suffix.
+        assert_eq!(bm.num_allocated_gpu_blocks(), 4);
+        assert_eq!(bm.num_logical_gpu_blocks(), 6);
+        assert_eq!(bm.prefix_lookup_stats(), (24, 16));
+        assert_eq!(e.scheduler().group("r1").unwrap().cached_tokens, 8);
         let outs = e.run_to_completion().unwrap();
         assert_eq!(outs[0].outputs[0].tokens.len(), 4);
-        // Prefix blocks stay pinned after the request finishes.
-        assert_eq!(e.scheduler().block_manager().num_allocated_gpu_blocks(), 2);
+        assert_eq!(e.scheduler().block_manager().num_free_gpu_blocks(), 64);
+        e.scheduler().block_manager().assert_consistent();
     }
 
     #[test]
-    fn prefix_match_requires_longer_prompt() {
+    fn prompt_equal_to_a_cached_prefix_still_computes_its_last_block() {
         let mut e = engine(64, 0);
-        e.register_prefix((0..8).collect()).unwrap();
-        // Prompt that doesn't start with the prefix: no sharing.
-        e.add_request("r0", (50..60).collect(), SamplingParams::greedy(2))
+        e.register_prefix(&(0..8).collect::<Vec<_>>()).unwrap();
+        // The strict-prefix rule: a row must run to produce logits, so the
+        // prompt's last block is its own even when all of it is cached.
+        e.add_request("same", (0..8).collect(), SamplingParams::greedy(2))
+            .unwrap();
+        // A prompt that does not start with the prefix shares nothing.
+        e.add_request("other", (50..60).collect(), SamplingParams::greedy(2))
             .unwrap();
         e.step().unwrap();
-        let g = e.scheduler().group("r0");
-        assert!(g.is_none() || g.unwrap().cached_prefix_len == 0);
+        assert_eq!(e.scheduler().group("same").unwrap().cached_tokens, 4);
+        assert_eq!(e.scheduler().group("other").unwrap().cached_tokens, 0);
         e.run_to_completion().unwrap();
+    }
+
+    #[test]
+    fn forked_requests_index_their_prompt_only() {
+        let mut e = engine(64, 0);
+        let prompt: Vec<TokenId> = (0..10).collect();
+        e.add_request("beam", prompt.clone(), SamplingParams::beam(3, 9))
+            .unwrap();
+        e.add_request("samples", prompt.clone(), SamplingParams::parallel(3, 9))
+            .unwrap();
+        e.add_request("one", prompt, SamplingParams::greedy(9))
+            .unwrap();
+        e.run_to_completion().unwrap();
+        // The prompt's two full blocks, plus what the single sequence
+        // computed past them (10 + 8 tokens with KV: two more blocks). The
+        // alternatives the other two requests generated are not cached.
+        assert_eq!(e.prefix_coverage().len(), 2 + 2);
+        assert_eq!(e.scheduler().block_manager().num_free_gpu_blocks(), 64);
+        e.scheduler().block_manager().assert_consistent();
+    }
+
+    #[test]
+    fn cache_off_shares_nothing_and_indexes_nothing() {
+        let mut e = engine(64, 0);
+        e.set_auto_prefix_match(false);
+        e.register_prefix(&(0..8).collect::<Vec<_>>()).unwrap();
+        for id in ["a", "b"] {
+            e.add_request(id, (0..12).collect(), SamplingParams::greedy(2))
+                .unwrap();
+            e.run_to_completion().unwrap();
+        }
+        let bm = e.scheduler().block_manager();
+        assert_eq!(bm.prefix_lookup_stats(), (0, 0));
+        assert_eq!(bm.num_cached_free_gpu_blocks(), 0);
+        assert!(e.prefix_coverage().is_empty());
     }
 
     #[test]

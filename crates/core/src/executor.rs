@@ -51,6 +51,16 @@ impl SeqStepInput {
         self.first_position + self.tokens.len()
     }
 
+    /// Rows this step computes: all of `tokens` past the cached ones, and at
+    /// least one (a fully cached prompt still needs its last row's logits).
+    #[must_use]
+    pub fn num_new_tokens(&self) -> usize {
+        let cached = self
+            .num_cached_tokens
+            .min(self.tokens.len().saturating_sub(1));
+        self.tokens.len() - cached
+    }
+
     /// Whether this item is a prompt (multi-token) run.
     #[must_use]
     pub fn is_prompt(&self) -> bool {
@@ -87,7 +97,7 @@ pub struct BlockMove {
 ///    has been vacated by step 2);
 /// 4. `swap_out`, then `swap_in`, then `copies`, as before;
 /// 5. **installs** last — KV-handoff payloads written into freshly
-///    allocated anchor blocks, which no earlier operation in the step can
+///    allocated blocks, which no earlier operation in the step can
 ///    reference.
 #[derive(Debug, Clone, Default)]
 pub struct CacheOps {
@@ -106,8 +116,8 @@ pub struct CacheOps {
     /// New CPU pool size in blocks, when the pool was resized this step.
     pub cpu_capacity: Option<usize>,
     /// KV-handoff installations: serialized block contents (shipped from a
-    /// prefill replica or the shared prefix tier) written into anchor
-    /// blocks, applied after all other operations.
+    /// prefill replica or the shared prefix tier) written into blocks the
+    /// manager allocated for them, applied after all other operations.
     pub installs: Vec<KvBlockInstall>,
 }
 

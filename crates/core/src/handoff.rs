@@ -95,8 +95,7 @@ impl KvBlockBytes {
 ///
 /// Carried in [`CacheOps::installs`](crate::executor::CacheOps::installs)
 /// and applied after swap-ins and copies — the installed blocks are fresh
-/// anchor allocations, so no earlier operation in the step can reference
-/// them.
+/// allocations, so no earlier operation in the step can reference them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KvBlockInstall {
     /// Destination physical GPU block.

@@ -51,9 +51,7 @@ pub mod sequence;
 
 pub use beam::{plan_beam_step, BeamExtension, BeamInput, BeamPlan};
 pub use block::{BlockAllocator, Device, PhysicalBlock, PhysicalBlockId};
-pub use block_manager::{
-    AllocStatus, BlockCopy, BlockManagerMetrics, BlockSpaceManager, PoolRemap,
-};
+pub use block_manager::{AllocStatus, BlockCopy, BlockManagerMetrics, BlockSpaceManager};
 pub use config::{CacheConfig, PreemptionMode, SchedulerConfig, VictimPolicy, DEFAULT_BLOCK_SIZE};
 pub use elastic::{ElasticAction, ElasticConfig, ElasticController, PoolPressure};
 pub use engine::{CompletionOutput, EngineLoad, LlmEngine, RequestOutput};
@@ -68,7 +66,7 @@ pub use plan::{
     materialize_batch, PreemptionEvent, PreemptionKind, StageTimings, StepBudget, StepPlan,
     StepTrace,
 };
-pub use prefix::{chunk_hashes, Prefix, PrefixId, PrefixPool};
+pub use prefix::chunk_hashes;
 pub use request::{GenerationMode, GenerationRequest};
 pub use sampling::{DecodingMode, SamplingParams, TokenId};
 pub use scheduler::{ScheduledGroup, Scheduler, SchedulerMetrics, SchedulerStats};

@@ -325,7 +325,7 @@ impl TraceStats {
     }
 
     /// Adds execute-stage time spent outside any step (the KV-only warm-up
-    /// forward of a prefix registration).
+    /// forward of a prefix registration, a KV install).
     pub fn add_execute(&mut self, seconds: f64) {
         self.stage_totals.execute += seconds;
     }

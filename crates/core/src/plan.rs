@@ -96,11 +96,12 @@ impl StepPlan {
         self.preemptions.len()
     }
 
-    /// Total number of tokens processed in the iteration (prepare stage
-    /// must have run).
+    /// Total number of token rows the iteration computes (prepare stage
+    /// must have run): an item's leading rows whose KV is already cached
+    /// are carried for their positions, not processed.
     #[must_use]
     pub fn num_tokens(&self) -> usize {
-        self.items.iter().map(|i| i.tokens.len()).sum()
+        self.items.iter().map(SeqStepInput::num_new_tokens).sum()
     }
 }
 

@@ -5,9 +5,10 @@
 //! them per decoding mode — plain append for greedy/single sampling,
 //! `fork` + append for the parallel-sampling prompt step (Fig. 8), and the
 //! beam planner's fork/append/drop program for beam search (§4.4) — then
-//! applies stop conditions (eos/stop tokens, length caps), optional KV
-//! retention promotion, and reaps finished requests into
-//! [`RequestOutput`]s.
+//! applies stop conditions (eos/stop tokens, length caps) and reaps finished
+//! requests into [`RequestOutput`]s. Moving a sequence's computed-token
+//! count is also where its completed blocks enter the block manager's
+//! content index (`Scheduler::set_computed`).
 
 use std::collections::HashMap;
 
@@ -36,35 +37,6 @@ impl<E: ModelExecutor> LlmEngine<E> {
         }
     }
 
-    /// Promotes a finishing sequence's KV into the prefix cache. Returns
-    /// `true` when the blocks were taken over (caller must then skip the
-    /// free).
-    fn promote_seq_to_prefix(&mut self, request_id: &str, seq_id: SeqId) -> Result<bool> {
-        let (tokens, computed) = {
-            let group = self
-                .scheduler
-                .group(request_id)
-                .ok_or_else(|| VllmError::UnknownRequest(request_id.to_string()))?;
-            let seq = group
-                .get(seq_id)
-                .ok_or(VllmError::UnknownSequence(seq_id))?;
-            (seq.data.tokens().to_vec(), seq.data.num_computed_tokens())
-        };
-        if computed == 0 {
-            return Ok(false);
-        }
-        let bs = self.cache_config.block_size;
-        let num_blocks = computed.div_ceil(bs);
-        let blocks = self
-            .scheduler
-            .block_manager_mut()
-            .take_table_as_anchor(seq_id, num_blocks)?;
-        let id = self.prefix_pool.insert(tokens[..computed].to_vec(), blocks);
-        self.prefix_pool.mark_computed(id);
-        self.promoted_prefixes.insert(request_id.to_string(), id);
-        Ok(true)
-    }
-
     /// Applies one step's sampled candidates to every scheduled group.
     pub(crate) fn process_outputs(&mut self, plan: &StepPlan, result: &StepResult) -> Result<()> {
         let out_map: HashMap<SeqId, &Vec<(TokenId, f32)>> = result
@@ -79,16 +51,12 @@ impl<E: ModelExecutor> LlmEngine<E> {
             // bookkeeping — TTFT must close at the first *sampled* token,
             // which the final chunk produces.
             if let Some(chunk) = sg.chunk.filter(|c| !c.is_final) {
+                self.scheduler
+                    .set_computed(&sg.request_id, &sg.seq_ids, Some(chunk.end))?;
                 let group = self
                     .scheduler
-                    .group_mut(&sg.request_id)
+                    .group(&sg.request_id)
                     .ok_or_else(|| VllmError::UnknownRequest(sg.request_id.clone()))?;
-                for &seq_id in &sg.seq_ids {
-                    let seq = group
-                        .get_mut(seq_id)
-                        .ok_or(VllmError::UnknownSequence(seq_id))?;
-                    seq.data.set_num_computed_tokens(chunk.end);
-                }
                 if group.trace.is_active() {
                     // Chunk spans nest under the request's `prefill` span
                     // (child 2), keyed by the chunk cursor so replays are
@@ -111,6 +79,8 @@ impl<E: ModelExecutor> LlmEngine<E> {
             }
             // Mark the KV cache as computed up to the current length and
             // update the group's token-time bookkeeping.
+            self.scheduler
+                .set_computed(&sg.request_id, &sg.seq_ids, None)?;
             let (first_token, inter_token_gap, prefill_span, final_chunk_span) = {
                 let group = self
                     .scheduler
@@ -124,19 +94,13 @@ impl<E: ModelExecutor> LlmEngine<E> {
                 };
                 let gap = group.last_token_time.map(|t| self.clock - t);
                 group.last_token_time = Some(self.clock);
-                for &seq_id in &sg.seq_ids {
-                    let seq = group
-                        .get_mut(seq_id)
-                        .ok_or(VllmError::UnknownSequence(seq_id))?;
-                    let len = seq.len();
-                    seq.data.set_num_computed_tokens(len);
-                }
                 // The prefill span closes when the first token lands:
                 // [first schedule, first token] on the serving clock.
                 let prefill_span = if first_token.is_some() && group.trace.is_active() {
                     Some((
                         group.trace,
                         group.first_scheduled_time.unwrap_or(group.arrival_time),
+                        group.cached_tokens,
                     ))
                 } else {
                     None
@@ -155,7 +119,7 @@ impl<E: ModelExecutor> LlmEngine<E> {
                     .events()
                     .record(&sg.request_id, self.clock, EventKind::FirstToken);
             }
-            if let Some((trace, prefill_start)) = prefill_span {
+            if let Some((trace, prefill_start, cached_tokens)) = prefill_span {
                 let p = trace.child(2);
                 self.telemetry.spans().record(Span {
                     trace_id: p.trace_id,
@@ -164,7 +128,7 @@ impl<E: ModelExecutor> LlmEngine<E> {
                     name: "prefill".to_string(),
                     start: prefill_start,
                     end: self.clock,
-                    attrs: Vec::new(),
+                    attrs: vec![("cached_tokens".to_string(), cached_tokens.to_string())],
                 });
             }
             if let Some(gap) = inter_token_gap {
@@ -494,14 +458,7 @@ impl<E: ModelExecutor> LlmEngine<E> {
             }
         }
         if finished {
-            let promoted = if self.retain_requests.remove(request_id) {
-                self.promote_seq_to_prefix(request_id, seq_id)?
-            } else {
-                false
-            };
-            if !promoted {
-                self.scheduler.free_seq(seq_id)?;
-            }
+            self.scheduler.free_seq(seq_id)?;
         }
         Ok(())
     }

@@ -1,200 +1,47 @@
-//! Shared-prefix cache (§4.4 "shared prefix", Fig. 10).
+//! Content hashes of block-aligned token prefixes (§4.4 "shared prefix").
 //!
-//! Service providers register long system prompts once; the KV cache of a
-//! registered prefix is computed ahead of time and its physical blocks are
-//! pinned. Requests whose prompt starts with a registered prefix map their
-//! leading logical blocks onto the pinned blocks (last partial block
-//! copy-on-write) and skip the prefix's prefill computation.
+//! A full KV block is immutable, so its content is determined by the token
+//! prefix it completes. The cumulative hash of that prefix is the block's
+//! key in the block manager's content index, a replica's published coverage
+//! entry, and the shared tier's content key — one value, fleet-wide.
 
-use crate::block::PhysicalBlockId;
 use crate::sampling::TokenId;
 
-/// Identifier of a registered prefix.
-pub type PrefixId = usize;
+/// The hash of the empty prefix (the FNV-1a offset basis): the parent of
+/// every sequence's first block.
+pub const ROOT_HASH: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// Hashes the leading block-aligned chunks of `tokens`: element `k` is a
-/// 64-bit FNV hash of `tokens[..(k + 1) * block_size]`. Cluster routers
-/// compare a prompt's chunk hashes against a replica's prefix coverage to
-/// find the longest block-aligned prefix whose KV cache is already resident
-/// (the fleet-level analog of §4.4 block sharing).
+/// Continues the 64-bit FNV-1a hash `parent` over `tokens`: the hash of a
+/// prefix extended by one more run of tokens.
+#[must_use]
+pub fn extend_hash(parent: u64, tokens: &[TokenId]) -> u64 {
+    let mut h = parent;
+    for &t in tokens {
+        for b in t.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Hashes the leading block-aligned chunks of `tokens`: element `k` is the
+/// hash of `tokens[..(k + 1) * block_size]`. Cluster routers compare a
+/// prompt's chunk hashes against a replica's coverage to find the longest
+/// block-aligned prefix whose KV cache is already resident (the fleet-level
+/// analog of §4.4 block sharing).
 #[must_use]
 pub fn chunk_hashes(tokens: &[TokenId], block_size: usize) -> Vec<u64> {
     if block_size == 0 {
         return Vec::new();
     }
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut hashes = Vec::with_capacity(tokens.len() / block_size);
-    for (i, &t) in tokens.iter().enumerate() {
-        for b in t.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        if (i + 1) % block_size == 0 {
-            hashes.push(h);
-        }
-    }
-    hashes
-}
-
-/// A registered shared prefix.
-#[derive(Debug, Clone)]
-pub struct Prefix {
-    /// Prefix tokens.
-    pub tokens: Vec<TokenId>,
-    /// Pinned physical GPU blocks holding the prefix KV cache.
-    pub blocks: Vec<PhysicalBlockId>,
-    /// Whether the prefix KV cache has been computed (warm-up done).
-    pub computed: bool,
-}
-
-impl Prefix {
-    /// Prefix length in tokens.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.tokens.len()
-    }
-
-    /// Whether the prefix is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.tokens.is_empty()
-    }
-}
-
-/// Registry of pinned prefixes.
-#[derive(Debug, Default)]
-pub struct PrefixPool {
-    prefixes: Vec<Prefix>,
-    /// Bumped on every insert/remove so observers (replica load publishers)
-    /// can cheaply detect coverage changes.
-    version: u64,
-}
-
-impl PrefixPool {
-    /// Creates an empty pool.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a prefix whose blocks have been pinned by the block
-    /// manager, returning its id.
-    pub fn insert(&mut self, tokens: Vec<TokenId>, blocks: Vec<PhysicalBlockId>) -> PrefixId {
-        self.prefixes.push(Prefix {
-            tokens,
-            blocks,
-            computed: false,
-        });
-        self.version += 1;
-        self.prefixes.len() - 1
-    }
-
-    /// Marks a prefix's KV cache as computed.
-    pub fn mark_computed(&mut self, id: PrefixId) {
-        if let Some(p) = self.prefixes.get_mut(id) {
-            p.computed = true;
-            self.version += 1;
-        }
-    }
-
-    /// Monotone counter bumped whenever the set of usable prefixes changes
-    /// (insert, mark-computed, remove). Lets a publisher skip rehashing
-    /// coverage when nothing changed.
-    #[must_use]
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// The pool's prefix coverage: the sorted, deduplicated union of
-    /// [`chunk_hashes`] over every computed prefix. A prompt whose `k`-th
-    /// chunk hash appears here has its first `k` blocks of KV cache resident
-    /// in this pool.
-    #[must_use]
-    pub fn coverage_hashes(&self, block_size: usize) -> Vec<u64> {
-        let mut hashes: Vec<u64> = self
-            .prefixes
-            .iter()
-            .filter(|p| p.computed)
-            .flat_map(|p| chunk_hashes(&p.tokens, block_size))
-            .collect();
-        hashes.sort_unstable();
-        hashes.dedup();
-        hashes
-    }
-
-    /// Looks up a prefix.
-    #[must_use]
-    pub fn get(&self, id: PrefixId) -> Option<&Prefix> {
-        self.prefixes.get(id)
-    }
-
-    /// Removes a prefix from the pool, returning it so its blocks can be
-    /// released. The slot is tombstoned (never reused) so other prefix ids
-    /// stay valid.
-    pub fn remove(&mut self, id: PrefixId) -> Option<Prefix> {
-        let p = self.prefixes.get_mut(id)?;
-        if p.tokens.is_empty() {
-            return None;
-        }
-        let taken = Prefix {
-            tokens: std::mem::take(&mut p.tokens),
-            blocks: std::mem::take(&mut p.blocks),
-            computed: p.computed,
-        };
-        p.computed = false;
-        self.version += 1;
-        Some(taken)
-    }
-
-    /// Rewrites pinned block ids after a pool compaction. `mapping` is the
-    /// old→new physical id map returned by the block manager's compactor;
-    /// blocks not in the map stay put. Bumps the version so coverage
-    /// publishers notice even though the token coverage is unchanged.
-    pub fn remap_blocks(
-        &mut self,
-        mapping: &std::collections::HashMap<PhysicalBlockId, PhysicalBlockId>,
-    ) {
-        if mapping.is_empty() {
-            return;
-        }
-        let mut touched = false;
-        for p in &mut self.prefixes {
-            for b in &mut p.blocks {
-                if let Some(&nb) = mapping.get(b) {
-                    *b = nb;
-                    touched = true;
-                }
-            }
-        }
-        if touched {
-            self.version += 1;
-        }
-    }
-
-    /// Finds the longest registered, computed prefix that `prompt` starts
-    /// with (providers may register nested prefixes, e.g. 1-shot and 5-shot
-    /// variants that share the instruction).
-    #[must_use]
-    pub fn match_prompt(&self, prompt: &[TokenId]) -> Option<PrefixId> {
-        self.prefixes
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.computed && prompt.len() > p.len() && prompt.starts_with(&p.tokens))
-            .max_by_key(|(_, p)| p.len())
-            .map(|(id, _)| id)
-    }
-
-    /// Number of registered prefixes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.prefixes.len()
-    }
-
-    /// Whether no prefix is registered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.prefixes.is_empty()
-    }
+    tokens
+        .chunks_exact(block_size)
+        .scan(ROOT_HASH, |h, chunk| {
+            *h = extend_hash(*h, chunk);
+            Some(*h)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -202,32 +49,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn match_requires_computed() {
-        let mut pool = PrefixPool::new();
-        let id = pool.insert(vec![1, 2, 3], vec![0]);
-        assert_eq!(pool.match_prompt(&[1, 2, 3, 4]), None);
-        pool.mark_computed(id);
-        assert_eq!(pool.match_prompt(&[1, 2, 3, 4]), Some(id));
-    }
-
-    #[test]
-    fn match_prefers_longest() {
-        let mut pool = PrefixPool::new();
-        let short = pool.insert(vec![1, 2], vec![0]);
-        let long = pool.insert(vec![1, 2, 3, 4], vec![1, 2]);
-        pool.mark_computed(short);
-        pool.mark_computed(long);
-        assert_eq!(pool.match_prompt(&[1, 2, 3, 4, 5]), Some(long));
-        assert_eq!(pool.match_prompt(&[1, 2, 9]), Some(short));
-    }
-
-    #[test]
-    fn prompt_must_extend_prefix() {
-        let mut pool = PrefixPool::new();
-        let id = pool.insert(vec![1, 2, 3], vec![0]);
-        pool.mark_computed(id);
-        // A prompt equal to the prefix has no task input; no match.
-        assert_eq!(pool.match_prompt(&[1, 2, 3]), None);
-        assert_eq!(pool.match_prompt(&[2, 3, 4]), None);
+    fn chunk_hashes_are_cumulative_and_ignore_the_partial_tail() {
+        let tokens: Vec<TokenId> = (0..10).collect();
+        let hashes = chunk_hashes(&tokens, 4);
+        assert_eq!(hashes.len(), 2);
+        assert_eq!(hashes[0], extend_hash(ROOT_HASH, &tokens[..4]));
+        assert_eq!(hashes[1], extend_hash(ROOT_HASH, &tokens[..8]));
+        assert_eq!(hashes, chunk_hashes(&tokens[..8], 4));
+        assert!(chunk_hashes(&tokens, 0).is_empty());
     }
 }

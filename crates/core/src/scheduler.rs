@@ -304,6 +304,43 @@ impl Scheduler {
             .find(|g| g.request_id == request_id)
     }
 
+    /// Records that the KV of `seq_ids` (running sequences of `request_id`)
+    /// now covers their first `computed` tokens — all they have, for `None`
+    /// — and indexes every block that completes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VllmError::UnknownRequest`] / [`VllmError::UnknownSequence`]
+    /// if the scheduler no longer holds them.
+    pub fn set_computed(
+        &mut self,
+        request_id: &str,
+        seq_ids: &[SeqId],
+        computed: Option<usize>,
+    ) -> Result<()> {
+        let group = self
+            .running
+            .iter_mut()
+            .find(|g| g.request_id == request_id)
+            .ok_or_else(|| VllmError::UnknownRequest(request_id.to_string()))?;
+        // Once a request has forked, each sequence computes one of several
+        // alternatives: at most one of them can ever be a later prompt's
+        // prefix, so none is worth a cache entry (its prompt already is one).
+        let alone = group.len() == 1;
+        for &seq_id in seq_ids {
+            let seq = group
+                .get_mut(seq_id)
+                .ok_or(VllmError::UnknownSequence(seq_id))?;
+            let was_computed = seq.data.num_computed_tokens();
+            seq.data
+                .set_num_computed_tokens(computed.unwrap_or(seq.len()));
+            if alone {
+                self.block_manager.mark_computed(seq, was_computed);
+            }
+        }
+        Ok(())
+    }
+
     /// Aborts a request wherever it lives, freeing its blocks.
     ///
     /// # Errors
@@ -370,9 +407,10 @@ impl Scheduler {
     }
 
     /// Aborts every live group (waiting, running, and swapped), freeing all
-    /// their blocks. Used to recover a consistent (empty) state after an
-    /// executor failure: the paper's all-or-nothing eviction applied to the
-    /// whole engine. Returns the aborted request ids in queue order.
+    /// their blocks and forgetting what any block cached. Used to recover a
+    /// consistent (empty) state after an executor failure: the paper's
+    /// all-or-nothing eviction applied to the whole engine. Returns the
+    /// aborted request ids in queue order.
     ///
     /// # Errors
     ///
@@ -388,6 +426,7 @@ impl Scheduler {
         for id in &ids {
             self.finish_with_status(id, SequenceStatus::FinishedAborted)?;
         }
+        self.block_manager.clear_cache();
         Ok(ids)
     }
 
@@ -463,7 +502,7 @@ impl Scheduler {
                 self.swapped.pop_front()
             } else if !self.waiting.is_empty() {
                 // Waiting but not admittable with an otherwise idle pool
-                // (e.g. pinned prefix blocks squeeze the request out).
+                // (the prompt fits the pool but not beside the watermark).
                 self.waiting.pop_front()
             } else {
                 None
@@ -513,19 +552,7 @@ impl Scheduler {
             }
 
             let mut group = self.waiting.pop_front().expect("front exists");
-            let num_cached_tokens = group.cached_prefix_len;
-            if num_cached_tokens > 0 {
-                // Any prefix CoW split is recorded in the block manager's
-                // pending ops and drained into the plan.
-                let prefix_blocks = group.prefix_blocks.clone();
-                self.block_manager.allocate_with_prefix(
-                    &group,
-                    num_cached_tokens,
-                    &prefix_blocks,
-                )?;
-            } else {
-                self.block_manager.allocate(&group)?;
-            }
+            let num_cached_tokens = self.block_manager.allocate(&group)?;
             group.set_status_all(SequenceStatus::Running);
             num_batched_tokens += prompt_len;
             num_seqs += group.max_num_seqs();
@@ -711,17 +738,7 @@ impl Scheduler {
             }
 
             let mut group = self.waiting.pop_front().expect("front exists");
-            let num_cached_tokens = group.cached_prefix_len;
-            if num_cached_tokens > 0 {
-                let prefix_blocks = group.prefix_blocks.clone();
-                self.block_manager.allocate_with_prefix(
-                    &group,
-                    num_cached_tokens,
-                    &prefix_blocks,
-                )?;
-            } else {
-                self.block_manager.allocate(&group)?;
-            }
+            let num_cached_tokens = self.block_manager.allocate(&group)?;
             group.set_status_all(SequenceStatus::Running);
             num_seqs += group.max_num_seqs();
             let seq_ids = group.seq_ids_with_status(SequenceStatus::Running);
@@ -905,7 +922,7 @@ impl Scheduler {
                 });
                 let seq_ids: Vec<SeqId> = group.seqs().iter().map(|s| s.seq_id).collect();
                 for seq_id in seq_ids {
-                    self.block_manager.free(seq_id)?;
+                    self.block_manager.free_for_recompute(seq_id)?;
                     if let Some(seq) = group.get_mut(seq_id) {
                         if !seq.is_finished() {
                             seq.data.reset_for_recompute();
@@ -971,34 +988,6 @@ impl Scheduler {
     #[must_use]
     pub fn running_groups(&self) -> &[SequenceGroup] {
         &self.running
-    }
-
-    /// Rewrites the pinned prefix-block references cached on live groups
-    /// after a pool compaction moved blocks. The block manager already
-    /// rewrote its own tables; this keeps the shared-prefix ids a waiting
-    /// group will hand to `allocate_with_prefix` in sync.
-    pub fn remap_prefix_blocks(
-        &mut self,
-        mapping: &std::collections::HashMap<
-            crate::block::PhysicalBlockId,
-            crate::block::PhysicalBlockId,
-        >,
-    ) {
-        if mapping.is_empty() {
-            return;
-        }
-        for g in self
-            .waiting
-            .iter_mut()
-            .chain(self.running.iter_mut())
-            .chain(self.swapped.iter_mut())
-        {
-            for b in &mut g.prefix_blocks {
-                if let Some(&nb) = mapping.get(b) {
-                    *b = nb;
-                }
-            }
-        }
     }
 }
 

@@ -272,12 +272,10 @@ pub struct SequenceGroup {
     pub last_token_time: Option<f64>,
     /// Number of times this group was preempted (metrics only).
     pub num_preemptions: u32,
-    /// Length of the shared prefix (in tokens) this request reuses from the
-    /// prefix cache, if any (§4.4 "shared prefix").
-    pub cached_prefix_len: usize,
-    /// Pinned physical block ids backing the cached prefix, in logical
-    /// order; empty unless `cached_prefix_len > 0`.
-    pub prefix_blocks: Vec<usize>,
+    /// Leading prompt tokens found in the block cache when the group was
+    /// first admitted (telemetry: the `Scheduled` event, the `prefill`
+    /// span).
+    pub cached_tokens: usize,
     /// Absolute deadline in engine (virtual) time seconds; the engine
     /// cancels the group if it is unfinished when the clock passes this.
     pub deadline: Option<f64>,
@@ -313,8 +311,7 @@ impl SequenceGroup {
             first_token_time: None,
             last_token_time: None,
             num_preemptions: 0,
-            cached_prefix_len: 0,
-            prefix_blocks: Vec::new(),
+            cached_tokens: 0,
             deadline: None,
             priority: 0,
             trace: TraceContext::default(),

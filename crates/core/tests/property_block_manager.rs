@@ -1,7 +1,10 @@
 //! Property tests over the block manager: arbitrary interleavings of
-//! allocate / append / fork / copy-on-write / swap / free must preserve the
-//! pool invariants — no leak, no double free, reference counts equal to
-//! table references, and swap-space usage bounded by the GPU pool.
+//! allocate / append / compute / fork / copy-on-write / swap / resize / free
+//! must preserve the pool invariants — no leak, no double free, reference
+//! counts equal to table references, the content index one-to-one with the
+//! blocks that hold a hash, and swap-space usage bounded by the GPU pool.
+//! Every prompt is a run of the same token, so once sequences are marked
+//! computed nearly every admission maps cached blocks, live and free.
 
 use proptest::prelude::*;
 
@@ -18,8 +21,15 @@ enum Op {
     Append(usize),
     /// Fork the i-th live sequence.
     Fork(usize),
-    /// Free the i-th live sequence.
+    /// Mark every token of the i-th live sequence computed (its full blocks
+    /// enter the content index).
+    Computed(usize),
+    /// Free the i-th live sequence: as finished (its blocks stay cached) for
+    /// even `i`, as recompute-preempted (they leave the index) for odd.
     Free(usize),
+    /// Resize the GPU pool to this many blocks (at least the live ones),
+    /// compacting when it shrinks.
+    Resize(usize),
     /// Swap the i-th live group out and immediately back in.
     SwapRoundTrip(usize),
 }
@@ -29,7 +39,10 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (1usize..40).prop_map(Op::Allocate),
         (0usize..16).prop_map(Op::Append),
         (0usize..16).prop_map(Op::Fork),
+        (0usize..16).prop_map(Op::Computed),
+        (0usize..16).prop_map(Op::Computed),
         (0usize..16).prop_map(Op::Free),
+        (8usize..65).prop_map(Op::Resize),
         (0usize..16).prop_map(Op::SwapRoundTrip),
     ]
 }
@@ -112,6 +125,21 @@ proptest! {
                     g.set_status_all(SequenceStatus::Running);
                     groups.push(g);
                 }
+                Op::Computed(i) => {
+                    if groups.is_empty() {
+                        continue;
+                    }
+                    let idx = i % groups.len();
+                    let group = &mut groups[idx];
+                    let sid = group.seqs()[0].seq_id;
+                    if m.gpu_block_ids(sid).is_err() {
+                        continue;
+                    }
+                    let seq = group.get_mut(sid).unwrap();
+                    let was_computed = seq.data.num_computed_tokens();
+                    seq.data.set_num_computed_tokens(seq.len());
+                    m.mark_computed(seq, was_computed);
+                }
                 Op::Free(i) => {
                     if groups.is_empty() {
                         continue;
@@ -119,8 +147,17 @@ proptest! {
                     let idx = i % groups.len();
                     let g = groups.swap_remove(idx);
                     for s in g.seqs() {
-                        m.free(s.seq_id).unwrap();
+                        if i % 2 == 0 {
+                            m.free(s.seq_id).unwrap();
+                        } else {
+                            m.free_for_recompute(s.seq_id).unwrap();
+                        }
                     }
+                }
+                Op::Resize(blocks) => {
+                    let target = blocks.max(m.num_allocated_gpu_blocks());
+                    m.resize(target, gpu_blocks).unwrap();
+                    prop_assert_eq!(m.num_total_gpu_blocks(), target);
                 }
                 Op::SwapRoundTrip(i) => {
                     if groups.is_empty() {
@@ -159,7 +196,7 @@ proptest! {
                 m.free(s.seq_id).unwrap();
             }
         }
-        prop_assert_eq!(m.num_free_gpu_blocks(), gpu_blocks);
+        prop_assert_eq!(m.num_free_gpu_blocks(), m.num_total_gpu_blocks());
         prop_assert_eq!(m.num_free_cpu_blocks(), gpu_blocks);
         m.assert_consistent();
     }

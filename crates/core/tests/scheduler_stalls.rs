@@ -1,6 +1,7 @@
 //! Stall-resolution tests: requests whose working set can never fit —
-//! swapped groups that cannot resume, waiting groups squeezed out by pinned
-//! prefix blocks — must be aborted rather than spin the scheduler forever.
+//! swapped groups that cannot resume, waiting groups that fit the pool but
+//! not beside its watermark — must be aborted rather than spin the scheduler
+//! forever.
 
 use vllm_core::config::{CacheConfig, PreemptionMode, SchedulerConfig};
 use vllm_core::engine::LlmEngine;
@@ -59,17 +60,25 @@ fn abort_unblocks_later_requests() {
     assert!(big.outputs.is_empty());
 }
 
-/// A waiting request squeezed out by pinned prefix anchors (pool otherwise
-/// idle) is aborted instead of waiting forever.
+/// A waiting request that fits the pool but never beside the admission
+/// watermark (pool otherwise idle) is aborted instead of waiting forever.
+/// Cached blocks squeeze nobody: they are free blocks.
 #[test]
-fn prefix_pinned_squeeze_aborts_waiting_request() {
-    let mut e = engine(4, 8, 0, PreemptionMode::Recompute);
-    // Pin 6 of 8 blocks as a prefix.
-    e.register_prefix((0..24).collect()).unwrap();
-    assert_eq!(e.scheduler().block_manager().num_free_gpu_blocks(), 2);
-    // A 3-block prompt that does NOT match the prefix: it can never be
-    // admitted while the anchors hold 6 blocks.
-    e.add_request("squeezed", (100..112).collect(), SamplingParams::greedy(4))
+fn watermark_squeeze_aborts_waiting_request() {
+    let cache = CacheConfig::new(4, 8, 0)
+        .unwrap()
+        .with_watermark(0.25)
+        .unwrap();
+    let sched = SchedulerConfig::new(256, 32, 256).unwrap();
+    let mut e = LlmEngine::new(MockExecutor::new(500), cache, sched);
+    // Six of eight blocks hold a warmed prefix — and every block is free.
+    e.register_prefix(&(0..24).collect::<Vec<_>>()).unwrap();
+    assert_eq!(e.scheduler().block_manager().num_free_gpu_blocks(), 8);
+    // A 3-block prompt that does not match the prefix is admitted over it.
+    e.add_request("fits", (100..112).collect(), SamplingParams::greedy(4))
+        .unwrap();
+    // A 7-block prompt needs 7 + 2 watermark blocks of 8: never admittable.
+    e.add_request("squeezed", (200..228).collect(), SamplingParams::greedy(4))
         .unwrap();
     let mut outs = Vec::new();
     let mut steps = 0;
@@ -78,8 +87,10 @@ fn prefix_pinned_squeeze_aborts_waiting_request() {
         steps += 1;
         assert!(steps < 1_000, "scheduler must not spin");
     }
-    assert_eq!(outs.len(), 1);
-    assert!(outs[0].outputs.is_empty());
+    assert_eq!(outs.len(), 2);
+    let by_id = |id: &str| outs.iter().find(|o| o.request_id == id).unwrap();
+    assert_eq!(by_id("fits").outputs[0].tokens.len(), 4);
+    assert!(by_id("squeezed").outputs.is_empty());
 }
 
 /// Two oversized groups must both abort eventually (no mutual ping-pong).

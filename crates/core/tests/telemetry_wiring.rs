@@ -110,7 +110,10 @@ fn event_log_captures_request_lifecycle() {
     // Scheduled carries the prompt length; finished carries the reason.
     assert!(matches!(
         events[1].kind,
-        EventKind::Scheduled { prompt_tokens: 8 }
+        EventKind::Scheduled {
+            prompt_tokens: 8,
+            cached_tokens: 0
+        }
     ));
     match &events[events.len() - 1].kind {
         EventKind::Finished { reason } => assert_eq!(reason, "length_capped"),
@@ -432,7 +435,7 @@ fn prefix_registration_forward_counts_as_execute_time_but_not_as_a_step() {
     };
     let mut e = LlmEngine::new(exec, cache, sched);
 
-    e.register_prefix((0..16).collect()).unwrap();
+    e.register_prefix(&(0..16).collect::<Vec<_>>()).unwrap();
     assert_eq!(e.trace_stats().num_steps(), 0, "a registration is no step");
     let registration = *begin_step_seconds.lock().unwrap();
     assert!(registration >= 0.002);
@@ -458,6 +461,64 @@ fn prefix_registration_forward_counts_as_execute_time_but_not_as_a_step() {
     let h = snap.histogram("vllm_step_execute_seconds").unwrap();
     assert!((h.sum - execute).abs() < 1e-9 * execute.max(1.0) + 1e-9);
     assert_eq!(h.count, e.trace_stats().num_steps() + 1);
+}
+
+#[test]
+fn prefix_cache_hits_reach_counters_gauge_event_and_span() {
+    let mut e = engine(64, 0);
+    e.add_request("t1", (0..10).collect(), SamplingParams::greedy(3))
+        .unwrap();
+    e.run_to_completion().unwrap();
+    // 10 prompt + 2 generated tokens have KV: three full blocks, all cached
+    // in free blocks once the request is gone.
+    let snap = e.metrics_snapshot();
+    assert_eq!(
+        snap.counter("vllm_cache_prefix_lookup_tokens_total"),
+        Some(10)
+    );
+    assert_eq!(snap.counter("vllm_cache_prefix_hit_tokens_total"), Some(0));
+    assert_eq!(
+        snap.gauge("vllm_block_manager_gpu_blocks_cached_free"),
+        Some(3.0)
+    );
+    assert_eq!(snap.gauge("vllm_block_manager_gpu_blocks_free"), Some(64.0));
+
+    // The follow-up turn maps two of them (the strict-prefix rule keeps the
+    // block its last prompt token is in), counted at admission.
+    e.add_request("t2", (0..12).collect(), SamplingParams::greedy(2))
+        .unwrap();
+    e.step().unwrap();
+    let snap = e.metrics_snapshot();
+    assert_eq!(
+        snap.counter("vllm_cache_prefix_lookup_tokens_total"),
+        Some(22)
+    );
+    assert_eq!(snap.counter("vllm_cache_prefix_hit_tokens_total"), Some(8));
+    assert_eq!(
+        snap.gauge("vllm_block_manager_gpu_blocks_cached_free"),
+        Some(1.0),
+        "two cached blocks were revived, one is still free"
+    );
+    e.run_to_completion().unwrap();
+
+    let events = e.telemetry().events().events_for("t2");
+    assert!(events.iter().any(|ev| ev.kind
+        == EventKind::Scheduled {
+            prompt_tokens: 12,
+            cached_tokens: 8
+        }));
+    // One `prefill` span per request, each saying what it skipped.
+    let spans = e.telemetry().spans().snapshot();
+    let cached: Vec<&str> = spans
+        .iter()
+        .filter(|s| s.name == "prefill")
+        .map(|s| {
+            assert_eq!(s.attrs.len(), 1);
+            assert_eq!(s.attrs[0].0, "cached_tokens");
+            s.attrs[0].1.as_str()
+        })
+        .collect();
+    assert_eq!(cached, ["0", "8"]);
 }
 
 #[test]

@@ -73,7 +73,7 @@ pub(crate) fn step_inputs(plan: &StepPlan) -> Result<Vec<SeqInput<'_>>> {
             if item.tokens.is_empty() {
                 return Err(VllmError::Executor("empty step input".into()));
             }
-            let skip = item.num_cached_tokens.min(item.tokens.len() - 1);
+            let skip = item.tokens.len() - item.num_new_tokens();
             Ok(SeqInput {
                 tokens: &item.tokens[skip..],
                 first_position: item.first_position + skip,
@@ -431,7 +431,7 @@ mod tests {
             .clone();
 
         let mut cached = engine(64);
-        cached.register_prefix(prefix).unwrap();
+        cached.register_prefix(&prefix).unwrap();
         cached
             .add_request("r", prompt, SamplingParams::greedy(6))
             .unwrap();

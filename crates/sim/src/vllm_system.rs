@@ -81,7 +81,7 @@ impl ModelExecutor for SimExecutor {
         // classification bit-for-bit.
         let has_chunks = plan.items.iter().any(|item| item.chunked);
         for item in &plan.items {
-            let suffix = item.tokens.len() - item.num_cached_tokens.min(item.tokens.len() - 1);
+            let suffix = item.num_new_tokens();
             let is_prefill = if has_chunks {
                 item.chunked || suffix > 1
             } else {
@@ -319,22 +319,25 @@ impl VllmSimSystem {
         &mut self.engine
     }
 
-    /// Registers a shared prefix (§6.4 experiments).
+    /// Warms the block cache with a shared prefix (§6.4 experiments).
     ///
     /// # Panics
     ///
-    /// Panics if the prefix cannot be pinned.
-    pub fn register_prefix(&mut self, tokens: Vec<TokenId>) {
+    /// Panics if the prefix does not fit the free pool.
+    pub fn register_prefix(&mut self, tokens: &[TokenId]) {
         self.engine.register_prefix(tokens).expect("prefix fits");
     }
 
     /// Makes every future request's prompt start with `tokens`. When
-    /// `cached` is true, the prefix is also pinned in the prefix cache so
-    /// requests share its blocks and skip its prefill (§6.4; the uncached
-    /// variant measures the same workload without the optimization).
+    /// `cached` is true the prefix is also warmed into the block cache, so
+    /// requests share its blocks and skip its prefill from the first one on
+    /// (§6.4); when false, block caching is switched off and the same
+    /// workload is measured without the optimization.
     pub fn set_shared_prefix(&mut self, tokens: Vec<TokenId>, cached: bool) {
         if cached {
-            self.register_prefix(tokens.clone());
+            self.register_prefix(&tokens);
+        } else {
+            self.engine.set_auto_prefix_match(false);
         }
         self.shared_prefix = tokens;
     }

@@ -37,6 +37,9 @@ pub enum EventKind {
     Scheduled {
         /// Prompt length in tokens.
         prompt_tokens: usize,
+        /// Leading prompt tokens found in the block cache at admission
+        /// (their prefill is skipped).
+        cached_tokens: usize,
     },
     /// The first output token was produced (TTFT reference point).
     FirstToken,
@@ -85,7 +88,10 @@ impl EventKind {
     pub fn detail(&self) -> String {
         match self {
             Self::Arrived | Self::FirstToken => String::new(),
-            Self::Scheduled { prompt_tokens } => format!("prompt_tokens={prompt_tokens}"),
+            Self::Scheduled {
+                prompt_tokens,
+                cached_tokens,
+            } => format!("prompt_tokens={prompt_tokens} cached_tokens={cached_tokens}"),
             Self::Decoded { tokens } => format!("tokens={tokens}"),
             Self::Preempted { mode, blocks } => format!("mode={mode} blocks={blocks}"),
             Self::SwappedIn { blocks } => format!("blocks={blocks}"),
@@ -242,7 +248,14 @@ mod tests {
         let log = EventLog::with_capacity(16);
         log.record("a", 0.0, EventKind::Arrived);
         log.record("b", 0.1, EventKind::Arrived);
-        log.record("a", 0.2, EventKind::Scheduled { prompt_tokens: 8 });
+        log.record(
+            "a",
+            0.2,
+            EventKind::Scheduled {
+                prompt_tokens: 8,
+                cached_tokens: 0,
+            },
+        );
         log.record("a", 0.3, EventKind::FirstToken);
         let a = log.events_for("a");
         assert_eq!(a.len(), 3);

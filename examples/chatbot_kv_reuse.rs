@@ -1,11 +1,12 @@
-//! Extension experiment: keeping the KV cache across chat rounds.
+//! Keeping the KV cache across chat rounds.
 //!
-//! The paper's chatbot workload (§6.5) deliberately drops the KV cache
-//! between conversation rounds. With the prefix-cache machinery this repo
-//! can keep it: after each round, the conversation-so-far is registered as
-//! a shared prefix, so the next round's prefill only computes the new user
-//! query. This example compares computed prefill tokens and wall time with
-//! and without cross-round reuse.
+//! The paper's chatbot workload (§6.5) drops the KV cache between
+//! conversation rounds. Here every full block a request computes stays
+//! indexed by its content after the request finishes — in a *free* block,
+//! evicted only when the pool needs it — so the next round's prefill maps
+//! the conversation so far and computes only the new user query. Nothing is
+//! asked for and nothing is released. This example compares computed tokens
+//! with the block cache on (the default) and off.
 //!
 //! Run with: `cargo run --release --example chatbot_kv_reuse`
 
@@ -31,36 +32,29 @@ fn query_tokens(round: usize) -> Vec<TokenId> {
 
 fn run(reuse: bool) -> (u64, Vec<Vec<TokenId>>) {
     let mut engine = make_engine();
+    engine.set_auto_prefix_match(reuse);
     let mut history: Vec<TokenId> = Vec::new();
     let mut replies = Vec::new();
-    let mut prev_prefix = None;
     for round in 0..ROUNDS {
         history.extend(query_tokens(round));
-        let request_id = format!("round-{round}");
         engine
             .add_request(
-                &*request_id,
+                format!("round-{round}"),
                 history.clone(),
                 SamplingParams::greedy(REPLY_LEN),
             )
             .expect("request accepted");
-        if reuse {
-            // Promote this round's KV in place when it finishes: no copy,
-            // no recompute — the next round's prefill starts where this
-            // one ended.
-            engine.retain_kv(&*request_id);
-        }
         let outs = engine.run_to_completion().expect("round completes");
         let reply = outs[0].outputs[0].tokens.clone();
         history.extend(&reply);
         replies.push(reply);
-        if reuse {
-            if let Some(id) = prev_prefix.take() {
-                engine.release_prefix(id).expect("release prefix");
-            }
-            prev_prefix = engine.promoted_prefix(&request_id);
-        }
     }
+    let manager = engine.scheduler().block_manager();
+    assert_eq!(
+        manager.num_free_gpu_blocks(),
+        manager.num_total_gpu_blocks(),
+        "cached history occupies free blocks only"
+    );
     (engine.executor().tokens_processed, replies)
 }
 
@@ -70,7 +64,7 @@ fn main() {
 
     println!("chat with {ROUNDS} rounds, {QUERY_LEN}-token queries, {REPLY_LEN}-token replies");
     println!("  KV dropped between rounds (paper §6.5): {tokens_drop:>6} computed tokens");
-    println!("  KV reused via prefix cache (extension): {tokens_reuse:>6} computed tokens");
+    println!("  KV kept in the block cache (default):   {tokens_reuse:>6} computed tokens");
     println!(
         "  compute reduction: {:.1}%",
         (1.0 - tokens_reuse as f64 / tokens_drop as f64) * 100.0
@@ -81,8 +75,9 @@ fn main() {
     );
     println!("  replies identical across both modes: true");
     println!(
-        "\nnote: the paper declines this optimization because pinned \
-         conversation KV competes with other requests for block space; the \
-         release_prefix API bounds that cost to one conversation's history."
+        "\nnote: the paper declines this optimization because retained \
+         conversation KV competes with other requests for block space; here \
+         it cannot — cached blocks are free blocks, handed out (oldest first) \
+         the moment a running request needs them."
     );
 }

@@ -1,6 +1,8 @@
-//! Shared prefix (§4.4, Fig. 10): a long system prompt is prefilled once,
-//! pinned in the prefix cache, and every request mapping it skips the
-//! prefix computation and shares its blocks.
+//! Shared prefix (§4.4, Fig. 10): a long system prompt is prefilled once and
+//! every request whose prompt starts with it maps its full blocks, skipping
+//! that computation. This happens by itself — the first request to compute a
+//! block leaves it indexed by content — so `register_prefix` is only a
+//! warm-up that spares the first request too.
 //!
 //! Run with: `cargo run --release --example shared_prefix`
 
@@ -19,12 +21,12 @@ fn main() {
                          Plueschgiraffe. Now translate: ";
     let prefix_tokens = tokenizer.encode(system_prompt);
     println!(
-        "registering a {}-token shared prefix (provider-side prefill)",
+        "warming a {}-token shared prefix (provider-side prefill)",
         prefix_tokens.len()
     );
     engine
-        .register_prefix(prefix_tokens.clone())
-        .expect("prefix pinned");
+        .register_prefix(&prefix_tokens)
+        .expect("prefix fits the free pool");
     let warmup_tokens = engine.executor().tokens_processed;
     println!("prefix warm-up computed {warmup_tokens} tokens once");
 
@@ -54,7 +56,7 @@ fn main() {
         prefix_tokens.len()
     );
     println!(
-        "the prefix prefill was skipped on every request; its blocks are \
-         shared read-only and split copy-on-write only at the boundary block"
+        "the prefix's full blocks were mapped, not computed, on every request; \
+         only its partial last block and the task are each request's own"
     );
 }

@@ -30,7 +30,7 @@
 //! -> TRACE\t<trace_id>                         span dump (adds a "cluster"
 //!                                              track carrying handoff spans)
 //! -> HANDOFF\t<payload-hex>                    install serialized KV prefix
-//! <- HANDOFF\treplica=<i>\tprefix=<id>\tblocks=<n>
+//! <- HANDOFF\treplica=<i>\tblocks=<n>
 //! -> TIER                                      shared prefix-tier snapshot
 //! <- TIER\tentries=..\tblocks=..\tcapacity=..\thits=..\t...
 //! -> SHUTDOWN
@@ -59,14 +59,15 @@
 //! multi-token `GENERATE` runs in two phases:
 //!
 //! 1. **Prefill**: the router places the request on a prefill replica
-//!    (prefix-affinity over the prefill pool). The longest block-aligned
-//!    strict prefix of the prompt (`handoff_cut`) is made resident first —
-//!    installed from the cluster-shared [`PrefixTier`] when published there
-//!    (skipping the prompt recompute fleet-wide), registered otherwise — and
-//!    a 1-token stub computes the prompt phase plus the first sampled token
-//!    (TTFT).
-//! 2. **Handoff + decode**: the covered prefix is exported as serialized
-//!    KV blocks, published to the tier, round-tripped through the
+//!    (prefix-affinity over the prefill pool). What the cluster-shared
+//!    [`PrefixTier`] holds of the prompt's longest block-aligned strict
+//!    prefix (`handoff_cut`) is installed into the replica's block cache
+//!    first (skipping that recompute fleet-wide), and a 1-token stub
+//!    computes whatever of the prompt is not cached plus the first sampled
+//!    token (TTFT).
+//! 2. **Handoff + decode**: the cut is exported from the prefill replica's
+//!    cache as serialized KV blocks, published to the tier, round-tripped
+//!    through the
 //!    [`HandoffPayload`] wire codec, and installed into a decode replica
 //!    (journaled as `CacheOps` installs); the request resumes there with
 //!    the stub token appended, and the streams are stitched. `handoff`/
@@ -76,8 +77,8 @@
 //! Everything else runs whole on the prefill pool. If every decode replica
 //! is dead, `route_decode` spills the token loop back onto the surviving
 //! replicas — degraded beats dropped. A retryable failure in either phase
-//! releases whatever the attempt pinned and restarts the whole flow on a
-//! fresh route, up to `MAX_SUBMIT_ATTEMPTS` placements with capped
+//! restarts the whole flow on a fresh route (nothing was pinned, so there is
+//! nothing to give back), up to `MAX_SUBMIT_ATTEMPTS` placements with capped
 //! exponential backoff (the stub re-runs; nothing was delivered, so the
 //! client still sees exactly-once).
 //!
@@ -96,8 +97,8 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use vllm_cluster::{
     aggregate_stats, backoff_seconds, merge_labeled, EngineRequest, FlowCommand, FlowEffect,
-    FlowInput, HandoffMetrics, PrefixOp, PrefixReply, PrefixTier, Replica, ReplicaSnapshot,
-    RequestFlow, Router, MAX_SUBMIT_ATTEMPTS,
+    FlowInput, HandoffMetrics, PrefixOp, PrefixTier, Replica, ReplicaSnapshot, RequestFlow, Router,
+    MAX_SUBMIT_ATTEMPTS,
 };
 use vllm_core::telemetry::{spans_to_json, EventQuery, Span, Telemetry};
 use vllm_core::{
@@ -464,7 +465,7 @@ fn await_reply(
 
 /// Runs one request to its single outcome: the thread-world driver of
 /// [`RequestFlow`], which owns every decision (two-phase or not, cut, ids,
-/// tier and prefix-op order, stitch, releases, retries). Each effect and
+/// tier and prefix-op order, stitch, retries). Each effect and
 /// command is a blocking call on this connection's thread; `Transfer` has
 /// nothing left to do because the payload crossed the wire codec inside the
 /// flow.
@@ -487,9 +488,6 @@ fn serve(
         let (effects, cmd) = flow.on(input, shared.started.elapsed().as_secs_f64());
         for effect in effects {
             match effect {
-                FlowEffect::Release { replica, id } => {
-                    let _ = shared.replicas[replica].prefix_op(PrefixOp::Release { id });
-                }
                 FlowEffect::PublishTier { tokens, blocks } => {
                     if let Some(tier) = &shared.tier {
                         tier.lock().publish(&tokens, blocks);
@@ -508,7 +506,7 @@ fn serve(
             }
             FlowCommand::RouteDecode => {
                 let snaps = shared.snapshots();
-                let replica = shared.router.lock().route_decode(&snaps);
+                let replica = flow.route_decode(&mut shared.router.lock(), &snaps);
                 FlowInput::Routed { replica }
             }
             FlowCommand::TierLookup { tokens, .. } => {
@@ -533,32 +531,25 @@ fn serve(
     }
 }
 
-/// Installs an operator-shipped `HANDOFF` payload: the KV prefix lands in a
-/// decode-capable replica's pool (left pinned — this is deliberate
-/// pre-seeding, reclaimed on replica teardown) and is published to the
-/// shared tier so prefix-affinity routing and future handoffs reuse it
-/// fleet-wide.
+/// Installs an operator-shipped `HANDOFF` payload: the KV prefix lands in
+/// free blocks of a decode-capable replica's cache (evictable like anything
+/// else cached there — a client can pre-seed a pool, never pin it) and is
+/// published to the shared tier so prefix-affinity routing and future
+/// handoffs reuse it fleet-wide.
 fn install_handoff(shared: &Shared, payload: HandoffPayload) -> Result<Response, VllmError> {
     let replica = {
         let snaps = shared.snapshots();
         shared.router.lock().route_decode(&snaps)
     };
     let blocks = payload.blocks.len();
-    let reply = shared.replicas[replica].prefix_op(PrefixOp::Install {
+    shared.replicas[replica].prefix_op(PrefixOp::Install {
         tokens: payload.tokens.clone(),
         blocks: payload.blocks.clone(),
     })?;
-    let PrefixReply::Installed { id } = reply else {
-        return Err(VllmError::Protocol("unexpected prefix reply".into()));
-    };
     if let Some(tier) = &shared.tier {
         tier.lock().publish(&payload.tokens, payload.blocks);
     }
-    Ok(Response::Handoff {
-        replica,
-        prefix: id,
-        blocks,
-    })
+    Ok(Response::Handoff { replica, blocks })
 }
 
 /// The `TIER` snapshot: all zeros when the tier is disabled.

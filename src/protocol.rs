@@ -400,13 +400,12 @@ pub enum Response {
         /// `true` when the id was seen but its events aged out.
         evicted: bool,
     },
-    /// `HANDOFF\treplica=<i>\tprefix=<id>\tblocks=<n>` — payload installed.
+    /// `HANDOFF\treplica=<i>\tblocks=<n>` — payload installed (into free
+    /// blocks of the replica's cache: there is no pin to name).
     Handoff {
         /// Replica the prefix was installed on.
         replica: usize,
-        /// The prefix-pool id on that replica.
-        prefix: usize,
-        /// Blocks installed.
+        /// Blocks the payload carried.
         blocks: usize,
     },
     /// `TIER\t<key=value...>` — prefix-tier snapshot.
@@ -456,11 +455,9 @@ impl Response {
                 "NOEVENTS\t{}",
                 if *evicted { "evicted" } else { "unknown" }
             ),
-            Self::Handoff {
-                replica,
-                prefix,
-                blocks,
-            } => format!("HANDOFF\treplica={replica}\tprefix={prefix}\tblocks={blocks}"),
+            Self::Handoff { replica, blocks } => {
+                format!("HANDOFF\treplica={replica}\tblocks={blocks}")
+            }
             Self::Tier(t) => format!(
                 "TIER\tentries={}\tblocks={}\tcapacity={}\thits={}\tmisses={}\tinsertions={}\tevictions={}",
                 t.entries, t.blocks, t.capacity, t.hits, t.misses, t.insertions, t.evictions
@@ -531,22 +528,16 @@ impl Response {
             },
             "HANDOFF" => {
                 let mut replica = None;
-                let mut prefix = None;
                 let mut blocks = None;
                 for p in &parts[1..] {
                     match split_stat(p) {
                         Some(("replica", v)) => replica = v.parse().ok(),
-                        Some(("prefix", v)) => prefix = v.parse().ok(),
                         Some(("blocks", v)) => blocks = v.parse().ok(),
                         _ => return Err(bad()),
                     }
                 }
-                match (replica, prefix, blocks) {
-                    (Some(replica), Some(prefix), Some(blocks)) => Ok(Self::Handoff {
-                        replica,
-                        prefix,
-                        blocks,
-                    }),
+                match (replica, blocks) {
+                    (Some(replica), Some(blocks)) => Ok(Self::Handoff { replica, blocks }),
                     _ => Err(bad()),
                 }
             }
@@ -766,7 +757,6 @@ mod tests {
             Response::NoEvents { evicted: true },
             Response::Handoff {
                 replica: 3,
-                prefix: 11,
                 blocks: 4,
             },
             Response::Tier(TierSnapshot {

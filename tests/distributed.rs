@@ -99,7 +99,7 @@ fn tp_prefix_cache_matches_serial() {
             None => {
                 let exec = CpuModelExecutor::from_config(ModelConfig::tiny(), &cache);
                 let mut e = LlmEngine::new(exec, cache, sched(PreemptionMode::Recompute));
-                e.register_prefix(prefix.clone()).unwrap();
+                e.register_prefix(&prefix).unwrap();
                 let mut prompt = prefix.clone();
                 prompt.extend([5, 6, 7]);
                 e.add_request("r", prompt, SamplingParams::greedy(6))
@@ -110,7 +110,7 @@ fn tp_prefix_cache_matches_serial() {
                 let exec =
                     TensorParallelExecutor::new(Transformer::new(ModelConfig::tiny()), w, &cache);
                 let mut e = LlmEngine::new(exec, cache, sched(PreemptionMode::Recompute));
-                e.register_prefix(prefix.clone()).unwrap();
+                e.register_prefix(&prefix).unwrap();
                 let mut prompt = prefix.clone();
                 prompt.extend([5, 6, 7]);
                 e.add_request("r", prompt, SamplingParams::greedy(6))

@@ -9,12 +9,17 @@ fn spawn_server() -> Server {
     spawn_server_on("127.0.0.1:0")
 }
 
-fn spawn_server_on(addr: &str) -> Server {
+/// The engine every server of this file runs (a standalone one computes
+/// real KV for `HANDOFF` payloads).
+fn small_engine() -> LlmEngine<CpuModelExecutor> {
     let cache = CacheConfig::new(16, 256, 64).unwrap();
     let sched = SchedulerConfig::new(2048, 64, 1024).unwrap();
     let exec = CpuModelExecutor::from_config(ModelConfig::small(), &cache);
-    let engine = LlmEngine::new(exec, cache, sched);
-    Server::spawn(addr, engine).expect("server binds")
+    LlmEngine::new(exec, cache, sched)
+}
+
+fn spawn_server_on(addr: &str) -> Server {
+    Server::spawn(addr, small_engine()).expect("server binds")
 }
 
 #[test]
@@ -771,14 +776,7 @@ fn hello_negotiates_protocol_version() {
 fn spawn_disaggregated() -> Server {
     use vllm::cluster::ClusterConfig;
 
-    let engines: Vec<_> = (0..2)
-        .map(|_| {
-            let cache = CacheConfig::new(16, 256, 64).unwrap();
-            let sched = SchedulerConfig::new(2048, 64, 1024).unwrap();
-            let exec = CpuModelExecutor::from_config(ModelConfig::small(), &cache);
-            LlmEngine::new(exec, cache, sched)
-        })
-        .collect();
+    let engines: Vec<_> = (0..2).map(|_| small_engine()).collect();
     let cfg = ClusterConfig::disaggregated(1, 1).with_prefix_tier_blocks(128);
     Server::spawn_cluster("127.0.0.1:0", engines, cfg).expect("server binds")
 }
@@ -828,7 +826,7 @@ fn disaggregated_serving_matches_unified_output() {
     assert!(per_replica[0].finished >= 2, "{per_replica:?}");
     assert!(per_replica[1].finished >= 2, "{per_replica:?}");
 
-    // Round 1 registered and published the prompt's block-aligned prefix;
+    // Round 1 exported and published the prompt's block-aligned prefix;
     // round 2 found it in the tier.
     let stream = std::net::TcpStream::connect(server.addr()).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -871,7 +869,7 @@ fn disaggregated_serving_matches_unified_output() {
 /// Killing a decode replica under a live disaggregated fleet: the requests
 /// decoding on it restart their whole flow on a fresh route, every client
 /// still gets exactly one reply — byte-equal to a unified server's — and no
-/// surviving replica is left holding a pinned block.
+/// surviving replica is left holding a block.
 #[test]
 fn killed_decode_replica_restarts_handoffs_without_leaks() {
     use std::io::{BufRead, BufReader, Write};
@@ -947,9 +945,9 @@ fn killed_decode_replica_restarts_handoffs_without_leaks() {
     );
     assert_eq!(snap.counter("vllm_cluster_handoffs_total"), Some(6));
 
-    // Every pin was released on the way out: the survivors' pools are whole
-    // (the snapshot after the last release is published just after its
-    // reply, hence the short wait).
+    // Nothing was pinned on the way: the survivors' pools are whole (the
+    // snapshot after a prefill stub's last step is published just before
+    // its reply, the decode's may lag its client's, hence the short wait).
     for i in [0, 2] {
         let mut s = server.replica_stats()[i];
         for _ in 0..500 {
@@ -971,19 +969,20 @@ fn killed_decode_replica_restarts_handoffs_without_leaks() {
 #[test]
 fn handoff_verb_preseeds_the_decode_pool() {
     use std::io::{BufRead, BufReader, Write};
-    use vllm::core::HandoffPayload;
+    use vllm::core::{HandoffPayload, SamplingParams};
     use vllm::model::ByteTokenizer;
 
-    // Export a real prefix from a standalone engine with the same model
-    // and block size as the server fleet.
-    let cache = CacheConfig::new(16, 256, 64).unwrap();
-    let sched = SchedulerConfig::new(2048, 64, 1024).unwrap();
-    let exec = CpuModelExecutor::from_config(ModelConfig::small(), &cache);
-    let mut engine = LlmEngine::new(exec, cache, sched);
+    // Export a real prefix: what a finished request left in a standalone
+    // engine's block cache.
+    let mut engine = small_engine();
     let prefix_text = "a shared system preamble that spans blocks!"; // 44 bytes
-    let tokens: Vec<u32> = ByteTokenizer.encode(prefix_text)[..32].to_vec();
-    let id = engine.register_prefix(tokens.clone()).unwrap();
-    let (ptokens, blocks) = engine.export_prefix(id).unwrap();
+    let prompt = ByteTokenizer.encode(prefix_text);
+    let tokens: Vec<u32> = prompt[..32].to_vec();
+    engine
+        .add_request("warm", prompt, SamplingParams::greedy(1))
+        .unwrap();
+    engine.run_to_completion().unwrap();
+    let (ptokens, blocks) = engine.export_kv(&tokens);
     assert_eq!(ptokens, tokens);
     let payload = HandoffPayload {
         request_id: "preseed".into(),
@@ -1000,11 +999,8 @@ fn handoff_verb_preseeds_the_decode_pool() {
     writeln!(writer, "HANDOFF\t{}", payload.encode_wire()).unwrap();
     let mut reply = String::new();
     reader.read_line(&mut reply).unwrap();
-    let reply = reply.trim_end();
-    assert!(reply.starts_with("HANDOFF\treplica="), "got {reply:?}");
-    assert!(reply.contains("blocks=2"), "got {reply:?}");
-    // The payload routed to the decode pool.
-    assert!(reply.contains("replica=1"), "got {reply:?}");
+    // The payload routed to the decode pool; nothing names a pin.
+    assert_eq!(reply.trim_end(), "HANDOFF\treplica=1\tblocks=2");
 
     // The tier now holds the pre-seeded entry...
     writeln!(writer, "TIER").unwrap();
@@ -1015,8 +1011,9 @@ fn handoff_verb_preseeds_the_decode_pool() {
         "got {tier:?}"
     );
 
-    // ...and a request extending the pre-seeded tokens finds it there
-    // (tier hit on the prefill side of the two-phase flow).
+    // ...and a request extending the pre-seeded tokens finds it there (tier
+    // hit on the prefill side of the two-phase flow) and in the decode
+    // replica's cache, where its decode phase maps both blocks.
     let mut client = Client::connect(server.addr()).unwrap();
     let outs = client.generate(prefix_text, 8, 1, "greedy").unwrap();
     assert_eq!(outs.len(), 1);
@@ -1024,6 +1021,102 @@ fn handoff_verb_preseeds_the_decode_pool() {
     let mut tier = String::new();
     reader.read_line(&mut tier).unwrap();
     assert!(tier.contains("hits=1"), "got {tier:?}");
+    writeln!(writer, "METRICS\tjson").unwrap();
+    let mut json = String::new();
+    reader.read_line(&mut json).unwrap();
+    let snap = vllm::core::telemetry::MetricsSnapshot::from_json(json.trim_end()).unwrap();
+    for replica in 0..2 {
+        let name = format!("vllm_cache_prefix_hit_tokens_total{{replica=\"{replica}\"}}");
+        assert_eq!(snap.counter(&name), Some(32), "{name}");
+    }
+    server.shutdown();
+}
+
+/// `HANDOFF` installs into free blocks, so no number of frames can pin a
+/// decode pool: more single-block frames than the pool has blocks all get
+/// an answer, every block is free afterwards, and a `GENERATE` is admitted
+/// and answered exactly as a unified server answers it.
+#[test]
+fn handoff_flood_cannot_pin_the_decode_pool() {
+    use std::io::{BufRead, BufReader, Write};
+    use vllm::cluster::ClusterConfig;
+    use vllm::core::{HandoffPayload, SamplingParams};
+    use vllm::protocol::Response;
+
+    const POOL: usize = 24;
+    let prompt = "does the pool still admit me after the flood?";
+    let unified = spawn_server();
+    let expect = Client::connect(unified.addr())
+        .unwrap()
+        .generate(prompt, 12, 1, "greedy")
+        .unwrap();
+    unified.shutdown();
+
+    // One real block of KV; each frame ships it under different tokens no
+    // prompt can spell, so every frame is new content to the pool.
+    let mut engine = small_engine();
+    let warm: Vec<u32> = (1..=20).collect();
+    engine
+        .add_request("warm", warm.clone(), SamplingParams::greedy(1))
+        .unwrap();
+    engine.run_to_completion().unwrap();
+    let (_, block) = engine.export_kv(&warm[..16]);
+    assert_eq!(block.len(), 1);
+
+    let engines: Vec<_> = (0..2)
+        .map(|_| {
+            let cache = CacheConfig::new(16, POOL, 8).unwrap();
+            let sched = SchedulerConfig::new(2048, 64, 1024).unwrap();
+            let exec = CpuModelExecutor::from_config(ModelConfig::small(), &cache);
+            LlmEngine::new(exec, cache, sched)
+        })
+        .collect();
+    let cfg = ClusterConfig::disaggregated(1, 1).with_prefix_tier_blocks(8);
+    let server = Server::spawn_cluster("127.0.0.1:0", engines, cfg).expect("server binds");
+    let stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    for frame in 0..POOL as u32 + 8 {
+        let payload = HandoffPayload {
+            request_id: format!("flood-{frame}"),
+            tokens: (0..16).map(|t| 1_000_000 + frame * 16 + t).collect(),
+            first_token: None,
+            seed: 0,
+            block_size: 16,
+            blocks: block.clone(),
+        };
+        writeln!(writer, "HANDOFF\t{}", payload.encode_wire()).unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        match Response::parse(reply.trim_end()).unwrap() {
+            Response::Handoff {
+                replica: 1,
+                blocks: 1,
+            } => {}
+            Response::Err {
+                retryable: true, ..
+            } => {}
+            other => panic!("frame {frame} answered {other:?}"),
+        }
+    }
+
+    writeln!(writer, "STATS").unwrap();
+    let replicas: Vec<_> = read_until_end(&mut reader)
+        .iter()
+        .filter_map(|line| match Response::parse(line).unwrap() {
+            Response::RStats { stats, .. } => Some(stats),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(replicas.len(), 2);
+    for s in &replicas {
+        assert_eq!((s.free_blocks, s.total_blocks), (POOL, POOL), "{s:?}");
+    }
+    let outs = Client::connect(server.addr())
+        .unwrap()
+        .generate(prompt, 12, 1, "greedy")
+        .unwrap();
+    assert_eq!(outs[0].text, expect[0].text);
     server.shutdown();
 }
 

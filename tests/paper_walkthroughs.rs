@@ -115,16 +115,16 @@ fn fig9_beam_search_block_lifecycle() {
     );
 }
 
-/// Fig. 10: two nested system prompts; requests match the longest
-/// registered prefix.
+/// Fig. 10: two nested system prompts; requests map the longest cached run
+/// of their prompt's blocks.
 #[test]
 fn fig10_nested_shared_prefixes() {
     let mut e = engine(4, 128);
     let short: Vec<u32> = (0..8).collect();
     let mut long = short.clone();
     long.extend(50..62);
-    e.register_prefix(short.clone()).unwrap();
-    e.register_prefix(long.clone()).unwrap();
+    e.register_prefix(&short).unwrap();
+    e.register_prefix(&long).unwrap();
 
     // A prompt extending the long prefix matches it.
     let mut p_long = long.clone();
@@ -139,8 +139,8 @@ fn fig10_nested_shared_prefixes() {
     e.step().unwrap();
     let g_long = e.scheduler().group("long").unwrap();
     let g_short = e.scheduler().group("short").unwrap();
-    assert_eq!(g_long.cached_prefix_len, long.len());
-    assert_eq!(g_short.cached_prefix_len, short.len());
+    assert_eq!(g_long.cached_tokens, long.len());
+    assert_eq!(g_short.cached_tokens, short.len());
     let outs = e.run_to_completion().unwrap();
     assert_eq!(outs.len(), 2);
 }

@@ -661,6 +661,7 @@ impl<E: ModelExecutor> LlmEngine<E> {
                     num_candidates: 0,
                     mode: DecodingMode::Greedy,
                     seed: 0,
+                    sample_index: 0,
                     chunked: false,
                 }],
                 block_size: bs,

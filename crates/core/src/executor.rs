@@ -37,6 +37,10 @@ pub struct SeqStepInput {
     pub mode: DecodingMode,
     /// Seed for this sequence's sampling stream.
     pub seed: u64,
+    /// The sequence's index among its request's parallel samples
+    /// ([`crate::sequence::Sequence::sample_index`]); executors mix it, not
+    /// the engine-global `seq_id`, into the stream.
+    pub sample_index: u64,
     /// Whether this item is a scheduler-budgeted prefill chunk. Chunked
     /// items must run the prefill attention path even when only one new row
     /// remains, so chunked logits stay bit-identical to an unchunked

@@ -161,6 +161,7 @@ pub fn materialize_batch(scheduler: &Scheduler, plan: &mut StepPlan) -> Result<(
                     num_candidates,
                     mode: params.mode,
                     seed: base_seed,
+                    sample_index: seq.sample_index,
                     chunked: true,
                 });
                 continue;
@@ -195,6 +196,7 @@ pub fn materialize_batch(scheduler: &Scheduler, plan: &mut StepPlan) -> Result<(
                 num_candidates,
                 mode: params.mode,
                 seed: base_seed,
+                sample_index: seq.sample_index,
                 chunked: false,
             });
         }

@@ -228,11 +228,12 @@ impl<E: ModelExecutor> LlmEngine<E> {
                 .scheduler
                 .group_mut(request_id)
                 .ok_or_else(|| VllmError::UnknownRequest(request_id.to_string()))?;
-            for &cid in &child_ids {
-                let child = group
+            for (&cid, sample_index) in child_ids.iter().zip(1..) {
+                let mut child = group
                     .get(parent)
                     .ok_or(VllmError::UnknownSequence(parent))?
                     .fork(cid);
+                child.sample_index = sample_index;
                 group.add(child);
             }
         }

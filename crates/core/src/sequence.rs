@@ -187,6 +187,11 @@ pub struct Sequence {
     pub status: SequenceStatus,
     /// Cumulative log-probability of the generated tokens (beam search).
     pub cumulative_logprob: f64,
+    /// Which of its request's parallel samples this is: 0 for the root,
+    /// `i` for the `i`-th child forked after the prompt step. With the
+    /// request seed and the position it names the sequence's random stream,
+    /// so sampled tokens do not depend on what else the engine has served.
+    pub sample_index: u64,
     /// KV block size, cached here to derive logical block counts.
     block_size: usize,
 }
@@ -200,6 +205,7 @@ impl Sequence {
             data: SequenceData::new(prompt),
             status: SequenceStatus::Waiting,
             cumulative_logprob: 0.0,
+            sample_index: 0,
             block_size,
         }
     }

@@ -357,7 +357,8 @@ fn counters_are_monotone_across_runs_and_snapshot_round_trips() {
 fn model_kernel_histograms_are_registered_and_observed() {
     // The real CPU executor must register the per-kernel timing histograms
     // — labeled with the serving backend — and observe into them on every
-    // step (matmul + paged-attention + logits-projection seconds).
+    // step (the three kernels, and the activation / sampling / elementwise
+    // classes that account for the rest of the forward pass).
     use vllm_model::{BackendKind, CpuModelExecutor, ModelConfig};
     let cache = CacheConfig::new(BS, 64, 0)
         .unwrap()
@@ -379,6 +380,9 @@ fn model_kernel_histograms_are_registered_and_observed() {
         "vllm_model_kernel_matmul_seconds{backend=\"scalar\"}",
         "vllm_model_kernel_paged_attention_seconds{backend=\"scalar\"}",
         "vllm_model_kernel_logits_seconds{backend=\"scalar\"}",
+        "vllm_model_kernel_activation_seconds{backend=\"scalar\"}",
+        "vllm_model_kernel_sampling_seconds{backend=\"scalar\"}",
+        "vllm_model_kernel_elementwise_seconds{backend=\"scalar\"}",
     ] {
         let h = snap
             .histogram(name)

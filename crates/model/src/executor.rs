@@ -3,7 +3,7 @@
 use std::time::Instant;
 
 use vllm_core::error::{Result, VllmError};
-use vllm_core::executor::{KernelTiming, ModelExecutor, SeqStepOutput, StepResult};
+use vllm_core::executor::{KernelTiming, ModelExecutor, SeqStepInput, SeqStepOutput, StepResult};
 use vllm_core::plan::StepPlan;
 
 use crate::config::ModelConfig;
@@ -23,43 +23,35 @@ struct ExecutorTelemetry {
     kernels: KernelTelemetry,
 }
 
-/// Per-kernel timing histograms shared by the CPU and TP executors.
+/// Per-kernel timing histograms shared by the CPU and TP executors, in the
+/// order of [`timing::CLASSES`].
 #[derive(Debug, Clone)]
 pub(crate) struct KernelTelemetry {
-    matmul_seconds: vllm_telemetry::Histogram,
-    attention_seconds: vllm_telemetry::Histogram,
-    logits_seconds: vllm_telemetry::Histogram,
+    seconds: Vec<vllm_telemetry::Histogram>,
 }
 
 impl KernelTelemetry {
     /// Registers the `vllm_model_kernel_*` histograms, labeled with the
     /// kernel backend serving the model (`{backend="scalar"}` etc.).
     pub(crate) fn register(r: &vllm_telemetry::MetricsRegistry, backend: &str) -> Self {
+        let seconds = timing::CLASSES.iter().map(|(name, help)| {
+            r.histogram(
+                &format!("vllm_model_kernel_{name}_seconds{{backend=\"{backend}\"}}"),
+                help,
+                vllm_telemetry::BucketSpec::seconds(),
+            )
+        });
         Self {
-            matmul_seconds: r.histogram(
-                &format!("vllm_model_kernel_matmul_seconds{{backend=\"{backend}\"}}"),
-                "Time in dense matmul kernels per step (summed across pool threads).",
-                vllm_telemetry::BucketSpec::seconds(),
-            ),
-            attention_seconds: r.histogram(
-                &format!("vllm_model_kernel_paged_attention_seconds{{backend=\"{backend}\"}}"),
-                "Time in the PagedAttention kernel per step (decode and prefill rows).",
-                vllm_telemetry::BucketSpec::seconds(),
-            ),
-            logits_seconds: r.histogram(
-                &format!("vllm_model_kernel_logits_seconds{{backend=\"{backend}\"}}"),
-                "Time in the LM-head logits projection per step.",
-                vllm_telemetry::BucketSpec::seconds(),
-            ),
+            seconds: seconds.collect(),
         }
     }
 
     /// Observes the kernel-time deltas accumulated during one step.
     pub(crate) fn observe_step(&self, before: &timing::KernelSnapshot) {
         let d = timing::snapshot().delta_since(before);
-        self.matmul_seconds.observe(d.matmul_ns as f64 / 1e9);
-        self.attention_seconds.observe(d.attention_ns as f64 / 1e9);
-        self.logits_seconds.observe(d.logits_ns as f64 / 1e9);
+        for (histogram, ns) in self.seconds.iter().zip(d.ns()) {
+            histogram.observe(ns as f64 / 1e9);
+        }
     }
 }
 
@@ -110,33 +102,28 @@ pub(crate) fn run_forwards(
             logits[i * vocab..(i + 1) * vocab].copy_from_slice(row);
         }
     }
-    plan.items
-        .iter()
-        .zip(logits.chunks_exact(vocab))
-        .map(|(item, logits)| {
-            let seed = mix_seed(item.seed, item.seq_id, item.context_len());
-            SeqStepOutput {
-                seq_id: item.seq_id,
-                candidates: sample_candidates(logits, item.mode, item.num_candidates, seed),
-            }
-        })
-        .collect()
+    let sampling_start = Instant::now();
+    let sample = |(item, logits): (&SeqStepInput, &[f32])| {
+        let seed = mix_seed(item.seed, item.sample_index, item.context_len());
+        SeqStepOutput {
+            seq_id: item.seq_id,
+            candidates: sample_candidates(logits, item.mode, item.num_candidates, seed),
+        }
+    };
+    let rows = plan.items.iter().zip(logits.chunks_exact(vocab));
+    let outputs = rows.map(sample).collect();
+    timing::record_sampling(sampling_start.elapsed());
+    outputs
 }
 
 /// Per-kernel time accumulated since `before`, as a step result reports it.
 pub(crate) fn kernel_timings(before: &timing::KernelSnapshot) -> Vec<KernelTiming> {
     let d = timing::snapshot().delta_since(before);
-    [
-        ("matmul", d.matmul_ns),
-        ("paged_attention", d.attention_ns),
-        ("logits", d.logits_ns),
-    ]
-    .into_iter()
-    .map(|(name, ns)| KernelTiming {
+    let entry = |((name, _), ns): (&(&str, &str), u64)| KernelTiming {
         name: name.to_string(),
         seconds: ns as f64 / 1e9,
-    })
-    .collect()
+    };
+    timing::CLASSES.iter().zip(d.ns()).map(entry).collect()
 }
 
 /// Executes scheduled iterations on a CPU transformer with a paged KV cache.
@@ -396,6 +383,54 @@ mod tests {
         let set: std::collections::HashSet<_> =
             outs[0].outputs.iter().map(|o| o.tokens.clone()).collect();
         assert!(set.len() > 1, "samples should diverge");
+    }
+
+    #[test]
+    fn seeded_samples_do_not_depend_on_arrival_order() {
+        // The sampling stream is (request seed, sample index, position):
+        // nothing engine-global, so what the engine served before, or is
+        // serving beside, cannot change a seeded request's samples.
+        let params = || SamplingParams::parallel(4, 12).with_seed(11);
+        let prompt = vec![1u32, 2, 3, 4, 5, 6];
+        let samples = |e: &mut LlmEngine<CpuModelExecutor>| -> Vec<(Vec<u32>, u64)> {
+            let outs = e.run_to_completion().unwrap();
+            let r = outs.iter().find(|o| o.request_id == "r").unwrap();
+            let bits = |o: &vllm_core::engine::CompletionOutput| {
+                (o.tokens.clone(), o.cumulative_logprob.to_bits())
+            };
+            r.outputs.iter().map(bits).collect()
+        };
+
+        let mut alone = engine(128);
+        alone.add_request("r", prompt.clone(), params()).unwrap();
+        let alone = samples(&mut alone);
+        assert_eq!(alone.len(), 4);
+        let distinct: std::collections::HashSet<_> = alone.iter().collect();
+        assert!(
+            distinct.len() > 1,
+            "the four samples should diverge: {alone:?}"
+        );
+
+        let mut later = engine(128);
+        for i in 0..7u32 {
+            let unrelated = SamplingParams::parallel(2, 3).with_seed(u64::from(i));
+            later
+                .add_request(format!("u{i}"), vec![i + 1, 2 * i + 5, 9], unrelated)
+                .unwrap();
+        }
+        later.run_to_completion().unwrap();
+        later.add_request("r", prompt.clone(), params()).unwrap();
+        assert_eq!(samples(&mut later), alone, "after 7 unrelated requests");
+
+        let mut beside = engine(128);
+        let other = SamplingParams::parallel(3, 9).with_seed(5);
+        beside.add_request("o", vec![2, 4, 6, 8], other).unwrap();
+        beside.add_request("r", prompt, params()).unwrap();
+        assert_eq!(
+            samples(&mut beside),
+            alone,
+            "batched beside another request"
+        );
     }
 
     #[test]

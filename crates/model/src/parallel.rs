@@ -26,7 +26,8 @@ use crate::attention::SeqRows;
 use crate::config::PositionEncoding;
 use crate::executor::{kernel_timings, run_forwards, step_inputs, KernelTelemetry};
 use crate::kv_cache::KvCache;
-use crate::ops::{add_bias, add_inplace, gelu, layer_norm, timing};
+use crate::ops::timing::{self, OpClock};
+use crate::ops::{add_bias, add_inplace, gelu, layer_norm};
 use crate::pool;
 use crate::transformer::{apply_rope, last_rows, SeqInput, Transformer};
 
@@ -211,6 +212,9 @@ impl TensorParallelExecutor {
     /// `inputs` (see [`embed`]); `begin_step` computes it while the workers
     /// are still applying the step's cache operations.
     fn forward_tp(&mut self, inputs: &[SeqInput<'_>], embedded: Option<Vec<f32>>) -> Vec<f32> {
+        // The replicated stretches of this thread; each worker task charges
+        // its own (kernel counters sum across threads).
+        let mut clock = OpClock::start();
         let cfg = &self.model.config;
         let h = cfg.hidden;
         let w_count = self.num_workers;
@@ -250,6 +254,7 @@ impl TensorParallelExecutor {
             let mut hst = x.clone();
             layer_norm(&mut hst, &lw.ln1_g, &lw.ln1_b, LN_EPS);
             let mut partials = vec![vec![0.0f32; n * h]; w_count];
+            clock.elementwise();
             pool::global().scoped(|s| {
                 for (worker, partial) in self.workers.iter_mut().zip(partials.iter_mut()) {
                     let (hst, rows, seqs) = (&hst, &rows, &seqs);
@@ -259,6 +264,7 @@ impl TensorParallelExecutor {
                         let t_mm = Instant::now();
                         be.matmul_serial(hst, &shard.w_qkv, n, h, 3 * hl, &mut qkv);
                         timing::record_matmul(t_mm.elapsed());
+                        let mut clock = OpClock::start();
                         add_bias(&mut qkv, &shard.b_qkv);
                         // Write local K/V slices into this worker's pool
                         // under the shared block table.
@@ -280,6 +286,7 @@ impl TensorParallelExecutor {
                             q[i * hl..(i + 1) * hl].copy_from_slice(&row[..hl]);
                         }
                         let mut attn = vec![0.0f32; n * hl];
+                        clock.elementwise();
                         be.paged_attention(
                             &q,
                             &worker.cache.gpu,
@@ -296,6 +303,7 @@ impl TensorParallelExecutor {
                     });
                 }
             });
+            clock.skip();
             all_reduce(&partials, &lw.b_o, &mut x, self.telemetry.as_ref());
             self.num_all_reduces += 1;
 
@@ -303,6 +311,7 @@ impl TensorParallelExecutor {
             let mut hst = x.clone();
             layer_norm(&mut hst, &lw.ln2_g, &lw.ln2_b, LN_EPS);
             let mut partials = vec![vec![0.0f32; n * h]; w_count];
+            clock.elementwise();
             pool::global().scoped(|s| {
                 for (worker, partial) in self.workers.iter().zip(partials.iter_mut()) {
                     let hst = &hst;
@@ -311,13 +320,19 @@ impl TensorParallelExecutor {
                         let mut mid = vec![0.0f32; n * ml];
                         let t_mm = Instant::now();
                         be.matmul_serial(hst, &shard.w_fc, n, h, ml, &mut mid);
+                        timing::record_matmul(t_mm.elapsed());
+                        let mut clock = OpClock::start();
                         add_bias(&mut mid, &shard.b_fc);
+                        clock.elementwise();
                         gelu(&mut mid);
+                        clock.activation();
+                        let t_mm = Instant::now();
                         be.matmul_serial(&mid, &shard.w_proj, n, ml, h, partial);
                         timing::record_matmul(t_mm.elapsed());
                     });
                 }
             });
+            clock.skip();
             all_reduce(&partials, &lw.b_proj, &mut x, self.telemetry.as_ref());
             self.num_all_reduces += 1;
         }
@@ -327,6 +342,7 @@ impl TensorParallelExecutor {
         layer_norm(&mut last, &self.model.ln_f_g, &self.model.ln_f_b, LN_EPS);
         let vocab = cfg.vocab_size;
         let mut logits = vec![0.0f32; inputs.len() * vocab];
+        clock.elementwise();
         be.matmul_logits(
             &last,
             &self.model.wte_t,

@@ -10,6 +10,7 @@ use crate::attention::SeqRows;
 use crate::backend::{self, KernelBackend};
 use crate::config::{ModelConfig, PositionEncoding};
 use crate::kv_cache::KvPool;
+use crate::ops::timing::OpClock;
 use crate::ops::{add_bias, add_inplace, gelu, layer_norm};
 use crate::pool;
 
@@ -184,6 +185,9 @@ impl Transformer {
     /// beyond `max_position`, a block table too short for its context).
     pub fn forward(&self, inputs: &[SeqInput<'_>], kv: &mut KvPool) -> Vec<f32> {
         assert!(!inputs.is_empty(), "empty batch");
+        // Everything between two kernel calls is charged to an op class;
+        // the kernels record themselves.
+        let mut clock = OpClock::start();
         let h = self.config.hidden;
         let bs = kv.block_size();
         for inp in inputs {
@@ -230,7 +234,9 @@ impl Transformer {
             // Attention block.
             let mut hst = x.clone();
             layer_norm(&mut hst, &lw.ln1_g, &lw.ln1_b, LN_EPS);
+            clock.elementwise();
             be.matmul(&hst, &lw.w_qkv, n, h, 3 * h, &mut qkv);
+            clock.skip();
             add_bias(&mut qkv, &lw.b_qkv);
 
             // Fused reshape-and-block-write (§5.1): store every row's K/V
@@ -252,6 +258,7 @@ impl Transformer {
                 );
                 q[i * h..(i + 1) * h].copy_from_slice(&row[..h]);
             }
+            clock.elementwise();
             be.paged_attention(
                 &q,
                 kv,
@@ -263,16 +270,22 @@ impl Transformer {
                 &mut attn,
             );
             be.matmul(&attn, &lw.w_o, n, h, h, &mut proj);
+            clock.skip();
             add_bias(&mut proj, &lw.b_o);
             add_inplace(&mut x, &proj);
 
             // MLP block.
             let mut hst = x.clone();
             layer_norm(&mut hst, &lw.ln2_g, &lw.ln2_b, LN_EPS);
+            clock.elementwise();
             be.matmul(&hst, &lw.w_fc, n, h, 4 * h, &mut mlp_mid);
+            clock.skip();
             add_bias(&mut mlp_mid, &lw.b_fc);
+            clock.elementwise();
             gelu(&mut mlp_mid);
+            clock.activation();
             be.matmul(&mlp_mid, &lw.w_proj, n, 4 * h, h, &mut proj);
+            clock.skip();
             add_bias(&mut proj, &lw.b_proj);
             add_inplace(&mut x, &proj);
         }
@@ -284,6 +297,7 @@ impl Transformer {
         layer_norm(&mut last, &self.ln_f_g, &self.ln_f_b, LN_EPS);
         let vocab = self.config.vocab_size;
         let mut logits = vec![0.0f32; inputs.len() * vocab];
+        clock.elementwise();
         be.matmul_logits(&last, &self.wte_t, inputs.len(), h, vocab, &mut logits);
         logits
     }

@@ -284,6 +284,51 @@ pub fn sustained_rate(points: &[SweepPoint], latency_threshold: f64) -> f64 {
         .fold(0.0, f64::max)
 }
 
+/// Times every cell in `rounds` interleaved rounds — each cell `iters`
+/// calls per round, the starting cell rotated — and returns each cell's
+/// nanoseconds per call in every round, as `[cell][round]`. A slow spell of
+/// the host lands on every cell of a round, so ratios between cells stay
+/// meaningful.
+pub fn interleaved_rounds_ns(
+    cells: &mut [&mut dyn FnMut()],
+    iters: usize,
+    rounds: usize,
+) -> Vec<Vec<f64>> {
+    let mut ns = vec![Vec::with_capacity(rounds); cells.len()];
+    for cell in cells.iter_mut() {
+        cell(); // warm
+    }
+    for round in 0..rounds {
+        for i in 0..cells.len() {
+            let c = (i + round) % cells.len();
+            let t0 = std::time::Instant::now();
+            for _ in 0..iters {
+                cells[c]();
+            }
+            ns[c].push(t0.elapsed().as_nanos() as f64 / iters as f64);
+        }
+    }
+    ns
+}
+
+/// A cell's best round.
+#[must_use]
+pub fn best_ns(rounds: &[f64]) -> f64 {
+    rounds.iter().copied().fold(f64::INFINITY, f64::min)
+}
+
+/// How many times faster `cell` ran than `base`: the median over the rounds
+/// of `base / cell` *within* a round. The two sides of each ratio ran
+/// milliseconds apart, so a host that changes speed every few seconds moves
+/// both or spoils one round, not the figure — which the ratio of two minima
+/// found seconds apart did about one run in three.
+#[must_use]
+pub fn paired_speedup(base: &[f64], cell: &[f64]) -> f64 {
+    let mut ratios: Vec<f64> = base.iter().zip(cell).map(|(b, c)| b / c).collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[ratios.len() / 2]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,32 +1,54 @@
 //! Attention kernels: the contiguous reference and the PagedAttention
 //! kernel that reads K/V in place through a block table (§4.1, Eq. 4).
 //!
-//! There is one paged kernel, [`paged_attention`], for decode rows and
-//! prefill/chunk rows alike. Its tile is a *logical* KV block — positions
-//! `j·B .. (j+1)·B` of the sequence, one contiguous `B × hidden` region of
-//! the pool — and per (query row, tile) it does what Eq. 4 says:
+//! There is one paged kernel, `paged_attention` (reached through
+//! [`crate::KernelBackend::paged_attention`]), for decode rows and
+//! prefill/chunk rows alike, shaped like the paper's (§5.1; vLLM's
+//! `paged_attention_v1` / `v2`). Its tile is a *logical* KV block —
+//! positions `j·B .. (j+1)·B` of the sequence, one contiguous `B × hidden`
+//! region of the pool — and a *partition* is 32 consecutive logical blocks
+//! counted from position 0. Per query row and
+//! partition it makes three passes over the row's tiles:
 //!
-//! 1. **scores** for every slot of the tile and every head at once from the
-//!    dimension-major K tile, slots as lanes ([`TileLanes::scores`]);
-//! 2. **softmax step**: one tile max, one `exp(m − m_new)` correction per
-//!    head and the slot weights `exp(s − m_new)`, through the deterministic
-//!    vector `exp` of the `wide` shim ([`softmax_step`]);
-//! 3. **accumulate** `acc = acc·corr + Σ_slot w·V` from the V tile
-//!    ([`TileLanes::accumulate`]).
+//! 1. **scores**: every scaled `q·k` logit of the partition goes into one
+//!    scratch, `[tile][head][slot]`, from the dimension-major K tiles; the
+//!    last tile's empty slots are masked to `-inf`, and a lane-wise running
+//!    max per head is reduced horizontally once;
+//! 2. **weights**: `exp(s − m)` in place, every element through one lane of
+//!    the deterministic vector `exp` of the `wide` shim, with lane-wise
+//!    running sums per head, reduced once;
+//! 3. **accumulate**: `acc += Σ_slot w·V` over the slot-major V tiles,
+//!    slot-ascending, slots past the row's position skipped (never
+//!    multiplied by 0).
 //!
-//! Backends supply only the two tile primitives; the row loop, the tiling
-//! and the softmax recurrence exist once, here.
+//! Partitions are combined by the online-softmax recurrence on
+//! `(m, l, acc)` — once per 512 positions at block 16, so a context within
+//! one partition never rescales anything.
+//!
+//! The body exists once, generic over a `Shape`, which is the three sizes
+//! and the inner loops of passes 1 and 3: `Fixed` instances for whole-vector
+//! head widths at block 16 — every model this repository builds, whatever
+//! its head count (compile-time head width and block size, so those loops
+//! work on `[f32; N]` views held in registers, with no bounds check,
+//! division or stride multiply left in them) — and `RunTime` for every
+//! other shape. Both do the same operations in the same order; `Isa` picks
+//! the instruction set the body is compiled for. A backend supplies nothing
+//! but that choice and the element type of its tiles (`f32`, or `i8` with
+//! the slot's scale folded into the score and the weight).
 //!
 //! **Determinism contract.** A row's output is a pure function of its query
 //! vector, the KV contents at positions `0 ..= p`, and the block size:
-//! tiles are logical blocks counted from position 0 (never chunk-, batch-
-//! or physical-block-relative), every reduction runs in a fixed order
-//! (`d`-ascending dot products, slot-ascending sums), and rows share no
-//! state. So per backend, bit for bit: batched ≡ solo, chunked ≡
-//! monolithic, any worker count, any physical block placement — and a
-//! prefill row ≡ the decode row at the same position.
+//! tiles and partitions are logical blocks counted from position 0 (never
+//! chunk-, batch- or physical-block-relative), every reduction runs in a
+//! fixed order (`d`-ascending dot products, tile-ascending lane-wise max
+//! and sum, slot-ascending accumulation), and rows share no state. So per
+//! backend, bit for bit: batched ≡ solo, chunked ≡ monolithic, any worker
+//! count, any physical block placement — and a prefill row ≡ the decode row
+//! at the same position. The AVX2 instantiation ≡ the portable one, and
+//! every fixed-shape instance ≡ the run-time-shape instance, also bit for
+//! bit.
 
-use wide::f32x8;
+use wide::{exp_lane, f32x8};
 
 use crate::kv_cache::{KvPool, KvTile};
 use crate::ops::{axpy, dot, softmax, timing};
@@ -115,7 +137,7 @@ pub fn contiguous_attention_decode(
     );
 }
 
-/// One sequence's query rows for [`paged_attention`]: `n_rows` consecutive
+/// One sequence's query rows for the paged kernel: `n_rows` consecutive
 /// positions starting at `first_position`, attending through `block_table`.
 /// The row at position `p` sees KV positions `0 ..= p`, all of which —
 /// its own included — must already be written. A decode step is a one-row
@@ -148,282 +170,430 @@ impl<'a> SeqRows<'a> {
     }
 }
 
-/// Shapes the tile primitives need.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TileDims {
-    pub n_heads: usize,
-    pub head_dim: usize,
-    /// `n_heads * head_dim`, the width of one K/V slot.
-    pub hidden: usize,
-    /// Length of one head's score row: the block size rounded up to whole
-    /// `f32x8` vectors.
-    pub stride: usize,
-    /// `1 / sqrt(head_dim)`.
-    pub scale: f32,
+/// Logical blocks per softmax partition: 512 positions at block 16, the
+/// partition of vLLM's `paged_attention_v2`. A context within one partition
+/// (every serving context of this repository's benches) is one plain
+/// two-pass softmax.
+const PARTITION_BLOCKS: usize = 32;
+
+const LANES: usize = f32x8::LANES;
+
+/// The instruction set the kernel body is instantiated for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Isa {
+    /// The target's baseline features (the scalar and quant-kv8 backends).
+    Portable,
+    /// Re-instantiated under `#[target_feature(enable = "avx2")]` where the
+    /// CPU has it, the portable instance elsewhere (the simd backend).
+    /// Lane-wise identical arithmetic — same operations, same order, no FMA
+    /// contraction — so the two are bit-equal.
+    Avx2,
 }
 
-/// The two tile primitives a backend supplies to the kernel. Score and
-/// weight buffers are head-major: head `h`, slot `s` at `h * stride + s`.
-pub(crate) trait TileLanes {
-    /// `scores[h·stride + s] = (q_h · K[s]_h) · scale` for every head and
-    /// every slot `s < fill` of the dimension-major K tile, each dot
-    /// product summed in ascending `d` (an int8 tile folds the slot's
-    /// dequantization scale in). May leave anything in slots `fill ..`.
-    fn scores(q: &[f32], k: KvTile<'_>, fill: usize, dims: &TileDims, scores: &mut [f32]);
+/// The shape the kernel body is instantiated over, and the body's two inner
+/// loops, which are all that is written per implementor.
+pub(crate) trait Shape: Copy {
+    fn n_heads(self) -> usize;
+    fn head_dim(self) -> usize;
+    /// Slots per block.
+    fn block(self) -> usize;
 
-    /// `acc_h = acc_h · corr[h] + Σ_{s < fill} w[h·stride + s] · V[s]_h`
-    /// over the slot-major V tile, slots added in ascending order.
-    fn accumulate(
-        corr: &[f32],
+    /// Pass 1's inner loop, one head against one tile: `row[s] = Σ_d q_h[d]
+    /// · k_h[d·B + s]` for every slot `s` of the block, each sum starting
+    /// from 0 and taking `d` in ascending order. `k_h` is the head's
+    /// `head_dim × B` panel of the dimension-major K tile.
+    fn dot_rows<E: Copy + Into<f32>>(self, q_h: &[f32], k_h: &[E], row: &mut [f32]);
+
+    /// Pass 3's inner loop, every head against one tile: `acc[h][d] +=
+    /// w[h·stride + s] · v[s][h][d]` for the slots `s < fill` in ascending
+    /// order (an int8 tile folds `slot_scales[s]` into the weight first).
+    fn accumulate<E: Copy + Into<f32>>(
+        self,
         w: &[f32],
-        v: KvTile<'_>,
+        v: &[E],
+        slot_scales: Option<&[f32]>,
         fill: usize,
-        dims: &TileDims,
         acc: &mut [f32],
     );
+}
 
-    /// Runs [`attend_rows`] with these primitives. A backend with a wider
-    /// instruction set overrides this to re-instantiate the row loop under
-    /// its `#[target_feature]`.
-    fn attend(task: &RowTask<'_>, out: &mut [f32])
-    where
-        Self: Sized,
-    {
-        attend_rows::<Self>(task, out);
+/// `acc[i] += w · x[i]`: the one multiply-add both shapes' loops are made of.
+#[inline(always)]
+fn axpy_tile<E: Copy + Into<f32>>(acc: &mut [f32], w: f32, x: &[E]) {
+    for (a, &x) in acc.iter_mut().zip(x) {
+        let x: f32 = x.into();
+        *a += w * x;
     }
 }
 
-/// Plain-loop tile primitives over f32 or int8 tiles (the scalar and
-/// quant-kv8 backends, and the SIMD backend's fallback for shapes that are
-/// not whole vectors).
+/// A shape known only at run time: plain loops over slices.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct PlainLanes;
+pub(crate) struct RunTime {
+    n_heads: usize,
+    head_dim: usize,
+    block: usize,
+}
 
-impl TileLanes for PlainLanes {
+impl Shape for RunTime {
+    fn n_heads(self) -> usize {
+        self.n_heads
+    }
+
+    fn head_dim(self) -> usize {
+        self.head_dim
+    }
+
+    fn block(self) -> usize {
+        self.block
+    }
+
     #[inline(always)]
-    fn scores(q: &[f32], k: KvTile<'_>, fill: usize, dims: &TileDims, scores: &mut [f32]) {
-        match k {
-            KvTile::F32(k) => plain_scores(q, k, None, fill, dims, scores),
-            KvTile::Int8 { q: kq, scales } => plain_scores(q, kq, Some(scales), fill, dims, scores),
+    fn dot_rows<E: Copy + Into<f32>>(self, q_h: &[f32], k_h: &[E], row: &mut [f32]) {
+        row.fill(0.0);
+        for (&q_d, k_d) in q_h.iter().zip(k_h.chunks_exact(self.block)) {
+            axpy_tile(row, q_d, k_d);
         }
     }
 
     #[inline(always)]
-    fn accumulate(
-        corr: &[f32],
+    fn accumulate<E: Copy + Into<f32>>(
+        self,
         w: &[f32],
-        v: KvTile<'_>,
+        v: &[E],
+        slot_scales: Option<&[f32]>,
         fill: usize,
-        dims: &TileDims,
         acc: &mut [f32],
     ) {
-        match v {
-            KvTile::F32(v) => plain_accumulate(corr, w, v, None, fill, dims, acc),
-            KvTile::Int8 { q: vq, scales } => {
-                plain_accumulate(corr, w, vq, Some(scales), fill, dims, acc);
+        let stride = self.block.next_multiple_of(LANES);
+        let slots = v.chunks_exact(self.n_heads * self.head_dim).take(fill);
+        for (s, v_s) in slots.enumerate() {
+            let slot_scale = slot_scales.map(|x| x[s]);
+            let heads = acc
+                .chunks_exact_mut(self.head_dim)
+                .zip(v_s.chunks_exact(self.head_dim))
+                .zip(w.chunks_exact(stride));
+            for ((acc_h, v_h), w_h) in heads {
+                axpy_tile(acc_h, slot_scale.map_or(w_h[s], |x| w_h[s] * x), v_h);
             }
         }
     }
 }
 
-#[inline(always)]
-fn plain_scores<E: Copy + Into<f32>>(
-    q: &[f32],
-    k: &[E],
-    slot_scales: Option<&[f32]>,
-    fill: usize,
-    dims: &TileDims,
-    scores: &mut [f32],
-) {
-    let bs = k.len() / dims.hidden;
-    for (h, q_h) in q.chunks_exact(dims.head_dim).enumerate() {
-        let row = &mut scores[h * dims.stride..h * dims.stride + fill];
-        row.fill(0.0);
-        for (d, &q_d) in q_h.iter().enumerate() {
-            let column = (h * dims.head_dim + d) * bs;
-            for (sum, &x) in row.iter_mut().zip(&k[column..column + fill]) {
-                let x: f32 = x.into();
-                *sum += q_d * x;
-            }
+/// Block size of the [`Fixed`] shapes: two vectors of slots.
+const FIXED_BLOCK: usize = 16;
+
+/// Accumulator vectors pass 3 of a [`Fixed`] shape keeps in registers: one
+/// dependent mul→add step is ~8 cycles deep, eight of them fill both FP
+/// pipes.
+const CHAINS: usize = 8;
+
+/// A shape whose head width and block size ([`FIXED_BLOCK`]) are known at
+/// compile time, its head count at run time: the same operations in the
+/// same order as [`RunTime`] over `[f32; N]` views that stay in registers,
+/// every trip count, offset and bound of the two inner loops a constant.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fixed<const HD: usize> {
+    n_heads: usize,
+}
+
+impl<const HD: usize> Shape for Fixed<HD> {
+    fn n_heads(self) -> usize {
+        self.n_heads
+    }
+
+    fn head_dim(self) -> usize {
+        HD
+    }
+
+    fn block(self) -> usize {
+        FIXED_BLOCK
+    }
+
+    #[inline(always)]
+    fn dot_rows<E: Copy + Into<f32>>(self, q_h: &[f32], k_h: &[E], row: &mut [f32]) {
+        let q_h: &[f32; HD] = q_h.try_into().expect("one head of the query");
+        let k_h: &[[E; FIXED_BLOCK]] = k_h.as_chunks().0;
+        // The head's running row: lanes along the slots, held in registers
+        // over the whole `d` loop.
+        let mut sums = [0.0f32; FIXED_BLOCK];
+        for d in 0..HD {
+            axpy_tile(&mut sums, q_h[d], &k_h[d]);
         }
-        for (s, sum) in row.iter_mut().enumerate() {
-            if let Some(scales) = slot_scales {
-                *sum *= scales[s];
-            }
-            *sum *= dims.scale;
-        }
+        row.copy_from_slice(&sums);
+    }
+
+    #[inline(always)]
+    fn accumulate<E: Copy + Into<f32>>(
+        self,
+        w: &[f32],
+        v: &[E],
+        slot_scales: Option<&[f32]>,
+        fill: usize,
+        acc: &mut [f32],
+    ) {
+        // `CHAINS` chunks of the accumulator at a time, then what a head
+        // count that is no multiple of `CHAINS · 8 / HD` leaves, by halves.
+        let c = accumulate_chunks::<HD, CHAINS, E>(0, w, v, slot_scales, fill, acc);
+        let c = accumulate_chunks::<HD, { CHAINS / 2 }, E>(c, w, v, slot_scales, fill, acc);
+        let c = accumulate_chunks::<HD, { CHAINS / 4 }, E>(c, w, v, slot_scales, fill, acc);
+        accumulate_chunks::<HD, { CHAINS / 8 }, E>(c, w, v, slot_scales, fill, acc);
     }
 }
 
+/// Pass 3 of a [`Fixed`] shape over the accumulator's 8-wide chunks from
+/// chunk `c0` on, `N` adjacent ones at a time for as long as `N` are left:
+/// the `N` running sums held in registers across all the tile's slots,
+/// chunk `c` belonging to head `c·8 / HD`. Returns the first chunk not done.
 #[inline(always)]
-fn plain_accumulate<E: Copy + Into<f32>>(
-    corr: &[f32],
+fn accumulate_chunks<const HD: usize, const N: usize, E: Copy + Into<f32>>(
+    mut c0: usize,
     w: &[f32],
     v: &[E],
     slot_scales: Option<&[f32]>,
     fill: usize,
-    dims: &TileDims,
     acc: &mut [f32],
-) {
-    for (h, acc_h) in acc.chunks_exact_mut(dims.head_dim).enumerate() {
-        for a in acc_h.iter_mut() {
-            *a *= corr[h];
+) -> usize {
+    const { assert!(HD.is_multiple_of(LANES)) }
+    let hidden = acc.len();
+    while (c0 + N) * LANES <= hidden {
+        let acc_g = &mut acc[c0 * LANES..][..N * LANES];
+        let mut w_c = [&w[..0]; N];
+        let mut a = [[0.0f32; LANES]; N];
+        for i in 0..N {
+            w_c[i] = &w[(c0 + i) * LANES / HD * FIXED_BLOCK..][..fill];
+            a[i].copy_from_slice(&acc_g[i * LANES..][..LANES]);
         }
-        for (s, v_row) in v.chunks_exact(dims.hidden).take(fill).enumerate() {
-            let mut w_s = w[h * dims.stride + s];
-            if let Some(scales) = slot_scales {
-                w_s *= scales[s];
-            }
-            let v_h = &v_row[h * dims.head_dim..(h + 1) * dims.head_dim];
-            for (a, &x) in acc_h.iter_mut().zip(v_h) {
-                let x: f32 = x.into();
-                *a += w_s * x;
+        for (s, v_s) in v.chunks_exact(hidden).take(fill).enumerate() {
+            let v_g: &[[E; LANES]] = v_s[c0 * LANES..][..N * LANES].as_chunks().0;
+            let slot_scale = slot_scales.map(|x| x[s]);
+            for i in 0..N {
+                axpy_tile(
+                    &mut a[i],
+                    slot_scale.map_or(w_c[i][s], |x| w_c[i][s] * x),
+                    &v_g[i],
+                );
             }
         }
+        for i in 0..N {
+            acc_g[i * LANES..][..LANES].copy_from_slice(&a[i]);
+        }
+        c0 += N;
     }
+    c0
 }
 
 /// One query row: where its KV lives and how far it may look.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Row<'a> {
+struct Row<'a> {
     block_table: &'a [usize],
     position: usize,
 }
 
 /// A contiguous run of query rows handed to one worker.
-#[derive(Debug)]
-pub(crate) struct RowTask<'a> {
+#[derive(Debug, Clone, Copy)]
+struct RowTask<'a> {
     /// The rows' query vectors, `rows.len() × hidden`.
     q: &'a [f32],
     rows: &'a [Row<'a>],
     pool: &'a KvPool,
     layer: usize,
-    dims: TileDims,
+    shape: RunTime,
+    isa: Isa,
 }
 
-/// Online-softmax state of one query row plus the per-tile work buffers;
-/// allocated once per [`RowTask`] and reused for every row and tile.
-struct RowState {
-    /// Scores, then in place the slot weights: `n_heads × stride`.
-    scores: Vec<f32>,
-    /// Running max per head. Like `m_new`, `corr` and `l` it is padded to
-    /// whole vectors; the padding lanes hold 0 so their `exp` stays finite.
-    m: Vec<f32>,
-    m_new: Vec<f32>,
-    corr: Vec<f32>,
-    /// Running softmax denominator per head.
-    l: Vec<f32>,
-    /// Running weighted-V sum, `hidden`.
-    acc: Vec<f32>,
-}
-
-impl RowState {
-    fn new(dims: &TileDims) -> Self {
-        let padded_heads = dims.n_heads.next_multiple_of(f32x8::LANES);
-        Self {
-            scores: vec![0.0; dims.n_heads * dims.stride],
-            m: vec![0.0; padded_heads],
-            m_new: vec![0.0; padded_heads],
-            corr: vec![0.0; padded_heads],
-            l: vec![0.0; padded_heads],
-            acc: vec![0.0; dims.hidden],
-        }
-    }
-
-    fn reset(&mut self, n_heads: usize) {
-        self.m[..n_heads].fill(f32::NEG_INFINITY);
-        self.l.fill(0.0);
-        self.acc.fill(0.0);
-    }
-}
-
-/// Phase 2 of a tile: turns `st.scores` into slot weights in place and
-/// advances `(m, l)`, leaving the accumulator correction in `st.corr`.
-/// Slots `fill ..` are masked to `-inf`, so their weight is exactly 0.
+/// Pass 1 over one tile: every head's scaled scores into `rows`
+/// (`n_heads × stride`), slots `fill ..` masked to `-inf`, and the heads'
+/// lane-wise running maxima in `lane_max` (`n_heads × 8`) advanced.
 #[inline(always)]
-fn softmax_step(fill: usize, dims: &TileDims, st: &mut RowState) {
-    for (h, row) in st.scores.chunks_exact_mut(dims.stride).enumerate() {
+#[allow(clippy::too_many_arguments)]
+fn score_tile<S: Shape, E: Copy + Into<f32>>(
+    shape: S,
+    q: &[f32],
+    k: &[E],
+    slot_scales: Option<&[f32]>,
+    fill: usize,
+    scale: f32,
+    rows: &mut [f32],
+    lane_max: &mut [f32],
+) {
+    let (hd, bs) = (shape.head_dim(), shape.block());
+    let heads = q
+        .chunks_exact(hd)
+        .zip(k.chunks_exact(hd * bs))
+        .zip(rows.chunks_exact_mut(bs.next_multiple_of(LANES)))
+        .zip(lane_max.chunks_exact_mut(LANES));
+    for (((q_h, k_h), row), lane_max_h) in heads {
+        shape.dot_rows(q_h, k_h, &mut row[..bs]);
+        match slot_scales {
+            Some(scales) => {
+                for (x, slot_scale) in row[..bs].iter_mut().zip(scales) {
+                    *x = *x * slot_scale * scale;
+                }
+            }
+            None => {
+                for x in row[..bs].iter_mut() {
+                    *x *= scale;
+                }
+            }
+        }
         row[fill..].fill(f32::NEG_INFINITY);
-        let mut tile_max = f32x8::splat(f32::NEG_INFINITY);
-        for c in row.chunks_exact(f32x8::LANES) {
-            tile_max = tile_max.max(f32x8::from_slice(c));
+        let mut max = f32x8::from_slice(lane_max_h);
+        for c in row.chunks_exact(LANES) {
+            max = max.max(f32x8::from_slice(c));
         }
-        let tile_max = tile_max.reduce_max();
-        st.m_new[h] = if st.m[h] > tile_max {
-            st.m[h]
-        } else {
-            tile_max
-        };
-    }
-    for ((m, m_new), corr) in
-        st.m.chunks_exact(f32x8::LANES)
-            .zip(st.m_new.chunks_exact(f32x8::LANES))
-            .zip(st.corr.chunks_exact_mut(f32x8::LANES))
-    {
-        (f32x8::from_slice(m) - f32x8::from_slice(m_new))
-            .exp()
-            .write_to_slice(corr);
-    }
-    // The weights, as a pass of nothing but `exp` (kept apart from the sums
-    // below so it compiles to straight whole-vector code).
-    for (h, row) in st.scores.chunks_exact_mut(dims.stride).enumerate() {
-        let m_new = f32x8::splat(st.m_new[h]);
-        for c in row.chunks_exact_mut(f32x8::LANES) {
-            (f32x8::from_slice(c) - m_new).exp().write_to_slice(c);
-        }
-    }
-    for (h, row) in st.scores.chunks_exact(dims.stride).enumerate() {
-        let mut sum = f32x8::ZERO;
-        for c in row.chunks_exact(f32x8::LANES) {
-            sum = sum + f32x8::from_slice(c);
-        }
-        st.l[h] = st.l[h] * st.corr[h] + sum.reduce_add();
-        st.m[h] = st.m_new[h];
+        max.write_to_slice(lane_max_h);
     }
 }
 
 /// The row loop: for each query row, walk its logical KV blocks
-/// `0 ..= position / B` and run the three phases per tile, then normalize.
+/// `0 ..= position / B` a partition at a time — scores, weights, weighted
+/// V sum — carrying `(m, l, acc)` from one partition to the next, then
+/// normalize.
 #[inline(always)]
-pub(crate) fn attend_rows<L: TileLanes>(task: &RowTask<'_>, out: &mut [f32]) {
-    let dims = &task.dims;
-    let bs = task.pool.block_size();
-    let mut st = RowState::new(dims);
+fn attend_rows<S: Shape>(shape: S, task: &RowTask<'_>, out: &mut [f32]) {
+    let (n_heads, hd, bs) = (shape.n_heads(), shape.head_dim(), shape.block());
+    let hidden = n_heads * hd;
+    // One tile's scores: a row of `bs` rounded up to whole vectors per head.
+    let stride = bs.next_multiple_of(LANES);
+    let tile_len = n_heads * stride;
+    let scale = 1.0 / (hd as f32).sqrt();
+    let longest = task.rows.iter().map(|r| r.position / bs + 1).max();
+    let tiles = longest.unwrap_or(0).min(PARTITION_BLOCKS);
+    // The task's one scratch: a partition's scores `[tile][head][slot]` (in
+    // place, its weights), the heads' running lanes, `acc`, `m` and `l`.
+    let mut scratch = vec![0.0f32; tiles * tile_len + n_heads * LANES + hidden + 2 * n_heads];
+    let (scores, rest) = scratch.split_at_mut(tiles * tile_len);
+    let (lane, rest) = rest.split_at_mut(n_heads * LANES);
+    let (acc, rest) = rest.split_at_mut(hidden);
+    let (m, l) = rest.split_at_mut(n_heads);
     let rows = task
         .rows
         .iter()
-        .zip(task.q.chunks_exact(dims.hidden))
-        .zip(out.chunks_exact_mut(dims.hidden));
+        .zip(task.q.chunks_exact(hidden))
+        .zip(out.chunks_exact_mut(hidden));
     for ((row, q), o) in rows {
-        st.reset(dims.n_heads);
+        l.fill(0.0);
+        acc.fill(0.0);
         let ctx = row.position + 1;
-        for (j, &block) in row.block_table[..ctx.div_ceil(bs)].iter().enumerate() {
-            let fill = (ctx - j * bs).min(bs);
-            L::scores(
-                q,
-                task.pool.key_tile(task.layer, block),
-                fill,
-                dims,
-                &mut st.scores,
-            );
-            softmax_step(fill, dims, &mut st);
-            L::accumulate(
-                &st.corr,
-                &st.scores,
-                task.pool.value_tile(task.layer, block),
-                fill,
-                dims,
-                &mut st.acc,
-            );
-        }
-        let heads = o
-            .chunks_exact_mut(dims.head_dim)
-            .zip(st.acc.chunks_exact(dims.head_dim));
-        for (h, (o_h, acc_h)) in heads.enumerate() {
-            for (dst, a) in o_h.iter_mut().zip(acc_h) {
-                *dst = a / st.l[h];
+        let partitions = row.block_table[..ctx.div_ceil(bs)].chunks(PARTITION_BLOCKS);
+        for (p, blocks) in partitions.enumerate() {
+            let scores = &mut scores[..blocks.len() * tile_len];
+            // Slots of tile `t` of this partition at or before the row.
+            let fill = |t: usize| (ctx - (p * PARTITION_BLOCKS + t) * bs).min(bs);
+
+            // Pass 1: the scores, and per head their lane-wise maximum.
+            lane.fill(f32::NEG_INFINITY);
+            let tiles = blocks.iter().zip(scores.chunks_exact_mut(tile_len));
+            for (t, (&block, rows)) in tiles.enumerate() {
+                match task.pool.key_tile(task.layer, block) {
+                    KvTile::F32(k) => score_tile(shape, q, k, None, fill(t), scale, rows, lane),
+                    KvTile::Int8 { q: k, scales } => {
+                        score_tile(shape, q, k, Some(scales), fill(t), scale, rows, lane);
+                    }
+                }
+            }
+
+            // The maxima reduced once. The first partition's are the row's
+            // so far; after it, what the earlier partitions hold is rescaled
+            // to the new maximum.
+            let heads = lane
+                .chunks_exact(LANES)
+                .zip(acc.chunks_exact_mut(hd))
+                .zip(m.iter_mut().zip(l.iter_mut()));
+            for ((lane_max_h, acc_h), (m_h, l_h)) in heads {
+                let max = f32x8::from_slice(lane_max_h).reduce_max();
+                if p == 0 {
+                    *m_h = max;
+                    continue;
+                }
+                let m_new = if *m_h > max { *m_h } else { max };
+                let corr = exp_lane(*m_h - m_new);
+                for a in acc_h.iter_mut() {
+                    *a *= corr;
+                }
+                *l_h *= corr;
+                *m_h = m_new;
+            }
+
+            // Pass 2: the weights in place, then per head their lane-wise
+            // sum. The `exp` sweep is a loop of its own over each row's
+            // contiguous scalars: the form the loop vectoriser turns into
+            // whole vectors along the slots (as a loop over `f32x8` chunks
+            // it transposes eight chunks at a time, or gathers across tiles).
+            lane.fill(0.0);
+            for rows in scores.chunks_exact_mut(tile_len) {
+                for (row, &m_h) in rows.chunks_exact_mut(stride).zip(m.iter()) {
+                    for x in row.iter_mut() {
+                        *x = exp_lane(*x - m_h);
+                    }
+                }
+                let heads = rows.chunks_exact(stride).zip(lane.chunks_exact_mut(LANES));
+                for (row, lane_sum_h) in heads {
+                    let mut sum = f32x8::from_slice(lane_sum_h);
+                    for c in row.chunks_exact(LANES) {
+                        sum = sum + f32x8::from_slice(c);
+                    }
+                    sum.write_to_slice(lane_sum_h);
+                }
+            }
+            for (l_h, lane_sum_h) in l.iter_mut().zip(lane.chunks_exact(LANES)) {
+                *l_h += f32x8::from_slice(lane_sum_h).reduce_add();
+            }
+
+            // Pass 3: the weighted V rows.
+            let tiles = blocks.iter().zip(scores.chunks_exact(tile_len));
+            for (t, (&block, w)) in tiles.enumerate() {
+                match task.pool.value_tile(task.layer, block) {
+                    KvTile::F32(v) => shape.accumulate(w, v, None, fill(t), acc),
+                    KvTile::Int8 { q: v, scales } => {
+                        shape.accumulate(w, v, Some(scales), fill(t), acc);
+                    }
+                }
             }
         }
+        let heads = o
+            .chunks_exact_mut(hd)
+            .zip(acc.chunks_exact(hd))
+            .zip(l.iter());
+        for ((o_h, acc_h), l_h) in heads {
+            for (dst, a) in o_h.iter_mut().zip(acc_h) {
+                *dst = a / l_h;
+            }
+        }
+    }
+}
+
+/// AVX2 instantiation of the kernel body — both inner loops and the vector
+/// `exp` included; lane-wise identical arithmetic.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn attend_rows_avx2<S: Shape>(shape: S, task: &RowTask<'_>, out: &mut [f32]) {
+    attend_rows(shape, task, out);
+}
+
+/// Runs the instance of [`attend_rows`] for `shape` and the task's
+/// instruction set.
+fn attend_shaped<S: Shape>(shape: S, task: &RowTask<'_>, out: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if task.isa == Isa::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just verified at runtime.
+        unsafe { attend_rows_avx2(shape, task, out) };
+        return;
+    }
+    attend_rows(shape, task, out);
+}
+
+/// Picks the shape instance for a task: a [`Fixed`] one for whole-vector
+/// head widths at block [`FIXED_BLOCK`] — every model this repository
+/// builds, and their tensor-parallel shards — [`RunTime`] otherwise.
+fn attend(task: &RowTask<'_>, out: &mut [f32]) {
+    let n_heads = task.shape.n_heads;
+    match (task.shape.head_dim, task.shape.block) {
+        (8, FIXED_BLOCK) => attend_shaped(Fixed::<8> { n_heads }, task, out),
+        (16, FIXED_BLOCK) => attend_shaped(Fixed::<16> { n_heads }, task, out),
+        (32, FIXED_BLOCK) => attend_shaped(Fixed::<32> { n_heads }, task, out),
+        (64, FIXED_BLOCK) => attend_shaped(Fixed::<64> { n_heads }, task, out),
+        _ => attend_shaped(task.shape, task, out),
     }
 }
 
@@ -439,7 +609,8 @@ pub(crate) fn attend_rows<L: TileLanes>(task: &RowTask<'_>, out: &mut [f32]) {
 ///
 /// Panics if shapes disagree or a block table is too short for its rows.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn paged_attention<L: TileLanes>(
+pub(crate) fn paged_attention(
+    isa: Isa,
     q: &[f32],
     pool: &KvPool,
     layer: usize,
@@ -471,23 +642,21 @@ pub(crate) fn paged_attention<L: TileLanes>(
     if rows.is_empty() {
         return;
     }
-    let dims = TileDims {
-        n_heads,
-        head_dim,
-        hidden,
-        stride: bs.next_multiple_of(f32x8::LANES),
-        scale: 1.0 / (head_dim as f32).sqrt(),
-    };
     let task = |q, rows| RowTask {
         q,
         rows,
         pool,
         layer,
-        dims,
+        shape: RunTime {
+            n_heads,
+            head_dim,
+            block: bs,
+        },
+        isa,
     };
     let threads = workers.parallelism();
     if threads == 1 || rows.len() == 1 {
-        L::attend(&task(q, &rows[..]), out);
+        attend(&task(q, &rows[..]), out);
     } else {
         // A few ranges per thread: later rows of a prefill see longer
         // contexts, so equal row counts are not equal work.
@@ -498,7 +667,7 @@ pub(crate) fn paged_attention<L: TileLanes>(
                 .zip(q.chunks(per_task * hidden))
                 .zip(out.chunks_mut(per_task * hidden));
             for ((rows, q), out) in chunks {
-                scope.spawn(move || L::attend(&task(q, rows), out));
+                scope.spawn(move || attend(&task(q, rows), out));
             }
         });
     }
@@ -562,7 +731,7 @@ mod tests {
 
     fn plain(q: &[f32], pool: &KvPool, seqs: &[SeqRows<'_>], workers: &WorkerPool) -> Vec<f32> {
         let mut out = vec![0.0; q.len()];
-        paged_attention::<PlainLanes>(q, pool, 0, seqs, H, HD, workers, &mut out);
+        paged_attention(Isa::Portable, q, pool, 0, seqs, H, HD, workers, &mut out);
         out
     }
 
@@ -762,6 +931,81 @@ mod tests {
         // within ~1% of the value range here.
         for (i, (a, b)) in exact.iter().zip(&quant).enumerate() {
             assert!((a - b).abs() < 2e-2, "idx {i}: {a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn every_instance_of_the_body_gives_the_same_bits() {
+        // Fixed-shape ≡ run-time-shape instance and AVX2 ≡ portable
+        // instantiation, f32 and int8 tiles: the four instances of the body
+        // on one task. Head counts that fill whole groups of `CHAINS`
+        // accumulator chunks and that leave every size of remainder; the
+        // last shape has no fixed instance (its two are the same one).
+        let bs = FIXED_BLOCK;
+        for (n_heads, head_dim) in [(8, 8), (5, 8), (7, 16), (8, 32), (3, 64), (3, 12)] {
+            let hidden = n_heads * head_dim;
+            // Rows in the first tile, across the first partition boundary
+            // and in a third partition's partial tile.
+            let positions = [
+                0,
+                bs - 2,
+                bs,
+                PARTITION_BLOCKS * bs - 1,
+                PARTITION_BLOCKS * bs,
+            ];
+            let ctx = 2 * PARTITION_BLOCKS * bs + 3 * bs + 5;
+            let (k, v) = (fill(41, ctx * hidden), fill(42, ctx * hidden));
+            let table: Vec<usize> = (0..ctx.div_ceil(bs)).rev().collect();
+            for element in [KvElement::F32, KvElement::Int8Scaled] {
+                let mut pool = KvPool::with_element(1, table.len(), bs, hidden, element);
+                for t in 0..ctx {
+                    let at = t * hidden..(t + 1) * hidden;
+                    pool.write(0, table[t / bs], t % bs, &k[at.clone()], &v[at]);
+                }
+                let rows: Vec<Row<'_>> = positions
+                    .iter()
+                    .chain(&[ctx - 1])
+                    .map(|&position| Row {
+                        block_table: &table,
+                        position,
+                    })
+                    .collect();
+                let q = fill(43, rows.len() * hidden);
+                let task = |isa| RowTask {
+                    q: &q,
+                    rows: &rows,
+                    pool: &pool,
+                    layer: 0,
+                    shape: RunTime {
+                        n_heads,
+                        head_dim,
+                        block: bs,
+                    },
+                    isa,
+                };
+                let run = |isa, run_time: bool| {
+                    let (task, mut out) = (task(isa), vec![f32::NAN; q.len()]);
+                    if run_time {
+                        attend_shaped(task.shape, &task, &mut out);
+                    } else {
+                        attend(&task, &mut out);
+                    }
+                    out.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                };
+                let reference = run(Isa::Portable, true);
+                assert!(reference.iter().all(|&b| f32::from_bits(b).is_finite()));
+                for (isa, run_time) in [
+                    (Isa::Portable, false),
+                    (Isa::Avx2, true),
+                    (Isa::Avx2, false),
+                ] {
+                    assert_eq!(
+                        run(isa, run_time),
+                        reference,
+                        "{n_heads} x {head_dim} {element:?} {isa:?} run-time shape: {run_time}"
+                    );
+                }
+            }
         }
     }
 

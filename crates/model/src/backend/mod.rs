@@ -4,19 +4,20 @@
 //! uses — matmul (pool-dispatched and serial), the LM-head/logits
 //! projections, and PagedAttention — plus the KV block storage layout
 //! ([`KvLayout`]) its attention reads. Attention is one kernel shared by
-//! all backends ([`crate::attention`]); a backend contributes only the two
-//! tile primitives it runs on. The
-//! executor sizes the KV cache from the backend's byte-width, so a backend
-//! that stores KV in fewer bytes per token yields more blocks from the same
-//! memory budget (the paper's Fig. 12 capacity argument).
+//! all backends ([`crate::attention`]); a backend contributes only the
+//! element type of its tiles and the instruction set the kernel body is
+//! instantiated for. The executor sizes the KV cache from the backend's
+//! byte-width, so a backend that stores KV in fewer bytes per token yields
+//! more blocks from the same memory budget (the paper's Fig. 12 capacity
+//! argument).
 //!
 //! Three backends ship:
 //!
-//! | backend     | matmul                        | attention tiles | KV layout        |
-//! |-------------|-------------------------------|-----------------|------------------|
-//! | `scalar`    | cache-blocked, 4-deep unroll  | plain loops     | f32              |
-//! | `simd`      | f32x8 register-tiled lanes    | f32x8 lanes     | f32              |
-//! | `quant-kv8` | scalar matmul                 | plain loops     | int8 + f32 scale |
+//! | backend     | matmul                        | attention kernel | KV layout        |
+//! |-------------|-------------------------------|------------------|------------------|
+//! | `scalar`    | cache-blocked, 4-deep unroll  | portable         | f32              |
+//! | `simd`      | f32x8 register-tiled lanes    | AVX2             | f32              |
+//! | `quant-kv8` | scalar matmul                 | portable         | int8 + f32 scale |
 //!
 //! Every backend upholds the *k-only accumulation-order contract*: per
 //! output element, the floating-point accumulation order is a function of
@@ -37,7 +38,7 @@ pub use quant::QuantKv8Backend;
 pub use scalar::ScalarBackend;
 pub use simd::SimdBackend;
 
-use crate::attention::{self, PlainLanes, SeqRows};
+use crate::attention::{self, Isa, SeqRows};
 use crate::kv_cache::KvPool;
 use crate::ops::{self, timing};
 use crate::pool::{self, WorkerPool};
@@ -209,9 +210,6 @@ pub trait KernelBackend: Send + Sync + std::fmt::Debug {
     /// split across `workers`; the call is recorded into the attention
     /// kernel counters.
     ///
-    /// The default runs the kernel on plain-loop tile primitives, which
-    /// read f32 and int8 tiles alike.
-    ///
     /// # Panics
     ///
     /// Panics if shapes disagree or a block table is too short for its
@@ -228,9 +226,13 @@ pub trait KernelBackend: Send + Sync + std::fmt::Debug {
         workers: &WorkerPool,
         out: &mut [f32],
     ) {
-        attention::paged_attention::<PlainLanes>(
-            q, pool, layer, seqs, n_heads, head_dim, workers, out,
-        );
+        // The simd backend's attention is the AVX2 instantiation of the
+        // kernel every backend runs.
+        let isa = match self.kind() {
+            BackendKind::Simd => Isa::Avx2,
+            BackendKind::Scalar | BackendKind::QuantKv8 => Isa::Portable,
+        };
+        attention::paged_attention(isa, q, pool, layer, seqs, n_heads, head_dim, workers, out);
     }
 }
 

@@ -8,9 +8,9 @@
 //! more blocks per memory budget, and the scheduler into a larger
 //! concurrent batch (the paper's Fig. 12 capacity argument).
 //!
-//! The matmul family and the attention tile primitives are the scalar
-//! backend's — the plain-loop primitives read int8 tiles by folding each
-//! slot's scale into its score and its weight — so logits differ from
+//! The matmul family and the attention kernel are the scalar backend's —
+//! the kernel reads int8 tiles by folding each slot's scale into its score
+//! and its weight — so logits differ from
 //! scalar only through the quantized KV, keeping greedy decode token-stable
 //! on ordinary prompts.
 

@@ -10,16 +10,12 @@
 //! mod 16) use single-accumulator sequential-`k` loops with the same
 //! per-element order, so tiling and pool striping never change results.
 //!
-//! For attention the backend supplies [`SimdLanes`], the `f32x8` tile
-//! primitives of the shared PagedAttention kernel, and re-instantiates the
-//! kernel's row loop under AVX2.
+//! For attention the backend runs the AVX2 instantiation of the shared
+//! PagedAttention kernel ([`crate::attention`]).
 
 use wide::f32x8;
 
 use super::{BackendKind, KernelBackend, KvElement, KvLayout};
-use crate::attention::{self, PlainLanes, RowTask, SeqRows, TileDims, TileLanes};
-use crate::kv_cache::{KvPool, KvTile};
-use crate::pool::WorkerPool;
 
 /// Rows per register tile.
 const MR: usize = 4;
@@ -163,144 +159,6 @@ fn one_row_cols_impl(a: &[f32], b: &[f32], n: usize, j0: usize, out: &mut [f32])
     }
 }
 
-/// The SIMD backend's attention tile primitives: `f32x8` lanes over f32
-/// tiles — eight slots of the K tile per vector (block sizes that are whole
-/// vectors), eight elements of the V sum per vector (head widths that are
-/// whole vectors) — and the plain loops otherwise. Both compute every
-/// output element in the same operation order, so which path a shape takes
-/// never shows in the result.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SimdLanes;
-
-/// Independent accumulators a vector loop keeps in flight: one dependent
-/// mul→add step is ~8 cycles deep, eight of them fill both FP pipes.
-const CHAINS: usize = 8;
-
-impl TileLanes for SimdLanes {
-    #[inline(always)]
-    fn scores(q: &[f32], k: KvTile<'_>, fill: usize, dims: &TileDims, scores: &mut [f32]) {
-        match k {
-            // `stride` is the block size rounded up to whole vectors.
-            KvTile::F32(k) if k.len() == dims.hidden * dims.stride => {
-                let mut h = 0;
-                while h + CHAINS <= dims.n_heads {
-                    score_heads::<CHAINS>(h, q, k, fill, dims, scores);
-                    h += CHAINS;
-                }
-                while h < dims.n_heads {
-                    score_heads::<1>(h, q, k, fill, dims, scores);
-                    h += 1;
-                }
-            }
-            _ => PlainLanes::scores(q, k, fill, dims, scores),
-        }
-    }
-
-    #[inline(always)]
-    fn accumulate(
-        corr: &[f32],
-        w: &[f32],
-        v: KvTile<'_>,
-        fill: usize,
-        dims: &TileDims,
-        acc: &mut [f32],
-    ) {
-        match v {
-            KvTile::F32(v) if dims.head_dim.is_multiple_of(f32x8::LANES) => {
-                let chunks = dims.hidden / f32x8::LANES;
-                let mut c = 0;
-                while c + CHAINS <= chunks {
-                    accumulate_chunks::<CHAINS>(c, corr, w, v, fill, dims, acc);
-                    c += CHAINS;
-                }
-                while c < chunks {
-                    accumulate_chunks::<1>(c, corr, w, v, fill, dims, acc);
-                    c += 1;
-                }
-            }
-            _ => PlainLanes::accumulate(corr, w, v, fill, dims, acc),
-        }
-    }
-
-    fn attend(task: &RowTask<'_>, out: &mut [f32]) {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
-            unsafe { attend_rows_avx2(task, out) };
-            return;
-        }
-        attention::attend_rows::<Self>(task, out);
-    }
-}
-
-/// AVX2 instantiation of the row loop — tile primitives and the vector
-/// `exp` of the softmax step included; lane-wise identical arithmetic.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn attend_rows_avx2(task: &RowTask<'_>, out: &mut [f32]) {
-    attention::attend_rows::<SimdLanes>(task, out);
-}
-
-/// Scores of `N` adjacent heads against one dimension-major f32 K tile
-/// whose block size is whole vectors: per group of eight slots, `N` running
-/// sums — one per head — each taking `q[d] · K[d][slots]` in ascending `d`.
-#[inline(always)]
-fn score_heads<const N: usize>(
-    h0: usize,
-    q: &[f32],
-    k: &[f32],
-    fill: usize,
-    dims: &TileDims,
-    scores: &mut [f32],
-) {
-    let (hd, bs) = (dims.head_dim, dims.stride);
-    let scale = f32x8::splat(dims.scale);
-    let q_h: [&[f32]; N] = std::array::from_fn(|i| &q[(h0 + i) * hd..][..hd]);
-    let k_h: [&[f32]; N] = std::array::from_fn(|i| &k[(h0 + i) * hd * bs..][..hd * bs]);
-    for g in (0..fill).step_by(f32x8::LANES) {
-        let mut sum = [f32x8::ZERO; N];
-        for d in 0..hd {
-            for i in 0..N {
-                let lanes = f32x8::from_slice(&k_h[i][d * bs + g..]);
-                sum[i] = f32x8::splat(q_h[i][d]).mul_add(lanes, sum[i]);
-            }
-        }
-        for i in 0..N {
-            (sum[i] * scale).write_to_slice(&mut scores[(h0 + i) * bs + g..]);
-        }
-    }
-}
-
-/// `N` adjacent 8-wide chunks of the accumulator through one slot-major f32
-/// V tile, the `N` running sums held in registers across all its slots.
-#[inline(always)]
-fn accumulate_chunks<const N: usize>(
-    c0: usize,
-    corr: &[f32],
-    w: &[f32],
-    v: &[f32],
-    fill: usize,
-    dims: &TileDims,
-    acc: &mut [f32],
-) {
-    let lanes = f32x8::LANES;
-    let acc = &mut acc[c0 * lanes..(c0 + N) * lanes];
-    let head: [usize; N] = std::array::from_fn(|i| (c0 + i) * lanes / dims.head_dim);
-    let w_h: [&[f32]; N] = std::array::from_fn(|i| &w[head[i] * dims.stride..][..fill]);
-    let mut a: [f32x8; N] =
-        std::array::from_fn(|i| f32x8::from_slice(&acc[i * lanes..]) * f32x8::splat(corr[head[i]]));
-    for (s, v_row) in v.chunks_exact(dims.hidden).take(fill).enumerate() {
-        let v_row = &v_row[c0 * lanes..(c0 + N) * lanes];
-        for i in 0..N {
-            let v_s = f32x8::from_slice(&v_row[i * lanes..]);
-            a[i] = f32x8::splat(w_h[i][s]).mul_add(v_s, a[i]);
-        }
-    }
-    for i in 0..N {
-        a[i].write_to_slice(&mut acc[i * lanes..]);
-    }
-}
-
 /// Explicit 8-lane f32 vector kernels with f32 KV storage.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimdBackend;
@@ -331,28 +189,16 @@ impl KernelBackend for SimdBackend {
     fn matmul_transb(&self, a: &[f32], bt: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
         super::dispatch_transb_timed(a, bt, m, k, n, out);
     }
-
-    fn paged_attention(
-        &self,
-        q: &[f32],
-        pool: &KvPool,
-        layer: usize,
-        seqs: &[SeqRows<'_>],
-        n_heads: usize,
-        head_dim: usize,
-        workers: &WorkerPool,
-        out: &mut [f32],
-    ) {
-        attention::paged_attention::<SimdLanes>(
-            q, pool, layer, seqs, n_heads, head_dim, workers, out,
-        );
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attention::SeqRows;
+    use crate::backend::ScalarBackend;
+    use crate::kv_cache::KvPool;
     use crate::ops;
+    use crate::pool::WorkerPool;
 
     fn fill(seed: u64, len: usize) -> Vec<f32> {
         let mut s = seed | 1;
@@ -427,9 +273,10 @@ mod tests {
 
     #[test]
     fn vector_tile_primitives_match_the_plain_loops_bit_for_bit() {
-        // Shapes on both sides of every path choice: block sizes that are
-        // and are not whole vectors, head widths that are and are not,
-        // head counts above and below the chain width, partial last tiles.
+        // The simd backend's attention is the scalar backend's, instantiated
+        // under AVX2. Shapes with and without a fixed instance: block sizes
+        // that are and are not whole vectors, head widths that are and are
+        // not, partial last tiles.
         let workers = WorkerPool::new(1);
         for &(n_heads, hd, bs, ctx) in &[
             (8usize, 8usize, 16usize, 45usize),
@@ -462,41 +309,10 @@ mod tests {
                 n_rows: ctx,
             }];
             let mut plain = vec![0.0; ctx * hidden];
-            attention::paged_attention::<PlainLanes>(
-                &q, &pool, 0, &rows, n_heads, hd, &workers, &mut plain,
-            );
+            ScalarBackend.paged_attention(&q, &pool, 0, &rows, n_heads, hd, &workers, &mut plain);
             let mut simd = vec![0.0; ctx * hidden];
             SimdBackend.paged_attention(&q, &pool, 0, &rows, n_heads, hd, &workers, &mut simd);
             assert_eq!(plain, simd, "heads={n_heads} hd={hd} bs={bs} ctx={ctx}");
-            // And the portable instantiation of the vector path.
-            let mut portable = vec![0.0; ctx * hidden];
-            struct Portable;
-            impl TileLanes for Portable {
-                fn scores(q: &[f32], k: KvTile<'_>, f: usize, d: &TileDims, s: &mut [f32]) {
-                    SimdLanes::scores(q, k, f, d, s);
-                }
-                fn accumulate(
-                    c: &[f32],
-                    w: &[f32],
-                    v: KvTile<'_>,
-                    f: usize,
-                    d: &TileDims,
-                    acc: &mut [f32],
-                ) {
-                    SimdLanes::accumulate(c, w, v, f, d, acc);
-                }
-            }
-            attention::paged_attention::<Portable>(
-                &q,
-                &pool,
-                0,
-                &rows,
-                n_heads,
-                hd,
-                &workers,
-                &mut portable,
-            );
-            assert_eq!(plain, portable, "portable: heads={n_heads} hd={hd} bs={bs}");
         }
     }
 }

@@ -238,8 +238,8 @@ impl TensorParallelExecutor {
                     .map(|pos| (pos, inp.block_table))
             })
             .collect();
-        let n = rows.len();
-        let seqs: Vec<SeqRows<'_>> = inputs.iter().map(SeqInput::rows).collect();
+        let mut n = rows.len();
+        let mut seqs: Vec<SeqRows<'_>> = inputs.iter().map(SeqInput::rows).collect();
 
         // Replicated embedding (positions via RoPE for rotary models),
         // unless `begin_step` already computed it during the cache-op window.
@@ -253,6 +253,15 @@ impl TensorParallelExecutor {
             // all-reduced (summed).
             let mut hst = x.clone();
             layer_norm(&mut hst, &lw.ln1_g, &lw.ln1_b, LN_EPS);
+            // Past the last layer's K/V writes only each input's last row
+            // is read again, as in `Transformer::forward`: the attention,
+            // everything after it and the residual shrink to those rows.
+            let n_in = n;
+            if layer_idx + 1 == cfg.n_layers && n > inputs.len() {
+                x = last_rows(&x, inputs, h);
+                seqs = inputs.iter().map(SeqInput::last_row).collect();
+                n = inputs.len();
+            }
             let mut partials = vec![vec![0.0f32; n * h]; w_count];
             clock.elementwise();
             pool::global().scoped(|s| {
@@ -260,15 +269,15 @@ impl TensorParallelExecutor {
                     let (hst, rows, seqs) = (&hst, &rows, &seqs);
                     s.spawn(move || {
                         let shard = &worker.layers[layer_idx];
-                        let mut qkv = vec![0.0f32; n * 3 * hl];
+                        let mut qkv = vec![0.0f32; n_in * 3 * hl];
                         let t_mm = Instant::now();
-                        be.matmul_serial(hst, &shard.w_qkv, n, h, 3 * hl, &mut qkv);
+                        be.matmul_serial(hst, &shard.w_qkv, n_in, h, 3 * hl, &mut qkv);
                         timing::record_matmul(t_mm.elapsed());
                         let mut clock = OpClock::start();
                         add_bias(&mut qkv, &shard.b_qkv);
                         // Write local K/V slices into this worker's pool
                         // under the shared block table.
-                        let mut q = vec![0.0f32; n * hl];
+                        let mut q = vec![0.0f32; n_in * hl];
                         for (i, &(pos, block_table)) in rows.iter().enumerate() {
                             let row = &mut qkv[i * 3 * hl..(i + 1) * 3 * hl];
                             if rotary {
@@ -284,6 +293,9 @@ impl TensorParallelExecutor {
                                 &row[2 * hl..3 * hl],
                             );
                             q[i * hl..(i + 1) * hl].copy_from_slice(&row[..hl]);
+                        }
+                        if n < n_in {
+                            q = last_rows(&q, inputs, hl);
                         }
                         let mut attn = vec![0.0f32; n * hl];
                         clock.elementwise();
@@ -338,7 +350,7 @@ impl TensorParallelExecutor {
         }
 
         // Replicated LM head on each sequence's last row.
-        let mut last = last_rows(&x, inputs, h);
+        let mut last = x;
         layer_norm(&mut last, &self.model.ln_f_g, &self.model.ln_f_b, LN_EPS);
         let vocab = cfg.vocab_size;
         let mut logits = vec![0.0f32; inputs.len() * vocab];

@@ -210,8 +210,8 @@ impl Transformer {
                 inp.tokens.iter().zip(positions).map(row)
             })
             .collect();
-        let n = rows.len();
-        let seqs: Vec<SeqRows<'_>> = inputs.iter().map(SeqInput::rows).collect();
+        let mut n = rows.len();
+        let mut seqs: Vec<SeqRows<'_>> = inputs.iter().map(SeqInput::rows).collect();
 
         // Embedding + positions (learned embeddings only; rotary models
         // inject positions inside attention).
@@ -258,6 +258,19 @@ impl Transformer {
                 );
                 q[i * h..(i + 1) * h].copy_from_slice(&row[..h]);
             }
+            // Past the last layer's K/V writes only each input's last row
+            // is read again (by the LM head): the rest of the layer — every
+            // op of it row-wise — runs on those rows alone. A decode step
+            // is one row per input already.
+            if layer_idx + 1 == self.layers.len() && n > inputs.len() {
+                x = last_rows(&x, inputs, h);
+                q = last_rows(&q, inputs, h);
+                seqs = inputs.iter().map(SeqInput::last_row).collect();
+                n = inputs.len();
+                attn.truncate(n * h);
+                proj.truncate(n * h);
+                mlp_mid.truncate(n * 4 * h);
+            }
             clock.elementwise();
             be.paged_attention(
                 &q,
@@ -293,7 +306,11 @@ impl Transformer {
         // Final norm + tied-embedding LM head on each sequence's last row,
         // via the pre-transposed hidden × vocab copy so the blocked kernel
         // streams both operands row-major.
-        let mut last = last_rows(&x, inputs, h);
+        let mut last = if n > inputs.len() {
+            last_rows(&x, inputs, h)
+        } else {
+            x
+        };
         layer_norm(&mut last, &self.ln_f_g, &self.ln_f_b, LN_EPS);
         let vocab = self.config.vocab_size;
         let mut logits = vec![0.0f32; inputs.len() * vocab];
@@ -370,6 +387,11 @@ impl<'a> SeqInput<'a> {
             first_position: self.first_position,
             n_rows: self.tokens.len(),
         }
+    }
+
+    /// The last of [`Self::rows`] alone: the one row the LM head reads.
+    pub(crate) fn last_row(&self) -> SeqRows<'a> {
+        SeqRows::decode(self.block_table, self.first_position + self.tokens.len())
     }
 }
 
@@ -534,6 +556,108 @@ mod tests {
                     pool_solo.value(layer, block, slot)
                 );
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod pruned_last_layer_tests {
+    use super::*;
+
+    /// The unpruned reference: every row of `inputs` through
+    /// [`Transformer::forward`] in a call of its own. A one-row call has
+    /// nothing to prune — each row runs every layer whole — and by the
+    /// kernels' contracts (GEMM rows batch-independent, a prefill row ≡ the
+    /// decode row at its position) computes what a stacked pass that kept all
+    /// its rows would, bit for bit.
+    fn forward_unpruned(model: &Transformer, inputs: &[SeqInput<'_>], kv: &mut KvPool) -> Vec<f32> {
+        let mut logits = Vec::new();
+        for inp in inputs {
+            let mut last = Vec::new();
+            for i in 0..inp.tokens.len() {
+                let row = SeqInput {
+                    tokens: &inp.tokens[i..=i],
+                    first_position: inp.first_position + i,
+                    block_table: inp.block_table,
+                };
+                last = model.forward(&[row], kv);
+            }
+            logits.extend(last);
+        }
+        logits
+    }
+
+    /// Runs `inputs` through the pruned forward and through the unpruned
+    /// reference on clones of one pool: same logits and same pool, bit for
+    /// bit.
+    fn assert_pruned_equals_unpruned(model: &Transformer, inputs: &[SeqInput<'_>], kv: &KvPool) {
+        let (mut pruned_kv, mut full_kv) = (kv.clone(), kv.clone());
+        let pruned = model.forward(inputs, &mut pruned_kv);
+        let full = forward_unpruned(model, inputs, &mut full_kv);
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&pruned), bits(&full));
+        for inp in inputs {
+            let ctx = inp.first_position + inp.tokens.len();
+            for layer in 0..model.config.n_layers {
+                assert_eq!(
+                    pruned_kv.gather(layer, inp.block_table, ctx),
+                    full_kv.gather(layer, inp.block_table, ctx)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pruned_logits_equal_the_unpruned_reference_bitwise() {
+        let one_layer = ModelConfig {
+            n_layers: 1,
+            ..ModelConfig::tiny()
+        };
+        let configs = [ModelConfig::tiny(), ModelConfig::tiny_rotary(), one_layer];
+        let backends = backend::BackendKind::all();
+        for (cfg, backend) in configs
+            .iter()
+            .flat_map(|c| backends.map(|b| (c.clone(), b)))
+        {
+            let model = Transformer::new(ModelConfig { backend, ..cfg });
+            let cfg = &model.config;
+            let element = model.backend().kv_layout().element;
+            let mut kv = KvPool::with_element(cfg.n_layers, 16, 4, cfg.hidden, element);
+            let tables: [&[usize]; 3] = [&[9, 2, 5], &[0, 7], &[11, 3, 6, 1]];
+            let prompts: [&[u32]; 3] = [&[3, 17, 42, 8, 25, 99, 4], &[8, 25, 99], &[7, 1, 2, 3, 4]];
+
+            // Multi-row inputs, alone and stacked.
+            let stacked: Vec<SeqInput<'_>> = prompts
+                .iter()
+                .zip(tables)
+                .map(|(tokens, block_table)| SeqInput {
+                    tokens,
+                    first_position: 0,
+                    block_table,
+                })
+                .collect();
+            for input in &stacked {
+                assert_pruned_equals_unpruned(&model, &[*input], &kv);
+            }
+            assert_pruned_equals_unpruned(&model, &stacked, &kv);
+
+            // A mixed batch: one decode row, one chunk continuing a prompt
+            // mid-block, one fresh prompt.
+            model.forward(&stacked[..2], &mut kv);
+            let mixed = [
+                SeqInput {
+                    tokens: &[61],
+                    first_position: prompts[0].len(),
+                    block_table: tables[0],
+                },
+                SeqInput {
+                    tokens: &[5, 6, 7, 8, 9],
+                    first_position: prompts[1].len(),
+                    block_table: tables[1],
+                },
+                stacked[2],
+            ];
+            assert_pruned_equals_unpruned(&model, &mixed, &kv);
         }
     }
 }

@@ -138,9 +138,12 @@ impl f32x8 {
     }
 }
 
-/// One lane of [`f32x8::exp`].
+/// One lane of [`f32x8::exp`], for loops that run over scalars: the same
+/// operations in the same order, so the same bits as any lane of the vector
+/// form.
 #[inline(always)]
-fn exp_lane(x: f32) -> f32 {
+#[must_use]
+pub fn exp_lane(x: f32) -> f32 {
     // ln 2 split into a 9-bit head (so `n * LN2_HI` is exact) and a tail.
     const LN2_HI: f32 = 355.0 / 512.0;
     const LN2_LO: f32 = -2.121_944_4e-4;

@@ -15,24 +15,34 @@
 //! earlier context, so the cluster-shared prefix tier serves the re-covered
 //! KV from CPU memory instead of re-prefilling it.
 //!
+//! First it times the handoff codec on real wall clock, in interleaved
+//! rounds: the binary round trip every disaggregated request pays
+//! (`HandoffPayload::decode(&p.encode())`) against the hex edge of the
+//! `HANDOFF` text line (`decode_wire(&p.encode_wire())`), on a small-model
+//! (32 KB) and a base-model (64 KB) block, printed in µs per block.
+//!
 //! Writes per-policy throughput, prefix-cache hit rate, and latency
 //! percentiles — plus the disaggregated-vs-monolithic records — to
 //! `results/cluster.json`. With `--ci` the harness asserts the acceptance
 //! criteria instead — JSQ and prefix-affinity sustain at least `3 * C1`
 //! without exceeding the baseline's p99, prefix-affinity strictly beats
 //! round-robin's cache hit rate, runs are deterministic, every routing
-//! decision shows up in the merged telemetry, and the disaggregated fleet
+//! decision shows up in the merged telemetry, the disaggregated fleet
 //! holds p99 TTFT at or below the monolithic fleet's at equal replica count
-//! with a warm tier (hit rate above zero) — writing its artifact under
-//! `target/ci-cluster/` and exiting non-zero on any failure.
+//! with a warm tier (hit rate above zero), and the binary round trip is at
+//! least 5× the hex edge on both blocks (median of paired rounds) —
+//! writing its artifact under `target/ci-cluster/` and exiting non-zero on
+//! any failure.
 
 use std::fmt::Write as _;
+use std::hint::black_box;
 
+use vllm_bench::{best_ns, interleaved_rounds_ns, paired_speedup};
 use vllm_cluster::{
     ClusterConfig, ClusterReport, ClusterRequest, ClusterSystem, RoutePolicy, RouterConfig,
 };
 use vllm_core::telemetry::MetricsSnapshot;
-use vllm_core::{PreemptionMode, TokenId};
+use vllm_core::{HandoffPayload, KvBlockBytes, PreemptionMode, TokenId};
 use vllm_model::BackendKind;
 use vllm_sim::{sim_prompt_tokens, ServerConfig, VllmSimSystem};
 
@@ -138,6 +148,69 @@ fn chat_trace(rate: f64) -> Vec<ClusterRequest> {
     reqs
 }
 
+/// Tokens per KV block in the timed handoffs.
+const BLOCK_SIZE: usize = 16;
+/// KV blocks per timed handoff (`disagg_chat` averages 4.4).
+const CODEC_BLOCKS: usize = 4;
+/// Interleaved timing rounds per codec cell.
+const CODEC_ROUNDS: usize = 15;
+/// The binary round trip must beat the hex edge by this much (median of
+/// paired rounds).
+const CODEC_GATE: f64 = 5.0;
+
+/// One handoff codec measurement: µs per block (best round) of the binary
+/// round trip (`decode(encode(·))`, what every disaggregated request pays)
+/// and of the hex edge (`decode_wire(encode_wire(·))`, the `HANDOFF` text
+/// line), and the median of their per-round ratio.
+struct CodecTiming {
+    model: &'static str,
+    kb_per_block: usize,
+    binary_us: f64,
+    hex_us: f64,
+    paired: f64,
+}
+
+/// Times the handoff codec on an f32 block of the small model (4 layers ×
+/// hidden 64: 32 KB) and of `serve_bench`'s base model (2 × 256: 64 KB).
+fn codec_timings() -> Vec<CodecTiming> {
+    [("small", 4, 64), ("base", 2, 256)]
+        .into_iter()
+        .map(|(model, n_layers, hidden)| {
+            let values = n_layers * BLOCK_SIZE * hidden;
+            let payload = HandoffPayload {
+                request_id: "req-0".into(),
+                tokens: (0..(CODEC_BLOCKS * BLOCK_SIZE) as TokenId).collect(),
+                first_token: Some(1),
+                seed: 7,
+                block_size: BLOCK_SIZE,
+                blocks: (0..CODEC_BLOCKS)
+                    .map(|b| KvBlockBytes::F32 {
+                        k: (0..values).map(|i| (i + b) as f32 * 0.001).collect(),
+                        v: (0..values).map(|i| (i + b) as f32 * -0.002).collect(),
+                    })
+                    .collect(),
+            };
+            let mut binary = || {
+                let frame = black_box(&payload).encode();
+                black_box(HandoffPayload::decode(&frame).expect("own frame decodes"));
+            };
+            let mut hex = || {
+                let line = black_box(&payload).encode_wire();
+                black_box(HandoffPayload::decode_wire(&line).expect("own line decodes"));
+            };
+            let rounds = interleaved_rounds_ns(&mut [&mut binary, &mut hex], 20, CODEC_ROUNDS);
+            let per_block = |ns: &[f64]| best_ns(ns) / 1e3 / CODEC_BLOCKS as f64;
+            CodecTiming {
+                model,
+                kb_per_block: payload.kv_bytes() / CODEC_BLOCKS / 1024,
+                binary_us: per_block(&rounds[0]),
+                hex_us: per_block(&rounds[1]),
+                paired: paired_speedup(&rounds[1], &rounds[0]),
+            }
+        })
+        .collect()
+}
+
 /// Runs the chat trace through a fleet built from `cfg` (monolithic or
 /// disaggregated; both route with prefix affinity).
 fn run_chat(cfg: ClusterConfig, rate: f64) -> (ClusterReport, MetricsSnapshot) {
@@ -223,6 +296,14 @@ fn chat_report_json(r: &ClusterReport) -> String {
 
 fn main() {
     let ci = std::env::args().any(|a| a == "--ci");
+
+    let codec = codec_timings();
+    for c in &codec {
+        println!(
+            "handoff codec, {} model ({} KB block): binary round trip {:.1} us/block, hex edge {:.1} us/block ({:.1}x paired)",
+            c.model, c.kb_per_block, c.binary_us, c.hex_us, c.paired
+        );
+    }
 
     // Calibrate one replica at saturation.
     let (single, _) = run_cluster(1, RoutePolicy::RoundRobin, CAL_REQUESTS, 50.0);
@@ -329,6 +410,16 @@ fn main() {
             failures += 1;
         }
     };
+
+    for c in &codec {
+        check(
+            c.paired >= CODEC_GATE,
+            &format!(
+                "{} model: binary handoff round trip is {:.2}x the hex edge (median of {CODEC_ROUNDS} paired rounds), below the {CODEC_GATE}x gate",
+                c.model, c.paired
+            ),
+        );
+    }
 
     let rr = &runs[0].0;
     for (r, _) in &runs[1..] {

@@ -618,9 +618,10 @@ impl RequestFlow {
 
     /// The KV in hand as the decode replica receives it: the blocks past
     /// those its coverage already shows (a later turn of a conversation it
-    /// decoded before ships only the new turn). The transport is the wire
-    /// codec — encode, move, decode — so the payload installed has passed
-    /// the checksum and `validate` exactly as a remote one's would.
+    /// decoded before ships only the new turn). The transport is the binary
+    /// frame — `encode`, move, `decode`, a few µs per 32 KB block — so the
+    /// payload installed has passed the checksum and `validate` exactly as
+    /// a remote one's would; hex is only for the `HANDOFF` text line.
     fn payload(&mut self) -> Result<Option<HandoffPayload>, VllmError> {
         let Some((tokens, mut blocks)) = self.kv.take() else {
             return Ok(None);
@@ -637,7 +638,7 @@ impl RequestFlow {
             block_size: self.block_size,
             blocks: blocks.split_off(self.covered),
         };
-        HandoffPayload::decode_wire(&p.encode_wire()).map(Some)
+        HandoffPayload::decode(&p.encode()).map(Some)
     }
 
     /// The decode phase: greedy continuation from `prompt + [t0]` makes the

@@ -23,6 +23,7 @@ use crate::error::{Result, VllmError};
 use crate::executor::{CacheOps, SeqStepInput};
 use crate::sampling::DecodingMode;
 use crate::scheduler::{ScheduledGroup, Scheduler};
+use crate::telemetry::fnv1a;
 
 /// How a preempted group's state is recovered (§4.5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,16 +104,6 @@ impl StepPlan {
     pub fn num_tokens(&self) -> usize {
         self.items.iter().map(SeqStepInput::num_new_tokens).sum()
     }
-}
-
-/// FNV-1a hash used to derive deterministic per-request sampling seeds.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// The prepare stage: fills [`StepPlan::items`] with per-sequence model

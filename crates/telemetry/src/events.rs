@@ -11,6 +11,8 @@ use std::collections::{HashSet, VecDeque};
 
 use parking_lot::Mutex;
 
+use crate::trace::fnv1a;
+
 /// Default ring-buffer capacity (events, across all requests). Overridable
 /// per process via the `VLLM_EVENT_LOG_CAPACITY` environment variable
 /// (read by [`crate::Telemetry::new`]).
@@ -121,15 +123,6 @@ struct EventBuf {
     known_ids: HashSet<u64>,
 }
 
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
 /// Bounded, thread-safe ring buffer of [`SeqEvent`]s.
 #[derive(Debug)]
 pub struct EventLog {
@@ -177,7 +170,7 @@ impl EventLog {
             kind,
         });
         buf.total += 1;
-        buf.known_ids.insert(fnv1a(request_id));
+        buf.known_ids.insert(fnv1a(request_id.as_bytes()));
     }
 
     /// Looks up `request_id`, distinguishing a request the log never saw
@@ -195,7 +188,7 @@ impl EventLog {
         if !events.is_empty() {
             return EventQuery::Events(events);
         }
-        if buf.known_ids.contains(&fnv1a(request_id)) {
+        if buf.known_ids.contains(&fnv1a(request_id.as_bytes())) {
             EventQuery::Evicted
         } else {
             EventQuery::Unknown

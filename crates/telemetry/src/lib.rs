@@ -48,7 +48,7 @@ pub use json::Json;
 pub use registry::{Counter, Gauge, MetricsRegistry};
 pub use slo::{SloMonitor, SloObjectives, SloStatus};
 pub use trace::{
-    spans_to_chrome_trace, spans_to_json, splitmix64, trace_seed, validate_span_tree, Span,
+    fnv1a, spans_to_chrome_trace, spans_to_json, splitmix64, trace_seed, validate_span_tree, Span,
     SpanLog, TraceContext, DEFAULT_SPAN_CAPACITY,
 };
 

@@ -34,16 +34,23 @@ pub fn splitmix64(seed: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// 64-bit FNV-1a of a byte string: the one hash behind trace ids, default
+/// sampling seeds and the event log's set of known request ids.
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// FNV-1a hash of a request id, used to seed trace-id minting so the same
 /// request id always produces the same trace id.
 #[must_use]
 pub fn trace_seed(request_id: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in request_id.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
+    fnv1a(request_id.as_bytes())
 }
 
 fn nonzero(id: u64) -> u64 {
@@ -456,6 +463,16 @@ mod tests {
             end,
             attrs: Vec::new(),
         }
+    }
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        // The published 64-bit FNV-1a test vectors: trace ids, default
+        // sampling seeds and event-log lookups all rest on these values.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(trace_seed("foobar"), fnv1a(b"foobar"));
     }
 
     #[test]

@@ -68,7 +68,7 @@
 //! 2. **Handoff + decode**: the cut is exported from the prefill replica's
 //!    cache as serialized KV blocks, published to the tier, round-tripped
 //!    through the
-//!    [`HandoffPayload`] wire codec, and installed into a decode replica
+//!    [`HandoffPayload`] binary frame, and installed into a decode replica
 //!    (journaled as `CacheOps` installs); the request resumes there with
 //!    the stub token appended, and the streams are stitched. `handoff`/
 //!    `handoff.{export,transfer,install}` spans land on the cluster track;
@@ -100,7 +100,7 @@ use vllm_cluster::{
     FlowInput, HandoffMetrics, PrefixOp, PrefixTier, Replica, ReplicaSnapshot, RequestFlow, Router,
     MAX_SUBMIT_ATTEMPTS,
 };
-use vllm_core::telemetry::{spans_to_json, EventQuery, Span, Telemetry};
+use vllm_core::telemetry::{fnv1a, spans_to_json, EventQuery, Span, Telemetry};
 use vllm_core::{
     ElasticConfig, ElasticController, EngineLoad, GenerationRequest, HandoffPayload, LlmEngine,
     ModelExecutor, RequestOutput, VllmError,
@@ -394,22 +394,13 @@ fn build_request(
 ) -> Result<(Vec<u32>, GenerationRequest), VllmError> {
     let mut req = spec.build()?;
     if req.seed.is_none() {
-        req.seed = Some(fnv(request_id.as_bytes()));
+        req.seed = Some(fnv1a(request_id.as_bytes()));
     }
     req = req.with_eos(vllm_model::EOS);
     // Validate now so protocol errors surface before routing; the replica
     // converts again on admission.
     req.sampling_params()?;
     Ok((ByteTokenizer.encode(&spec.prompt), req))
-}
-
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// The metrics snapshot a `METRICS` query serves: the engine's own registry
@@ -467,8 +458,8 @@ fn await_reply(
 /// [`RequestFlow`], which owns every decision (two-phase or not, cut, ids,
 /// tier and prefix-op order, stitch, retries). Each effect and
 /// command is a blocking call on this connection's thread; `Transfer` has
-/// nothing left to do because the payload crossed the wire codec inside the
-/// flow.
+/// nothing left to do because the payload crossed the binary frame inside
+/// the flow.
 fn serve(
     shared: &Shared,
     request_id: &str,

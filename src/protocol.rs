@@ -678,6 +678,72 @@ mod tests {
         assert_eq!(err.kind(), ErrorKind::Protocol);
     }
 
+    /// Seeded byte mutations of a `HANDOFF` line — truncation at every
+    /// length, flipped bits, non-hex and inserted or deleted characters,
+    /// random tails — through `decode_wire` and `Command::parse`: each is a
+    /// protocol error or parses to something that renders back to the
+    /// same line. (Mutations of the binary frame behind the hex are
+    /// `vllm_core`'s `decoders_are_total_over_mutated_frames`.)
+    #[test]
+    fn mutated_handoff_lines_are_protocol_errors_or_round_trip() {
+        fn check(line: &str) {
+            if let Some(hex) = line.strip_prefix("HANDOFF\t") {
+                match HandoffPayload::decode_wire(hex) {
+                    Err(e) => assert_eq!(e.kind(), ErrorKind::Protocol, "{e}"),
+                    Ok(p) => assert_eq!(p.encode_wire(), hex),
+                }
+            }
+            match Command::parse(line) {
+                Err(e) => assert_eq!(e.kind(), ErrorKind::Protocol, "{line:?}: {e}"),
+                Ok(cmd) => assert_eq!(cmd.wire(), line),
+            }
+        }
+        let payload = HandoffPayload {
+            request_id: "fuzz".into(),
+            tokens: (0..20u32).collect(),
+            first_token: Some(9),
+            seed: 3,
+            block_size: 16,
+            blocks: vec![
+                KvBlockBytes::F32 {
+                    k: vec![0.5, -1.0],
+                    v: vec![2.0, f32::MIN_POSITIVE],
+                },
+                KvBlockBytes::Int8 {
+                    k: vec![1, -1],
+                    v: vec![127, -128],
+                    k_scales: vec![0.25],
+                    v_scales: vec![4.0],
+                },
+            ],
+        };
+        let line = Command::Handoff(payload).wire();
+        for n in 0..=line.len() {
+            check(&line[..n]);
+        }
+        let mut state = 0x7e57_u64;
+        let mut rng = move |n: usize| {
+            state = vllm_core::telemetry::splitmix64(state);
+            (state % n as u64) as usize
+        };
+        const NOT_HEX: &[u8] = b"ABCDEFGgz \t-+\x00\x7f";
+        for _ in 0..5_000 {
+            let mut b = line.clone().into_bytes();
+            let at = rng(b.len());
+            match rng(5) {
+                0 => b[at] ^= 1 << rng(7),
+                1 => b[at] = NOT_HEX[rng(NOT_HEX.len())],
+                2 => b.insert(at, b"0123456789abcdef"[rng(16)]),
+                3 => {
+                    b.remove(at);
+                }
+                _ => b.extend((0..=rng(16)).map(|_| b"0123456789abcdefx"[rng(17)])),
+            }
+            check(&String::from_utf8(b).expect("mutations keep ASCII"));
+        }
+        check(&format!("{line}é"));
+    }
+
     #[test]
     fn positional_generate_is_retired_with_a_protocol_error() {
         let err = Command::parse("GENERATE\t12\t1\tgreedy\thello").unwrap_err();

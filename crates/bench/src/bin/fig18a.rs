@@ -47,7 +47,7 @@ fn main() {
     // One backend per tile element: f32 tiles and int8 tiles.
     for kind in [BackendKind::Simd, BackendKind::QuantKv8] {
         let be = backend::by_kind(kind);
-        println!("\n  backend {}:", be.name());
+        println!("\n  backend {}:", kind.name());
         println!(
             "  {:>6} {:>6} {:>14} {:>14} {:>14} {:>12} {:>10}",
             "batch",

@@ -31,10 +31,11 @@
 //! its head count (compile-time head width and block size, so those loops
 //! work on `[f32; N]` views held in registers, with no bounds check,
 //! division or stride multiply left in them) — and `RunTime` for every
-//! other shape. Both do the same operations in the same order; `Isa` picks
-//! the instruction set the body is compiled for. A backend supplies nothing
-//! but that choice and the element type of its tiles (`f32`, or `i8` with
-//! the slot's scale folded into the score and the weight).
+//! other shape. Both do the same operations in the same order; the
+//! backend's [`Isa`] picks the instruction set the body is compiled for. A
+//! backend supplies nothing but that choice and the element type of its
+//! tiles (`f32`, or `i8` with the slot's scale folded into the score and the
+//! weight).
 //!
 //! **Determinism contract.** A row's output is a pure function of its query
 //! vector, the KV contents at positions `0 ..= p`, and the block size:
@@ -44,12 +45,13 @@
 //! and sum, slot-ascending accumulation), and rows share no state. So per
 //! backend, bit for bit: batched ≡ solo, chunked ≡ monolithic, any worker
 //! count, any physical block placement — and a prefill row ≡ the decode row
-//! at the same position. The AVX2 instantiation ≡ the portable one, and
-//! every fixed-shape instance ≡ the run-time-shape instance, also bit for
-//! bit.
+//! at the same position. Every instruction set's instance ≡ the portable
+//! one, and every fixed-shape instance ≡ the run-time-shape instance, also
+//! bit for bit.
 
 use wide::{exp_lane, f32x8};
 
+use crate::isa::{Isa, Kernel};
 use crate::kv_cache::{KvPool, KvTile};
 use crate::ops::{axpy, dot, softmax, timing};
 use crate::pool::WorkerPool;
@@ -177,18 +179,6 @@ impl<'a> SeqRows<'a> {
 const PARTITION_BLOCKS: usize = 32;
 
 const LANES: usize = f32x8::LANES;
-
-/// The instruction set the kernel body is instantiated for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Isa {
-    /// The target's baseline features (the scalar and quant-kv8 backends).
-    Portable,
-    /// Re-instantiated under `#[target_feature(enable = "avx2")]` where the
-    /// CPU has it, the portable instance elsewhere (the simd backend).
-    /// Lane-wise identical arithmetic — same operations, same order, no FMA
-    /// contraction — so the two are bit-equal.
-    Avx2,
-}
 
 /// The shape the kernel body is instantiated over, and the body's two inner
 /// loops, which are all that is written per implementor.
@@ -563,24 +553,27 @@ fn attend_rows<S: Shape>(shape: S, task: &RowTask<'_>, out: &mut [f32]) {
     }
 }
 
-/// AVX2 instantiation of the kernel body — both inner loops and the vector
-/// `exp` included; lane-wise identical arithmetic.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn attend_rows_avx2<S: Shape>(shape: S, task: &RowTask<'_>, out: &mut [f32]) {
-    attend_rows(shape, task, out);
+/// [`attend_rows`] for one shape, as a kernel to instantiate per
+/// instruction set — both inner loops and the vector `exp` included.
+struct Attend<'a, 'b, S> {
+    shape: S,
+    task: &'a RowTask<'b>,
+    out: &'a mut [f32],
+}
+
+impl<S: Shape> Kernel for Attend<'_, '_, S> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        attend_rows(self.shape, self.task, self.out);
+    }
 }
 
 /// Runs the instance of [`attend_rows`] for `shape` and the task's
 /// instruction set.
 fn attend_shaped<S: Shape>(shape: S, task: &RowTask<'_>, out: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if task.isa == Isa::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime.
-        unsafe { attend_rows_avx2(shape, task, out) };
-        return;
-    }
-    attend_rows(shape, task, out);
+    task.isa.run(Attend { shape, task, out });
 }
 
 /// Picks the shape instance for a task: a [`Fixed`] one for whole-vector
@@ -936,8 +929,8 @@ mod tests {
 
     #[test]
     fn every_instance_of_the_body_gives_the_same_bits() {
-        // Fixed-shape ≡ run-time-shape instance and AVX2 ≡ portable
-        // instantiation, f32 and int8 tiles: the four instances of the body
+        // Fixed-shape ≡ run-time-shape instance under every instruction set
+        // this CPU has, f32 and int8 tiles: up to six instances of the body
         // on one task. Head counts that fill whole groups of `CHAINS`
         // accumulator chunks and that leave every size of remainder; the
         // last shape has no fixed instance (its two are the same one).
@@ -994,16 +987,18 @@ mod tests {
                 };
                 let reference = run(Isa::Portable, true);
                 assert!(reference.iter().all(|&b| f32::from_bits(b).is_finite()));
-                for (isa, run_time) in [
-                    (Isa::Portable, false),
-                    (Isa::Avx2, true),
-                    (Isa::Avx2, false),
-                ] {
-                    assert_eq!(
-                        run(isa, run_time),
-                        reference,
-                        "{n_heads} x {head_dim} {element:?} {isa:?} run-time shape: {run_time}"
-                    );
+                for isa in Isa::ALL {
+                    if !isa.is_available() {
+                        eprintln!("skipping {}: this CPU lacks it", isa.name());
+                        continue;
+                    }
+                    for run_time in [false, true] {
+                        assert_eq!(
+                            run(isa, run_time),
+                            reference,
+                            "{n_heads} x {head_dim} {element:?} {isa:?} run-time shape: {run_time}"
+                        );
+                    }
                 }
             }
         }

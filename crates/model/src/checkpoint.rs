@@ -8,7 +8,8 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::config::ModelConfig;
-use crate::transformer::{LayerWeights, Transformer};
+use crate::gemm::Panels;
+use crate::transformer::{self, LayerWeights, Transformer};
 
 /// File magic: `VLMR` (vLLM-Rust).
 pub const MAGIC: u32 = 0x564c_4d52;
@@ -48,7 +49,8 @@ fn put_tensor(buf: &mut BytesMut, t: &[f32]) {
     }
 }
 
-fn get_tensor(buf: &mut Bytes, expected_len: usize) -> Result<Vec<f32>, CheckpointError> {
+/// Reads a tensor's length header, checking it and that its values follow.
+fn tensor_header(buf: &mut Bytes, expected_len: usize) -> Result<(), CheckpointError> {
     if buf.remaining() < 8 {
         return Err(CheckpointError::Truncated);
     }
@@ -58,10 +60,22 @@ fn get_tensor(buf: &mut Bytes, expected_len: usize) -> Result<Vec<f32>, Checkpoi
             "tensor length {len}, expected {expected_len}"
         )));
     }
-    if buf.remaining() < len * 4 {
+    if buf.remaining() / 4 < len {
         return Err(CheckpointError::Truncated);
     }
-    Ok((0..len).map(|_| buf.get_f32_le()).collect())
+    Ok(())
+}
+
+fn get_tensor(buf: &mut Bytes, expected_len: usize) -> Result<Vec<f32>, CheckpointError> {
+    tensor_header(buf, expected_len)?;
+    Ok((0..expected_len).map(|_| buf.get_f32_le()).collect())
+}
+
+/// A `k × n` weight matrix, packed as its row-major values are read.
+fn get_panels(buf: &mut Bytes, k: usize, n: usize) -> Result<Panels, CheckpointError> {
+    let too_large = || CheckpointError::BadHeader(format!("{k} x {n} tensor"));
+    tensor_header(buf, k.checked_mul(n).ok_or_else(too_large)?)?;
+    Ok(Panels::from_fn(k, n, |_, _| buf.get_f32_le()))
 }
 
 /// Serializes a model to the checkpoint format.
@@ -87,9 +101,11 @@ pub fn save(model: &Transformer) -> Vec<u8> {
     put_tensor(&mut buf, &model.ln_f_g);
     put_tensor(&mut buf, &model.ln_f_b);
     for lw in &model.layers {
+        let [w_qkv, w_o, w_fc, w_proj] =
+            [&lw.w_qkv, &lw.w_o, &lw.w_fc, &lw.w_proj].map(Panels::to_row_major);
         for t in [
-            &lw.ln1_g, &lw.ln1_b, &lw.w_qkv, &lw.b_qkv, &lw.w_o, &lw.b_o, &lw.ln2_g, &lw.ln2_b,
-            &lw.w_fc, &lw.b_fc, &lw.w_proj, &lw.b_proj,
+            &lw.ln1_g, &lw.ln1_b, &w_qkv, &lw.b_qkv, &w_o, &lw.b_o, &lw.ln2_g, &lw.ln2_b, &w_fc,
+            &lw.b_fc, &w_proj, &lw.b_proj,
         ] {
             put_tensor(&mut buf, t);
         }
@@ -156,24 +172,23 @@ pub fn load(data: &[u8]) -> Result<Transformer, CheckpointError> {
         layers.push(LayerWeights {
             ln1_g: get_tensor(&mut buf, h)?,
             ln1_b: get_tensor(&mut buf, h)?,
-            w_qkv: get_tensor(&mut buf, h * 3 * h)?,
+            w_qkv: get_panels(&mut buf, h, 3 * h)?,
             b_qkv: get_tensor(&mut buf, 3 * h)?,
-            w_o: get_tensor(&mut buf, h * h)?,
+            w_o: get_panels(&mut buf, h, h)?,
             b_o: get_tensor(&mut buf, h)?,
             ln2_g: get_tensor(&mut buf, h)?,
             ln2_b: get_tensor(&mut buf, h)?,
-            w_fc: get_tensor(&mut buf, h * 4 * h)?,
+            w_fc: get_panels(&mut buf, h, 4 * h)?,
             b_fc: get_tensor(&mut buf, 4 * h)?,
-            w_proj: get_tensor(&mut buf, 4 * h * h)?,
+            w_proj: get_panels(&mut buf, 4 * h, h)?,
             b_proj: get_tensor(&mut buf, h)?,
         });
     }
-    // The transposed LM-head copy is derived, not serialized.
-    let wte_t = crate::ops::transpose(&wte, config.vocab_size, h);
+    // The LM head is derived, not serialized.
     Ok(Transformer {
+        lm_head: transformer::lm_head(&wte, config.vocab_size, h),
         config,
         wte,
-        wte_t,
         wpe,
         layers,
         ln_f_g,
@@ -219,15 +234,27 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_preserves_logits() {
-        let cfg = ModelConfig::tiny();
-        let model = Transformer::new(cfg.clone());
-        let loaded = load(&save(&model)).unwrap();
-        let mut pool_a = KvPool::new(cfg.n_layers, 8, 4, cfg.hidden);
-        let mut pool_b = KvPool::new(cfg.n_layers, 8, 4, cfg.hidden);
-        let a = model.forward_paged(&[3, 1, 4], &[0, 1, 2], &mut pool_a, &[0, 1]);
-        let b = loaded.forward_paged(&[3, 1, 4], &[0, 1, 2], &mut pool_b, &[0, 1]);
-        assert_eq!(a, b);
+    fn save_load_save_is_byte_identical_and_logits_bitwise_equal() {
+        // Learned and rotary, and a vocabulary and width that end no stripe.
+        let odd = ModelConfig {
+            vocab_size: 37,
+            hidden: 24,
+            n_heads: 3,
+            ..ModelConfig::tiny()
+        };
+        for cfg in [ModelConfig::tiny(), ModelConfig::tiny_rotary(), odd] {
+            let model = Transformer::new(cfg.clone());
+            let bytes = save(&model);
+            let loaded = load(&bytes).unwrap();
+            assert_eq!(save(&loaded), bytes);
+            assert_eq!(loaded.lm_head, model.lm_head);
+            let mut pool_a = KvPool::new(cfg.n_layers, 8, 4, cfg.hidden);
+            let mut pool_b = KvPool::new(cfg.n_layers, 8, 4, cfg.hidden);
+            let a = model.forward_paged(&[3, 1, 4], &[0, 1, 2], &mut pool_a, &[0, 1]);
+            let b = loaded.forward_paged(&[3, 1, 4], &[0, 1, 2], &mut pool_b, &[0, 1]);
+            let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a), bits(&b));
+        }
     }
 
     #[test]

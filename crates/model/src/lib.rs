@@ -29,6 +29,8 @@ pub mod bpe;
 pub mod checkpoint;
 pub mod config;
 pub mod executor;
+pub mod gemm;
+pub mod isa;
 pub mod kv_cache;
 pub mod ops;
 pub mod parallel;
@@ -43,6 +45,8 @@ pub use bpe::BpeTokenizer;
 pub use checkpoint::{load as load_checkpoint, save as save_checkpoint, CheckpointError};
 pub use config::{ModelConfig, PositionEncoding};
 pub use executor::CpuModelExecutor;
+pub use gemm::Panels;
+pub use isa::Isa;
 pub use kv_cache::{KvCache, KvPool, KvTile};
 pub use parallel::TensorParallelExecutor;
 pub use pool::WorkerPool;

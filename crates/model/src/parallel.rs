@@ -25,6 +25,7 @@ use vllm_core::config::CacheConfig;
 use crate::attention::SeqRows;
 use crate::config::PositionEncoding;
 use crate::executor::{kernel_timings, run_forwards, step_inputs, KernelTelemetry};
+use crate::gemm::{gemm, Panels};
 use crate::kv_cache::KvCache;
 use crate::ops::timing::{self, OpClock};
 use crate::ops::{add_bias, add_inplace, gelu, layer_norm};
@@ -51,21 +52,21 @@ fn embed(model: &Transformer, inputs: &[SeqInput<'_>]) -> Vec<f32> {
     x
 }
 
-/// One worker's weight shard for one layer.
+/// One worker's weight shard for one layer, packed from the model's panels.
 #[derive(Debug, Clone)]
 struct LayerShard {
     /// `hidden × 3·hl` (columns: local Q, local K, local V).
-    w_qkv: Vec<f32>,
+    w_qkv: Panels,
     /// `3·hl`.
     b_qkv: Vec<f32>,
     /// `hl × hidden` (rows of this worker's heads).
-    w_o: Vec<f32>,
+    w_o: Panels,
     /// `hidden × ml` columns of the up projection.
-    w_fc: Vec<f32>,
+    w_fc: Panels,
     /// `ml`.
     b_fc: Vec<f32>,
     /// `ml × hidden` rows of the down projection.
-    w_proj: Vec<f32>,
+    w_proj: Panels,
 }
 
 /// One tensor-parallel worker: weight shards plus its KV cache slice.
@@ -119,8 +120,7 @@ impl TensorParallelExecutor {
         );
         let h = cfg.hidden;
         let hl = h / num_workers; // Local hidden (heads split evenly).
-        let m = 4 * h;
-        let ml = m / num_workers; // Local MLP intermediate width.
+        let ml = 4 * h / num_workers; // Local MLP intermediate width.
 
         // Worker KV shards use the backend's element layout, like the
         // single-worker executor's cache.
@@ -132,37 +132,18 @@ impl TensorParallelExecutor {
                     .layers
                     .iter()
                     .map(|lw| {
-                        // QKV: take this worker's head columns of Q, K, V.
-                        let mut w_qkv = Vec::with_capacity(h * 3 * hl);
-                        for r in 0..h {
-                            let row = &lw.w_qkv[r * 3 * h..(r + 1) * 3 * h];
-                            for part in 0..3 {
-                                let base = part * h + w * hl;
-                                w_qkv.extend_from_slice(&row[base..base + hl]);
-                            }
-                        }
-                        let mut b_qkv = Vec::with_capacity(3 * hl);
-                        for part in 0..3 {
-                            let base = part * h + w * hl;
-                            b_qkv.extend_from_slice(&lw.b_qkv[base..base + hl]);
-                        }
-                        // Output projection: this worker's head rows.
-                        let w_o = lw.w_o[w * hl * h..(w + 1) * hl * h].to_vec();
-                        // MLP: columns of fc, rows of proj.
-                        let mut w_fc = Vec::with_capacity(h * ml);
-                        for r in 0..h {
-                            let row = &lw.w_fc[r * m..(r + 1) * m];
-                            w_fc.extend_from_slice(&row[w * ml..(w + 1) * ml]);
-                        }
-                        let b_fc = lw.b_fc[w * ml..(w + 1) * ml].to_vec();
-                        let w_proj = lw.w_proj[w * ml * h..(w + 1) * ml * h].to_vec();
+                        // QKV: this worker's head columns of Q, K and V.
+                        let qkv_col = |c: usize| c / hl * h + w * hl + c % hl;
+                        let b_qkv = (0..3 * hl).map(|c| lw.b_qkv[qkv_col(c)]).collect();
                         LayerShard {
-                            w_qkv,
+                            w_qkv: Panels::from_fn(h, 3 * hl, |p, c| lw.w_qkv.get(p, qkv_col(c))),
                             b_qkv,
-                            w_o,
-                            w_fc,
-                            b_fc,
-                            w_proj,
+                            // Output projection: this worker's head rows.
+                            w_o: Panels::from_fn(hl, h, |p, c| lw.w_o.get(w * hl + p, c)),
+                            // MLP: columns of fc, rows of proj.
+                            w_fc: Panels::from_fn(h, ml, |p, c| lw.w_fc.get(p, w * ml + c)),
+                            b_fc: lw.b_fc[w * ml..(w + 1) * ml].to_vec(),
+                            w_proj: Panels::from_fn(ml, h, |p, c| lw.w_proj.get(w * ml + p, c)),
                         }
                     })
                     .collect();
@@ -271,7 +252,7 @@ impl TensorParallelExecutor {
                         let shard = &worker.layers[layer_idx];
                         let mut qkv = vec![0.0f32; n_in * 3 * hl];
                         let t_mm = Instant::now();
-                        be.matmul_serial(hst, &shard.w_qkv, n_in, h, 3 * hl, &mut qkv);
+                        gemm(be.isa(), hst, &shard.w_qkv, &mut qkv);
                         timing::record_matmul(t_mm.elapsed());
                         let mut clock = OpClock::start();
                         add_bias(&mut qkv, &shard.b_qkv);
@@ -310,7 +291,7 @@ impl TensorParallelExecutor {
                             &mut attn,
                         );
                         let t_mm = Instant::now();
-                        be.matmul_serial(&attn, &shard.w_o, n, hl, h, partial);
+                        gemm(be.isa(), &attn, &shard.w_o, partial);
                         timing::record_matmul(t_mm.elapsed());
                     });
                 }
@@ -331,15 +312,15 @@ impl TensorParallelExecutor {
                         let shard = &worker.layers[layer_idx];
                         let mut mid = vec![0.0f32; n * ml];
                         let t_mm = Instant::now();
-                        be.matmul_serial(hst, &shard.w_fc, n, h, ml, &mut mid);
+                        gemm(be.isa(), hst, &shard.w_fc, &mut mid);
                         timing::record_matmul(t_mm.elapsed());
                         let mut clock = OpClock::start();
                         add_bias(&mut mid, &shard.b_fc);
                         clock.elementwise();
-                        gelu(&mut mid);
+                        gelu(be.isa(), &mut mid);
                         clock.activation();
                         let t_mm = Instant::now();
-                        be.matmul_serial(&mid, &shard.w_proj, n, ml, h, partial);
+                        gemm(be.isa(), &mid, &shard.w_proj, partial);
                         timing::record_matmul(t_mm.elapsed());
                     });
                 }
@@ -355,14 +336,7 @@ impl TensorParallelExecutor {
         let vocab = cfg.vocab_size;
         let mut logits = vec![0.0f32; inputs.len() * vocab];
         clock.elementwise();
-        be.matmul_logits(
-            &last,
-            &self.model.wte_t,
-            inputs.len(),
-            h,
-            vocab,
-            &mut logits,
-        );
+        be.matmul_logits(&last, &self.model.lm_head, &mut logits);
         logits
     }
 }

@@ -9,6 +9,7 @@
 use crate::attention::SeqRows;
 use crate::backend::{self, KernelBackend};
 use crate::config::{ModelConfig, PositionEncoding};
+use crate::gemm::Panels;
 use crate::kv_cache::KvPool;
 use crate::ops::timing::OpClock;
 use crate::ops::{add_bias, add_inplace, gelu, layer_norm};
@@ -33,7 +34,8 @@ pub(crate) fn apply_rope(v: &mut [f32], position: usize, head_dim: usize) {
     }
 }
 
-/// Weights of one decoder layer.
+/// Weights of one decoder layer. The projections are stored only packed,
+/// in the GEMM's stripe-major panels.
 #[derive(Debug, Clone)]
 pub struct LayerWeights {
     /// Pre-attention layer-norm gain/bias.
@@ -41,11 +43,11 @@ pub struct LayerWeights {
     /// Pre-attention layer-norm bias.
     pub ln1_b: Vec<f32>,
     /// Fused QKV projection, `hidden × 3·hidden` (columns: Q, K, V).
-    pub w_qkv: Vec<f32>,
+    pub w_qkv: Panels,
     /// QKV bias, `3·hidden`.
     pub b_qkv: Vec<f32>,
     /// Attention output projection, `hidden × hidden`.
-    pub w_o: Vec<f32>,
+    pub w_o: Panels,
     /// Output projection bias.
     pub b_o: Vec<f32>,
     /// Pre-MLP layer-norm gain.
@@ -53,11 +55,11 @@ pub struct LayerWeights {
     /// Pre-MLP layer-norm bias.
     pub ln2_b: Vec<f32>,
     /// MLP up projection, `hidden × 4·hidden`.
-    pub w_fc: Vec<f32>,
+    pub w_fc: Panels,
     /// MLP up bias.
     pub b_fc: Vec<f32>,
     /// MLP down projection, `4·hidden × hidden`.
-    pub w_proj: Vec<f32>,
+    pub w_proj: Panels,
     /// MLP down bias.
     pub b_proj: Vec<f32>,
 }
@@ -70,12 +72,9 @@ pub struct Transformer {
     pub config: ModelConfig,
     /// Token embedding, `vocab × hidden` (tied with the LM head).
     pub wte: Vec<f32>,
-    /// Transposed token embedding, `hidden × vocab` — precomputed once so
-    /// the LM-head projection runs through the blocked [`matmul`] kernel.
-    /// Derived from [`Self::wte`]; not serialized by checkpoints.
-    ///
-    /// [`matmul`]: crate::ops::matmul
-    pub wte_t: Vec<f32>,
+    /// The LM head, `hidden × vocab`: [`Self::wte`] transposed, packed.
+    /// Derived; not serialized by checkpoints.
+    pub lm_head: Panels,
     /// Positional embedding, `max_position × hidden`.
     pub wpe: Vec<f32>,
     /// Decoder layers.
@@ -113,13 +112,24 @@ impl InitRng {
     fn normal_vec(&mut self, len: usize, std: f32) -> Vec<f32> {
         (0..len).map(|_| self.normal(std)).collect()
     }
+
+    /// A `k × n` weight matrix of the values [`Self::normal_vec`] would
+    /// draw, in the same order, packed as they are drawn.
+    fn normal_panels(&mut self, k: usize, n: usize, std: f32) -> Panels {
+        Panels::from_fn(k, n, |_, _| self.normal(std))
+    }
+}
+
+/// The LM head of a tied `vocab × hidden` embedding: its transpose, packed.
+pub(crate) fn lm_head(wte: &[f32], vocab: usize, hidden: usize) -> Panels {
+    Panels::from_fn(hidden, vocab, |p, token| wte[token * hidden + p])
 }
 
 impl Transformer {
     /// The kernel backend serving this model, resolved from
     /// [`ModelConfig::backend`].
     #[must_use]
-    pub fn backend(&self) -> &'static dyn KernelBackend {
+    pub fn backend(&self) -> KernelBackend {
         backend::by_kind(self.config.backend)
     }
 
@@ -138,23 +148,22 @@ impl Transformer {
             .map(|_| LayerWeights {
                 ln1_g: vec![1.0; h],
                 ln1_b: vec![0.0; h],
-                w_qkv: rng.normal_vec(h * 3 * h, std),
+                w_qkv: rng.normal_panels(h, 3 * h, std),
                 b_qkv: rng.normal_vec(3 * h, std / 4.0),
-                w_o: rng.normal_vec(h * h, std),
+                w_o: rng.normal_panels(h, h, std),
                 b_o: rng.normal_vec(h, std / 4.0),
                 ln2_g: vec![1.0; h],
                 ln2_b: vec![0.0; h],
-                w_fc: rng.normal_vec(h * 4 * h, std),
+                w_fc: rng.normal_panels(h, 4 * h, std),
                 b_fc: rng.normal_vec(4 * h, std / 4.0),
-                w_proj: rng.normal_vec(4 * h * h, std),
+                w_proj: rng.normal_panels(4 * h, h, std),
                 b_proj: rng.normal_vec(h, std / 4.0),
             })
             .collect();
         let wte = rng.normal_vec(config.vocab_size * h, 0.5);
-        let wte_t = crate::ops::transpose(&wte, config.vocab_size, h);
         Self {
+            lm_head: lm_head(&wte, config.vocab_size, h),
             wte,
-            wte_t,
             wpe: rng.normal_vec(config.max_position * h, 0.1),
             layers,
             ln_f_g: vec![1.0; h],
@@ -235,7 +244,7 @@ impl Transformer {
             let mut hst = x.clone();
             layer_norm(&mut hst, &lw.ln1_g, &lw.ln1_b, LN_EPS);
             clock.elementwise();
-            be.matmul(&hst, &lw.w_qkv, n, h, 3 * h, &mut qkv);
+            be.matmul(&hst, &lw.w_qkv, &mut qkv);
             clock.skip();
             add_bias(&mut qkv, &lw.b_qkv);
 
@@ -282,7 +291,7 @@ impl Transformer {
                 workers,
                 &mut attn,
             );
-            be.matmul(&attn, &lw.w_o, n, h, h, &mut proj);
+            be.matmul(&attn, &lw.w_o, &mut proj);
             clock.skip();
             add_bias(&mut proj, &lw.b_o);
             add_inplace(&mut x, &proj);
@@ -291,21 +300,19 @@ impl Transformer {
             let mut hst = x.clone();
             layer_norm(&mut hst, &lw.ln2_g, &lw.ln2_b, LN_EPS);
             clock.elementwise();
-            be.matmul(&hst, &lw.w_fc, n, h, 4 * h, &mut mlp_mid);
+            be.matmul(&hst, &lw.w_fc, &mut mlp_mid);
             clock.skip();
             add_bias(&mut mlp_mid, &lw.b_fc);
             clock.elementwise();
-            gelu(&mut mlp_mid);
+            gelu(be.isa(), &mut mlp_mid);
             clock.activation();
-            be.matmul(&mlp_mid, &lw.w_proj, n, 4 * h, h, &mut proj);
+            be.matmul(&mlp_mid, &lw.w_proj, &mut proj);
             clock.skip();
             add_bias(&mut proj, &lw.b_proj);
             add_inplace(&mut x, &proj);
         }
 
-        // Final norm + tied-embedding LM head on each sequence's last row,
-        // via the pre-transposed hidden × vocab copy so the blocked kernel
-        // streams both operands row-major.
+        // Final norm + tied-embedding LM head on each sequence's last row.
         let mut last = if n > inputs.len() {
             last_rows(&x, inputs, h)
         } else {
@@ -315,7 +322,7 @@ impl Transformer {
         let vocab = self.config.vocab_size;
         let mut logits = vec![0.0f32; inputs.len() * vocab];
         clock.elementwise();
-        be.matmul_logits(&last, &self.wte_t, inputs.len(), h, vocab, &mut logits);
+        be.matmul_logits(&last, &self.lm_head, &mut logits);
         logits
     }
 

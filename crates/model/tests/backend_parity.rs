@@ -11,6 +11,8 @@
 //!   serving with the quant-kv8 backend must emit exactly the token stream
 //!   the scalar backend emits — the capacity win may not change greedy
 //!   output on these prompts.
+//! - **Scalar ≡ simd, bit for bit**: the two run the same kernel bodies
+//!   under different instruction sets, so their logits are equal.
 
 use proptest::prelude::*;
 
@@ -163,13 +165,42 @@ fn quant_greedy_decode_matches_scalar_on_golden_prompts() {
     );
 }
 
+/// Logits bits of a prefill and then a stacked decode step of every golden
+/// prompt.
+fn logits_bits(kind: BackendKind) -> Vec<u32> {
+    let config = small_config(kind);
+    let model = vllm_model::Transformer::new(config.clone());
+    let mut kv = KvPool::new(config.n_layers, 3 * 2, BLOCK_SIZE, config.hidden);
+    let prompts: [&[u32]; 3] = [
+        &[1, 2, 3, 4, 5],
+        &[7, 11, 13],
+        &[100, 50, 25, 12, 6, 3, 1, 9],
+    ];
+    let tables: Vec<Vec<usize>> = (0..prompts.len()).map(|i| vec![2 * i, 2 * i + 1]).collect();
+    let mut logits = Vec::new();
+    for (prompt, table) in prompts.iter().zip(&tables) {
+        let positions: Vec<usize> = (0..prompt.len()).collect();
+        logits.extend(model.forward_paged(prompt, &positions, &mut kv, table));
+    }
+    let decode: Vec<SeqInput<'_>> = prompts
+        .iter()
+        .zip(&tables)
+        .map(|(prompt, table)| SeqInput {
+            tokens: &prompt[..1],
+            first_position: prompt.len(),
+            block_table: table,
+        })
+        .collect();
+    logits.extend(model.forward(&decode, &mut kv));
+    logits.iter().map(|v| v.to_bits()).collect()
+}
+
 #[test]
-fn simd_greedy_decode_matches_scalar_on_golden_prompts() {
-    let scalar = greedy_tokens(BackendKind::Scalar);
-    let simd = greedy_tokens(BackendKind::Simd);
+fn simd_logits_are_bit_identical_to_scalar_on_golden_prompts() {
     assert_eq!(
-        scalar, simd,
-        "simd greedy decode diverged from scalar on golden seed prompts"
+        logits_bits(BackendKind::Scalar),
+        logits_bits(BackendKind::Simd),
+        "simd logits differ from scalar's on golden seed prompts"
     );
 }
 

@@ -25,7 +25,7 @@ cargo run --release -q -p vllm-bench --bin telemetry -- --ci
 echo "==> cluster routing check + handoff codec gate (binary round trip >= 5x the hex edge on 32 KB and 64 KB blocks, median of paired rounds)"
 cargo run --release -q -p vllm-bench --bin cluster -- --ci
 
-echo "==> kernel bench gate (all backends: batched >= 2x seed, simd GEMM >= 1.3x scalar and vector GELU >= 4x libm as medians of paired rounds, simd paged attention >= 2x the contiguous oracle at 2k / 1.5x at 32k, >= 1.15x scalar at both, >= 3.5x the oracle on the decode_heavy batch as a median of paired rounds, quant-kv8 blocks >= 1.8x at equal bytes)"
+echo "==> kernel bench gate (all backends: batched >= 2x seed; every ISA's GEMM bit-identical to the portable one, the shared_prefix GEMM shapes timed per ISA; simd one-row GEMM >= 1.0x portable and vector GELU >= 4x libm as medians of paired rounds, simd paged attention >= 2x the contiguous oracle at 2k / 1.5x at 32k, >= 1.15x scalar at both, >= 3.5x the oracle on the decode_heavy batch as a median of paired rounds, quant-kv8 blocks >= 1.8x at equal bytes)"
 cargo run --release -q -p vllm-bench --bin kernels -- --ci
 
 echo "==> fault-injection soak gate (kill/swap-exhaust, zero loss, deterministic)"

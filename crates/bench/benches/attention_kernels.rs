@@ -5,7 +5,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use vllm_model::{backend, contiguous_attention_decode, pool, KvPool, SeqRows};
+use vllm_core::Env;
+use vllm_model::backend::{self, KernelBackend};
+use vllm_model::{contiguous_attention_decode, pool, KvPool, SeqRows};
 
 const N_HEADS: usize = 8;
 const HEAD_DIM: usize = 64;
@@ -23,9 +25,14 @@ fn fill(seed: u64, len: usize) -> Vec<f32> {
         .collect()
 }
 
+/// The backend `VLLM_KERNEL_BACKEND` selects.
+fn selected() -> KernelBackend {
+    backend::by_kind(Env::global().kernel_backend)
+}
+
 fn build_pool(k: &[f32], v: &[f32], ctx: usize, block_size: usize) -> (KvPool, Vec<usize>) {
     let n_blocks = ctx.div_ceil(block_size);
-    let element = backend::selected().kv_layout().element;
+    let element = selected().kv_layout().element;
     let mut pool = KvPool::with_element(1, n_blocks + 1, block_size, HIDDEN, element);
     let table: Vec<usize> = (0..n_blocks).map(|j| n_blocks - j).collect();
     for t in 0..ctx {
@@ -68,7 +75,7 @@ fn bench_attention(c: &mut Criterion) {
                 &ctx,
                 |b, &ctx| {
                     b.iter(|| {
-                        backend::selected().paged_attention(
+                        selected().paged_attention(
                             black_box(&q),
                             black_box(&pool),
                             0,

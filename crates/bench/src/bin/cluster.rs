@@ -37,13 +37,12 @@
 use std::fmt::Write as _;
 use std::hint::black_box;
 
-use vllm_bench::{best_ns, interleaved_rounds_ns, paired_speedup};
+use vllm_bench::{best_ns, interleaved_rounds_ns, paired_speedup, Gates};
 use vllm_cluster::{
     ClusterConfig, ClusterReport, ClusterRequest, ClusterSystem, RoutePolicy, RouterConfig,
 };
 use vllm_core::telemetry::MetricsSnapshot;
-use vllm_core::{HandoffPayload, KvBlockBytes, PreemptionMode, TokenId};
-use vllm_model::BackendKind;
+use vllm_core::{Env, HandoffPayload, KvBlockBytes, PreemptionMode, TokenId};
 use vllm_sim::{sim_prompt_tokens, ServerConfig, VllmSimSystem};
 
 /// Distinct shared prefixes (system prompts) in the trace.
@@ -364,7 +363,7 @@ fn main() {
 
     // JSON artifact. The backend field records which kernel backend the
     // environment selects for real serving runs alongside these sim numbers.
-    let backend = BackendKind::from_env().name();
+    let backend = Env::global().kernel_backend.name();
     let mut json = String::new();
     write!(
         json,
@@ -403,13 +402,8 @@ fn main() {
         return;
     }
 
-    let mut failures = 0usize;
-    let mut check = |ok: bool, what: &str| {
-        if !ok {
-            eprintln!("FAIL: {what}");
-            failures += 1;
-        }
-    };
+    let mut gates = Gates::default();
+    let mut check = |ok: bool, what: &str| gates.check(ok, what);
 
     for c in &codec {
         check(
@@ -558,10 +552,7 @@ fn main() {
         }
     }
 
-    if failures > 0 {
-        eprintln!("cluster CI check: {failures} failure(s)");
-        std::process::exit(1);
-    }
+    gates.finish("cluster CI check");
     println!(
         "cluster CI check OK: jsq {:.2}x, prefix-affinity {:.2}x single throughput, hit rate {:.0}% vs {:.0}%",
         runs[1].0.throughput / c1,

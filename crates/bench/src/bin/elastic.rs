@@ -3,7 +3,7 @@
 //!
 //! Two KV layouts are swept (Fig. 12-style rate sweep each):
 //!
-//! * **scalar** — fp16 KV, the paper's Table 1 budget.
+//! * **simd** — fp16 KV, the paper's Table 1 budget.
 //! * **quant-kv8** — int8 KV halves the bytes per token, doubling the slot
 //!   count the same byte budget buys.
 //!
@@ -16,7 +16,7 @@
 //! writes its artifact under `target/ci-elastic/`, exiting non-zero on any
 //! failure.
 
-use vllm_bench::{append_trajectory, repo_root, SystemKind};
+use vllm_bench::{append_trajectory, repo_root, Gates, SystemKind};
 use vllm_sim::{
     run_trace_with_timeline, trace_to_requests, CostModel, RunReport, ServerConfig,
     ACTIVATION_RESERVE_FRACTION,
@@ -47,7 +47,7 @@ struct Row {
 
 /// The small test server: OPT-13B shape with memory trimmed so sweeps run
 /// in seconds (~4.6K KV slots at fp16).
-fn scalar_server() -> ServerConfig {
+fn simd_server() -> ServerConfig {
     let mut cfg = ServerConfig::opt_13b_1gpu();
     cfg.gpu.mem_bytes_per_gpu = 30e9;
     cfg
@@ -58,7 +58,7 @@ fn scalar_server() -> ServerConfig {
 /// memory whose KV budget is doubled at unchanged weights and reserve
 /// fraction.
 fn quant_kv8_server() -> ServerConfig {
-    let base = scalar_server();
+    let base = simd_server();
     let kv2 = 2.0 * base.kv_cache_bytes();
     let mut cfg = base;
     cfg.gpu.mem_bytes_per_gpu = (kv2 + base.model.weight_bytes())
@@ -124,10 +124,8 @@ fn row_json(r: &Row) -> String {
 fn main() {
     let ci = std::env::args().any(|a| a == "--ci");
 
-    let layouts: [(&'static str, ServerConfig); 2] = [
-        ("scalar", scalar_server()),
-        ("quant-kv8", quant_kv8_server()),
-    ];
+    let layouts: [(&'static str, ServerConfig); 2] =
+        [("simd", simd_server()), ("quant-kv8", quant_kv8_server())];
 
     let mut rows: Vec<Row> = Vec::new();
     for (layout, server) in layouts {
@@ -176,13 +174,8 @@ fn main() {
         return;
     }
 
-    let mut failures = 0usize;
-    let mut check = |ok: bool, what: &str| {
-        if !ok {
-            eprintln!("FAIL: {what}");
-            failures += 1;
-        }
-    };
+    let mut gates = Gates::default();
+    let mut check = |ok: bool, what: &str| gates.check(ok, what);
 
     let find = |layout: &str, system: &str, rate: f64| -> &Row {
         rows.iter()
@@ -192,7 +185,7 @@ fn main() {
             .unwrap_or_else(|| panic!("missing row {layout}/{system}/{rate}"))
     };
 
-    for layout in ["scalar", "quant-kv8"] {
+    for layout in ["simd", "quant-kv8"] {
         for rate in RATES {
             let fixed = find(layout, "vLLM", rate);
             let elastic = find(layout, "vLLM (elastic)", rate);
@@ -227,20 +220,17 @@ fn main() {
 
     // quant-kv8 doubles the slot budget, which must not lower the peak batch.
     for rate in RATES {
-        let scalar = find("scalar", "vLLM (elastic)", rate);
+        let simd = find("simd", "vLLM (elastic)", rate);
         let quant = find("quant-kv8", "vLLM (elastic)", rate);
         check(
-            quant.peak_running >= scalar.peak_running,
+            quant.peak_running >= simd.peak_running,
             &format!(
-                "quant-kv8@{rate}: peak batch {} < scalar {}",
-                quant.peak_running, scalar.peak_running
+                "quant-kv8@{rate}: peak batch {} < simd {}",
+                quant.peak_running, simd.peak_running
             ),
         );
     }
 
-    if failures > 0 {
-        eprintln!("{failures} elastic capacity check(s) failed");
-        std::process::exit(1);
-    }
+    gates.finish("elastic capacity CI gate");
     println!("elastic capacity CI gate passed");
 }

@@ -23,6 +23,7 @@
 
 use std::fmt::Write as _;
 
+use vllm_bench::Gates;
 use vllm_cluster::{
     ClusterRequest, FaultCluster, FaultClusterConfig, FaultKind, FaultPlan, FaultReport,
     RoutePolicy,
@@ -191,13 +192,8 @@ fn main() {
         return;
     }
 
-    let mut failures = 0usize;
-    let mut check = |ok: bool, what: &str| {
-        if !ok {
-            eprintln!("FAIL: {what}");
-            failures += 1;
-        }
-    };
+    let mut gates = Gates::default();
+    let mut check = |ok: bool, what: &str| gates.check(ok, what);
 
     // Exactly-once delivery under kill + swap exhaustion.
     check(scenario.kills == 1, "scenario: expected exactly one kill");
@@ -295,9 +291,6 @@ fn main() {
         );
     }
 
-    if failures > 0 {
-        eprintln!("{failures} fault-injection check(s) failed");
-        std::process::exit(1);
-    }
+    gates.finish("fault-injection CI gate");
     println!("fault-injection CI gate passed");
 }

@@ -1,15 +1,17 @@
-//! Numeric-layer microbenchmarks across the pluggable kernel backends.
+//! Numeric-layer microbenchmarks across the kernel backends and the
+//! instruction sets their kernels are compiled for.
 //!
-//! For every [`BackendKind`] (scalar, simd, quant-kv8) the bench measures
-//! decode throughput (per-sequence and batched) against the seed
-//! repository's scalar baseline, serial GEMM at the prefill shape and at
-//! the one-row decode shape under the backend's instruction set against the
-//! portable one, the PagedAttention kernel (one decode call at
-//! context 256 / 2048 / 32768 and one 256-row prefill at the bench model's
-//! 8 × 32 shape, and at the serving bench's 8 × 8 shape the `decode_heavy`
-//! batch — eight one-row sequences at context 160 — and one 160-row prefill,
-//! then that batch once more at 4 × 12, a shape only the run-time-shape
-//! instance of the kernel body takes:
+//! For each [`BackendKind`] (simd, quant-kv8 — both on the best instruction
+//! set this CPU has) the bench measures decode throughput (per-sequence and
+//! batched) against the seed repository's scalar baseline, serial GEMM at
+//! the prefill shape and at the one-row decode shape under the backend's
+//! instruction set against the portable one, and the PagedAttention kernel
+//! over the backend's KV element under every instruction set the CPU has
+//! (one decode call at context 256 / 2048 / 32768 and one 256-row prefill
+//! at the bench model's 8 × 32 shape, and at the serving bench's 8 × 8
+//! shape the `decode_heavy` batch — eight one-row sequences at context 160
+//! — and one 160-row prefill, then that batch once more at 4 × 12, a shape
+//! only the run-time-shape instance of the kernel body takes:
 //! ns, ns per (row·tile), computed KV bytes, GB/s) beside the same kernel
 //! over an identity block table on one contiguous slab — what the block
 //! table costs, Fig. 18a's question, per backend — and beside the
@@ -64,16 +66,15 @@
 //!
 //! # What changed them (PR 19)
 //!
-//! - *one kernel body for all backends*: the scalar backend's attention is
-//!   the simd backend's compiled for the baseline instruction set, so
-//!   `attn_*_vs_scalar` now measures AVX2 against SSE width on the same
-//!   loops — 1.3–1.4× at 2048, and 1.12–1.32× at 32768 where both wait on
-//!   memory (the scalar backend gained more than simd did: 2.4× against
-//!   1.7× on the `decode_heavy` batch). The 1.15× floor at 32768 is left
-//!   where it was. It is marginal: the lowest of this tree's runs read
-//!   under it, and the parent's binary read 1.06–1.14× in all seven of its
-//!   runs. What the ratio should be now, or whether it still says anything,
-//!   is ROADMAP item 2h, not a number to move here.
+//! - *one kernel body for all backends*: the then `scalar` backend's
+//!   attention was the simd backend's compiled for the baseline instruction
+//!   set, so their ratio measured AVX2 against SSE width on the same loops
+//!   — 1.3–1.4× at 2048, and 1.12–1.32× at 32768 where both wait on memory
+//!   (the portable instance gained more than simd did: 2.4× against 1.7× on
+//!   the `decode_heavy` batch). A 1.15× floor on that ratio read under it
+//!   on some runs; the ratio is now recorded per instruction set
+//!   (`attn_<case>_<isa>_ns`, `attn_<case>_vs_portable`), not gated — see
+//!   "One served instruction set" below.
 //! - *what the block table costs* (`attn_*_indirection_cost`, Fig. 18a's
 //!   question — the same kernel over a reversed table against an identity
 //!   table on one slab): within ±5 % while the KV fits a cache level, 13–19 %
@@ -84,11 +85,19 @@
 //! - *one GEMM body over stripe-major panels*, compiled per instruction set:
 //!   the one-row product reads each 16-column stripe front to back instead
 //!   of one cache line per `k` at an `n · 4`-byte stride. The `gemm_*`
-//!   fields now compare one body under two instruction sets (the scalar
-//!   backend's is the portable one), and every set gives the same bits:
-//!   `gemm_m1_speedup_vs_scalar` went 0.51 → 2.1–2.2 (AVX-512 against
-//!   portable), the 16-row shape 1.6 → 2.7–2.9, and the `simd ≥ 1.3×
-//!   scalar` GEMM gate became the bit-identity and one-row gates below.
+//!   fields compare one body under two instruction sets, and every set
+//!   gives the same bits: the one-row speedup against the portable instance
+//!   went 0.51 → 2.1–2.2 (AVX-512), the 16-row shape 1.6 → 2.7–2.9.
+//!
+//! # One served instruction set
+//!
+//! The `scalar` backend, the portable instance served by name, is gone:
+//! it gave `simd`'s bits more slowly. Both backends run the best
+//! instruction set, so quant-kv8 attention is no longer portable code, and
+//! the portable instance is what every other instance is checked against.
+//! Attention now has the GEMM's form: every instruction set's kernel is
+//! timed over both KV elements and gated bit-identical to the portable one,
+//! and the speed ratio between instruction sets is recorded, not gated.
 //!
 //! Each run *appends* one record set — one flat JSON line per backend,
 //! tagged with `commit` and `nproc` — to `BENCH_kernels.json`, which is
@@ -97,28 +106,29 @@
 //! With `--ci` it gates:
 //! - per backend: batched logits bit-identical to per-sequence decode,
 //!   kernel counters advancing;
-//! - scalar: batched decode ≥ 2× the seed scalar path at batch 16;
+//! - simd: batched decode ≥ 2× the seed scalar path at batch 16;
 //! - every instruction set's serial GEMM bit-identical to the portable one
-//!   on every GEMM cell;
+//!   on every GEMM cell, and every instruction set's attention bit-identical
+//!   to the portable one on every attention cell over both KV elements;
 //! - simd: the one-row GEMM ≥ 1.0× the portable instance (paired);
 //! - vector GELU ≥ 4× the libm `tanh` form (paired);
 //! - simd: paged decode attention ≥ 2× the contiguous oracle at context
-//!   2048 and ≥ 1.5× at 32768, and ≥ 1.15× the scalar backend at both (see
-//!   "What the numbers said" above for why not 2× and 1.5×, and "What
-//!   changed them" for the state of the 32768 one);
+//!   2048 and ≥ 1.5× at 32768 (see "What the numbers said" above for why
+//!   not 2× at both);
 //! - simd: the `decode_heavy` batch (`attn_decode_ctl`) ≥ 3.5× the
-//!   contiguous oracle on the same rows (paired; 0.8 × the 4.4× PR 19
-//!   measured);
-//! - quant-kv8: ≥ 1.8× the scalar block capacity at equal cache bytes
+//!   contiguous oracle on the same rows (paired; 0.8 × the 4.4× the
+//!   partitioned kernel measured when it landed);
+//! - quant-kv8: ≥ 1.8× the simd block capacity at equal cache bytes
 //!   (asserted through `BlockSpaceManager`, not just arithmetic) and a
 //!   strictly larger max concurrent batch in the engine simulation;
 //! - JSON round-trip of every record of this run.
 
 use std::time::Instant;
 
-use vllm_bench::{append_trajectory, best_ns, paired_speedup};
+use vllm_bench::{append_trajectory, best_ns, paired_speedup, Gates};
 use vllm_core::DecodingMode;
 use vllm_core::{BlockSpaceManager, CacheConfig, LlmEngine, SamplingParams, SchedulerConfig};
+use vllm_model::attention::paged_attention;
 use vllm_model::backend::{self, BackendKind, KvElement, KvLayout};
 use vllm_model::gemm::{gemm, Panels};
 use vllm_model::ops::{self, timing};
@@ -153,9 +163,8 @@ const GEMM_SERVING: [(usize, usize, usize); 3] = [(33, 256, 768), (33, 256, 1024
 /// instance (paired).
 const GEMM_M1_GATE: f64 = 1.0;
 /// `--ci` floors for simd paged decode attention at each gated context:
-/// `(case, × the contiguous oracle, × the scalar backend)`.
-const SIMD_ATTENTION_GATES: [(&str, f64, f64); 2] =
-    [("decode_2048", 2.0, 1.15), ("decode_32768", 1.5, 1.15)];
+/// `(case, × the contiguous oracle)`.
+const SIMD_ATTENTION_GATES: [(&str, f64); 2] = [("decode_2048", 2.0), ("decode_32768", 1.5)];
 /// Interleaved timing rounds per microbench cell (the minimum is kept; the
 /// gated ratios are the median of the rounds' paired ratios).
 const ROUNDS: usize = 5;
@@ -294,8 +303,8 @@ type SeedLayer = [Vec<f32>; 4];
 /// The seed repository's per-sequence decode step, reconstructed as the
 /// "old path" throughput baseline: scalar ikj [`ops::matmul_reference`]
 /// for every projection (over row-major copies of the weights) and a scalar
-/// LM-head loop. Attention is today's scalar-backend PagedAttention kernel,
-/// so the ratio isolates the dense kernels and the batching.
+/// LM-head loop. Attention is today's PagedAttention kernel as the portable
+/// instance, so the ratio isolates the dense kernels and the batching.
 fn forward_decode_seed(
     model: &Transformer,
     seed_layers: &[SeedLayer],
@@ -329,7 +338,8 @@ fn forward_decode_seed(
             &qkv[h..2 * h],
             &qkv[2 * h..3 * h],
         );
-        backend::by_kind(BackendKind::Scalar).paged_attention(
+        paged_attention(
+            Isa::Portable,
             &qkv[..h],
             kv,
             li,
@@ -456,7 +466,6 @@ fn bench_gemm_serial((m, k, n): (usize, usize, usize)) -> (Vec<Vec<f64>>, bool) 
             "GEMM diverged from reference: {r} vs {v}"
         );
     }
-    let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     let identical = outs.iter().all(|out| bits(out) == bits(&outs[0]));
     (rounds, identical)
 }
@@ -474,7 +483,7 @@ fn gelu_libm(x: &mut [f32]) {
 /// activations (`GELU_ROWS × 4·hidden` of the bench model), interleaved:
 /// nanoseconds per element in every round, `[vector, libm][round]`.
 fn bench_gelu() -> Vec<Vec<f64>> {
-    let len = GELU_ROWS * 4 * bench_config(BackendKind::Scalar).hidden;
+    let len = GELU_ROWS * 4 * bench_config(BackendKind::Simd).hidden;
     let input: Vec<f32> = fill(21, len).iter().map(|v| v * 4.0).collect();
     let (mut vector, mut libm) = (input.clone(), input.clone());
     let (mut run_vector, mut run_libm) = (
@@ -538,7 +547,10 @@ fn bench_sampler() -> Vec<(String, f64)> {
 
 /// One attention cell's numbers for one backend.
 struct AttnCell {
+    /// The backend's own instruction set, the best one.
     ns: f64,
+    /// Every instruction set of [`isas`], narrowest first.
+    isa_ns: Vec<f64>,
     /// K and V bytes the call reads, computed from the backend's layout.
     kv_bytes: f64,
     oracle_ns: f64,
@@ -549,16 +561,26 @@ struct AttnCell {
     paired_speedup_vs_oracle: f64,
 }
 
-/// The PagedAttention kernel of every backend over [`ATTN_CASES`], each
-/// three ways in one interleaved group: K/V behind a reversed (maximally
-/// non-sequential, sequences interleaved) block table, the same K/V behind
-/// an identity table — the difference is what the block table costs the
-/// walk — and the contiguous two-pass oracle on the same rows. Returns
-/// `[backend][case]` cells.
-fn bench_attention() -> Vec<Vec<AttnCell>> {
+fn bits(x: &[f32]) -> Vec<u32> {
+    x.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The PagedAttention kernel over [`ATTN_CASES`] on every backend's KV
+/// element, in one interleaved group per case: every instruction set of
+/// [`isas`] with the K/V behind a reversed (maximally non-sequential,
+/// sequences interleaved) block table, the backend's own set with the same
+/// K/V behind an identity table — the difference is what the block table
+/// costs the walk — and the contiguous two-pass oracle on the same rows.
+/// Returns `[backend][case]` cells, and whether every instruction set and
+/// both placements gave the portable instance's bits on every cell.
+fn bench_attention() -> (Vec<Vec<AttnCell>>, bool) {
     let kinds = BackendKind::all();
+    let sets = isas();
+    let best = sets.len() - 1;
+    let per_kind = sets.len() + 1;
     let serial = WorkerPool::new(1);
     let mut cells: Vec<Vec<AttnCell>> = kinds.iter().map(|_| Vec::new()).collect();
+    let mut identical = true;
     for case in &ATTN_CASES {
         let AttnCase {
             name,
@@ -609,17 +631,25 @@ fn bench_attention() -> Vec<Vec<AttnCell>> {
         let positions_read: usize = seqs * (ctx - rows..ctx).map(|p| p + 1).sum::<usize>();
         let iters = (1 << 21) / (positions_read * hidden).max(1) + 1;
 
-        // One interleaved group: every backend behind the reversed tables,
-        // every backend behind the identity tables, then the oracle.
-        let placed: Vec<(KvPool, &Vec<Vec<usize>>)> = [&reversed, &identity]
-            .into_iter()
-            .flat_map(|tables| kinds.iter().map(move |&kind| (build(kind, tables), tables)))
+        // Per backend: every set behind the reversed tables, then its own
+        // behind the identity tables; the oracle last.
+        let pools: Vec<[KvPool; 2]> = kinds
+            .iter()
+            .map(|&kind| [build(kind, &reversed), build(kind, &identity)])
             .collect();
-        let mut outs = vec![vec![0.0f32; seqs * rows * hidden]; placed.len() + 1];
-        let (paged_outs, oracle_out) = outs.split_at_mut(placed.len());
+        let (reversed, identity) = (&reversed[..], &identity[..]);
+        let runs: Vec<(Isa, &KvPool, &[Vec<usize>])> = pools
+            .iter()
+            .flat_map(|[scattered, slab]| {
+                let every_set = sets.iter().map(move |&isa| (isa, scattered, reversed));
+                every_set.chain([(Isa::best(), slab, identity)])
+            })
+            .collect();
+        let mut outs = vec![vec![0.0f32; seqs * rows * hidden]; runs.len() + 1];
+        let (paged_outs, oracle_out) = outs.split_at_mut(runs.len());
         let mut fns: Vec<Box<dyn FnMut() + '_>> = Vec::new();
-        for ((&kind, (kv, tables)), out) in kinds.iter().cycle().zip(&placed).zip(paged_outs) {
-            let (q, be) = (&q, backend::by_kind(kind));
+        for (&(isa, kv, tables), out) in runs.iter().zip(paged_outs) {
+            let q = &q;
             let segments: Vec<SeqRows<'_>> = tables
                 .iter()
                 .map(|table| SeqRows {
@@ -629,7 +659,7 @@ fn bench_attention() -> Vec<Vec<AttnCell>> {
                 })
                 .collect();
             fns.push(Box::new(move || {
-                be.paged_attention(q, kv, 0, &segments, n_heads, hd, workers, out);
+                paged_attention(isa, q, kv, 0, &segments, n_heads, hd, workers, out);
             }));
         }
         fns.push(Box::new(|| {
@@ -644,20 +674,29 @@ fn bench_attention() -> Vec<Vec<AttnCell>> {
         let rounds = interleaved_rounds_ns(&mut refs, iters);
         drop(fns);
         let oracle = rounds.last().expect("oracle cell");
-        for (i, &kind) in kinds.iter().enumerate() {
+        for (b, &kind) in kinds.iter().enumerate() {
+            let (first, own) = (b * per_kind, b * per_kind + best);
             let bytes_per_position = backend::by_kind(kind).kv_layout().bytes_per_token(hidden);
-            cells[i].push(AttnCell {
-                ns: best_ns(&rounds[i]),
+            cells[b].push(AttnCell {
+                ns: best_ns(&rounds[own]),
+                isa_ns: rounds[first..first + sets.len()]
+                    .iter()
+                    .map(|r| best_ns(r))
+                    .collect(),
                 kv_bytes: (positions_read * bytes_per_position) as f64,
                 oracle_ns: best_ns(oracle),
-                sequential_table_ns: best_ns(&rounds[kinds.len() + i]),
-                paired_speedup_vs_oracle: paired_speedup(oracle, &rounds[i]),
+                sequential_table_ns: best_ns(&rounds[first + sets.len()]),
+                paired_speedup_vs_oracle: paired_speedup(oracle, &rounds[own]),
             });
-            // Where the blocks sit is invisible in the output, and f32
-            // outputs sit on the oracle (quant-kv8 reads other data).
-            assert_eq!(outs[i], outs[kinds.len() + i], "{} {name}", kind.name());
+            // Neither the instruction set nor where the blocks sit shows in
+            // the output, and f32 outputs sit on the oracle (quant-kv8 reads
+            // other data).
+            let portable = bits(&outs[first]);
+            identical &= outs[first..first + per_kind]
+                .iter()
+                .all(|out| bits(out) == portable);
             if kind != BackendKind::QuantKv8 {
-                for (a, b) in outs[i].iter().zip(&outs[placed.len()]) {
+                for (a, b) in outs[own].iter().zip(&outs[runs.len()]) {
                     assert!(
                         (a - b).abs() < 1e-4,
                         "{} {name}: {a} vs oracle {b}",
@@ -667,7 +706,7 @@ fn bench_attention() -> Vec<Vec<AttnCell>> {
             }
         }
     }
-    cells
+    (cells, identical)
 }
 
 /// GPU block capacity the block manager derives for `kind` at the shared
@@ -819,7 +858,7 @@ fn bench_decode(kind: BackendKind) -> (f64, f64, timing::KernelSnapshot, bool) {
 /// Measures the seed repository's scalar per-sequence decode throughput
 /// once; it is backend-independent (reference kernels, f32 KV).
 fn run_seed_baseline() -> f64 {
-    let config = bench_config(BackendKind::Scalar);
+    let config = bench_config(BackendKind::Simd);
     let vocab = config.vocab_size;
     let model = Transformer::new(config.clone());
     let blocks_per_seq = (PREFILL + WARMUP_STEPS + DECODE_STEPS + 1).div_ceil(BLOCK_SIZE);
@@ -881,13 +920,13 @@ fn print_report(r: &BackendReport) {
         r.logits_match
     );
     println!(
-        "  serial GEMM {GEMM_M}x{GEMM_K}x{GEMM_N}: {:.0} ns ({:.2}x vs scalar backend, {:.2}x paired); 1x{GEMM_K}x{GEMM_N}: {:.0} ns ({:.2}x, {:.2}x paired)",
+        "  serial GEMM {GEMM_M}x{GEMM_K}x{GEMM_N}: {:.0} ns ({:.2}x vs portable, {:.2}x paired); 1x{GEMM_K}x{GEMM_N}: {:.0} ns ({:.2}x, {:.2}x paired)",
         r.get("gemm_serial_ns"),
-        r.get("gemm_speedup_vs_scalar"),
-        r.get("gemm_paired_speedup_vs_scalar"),
+        r.get("gemm_speedup_vs_portable"),
+        r.get("gemm_paired_speedup_vs_portable"),
         r.get("gemm_m1_serial_ns"),
-        r.get("gemm_m1_speedup_vs_scalar"),
-        r.get("gemm_m1_paired_speedup_vs_scalar")
+        r.get("gemm_m1_speedup_vs_portable"),
+        r.get("gemm_m1_paired_speedup_vs_portable")
     );
     for case in &ATTN_CASES {
         let AttnCase {
@@ -900,7 +939,7 @@ fn print_report(r: &BackendReport) {
             ..
         } = *case;
         println!(
-            "  attention {name} ({seqs} x {rows} row(s), context {ctx}, {n_heads} x {head_dim}): {:.0} ns, {:.0} ns per row*tile, {:.2} MB KV, {:.2} GB/s | identity block table {:.0} ns (indirection costs {:+.1}%) | contiguous oracle {:.0} ns ({:.2}x) | {:.2}x vs scalar backend",
+            "  attention {name} ({seqs} x {rows} row(s), context {ctx}, {n_heads} x {head_dim}): {:.0} ns, {:.0} ns per row*tile, {:.2} MB KV, {:.2} GB/s | identity block table {:.0} ns (indirection costs {:+.1}%) | contiguous oracle {:.0} ns ({:.2}x) | {:.2}x vs portable",
             r.get(&format!("attn_{name}_ns")),
             r.get(&format!("attn_{name}_ns_per_row_tile")),
             r.get(&format!("attn_{name}_kv_bytes")) / 1e6,
@@ -909,14 +948,14 @@ fn print_report(r: &BackendReport) {
             r.get(&format!("attn_{name}_indirection_cost")) * 100.0,
             r.get(&format!("attn_{name}_oracle_ns")),
             r.get(&format!("attn_{name}_vs_oracle")),
-            r.get(&format!("attn_{name}_vs_scalar"))
+            r.get(&format!("attn_{name}_vs_portable"))
         );
     }
     println!(
-        "  KV bytes/block {} -> {} GPU blocks at the shared budget ({:.2}x scalar capacity)",
+        "  KV bytes/block {} -> {} GPU blocks at the shared budget ({:.2}x simd capacity)",
         r.get("kv_bytes_per_block"),
         r.get("num_gpu_blocks_at_budget"),
-        r.get("block_capacity_ratio_vs_scalar")
+        r.get("block_capacity_ratio_vs_simd")
     );
     println!(
         "  max concurrent batch in sim ({SIM_REQUESTS} reqs, equal bytes): {}",
@@ -953,10 +992,10 @@ fn main() {
     let gemm_identical = gemm_same.iter().all(|&same| same);
     let gelu_rounds = bench_gelu();
     let sample_us = bench_sampler();
-    let attn = bench_attention();
-    let (_, scalar_blocks) = capacity_at_budget(BackendKind::Scalar);
+    let (attn, attn_identical) = bench_attention();
+    let (_, simd_blocks) = capacity_at_budget(BackendKind::Simd);
 
-    // The scalar backend (first in `all()`) anchors cross-backend ratios.
+    // The simd backend (first in `all()`) anchors cross-backend ratios.
     let reports: Vec<BackendReport> = BackendKind::all()
         .into_iter()
         .enumerate()
@@ -979,8 +1018,8 @@ fn main() {
             r.set("gemm_m", GEMM_M as f64);
             r.set("gemm_k", GEMM_K as f64);
             r.set("gemm_n", GEMM_N as f64);
-            // This backend's instruction set against the portable one (the
-            // scalar backend's) on the same GEMM body.
+            // This backend's instruction set against the portable one on the
+            // same GEMM body.
             let isa = backend::by_kind(kind).isa();
             let i = isas()
                 .iter()
@@ -989,11 +1028,11 @@ fn main() {
             for (prefix, rounds) in [("gemm", &gemm_rounds[0]), ("gemm_m1", &gemm_rounds[1])] {
                 r.set(&format!("{prefix}_serial_ns"), best_ns(&rounds[i]));
                 r.set(
-                    &format!("{prefix}_speedup_vs_scalar"),
+                    &format!("{prefix}_speedup_vs_portable"),
                     best_ns(&rounds[0]) / best_ns(&rounds[i]),
                 );
                 r.set(
-                    &format!("{prefix}_paired_speedup_vs_scalar"),
+                    &format!("{prefix}_paired_speedup_vs_portable"),
                     paired_speedup(&rounds[0], &rounds[i]),
                 );
             }
@@ -1021,7 +1060,13 @@ fn main() {
                     &format!("attn_{name}_paired_speedup_vs_oracle"),
                     cell.paired_speedup_vs_oracle,
                 );
-                r.set(&format!("attn_{name}_vs_scalar"), attn[0][c].ns / cell.ns);
+                for (isa, ns) in isas().iter().zip(&cell.isa_ns) {
+                    r.set(&format!("attn_{name}_{}_ns", isa.name()), *ns);
+                }
+                r.set(
+                    &format!("attn_{name}_vs_portable"),
+                    cell.isa_ns[0] / cell.ns,
+                );
                 // Fig. 18a's question: the same kernel, scattered blocks
                 // against one contiguous slab. Recorded, not gated.
                 r.set(
@@ -1058,8 +1103,8 @@ fn main() {
             r.set("kv_bytes_per_block", bytes_per_block as f64);
             r.set("num_gpu_blocks_at_budget", blocks_at_budget as f64);
             r.set(
-                "block_capacity_ratio_vs_scalar",
-                blocks_at_budget as f64 / scalar_blocks as f64,
+                "block_capacity_ratio_vs_simd",
+                blocks_at_budget as f64 / simd_blocks as f64,
             );
             r.set("max_concurrent_batch", max_concurrent_batch(kind) as f64);
             r
@@ -1072,7 +1117,7 @@ fn main() {
     let shared = &reports[0];
     println!(
         "GELU over {GELU_ROWS} x {} elements: vector {:.2} ns/element, libm tanh {:.2} ns/element ({:.2}x paired)",
-        4 * bench_config(BackendKind::Scalar).hidden,
+        4 * bench_config(BackendKind::Simd).hidden,
         shared.get("gelu_ns_per_element"),
         shared.get("gelu_libm_ns_per_element"),
         shared.get("gelu_paired_speedup_vs_libm")
@@ -1091,6 +1136,7 @@ fn main() {
         println!("serial GEMM {m}x{k}x{n}: {}", per_isa.join(" | "));
     }
     println!("every instruction set's GEMM bit-identical to the portable one: {gemm_identical}");
+    println!("every instruction set's attention bit-identical to the portable one on both KV elements: {attn_identical}");
     println!();
 
     // Append this run's record set: the file is the trajectory.
@@ -1102,13 +1148,8 @@ fn main() {
         return;
     }
 
-    let mut failures = 0usize;
-    let mut check = |ok: bool, what: &str| {
-        if !ok {
-            eprintln!("FAIL: {what}");
-            failures += 1;
-        }
-    };
+    let mut gates = Gates::default();
+    let mut check = |ok: bool, what: &str| gates.check(ok, what);
 
     let by_name = |name: &str| -> &BackendReport {
         reports
@@ -1116,7 +1157,6 @@ fn main() {
             .find(|r| r.backend == name)
             .expect("all backends benched")
     };
-    let scalar = by_name("scalar");
     let simd = by_name("simd");
     let quant = by_name("quant-kv8");
 
@@ -1139,10 +1179,10 @@ fn main() {
         );
     }
     check(
-        scalar.get("batched_decode_speedup") >= 2.0,
+        simd.get("batched_decode_speedup") >= 2.0,
         &format!(
-            "scalar batched decode speedup {:.2}x is below the 2x gate at batch {BATCH}",
-            scalar.get("batched_decode_speedup")
+            "simd batched decode speedup {:.2}x is below the 2x gate at batch {BATCH}",
+            simd.get("batched_decode_speedup")
         ),
     );
     check(
@@ -1150,29 +1190,28 @@ fn main() {
         "an instruction set's GEMM differs from the portable one's bits",
     );
     check(
-        simd.get("gemm_m1_paired_speedup_vs_scalar") >= GEMM_M1_GATE,
+        attn_identical,
+        "an instruction set's attention differs from the portable one's bits",
+    );
+    check(
+        simd.get("gemm_m1_paired_speedup_vs_portable") >= GEMM_M1_GATE,
         &format!(
             "simd one-row GEMM is {:.2}x the portable instance (median of {ROUNDS} paired rounds), below the {GEMM_M1_GATE}x gate",
-            simd.get("gemm_m1_paired_speedup_vs_scalar")
+            simd.get("gemm_m1_paired_speedup_vs_portable")
         ),
     );
     check(
-        scalar.get("gelu_paired_speedup_vs_libm") >= GELU_GATE,
+        simd.get("gelu_paired_speedup_vs_libm") >= GELU_GATE,
         &format!(
             "vector GELU is {:.2}x libm's tanh form (median of {ROUNDS} paired rounds), below the {GELU_GATE}x gate",
-            scalar.get("gelu_paired_speedup_vs_libm")
+            simd.get("gelu_paired_speedup_vs_libm")
         ),
     );
-    for (name, oracle_gate, scalar_gate) in SIMD_ATTENTION_GATES {
+    for (name, oracle_gate) in SIMD_ATTENTION_GATES {
         let vs_oracle = simd.get(&format!("attn_{name}_vs_oracle"));
         check(
             vs_oracle >= oracle_gate,
             &format!("simd paged attention {name} is {vs_oracle:.2}x the contiguous oracle, below the {oracle_gate}x gate"),
-        );
-        let vs_scalar = simd.get(&format!("attn_{name}_vs_scalar"));
-        check(
-            vs_scalar >= scalar_gate,
-            &format!("simd paged attention {name} is {vs_scalar:.2}x the scalar backend, below the {scalar_gate}x gate"),
         );
     }
     let decode_ctl = simd.get("attn_decode_ctl_paired_speedup_vs_oracle");
@@ -1181,19 +1220,19 @@ fn main() {
         &format!("simd paged attention on the decode_heavy batch is {decode_ctl:.2}x the contiguous oracle (median of {ROUNDS} paired rounds), below the {DECODE_CTL_ORACLE_GATE}x gate"),
     );
     check(
-        quant.get("num_gpu_blocks_at_budget") >= 1.8 * scalar.get("num_gpu_blocks_at_budget"),
+        quant.get("num_gpu_blocks_at_budget") >= 1.8 * simd.get("num_gpu_blocks_at_budget"),
         &format!(
-            "quant-kv8 block capacity {} is below 1.8x the scalar capacity {} at equal bytes",
+            "quant-kv8 block capacity {} is below 1.8x the simd capacity {} at equal bytes",
             quant.get("num_gpu_blocks_at_budget"),
-            scalar.get("num_gpu_blocks_at_budget")
+            simd.get("num_gpu_blocks_at_budget")
         ),
     );
     check(
-        quant.get("max_concurrent_batch") > scalar.get("max_concurrent_batch"),
+        quant.get("max_concurrent_batch") > simd.get("max_concurrent_batch"),
         &format!(
-            "quant-kv8 max concurrent batch {} does not exceed scalar's {} at equal bytes",
+            "quant-kv8 max concurrent batch {} does not exceed simd's {} at equal bytes",
             quant.get("max_concurrent_batch"),
-            scalar.get("max_concurrent_batch")
+            simd.get("max_concurrent_batch")
         ),
     );
 
@@ -1223,9 +1262,6 @@ fn main() {
         }
     }
 
-    if failures > 0 {
-        eprintln!("kernels bench CI: {failures} failure(s)");
-        std::process::exit(1);
-    }
+    gates.finish("kernels bench CI");
     println!("kernels bench CI OK");
 }

@@ -9,7 +9,7 @@
 //!   throughput; the CI gate requires chunked p99 TTFT to improve while
 //!   throughput stays within tolerance ("equal throughput").
 //! * **bit_identity** — the real CPU engine on every kernel backend
-//!   (scalar / simd / quant-kv8): greedy outputs and cumulative logprobs
+//!   (simd / quant-kv8): greedy outputs and cumulative logprobs
 //!   must be *bit-identical* between chunked and unchunked runs (the
 //!   k-only accumulation-order contract of the prefill kernels).
 //! * **smoke32k** — a 32k-token synthetic long-context prompt streamed
@@ -23,7 +23,7 @@
 use std::fmt::Write as _;
 
 use vllm_baselines::types::BatchSystem;
-use vllm_bench::{append_trajectory, repo_root};
+use vllm_bench::{append_trajectory, repo_root, Gates};
 use vllm_core::config::{CacheConfig, PreemptionMode, SchedulerConfig};
 use vllm_core::engine::{LlmEngine, RequestOutput};
 use vllm_core::sampling::SamplingParams;
@@ -295,11 +295,7 @@ fn main() {
     // Section 2: chunked/unchunked bit identity on the real engine.
     println!("\n== greedy bit-identity: chunked vs unchunked, per backend ==");
     let mut identities: Vec<IdentityRow> = Vec::new();
-    for kind in [
-        BackendKind::Scalar,
-        BackendKind::Simd,
-        BackendKind::QuantKv8,
-    ] {
+    for kind in BackendKind::all() {
         for budget in [5usize, 16] {
             let ok = bit_identical(kind, budget);
             println!(
@@ -361,13 +357,8 @@ fn main() {
         return;
     }
 
-    let mut failures = 0usize;
-    let mut check = |ok: bool, what: &str| {
-        if !ok {
-            eprintln!("FAIL: {what}");
-            failures += 1;
-        }
-    };
+    let mut gates = Gates::default();
+    let mut check = |ok: bool, what: &str| gates.check(ok, what);
 
     let base = &mixed[0];
     let gated = mixed
@@ -440,9 +431,6 @@ fn main() {
         ),
     );
 
-    if failures > 0 {
-        eprintln!("{failures} chunked-prefill check(s) failed");
-        std::process::exit(1);
-    }
+    gates.finish("chunked-prefill CI gate");
     println!("chunked-prefill CI gate passed");
 }

@@ -11,7 +11,7 @@
 //! lossless text/JSON round-trips), writes its artifacts under
 //! `target/ci-telemetry/`, and exits non-zero on any failure.
 
-use vllm_bench::write_metrics_artifacts;
+use vllm_bench::{write_metrics_artifacts, Gates};
 use vllm_core::config::PreemptionMode;
 use vllm_core::telemetry::{MetricValue, MetricsSnapshot};
 use vllm_sim::{run_trace_instrumented, trace_to_requests, CostModel, ServerConfig, VllmSimSystem};
@@ -123,13 +123,8 @@ fn run_ci() {
     );
     let snap_b = system.engine().metrics_snapshot();
 
-    let mut failures = 0usize;
-    let mut check = |ok: bool, what: &str| {
-        if !ok {
-            eprintln!("FAIL: {what}");
-            failures += 1;
-        }
-    };
+    let mut gates = Gates::default();
+    let mut check = |ok: bool, what: &str| gates.check(ok, what);
 
     check(!snap_b.metrics.is_empty(), "snapshot is empty");
     for name in REQUIRED_METRICS {
@@ -220,10 +215,7 @@ fn run_ci() {
     write_metrics_artifacts(&snap_b, "target/ci-telemetry", "telemetry")
         .expect("write ci artifacts");
 
-    if failures > 0 {
-        eprintln!("telemetry CI check: {failures} failure(s)");
-        std::process::exit(1);
-    }
+    gates.finish("telemetry CI check");
     println!(
         "telemetry CI check OK: {} metrics, {finished} requests finished",
         snap_b.metrics.len()

@@ -28,6 +28,7 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
+use vllm_bench::Gates;
 use vllm_cluster::{
     ClusterRequest, FaultCluster, FaultClusterConfig, FaultKind, FaultPlan, RoutePolicy,
 };
@@ -240,13 +241,8 @@ fn main() {
         return;
     }
 
-    let mut failures = 0usize;
-    let mut check = |ok: bool, what: &str| {
-        if !ok {
-            eprintln!("FAIL: {what}");
-            failures += 1;
-        }
-    };
+    let mut gates = Gates::default();
+    let mut check = |ok: bool, what: &str| gates.check(ok, what);
 
     check(report.kills == 1, "expected exactly one kill");
     check(report.lost == 0, "requests were lost");
@@ -358,9 +354,6 @@ fn main() {
         "span logs dropped spans at default capacity",
     );
 
-    if failures > 0 {
-        eprintln!("{failures} tracing check(s) failed");
-        std::process::exit(1);
-    }
+    gates.finish("tracing CI gate");
     println!("tracing CI gate passed");
 }

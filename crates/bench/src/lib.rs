@@ -329,6 +329,31 @@ pub fn paired_speedup(base: &[f64], cell: &[f64]) -> f64 {
     ratios[ratios.len() / 2]
 }
 
+/// The failed checks of a `--ci` run: each is printed as it is found, and
+/// [`Gates::finish`] exits non-zero if there was any.
+#[derive(Debug, Default)]
+pub struct Gates {
+    failures: usize,
+}
+
+impl Gates {
+    /// One gate: passes when `ok`, else prints `what` as a failure.
+    pub fn check(&mut self, ok: bool, what: &str) {
+        if !ok {
+            eprintln!("FAIL: {what}");
+            self.failures += 1;
+        }
+    }
+
+    /// Exits with status 1, naming `stage`, if any check failed.
+    pub fn finish(self, stage: &str) {
+        if self.failures > 0 {
+            eprintln!("{stage}: {} failure(s)", self.failures);
+            std::process::exit(1);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

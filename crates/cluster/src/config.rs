@@ -5,72 +5,17 @@
 //! compute-bound prompt phase — and a **decode pool** — runs the
 //! memory-bound token loop — with a KV handoff moving each request from one
 //! to the other at its first sampled token. [`ReplicaRole`] tags each
-//! replica; [`ClusterConfig`] is the typed builder the frontend and the
+//! replica (it is defined in `vllm_core::env`, which parses
+//! `VLLM_REPLICA_ROLES`); [`ClusterConfig`] is the typed builder the frontend and the
 //! harnesses share, replacing the env-string-only wiring that grew around
 //! `spawn_cluster`. Environment variables remain supported as *inputs* to
 //! the builder ([`ClusterConfig::with_env`]), never as a parallel config
 //! channel.
 
-use std::str::FromStr;
+pub use vllm_core::env::ReplicaRole;
+use vllm_core::env::{Env, REPLICA_ROLES};
 
 use crate::router::{RoutePolicy, RouterConfig};
-
-/// What phase of serving a replica handles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ReplicaRole {
-    /// Accepts new requests, runs the prompt phase, hands off at the first
-    /// sampled token.
-    Prefill,
-    /// Accepts migrated requests only; runs the token loop to completion.
-    Decode,
-    /// Classic monolithic replica: runs both phases, accepts everything.
-    Unified,
-}
-
-impl ReplicaRole {
-    /// Whether the role accepts newly arriving requests (prompt phase).
-    #[must_use]
-    pub fn takes_prefill(self) -> bool {
-        matches!(self, Self::Prefill | Self::Unified)
-    }
-
-    /// Whether the role accepts migrated requests (token loop).
-    #[must_use]
-    pub fn takes_decode(self) -> bool {
-        matches!(self, Self::Decode | Self::Unified)
-    }
-
-    /// The canonical config/report name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Prefill => "prefill",
-            Self::Decode => "decode",
-            Self::Unified => "unified",
-        }
-    }
-}
-
-impl std::fmt::Display for ReplicaRole {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for ReplicaRole {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim() {
-            "prefill" | "p" => Ok(Self::Prefill),
-            "decode" | "d" => Ok(Self::Decode),
-            "unified" | "u" => Ok(Self::Unified),
-            other => Err(format!(
-                "unknown replica role {other:?} (expected prefill | decode | unified)"
-            )),
-        }
-    }
-}
 
 /// Typed fleet configuration: routing, per-replica roles, admission bound,
 /// and the shared prefix-tier capacity.
@@ -186,31 +131,25 @@ impl ClusterConfig {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the malformed variable.
+    /// Returns a message naming the malformed variable, or the role count
+    /// that fits no fleet of this size.
     pub fn with_env(mut self) -> Result<Self, String> {
-        if let Ok(spec) = std::env::var("VLLM_REPLICA_ROLES") {
-            let roles: Vec<ReplicaRole> = spec
-                .split(',')
-                .map(ReplicaRole::from_str)
-                .collect::<Result<_, _>>()
-                .map_err(|e| format!("VLLM_REPLICA_ROLES: {e}"))?;
+        let env = Env::try_global().map_err(|e| e.to_string())?;
+        if let Some(roles) = &env.replica_roles {
             if roles.len() == 1 {
                 self.roles = vec![roles[0]; self.roles.len()];
             } else if roles.len() == self.roles.len() {
-                self.roles = roles;
+                self.roles.clone_from(roles);
             } else {
                 return Err(format!(
-                    "VLLM_REPLICA_ROLES names {} roles for {} replicas",
+                    "{REPLICA_ROLES} names {} roles for {} replicas",
                     roles.len(),
                     self.roles.len()
                 ));
             }
         }
-        if let Ok(spec) = std::env::var("VLLM_PREFIX_TIER_BLOCKS") {
-            self.prefix_tier_blocks = spec
-                .trim()
-                .parse()
-                .map_err(|_| format!("VLLM_PREFIX_TIER_BLOCKS: not a block count: {spec:?}"))?;
+        if let Some(blocks) = env.prefix_tier_blocks {
+            self.prefix_tier_blocks = blocks;
         }
         Ok(self)
     }

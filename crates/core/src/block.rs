@@ -1,14 +1,12 @@
 //! Physical KV blocks and the reference-counted block allocator (§4.2, §4.4).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Result, VllmError};
 
 /// Index of a physical KV block within a device pool.
 pub type PhysicalBlockId = usize;
 
 /// Which pool a physical block belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Device {
     /// GPU high-bandwidth memory (active sequences).
     Gpu,
@@ -17,7 +15,7 @@ pub enum Device {
 }
 
 /// A block-table entry: a physical block plus residency information.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhysicalBlock {
     /// Index within the device pool.
     pub id: PhysicalBlockId,

@@ -1,7 +1,5 @@
 //! Configuration for the KV cache, scheduler, and engine.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Result, VllmError};
 
 /// Default KV block size in tokens (§7.2: block size 16 is the vLLM default).
@@ -15,7 +13,7 @@ pub const DEFAULT_WATERMARK: f64 = 0.01;
 ///
 /// The cache is split into a GPU pool (used for active sequences) and a CPU
 /// pool (the swap space used by the swapping recovery mechanism of §4.5).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CacheConfig {
     /// Number of tokens per KV block (`B` in the paper).
     pub block_size: usize,
@@ -118,34 +116,8 @@ impl CacheConfig {
     }
 }
 
-/// Environment variable carrying the per-step token budget that enables
-/// scheduler-budgeted chunked prefill (`VLLM_STEP_TOKEN_BUDGET=256`).
-/// Unset, empty, or `0` leaves chunking disabled (all-or-nothing prefill
-/// admission, the paper's §4.5 behavior).
-pub const STEP_TOKEN_BUDGET_ENV: &str = "VLLM_STEP_TOKEN_BUDGET";
-
-/// Reads [`STEP_TOKEN_BUDGET_ENV`]: `None` when unset, empty, or zero.
-///
-/// # Panics
-///
-/// Panics on a non-numeric value — a typo'd budget silently disabling
-/// chunked prefill would invalidate TTFT comparisons.
-#[must_use]
-pub fn step_token_budget_from_env() -> Option<usize> {
-    match std::env::var(STEP_TOKEN_BUDGET_ENV) {
-        Ok(s) if s.is_empty() => None,
-        Ok(s) => {
-            let v: usize = s.parse().unwrap_or_else(|_| {
-                panic!("invalid {STEP_TOKEN_BUDGET_ENV} value `{s}` (expected a token count)")
-            });
-            (v > 0).then_some(v)
-        }
-        Err(_) => None,
-    }
-}
-
 /// How a preempted sequence group is recovered (§4.5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PreemptionMode {
     /// Copy evicted blocks to the CPU pool and copy them back later.
     Swap,
@@ -154,7 +126,7 @@ pub enum PreemptionMode {
 }
 
 /// Which running group is preempted first when memory runs out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VictimPolicy {
     /// Preempt the latest-arrived group (the paper's FCFS-preserving
     /// policy: "the latest requests are preempted first").
@@ -165,7 +137,7 @@ pub enum VictimPolicy {
 }
 
 /// Configuration of the iteration-level scheduler (§4.5).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchedulerConfig {
     /// Maximum number of tokens processed in one iteration (prompt tokens for
     /// prompt-phase steps, one token per sequence for generation steps).

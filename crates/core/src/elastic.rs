@@ -18,16 +18,10 @@
 
 use crate::error::{Result, VllmError};
 
-/// Environment variable prefix for the elastic-pool knobs (see README).
-const ENV_PREFIX: &str = "VLLM_ELASTIC_";
-
 /// Tuning knobs of the elastic pool controller.
 ///
-/// All knobs can be overridden from the environment via
-/// `VLLM_ELASTIC_MIN_BLOCKS`, `VLLM_ELASTIC_MAX_BLOCKS`,
-/// `VLLM_ELASTIC_STEP_BLOCKS`, `VLLM_ELASTIC_LOW_WATERMARK`,
-/// `VLLM_ELASTIC_HIGH_WATERMARK`, and `VLLM_ELASTIC_COOLDOWN_STEPS`
-/// (see [`ElasticConfig::from_env`]).
+/// The `VLLM_ELASTIC_*` variables override every knob (see
+/// [`crate::env::Env::elastic_config`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ElasticConfig {
     /// Smallest GPU pool the controller may deflate to, in blocks.
@@ -60,105 +54,32 @@ impl ElasticConfig {
             high_free_fraction: 0.50,
             cooldown_steps: 4,
         };
-        cfg.validate()?;
+        cfg.validate().map_err(VllmError::InvalidConfig)?;
         Ok(cfg)
     }
 
-    /// Creates a config like [`ElasticConfig::new`], then overrides every
-    /// knob that has a parseable `VLLM_ELASTIC_*` environment variable.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VllmError::InvalidConfig`] if the resulting config is
-    /// inconsistent (environment values are validated, not trusted).
-    pub fn from_env(min_gpu_blocks: usize, max_gpu_blocks: usize) -> Result<Self> {
-        let mut cfg = Self::new(min_gpu_blocks, max_gpu_blocks)?;
-        let read_usize = |name: &str| -> Option<usize> {
-            std::env::var(format!("{ENV_PREFIX}{name}"))
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-        };
-        let read_f64 = |name: &str| -> Option<f64> {
-            std::env::var(format!("{ENV_PREFIX}{name}"))
-                .ok()
-                .and_then(|v| v.trim().parse::<f64>().ok())
-                .filter(|v| v.is_finite())
-        };
-        if let Some(v) = read_usize("MIN_BLOCKS") {
-            cfg.min_gpu_blocks = v;
-        }
-        if let Some(v) = read_usize("MAX_BLOCKS") {
-            cfg.max_gpu_blocks = v;
-        }
-        if let Some(v) = read_usize("STEP_BLOCKS") {
-            cfg.step_blocks = v;
-        }
-        if let Some(v) = read_f64("LOW_WATERMARK") {
-            cfg.low_free_fraction = v;
-        }
-        if let Some(v) = read_f64("HIGH_WATERMARK") {
-            cfg.high_free_fraction = v;
-        }
-        if let Some(v) = read_usize("COOLDOWN_STEPS") {
-            cfg.cooldown_steps = v as u64;
-        }
-        cfg.validate()?;
-        Ok(cfg)
-    }
-
-    /// Opt-in environment hook for servers that construct engines on the
-    /// user's behalf: returns `Some(config)` only when at least one
-    /// `VLLM_ELASTIC_*` variable is set, with the band defaulting to
-    /// `[max(1, total/4), total]` before the env overrides apply.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VllmError::InvalidConfig`] if the environment describes an
-    /// inconsistent config (unset environment is `Ok(None)`, never an
-    /// error).
-    pub fn enabled_from_env(total_gpu_blocks: usize) -> Result<Option<Self>> {
-        const KNOBS: [&str; 6] = [
-            "MIN_BLOCKS",
-            "MAX_BLOCKS",
-            "STEP_BLOCKS",
-            "LOW_WATERMARK",
-            "HIGH_WATERMARK",
-            "COOLDOWN_STEPS",
-        ];
-        if KNOBS
-            .iter()
-            .all(|k| std::env::var_os(format!("{ENV_PREFIX}{k}")).is_none())
-        {
-            return Ok(None);
-        }
-        Self::from_env((total_gpu_blocks / 4).max(1), total_gpu_blocks).map(Some)
-    }
-
-    fn validate(&self) -> Result<()> {
+    /// Why the knobs describe no valid controller, if they do not.
+    pub(crate) fn validate(&self) -> std::result::Result<(), String> {
         if self.min_gpu_blocks == 0 {
-            return Err(VllmError::InvalidConfig(
-                "elastic min_gpu_blocks must be > 0".into(),
-            ));
+            return Err("elastic min_gpu_blocks must be > 0".into());
         }
         if self.max_gpu_blocks < self.min_gpu_blocks {
-            return Err(VllmError::InvalidConfig(format!(
+            return Err(format!(
                 "elastic band is empty: max {} < min {}",
                 self.max_gpu_blocks, self.min_gpu_blocks
-            )));
+            ));
         }
         if self.step_blocks == 0 {
-            return Err(VllmError::InvalidConfig(
-                "elastic step_blocks must be > 0".into(),
-            ));
+            return Err("elastic step_blocks must be > 0".into());
         }
         if !(0.0..=1.0).contains(&self.low_free_fraction)
             || !(0.0..=1.0).contains(&self.high_free_fraction)
             || self.low_free_fraction >= self.high_free_fraction
         {
-            return Err(VllmError::InvalidConfig(format!(
+            return Err(format!(
                 "elastic watermarks must satisfy 0 <= low < high <= 1, got low {} high {}",
                 self.low_free_fraction, self.high_free_fraction
-            )));
+            ));
         }
         Ok(())
     }

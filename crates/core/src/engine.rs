@@ -31,6 +31,7 @@ use vllm_telemetry::{
 
 use crate::config::{CacheConfig, SchedulerConfig};
 use crate::elastic::{ElasticController, PoolPressure};
+use crate::env::Env;
 use crate::error::{Result, VllmError};
 use crate::executor::{ModelExecutor, SeqStepInput, StepResult};
 use crate::handoff::{KvBlockBytes, KvBlockInstall};
@@ -166,26 +167,29 @@ pub struct LlmEngine<E: ModelExecutor> {
 }
 
 impl<E: ModelExecutor> LlmEngine<E> {
-    /// Creates an engine over a fresh scheduler and block manager.
+    /// Creates an engine over a fresh scheduler and block manager, taking
+    /// the step budget (when `scheduler_config` leaves it unset), trace
+    /// sampling, SLO objectives and log capacities from [`Env::global`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a `VLLM_*` variable is malformed (see [`crate::env`]).
     #[must_use]
     pub fn new(executor: E, cache_config: CacheConfig, scheduler_config: SchedulerConfig) -> Self {
+        let env = Env::global();
         // `VLLM_STEP_TOKEN_BUDGET` opts the engine into chunked prefill
         // when the configuration did not choose explicitly, clamped so a
         // chunk can never exceed the per-step batch cap.
         let mut scheduler_config = scheduler_config;
         if scheduler_config.step_token_budget.is_none() {
-            scheduler_config.step_token_budget = crate::config::step_token_budget_from_env()
+            scheduler_config.step_token_budget = env
+                .step_token_budget
                 .map(|b| b.min(scheduler_config.max_num_batched_tokens));
         }
         let scheduler = Scheduler::new(scheduler_config, &cache_config);
-        let telemetry = Arc::new(Telemetry::new());
+        let telemetry = Arc::new(env.telemetry());
         let tmetrics = EngineMetrics::register(&telemetry);
-        let trace_sample = std::env::var("VLLM_TRACE_SAMPLE")
-            .ok()
-            .and_then(|v| v.trim().parse::<f64>().ok())
-            .filter(|v| v.is_finite())
-            .map_or(1.0, |v| v.clamp(0.0, 1.0));
-        let slo = SloMonitor::from_env(&telemetry);
+        let slo = (!env.slo.is_empty()).then(|| SloMonitor::register(&telemetry, env.slo));
         let base_gpu_blocks = cache_config.num_gpu_blocks;
         let base_cpu_blocks = cache_config.num_cpu_blocks;
         let mut executor = executor;
@@ -204,7 +208,7 @@ impl<E: ModelExecutor> LlmEngine<E> {
             trace_stats: TraceStats::default(),
             telemetry,
             tmetrics,
-            trace_sample,
+            trace_sample: env.trace_sample,
             slo,
             elastic: None,
             base_gpu_blocks,
@@ -231,7 +235,7 @@ impl<E: ModelExecutor> LlmEngine<E> {
     }
 
     /// Enables (`Some`, non-zero) or disables (`None`) scheduler-budgeted
-    /// chunked prefill (see [`crate::config::STEP_TOKEN_BUDGET_ENV`]).
+    /// chunked prefill (see [`crate::env::STEP_TOKEN_BUDGET`]).
     pub fn set_step_token_budget(&mut self, budget: Option<usize>) {
         self.scheduler.set_step_token_budget(budget);
     }

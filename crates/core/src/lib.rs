@@ -35,6 +35,7 @@ pub mod block_manager;
 pub mod config;
 pub mod elastic;
 pub mod engine;
+pub mod env;
 pub mod error;
 pub mod executor;
 pub mod fault;
@@ -55,6 +56,7 @@ pub use block_manager::{AllocStatus, BlockCopy, BlockManagerMetrics, BlockSpaceM
 pub use config::{CacheConfig, PreemptionMode, SchedulerConfig, VictimPolicy, DEFAULT_BLOCK_SIZE};
 pub use elastic::{ElasticAction, ElasticConfig, ElasticController, PoolPressure};
 pub use engine::{CompletionOutput, EngineLoad, LlmEngine, RequestOutput};
+pub use env::Env;
 pub use error::{ErrorKind, Result, VllmError};
 pub use executor::{BlockMove, CacheOps, ModelExecutor, SeqStepInput, SeqStepOutput, StepResult};
 pub use fault::{FaultControls, FaultInjector};

@@ -2,7 +2,6 @@
 //! KV memory utilization (Fig. 2), sharing savings (Fig. 15), and aggregated
 //! per-stage pipeline timings ([`TraceStats`]).
 
-use serde::{Deserialize, Serialize};
 use vllm_telemetry::{BucketSpec, Counter, Histogram, Telemetry};
 
 use crate::block_manager::BlockManagerMetrics;
@@ -10,7 +9,7 @@ use crate::plan::{StageTimings, StepTrace};
 use crate::scheduler::SchedulerMetrics;
 
 /// Per-request latency record.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestLatency {
     /// Arrival time in seconds.
     pub arrival_time: f64,
@@ -153,7 +152,7 @@ impl LatencyTracker {
 
 /// One step's snapshot of memory/batch state, weighted by step duration when
 /// aggregated.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StepSnapshot {
     /// Wall/virtual duration of the step in seconds.
     pub duration: f64,

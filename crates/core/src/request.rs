@@ -15,14 +15,13 @@
 
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
 use vllm_telemetry::TraceContext;
 
 use crate::error::{Result, VllmError};
 use crate::sampling::{DecodingMode, SamplingParams, TokenId};
 
 /// The decoding algorithm named on the wire (`mode=` field).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GenerationMode {
     /// Argmax decoding of a single sequence.
     Greedy,
@@ -78,7 +77,7 @@ impl FromStr for GenerationMode {
 /// let params = req.sampling_params().unwrap();
 /// assert_eq!(params.n, 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GenerationRequest {
     /// Maximum number of generated tokens per sequence.
     pub max_tokens: usize,

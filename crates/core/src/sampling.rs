@@ -1,14 +1,12 @@
 //! Per-request sampling parameters (§5.2, §6.3).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Result, VllmError};
 
 /// Token id type used across the system.
 pub type TokenId = u32;
 
 /// The decoding algorithm requested for a sequence group (§4.4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DecodingMode {
     /// Pick the argmax token at every step.
     Greedy,
@@ -42,7 +40,7 @@ impl DecodingMode {
 }
 
 /// Sampling parameters attached to a request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SamplingParams {
     /// Number of output sequences to produce (parallel sampling when > 1).
     pub n: usize,

@@ -7,7 +7,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
 use vllm_telemetry::TraceContext;
 
 use crate::sampling::{SamplingParams, TokenId};
@@ -16,7 +15,7 @@ use crate::sampling::{SamplingParams, TokenId};
 pub type SeqId = u64;
 
 /// Lifecycle state of a sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SequenceStatus {
     /// Not yet admitted (or preempted by recomputation).
     Waiting,
@@ -58,7 +57,7 @@ impl SequenceStatus {
 /// recomputation-based preemption the generated tokens are merged into the
 /// prompt (§4.5: "the tokens generated at decoding can be concatenated with
 /// the original user prompt as a new prompt").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SequenceData {
     tokens: Vec<TokenId>,
     prompt_len: usize,
@@ -177,7 +176,7 @@ impl SequenceData {
 }
 
 /// One stream of tokens plus its decode bookkeeping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sequence {
     /// Unique id.
     pub seq_id: SeqId,
@@ -260,7 +259,7 @@ impl Sequence {
 
 /// A group of sequences originating from one request, gang-scheduled as a
 /// unit (§4.5).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SequenceGroup {
     /// Client-visible request id.
     pub request_id: String,

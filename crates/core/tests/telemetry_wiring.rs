@@ -356,9 +356,10 @@ fn counters_are_monotone_across_runs_and_snapshot_round_trips() {
 #[test]
 fn model_kernel_histograms_are_registered_and_observed() {
     // The real CPU executor must register the per-kernel timing histograms
-    // — labeled with the serving backend — and observe into them on every
-    // step (the three kernels, and the activation / sampling / elementwise
-    // classes that account for the rest of the forward pass).
+    // — labeled with the serving backend, here not the default one — and
+    // observe into them on every step (the three kernels, and the
+    // activation / sampling / elementwise classes that account for the rest
+    // of the forward pass).
     use vllm_model::{BackendKind, CpuModelExecutor, ModelConfig};
     let cache = CacheConfig::new(BS, 64, 0)
         .unwrap()
@@ -366,7 +367,7 @@ fn model_kernel_histograms_are_registered_and_observed() {
         .unwrap();
     let sched = SchedulerConfig::new(2048, 16, 2048).unwrap();
     let mut mc = ModelConfig::tiny();
-    mc.backend = BackendKind::Scalar;
+    mc.backend = BackendKind::QuantKv8;
     let exec = CpuModelExecutor::from_config(mc, &cache);
     let mut e = LlmEngine::new(exec, cache, sched);
     e.add_request("a", vec![1, 2, 3, 4], SamplingParams::greedy(4))
@@ -377,12 +378,12 @@ fn model_kernel_histograms_are_registered_and_observed() {
 
     let snap = e.metrics_snapshot();
     for name in [
-        "vllm_model_kernel_matmul_seconds{backend=\"scalar\"}",
-        "vllm_model_kernel_paged_attention_seconds{backend=\"scalar\"}",
-        "vllm_model_kernel_logits_seconds{backend=\"scalar\"}",
-        "vllm_model_kernel_activation_seconds{backend=\"scalar\"}",
-        "vllm_model_kernel_sampling_seconds{backend=\"scalar\"}",
-        "vllm_model_kernel_elementwise_seconds{backend=\"scalar\"}",
+        "vllm_model_kernel_matmul_seconds{backend=\"quant-kv8\"}",
+        "vllm_model_kernel_paged_attention_seconds{backend=\"quant-kv8\"}",
+        "vllm_model_kernel_logits_seconds{backend=\"quant-kv8\"}",
+        "vllm_model_kernel_activation_seconds{backend=\"quant-kv8\"}",
+        "vllm_model_kernel_sampling_seconds{backend=\"quant-kv8\"}",
+        "vllm_model_kernel_elementwise_seconds{backend=\"quant-kv8\"}",
     ] {
         let h = snap
             .histogram(name)
@@ -394,12 +395,12 @@ fn model_kernel_histograms_are_registered_and_observed() {
     let reparsed = MetricsSnapshot::from_prometheus_text(&snap.to_prometheus_text()).unwrap();
     assert_eq!(reparsed, snap);
     assert!(reparsed
-        .histogram("vllm_model_kernel_matmul_seconds{backend=\"scalar\"}")
+        .histogram("vllm_model_kernel_matmul_seconds{backend=\"quant-kv8\"}")
         .is_some());
     let reparsed = MetricsSnapshot::from_json(&snap.to_json()).unwrap();
     assert_eq!(reparsed, snap);
     assert!(reparsed
-        .histogram("vllm_model_kernel_logits_seconds{backend=\"scalar\"}")
+        .histogram("vllm_model_kernel_logits_seconds{backend=\"quant-kv8\"}")
         .is_some());
 }
 

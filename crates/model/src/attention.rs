@@ -591,18 +591,22 @@ fn attend(task: &RowTask<'_>, out: &mut [f32]) {
 }
 
 /// PagedAttention (§4.1, §5.1) over any mix of decode rows and prefill
-/// rows: `q` and `out` are `total_rows × hidden`, rows laid out sequence
-/// after sequence in the order of `seqs`. K/V are read tile by tile through
-/// each sequence's block table from `pool`; nothing is gathered. Rows are
-/// split into contiguous ranges across `workers` — the split cannot change
-/// any output (see the module's determinism contract). The call is
-/// recorded as one span in the attention kernel counters.
+/// rows, compiled for `isa`: `q` and `out` are `total_rows × hidden`, rows
+/// laid out sequence after sequence in the order of `seqs`. K/V are read
+/// tile by tile through each sequence's block table from `pool`; nothing is
+/// gathered. Rows are split into contiguous ranges across `workers` — the
+/// split cannot change any output (see the module's determinism contract),
+/// and neither can `isa`. The call is recorded as one span in the attention
+/// kernel counters. Serving goes through
+/// [`crate::KernelBackend::paged_attention`]; this entry also takes the
+/// instruction sets no backend serves, for benches and tests.
 ///
 /// # Panics
 ///
-/// Panics if shapes disagree or a block table is too short for its rows.
+/// Panics if shapes disagree, a block table is too short for its rows, or
+/// this CPU lacks `isa`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn paged_attention(
+pub fn paged_attention(
     isa: Isa,
     q: &[f32],
     pool: &KvPool,

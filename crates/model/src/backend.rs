@@ -9,24 +9,22 @@
 //! token yields more blocks from the same memory budget (the paper's
 //! Fig. 12 capacity argument).
 //!
-//! Three named backends ship:
+//! Two named backends ship ([`BackendKind`], selected by
+//! `VLLM_KERNEL_BACKEND` through [`vllm_core::Env`]):
 //!
-//! | backend     | instruction set     | KV layout        |
-//! |-------------|---------------------|------------------|
-//! | `scalar`    | portable            | f32              |
-//! | `simd`      | best detected       | f32              |
-//! | `quant-kv8` | portable            | int8 + f32 scale |
+//! | backend            | instruction set | KV layout        |
+//! |--------------------|-----------------|------------------|
+//! | `simd` (default)   | best detected   | f32              |
+//! | `quant-kv8`        | best detected   | int8 + f32 scale |
 //!
 //! Every instance of every kernel does the same operations in the same
-//! order, so the instruction set never shows in a result: `scalar` and
-//! `simd` compute the same bits, and `quant-kv8` differs from them only
-//! through its quantized KV. Within a backend a batched row is bit-identical
-//! to the same row computed solo (the k-only accumulation order of the
-//! GEMM, the per-row attention contract).
-//!
-//! The active backend is picked at config time: [`BackendKind::from_env`]
-//! reads [`BACKEND_ENV`] (`VLLM_KERNEL_BACKEND=scalar|simd|quant-kv8`) and
-//! [`crate::ModelConfig`] carries the choice to executors and caches.
+//! order, so the instruction set never shows in a result: the portable
+//! instance — run on CPUs without AVX2, and the reference the tests and
+//! benches compare the others against — computes the same bits as the best
+//! one, and `quant-kv8` differs from `simd` only through its quantized KV.
+//! Within a backend a batched row is bit-identical to the same row computed
+//! solo (the k-only accumulation order of the GEMM, the per-row attention
+//! contract).
 
 use crate::attention::{self, SeqRows};
 use crate::gemm::{self, Panels, PARALLEL_MATMUL_THRESHOLD, STRIPE};
@@ -35,68 +33,7 @@ use crate::kv_cache::KvPool;
 use crate::ops::timing;
 use crate::pool::{self, WorkerPool};
 
-/// Environment variable selecting the kernel backend
-/// (`scalar` | `simd` | `quant-kv8`; default `scalar`).
-pub const BACKEND_ENV: &str = "VLLM_KERNEL_BACKEND";
-
-/// The named kernel backends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BackendKind {
-    /// Portable kernels, f32 KV.
-    Scalar,
-    /// The best instruction set this CPU has, f32 KV.
-    Simd,
-    /// Portable kernels over int8-quantized KV block storage (per-slot
-    /// scale).
-    QuantKv8,
-}
-
-impl BackendKind {
-    /// Stable name used in env selection, bench records, and metric labels.
-    #[must_use]
-    pub const fn name(self) -> &'static str {
-        match self {
-            Self::Scalar => "scalar",
-            Self::Simd => "simd",
-            Self::QuantKv8 => "quant-kv8",
-        }
-    }
-
-    /// Parses a backend name (the inverse of [`Self::name`]).
-    #[must_use]
-    pub fn from_name(s: &str) -> Option<Self> {
-        match s {
-            "scalar" => Some(Self::Scalar),
-            "simd" => Some(Self::Simd),
-            "quant-kv8" => Some(Self::QuantKv8),
-            _ => None,
-        }
-    }
-
-    /// Reads [`BACKEND_ENV`], defaulting to [`Self::Scalar`] when unset or
-    /// empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognized value — a typo'd backend silently falling
-    /// back to scalar would invalidate capacity and perf comparisons.
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var(BACKEND_ENV) {
-            Ok(s) if s.is_empty() => Self::Scalar,
-            Ok(s) => Self::from_name(&s).unwrap_or_else(|| {
-                panic!("unknown {BACKEND_ENV} value `{s}` (expected scalar|simd|quant-kv8)")
-            }),
-            Err(_) => Self::Scalar,
-        }
-    }
-
-    /// All backends, in a fixed order (scalar first — the baseline).
-    #[must_use]
-    pub const fn all() -> [Self; 3] {
-        [Self::Scalar, Self::Simd, Self::QuantKv8]
-    }
-}
+pub use vllm_core::env::BackendKind;
 
 /// Element type of one KV scalar in block storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -142,8 +79,8 @@ impl KvLayout {
 }
 
 /// A kernel backend: the instruction set every kernel runs under and the KV
-/// element its attention reads. The three [`BackendKind`]s are the only
-/// ones ([`by_kind`]), and only name instruction sets this CPU has.
+/// element its attention reads. The two [`BackendKind`]s are the only
+/// public ones ([`by_kind`]), and only name instruction sets this CPU has.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KernelBackend {
     isa: Isa,
@@ -164,6 +101,13 @@ impl KernelBackend {
         KvLayout {
             element: self.element,
         }
+    }
+
+    /// This backend's KV element under another instruction set: the
+    /// portable instance the tests compare the served one against.
+    #[cfg(test)]
+    pub(crate) fn with_isa(self, isa: Isa) -> Self {
+        Self { isa, ..self }
     }
 
     /// `out[m×n] = a[m×k] · b`, split across the global worker pool for
@@ -251,19 +195,14 @@ impl KernelBackend {
 /// The backend `kind` names on this CPU.
 #[must_use]
 pub fn by_kind(kind: BackendKind) -> KernelBackend {
-    let (isa, element) = match kind {
-        BackendKind::Scalar => (Isa::Portable, KvElement::F32),
-        BackendKind::Simd => (Isa::best(), KvElement::F32),
-        BackendKind::QuantKv8 => (Isa::Portable, KvElement::Int8Scaled),
+    let element = match kind {
+        BackendKind::Simd => KvElement::F32,
+        BackendKind::QuantKv8 => KvElement::Int8Scaled,
     };
-    KernelBackend { isa, element }
-}
-
-/// The backend selected by [`BACKEND_ENV`] (re-read on each call so tests
-/// and benches can vary the selection within one process).
-#[must_use]
-pub fn selected() -> KernelBackend {
-    by_kind(BackendKind::from_env())
+    KernelBackend {
+        isa: Isa::best(),
+        element,
+    }
 }
 
 #[cfg(test)]
@@ -288,13 +227,21 @@ mod tests {
     }
 
     #[test]
-    fn kind_names_round_trip() {
+    fn both_kinds_run_the_best_instruction_set() {
         for kind in BackendKind::all() {
             assert_eq!(BackendKind::from_name(kind.name()), Some(kind));
+            assert_eq!(by_kind(kind).isa(), Isa::best(), "{}", kind.name());
         }
+        assert_eq!(BackendKind::from_name("scalar"), None);
         assert_eq!(BackendKind::from_name("avx-512"), None);
-        assert_eq!(by_kind(BackendKind::Simd).isa(), Isa::best());
-        assert_eq!(by_kind(BackendKind::QuantKv8).isa(), Isa::Portable);
+        assert_eq!(
+            by_kind(BackendKind::Simd).kv_layout().element,
+            KvElement::F32
+        );
+        assert_eq!(
+            by_kind(BackendKind::QuantKv8).kv_layout().element,
+            KvElement::Int8Scaled
+        );
     }
 
     #[test]
@@ -319,7 +266,7 @@ mod tests {
 
     #[test]
     fn matmul_counters_split_by_entry_point() {
-        let be = by_kind(BackendKind::Scalar);
+        let be = by_kind(BackendKind::Simd);
         let before = timing::snapshot();
         let (m, k, n) = (2usize, 16usize, 16usize);
         let a = fill(61, m * k);

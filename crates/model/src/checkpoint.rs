@@ -152,7 +152,7 @@ pub fn load(data: &[u8]) -> Result<Transformer, CheckpointError> {
         },
         // The kernel backend is a serving-time choice, not a property of
         // the weights; loaded models pick it up from the environment.
-        backend: crate::backend::BackendKind::from_env(),
+        backend: vllm_core::Env::global().kernel_backend,
     };
     if config.n_heads == 0 || config.hidden == 0 || !config.hidden.is_multiple_of(config.n_heads) {
         return Err(CheckpointError::BadHeader(

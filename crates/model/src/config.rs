@@ -1,5 +1,7 @@
 //! Model hyper-parameters for the CPU transformer substrate.
 
+use vllm_core::Env;
+
 use crate::backend::BackendKind;
 
 /// How token positions are injected (§2.1 substrate detail).
@@ -31,14 +33,19 @@ pub struct ModelConfig {
     pub seed: u64,
     /// Position-encoding scheme.
     pub position_encoding: PositionEncoding,
-    /// Kernel backend serving this model (selects the matmul/attention
-    /// kernels and the KV cache element layout). Presets read
-    /// [`crate::backend::BACKEND_ENV`]; not serialized in checkpoints.
+    /// Kernel backend serving this model (selects the KV cache element
+    /// layout its attention reads). Presets and the checkpoint loader take
+    /// `VLLM_KERNEL_BACKEND` ([`Env::kernel_backend`]); not serialized in
+    /// checkpoints.
     pub backend: BackendKind,
 }
 
 impl ModelConfig {
     /// A tiny model for unit tests (fast, still multi-head/multi-layer).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a `VLLM_*` variable is malformed (see [`vllm_core::env`]).
     #[must_use]
     pub fn tiny() -> Self {
         Self {
@@ -50,7 +57,7 @@ impl ModelConfig {
             eos_token_id: 0,
             seed: 0x5eed,
             position_encoding: PositionEncoding::Learned,
-            backend: BackendKind::from_env(),
+            backend: Env::global().kernel_backend,
         }
     }
 
@@ -65,6 +72,10 @@ impl ModelConfig {
     }
 
     /// A small demo model for examples (byte-level vocabulary).
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::tiny`].
     #[must_use]
     pub fn small() -> Self {
         Self {
@@ -76,7 +87,7 @@ impl ModelConfig {
             eos_token_id: 257,
             seed: 0xcafe,
             position_encoding: PositionEncoding::Learned,
-            backend: BackendKind::from_env(),
+            backend: Env::global().kernel_backend,
         }
     }
 

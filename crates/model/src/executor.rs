@@ -32,7 +32,7 @@ pub(crate) struct KernelTelemetry {
 
 impl KernelTelemetry {
     /// Registers the `vllm_model_kernel_*` histograms, labeled with the
-    /// kernel backend serving the model (`{backend="scalar"}` etc.).
+    /// kernel backend serving the model (`{backend="simd"}` etc.).
     pub(crate) fn register(r: &vllm_telemetry::MetricsRegistry, backend: &str) -> Self {
         let seconds = timing::CLASSES.iter().map(|(name, help)| {
             r.histogram(

@@ -40,7 +40,7 @@ pub mod tokenizer;
 pub mod transformer;
 
 pub use attention::{contiguous_attention_decode, contiguous_causal_attention, SeqRows};
-pub use backend::{BackendKind, KernelBackend, KvElement, KvLayout, BACKEND_ENV};
+pub use backend::{BackendKind, KernelBackend, KvElement, KvLayout};
 pub use bpe::BpeTokenizer;
 pub use checkpoint::{load as load_checkpoint, save as save_checkpoint, CheckpointError};
 pub use config::{ModelConfig, PositionEncoding};

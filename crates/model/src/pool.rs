@@ -8,8 +8,9 @@
 //! `std::thread::scope`: tasks may borrow from the caller's stack, and the
 //! scope blocks until every spawned task has completed before returning.
 //!
-//! The pool size honors the `VLLM_NUM_THREADS` environment variable and
-//! falls back to [`std::thread::available_parallelism`]. A process-wide
+//! The pool size honors the `VLLM_NUM_THREADS` environment variable (read
+//! through [`vllm_core::Env`]) and falls back to
+//! [`std::thread::available_parallelism`]. A process-wide
 //! pool is shared by all executors (see [`global`]); independent pools can
 //! be created for tests.
 //!
@@ -25,7 +26,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Environment variable naming the kernel thread count.
-pub const NUM_THREADS_ENV: &str = "VLLM_NUM_THREADS";
+pub const NUM_THREADS_ENV: &str = vllm_core::env::NUM_THREADS;
 
 /// A type-erased unit of work. Lifetimes are erased when a task is
 /// enqueued; soundness is restored by the scope blocking until all of its
@@ -274,15 +275,15 @@ fn worker_loop(shared: &Shared) {
 
 /// Thread count from `VLLM_NUM_THREADS`, falling back to the machine's
 /// available parallelism (minimum 1).
+///
+/// # Panics
+///
+/// Panics if a `VLLM_*` variable is malformed (see [`vllm_core::env`]).
 #[must_use]
 pub fn configured_threads() -> usize {
-    std::env::var(NUM_THREADS_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        })
+    vllm_core::Env::global().num_threads.unwrap_or_else(|| {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    })
 }
 
 /// The process-wide kernel pool, created on first use.
@@ -413,9 +414,9 @@ mod tests {
     }
 
     #[test]
-    fn env_override_parses() {
-        // Only checks the parser contract; the global pool may already be
-        // initialized by other tests, so don't touch it here.
+    fn configured_threads_is_at_least_one() {
+        // The global pool may already be initialized by other tests, so
+        // don't touch it here.
         assert!(configured_threads() >= 1);
     }
 }

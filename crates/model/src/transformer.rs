@@ -193,6 +193,12 @@ impl Transformer {
     /// Panics on shape violations (no inputs, an empty sequence, positions
     /// beyond `max_position`, a block table too short for its context).
     pub fn forward(&self, inputs: &[SeqInput<'_>], kv: &mut KvPool) -> Vec<f32> {
+        self.forward_on(self.backend(), inputs, kv)
+    }
+
+    /// [`Self::forward`] on `be`'s kernels, which need not be this model's
+    /// backend: the tests run the portable instance through here.
+    fn forward_on(&self, be: KernelBackend, inputs: &[SeqInput<'_>], kv: &mut KvPool) -> Vec<f32> {
         assert!(!inputs.is_empty(), "empty batch");
         // Everything between two kernel calls is charged to an op class;
         // the kernels record themselves.
@@ -206,7 +212,6 @@ impl Transformer {
             assert!(inp.block_table.len() * bs >= ctx, "block table too short");
         }
         let workers = pool::global();
-        let be = self.backend();
         let hd = self.config.head_dim();
 
         // One (token, position, block table) per row, sequence after
@@ -509,6 +514,67 @@ mod tests {
     fn short_block_table_rejected() {
         let (model, mut pool, _) = setup(2);
         model.forward_paged(&[1, 2, 3, 4, 5], &[0, 1, 2, 3, 4], &mut pool, &[0]);
+    }
+
+    /// Logits bits of a prefill and then a stacked decode step of every
+    /// golden prompt, on `be`'s kernels.
+    fn golden_logits_bits(model: &Transformer, be: KernelBackend) -> Vec<u32> {
+        let cfg = &model.config;
+        let element = be.kv_layout().element;
+        let mut kv = KvPool::with_element(cfg.n_layers, 3 * 2, 16, cfg.hidden, element);
+        let prompts: [&[u32]; 3] = [
+            &[1, 2, 3, 4, 5],
+            &[7, 11, 13],
+            &[100, 50, 25, 12, 6, 3, 1, 9],
+        ];
+        let tables: Vec<Vec<usize>> = (0..prompts.len()).map(|i| vec![2 * i, 2 * i + 1]).collect();
+        let mut logits = Vec::new();
+        for (tokens, block_table) in prompts.iter().zip(&tables) {
+            let prefill = SeqInput {
+                tokens,
+                first_position: 0,
+                block_table,
+            };
+            logits.extend(model.forward_on(be, &[prefill], &mut kv));
+        }
+        let decode: Vec<SeqInput<'_>> = prompts
+            .iter()
+            .zip(&tables)
+            .map(|(prompt, block_table)| SeqInput {
+                tokens: &prompt[..1],
+                first_position: prompt.len(),
+                block_table,
+            })
+            .collect();
+        logits.extend(model.forward_on(be, &decode, &mut kv));
+        logits.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn served_logits_are_bit_identical_to_the_portable_instance_on_golden_prompts() {
+        // Both served kinds run the best instruction set this CPU has; the
+        // portable instance is its reference, over either KV element.
+        for backend in backend::BackendKind::all() {
+            let model = Transformer::new(ModelConfig {
+                vocab_size: 211,
+                hidden: 48,
+                n_layers: 2,
+                n_heads: 4,
+                max_position: 96,
+                eos_token_id: 0,
+                seed: 0x00d5_eed5,
+                position_encoding: PositionEncoding::Learned,
+                backend,
+            });
+            let served = model.backend();
+            let portable = served.with_isa(crate::isa::Isa::Portable);
+            assert_eq!(
+                golden_logits_bits(&model, portable),
+                golden_logits_bits(&model, served),
+                "{}: served logits differ from the portable instance's",
+                backend.name()
+            );
+        }
     }
 
     #[test]

@@ -17,8 +17,9 @@
 
 use proptest::prelude::*;
 
+use vllm_model::attention::paged_attention;
 use vllm_model::backend::{by_kind, BackendKind};
-use vllm_model::{contiguous_causal_attention, KvPool, SeqRows, WorkerPool};
+use vllm_model::{contiguous_causal_attention, Isa, KvPool, SeqRows, WorkerPool};
 
 const BLOCK_SIZES: [usize; 4] = [1, 4, 16, 32];
 const HEAD_DIMS: [usize; 4] = [8, 12, 32, 64];
@@ -368,7 +369,7 @@ proptest! {
         let k = fill(seed + 1, ctx * hidden);
         let v = fill(seed + 2, ctx * hidden);
         let workers = WorkerPool::new(1);
-        for kind in [BackendKind::Scalar, BackendKind::Simd] {
+        for kind in BackendKind::all() {
             let mut first: Option<Vec<f32>> = None;
             for bs in [1usize, 3, 8, 16, 64] {
                 let shape = Shape { ctx, bs, n_heads, head_dim };
@@ -576,21 +577,30 @@ fn seam_rows(
 
 #[test]
 fn best_instantiation_equals_the_portable_one_bitwise() {
-    // Scalar and simd share the f32 layout and differ in nothing but the
-    // instruction set the kernel body is compiled for: the portable one
-    // against the best this CPU has (AVX2 or AVX-512). Every set one by one
-    // is `attention.rs`'s unit test.
+    // Every backend runs the best instruction set this CPU has (AVX2 or
+    // AVX-512); the portable instance of the same kernel body, over the same
+    // KV element, is its reference. Every set one by one is `attention.rs`'s
+    // unit test.
     let workers = WorkerPool::new(1);
     for dims in SEAM_SHAPES {
         let shape = seam_shape(*seam_contexts(dims.2).last().expect("contexts"), dims);
-        let (q, pool, table) = seam_sequence(BackendKind::Scalar, &shape, 41);
-        let [portable, best] = [BackendKind::Scalar, BackendKind::Simd].map(|kind| {
-            seam_rows(&q, &table, &shape, |q, segs| {
+        for kind in BackendKind::all() {
+            let (q, pool, table) = seam_sequence(kind, &shape, 41);
+            let portable = seam_rows(&q, &table, &shape, |q, segs| {
+                let mut out = vec![f32::NAN; q.len()];
+                let (n_heads, head_dim) = (shape.n_heads, shape.head_dim);
+                let isa = Isa::Portable;
+                paged_attention(
+                    isa, q, &pool, 0, segs, n_heads, head_dim, &workers, &mut out,
+                );
+                out
+            });
+            let best = seam_rows(&q, &table, &shape, |q, segs| {
                 attend(kind, q, &pool, segs, &shape, &workers)
-            })
-        });
-        assert!(portable.iter().all(|v| v.is_finite()));
-        assert_eq!(bits(&portable), bits(&best), "{dims:?}");
+            });
+            assert!(portable.iter().all(|v| v.is_finite()));
+            assert_eq!(bits(&portable), bits(&best), "{} {dims:?}", kind.name());
+        }
     }
 }
 
@@ -672,19 +682,20 @@ fn error_against_an_f64_reference_is_pinned() {
         let ctxs = seam_contexts(dims.2);
         let shape = seam_shape(*ctxs.last().expect("contexts"), dims);
         let hidden = shape.hidden();
-        for kind in [BackendKind::Scalar, BackendKind::Simd] {
-            for seed in [61u64, 67, 71] {
-                let (q, pool, table) = seam_sequence(kind, &shape, seed);
-                let (k, v) = pool.gather(0, &table, shape.ctx);
-                for &ctx in &ctxs {
-                    let q_row = &q[(ctx - 1) * hidden..ctx * hidden];
-                    let exact = attention_f64(q_row, &k, &v, ctx, &shape);
-                    let row = [SeqRows::decode(&table, ctx)];
-                    let paged = attend(kind, q_row, &pool, &row, &shape, &workers);
-                    let class = &mut worst[usize::from(ctx > shape.bs)];
-                    for (a, b) in exact.iter().zip(&paged) {
-                        *class = class.max((a - f64::from(*b)).abs());
-                    }
+        // The bounds below are the f32 element's (int8 values round the same
+        // dot products differently: 6.05e-7 within one tile).
+        let kind = BackendKind::Simd;
+        for seed in [61u64, 67, 71] {
+            let (q, pool, table) = seam_sequence(kind, &shape, seed);
+            let (k, v) = pool.gather(0, &table, shape.ctx);
+            for &ctx in &ctxs {
+                let q_row = &q[(ctx - 1) * hidden..ctx * hidden];
+                let exact = attention_f64(q_row, &k, &v, ctx, &shape);
+                let row = [SeqRows::decode(&table, ctx)];
+                let paged = attend(kind, q_row, &pool, &row, &shape, &workers);
+                let class = &mut worst[usize::from(ctx > shape.bs)];
+                for (a, b) in exact.iter().zip(&paged) {
+                    *class = class.max((a - f64::from(*b)).abs());
                 }
             }
         }

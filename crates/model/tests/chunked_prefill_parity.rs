@@ -20,11 +20,6 @@ use vllm_model::backend::BackendKind;
 use vllm_model::{CpuModelExecutor, KvPool, ModelConfig, PositionEncoding};
 
 const BLOCK_SIZE: usize = 16;
-const BACKENDS: [BackendKind; 3] = [
-    BackendKind::Scalar,
-    BackendKind::Simd,
-    BackendKind::QuantKv8,
-];
 
 fn small_config(kind: BackendKind) -> ModelConfig {
     ModelConfig {
@@ -119,7 +114,7 @@ proptest! {
         prompt_len in 2usize..60,
         split_seed in 0u64..1000,
     ) {
-        for kind in BACKENDS {
+        for kind in BackendKind::all() {
             let lens = chunk_lens(prompt_len, split_seed);
             let (whole_p, whole_d) = prefill_then_decode(kind, prompt_len, None);
             let (chunk_p, chunk_d) = prefill_then_decode(kind, prompt_len, Some(&lens));
@@ -184,7 +179,7 @@ proptest! {
     /// every backend.
     #[test]
     fn chunked_engine_greedy_bit_identical_across_budgets(budget in 2usize..24) {
-        for kind in BACKENDS {
+        for kind in BackendKind::all() {
             let want = greedy_outputs(kind, None);
             let got = greedy_outputs(kind, Some(budget));
             prop_assert_eq!(

@@ -13,9 +13,8 @@ use parking_lot::Mutex;
 
 use crate::trace::fnv1a;
 
-/// Default ring-buffer capacity (events, across all requests). Overridable
-/// per process via the `VLLM_EVENT_LOG_CAPACITY` environment variable
-/// (read by [`crate::Telemetry::new`]).
+/// Default ring-buffer capacity (events, across all requests). An engine
+/// takes `VLLM_EVENT_LOG_CAPACITY` instead when it is set.
 pub const DEFAULT_EVENT_CAPACITY: usize = 16_384;
 
 /// The answer to an [`EventLog::query`]: distinguishes a request the log

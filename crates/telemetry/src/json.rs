@@ -1,7 +1,7 @@
 //! A minimal JSON value type with a writer and recursive-descent parser.
 //!
-//! The workspace's `serde` shim provides marker traits only, so the
-//! exposition layer hand-rolls its (very small) JSON needs here: numbers,
+//! The workspace has no serialization framework, so the exposition layer
+//! hand-rolls its (very small) JSON needs here: numbers,
 //! strings, bools, null, arrays, and objects with insertion-ordered keys.
 //! `f64` values are written with Rust's shortest-round-trip `Display`
 //! formatting, so parse(write(x)) == x bit-for-bit for finite values.

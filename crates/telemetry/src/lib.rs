@@ -52,14 +52,6 @@ pub use trace::{
     SpanLog, TraceContext, DEFAULT_SPAN_CAPACITY,
 };
 
-fn env_capacity(var: &str, default: usize) -> usize {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|v| *v > 0)
-        .unwrap_or(default)
-}
-
 /// The telemetry bundle one serving process shares across its layers: a
 /// metrics registry, a sequence-lifecycle event log, and a span log.
 ///
@@ -78,42 +70,22 @@ impl Default for Telemetry {
 }
 
 impl Telemetry {
-    /// Creates a telemetry bundle. Ring-buffer capacities default to
-    /// [`DEFAULT_EVENT_CAPACITY`] / [`DEFAULT_SPAN_CAPACITY`] and can be
-    /// overridden with the `VLLM_EVENT_LOG_CAPACITY` and
-    /// `VLLM_SPAN_LOG_CAPACITY` environment variables.
+    /// Creates a telemetry bundle with ring buffers of
+    /// [`DEFAULT_EVENT_CAPACITY`] events and [`DEFAULT_SPAN_CAPACITY`]
+    /// spans.
     #[must_use]
     pub fn new() -> Self {
+        Self::with_capacities(DEFAULT_EVENT_CAPACITY, DEFAULT_SPAN_CAPACITY)
+    }
+
+    /// Creates a telemetry bundle whose event and span logs keep at most
+    /// `events` and `spans` entries (oldest evicted first).
+    #[must_use]
+    pub fn with_capacities(events: usize, spans: usize) -> Self {
         Self {
             registry: MetricsRegistry::new(),
-            events: EventLog::with_capacity(env_capacity(
-                "VLLM_EVENT_LOG_CAPACITY",
-                DEFAULT_EVENT_CAPACITY,
-            )),
-            spans: SpanLog::with_capacity(env_capacity(
-                "VLLM_SPAN_LOG_CAPACITY",
-                DEFAULT_SPAN_CAPACITY,
-            )),
-        }
-    }
-
-    /// Creates a telemetry bundle whose event log keeps at most `capacity`
-    /// events (oldest evicted first).
-    #[must_use]
-    pub fn with_event_capacity(capacity: usize) -> Self {
-        Self {
-            events: EventLog::with_capacity(capacity),
-            ..Self::new()
-        }
-    }
-
-    /// Creates a telemetry bundle whose span log keeps at most `capacity`
-    /// spans (oldest evicted first).
-    #[must_use]
-    pub fn with_span_capacity(capacity: usize) -> Self {
-        Self {
-            spans: SpanLog::with_capacity(capacity),
-            ..Self::new()
+            events: EventLog::with_capacity(events),
+            spans: SpanLog::with_capacity(spans),
         }
     }
 

@@ -29,26 +29,7 @@ pub struct SloObjectives {
     pub deadline_miss_budget: Option<f64>,
 }
 
-fn env_objective(var: &str) -> Option<f64> {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.trim().parse::<f64>().ok())
-        .filter(|v| v.is_finite() && *v > 0.0)
-}
-
 impl SloObjectives {
-    /// Reads objectives from `VLLM_SLO_TTFT_P99`, `VLLM_SLO_E2E_P99`, and
-    /// `VLLM_SLO_DEADLINE_MISS_BUDGET`. Unset or unparseable variables
-    /// leave the objective unset.
-    #[must_use]
-    pub fn from_env() -> Self {
-        Self {
-            ttft_p99: env_objective("VLLM_SLO_TTFT_P99"),
-            e2e_p99: env_objective("VLLM_SLO_E2E_P99"),
-            deadline_miss_budget: env_objective("VLLM_SLO_DEADLINE_MISS_BUDGET"),
-        }
-    }
-
     /// Whether no objective is set.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -189,17 +170,6 @@ impl SloMonitor {
                 "Observed deadline-miss rate divided by its budget.",
             ),
         }
-    }
-
-    /// Registers a monitor from the `VLLM_SLO_*` environment variables, or
-    /// `None` when no objective is configured.
-    #[must_use]
-    pub fn from_env(telemetry: &Telemetry) -> Option<Self> {
-        let objectives = SloObjectives::from_env();
-        if objectives.is_empty() {
-            return None;
-        }
-        Some(Self::register(telemetry, objectives))
     }
 
     /// The configured objectives.

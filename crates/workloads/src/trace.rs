@@ -4,13 +4,12 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
 use crate::dist::exponential;
 
 /// One serving request of a trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceRequest {
     /// Stable request id within the trace.
     pub id: u64,
@@ -38,7 +37,7 @@ impl TraceRequest {
 }
 
 /// A synthesized workload trace.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Trace {
     /// Requests, sorted by arrival time.
     pub requests: Vec<TraceRequest>,

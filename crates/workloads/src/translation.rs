@@ -4,7 +4,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::dist::{exponential, TruncatedLogNormal};
 use crate::trace::{Trace, TraceRequest};
@@ -17,7 +16,7 @@ pub const ONE_SHOT_PREFIX_LEN: usize = 80;
 pub const FIVE_SHOT_PREFIX_LEN: usize = 341;
 
 /// Few-shot configuration of the translation workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrefixKind {
     /// Instruction + one example (80 tokens).
     OneShot,

@@ -7,7 +7,7 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy --workspace -- -D warnings"
+echo "==> cargo clippy --workspace -- -D warnings (clippy.toml: only vllm_core::env reads the process environment)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo build --release"
@@ -25,7 +25,7 @@ cargo run --release -q -p vllm-bench --bin telemetry -- --ci
 echo "==> cluster routing check + handoff codec gate (binary round trip >= 5x the hex edge on 32 KB and 64 KB blocks, median of paired rounds)"
 cargo run --release -q -p vllm-bench --bin cluster -- --ci
 
-echo "==> kernel bench gate (all backends: batched >= 2x seed; every ISA's GEMM bit-identical to the portable one, the shared_prefix GEMM shapes timed per ISA; simd one-row GEMM >= 1.0x portable and vector GELU >= 4x libm as medians of paired rounds, simd paged attention >= 2x the contiguous oracle at 2k / 1.5x at 32k, >= 1.15x scalar at both, >= 3.5x the oracle on the decode_heavy batch as a median of paired rounds, quant-kv8 blocks >= 1.8x at equal bytes)"
+echo "==> kernel bench gate (simd batched >= 2x seed; every ISA's GEMM and every ISA's paged attention on both KV elements bit-identical to the portable one, each timed per ISA; simd one-row GEMM >= 1.0x portable and vector GELU >= 4x libm as medians of paired rounds, simd paged attention >= 2x the contiguous oracle at 2k / 1.5x at 32k, >= 3.5x the oracle on the decode_heavy batch as a median of paired rounds, quant-kv8 blocks >= 1.8x simd's at equal bytes)"
 cargo run --release -q -p vllm-bench --bin kernels -- --ci
 
 echo "==> fault-injection soak gate (kill/swap-exhaust, zero loss, deterministic)"
@@ -36,10 +36,10 @@ cargo run --release -q -p vllm-bench --bin trace -- --ci
 mkdir -p results
 cp target/ci-trace/trace.json target/ci-trace/trace_perfetto.json target/ci-trace/trace_summary.json results/
 
-echo "==> elastic capacity gate (elastic peak batch >= fixed pool at equal budget, scalar + quant-kv8, contiguous baseline numbers)"
+echo "==> elastic capacity gate (elastic peak batch >= fixed pool at equal budget, simd + quant-kv8, contiguous baseline numbers)"
 cargo run --release -q -p vllm-bench --bin elastic -- --ci
 
-echo "==> chunked-prefill gate (mixed-traffic TTFT: short-request p99 halved at equal throughput; chunked vs unchunked bit-identity on all backends; 32k-prompt smoke, zero leaks)"
+echo "==> chunked-prefill gate (mixed-traffic TTFT: short-request p99 halved at equal throughput; chunked vs unchunked bit-identity on simd + quant-kv8; 32k-prompt smoke, zero leaks)"
 cargo run --release -q -p vllm-bench --bin prefill -- --ci
 
 echo "==> serving bench smoke (all four workloads over real TCP; output check: batched == solo, swapped == resident, tier-installed == recomputed)"

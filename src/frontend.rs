@@ -102,7 +102,7 @@ use vllm_cluster::{
 };
 use vllm_core::telemetry::{fnv1a, spans_to_json, EventQuery, Span, Telemetry};
 use vllm_core::{
-    ElasticConfig, ElasticController, EngineLoad, GenerationRequest, HandoffPayload, LlmEngine,
+    ElasticController, EngineLoad, Env, GenerationRequest, HandoffPayload, LlmEngine,
     ModelExecutor, RequestOutput, VllmError,
 };
 use vllm_model::ByteTokenizer;
@@ -207,7 +207,9 @@ impl Server {
     /// # Errors
     ///
     /// Returns an I/O error if the listener cannot bind, `engines` is
-    /// empty, or the config names a different replica count.
+    /// empty, the config names a different replica count, or the
+    /// `VLLM_ELASTIC_*` variables describe no valid controller for some
+    /// replica's pool.
     pub fn spawn_cluster<E>(
         addr: &str,
         engines: Vec<LlmEngine<E>>,
@@ -232,6 +234,16 @@ impl Server {
                 ),
             ));
         }
+        // Opt-in elastic pool control: any VLLM_ELASTIC_* variable attaches
+        // the hysteresis controller to every replica, checked against every
+        // replica's pool before any replica starts.
+        let invalid = |e: VllmError| std::io::Error::new(std::io::ErrorKind::InvalidInput, e);
+        let env = Env::try_global().map_err(invalid)?;
+        let elastic = engines
+            .iter()
+            .map(|e| env.elastic_config(e.cache_config().num_gpu_blocks))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(invalid)?;
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let mut wake_addr = local;
@@ -245,19 +257,16 @@ impl Server {
         let max_inflight = cfg.max_inflight;
         let replicas: Vec<Replica> = engines
             .into_iter()
+            .zip(elastic)
             .enumerate()
-            .map(|(i, mut e)| {
-                // Opt-in elastic pool control: any VLLM_ELASTIC_* variable
-                // attaches the hysteresis controller to every replica.
-                if let Ok(Some(cfg)) =
-                    ElasticConfig::enabled_from_env(e.cache_config().num_gpu_blocks)
-                {
+            .map(|(i, (mut e, elastic))| {
+                if let Some(cfg) = elastic {
                     e.set_elastic(Some(ElasticController::new(cfg)));
                 }
                 Replica::spawn_with_capacity(i, e, max_inflight)
             })
             .collect();
-        let cluster_telemetry = Arc::new(Telemetry::new());
+        let cluster_telemetry = Arc::new(env.telemetry());
         let mut router = Router::new(cfg.router, replicas.len());
         router.attach_telemetry(&cluster_telemetry);
         router.set_roles(cfg.roles.clone());

@@ -73,8 +73,8 @@ pub enum FlowInput {
         /// The chosen replica.
         replica: usize,
     },
-    /// Answers `TierLookup`: the longest published prefix of the tokens, or
-    /// a miss (also the answer of a driver with no tier).
+    /// Answers `TierLookup`: the longest run of the tokens' leading blocks
+    /// the tier holds, or a miss (also the answer of a driver with no tier).
     Tier(Option<PrefixKv>),
     /// Answers `PrefixOp`.
     Prefix(Result<PrefixReply, VllmError>),
@@ -97,8 +97,8 @@ pub enum FlowCommand {
     Route,
     /// Pick the decode-capable replica: [`RequestFlow::route_decode`].
     RouteDecode,
-    /// Fetch the longest published prefix of `tokens` from the shared tier
-    /// for `replica`.
+    /// Fetch the longest run of `tokens`' leading blocks the shared tier
+    /// holds, for `replica`.
     TierLookup {
         /// The replica that will install the hit.
         replica: usize,
@@ -428,6 +428,8 @@ impl RequestFlow {
             // of the prompt. An install that fails only means the stub
             // computes more.
             (P::TierLookup, I::Tier(Some((tokens, blocks)))) => {
+                // Installed even when the replica's coverage already shows
+                // the run: skipping that install measured slower (DESIGN §14).
                 let (replica, op) = (self.prefill, PrefixOp::Install { tokens, blocks });
                 self.go(P::TierInstall, C::PrefixOp { replica, op })
             }
@@ -459,9 +461,10 @@ impl RequestFlow {
             (P::Exporting, I::Prefix(reply)) => {
                 if let Ok(R::Exported { tokens, blocks }) = reply {
                     if !blocks.is_empty() {
-                        // The tier keeps whole prefixes: one entry per
-                        // conversation (its first published cut), not one
-                        // per turn.
+                        // Published on a tier miss only: a hit means the
+                        // tier holds the cut's first block, and so the
+                        // conversation's first cut; adding every turn's
+                        // blocks would grow the tier with each turn.
                         if !self.from_tier {
                             let (tokens, blocks) = (tokens.clone(), blocks.clone());
                             self.effects

@@ -42,9 +42,10 @@
 //!   serving, admission bounds, and prefix-tier capacity, replacing
 //!   env-string-only wiring (env vars remain inputs via
 //!   [`ClusterConfig::with_env`]).
-//! * [`PrefixTier`] — the cluster-shared CPU prefix store: content-hash
-//!   keyed serialized KV blocks, copied out to the installing replica,
-//!   evicted by hits-per-block score. A prefix prefilled on one replica
+//! * [`PrefixTier`] — the cluster-shared CPU prefix store: serialized KV
+//!   blocks in the block manager's own content index, found by the same run
+//!   walk, copied out to the installing replica, and evicted tail first,
+//!   least recently touched first. A prefix prefilled on one replica
 //!   installs on any other without recompute.
 
 #![warn(missing_docs)]
@@ -71,4 +72,4 @@ pub use replica::{
 pub use router::{ReplicaSnapshot, RouteDecision, RoutePolicy, Router, RouterConfig, RouterStats};
 pub use sim::{ClusterReport, ClusterRequest, ClusterSystem};
 pub use stats::{aggregate_stats, merge_labeled};
-pub use tier::{PrefixTier, TierEntry, TierStats};
+pub use tier::{PrefixTier, TierMetrics};

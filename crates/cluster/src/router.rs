@@ -124,7 +124,7 @@ pub struct ReplicaSnapshot {
     /// Queue/memory/latency load.
     pub load: EngineLoad,
     /// Sorted chunk hashes of the computed prefixes resident in the
-    /// replica's pool (see `vllm_core::prefix::PrefixPool::coverage_hashes`).
+    /// replica's pool (see `vllm_core::BlockSpaceManager::cached_hashes`).
     pub coverage: std::sync::Arc<Vec<u64>>,
 }
 

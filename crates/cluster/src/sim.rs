@@ -200,11 +200,8 @@ impl ClusterSystem {
         let mut router = Router::new(cfg.router, n);
         router.attach_telemetry(&telemetry);
         router.set_roles(cfg.roles.clone());
-        let tier = (cfg.prefix_tier_blocks > 0).then(|| {
-            let mut t = PrefixTier::new(cfg.prefix_tier_blocks, block_size);
-            t.attach_telemetry(&telemetry);
-            t
-        });
+        let tier = (cfg.prefix_tier_blocks > 0)
+            .then(|| PrefixTier::new(cfg.prefix_tier_blocks, block_size, &telemetry));
         let handoff = HandoffMetrics::attach(&telemetry);
         Self {
             replicas,

@@ -23,7 +23,7 @@ use crate::block::{BlockAllocator, Device, PhysicalBlock, PhysicalBlockId};
 use crate::config::CacheConfig;
 use crate::error::{Result, VllmError};
 use crate::executor::{BlockMove, CacheOps};
-use crate::prefix::{extend_hash, ROOT_HASH};
+use crate::prefix::{extend_hash, ContentIndex, ROOT_HASH};
 use crate::sampling::TokenId;
 use crate::sequence::{SeqId, Sequence, SequenceGroup, SequenceStatus};
 
@@ -173,69 +173,6 @@ impl BlockManagerMetrics {
     }
 }
 
-/// One indexed block: where the content lives and what it is.
-#[derive(Debug)]
-struct IndexedBlock {
-    block: PhysicalBlockId,
-    /// Hash of the prefix before this block ([`ROOT_HASH`] for a first one).
-    parent: u64,
-    /// The block's own `block_size` tokens.
-    tokens: Vec<TokenId>,
-}
-
-/// The content index: hash of a block-aligned token prefix → the GPU block
-/// holding the KV of that prefix's last block.
-#[derive(Debug, Default)]
-struct BlockIndex {
-    blocks: HashMap<u64, IndexedBlock>,
-    /// Bumped whenever the key set changes (coverage publishers poll it).
-    version: u64,
-}
-
-impl BlockIndex {
-    /// The block indexed under `hash`, if it really holds `tokens` after
-    /// the prefix hashing to `parent`. Hashes come from untrusted prompts,
-    /// so a 64-bit collision must read as a miss, never as someone else's
-    /// KV.
-    fn lookup(&self, hash: u64, parent: u64, tokens: &[TokenId]) -> Option<PhysicalBlockId> {
-        self.blocks
-            .get(&hash)
-            .filter(|b| b.parent == parent && b.tokens == tokens)
-            .map(|b| b.block)
-    }
-
-    /// Indexes `block` under `hash` unless the key is taken (the first
-    /// block to hold a content keeps it). Returns whether it was inserted.
-    fn insert(
-        &mut self,
-        hash: u64,
-        parent: u64,
-        tokens: &[TokenId],
-        block: PhysicalBlockId,
-    ) -> bool {
-        if self.blocks.contains_key(&hash) {
-            return false;
-        }
-        let tokens = tokens.to_vec();
-        self.blocks.insert(
-            hash,
-            IndexedBlock {
-                block,
-                parent,
-                tokens,
-            },
-        );
-        self.version += 1;
-        true
-    }
-
-    fn remove(&mut self, hash: u64) {
-        if self.blocks.remove(&hash).is_some() {
-            self.version += 1;
-        }
-    }
-}
-
 /// Manages block tables for all sequences plus the GPU and CPU block pools.
 #[derive(Debug)]
 pub struct BlockSpaceManager {
@@ -247,7 +184,9 @@ pub struct BlockSpaceManager {
     gpu: BlockAllocator,
     cpu: BlockAllocator,
     block_tables: HashMap<SeqId, Vec<PhysicalBlock>>,
-    index: BlockIndex,
+    /// Every full, computed GPU block, by the hash of the prefix it
+    /// completes.
+    index: ContentIndex<PhysicalBlockId>,
     /// Whether blocks are indexed and admissions look the index up.
     prefix_caching: bool,
     /// Cumulative prompt tokens looked up / found at admission (metrics).
@@ -286,7 +225,7 @@ impl BlockSpaceManager {
             gpu: BlockAllocator::new(Device::Gpu, config.num_gpu_blocks),
             cpu: BlockAllocator::new(Device::Cpu, config.num_cpu_blocks),
             block_tables: HashMap::new(),
-            index: BlockIndex::default(),
+            index: ContentIndex::new(config.block_size),
             prefix_caching: true,
             num_lookup_tokens: 0,
             num_hit_tokens: 0,
@@ -332,16 +271,13 @@ impl BlockSpaceManager {
         for id in 0..self.gpu.num_blocks() {
             self.gpu.clear_hash(id);
         }
-        self.index = BlockIndex {
-            blocks: HashMap::new(),
-            version: self.index.version + 1,
-        };
+        self.index.clear();
     }
 
     /// Counter that moves whenever the set of indexed hashes does.
     #[must_use]
     pub fn cache_version(&self) -> u64 {
-        self.index.version
+        self.index.version()
     }
 
     /// The sorted hashes of every indexed block: a prompt whose `k`-th
@@ -349,7 +285,7 @@ impl BlockSpaceManager {
     /// of its first `k + 1` blocks resident (a replica's routing coverage).
     #[must_use]
     pub fn cached_hashes(&self) -> Vec<u64> {
-        let mut hashes: Vec<u64> = self.index.blocks.keys().copied().collect();
+        let mut hashes: Vec<u64> = self.index.iter().map(|(hash, _)| hash).collect();
         hashes.sort_unstable();
         hashes
     }
@@ -530,8 +466,8 @@ impl BlockSpaceManager {
             if let Some(evicted) = pool.relocate(src, dst)? {
                 self.index.remove(evicted);
             }
-            if let Some(moved) = pool.hash(dst).and_then(|h| self.index.blocks.get_mut(&h)) {
-                moved.block = dst;
+            if let Some(moved) = pool.hash(dst).and_then(|h| self.index.value_mut(h)) {
+                *moved = dst;
             }
             mapping.insert(src, dst);
             self.pending.moves.push(BlockMove { device, src, dst });
@@ -669,22 +605,13 @@ impl BlockSpaceManager {
     }
 
     /// The GPU blocks holding the longest indexed run of `tokens`' leading
-    /// full blocks, at most `max_blocks` of them: the one place a hit is
-    /// decided. Nothing is referenced — for reading (a KV export) the ids
-    /// are good until the next allocation.
+    /// full blocks ([`ContentIndex::run`]), at most `max_blocks` of them.
+    /// Nothing is referenced — for reading (a KV export) the ids are good
+    /// until the next allocation.
     #[must_use]
     pub fn cached_blocks(&self, tokens: &[TokenId], max_blocks: usize) -> Vec<PhysicalBlockId> {
-        let mut run = Vec::new();
-        let mut parent = ROOT_HASH;
-        for chunk in tokens.chunks_exact(self.block_size).take(max_blocks) {
-            let hash = extend_hash(parent, chunk);
-            let Some(block) = self.index.lookup(hash, parent, chunk) else {
-                break;
-            };
-            run.push(block);
-            parent = hash;
-        }
-        run
+        let run = self.index.run(tokens).take(max_blocks);
+        run.map(|(_, &block)| block).collect()
     }
 
     /// Completes `blocks` — cached blocks found by [`Self::cached_blocks`]
@@ -1228,14 +1155,12 @@ impl BlockSpaceManager {
             }
             pool.assert_consistent();
         }
-        for (hash, entry) in &self.index.blocks {
+        for (hash, &block) in self.index.iter() {
             assert_eq!(
-                self.gpu.hash(entry.block),
-                Some(*hash),
-                "index entry {hash:#x} names block {} which does not hold it",
-                entry.block
+                self.gpu.hash(block),
+                Some(hash),
+                "index entry {hash:#x} names block {block} which does not hold it"
             );
-            assert_eq!(entry.tokens.len(), self.block_size);
         }
         let hashed = |pool: &BlockAllocator| {
             (0..pool.num_blocks())
@@ -1244,11 +1169,11 @@ impl BlockSpaceManager {
         };
         assert_eq!(
             hashed(&self.gpu),
-            self.index.blocks.len(),
+            self.index.len(),
             "a GPU block holds a hash the index does not map to it"
         );
         assert_eq!(hashed(&self.cpu), 0, "a CPU block is hashed");
-        assert!(self.prefix_caching || self.index.blocks.is_empty());
+        assert!(self.prefix_caching || self.index.is_empty());
     }
 }
 
@@ -1634,19 +1559,6 @@ mod tests {
         assert_eq!(m.gpu_block_ids(2).unwrap()[..2], blocks0[..2]);
         assert_eq!(m.prefix_lookup_stats(), (10 + 14 + 12, 8 + 8));
         m.assert_consistent();
-    }
-
-    #[test]
-    fn same_hash_different_tokens_is_a_miss() {
-        let mut index = BlockIndex::default();
-        assert!(index.insert(42, ROOT_HASH, &[1, 2, 3, 4], 7));
-        assert_eq!(index.lookup(42, ROOT_HASH, &[1, 2, 3, 4]), Some(7));
-        // A colliding hash from other content, or after another prefix.
-        assert_eq!(index.lookup(42, ROOT_HASH, &[1, 2, 3, 5]), None);
-        assert_eq!(index.lookup(42, 9, &[1, 2, 3, 4]), None);
-        // The first block to hold a key keeps it.
-        assert!(!index.insert(42, ROOT_HASH, &[9, 9, 9, 9], 8));
-        assert_eq!(index.lookup(42, ROOT_HASH, &[1, 2, 3, 4]), Some(7));
     }
 
     #[test]

@@ -42,6 +42,9 @@ cargo run --release -q -p vllm-bench --bin elastic -- --ci
 echo "==> chunked-prefill gate (mixed-traffic TTFT: short-request p99 halved at equal throughput; chunked vs unchunked bit-identity on simd + quant-kv8; 32k-prompt smoke, zero leaks)"
 cargo run --release -q -p vllm-bench --bin prefill -- --ci
 
+echo "==> serving bench tests (the benchmark package's own tests, its traced --quick run among them: tier hit share > 0 on disagg_chat)"
+cargo test --release --offline --manifest-path examples/serve_bench/Cargo.toml
+
 echo "==> serving bench smoke (all four workloads over real TCP; output check: batched == solo, swapped == resident, tier-installed == recomputed)"
 cargo run --release --offline --quiet --manifest-path examples/serve_bench/Cargo.toml -- --quick
 

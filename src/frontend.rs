@@ -32,7 +32,9 @@
 //! -> HANDOFF\t<payload-hex>                    install serialized KV prefix
 //! <- HANDOFF\treplica=<i>\tblocks=<n>
 //! -> TIER                                      shared prefix-tier snapshot
-//! <- TIER\tentries=..\tblocks=..\tcapacity=..\thits=..\t...
+//! <- TIER\tblocks=..\tcapacity=..\thits=..\tmisses=..\tinsertions=..\tevictions=..
+//!                                              (per-block counts: blocks
+//!                                              held, inserted, evicted)
 //! -> SHUTDOWN
 //! <- OK\tshutdown
 //! ```
@@ -59,15 +61,16 @@
 //! multi-token `GENERATE` runs in two phases:
 //!
 //! 1. **Prefill**: the router places the request on a prefill replica
-//!    (prefix-affinity over the prefill pool). What the cluster-shared
-//!    [`PrefixTier`] holds of the prompt's longest block-aligned strict
-//!    prefix (`handoff_cut`) is installed into the replica's block cache
-//!    first (skipping that recompute fleet-wide), and a 1-token stub
-//!    computes whatever of the prompt is not cached plus the first sampled
-//!    token (TTFT).
+//!    (prefix-affinity over the prefill pool). The longest run of leading
+//!    blocks of the prompt's longest block-aligned strict prefix
+//!    (`handoff_cut`) that the cluster-shared [`PrefixTier`] holds — found
+//!    by the walk the replica's own admission uses — is installed into the
+//!    replica's block cache first (skipping that recompute fleet-wide), and
+//!    a 1-token stub computes whatever of the prompt is not cached plus the
+//!    first sampled token (TTFT).
 //! 2. **Handoff + decode**: the cut is exported from the prefill replica's
-//!    cache as serialized KV blocks, published to the tier, round-tripped
-//!    through the
+//!    cache as serialized KV blocks, published to the tier when the lookup
+//!    missed (the tier stores blocks, each once), round-tripped through the
 //!    [`HandoffPayload`] binary frame, and installed into a decode replica
 //!    (journaled as `CacheOps` installs); the request resumes there with
 //!    the stub token appended, and the streams are stitched. `handoff`/
@@ -125,8 +128,6 @@ struct Shared {
     roles: Vec<ReplicaRole>,
     /// Cluster-shared CPU prefix tier (`None` when disabled).
     tier: Option<Mutex<PrefixTier>>,
-    /// Capacity the tier was built with (for the `TIER` snapshot).
-    tier_capacity: usize,
     handoff: HandoffMetrics,
     /// Whether any replica is role-specialized (enables the handoff path).
     disaggregated: bool,
@@ -271,9 +272,8 @@ impl Server {
         router.attach_telemetry(&cluster_telemetry);
         router.set_roles(cfg.roles.clone());
         let tier = (cfg.prefix_tier_blocks > 0).then(|| {
-            let mut t = PrefixTier::new(cfg.prefix_tier_blocks, block_size);
-            t.attach_telemetry(&cluster_telemetry);
-            Mutex::new(t)
+            let tier = PrefixTier::new(cfg.prefix_tier_blocks, block_size, &cluster_telemetry);
+            Mutex::new(tier)
         });
         let handoff = HandoffMetrics::attach(&cluster_telemetry);
         let shared = Arc::new(Shared {
@@ -282,7 +282,6 @@ impl Server {
             cluster_telemetry,
             roles: cfg.roles.clone(),
             tier,
-            tier_capacity: cfg.prefix_tier_blocks,
             handoff,
             disaggregated: cfg.is_disaggregated(),
             started: Instant::now(),
@@ -558,15 +557,14 @@ fn tier_snapshot(shared: &Shared) -> TierSnapshot {
         None => TierSnapshot::default(),
         Some(tier) => {
             let t = tier.lock();
-            let s = t.stats();
+            let m = t.metrics();
             TierSnapshot {
-                entries: t.len(),
                 blocks: t.used_blocks(),
-                capacity: shared.tier_capacity,
-                hits: s.hits,
-                misses: s.misses,
-                insertions: s.insertions,
-                evictions: s.evictions,
+                capacity: t.capacity(),
+                hits: m.hits.get(),
+                misses: m.misses.get(),
+                insertions: m.insertions.get(),
+                evictions: m.evictions.get(),
             }
         }
     }

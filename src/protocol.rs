@@ -332,19 +332,17 @@ impl Command {
 /// zeros — capacity included — means the tier is disabled.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierSnapshot {
-    /// Entries resident.
-    pub entries: usize,
     /// KV blocks held.
     pub blocks: usize,
     /// Capacity in KV blocks (0 = disabled).
     pub capacity: usize,
-    /// Lookups that found a usable prefix.
+    /// Lookups that found at least the first block of their prefix.
     pub hits: u64,
     /// Lookups that found nothing.
     pub misses: u64,
-    /// Prefixes published.
+    /// Blocks published (a block the tier already held is not counted).
     pub insertions: u64,
-    /// Entries evicted under capacity pressure.
+    /// Blocks evicted under capacity pressure.
     pub evictions: u64,
 }
 
@@ -451,16 +449,15 @@ impl Response {
             Self::Stats(s) => format!("STATS\t{}", stats_body(s)),
             Self::RStats { replica, stats } => format!("RSTATS\t{replica}\t{}", stats_body(stats)),
             Self::Event { time, kind, detail } => format!("EVENT\t{time:.6}\t{kind}\t{detail}"),
-            Self::NoEvents { evicted } => format!(
-                "NOEVENTS\t{}",
-                if *evicted { "evicted" } else { "unknown" }
-            ),
+            Self::NoEvents { evicted } => {
+                format!("NOEVENTS\t{}", if *evicted { "evicted" } else { "unknown" })
+            }
             Self::Handoff { replica, blocks } => {
                 format!("HANDOFF\treplica={replica}\tblocks={blocks}")
             }
             Self::Tier(t) => format!(
-                "TIER\tentries={}\tblocks={}\tcapacity={}\thits={}\tmisses={}\tinsertions={}\tevictions={}",
-                t.entries, t.blocks, t.capacity, t.hits, t.misses, t.insertions, t.evictions
+                "TIER\tblocks={}\tcapacity={}\thits={}\tmisses={}\tinsertions={}\tevictions={}",
+                t.blocks, t.capacity, t.hits, t.misses, t.insertions, t.evictions
             ),
             Self::Err {
                 kind,
@@ -546,7 +543,6 @@ impl Response {
                 for p in &parts[1..] {
                     let (k, v) = split_stat(p).ok_or_else(bad)?;
                     match k {
-                        "entries" => t.entries = v.parse().map_err(|_| bad())?,
                         "blocks" => t.blocks = v.parse().map_err(|_| bad())?,
                         "capacity" => t.capacity = v.parse().map_err(|_| bad())?,
                         "hits" => t.hits = v.parse().map_err(|_| bad())?,
@@ -678,26 +674,74 @@ mod tests {
         assert_eq!(err.kind(), ErrorKind::Protocol);
     }
 
-    /// Seeded byte mutations of a `HANDOFF` line — truncation at every
-    /// length, flipped bits, non-hex and inserted or deleted characters,
-    /// random tails — through `decode_wire` and `Command::parse`: each is a
-    /// protocol error or parses to something that renders back to the
-    /// same line. (Mutations of the binary frame behind the hex are
-    /// `vllm_core`'s `decoders_are_total_over_mutated_frames`.)
-    #[test]
-    fn mutated_handoff_lines_are_protocol_errors_or_round_trip() {
-        fn check(line: &str) {
-            if let Some(hex) = line.strip_prefix("HANDOFF\t") {
-                match HandoffPayload::decode_wire(hex) {
-                    Err(e) => assert_eq!(e.kind(), ErrorKind::Protocol, "{e}"),
-                    Ok(p) => assert_eq!(p.encode_wire(), hex),
+    /// Feeds `check` every truncation of `line`, 5 000 seeded one-byte
+    /// mutations of it — a flipped bit, a separator or non-hex byte, an
+    /// inserted or deleted character, a random tail — and a non-ASCII tail.
+    fn mutations(line: &str, check: impl Fn(&str)) {
+        for n in 0..=line.len() {
+            check(&line[..n]);
+        }
+        let mut state = 0x7e57_u64;
+        let mut rng = move |n: usize| {
+            state = vllm_core::telemetry::splitmix64(state);
+            (state % n as u64) as usize
+        };
+        const REPLACE: &[u8] = b"ABCDEFGgz \t=.-+\x00\x7f";
+        const INSERT: &[u8] = b"0123456789abcdef\t=.";
+        for _ in 0..5_000 {
+            let mut b = line.as_bytes().to_vec();
+            let at = rng(b.len());
+            match rng(5) {
+                0 => b[at] ^= 1 << rng(7),
+                1 => b[at] = REPLACE[rng(REPLACE.len())],
+                2 => b.insert(at, INSERT[rng(INSERT.len())]),
+                3 => {
+                    b.remove(at);
                 }
+                _ => b.extend((0..=rng(16)).map(|_| b"0123456789abcdefx"[rng(17)])),
             }
-            match Command::parse(line) {
-                Err(e) => assert_eq!(e.kind(), ErrorKind::Protocol, "{line:?}: {e}"),
-                Ok(cmd) => assert_eq!(cmd.wire(), line),
+            check(&String::from_utf8(b).expect("mutations keep ASCII"));
+        }
+        check(&format!("{line}\u{e9}"));
+    }
+
+    /// What a total decoder may make of any line: an error of kind
+    /// `protocol` or `request`, or a command whose `wire()` parses back to
+    /// it.
+    fn check_command(line: &str) {
+        match Command::parse(line) {
+            Err(e) => assert!(
+                matches!(e.kind(), ErrorKind::Protocol | ErrorKind::Request),
+                "{line:?}: {e}"
+            ),
+            Ok(cmd) => assert_eq!(Command::parse(&cmd.wire()), Ok(cmd), "{line:?}"),
+        }
+    }
+
+    /// [`check_command`] for responses. The wire rounds floats to fixed
+    /// decimals, so a response parsed from a longer decimal renders its
+    /// rounded line; that line, and the value it parses to, are then fixed.
+    fn check_response(line: &str) {
+        match Response::parse(line) {
+            Err(e) => assert!(
+                matches!(e.kind(), ErrorKind::Protocol | ErrorKind::Request),
+                "{line:?}: {e}"
+            ),
+            Ok(r) => {
+                let rounded = Response::parse(&r.wire()).expect(line);
+                assert_eq!(rounded.wire(), r.wire(), "{line:?}");
+                assert_eq!(Response::parse(&rounded.wire()), Ok(rounded), "{line:?}");
             }
         }
+    }
+
+    /// Seeded byte mutations of a `HANDOFF` line through `decode_wire` and
+    /// `Command::parse`: each is a protocol error or parses to something
+    /// that renders back to the same line. (Mutations of the binary frame
+    /// behind the hex are `vllm_core`'s
+    /// `decoders_are_total_over_mutated_frames`.)
+    #[test]
+    fn mutated_handoff_lines_are_protocol_errors_or_round_trip() {
         let payload = HandoffPayload {
             request_id: "fuzz".into(),
             tokens: (0..20u32).collect(),
@@ -717,31 +761,42 @@ mod tests {
                 },
             ],
         };
-        let line = Command::Handoff(payload).wire();
-        for n in 0..=line.len() {
-            check(&line[..n]);
-        }
-        let mut state = 0x7e57_u64;
-        let mut rng = move |n: usize| {
-            state = vllm_core::telemetry::splitmix64(state);
-            (state % n as u64) as usize
-        };
-        const NOT_HEX: &[u8] = b"ABCDEFGgz \t-+\x00\x7f";
-        for _ in 0..5_000 {
-            let mut b = line.clone().into_bytes();
-            let at = rng(b.len());
-            match rng(5) {
-                0 => b[at] ^= 1 << rng(7),
-                1 => b[at] = NOT_HEX[rng(NOT_HEX.len())],
-                2 => b.insert(at, b"0123456789abcdef"[rng(16)]),
-                3 => {
-                    b.remove(at);
+        mutations(&Command::Handoff(payload).wire(), |line| {
+            if let Some(hex) = line.strip_prefix("HANDOFF\t") {
+                match HandoffPayload::decode_wire(hex) {
+                    Err(e) => assert_eq!(e.kind(), ErrorKind::Protocol, "{e}"),
+                    Ok(p) => assert_eq!(p.encode_wire(), hex),
                 }
-                _ => b.extend((0..=rng(16)).map(|_| b"0123456789abcdefx"[rng(17)])),
             }
-            check(&String::from_utf8(b).expect("mutations keep ASCII"));
+            match Command::parse(line) {
+                Err(e) => assert_eq!(e.kind(), ErrorKind::Protocol, "{line:?}: {e}"),
+                Ok(cmd) => assert_eq!(cmd.wire(), line),
+            }
+        });
+    }
+
+    /// Every other command verb and every response line, mutated the same
+    /// way: never a panic, always an error of the two kinds or a round trip.
+    #[test]
+    fn mutated_command_and_response_lines_are_errors_or_round_trip() {
+        let commands = [
+            "HELLO\tversion=2",
+            "GENERATE\tmax_tokens=8\tn=3\tmode=sample\ttemperature=0.7\tseed=9\ttell me",
+            "GENERATE\tmax_tokens=8\tmode=greedy\tdeadline=2.5\tpriority=1\thello\tworld",
+            "STATS",
+            "METRICS",
+            "METRICS\tjson",
+            "EVENTS\treq-0",
+            "TRACE\t00000000deadbeef",
+            "TIER",
+            "SHUTDOWN",
+        ];
+        for line in commands {
+            mutations(line, check_command);
         }
-        check(&format!("{line}é"));
+        for r in sample_responses() {
+            mutations(&r.wire(), check_response);
+        }
     }
 
     #[test]
@@ -790,8 +845,8 @@ mod tests {
         assert!(spec.build().is_err());
     }
 
-    #[test]
-    fn responses_round_trip_through_the_wire() {
+    /// One response of every kind.
+    fn sample_responses() -> Vec<Response> {
         let stats = EngineStats {
             waiting: 1,
             running: 2,
@@ -800,7 +855,7 @@ mod tests {
             ttft_p99: 0.125,
             ..EngineStats::default()
         };
-        let responses = [
+        vec![
             Response::Hello { version: 2 },
             Response::Ok {
                 request_id: "req-3".into(),
@@ -826,7 +881,6 @@ mod tests {
                 blocks: 4,
             },
             Response::Tier(TierSnapshot {
-                entries: 2,
                 blocks: 8,
                 capacity: 64,
                 hits: 5,
@@ -839,8 +893,12 @@ mod tests {
                 retryable: false,
                 message: "unknown verb \"NOPE\"".into(),
             },
-        ];
-        for r in responses {
+        ]
+    }
+
+    #[test]
+    fn responses_round_trip_through_the_wire() {
+        for r in sample_responses() {
             let line = r.wire();
             let parsed = Response::parse(&line).expect(&line);
             assert_eq!(parsed.wire(), line, "round trip of {line:?}");

@@ -835,7 +835,7 @@ fn disaggregated_serving_matches_unified_output() {
     let mut tier = String::new();
     reader.read_line(&mut tier).unwrap();
     let tier = tier.trim_end();
-    assert!(tier.starts_with("TIER\tentries="), "got {tier:?}");
+    assert!(tier.starts_with("TIER\tblocks="), "got {tier:?}");
     assert!(tier.contains("capacity=128"), "got {tier:?}");
     let field = |k: &str| -> u64 {
         tier.split('\t')
@@ -846,7 +846,8 @@ fn disaggregated_serving_matches_unified_output() {
     };
     assert!(field("insertions") >= 1, "got {tier:?}");
     assert!(field("hits") >= 1, "got {tier:?}");
-    assert!(field("entries") >= 1, "got {tier:?}");
+    assert!(field("blocks") >= 1, "got {tier:?}");
+    assert!(!tier.contains("entries="), "got {tier:?}");
 
     // The frontend's handoff instruments counted both two-phase flows.
     writeln!(writer, "METRICS\tjson").unwrap();
@@ -1002,12 +1003,12 @@ fn handoff_verb_preseeds_the_decode_pool() {
     // The payload routed to the decode pool; nothing names a pin.
     assert_eq!(reply.trim_end(), "HANDOFF\treplica=1\tblocks=2");
 
-    // The tier now holds the pre-seeded entry...
+    // The tier now holds the two pre-seeded blocks...
     writeln!(writer, "TIER").unwrap();
     let mut tier = String::new();
     reader.read_line(&mut tier).unwrap();
     assert!(
-        tier.contains("insertions=1") && tier.contains("blocks=2"),
+        tier.contains("insertions=2") && tier.contains("blocks=2"),
         "got {tier:?}"
     );
 

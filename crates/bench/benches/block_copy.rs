@@ -45,7 +45,7 @@ fn bench_copies(c: &mut Criterion) {
                 .collect();
             b.iter(|| {
                 for ops in &singles {
-                    cache.apply(black_box(ops));
+                    cache.apply(black_box(ops)).unwrap();
                 }
             });
         });

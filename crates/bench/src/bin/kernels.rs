@@ -326,11 +326,12 @@ fn forward_decode_seed(
     let mut attn = vec![0.0f32; h];
     let mut proj = vec![0.0f32; h];
     let mut mid = vec![0.0f32; 4 * h];
-    for (li, (lw, [w_qkv, w_o, w_fc, w_proj])) in model.layers.iter().zip(seed_layers).enumerate() {
+    let layers = model.layers.iter().zip(&model.shard).zip(seed_layers);
+    for (li, ((lw, ls), [w_qkv, w_o, w_fc, w_proj])) in layers.enumerate() {
         let mut hst = x.clone();
         ops::layer_norm(&mut hst, &lw.ln1_g, &lw.ln1_b, LN_EPS);
         ops::matmul_reference(&hst, w_qkv, 1, h, 3 * h, &mut qkv);
-        ops::add_bias(&mut qkv, &lw.b_qkv);
+        ops::add_bias(&mut qkv, &ls.b_qkv);
         kv.write(
             li,
             table[position / bs],
@@ -356,7 +357,7 @@ fn forward_decode_seed(
         let mut hst = x.clone();
         ops::layer_norm(&mut hst, &lw.ln2_g, &lw.ln2_b, LN_EPS);
         ops::matmul_reference(&hst, w_fc, 1, h, 4 * h, &mut mid);
-        ops::add_bias(&mut mid, &lw.b_fc);
+        ops::add_bias(&mut mid, &ls.b_fc);
         ops::gelu(Isa::Portable, &mut mid);
         ops::matmul_reference(&mid, w_proj, 1, 4 * h, h, &mut proj);
         ops::add_bias(&mut proj, &lw.b_proj);
@@ -877,9 +878,9 @@ fn run_seed_baseline() -> f64 {
         model.forward_paged(&tokens, &positions, &mut kv, table);
     }
     let seed_layers: Vec<SeedLayer> = model
-        .layers
+        .shard
         .iter()
-        .map(|lw| [&lw.w_qkv, &lw.w_o, &lw.w_fc, &lw.w_proj].map(Panels::to_row_major))
+        .map(|ls| [&ls.w_qkv, &ls.w_o, &ls.w_fc, &ls.w_proj].map(Panels::to_row_major))
         .collect();
     let step_inputs: Vec<Vec<(u32, usize)>> = (0..WARMUP_STEPS + DECODE_STEPS)
         .map(|s| {

@@ -41,10 +41,10 @@ pub struct SeqStepInput {
     /// ([`crate::sequence::Sequence::sample_index`]); executors mix it, not
     /// the engine-global `seq_id`, into the stream.
     pub sample_index: u64,
-    /// Whether this item is a scheduler-budgeted prefill chunk. Chunked
-    /// items must run the prefill attention path even when only one new row
-    /// remains, so chunked logits stay bit-identical to an unchunked
-    /// prefill (which computes every row with the same kernel).
+    /// Whether this item is a scheduler-budgeted prefill chunk. A model
+    /// executor runs a chunk's rows like any others (one forward and one
+    /// attention kernel for prompt and decode rows alike); only the
+    /// simulator's cost model reads this, to charge a chunk by its shape.
     pub chunked: bool,
 }
 

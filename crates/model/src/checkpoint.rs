@@ -9,7 +9,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::config::ModelConfig;
 use crate::gemm::Panels;
-use crate::transformer::{self, LayerWeights, Transformer};
+use crate::transformer::{self, LayerShard, LayerWeights, Transformer};
 
 /// File magic: `VLMR` (vLLM-Rust).
 pub const MAGIC: u32 = 0x564c_4d52;
@@ -100,12 +100,12 @@ pub fn save(model: &Transformer) -> Vec<u8> {
     put_tensor(&mut buf, &model.wpe);
     put_tensor(&mut buf, &model.ln_f_g);
     put_tensor(&mut buf, &model.ln_f_b);
-    for lw in &model.layers {
+    for (lw, ls) in model.layers.iter().zip(&model.shard) {
         let [w_qkv, w_o, w_fc, w_proj] =
-            [&lw.w_qkv, &lw.w_o, &lw.w_fc, &lw.w_proj].map(Panels::to_row_major);
+            [&ls.w_qkv, &ls.w_o, &ls.w_fc, &ls.w_proj].map(Panels::to_row_major);
         for t in [
-            &lw.ln1_g, &lw.ln1_b, &w_qkv, &lw.b_qkv, &w_o, &lw.b_o, &lw.ln2_g, &lw.ln2_b, &w_fc,
-            &lw.b_fc, &w_proj, &lw.b_proj,
+            &lw.ln1_g, &lw.ln1_b, &w_qkv, &ls.b_qkv, &w_o, &lw.b_o, &lw.ln2_g, &lw.ln2_b, &w_fc,
+            &ls.b_fc, &w_proj, &lw.b_proj,
         ] {
             put_tensor(&mut buf, t);
         }
@@ -154,35 +154,60 @@ pub fn load(data: &[u8]) -> Result<Transformer, CheckpointError> {
         // the weights; loaded models pick it up from the environment.
         backend: vllm_core::Env::global().kernel_backend,
     };
-    if config.n_heads == 0 || config.hidden == 0 || !config.hidden.is_multiple_of(config.n_heads) {
-        return Err(CheckpointError::BadHeader(
-            "heads must divide hidden".into(),
-        ));
-    }
-    if config.vocab_size == 0 || config.n_layers == 0 || config.max_position == 0 {
-        return Err(CheckpointError::BadHeader("zero-sized dimension".into()));
-    }
+    config.check().map_err(CheckpointError::BadHeader)?;
     let h = config.hidden;
-    let wte = get_tensor(&mut buf, config.vocab_size * h)?;
-    let wpe = get_tensor(&mut buf, config.max_position * h)?;
+    let size = |rows: usize| {
+        let too_large = || CheckpointError::BadHeader(format!("{rows} x {h} tensor"));
+        rows.checked_mul(h).ok_or_else(too_large)
+    };
+    let wte = get_tensor(&mut buf, size(config.vocab_size)?)?;
+    let wpe = get_tensor(&mut buf, size(config.max_position)?)?;
     let ln_f_g = get_tensor(&mut buf, h)?;
     let ln_f_b = get_tensor(&mut buf, h)?;
+    // `wte` held `vocab · h` floats of the input, so the `4 · h`-sized
+    // layer tensors below cannot overflow. A layer is twelve tensors, each
+    // at least its 8-byte length: no more layers can follow than the bytes
+    // left hold.
+    if config.n_layers > buf.remaining() / (12 * 8) {
+        return Err(CheckpointError::Truncated);
+    }
     let mut layers = Vec::with_capacity(config.n_layers);
+    let mut shard = Vec::with_capacity(config.n_layers);
     for _ in 0..config.n_layers {
+        let ln1_g = get_tensor(&mut buf, h)?;
+        let ln1_b = get_tensor(&mut buf, h)?;
+        let w_qkv = get_panels(&mut buf, h, 3 * h)?;
+        let b_qkv = get_tensor(&mut buf, 3 * h)?;
+        let w_o = get_panels(&mut buf, h, h)?;
+        let b_o = get_tensor(&mut buf, h)?;
+        let ln2_g = get_tensor(&mut buf, h)?;
+        let ln2_b = get_tensor(&mut buf, h)?;
+        let w_fc = get_panels(&mut buf, h, 4 * h)?;
+        let b_fc = get_tensor(&mut buf, 4 * h)?;
+        let w_proj = get_panels(&mut buf, 4 * h, h)?;
+        let b_proj = get_tensor(&mut buf, h)?;
         layers.push(LayerWeights {
-            ln1_g: get_tensor(&mut buf, h)?,
-            ln1_b: get_tensor(&mut buf, h)?,
-            w_qkv: get_panels(&mut buf, h, 3 * h)?,
-            b_qkv: get_tensor(&mut buf, 3 * h)?,
-            w_o: get_panels(&mut buf, h, h)?,
-            b_o: get_tensor(&mut buf, h)?,
-            ln2_g: get_tensor(&mut buf, h)?,
-            ln2_b: get_tensor(&mut buf, h)?,
-            w_fc: get_panels(&mut buf, h, 4 * h)?,
-            b_fc: get_tensor(&mut buf, 4 * h)?,
-            w_proj: get_panels(&mut buf, 4 * h, h)?,
-            b_proj: get_tensor(&mut buf, h)?,
+            ln1_g,
+            ln1_b,
+            b_o,
+            ln2_g,
+            ln2_b,
+            b_proj,
         });
+        shard.push(LayerShard {
+            w_qkv,
+            b_qkv,
+            w_o,
+            w_fc,
+            b_fc,
+            w_proj,
+        });
+    }
+    if buf.remaining() > 0 {
+        return Err(CheckpointError::BadHeader(format!(
+            "{} bytes past the last tensor",
+            buf.remaining()
+        )));
     }
     // The LM head is derived, not serialized.
     Ok(Transformer {
@@ -191,6 +216,7 @@ pub fn load(data: &[u8]) -> Result<Transformer, CheckpointError> {
         wte,
         wpe,
         layers,
+        shard,
         ln_f_g,
         ln_f_b,
     })
@@ -229,7 +255,7 @@ mod tests {
         assert_eq!(loaded.wte, model.wte);
         assert_eq!(loaded.wpe, model.wpe);
         assert_eq!(loaded.layers.len(), model.layers.len());
-        assert_eq!(loaded.layers[0].w_qkv, model.layers[0].w_qkv);
+        assert_eq!(loaded.shard[0].w_qkv, model.shard[0].w_qkv);
         assert_eq!(loaded.layers[1].b_proj, model.layers[1].b_proj);
     }
 
@@ -286,6 +312,109 @@ mod tests {
             load(&bytes),
             Err(CheckpointError::BadHeader(_)) | Err(CheckpointError::Truncated)
         ));
+    }
+
+    /// Offsets of the header's `u64` fields, after magic and version.
+    const VOCAB_AT: usize = 8;
+    const N_LAYERS_AT: usize = 24;
+    const N_HEADS_AT: usize = 32;
+    const MAX_POSITION_AT: usize = 40;
+    /// Bytes before the first tensor: then eos (4), seed (8), encoding (1).
+    const HEADER_LEN: usize = MAX_POSITION_AT + 8 + 4 + 8 + 1;
+
+    #[test]
+    fn absurd_layer_count_is_an_error() {
+        let mut bytes = save(&Transformer::new(ModelConfig::tiny()));
+        for n_layers in [1u64 << 60, u64::MAX, 3] {
+            bytes[N_LAYERS_AT..N_LAYERS_AT + 8].copy_from_slice(&n_layers.to_le_bytes());
+            assert_eq!(load(&bytes).err(), Some(CheckpointError::Truncated));
+        }
+    }
+
+    #[test]
+    fn overflowing_tensor_sizes_are_errors() {
+        // vocab · hidden and max_position · hidden past usize.
+        for field in [VOCAB_AT, MAX_POSITION_AT] {
+            let mut bytes = save(&Transformer::new(ModelConfig::tiny()));
+            bytes[field..field + 8].copy_from_slice(&(1u64 << 62).to_le_bytes());
+            assert!(matches!(load(&bytes), Err(CheckpointError::BadHeader(_))));
+        }
+    }
+
+    #[test]
+    fn config_rules_are_header_errors() {
+        let model = Transformer::new(ModelConfig::tiny());
+        for n_heads in [0u64, 5, 64] {
+            let mut bytes = save(&model);
+            bytes[N_HEADS_AT..N_HEADS_AT + 8].copy_from_slice(&n_heads.to_le_bytes());
+            assert!(
+                matches!(load(&bytes), Err(CheckpointError::BadHeader(_))),
+                "{n_heads} heads"
+            );
+        }
+        // Rotary heads of odd width (32 heads of 1).
+        let mut bytes = save(&Transformer::new(ModelConfig::tiny_rotary()));
+        bytes[N_HEADS_AT..N_HEADS_AT + 8].copy_from_slice(&32u64.to_le_bytes());
+        assert!(matches!(load(&bytes), Err(CheckpointError::BadHeader(_))));
+        let mut bytes = save(&model);
+        bytes.push(0);
+        assert!(matches!(load(&bytes), Err(CheckpointError::BadHeader(_))));
+    }
+
+    /// `load(bytes)` is an error, or a model whose config obeys the rules
+    /// and whose forward runs.
+    fn load_is_total(bytes: &[u8], what: &str) -> bool {
+        let Ok(model) = load(bytes) else {
+            return false;
+        };
+        let cfg = &model.config;
+        assert_eq!(cfg.check(), Ok(()), "{what}");
+        let element = model.backend().kv_layout().element;
+        let mut kv = KvPool::with_element(cfg.n_layers, 1, 4, cfg.hidden, element);
+        let tokens = [0, cfg.vocab_size as u32 - 1];
+        let n = tokens.len().min(cfg.max_position);
+        let logits = model.forward_paged(&tokens[..n], &[0, 1][..n], &mut kv, &[0]);
+        assert_eq!(logits.len(), cfg.vocab_size, "{what}");
+        true
+    }
+
+    #[test]
+    fn every_truncation_and_mutation_is_an_error_or_a_runnable_model() {
+        let cfg = ModelConfig {
+            vocab_size: 16,
+            hidden: 8,
+            n_layers: 2,
+            n_heads: 2,
+            max_position: 8,
+            ..ModelConfig::tiny()
+        };
+        let bytes = save(&Transformer::new(cfg));
+        for cut in 0..bytes.len() {
+            assert!(load(&bytes[..cut]).is_err(), "cut at {cut} accepted");
+        }
+        // SplitMix64, seeded.
+        let mut state = 0x00c0_ffeeu64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) as usize
+        };
+        let mut loaded = 0;
+        for round in 0..5_000 {
+            let mut m = bytes.clone();
+            // One to three bytes, half the time all in the header.
+            let span = if round % 2 == 0 { HEADER_LEN } else { m.len() };
+            for _ in 0..1 + next() % 3 {
+                let at = next() % span;
+                m[at] = next() as u8;
+            }
+            if load_is_total(&m, &format!("mutation {round}")) {
+                loaded += 1;
+            }
+        }
+        // Mutated weights still load: the test reached the forward.
+        assert!(loaded > 1_000, "{loaded} of 5000 mutations loaded");
     }
 
     #[test]

@@ -97,21 +97,43 @@ impl ModelConfig {
         self.hidden / self.n_heads
     }
 
-    /// Validates divisibility constraints.
+    /// The shape rules every model obeys: no zero dimension, `n_heads`
+    /// divides `hidden`, and rotary heads have an even width (RoPE rotates
+    /// pairs).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first rule broken, as a sentence.
+    pub fn check(&self) -> Result<(), String> {
+        if self.vocab_size == 0 || self.hidden == 0 || self.n_layers == 0 || self.max_position == 0
+        {
+            return Err("zero-sized dimension".into());
+        }
+        if self.n_heads == 0 || !self.hidden.is_multiple_of(self.n_heads) {
+            return Err(format!(
+                "hidden ({}) must be divisible by n_heads ({})",
+                self.hidden, self.n_heads
+            ));
+        }
+        if self.position_encoding == PositionEncoding::Rotary && !self.head_dim().is_multiple_of(2)
+        {
+            return Err(format!(
+                "rotary heads need an even width, not {}",
+                self.head_dim()
+            ));
+        }
+        Ok(())
+    }
+
+    /// [`Self::check`], as an assertion.
     ///
     /// # Panics
     ///
-    /// Panics if `hidden` is not a multiple of `n_heads` or any dimension is
-    /// zero.
+    /// Panics with the rule [`Self::check`] reports broken.
     pub fn validate(&self) {
-        assert!(self.vocab_size > 0 && self.hidden > 0 && self.n_layers > 0);
-        assert!(
-            self.n_heads > 0 && self.hidden.is_multiple_of(self.n_heads),
-            "hidden ({}) must be divisible by n_heads ({})",
-            self.hidden,
-            self.n_heads
-        );
-        assert!(self.max_position > 0);
+        if let Err(rule) = self.check() {
+            panic!("invalid model config: {rule}");
+        }
     }
 }
 
@@ -124,6 +146,21 @@ mod tests {
         ModelConfig::tiny().validate();
         ModelConfig::small().validate();
         assert_eq!(ModelConfig::tiny().head_dim(), 8);
+    }
+
+    #[test]
+    fn odd_rotary_heads_are_rejected() {
+        let c = ModelConfig {
+            n_heads: 32,
+            ..ModelConfig::tiny_rotary()
+        };
+        assert!(c.check().unwrap_err().contains("even"));
+        assert!(ModelConfig {
+            n_heads: 32,
+            ..ModelConfig::tiny()
+        }
+        .check()
+        .is_ok());
     }
 
     #[test]

@@ -188,7 +188,7 @@ impl ModelExecutor for CpuModelExecutor {
         self.steps += 1;
         // Cache operations first (§4.3: memory-management instructions
         // arrive with the step's control message).
-        self.cache.apply(&plan.cache_ops);
+        self.cache.apply(&plan.cache_ops)?;
 
         let inputs = step_inputs(plan)?;
         self.tokens_processed += inputs

@@ -18,6 +18,7 @@
 //! swap transfers (§4.5).
 
 use vllm_core::block::Device;
+use vllm_core::error::{Result, VllmError};
 use vllm_core::executor::CacheOps;
 use vllm_core::handoff::KvBlockBytes;
 
@@ -427,11 +428,12 @@ impl KvPool {
     }
 
     /// Writes a serialized block produced by [`Self::export_block_bytes`]
-    /// into `block`, returning whether it was applied. Payloads whose
-    /// layout or shape disagree with this pool are left unapplied (`false`):
-    /// empty-bodied blocks from storage-less backends, and full-width
-    /// payloads landing on a tensor-parallel shard whose hidden slice is
-    /// narrower, are both benign no-ops by design.
+    /// into `block`, returning whether it was applied. A payload whose
+    /// layout or shape disagrees with this pool — another KV element, a
+    /// tensor-parallel shard's narrower (or a full model's wider) hidden
+    /// slice, another block size or layer count, or the empty body a
+    /// backend without KV storage exports — is left unapplied (`false`);
+    /// [`KvCache::apply`] turns that into an error.
     pub fn import_block_bytes(&mut self, block: usize, data: &KvBlockBytes) -> bool {
         let len = self.block_size * self.hidden;
         let total = self.n_layers * len;
@@ -570,7 +572,14 @@ impl KvCache {
     /// [`CacheOps`] ordering contract: pool growth, defragmentation moves,
     /// pool shrinkage, then swap-out, swap-in, the batched copy-on-write
     /// copies, and finally any KV-handoff installs.
-    pub fn apply(&mut self, ops: &CacheOps) {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VllmError::Protocol`] naming the first install whose
+    /// payload this pool cannot hold (see [`KvPool::import_block_bytes`]).
+    /// Every other operation is applied all the same: the block manager has
+    /// already committed them.
+    pub fn apply(&mut self, ops: &CacheOps) -> Result<()> {
         if let Some(n) = ops.gpu_capacity {
             if n > self.gpu.num_blocks() {
                 self.gpu.resize(n);
@@ -608,14 +617,28 @@ impl KvCache {
         for c in &ops.copies {
             self.gpu.copy_block_within(c.src, c.dst);
         }
+        let mut rejected = None;
         for ins in &ops.installs {
             if self.gpu.import_block_bytes(ins.dst, &ins.data) {
                 self.num_block_installs += 1;
+            } else {
+                rejected.get_or_insert(ins.dst);
             }
         }
         self.num_swap_transfers += (ops.swap_in.len() + ops.swap_out.len()) as u64;
         self.num_block_copies += ops.copies.len() as u64;
         self.num_block_migrations += ops.moves.len() as u64;
+        match rejected {
+            None => Ok(()),
+            Some(block) => Err(VllmError::Protocol(format!(
+                "KV install into block {block}: the payload does not fit this pool \
+                 ({} layers x {} slots x {} wide, {:?})",
+                self.gpu.n_layers,
+                self.gpu.block_size,
+                self.gpu.hidden,
+                self.gpu.element()
+            ))),
+        }
     }
 }
 
@@ -695,17 +718,21 @@ mod tests {
             num_block_installs: 0,
         };
         let original = cache.gpu.key(0, 3, 1).to_vec();
-        cache.apply(&CacheOps {
-            swap_out: vec![BlockCopy { src: 3, dst: 1 }],
-            ..Default::default()
-        });
+        cache
+            .apply(&CacheOps {
+                swap_out: vec![BlockCopy { src: 3, dst: 1 }],
+                ..Default::default()
+            })
+            .unwrap();
         assert_eq!(cache.cpu.key(0, 1, 1), &original[..]);
         // Clobber the GPU copy, swap back in to a different block.
         cache.gpu.write(0, 3, 1, &[0.0; 3], &[0.0; 3]);
-        cache.apply(&CacheOps {
-            swap_in: vec![BlockCopy { src: 1, dst: 0 }],
-            ..Default::default()
-        });
+        cache
+            .apply(&CacheOps {
+                swap_in: vec![BlockCopy { src: 1, dst: 0 }],
+                ..Default::default()
+            })
+            .unwrap();
         assert_eq!(cache.gpu.key(0, 0, 1), &original[..]);
         assert_eq!(cache.num_swap_transfers, 2);
     }
@@ -819,12 +846,12 @@ mod tests {
     #[test]
     fn import_rejects_mismatched_payloads() {
         let mut p = filled_pool();
-        // Empty payload (storage-less backend) is a benign no-op.
+        // An empty payload (storage-less backend) is left unapplied.
         assert!(!p.import_block_bytes(0, &KvBlockBytes::empty()));
-        // Layout mismatch is a no-op.
+        // So is another layout.
         let q8 = filled_q8_pool().export_block_bytes(0);
         assert!(!p.import_block_bytes(0, &q8));
-        // Wrong width (a shard) is a no-op.
+        // And another width (a shard).
         let narrow = KvPool::new(2, 4, 2, 2).export_block_bytes(0);
         assert!(!p.import_block_bytes(0, &narrow));
     }
@@ -834,7 +861,8 @@ mod tests {
         use vllm_core::handoff::KvBlockInstall;
         let src = filled_pool();
         let mut cache = KvCache::new(2, 4, 2, 2, 3);
-        cache.apply(&CacheOps {
+        let rejected = cache.apply(&CacheOps {
+            copies: vec![BlockCopy { src: 2, dst: 3 }],
             installs: vec![
                 KvBlockInstall {
                     dst: 0,
@@ -847,8 +875,25 @@ mod tests {
             ],
             ..Default::default()
         });
+        let err = rejected.unwrap_err();
+        assert!(matches!(err, VllmError::Protocol(_)), "{err:?}");
+        assert!(err.to_string().contains("block 1"), "{err}");
+        // The copy and the install that fits were applied all the same.
+        assert_eq!(cache.num_block_copies, 1);
         assert_eq!(cache.num_block_installs, 1);
         assert_eq!(cache.gpu.key(0, 0, 1), src.key(0, 3, 1));
+        // A payload cut for another width is as unfit as an empty one.
+        let narrow = KvPool::new(2, 4, 2, 2).export_block_bytes(0);
+        let install = KvBlockInstall {
+            dst: 2,
+            data: narrow,
+        };
+        let ops = CacheOps {
+            installs: vec![install],
+            ..Default::default()
+        };
+        assert!(cache.apply(&ops).is_err());
+        assert_eq!(cache.num_block_installs, 1);
     }
 
     #[test]

@@ -52,4 +52,4 @@ pub use parallel::TensorParallelExecutor;
 pub use pool::WorkerPool;
 pub use sampler::{mix_seed, sample_candidates};
 pub use tokenizer::{ByteTokenizer, BOS, EOS, PAD, VOCAB_SIZE};
-pub use transformer::{LayerWeights, SeqInput, Transformer};
+pub use transformer::{LayerShard, LayerWeights, SeqInput, Transformer};

@@ -4,7 +4,9 @@
 //! One forward pass ([`Transformer::forward`]) covers every execution shape
 //! of §4.3: full prefill (all positions new), prefix-extended or chunked
 //! prefill (new positions attend to cached blocks), and single-token decode
-//! — stacked in any mix, all through the one PagedAttention kernel.
+//! — stacked in any mix, all through the one PagedAttention kernel. The
+//! same pass runs over N head shards for tensor-parallel execution (§4.6,
+//! [`crate::parallel`]); one worker is the case of one shard.
 
 use crate::attention::SeqRows;
 use crate::backend::{self, KernelBackend};
@@ -14,6 +16,7 @@ use crate::kv_cache::KvPool;
 use crate::ops::timing::OpClock;
 use crate::ops::{add_bias, add_inplace, gelu, layer_norm};
 use crate::pool;
+use std::time::{Duration, Instant};
 
 const LN_EPS: f32 = 1e-5;
 /// Base of the rotary frequency spectrum (the standard 10_000).
@@ -34,34 +37,43 @@ pub(crate) fn apply_rope(v: &mut [f32], position: usize, head_dim: usize) {
     }
 }
 
-/// Weights of one decoder layer. The projections are stored only packed,
-/// in the GEMM's stripe-major panels.
+/// The replicated weights of one decoder layer: what every tensor-parallel
+/// worker holds whole. Its projections are in [`Transformer::shard`].
 #[derive(Debug, Clone)]
 pub struct LayerWeights {
-    /// Pre-attention layer-norm gain/bias.
+    /// Pre-attention layer-norm gain.
     pub ln1_g: Vec<f32>,
     /// Pre-attention layer-norm bias.
     pub ln1_b: Vec<f32>,
-    /// Fused QKV projection, `hidden × 3·hidden` (columns: Q, K, V).
-    pub w_qkv: Panels,
-    /// QKV bias, `3·hidden`.
-    pub b_qkv: Vec<f32>,
-    /// Attention output projection, `hidden × hidden`.
-    pub w_o: Panels,
-    /// Output projection bias.
+    /// Output projection bias, added once to the summed shard outputs.
     pub b_o: Vec<f32>,
     /// Pre-MLP layer-norm gain.
     pub ln2_g: Vec<f32>,
     /// Pre-MLP layer-norm bias.
     pub ln2_b: Vec<f32>,
-    /// MLP up projection, `hidden × 4·hidden`.
-    pub w_fc: Panels,
-    /// MLP up bias.
-    pub b_fc: Vec<f32>,
-    /// MLP down projection, `4·hidden × hidden`.
-    pub w_proj: Panels,
-    /// MLP down bias.
+    /// MLP down bias, added once to the summed shard outputs.
     pub b_proj: Vec<f32>,
+}
+
+/// One worker's part of a decoder layer (§4.6): the columns of the QKV
+/// projection and the rows of the output projection for its `w` hidden
+/// units' worth of heads, and a `4w` slice of the MLP. A lone worker's
+/// shard is the whole layer (`w = hidden`). The projections are stored only
+/// packed, in the GEMM's stripe-major panels.
+#[derive(Debug, Clone)]
+pub struct LayerShard {
+    /// Fused QKV projection, `hidden × 3w` (columns: Q, K, V).
+    pub w_qkv: Panels,
+    /// QKV bias, `3w`.
+    pub b_qkv: Vec<f32>,
+    /// Attention output projection, `w × hidden`.
+    pub w_o: Panels,
+    /// MLP up projection, `hidden × 4w`.
+    pub w_fc: Panels,
+    /// MLP up bias, `4w`.
+    pub b_fc: Vec<f32>,
+    /// MLP down projection, `4w × hidden`.
+    pub w_proj: Panels,
 }
 
 /// A decoder-only transformer with tied input/output embeddings and learned
@@ -77,12 +89,81 @@ pub struct Transformer {
     pub lm_head: Panels,
     /// Positional embedding, `max_position × hidden`.
     pub wpe: Vec<f32>,
-    /// Decoder layers.
+    /// Decoder layers' replicated weights.
     pub layers: Vec<LayerWeights>,
+    /// Decoder layers' projections over all heads: the model as one
+    /// worker's shard.
+    pub shard: Vec<LayerShard>,
     /// Final layer-norm gain.
     pub ln_f_g: Vec<f32>,
     /// Final layer-norm bias.
     pub ln_f_b: Vec<f32>,
+}
+
+/// One worker of a forward pass: its shard of every layer, and the KV pool
+/// that holds its heads' K/V under the shared block tables.
+pub(crate) struct Shard<'a> {
+    pub(crate) layers: &'a [LayerShard],
+    pub(crate) kv: &'a mut KvPool,
+}
+
+/// One shard's activations, allocated once per forward for its `n` rows
+/// and width `w`; the last layer's pruning shrinks them to the inputs'
+/// last rows.
+struct Buffers {
+    qkv: Vec<f32>,
+    q: Vec<f32>,
+    attn: Vec<f32>,
+    mid: Vec<f32>,
+    /// `n × hidden`: the shard's share of the attention or MLP output.
+    out: Vec<f32>,
+}
+
+impl Buffers {
+    fn new(n: usize, w: usize, h: usize) -> Self {
+        Self {
+            qkv: vec![0.0; n * 3 * w],
+            q: vec![0.0; n * w],
+            attn: vec![0.0; n * w],
+            mid: vec![0.0; n * 4 * w],
+            out: vec![0.0; n * h],
+        }
+    }
+}
+
+/// Runs `phase` once per shard: inline on the caller for one shard, else
+/// one pool task per shard, each charging an op clock of its own.
+fn each_shard<F>(shards: &mut [Shard<'_>], bufs: &mut [Buffers], clock: &mut OpClock, phase: F)
+where
+    F: Fn(&mut Shard<'_>, &mut Buffers, &mut OpClock) + Sync,
+{
+    if let ([shard], [buf]) = (&mut *shards, &mut *bufs) {
+        phase(shard, buf, clock);
+        return;
+    }
+    pool::global().scoped(|s| {
+        for (shard, buf) in shards.iter_mut().zip(bufs.iter_mut()) {
+            let phase = &phase;
+            s.spawn(move || phase(shard, buf, &mut OpClock::start()));
+        }
+    });
+    clock.skip();
+}
+
+/// The all-reduce (§4.6): sums the shards' outputs into the first — a lone
+/// shard's output is its own sum — adds the replicated `bias` once, and
+/// adds the result onto the residual stream `x`. Returns how long the
+/// summation took.
+fn all_reduce(bufs: &mut [Buffers], bias: &[f32], x: &mut [f32]) -> Duration {
+    let start = Instant::now();
+    let (sum, rest) = bufs.split_first_mut().expect("at least one shard");
+    for buf in rest {
+        add_inplace(&mut sum.out, &buf.out);
+    }
+    let summed = start.elapsed();
+    add_bias(&mut sum.out, bias);
+    add_inplace(x, &sum.out);
+    summed
 }
 
 /// SplitMix64 stream used for deterministic weight initialization.
@@ -144,28 +225,42 @@ impl Transformer {
         let h = config.hidden;
         let mut rng = InitRng(config.seed);
         let std = 0.08;
-        let layers = (0..config.n_layers)
-            .map(|_| LayerWeights {
-                ln1_g: vec![1.0; h],
-                ln1_b: vec![0.0; h],
-                w_qkv: rng.normal_panels(h, 3 * h, std),
-                b_qkv: rng.normal_vec(3 * h, std / 4.0),
-                w_o: rng.normal_panels(h, h, std),
-                b_o: rng.normal_vec(h, std / 4.0),
-                ln2_g: vec![1.0; h],
-                ln2_b: vec![0.0; h],
-                w_fc: rng.normal_panels(h, 4 * h, std),
-                b_fc: rng.normal_vec(4 * h, std / 4.0),
-                w_proj: rng.normal_panels(4 * h, h, std),
-                b_proj: rng.normal_vec(h, std / 4.0),
+        let (layers, shard) = (0..config.n_layers)
+            .map(|_| {
+                let w_qkv = rng.normal_panels(h, 3 * h, std);
+                let b_qkv = rng.normal_vec(3 * h, std / 4.0);
+                let w_o = rng.normal_panels(h, h, std);
+                let b_o = rng.normal_vec(h, std / 4.0);
+                let w_fc = rng.normal_panels(h, 4 * h, std);
+                let b_fc = rng.normal_vec(4 * h, std / 4.0);
+                let w_proj = rng.normal_panels(4 * h, h, std);
+                let b_proj = rng.normal_vec(h, std / 4.0);
+                let layer = LayerWeights {
+                    ln1_g: vec![1.0; h],
+                    ln1_b: vec![0.0; h],
+                    b_o,
+                    ln2_g: vec![1.0; h],
+                    ln2_b: vec![0.0; h],
+                    b_proj,
+                };
+                let shard = LayerShard {
+                    w_qkv,
+                    b_qkv,
+                    w_o,
+                    w_fc,
+                    b_fc,
+                    w_proj,
+                };
+                (layer, shard)
             })
-            .collect();
+            .unzip();
         let wte = rng.normal_vec(config.vocab_size * h, 0.5);
         Self {
             lm_head: lm_head(&wte, config.vocab_size, h),
             wte,
             wpe: rng.normal_vec(config.max_position * h, 0.1),
             layers,
+            shard,
             ln_f_g: vec![1.0; h],
             ln_f_b: vec![0.0; h],
             config,
@@ -199,20 +294,52 @@ impl Transformer {
     /// [`Self::forward`] on `be`'s kernels, which need not be this model's
     /// backend: the tests run the portable instance through here.
     fn forward_on(&self, be: KernelBackend, inputs: &[SeqInput<'_>], kv: &mut KvPool) -> Vec<f32> {
+        let shard = Shard {
+            layers: &self.shard,
+            kv,
+        };
+        self.forward_shards(be, inputs, &mut [shard], |_| {})
+    }
+
+    /// [`Self::forward`] over `shards`, the model split on the head
+    /// dimension (§4.6): each shard runs its heads' attention and its slice
+    /// of the MLP over every row, writing its heads' K/V into its own pool
+    /// under the shared block tables; the replicated rest — embedding,
+    /// layer norms, residual, the output biases, pruning, the final norm and
+    /// the LM head — runs once. The shards' outputs are summed after the
+    /// output projection and after the MLP down projection, and
+    /// `on_all_reduce` hears how long each summation took. One shard that is
+    /// the whole model runs inline and sums nothing: that is
+    /// [`Self::forward`], op for op.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::forward`], or if the shards' widths do not add up to the
+    /// model's.
+    pub(crate) fn forward_shards(
+        &self,
+        be: KernelBackend,
+        inputs: &[SeqInput<'_>],
+        shards: &mut [Shard<'_>],
+        mut on_all_reduce: impl FnMut(Duration),
+    ) -> Vec<f32> {
         assert!(!inputs.is_empty(), "empty batch");
         // Everything between two kernel calls is charged to an op class;
         // the kernels record themselves.
         let mut clock = OpClock::start();
         let h = self.config.hidden;
-        let bs = kv.block_size();
+        let w = h / shards.len();
+        let even = |s: &Shard<'_>| s.kv.hidden() * shards.len() == h;
+        assert!(shards.iter().all(even), "uneven shards");
+        let heads = self.config.n_heads / shards.len();
+        let hd = self.config.head_dim();
+        let bs = shards[0].kv.block_size();
         for inp in inputs {
             assert!(!inp.tokens.is_empty(), "empty input");
             let ctx = inp.first_position + inp.tokens.len();
             assert!(ctx <= self.config.max_position, "position overflow");
             assert!(inp.block_table.len() * bs >= ctx, "block table too short");
         }
-        let workers = pool::global();
-        let hd = self.config.head_dim();
 
         // One (token, position, block table) per row, sequence after
         // sequence.
@@ -239,95 +366,95 @@ impl Transformer {
             }
         }
 
-        let mut qkv = vec![0.0f32; n * 3 * h];
-        let mut q = vec![0.0f32; n * h];
-        let mut attn = vec![0.0f32; n * h];
-        let mut proj = vec![0.0f32; n * h];
-        let mut mlp_mid = vec![0.0f32; n * 4 * h];
+        let mut bufs: Vec<Buffers> = shards.iter().map(|_| Buffers::new(n, w, h)).collect();
         for (layer_idx, lw) in self.layers.iter().enumerate() {
             // Attention block.
             let mut hst = x.clone();
             layer_norm(&mut hst, &lw.ln1_g, &lw.ln1_b, LN_EPS);
-            clock.elementwise();
-            be.matmul(&hst, &lw.w_qkv, &mut qkv);
-            clock.skip();
-            add_bias(&mut qkv, &lw.b_qkv);
-
-            // Fused reshape-and-block-write (§5.1): store every row's K/V
-            // as it is produced (keys post-rotation for rotary models),
-            // then one PagedAttention call over all rows.
-            for (i, &(_, pos, block_table)) in rows.iter().enumerate() {
-                let row = &mut qkv[i * 3 * h..(i + 1) * 3 * h];
-                if rotary {
-                    let (q_part, kv_part) = row.split_at_mut(h);
-                    apply_rope(q_part, pos, hd);
-                    apply_rope(&mut kv_part[..h], pos, hd);
-                }
-                kv.write(
-                    layer_idx,
-                    block_table[pos / bs],
-                    pos % bs,
-                    &row[h..2 * h],
-                    &row[2 * h..3 * h],
-                );
-                q[i * h..(i + 1) * h].copy_from_slice(&row[..h]);
-            }
             // Past the last layer's K/V writes only each input's last row
             // is read again (by the LM head): the rest of the layer — every
             // op of it row-wise — runs on those rows alone. A decode step
             // is one row per input already.
-            if layer_idx + 1 == self.layers.len() && n > inputs.len() {
+            let prune = layer_idx + 1 == self.layers.len() && n > inputs.len();
+            if prune {
                 x = last_rows(&x, inputs, h);
-                q = last_rows(&q, inputs, h);
                 seqs = inputs.iter().map(SeqInput::last_row).collect();
                 n = inputs.len();
-                attn.truncate(n * h);
-                proj.truncate(n * h);
-                mlp_mid.truncate(n * 4 * h);
             }
             clock.elementwise();
-            be.paged_attention(
-                &q,
-                kv,
-                layer_idx,
-                &seqs,
-                self.config.n_heads,
-                hd,
-                workers,
-                &mut attn,
-            );
-            be.matmul(&attn, &lw.w_o, &mut proj);
-            clock.skip();
-            add_bias(&mut proj, &lw.b_o);
-            add_inplace(&mut x, &proj);
+            let (hst, rows, seqs) = (&hst, &rows, &seqs);
+            each_shard(shards, &mut bufs, &mut clock, |shard, buf, clock| {
+                let layer = &shard.layers[layer_idx];
+                be.matmul(hst, &layer.w_qkv, &mut buf.qkv);
+                clock.skip();
+                add_bias(&mut buf.qkv, &layer.b_qkv);
+                // Fused reshape-and-block-write (§5.1): store every row's
+                // K/V as it is produced (keys post-rotation for rotary
+                // models), then one PagedAttention call over all rows.
+                for (i, &(_, pos, block_table)) in rows.iter().enumerate() {
+                    let row = &mut buf.qkv[i * 3 * w..(i + 1) * 3 * w];
+                    if rotary {
+                        let (q_part, kv_part) = row.split_at_mut(w);
+                        apply_rope(q_part, pos, hd);
+                        apply_rope(&mut kv_part[..w], pos, hd);
+                    }
+                    shard.kv.write(
+                        layer_idx,
+                        block_table[pos / bs],
+                        pos % bs,
+                        &row[w..2 * w],
+                        &row[2 * w..3 * w],
+                    );
+                    buf.q[i * w..(i + 1) * w].copy_from_slice(&row[..w]);
+                }
+                if prune {
+                    buf.q = last_rows(&buf.q, inputs, w);
+                    buf.attn.truncate(n * w);
+                    buf.mid.truncate(n * 4 * w);
+                    buf.out.truncate(n * h);
+                }
+                clock.elementwise();
+                be.paged_attention(
+                    &buf.q,
+                    shard.kv,
+                    layer_idx,
+                    seqs,
+                    heads,
+                    hd,
+                    pool::global(),
+                    &mut buf.attn,
+                );
+                be.matmul(&buf.attn, &layer.w_o, &mut buf.out);
+                clock.skip();
+            });
+            on_all_reduce(all_reduce(&mut bufs, &lw.b_o, &mut x));
 
             // MLP block.
             let mut hst = x.clone();
             layer_norm(&mut hst, &lw.ln2_g, &lw.ln2_b, LN_EPS);
             clock.elementwise();
-            be.matmul(&hst, &lw.w_fc, &mut mlp_mid);
-            clock.skip();
-            add_bias(&mut mlp_mid, &lw.b_fc);
-            clock.elementwise();
-            gelu(be.isa(), &mut mlp_mid);
-            clock.activation();
-            be.matmul(&mlp_mid, &lw.w_proj, &mut proj);
-            clock.skip();
-            add_bias(&mut proj, &lw.b_proj);
-            add_inplace(&mut x, &proj);
+            let hst = &hst;
+            each_shard(shards, &mut bufs, &mut clock, |shard, buf, clock| {
+                let layer = &shard.layers[layer_idx];
+                be.matmul(hst, &layer.w_fc, &mut buf.mid);
+                clock.skip();
+                add_bias(&mut buf.mid, &layer.b_fc);
+                clock.elementwise();
+                gelu(be.isa(), &mut buf.mid);
+                clock.activation();
+                be.matmul(&buf.mid, &layer.w_proj, &mut buf.out);
+                clock.skip();
+            });
+            on_all_reduce(all_reduce(&mut bufs, &lw.b_proj, &mut x));
         }
 
-        // Final norm + tied-embedding LM head on each sequence's last row.
-        let mut last = if n > inputs.len() {
-            last_rows(&x, inputs, h)
-        } else {
-            x
-        };
-        layer_norm(&mut last, &self.ln_f_g, &self.ln_f_b, LN_EPS);
+        // Final norm + tied-embedding LM head on each sequence's last row
+        // (the last layer left only those).
+        layer_norm(&mut x, &self.ln_f_g, &self.ln_f_b, LN_EPS);
         let vocab = self.config.vocab_size;
         let mut logits = vec![0.0f32; inputs.len() * vocab];
         clock.elementwise();
-        be.matmul_logits(&last, &self.lm_head, &mut logits);
+        be.matmul_logits(&x, &self.lm_head, &mut logits);
         logits
     }
 
@@ -426,7 +553,7 @@ mod tests {
         let a = Transformer::new(ModelConfig::tiny());
         let b = Transformer::new(ModelConfig::tiny());
         assert_eq!(a.wte, b.wte);
-        assert_eq!(a.layers[0].w_qkv, b.layers[0].w_qkv);
+        assert_eq!(a.shard[0].w_qkv, b.shard[0].w_qkv);
         let mut cfg = ModelConfig::tiny();
         cfg.seed = 999;
         let c = Transformer::new(cfg);

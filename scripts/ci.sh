@@ -13,6 +13,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> examples that assert (tensor_parallel: TP == serial at 1/2/4/8 workers; preemption, chatbot_kv_reuse, mixed_decoding)"
+for example in tensor_parallel preemption chatbot_kv_reuse mixed_decoding; do
+    cargo run --release -q --example "$example" >/dev/null
+done
+
 echo "==> non-test Rust lines per crate and file (informational)"
 scripts/loc.sh || true
 

@@ -1033,6 +1033,78 @@ fn handoff_verb_preseeds_the_decode_pool() {
     server.shutdown();
 }
 
+/// A `HANDOFF` whose frame is sound but whose blocks do not fit the decode
+/// pool is refused as a `protocol` error, with nothing indexed on the
+/// replica or published to the tier: a later `GENERATE` on those tokens
+/// computes them, as a cold server does.
+#[test]
+fn mis_sized_handoff_is_refused_and_leaves_nothing_cached() {
+    use std::io::{BufRead, BufReader, Write};
+    use vllm::core::{HandoffPayload, SamplingParams};
+    use vllm::model::ByteTokenizer;
+
+    let prefix_text = "a shared system preamble that spans blocks!";
+    let prompt = ByteTokenizer.encode(prefix_text);
+    let tokens: Vec<u32> = prompt[..32].to_vec();
+    // Real KV of those tokens, from a model half as wide as the server's.
+    let narrow = ModelConfig {
+        hidden: 32,
+        n_heads: 4,
+        ..ModelConfig::small()
+    };
+    let cache = CacheConfig::new(16, 64, 8).unwrap();
+    let sched = SchedulerConfig::new(2048, 64, 1024).unwrap();
+    let exec = CpuModelExecutor::from_config(narrow, &cache);
+    let mut engine = LlmEngine::new(exec, cache, sched);
+    engine
+        .add_request("warm", prompt, SamplingParams::greedy(1))
+        .unwrap();
+    engine.run_to_completion().unwrap();
+    let (ptokens, blocks) = engine.export_kv(&tokens);
+    assert_eq!((ptokens.len(), blocks.len()), (32, 2));
+    let payload = HandoffPayload {
+        request_id: "mis-sized".into(),
+        tokens,
+        first_token: None,
+        seed: 0,
+        block_size: 16,
+        blocks,
+    };
+
+    let cold = spawn_disaggregated();
+    let expect = Client::connect(cold.addr())
+        .unwrap()
+        .generate(prefix_text, 8, 1, "greedy")
+        .unwrap();
+    cold.shutdown();
+
+    let server = spawn_disaggregated();
+    let stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    writeln!(writer, "HANDOFF\t{}", payload.encode_wire()).unwrap();
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    assert!(reply.starts_with("ERR\tprotocol\t"), "got {reply:?}");
+    writeln!(writer, "TIER").unwrap();
+    let mut tier = String::new();
+    reader.read_line(&mut tier).unwrap();
+    assert!(
+        tier.contains("insertions=0") && tier.contains("blocks=0"),
+        "got {tier:?}"
+    );
+    let got = Client::connect(server.addr())
+        .unwrap()
+        .generate(prefix_text, 8, 1, "greedy")
+        .unwrap();
+    assert_eq!(got[0].text, expect[0].text);
+    assert_eq!(
+        got[0].cumulative_logprob.to_bits(),
+        expect[0].cumulative_logprob.to_bits()
+    );
+    server.shutdown();
+}
+
 /// `HANDOFF` installs into free blocks, so no number of frames can pin a
 /// decode pool: more single-block frames than the pool has blocks all get
 /// an answer, every block is free afterwards, and a `GENERATE` is admitted

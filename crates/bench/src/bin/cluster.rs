@@ -1,8 +1,9 @@
 //! Cluster routing bench: throughput scaling and cache-aware placement.
 //!
 //! Drives a shared-prefix-heavy trace (many requests extending one of a few
-//! long system prompts) through [`ClusterSystem`] fleets and compares the
-//! routing policies against a single-replica baseline:
+//! long system prompts) through [`Fleet`]s of simulated replicas (the
+//! cost-model clock) and compares the routing policies against a
+//! single-replica baseline:
 //!
 //! 1. Calibrate: saturate one replica to measure its capacity `C1` and p99
 //!    normalized latency.
@@ -24,7 +25,9 @@
 //! Writes per-policy throughput, prefix-cache hit rate, and latency
 //! percentiles — plus the disaggregated-vs-monolithic records — to
 //! `results/cluster.json`. With `--ci` the harness asserts the acceptance
-//! criteria instead — JSQ and prefix-affinity sustain at least `3 * C1`
+//! criteria instead — every run delivers every request exactly once (none
+//! lost, duplicated or rejected) and leaks no block, JSQ and
+//! prefix-affinity sustain at least `3 * C1`
 //! without exceeding the baseline's p99, prefix-affinity strictly beats
 //! round-robin's cache hit rate, runs are deterministic, every routing
 //! decision shows up in the merged telemetry, the disaggregated fleet
@@ -38,12 +41,10 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 
 use vllm_bench::{best_ns, interleaved_rounds_ns, paired_speedup, Gates};
-use vllm_cluster::{
-    ClusterConfig, ClusterReport, ClusterRequest, ClusterSystem, RoutePolicy, RouterConfig,
-};
+use vllm_cluster::{sim_replica, ClusterConfig, ClusterRequest, Fleet, FleetReport, RoutePolicy};
 use vllm_core::telemetry::MetricsSnapshot;
 use vllm_core::{Env, HandoffPayload, KvBlockBytes, PreemptionMode, TokenId};
-use vllm_sim::{sim_prompt_tokens, ServerConfig, VllmSimSystem};
+use vllm_sim::{sim_prompt_tokens, ServerConfig, SimExecutor};
 
 /// Distinct shared prefixes (system prompts) in the trace.
 const NUM_PREFIXES: usize = 8;
@@ -74,10 +75,13 @@ const TIER_BLOCKS: usize = 4096;
 /// `LOAD_FACTOR`: chat turns carry whole conversations as prompt tokens.
 const CHAT_LOAD_FACTOR: f64 = 2.0;
 
-fn replica() -> VllmSimSystem {
-    let mut cfg = ServerConfig::opt_13b_1gpu();
-    cfg.gpu.mem_bytes_per_gpu = 30e9; // Small KV pool: placement matters.
-    VllmSimSystem::new(cfg, 16, PreemptionMode::Recompute)
+/// A fleet shaped by `cfg` of simulated OPT-13B replicas.
+fn fleet(cfg: &ClusterConfig) -> Fleet<SimExecutor> {
+    Fleet::new(cfg, || {
+        let mut server = ServerConfig::opt_13b_1gpu();
+        server.gpu.mem_bytes_per_gpu = 30e9; // Small KV pool: placement matters.
+        sim_replica(server, 16, PreemptionMode::Recompute)
+    })
 }
 
 fn prefixes() -> Vec<Vec<TokenId>> {
@@ -212,40 +216,30 @@ fn codec_timings() -> Vec<CodecTiming> {
 
 /// Runs the chat trace through a fleet built from `cfg` (monolithic or
 /// disaggregated; both route with prefix affinity).
-fn run_chat(cfg: ClusterConfig, rate: f64) -> (ClusterReport, MetricsSnapshot) {
-    let n = cfg.num_replicas();
-    let mut cluster = ClusterSystem::with_config((0..n).map(|_| replica()).collect(), cfg);
-    let report = cluster.run(chat_trace(rate));
-    let snap = cluster.merged_snapshot();
-    (report, snap)
+fn run_chat(cfg: &ClusterConfig, rate: f64) -> (FleetReport, MetricsSnapshot) {
+    let mut fleet = fleet(cfg);
+    let report = fleet.run(None, chat_trace(rate));
+    (report, fleet.merged_snapshot())
 }
 
-/// Builds an `n`-replica cluster with the shared prefixes spread round-robin
+/// Runs an `n`-replica fleet with the shared prefixes spread round-robin
 /// across replicas (a single replica holds them all).
-fn build_cluster(n: usize, policy: RoutePolicy) -> ClusterSystem {
-    let mut cluster = ClusterSystem::new(
-        (0..n).map(|_| replica()).collect(),
-        RouterConfig::new(policy),
-    );
-    for (p, tokens) in prefixes().into_iter().enumerate() {
-        cluster.register_prefix(p % n, &tokens);
-    }
-    cluster
-}
-
 fn run_cluster(
     n: usize,
     policy: RoutePolicy,
     num_requests: u64,
     rate: f64,
-) -> (ClusterReport, MetricsSnapshot) {
-    let mut cluster = build_cluster(n, policy);
-    let report = cluster.run(trace(num_requests, rate));
-    (report, cluster.merged_snapshot())
+) -> (FleetReport, MetricsSnapshot) {
+    let mut fleet = fleet(&ClusterConfig::new(n).with_policy(policy));
+    for (p, tokens) in prefixes().into_iter().enumerate() {
+        fleet.register_prefix(p % n, &tokens);
+    }
+    let report = fleet.run(None, trace(num_requests, rate));
+    (report, fleet.merged_snapshot())
 }
 
-fn report_json(r: &ClusterReport, speedup: f64) -> String {
-    let routed: Vec<String> = r.routed_per_replica.iter().map(u64::to_string).collect();
+fn report_json(r: &FleetReport, speedup: f64) -> String {
+    let routed: Vec<String> = r.router.routed.iter().map(u64::to_string).collect();
     format!(
         concat!(
             "{{\"policy\":\"{}\",\"throughput\":{:.4},\"speedup\":{:.3},",
@@ -259,14 +253,19 @@ fn report_json(r: &ClusterReport, speedup: f64) -> String {
         r.norm_lat_p50,
         r.norm_lat_p99,
         r.cache_hit_rate,
-        r.affinity_hits,
-        r.failovers,
+        r.router.affinity_hits,
+        r.router.failovers,
         routed.join(",")
     )
 }
 
-/// JSON record for one chat-trace run (monolithic or disaggregated).
-fn chat_report_json(r: &ClusterReport) -> String {
+/// A chat-trace run's fleet: monolithic or disaggregated.
+fn mode(r: &FleetReport) -> &'static str {
+    ["monolithic", "disaggregated"][usize::from(r.disaggregated)]
+}
+
+/// JSON record for one chat-trace run.
+fn chat_report_json(r: &FleetReport) -> String {
     format!(
         concat!(
             "{{\"mode\":\"{}\",\"throughput\":{:.4},",
@@ -275,11 +274,7 @@ fn chat_report_json(r: &ClusterReport) -> String {
             "\"tier_hits\":{},\"tier_misses\":{},\"tier_hit_rate\":{:.4},",
             "\"num_finished\":{}}}"
         ),
-        if r.disaggregated {
-            "disaggregated"
-        } else {
-            "monolithic"
-        },
+        mode(r),
         r.throughput,
         r.ttft_p50,
         r.ttft_p99,
@@ -289,7 +284,7 @@ fn chat_report_json(r: &ClusterReport) -> String {
         r.tier_hits,
         r.tier_misses,
         r.tier_hit_rate,
-        r.num_finished
+        r.completed
     )
 }
 
@@ -318,7 +313,7 @@ fn main() {
         RoutePolicy::JoinShortestQueue,
         RoutePolicy::PrefixAffinity,
     ];
-    let runs: Vec<(ClusterReport, MetricsSnapshot)> = policies
+    let runs: Vec<(FleetReport, MetricsSnapshot)> = policies
         .iter()
         .map(|&p| run_cluster(REPLICAS, p, RUN_REQUESTS, rate))
         .collect();
@@ -330,7 +325,7 @@ fn main() {
             r.throughput / c1,
             r.norm_lat_p99,
             100.0 * r.cache_hit_rate,
-            r.routed_per_replica
+            r.router.routed
         );
     }
 
@@ -339,20 +334,16 @@ fn main() {
     // stubs, so first tokens never queue behind decode batches; the shared
     // tier turns continuation turns into CPU-side installs.
     let chat_rate = CHAT_LOAD_FACTOR * c1;
-    let (mono, _) = run_chat(ClusterConfig::new(REPLICAS), chat_rate);
+    let (mono, _) = run_chat(&ClusterConfig::new(REPLICAS), chat_rate);
     let (disagg, disagg_snap) = run_chat(
-        ClusterConfig::disaggregated(PREFILL_REPLICAS, REPLICAS - PREFILL_REPLICAS)
+        &ClusterConfig::disaggregated(PREFILL_REPLICAS, REPLICAS - PREFILL_REPLICAS)
             .with_prefix_tier_blocks(TIER_BLOCKS),
         chat_rate,
     );
     for r in [&mono, &disagg] {
         println!(
             "{:>15}: {:.2} req/s, ttft p50 {:.3}s p99 {:.3}s, handoffs {}, tier hit rate {:.0}%",
-            if r.disaggregated {
-                "disaggregated"
-            } else {
-                "monolithic"
-            },
+            mode(r),
             r.throughput,
             r.ttft_p50,
             r.ttft_p99,
@@ -442,15 +433,6 @@ fn main() {
             affinity.cache_hit_rate, rr.cache_hit_rate
         ),
     );
-    for (r, _) in std::iter::once(&(single.clone(), runs[0].1.clone())).chain(runs.iter()) {
-        check(
-            r.num_finished == r.num_requests,
-            &format!(
-                "{}: {}/{} requests finished",
-                r.policy, r.num_finished, r.num_requests
-            ),
-        );
-    }
 
     // Disaggregated serving gates: at equal hardware the split fleet must
     // hold first-token latency at or below the monolithic fleet's, with the
@@ -470,21 +452,6 @@ fn main() {
         disagg.handoffs > 0,
         "disaggregated run recorded no handoffs",
     );
-    for r in [&mono, &disagg] {
-        check(
-            r.num_finished == r.num_requests,
-            &format!(
-                "chat trace ({}): {}/{} requests finished",
-                if r.disaggregated {
-                    "disaggregated"
-                } else {
-                    "monolithic"
-                },
-                r.num_finished,
-                r.num_requests
-            ),
-        );
-    }
     check(
         disagg_snap.counter("vllm_cluster_handoffs_total") == Some(disagg.handoffs),
         "handoff counter disagrees with report",
@@ -503,6 +470,29 @@ fn main() {
         again.assignments == runs[1].0.assignments,
         "JSQ placements differ between identical runs",
     );
+
+    // Every run delivers every request exactly once and leaks nothing.
+    let all = [
+        &single, &runs[0].0, &runs[1].0, &runs[2].0, &mono, &disagg, &again,
+    ];
+    for (r, run) in all.into_iter().zip([
+        "single",
+        "rr",
+        "jsq",
+        "affinity",
+        "chat",
+        "disagg",
+        "jsq again",
+    ]) {
+        check(
+            r.completed == r.num_requests
+                && (r.lost, r.duplicates, r.rejected, r.leaked_blocks) == (0, 0, 0, 0),
+            &format!(
+                "{run}: {}/{} requests finished, {} lost, {} duplicated, {} rejected, {} blocks leaked",
+                r.completed, r.num_requests, r.lost, r.duplicates, r.rejected, r.leaked_blocks
+            ),
+        );
+    }
 
     // Every routing decision lands in the merged telemetry, losslessly in
     // both expositions.
@@ -527,28 +517,16 @@ fn main() {
             ),
         );
         check(
-            snap.counter("vllm_cluster_affinity_hits_total") == Some(r.affinity_hits),
+            snap.counter("vllm_cluster_affinity_hits_total") == Some(r.router.affinity_hits),
             &format!("{}: affinity counter disagrees with report", r.policy),
         );
-        match MetricsSnapshot::from_prometheus_text(&snap.to_prometheus_text()) {
-            Ok(rt) => check(
-                &rt == snap,
-                &format!(
-                    "{}: text exposition round-trip changed the snapshot",
-                    r.policy
-                ),
-            ),
-            Err(e) => check(
-                false,
-                &format!("{}: text exposition failed to parse: {e}", r.policy),
-            ),
-        }
-        match MetricsSnapshot::from_json(&snap.to_json()) {
-            Ok(rt) => check(
-                &rt == snap,
-                &format!("{}: JSON round-trip changed the snapshot", r.policy),
-            ),
-            Err(e) => check(false, &format!("{}: JSON failed to parse: {e}", r.policy)),
+        let text = MetricsSnapshot::from_prometheus_text(&snap.to_prometheus_text());
+        let json = MetricsSnapshot::from_json(&snap.to_json());
+        for (parsed, expo) in [(text, "text exposition"), (json, "JSON")] {
+            check(
+                parsed.is_ok_and(|rt| &rt == snap),
+                &format!("{}: {expo} fails to parse or round-trip", r.policy),
+            );
         }
     }
 

@@ -1,6 +1,7 @@
 //! Fault-injection soak: graceful degradation under seeded fault schedules.
 //!
-//! Exercises the [`FaultCluster`] harness two ways:
+//! Drives lockstep [`Fleet`]s (every step costs one unit of fleet time)
+//! under fault plans four ways:
 //!
 //! 1. **Acceptance scenario** — a hand-built plan against a 3-replica
 //!    fleet: one replica is killed mid-run (and later restarted) while a
@@ -12,22 +13,29 @@
 //!    prompts span several lockstep steps; a kill and a forward failure
 //!    then land *between* chunks. Partially-prefilled requests must be
 //!    re-routed and delivered exactly once with zero block leaks.
-//! 3. **Seeded soak** — a batch of [`FaultPlan::seeded`] schedules (which
+//! 3. **Disaggregated scenario** — the acceptance plan against a
+//!    2-prefill + 1-decode fleet with a shared prefix tier, on a trace whose
+//!    later prompts extend earlier ones (so the tier is hit). Every request
+//!    must complete exactly once with zero leaks, and its token streams
+//!    must equal a healthy unified fleet's (sequence-invariant mocks make
+//!    that the oracle).
+//! 4. **Seeded soak** — a batch of [`FaultPlan::seeded`] schedules (which
 //!    include prefill-chunking switches), each run twice. The same seed
-//!    must reproduce the identical [`FaultReport`] — same retry counts,
+//!    must reproduce the identical [`FleetReport`] — same retry counts,
 //!    same token fingerprint.
 //!
-//! Writes per-run outcome counts to `results/faults.json`. With `--ci` the
+//! Prints and writes one record of outcome counts per run to
+//! `results/faults.json` (`steps` is the fleet clock when the run drained).
+//! With `--ci` the
 //! harness asserts the acceptance criteria instead, writing its artifact
 //! under `target/ci-faults/` and exiting non-zero on any failure.
 
-use std::fmt::Write as _;
-
 use vllm_bench::Gates;
 use vllm_cluster::{
-    ClusterRequest, FaultCluster, FaultClusterConfig, FaultKind, FaultPlan, FaultReport,
+    lockstep_replica, ClusterConfig, ClusterRequest, FaultKind, FaultPlan, Fleet, FleetReport,
     RoutePolicy,
 };
+use vllm_core::mock::MockExecutor;
 use vllm_core::telemetry::MetricsSnapshot;
 
 /// Fleet size under test.
@@ -38,6 +46,8 @@ const REQUESTS: u64 = 72;
 const ARRIVALS_PER_STEP: f64 = 2.0;
 /// Fault-schedule horizon in lockstep steps.
 const HORIZON: u64 = 48;
+/// Shared prefix-tier capacity of the disaggregated fleet, in blocks.
+const TIER_BLOCKS: usize = 256;
 /// Seeds for the soak batch.
 const SOAK_SEEDS: [u64; 5] = [1, 7, 23, 99, 2026];
 
@@ -47,12 +57,17 @@ fn prompt(id: u64, len: usize) -> Vec<u32> {
         .collect()
 }
 
-fn trace(n: u64, per_step: f64) -> Vec<ClusterRequest> {
+/// `n` requests arriving at `ARRIVALS_PER_STEP`; request `i`'s prompt is
+/// `prompt(id, len)` for `(id, len) = prompt_of(i)`.
+fn trace(n: u64, prompt_of: impl Fn(u64) -> (u64, usize)) -> Vec<ClusterRequest> {
     (0..n)
         .map(|i| ClusterRequest {
             id: i,
-            arrival: i as f64 / per_step,
-            prompt: prompt(i, 16),
+            arrival: i as f64 / ARRIVALS_PER_STEP,
+            prompt: {
+                let (id, len) = prompt_of(i);
+                prompt(id, len)
+            },
             output_len: 12,
         })
         .collect()
@@ -63,13 +78,13 @@ fn trace(n: u64, per_step: f64) -> Vec<ClusterRequest> {
 /// GPU block pool deflated mid-decode (elastic shrink + compaction).
 fn acceptance_plan() -> FaultPlan {
     FaultPlan::new(0)
-        .with_event(4, 1, FaultKind::ExhaustSwap)
-        .with_event(6, 0, FaultKind::KillReplica)
-        .with_event(8, 2, FaultKind::PoolPressure { fraction: 0.4 })
-        .with_event(10, 2, FaultKind::FailForwards { count: 1 })
-        .with_event(24, 2, FaultKind::RestorePool)
-        .with_event(28, 1, FaultKind::RestoreSwap)
-        .with_event(30, 0, FaultKind::RestartReplica)
+        .with_event(4.0, 1, FaultKind::ExhaustSwap)
+        .with_event(6.0, 0, FaultKind::KillReplica)
+        .with_event(8.0, 2, FaultKind::PoolPressure { fraction: 0.4 })
+        .with_event(10.0, 2, FaultKind::FailForwards { count: 1 })
+        .with_event(24.0, 2, FaultKind::RestorePool)
+        .with_event(28.0, 1, FaultKind::RestoreSwap)
+        .with_event(30.0, 0, FaultKind::RestartReplica)
 }
 
 /// The chunked-prefill plan: all replicas switch to chunked prefill (4
@@ -79,27 +94,46 @@ fn acceptance_plan() -> FaultPlan {
 fn chunked_plan() -> FaultPlan {
     let mut plan = FaultPlan::new(0);
     for r in 0..REPLICAS {
-        plan = plan.with_event(0, r, FaultKind::StallPrefill { chunks: 4 });
+        plan = plan.with_event(0.0, r, FaultKind::StallPrefill { chunks: 4 });
     }
-    plan.with_event(4, 0, FaultKind::KillReplica)
-        .with_event(7, 1, FaultKind::FailForwards { count: 1 })
-        .with_event(30, 0, FaultKind::RestartReplica)
+    plan.with_event(4.0, 0, FaultKind::KillReplica)
+        .with_event(7.0, 1, FaultKind::FailForwards { count: 1 })
+        .with_event(30.0, 0, FaultKind::RestartReplica)
 }
 
-fn run_plan(plan: &FaultPlan, policy: RoutePolicy) -> (FaultReport, MetricsSnapshot) {
-    let mut cluster = FaultCluster::new(FaultClusterConfig::new(REPLICAS).with_policy(policy));
-    let report = cluster.run(plan, trace(REQUESTS, ARRIVALS_PER_STEP));
-    let snap = cluster.merged_snapshot();
-    (report, snap)
+/// Runs `trace` on a lockstep fleet shaped by `cfg` while `plan` fires.
+/// Sequence-invariant mocks script tokens from the seed and position alone,
+/// so any placement yields the same streams.
+fn run(
+    cfg: &ClusterConfig,
+    seq_invariant: bool,
+    plan: Option<&FaultPlan>,
+    trace: Vec<ClusterRequest>,
+) -> (FleetReport, MetricsSnapshot) {
+    let mut fleet = Fleet::new(cfg, move || {
+        let mock = MockExecutor::new(1000);
+        lockstep_replica(if seq_invariant {
+            mock.seq_invariant()
+        } else {
+            mock
+        })
+    });
+    let report = fleet.run(plan, trace);
+    (report, fleet.merged_snapshot())
 }
 
-fn report_json(label: &str, seed: u64, r: &FaultReport) -> String {
+fn run_plan(plan: &FaultPlan, policy: RoutePolicy) -> (FleetReport, MetricsSnapshot) {
+    let cfg = ClusterConfig::new(REPLICAS).with_policy(policy);
+    run(&cfg, false, Some(plan), trace(REQUESTS, |i| (i, 16)))
+}
+
+fn report_json(label: &str, seed: u64, r: &FleetReport) -> String {
     format!(
         concat!(
             "{{\"label\":\"{}\",\"seed\":{},\"requests\":{},\"completed\":{},",
             "\"rejected\":{},\"lost\":{},\"duplicates\":{},\"retries\":{},",
             "\"faults_injected\":{},\"kills\":{},\"forward_failures\":{},",
-            "\"steps\":{},\"leaked_blocks\":{},\"token_fingerprint\":{}}}"
+            "\"steps\":{:.2},\"leaked_blocks\":{},\"token_fingerprint\":{}}}"
         ),
         label,
         seed,
@@ -108,11 +142,11 @@ fn report_json(label: &str, seed: u64, r: &FaultReport) -> String {
         r.rejected,
         r.lost,
         r.duplicates,
-        r.retries,
+        r.router.retries,
         r.faults_injected,
         r.kills,
         r.forward_failures,
-        r.steps,
+        r.duration,
         r.leaked_blocks,
         r.token_fingerprint
     )
@@ -123,32 +157,23 @@ fn main() {
 
     // 1. Acceptance scenario.
     let (scenario, snap) = run_plan(&acceptance_plan(), RoutePolicy::PrefixAffinity);
-    println!(
-        "scenario: {}/{} completed, {} rejected, {} lost, {} dup, {} retries, {} leaked blocks",
-        scenario.completed,
-        scenario.num_requests,
-        scenario.rejected,
-        scenario.lost,
-        scenario.duplicates,
-        scenario.retries,
-        scenario.leaked_blocks
-    );
-
     // 2. Chunked-prefill scenario: kills land between prefill chunks.
     let (chunked, chunked_snap) = run_plan(&chunked_plan(), RoutePolicy::RoundRobin);
-    println!(
-        "chunked:  {}/{} completed, {} rejected, {} lost, {} dup, {} retries, {} leaked blocks",
-        chunked.completed,
-        chunked.num_requests,
-        chunked.rejected,
-        chunked.lost,
-        chunked.duplicates,
-        chunked.retries,
-        chunked.leaked_blocks
+    // 3. The acceptance plan on a disaggregated fleet with a tier: requests
+    // 24.. extend the prompts of requests 0..24 (and 48.. further).
+    let chat = |i: u64| (i % 24, 16 + 8 * (i / 24) as usize);
+    let tiered = ClusterConfig::disaggregated(2, 1).with_prefix_tier_blocks(TIER_BLOCKS);
+    let (disagg, _) = run(
+        &tiered,
+        true,
+        Some(&acceptance_plan()),
+        trace(REQUESTS, chat),
     );
+    let unified = ClusterConfig::new(REPLICAS);
+    let (oracle, _) = run(&unified, true, None, trace(REQUESTS, chat));
 
-    // 3. Seeded soak, each seed run twice for determinism.
-    let soak: Vec<(u64, FaultReport, FaultReport)> = SOAK_SEEDS
+    // 4. Seeded soak, each seed run twice for determinism.
+    let soak: Vec<(u64, FleetReport, FleetReport)> = SOAK_SEEDS
         .iter()
         .map(|&seed| {
             let plan = FaultPlan::seeded(seed, REPLICAS, HORIZON);
@@ -157,31 +182,24 @@ fn main() {
             (seed, a, b)
         })
         .collect();
-    for (seed, r, _) in &soak {
-        println!(
-            "seed {seed:>5}: {}/{} completed, {} rejected, {} retries, {} faults, fp {:#x}",
-            r.completed,
-            r.num_requests,
-            r.rejected,
-            r.retries,
-            r.faults_injected,
-            r.token_fingerprint
-        );
-    }
 
-    // JSON artifact.
-    let mut json = String::new();
-    write!(
-        json,
-        "{{\"replicas\":{REPLICAS},\"requests\":{REQUESTS},\"runs\":[{}",
-        report_json("scenario", 0, &scenario)
-    )
-    .unwrap();
-    write!(json, ",{}", report_json("chunked", 0, &chunked)).unwrap();
-    for (seed, r, _) in &soak {
-        write!(json, ",{}", report_json("seeded", *seed, r)).unwrap();
-    }
-    json.push_str("]}");
+    // One JSON record per run, printed and collected into the artifact.
+    let named = [
+        ("scenario", &scenario),
+        ("chunked", &chunked),
+        ("disaggregated", &disagg),
+    ];
+    let records: Vec<String> = (named.iter().map(|(label, r)| report_json(label, 0, r)))
+        .chain(
+            soak.iter()
+                .map(|(seed, r, _)| report_json("seeded", *seed, r)),
+        )
+        .inspect(|record| println!("{record}"))
+        .collect();
+    let json = format!(
+        "{{\"replicas\":{REPLICAS},\"requests\":{REQUESTS},\"runs\":[{}]}}",
+        records.join(",")
+    );
     let dir = if ci { "target/ci-faults" } else { "results" };
     std::fs::create_dir_all(dir).expect("create output dir");
     let path = format!("{dir}/faults.json");
@@ -193,21 +211,38 @@ fn main() {
     }
 
     let mut gates = Gates::default();
+    // Exactly-once delivery (nothing lost or duplicated, every request
+    // completed or rejected) and exact block accounting, for every run.
+    let mut delivered = |label: &str, r: &FleetReport| {
+        for (ok, what) in [
+            (r.lost == 0, "requests were lost"),
+            (r.duplicates == 0, "duplicate completions"),
+            (
+                r.completed + r.rejected == r.num_requests,
+                "some requests neither completed nor rejected",
+            ),
+            (r.leaked_blocks == 0, "KV blocks leaked"),
+        ] {
+            gates.check(ok, &format!("{label}: {what}"));
+        }
+    };
+    // Under kill + swap exhaustion; with kills landing between prefill
+    // chunks (exact accounting for the aborted chunk cursors); on the
+    // disaggregated fleet; and for every seed.
+    delivered("scenario", &scenario);
+    delivered("chunked", &chunked);
+    delivered("disaggregated", &disagg);
+    for (seed, a, _) in &soak {
+        delivered(&format!("seed {seed}"), a);
+    }
     let mut check = |ok: bool, what: &str| gates.check(ok, what);
-
-    // Exactly-once delivery under kill + swap exhaustion.
-    check(scenario.kills == 1, "scenario: expected exactly one kill");
-    check(scenario.lost == 0, "scenario: requests were lost");
-    check(scenario.duplicates == 0, "scenario: duplicate completions");
-    check(
-        scenario.completed + scenario.rejected == scenario.num_requests,
-        "scenario: some requests neither completed nor rejected",
-    );
-    check(
-        scenario.retries > 0,
-        "scenario: the kill must force re-routing retries",
-    );
-    check(scenario.leaked_blocks == 0, "scenario: KV blocks leaked");
+    for (label, r) in [("scenario", &scenario), ("chunked", &chunked)] {
+        check(r.kills == 1, &format!("{label}: expected exactly one kill"));
+        check(
+            r.router.retries > 0,
+            &format!("{label}: the kill must force re-routing retries"),
+        );
+    }
 
     // Fault and retry telemetry present in both expositions.
     check(
@@ -215,7 +250,7 @@ fn main() {
         "scenario: vllm_fault_kills_total missing or wrong",
     );
     check(
-        snap.counter("vllm_cluster_retries_total") == Some(scenario.retries),
+        snap.counter("vllm_cluster_retries_total") == Some(scenario.router.retries),
         "scenario: vllm_cluster_retries_total missing or wrong",
     );
     check(
@@ -226,8 +261,7 @@ fn main() {
         snap.counter("vllm_fault_pool_pressure_total") == Some(1),
         "scenario: vllm_fault_pool_pressure_total missing or wrong",
     );
-    let prom = snap.to_prometheus_text();
-    let json_expo = snap.to_json();
+    let (prom, json_expo) = (snap.to_prometheus_text(), snap.to_json());
     for name in [
         "vllm_fault_injected_total",
         "vllm_fault_kills_total",
@@ -243,51 +277,28 @@ fn main() {
             &format!("{name} absent from JSON exposition"),
         );
     }
-
-    // Chunked-prefill scenario: exactly-once delivery with kills landing
-    // between prefill chunks, and exact block accounting for the aborted
-    // chunk cursors.
-    check(chunked.kills == 1, "chunked: expected exactly one kill");
-    check(
-        chunked.lost == 0,
-        "chunked: partially-prefilled requests were lost",
-    );
-    check(chunked.duplicates == 0, "chunked: duplicate completions");
-    check(
-        chunked.completed + chunked.rejected == chunked.num_requests,
-        "chunked: some requests neither completed nor rejected",
-    );
-    check(
-        chunked.retries > 0,
-        "chunked: the mid-prefill kill must force re-routing retries",
-    );
-    check(
-        chunked.leaked_blocks == 0,
-        "chunked: KV blocks leaked across chunk-cursor aborts",
-    );
     check(
         chunked_snap.counter("vllm_fault_prefill_stalls_total") == Some(REPLICAS as u64),
         "chunked: vllm_fault_prefill_stalls_total missing or wrong",
     );
 
-    // Seeded soak: determinism and zero-loss for every seed.
+    // Disaggregated scenario: every request completes through kills, a
+    // failed decode step and a deflated decode pool, the tier serves later
+    // turns, and the streams are token for token the unified oracle's.
+    check(
+        disagg.completed == disagg.num_requests,
+        "disaggregated: requests were rejected",
+    );
+    check(disagg.tier_hits > 0, "disaggregated: the tier saw no hits");
+    check(
+        disagg.token_fingerprint == oracle.token_fingerprint,
+        "disaggregated: token streams differ from the unified oracle's",
+    );
+    // Seeded soak: determinism for every seed.
     for (seed, a, b) in &soak {
         check(
             a == b,
             &format!("seed {seed}: reports differ between identical runs"),
-        );
-        check(a.lost == 0, &format!("seed {seed}: requests were lost"));
-        check(
-            a.duplicates == 0,
-            &format!("seed {seed}: duplicate completions"),
-        );
-        check(
-            a.completed + a.rejected == a.num_requests,
-            &format!("seed {seed}: some requests neither completed nor rejected"),
-        );
-        check(
-            a.leaked_blocks == 0,
-            &format!("seed {seed}: KV blocks leaked"),
         );
     }
 

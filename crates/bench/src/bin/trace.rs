@@ -1,12 +1,13 @@
 //! Distributed-tracing soak: span propagation across kill/retry, Perfetto
 //! export, and span/metric consistency gates.
 //!
-//! Replays a mixed workload through the [`FaultCluster`] harness while one
-//! replica is killed mid-run (and restarted later), so at least one request
-//! is re-routed and its retry shows up as a sibling `attempt` span under the
-//! same root. Every request's spans — from the cluster's root context down
-//! through queue/prefill/decode stage spans to per-backend kernel spans —
-//! are collected from all replicas (including engines archived on restart),
+//! Replays a mixed workload through a lockstep [`Fleet`] (every step costs
+//! one unit of fleet time) while one replica is killed mid-run (and
+//! restarted later), so at least one request is re-routed and its retry
+//! shows up as a sibling `attempt` span under the same root. Every
+//! request's spans — from the cluster's root context down through
+//! queue/prefill/decode stage spans to per-backend kernel spans — are
+//! collected from all replicas (including engines archived on restart),
 //! stitched under one synthesized `router` root per request, and exported
 //! two ways:
 //!
@@ -23,15 +24,19 @@
 //! 3. the Perfetto artifact parses and is structurally valid;
 //! 4. the sum of attempt-span durations matches the merged
 //!    `vllm_request_e2e_seconds` histogram sums within 1%;
-//! 5. no span log reported drops at default capacity.
+//! 5. no span log reported drops at default capacity;
+//! 6. one time base, the fleet clock: every `fault.*` instant lies within
+//!    the run's engine-span bounds, and every span of a restarted
+//!    generation starts at or after its `fault.restart`.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use vllm_bench::Gates;
 use vllm_cluster::{
-    ClusterRequest, FaultCluster, FaultClusterConfig, FaultKind, FaultPlan, RoutePolicy,
+    lockstep_replica, ClusterConfig, ClusterRequest, FaultKind, FaultPlan, Fleet, RoutePolicy,
 };
+use vllm_core::mock::MockExecutor;
 use vllm_core::telemetry::{
     spans_to_chrome_trace, spans_to_json, trace_seed, validate_span_tree, Json, MetricValue, Span,
     TraceContext,
@@ -42,9 +47,9 @@ const REPLICAS: usize = 3;
 /// Requests in the mixed workload.
 const REQUESTS: u64 = 36;
 /// Lockstep step at which replica 0 is killed.
-const KILL_AT: u64 = 6;
+const KILL_AT: f64 = 6.0;
 /// Lockstep step at which replica 0 is restarted.
-const RESTART_AT: u64 = 30;
+const RESTART_AT: f64 = 30.0;
 
 fn prompt(id: u64, len: usize) -> Vec<u32> {
     (0..len)
@@ -110,17 +115,17 @@ fn main() {
     let plan = FaultPlan::new(0)
         .with_event(KILL_AT, 0, FaultKind::KillReplica)
         .with_event(RESTART_AT, 0, FaultKind::RestartReplica);
-    let mut cluster =
-        FaultCluster::new(FaultClusterConfig::new(REPLICAS).with_policy(RoutePolicy::RoundRobin));
-    let report = cluster.run(&plan, workload());
+    let cfg = ClusterConfig::new(REPLICAS).with_policy(RoutePolicy::RoundRobin);
+    let mut cluster = Fleet::new(&cfg, || lockstep_replica(MockExecutor::new(1000)));
+    let report = cluster.run(Some(&plan), workload());
     println!(
         "run: {}/{} completed, {} rejected, {} retries, {} kills, {} steps",
         report.completed,
         report.num_requests,
         report.rejected,
-        report.retries,
+        report.router.retries,
         report.kills,
-        report.steps
+        report.duration
     );
 
     // One track per replica generation (archived engines first, the live
@@ -128,8 +133,7 @@ fn main() {
     // synthesized per-request roots.
     let all = cluster.all_spans();
     let live_start = all.len() - REPLICAS;
-    let mut tracks: Vec<(String, Vec<Span>)> = all
-        .into_iter()
+    let mut tracks: Vec<(String, Vec<Span>)> = (all.iter().cloned())
         .enumerate()
         .map(|(pos, (i, spans))| {
             let label = if pos < live_start {
@@ -225,7 +229,7 @@ fn main() {
         ),
         report.num_requests,
         report.completed,
-        report.retries,
+        report.router.retries,
         report.kills,
         span_count,
         by_trace.len(),
@@ -251,7 +255,10 @@ fn main() {
         report.completed == report.num_requests,
         "capacity is ample: every request must complete",
     );
-    check(report.retries > 0, "the kill must force re-routing retries");
+    check(
+        report.router.retries > 0,
+        "the kill must force re-routing retries",
+    );
 
     // Gate 1: every traced request forms a complete, well-nested tree.
     check(
@@ -353,6 +360,35 @@ fn main() {
         cluster.span_log_drops() == 0,
         "span logs dropped spans at default capacity",
     );
+
+    // Gate 6: one time base. Fault instants fall within the engine spans'
+    // bounds, and the k-th restart of a replica precedes every span of its
+    // (k+1)-th generation.
+    let (lo, hi) = (all.iter().flat_map(|(_, s)| s)).fold((f64::MAX, f64::MIN), |(lo, hi), s| {
+        (lo.min(s.start), hi.max(s.end))
+    });
+    let fleet_spans = cluster.telemetry().spans().snapshot();
+    let mut restarted: HashMap<&str, usize> = HashMap::new();
+    for f in fleet_spans.iter().filter(|s| s.name.starts_with("fault.")) {
+        let inside = lo <= f.start && f.end <= hi;
+        check(
+            inside,
+            &format!("{} at {} outside the run's spans", f.name, f.start),
+        );
+        if f.name == "fault.restart" {
+            let replica = f.attrs[0].1.as_str(); // a fault's one attribute
+            let k = restarted.entry(replica).or_default();
+            *k += 1;
+            let next = (all.iter())
+                .filter(|(i, _)| i.to_string() == replica)
+                .nth(*k);
+            let ok = next.is_some_and(|(_, g)| g.iter().all(|s| s.start >= f.start));
+            check(
+                ok,
+                &format!("replica {replica}'s generation {k} starts before its restart"),
+            );
+        }
+    }
 
     gates.finish("tracing CI gate");
     println!("tracing CI gate passed");

@@ -17,14 +17,13 @@
 //! returns the next command, preceded by the [`FlowEffect`]s — work nothing
 //! is fed back from — the driver performs first. A driver is the loop
 //! "perform the effects, execute the command in my world, feed the answer
-//! back" until [`FlowCommand::Finish`]. Three drivers share it, each
+//! back" until [`FlowCommand::Finish`]. Two drivers share it, each
 //! substituting only its world:
 //!
 //! | driver | clock | KV bodies | tier | `Transfer` | `Backoff` |
 //! |---|---|---|---|---|---|
 //! | `src/frontend.rs` (threads) | wall seconds | real | shared, locked | nothing to do: the payload already crossed the codec | sleeps `hint·2^attempt`, capped |
-//! | [`ClusterSystem`](crate::ClusterSystem) (virtual time) | the request's own virtual cursor | cost-model engine, empty-bodied | its own; a hit advances the cursor by the fetch's swap-bandwidth cost | advances the cursor by the swap-bandwidth cost | advances the cursor |
-//! | [`FaultCluster`](crate::FaultCluster) (lockstep) | step number | mock engine, empty-bodied | none: every lookup misses | parks [`TRANSFER_STEPS`](crate::fault::TRANSFER_STEPS), then `ReplicaDied` if the target is down | parks a capped number of steps |
+//! | [`Fleet`](crate::Fleet) (one event loop) | the request's own virtual cursor on the fleet clock (cost-model seconds, or lockstep steps) | cost-model or mock engine, empty-bodied | its own; a hit advances the cursor by the fetch's [`FleetTime::transfer_time`](crate::FleetTime::transfer_time) | parks for the transfer time, then `ReplicaDied` if the target is down | parks for [`FleetTime::backoff_time`](crate::FleetTime::backoff_time) |
 //!
 //! The transition table — the specification the drivers and
 //! `tests/flow_exhaustive.rs` share — is in DESIGN.md §14.
@@ -49,12 +48,13 @@ pub fn handoff_cut(prompt_len: usize, block_size: usize) -> usize {
     (prompt_len.saturating_sub(1) / block_size) * block_size
 }
 
-/// Placements a clock-driven driver (the serving frontend, the simulator)
-/// allows one request before its failure is terminal.
+/// Placements a driver (the serving frontend, the fleet) allows one request
+/// before its failure is terminal.
 pub const MAX_SUBMIT_ATTEMPTS: u32 = 4;
 
-/// Seconds a clock-driven driver waits on [`FlowCommand::Backoff`]: capped
-/// exponential backoff seeded by the error's own hint.
+/// Seconds a wall-clock or cost-model driver waits on
+/// [`FlowCommand::Backoff`]: capped exponential backoff seeded by the
+/// error's own hint.
 #[must_use]
 pub fn backoff_seconds(attempt: u32, hint: Option<f64>) -> f64 {
     (hint.unwrap_or(0.01) * f64::from(1u32 << attempt)).min(0.2)

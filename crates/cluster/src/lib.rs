@@ -3,7 +3,7 @@
 //! A multi-replica serving layer over the single-engine core: the paper
 //! evaluates one vLLM instance (§6), but production traffic is served by N
 //! engine replicas behind a router. This crate provides the pieces shared by
-//! the real TCP frontend and the discrete-event simulator:
+//! the real TCP frontend and the deterministic in-process fleet:
 //!
 //! * [`Replica`] — an [`LlmEngine`](vllm_core::LlmEngine) running on its own
 //!   thread, fed over a channel and publishing an [`EngineStats`] load
@@ -22,21 +22,22 @@
 //!   the handoff wire round trip, decode install, stitch, retry
 //!   classification, and the handoff
 //!   counters and span tree ([`HandoffMetrics`]). The TCP frontend (real
-//!   threads), [`ClusterSystem`] (virtual time) and [`FaultCluster`]
-//!   (lockstep) are its three drivers: each performs the flow's effects and
-//!   executes its commands in its own world, feeds the answers back, and
-//!   decides nothing else.
+//!   threads) and [`Fleet`] (virtual time) are its two drivers: each
+//!   performs the flow's effects and executes its commands in its own world,
+//!   feeds the answers back, and decides nothing else.
 //! * [`merge_labeled`] / [`aggregate_stats`] — fold per-replica telemetry
 //!   into one cluster view: metric names gain a `{replica="i"}` label and
 //!   still round-trip through both expositions.
-//! * [`ClusterSystem`] — N simulated engines under one trace, producing
-//!   throughput-scaling and affinity-hit-rate curves analytically.
-//! * [`FaultPlan`] / [`FaultCluster`] — seeded fault schedules (kills,
-//!   stalls, forward failures, swap exhaustion, cache-op delays) driven
-//!   through a deterministic lockstep harness that exercises the
+//! * [`Fleet`] — N engines under one trace and one event loop, generic over
+//!   the executor, whose [`FleetTime`] is the clock: the cost model
+//!   ([`sim_replica`]) yields throughput-scaling, affinity-hit-rate and TTFT
+//!   curves analytically; the lockstep mock ([`lockstep_replica`]) charges
+//!   one unit per step. An optional [`FaultPlan`] — seeded schedules of
+//!   kills, restarts, stalls, forward failures, swap exhaustion, cache-op
+//!   delays and pool pressure — fires on the fleet clock and exercises the
 //!   degradation machinery: bounded admission with backpressure, retry with
-//!   re-routing, restart with drain. Same seed ⇒ same token streams and
-//!   retry counts.
+//!   re-routing, restart with drain. One [`FleetReport`] covers both: same
+//!   trace and seed ⇒ same token streams, retry counts and latencies.
 //! * [`ClusterConfig`] / [`ReplicaRole`] — the typed fleet builder:
 //!   per-replica roles (prefill / decode / unified) for disaggregated
 //!   serving, admission bounds, and prefix-tier capacity, replacing
@@ -52,15 +53,16 @@
 
 pub mod config;
 pub mod fault;
+pub mod fleet;
 pub mod flow;
 pub mod replica;
 pub mod router;
-pub mod sim;
 pub mod stats;
 pub mod tier;
 
 pub use config::{ClusterConfig, ReplicaRole};
-pub use fault::{FaultCluster, FaultClusterConfig, FaultEvent, FaultKind, FaultPlan, FaultReport};
+pub use fault::{FaultEvent, FaultKind, FaultPlan};
+pub use fleet::{lockstep_replica, sim_replica, ClusterRequest, Fleet, FleetReport, FleetTime};
 pub use flow::{
     backoff_seconds, handoff_cut, FlowCommand, FlowEffect, FlowInput, HandoffMetrics,
     HandoffRecord, PrefixKv, RequestFlow, MAX_SUBMIT_ATTEMPTS,
@@ -70,6 +72,5 @@ pub use replica::{
     PrefixRequest, Replica,
 };
 pub use router::{ReplicaSnapshot, RouteDecision, RoutePolicy, Router, RouterConfig, RouterStats};
-pub use sim::{ClusterReport, ClusterRequest, ClusterSystem};
 pub use stats::{aggregate_stats, merge_labeled};
 pub use tier::{PrefixTier, TierMetrics};

@@ -27,4 +27,4 @@ pub use gpu::{
     a100_40g, a100_80g, h100_80g, llama_13b, opt_13b, opt_175b, opt_66b, GpuSpec, ModelProfile,
     ServerConfig, ACTIVATION_RESERVE_FRACTION,
 };
-pub use vllm_system::{sim_prompt_tokens, SimExecutor, VllmSimSystem};
+pub use vllm_system::{sim_engine_parts, sim_prompt_tokens, SimExecutor, VllmSimSystem};

@@ -170,6 +170,30 @@ impl ModelExecutor for SimExecutor {
     }
 }
 
+/// The engine of a simulated Table 1 server, in parts: the cost-model
+/// executor, and the cache and scheduler configuration (default watermark
+/// and victim policy; the CPU swap pool sized at the GPU pool, since the
+/// §4.5 bound makes a larger one pointless).
+///
+/// # Panics
+///
+/// Panics if the configuration yields no KV blocks.
+#[must_use]
+pub fn sim_engine_parts(
+    server: ServerConfig,
+    block_size: usize,
+    preemption: PreemptionMode,
+) -> (SimExecutor, CacheConfig, SchedulerConfig) {
+    let num_blocks = server.num_gpu_blocks(block_size);
+    let cache = CacheConfig::new(block_size, num_blocks, num_blocks).expect("valid cache config");
+    let max_len = server.model.max_len;
+    let sched = SchedulerConfig::new(max_len.max(2560), 256, max_len)
+        .expect("valid scheduler config")
+        .with_preemption_mode(preemption);
+    let exec = SimExecutor::new(CostModel::paged(server, block_size));
+    (exec, cache, sched)
+}
+
 /// vLLM under simulation: the real engine behind the [`BatchSystem`] driver
 /// interface.
 #[derive(Debug)]
@@ -236,17 +260,9 @@ impl VllmSimSystem {
         watermark: f64,
         victim_policy: vllm_core::config::VictimPolicy,
     ) -> Self {
-        let num_blocks = server.num_gpu_blocks(block_size);
-        let cache = CacheConfig::new(block_size, num_blocks, num_blocks)
-            .expect("valid cache config")
-            .with_watermark(watermark)
-            .expect("valid watermark");
-        let max_len = server.model.max_len;
-        let sched = SchedulerConfig::new(max_len.max(2560), 256, max_len)
-            .expect("valid scheduler config")
-            .with_preemption_mode(preemption)
-            .with_victim_policy(victim_policy);
-        let exec = SimExecutor::new(CostModel::paged(server, block_size));
+        let (exec, cache, sched) = sim_engine_parts(server, block_size, preemption);
+        let cache = cache.with_watermark(watermark).expect("valid watermark");
+        let sched = sched.with_victim_policy(victim_policy);
         Self {
             engine: LlmEngine::new(exec, cache, sched),
             label: "vLLM".to_string(),

@@ -32,7 +32,9 @@
 //! round-robin's cache hit rate, runs are deterministic, every routing
 //! decision shows up in the merged telemetry, the disaggregated fleet
 //! holds p99 TTFT at or below the monolithic fleet's at equal replica count
-//! with a warm tier (hit rate above zero), and the binary round trip is at
+//! with a warm tier (hit rate above zero), every request that completed on
+//! its first attempt sent exactly one replica message per phase (1 unified,
+//! 2 prefill → decode), and the binary round trip is at
 //! least 5× the hex edge on both blocks (median of paired rounds) —
 //! writing its artifact under `target/ci-cluster/` and exiting non-zero on
 //! any failure.
@@ -342,13 +344,14 @@ fn main() {
     );
     for r in [&mono, &disagg] {
         println!(
-            "{:>15}: {:.2} req/s, ttft p50 {:.3}s p99 {:.3}s, handoffs {}, tier hit rate {:.0}%",
+            "{:>15}: {:.2} req/s, ttft p50 {:.3}s p99 {:.3}s, handoffs {}, tier hit rate {:.0}%, replica messages per request {:?}",
             mode(r),
             r.throughput,
             r.ttft_p50,
             r.ttft_p99,
             r.handoffs,
-            100.0 * r.tier_hit_rate
+            100.0 * r.tier_hit_rate,
+            r.replica_messages
         );
     }
 
@@ -493,6 +496,27 @@ fn main() {
             ),
         );
     }
+
+    // The mechanism, by count: a request that completed on its first
+    // attempt sent one replica message per phase — its install, export and
+    // admission ride the submissions.
+    for (r, run) in [
+        (&mono, "chat"),
+        (&disagg, "disagg"),
+        (&runs[2].0, "affinity"),
+    ] {
+        let off: Vec<_> = (r.replica_messages.iter())
+            .filter(|(&(two_phase, messages), _)| messages != 1 + u32::from(two_phase))
+            .collect();
+        check(
+            off.is_empty() && !r.replica_messages.is_empty(),
+            &format!("{run}: replica messages per first-attempt request {off:?}, want 1 unified / 2 two-phase"),
+        );
+    }
+    check(
+        disagg.replica_messages.get(&(true, 2)) == Some(&disagg.completed),
+        "disagg: not every request completed as a two-phase request in two messages",
+    );
 
     // Every routing decision lands in the merged telemetry, losslessly in
     // both expositions.

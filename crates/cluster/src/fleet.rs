@@ -25,9 +25,12 @@
 //! park on one queue at the cursor and resume when the fleet's clocks get
 //! there; a transfer whose target was killed meanwhile wakes as
 //! `ReplicaDied`, so a mid-transfer kill restarts the attempt and delivery
-//! stays exactly-once. Neither executor holds tensor content: the engines
-//! answer `Export` and `Install` with empty-bodied blocks, so installed and
-//! cached prefixes save prompt compute and occupy free blocks.
+//! stays exactly-once. A woken `Submit` is one replica message, as on a
+//! replica thread: its install runs and the request is admitted at once, and
+//! its export runs right after the step that finishes it. Neither executor
+//! holds tensor content: the engines export and install empty-bodied
+//! blocks, so installed and cached prefixes save prompt compute and occupy
+//! free blocks.
 //!
 //! Under a plan the degradation machinery runs for real: bounded admission
 //! (a full, draining or dead replica answers `Rejected` with a
@@ -57,7 +60,7 @@ use crate::flow::{
     backoff_seconds, FlowCommand, FlowEffect, FlowInput, HandoffMetrics, RequestFlow,
     MAX_SUBMIT_ATTEMPTS,
 };
-use crate::replica::{apply_prefix_op, REJECT_RETRY_AFTER};
+use crate::replica::{admit, Admitted, REJECT_RETRY_AFTER};
 use crate::router::{ReplicaSnapshot, Router, RouterStats};
 use crate::stats::merge_labeled;
 use crate::tier::PrefixTier;
@@ -224,6 +227,9 @@ pub struct FleetReport {
     /// Order-independent hash of every request's terminal outcome and token
     /// streams; equal across runs ⇔ identical outputs.
     pub token_fingerprint: u64,
+    /// Replica messages (submissions) sent by each request that completed
+    /// on its first attempt, as `(two-phase, messages) → requests`.
+    pub replica_messages: BTreeMap<(bool, u32), usize>,
 }
 
 /// One replica slot.
@@ -231,8 +237,9 @@ struct Slot<E: ModelExecutor> {
     engine: LlmEngine<FaultInjector<E>>,
     alive: bool,
     draining: bool,
-    /// Engine-side id → trace request id for everything admitted here.
-    inflight: HashMap<String, u64>,
+    /// Engine-side id → what was admitted here, waited on by its trace
+    /// request id.
+    inflight: HashMap<String, Admitted<u64>>,
 }
 
 impl<E: ModelExecutor> Slot<E> {
@@ -267,6 +274,8 @@ struct Active {
     arrival: f64,
     cursor: f64,
     ttft_seen: bool,
+    /// Submissions sent so far.
+    messages: u32,
 }
 
 /// Per-run bookkeeping.
@@ -285,6 +294,7 @@ struct Run {
     assignments: Vec<(u64, usize)>,
     /// First-attempt tier lookups: `[misses, hits]`.
     tier_lookups: [u64; 2],
+    replica_messages: BTreeMap<(bool, u32), usize>,
 }
 
 /// Fault counters on the fleet-level telemetry.
@@ -467,7 +477,11 @@ impl<E: FleetTime> Fleet<E> {
 
     /// Runs `requests` to completion while `plan` (if any) fires, and
     /// reports. Every request ends completed or rejected; the report counts
-    /// any that did not (`lost`) or ended twice (`duplicates`).
+    /// any that did not (`lost`) or ended twice (`duplicates`). The run ends
+    /// when the last request has and every replica is idle: a plan event
+    /// that was not yet due when the fleet's last step began never fires,
+    /// even one timed inside that step (a restart there leaves its replica
+    /// dead in the router).
     pub fn run(
         &mut self,
         plan: Option<&FaultPlan>,
@@ -482,6 +496,11 @@ impl<E: FleetTime> Fleet<E> {
             let behind = (0..self.slots.len())
                 .filter(|&i| self.slots[i].busy())
                 .min_by(|&a, &b| self.clock(a).total_cmp(&self.clock(b)));
+            // Drained: a fault event still pending was not due when the last
+            // step began, so it does not fire.
+            if behind.is_none() && self.st.active.is_empty() && next_arrival == requests.len() {
+                break;
+            }
             // The earliest pending injection; at a tie a fault event goes
             // first, then a parked command (a request already in the fleet
             // moves before new work lands), then an arrival. It is due when
@@ -533,21 +552,17 @@ impl<E: FleetTime> Fleet<E> {
             arrival: r.arrival,
             cursor: r.arrival,
             ttft_seen: false,
+            messages: 0,
         };
         self.st.active.insert(r.id, active);
         self.drive(r.id, FlowInput::Start);
     }
 
-    /// Resumes a parked command at `at`: admits a `Submit`, ends a
-    /// `Backoff`, lands a `Transfer` — or reports its target dead.
+    /// Resumes a parked command at `at`: installs and admits a `Submit`,
+    /// ends a `Backoff`, lands a `Transfer` — or reports its target dead.
     fn wake(&mut self, at: f64, id: u64, cmd: FlowCommand) {
-        let (replica, engine_id, prompt, request) = match cmd {
-            FlowCommand::Submit {
-                replica,
-                engine_id,
-                prompt,
-                request,
-            } => (replica, engine_id, prompt, request),
+        let (replica, job) = match cmd {
+            FlowCommand::Submit { replica, job } => (replica, job),
             FlowCommand::Transfer { replica, .. } if !self.slots[replica].alive => {
                 return self.drive(id, FlowInput::ReplicaDied { replica });
             }
@@ -563,10 +578,8 @@ impl<E: FleetTime> Fleet<E> {
             return self.drive(id, FlowInput::Reply(Err(e)));
         }
         slot.engine.advance_clock_to(at);
-        match (slot.engine).add_generation_request_at(engine_id.clone(), prompt, &request, at) {
-            Ok(()) => {
-                slot.inflight.insert(engine_id, id);
-            }
+        match admit(&mut slot.engine, job, at, id) {
+            Ok((engine_id, admitted)) => drop(slot.inflight.insert(engine_id, admitted)),
             Err(e) => self.drive(id, FlowInput::Reply(Err(e))),
         }
     }
@@ -614,14 +627,11 @@ impl<E: FleetTime> Fleet<E> {
                     }
                     FlowInput::Tier(hit)
                 }
-                FlowCommand::PrefixOp { replica, op } => match &mut self.slots[replica] {
-                    s if s.alive => FlowInput::Prefix(apply_prefix_op(&mut s.engine, op)),
-                    _ => FlowInput::ReplicaDied { replica },
-                },
                 // One park rule: the command waits at the cursor.
                 cmd @ (FlowCommand::Submit { .. }
                 | FlowCommand::Transfer { .. }
                 | FlowCommand::Backoff { .. }) => {
+                    a.messages += u32::from(matches!(cmd, FlowCommand::Submit { .. }));
                     a.cursor += match cmd {
                         FlowCommand::Transfer { replica, blocks } => {
                             self.slots[replica].exec().transfer_time(blocks)
@@ -638,6 +648,10 @@ impl<E: FleetTime> Fleet<E> {
                 }
                 FlowCommand::Finish(result) => {
                     let arrival = a.arrival;
+                    if a.flow.attempt() == 0 && result.is_ok() {
+                        let key = (a.flow.is_two_phase(), a.messages);
+                        *st.replica_messages.entry(key).or_default() += 1;
+                    }
                     st.active.remove(&id);
                     let tokens = result.ok().map(|out| {
                         st.latency
@@ -674,18 +688,19 @@ impl<E: FleetTime> Fleet<E> {
         engine.advance_clock_to(before + 1e-9);
         for o in outs {
             // Outputs of aborted attempts have no flow waiting.
-            let Some(id) = self.slots[i].inflight.remove(&o.request_id) else {
+            let Some(admitted) = self.slots[i].inflight.remove(&o.request_id) else {
                 continue;
             };
+            let (id, replied) = admitted.reply(&self.slots[i].engine, o);
             let a = self.st.active.get_mut(&id).expect("in flight");
-            a.cursor = o.finish_time;
+            a.cursor = replied.output.finish_time;
             // The first reply with a token closes TTFT: the unified run's,
             // or the prefill stub's.
-            if let (false, Some(first)) = (a.ttft_seen, o.first_token_time) {
+            if let (false, Some(first)) = (a.ttft_seen, replied.output.first_token_time) {
                 a.ttft_seen = true;
                 self.st.ttfts.push(first - a.arrival);
             }
-            self.drive(id, FlowInput::Reply(Ok(o)));
+            self.drive(id, FlowInput::Reply(Ok(replied)));
         }
         if self.slots[i].draining && !self.slots[i].engine.has_unfinished() {
             self.replace(i, self.clock(i));
@@ -695,7 +710,11 @@ impl<E: FleetTime> Fleet<E> {
     /// Wakes every flow in flight on replica `i` with a failure input at
     /// `now` (sorted, so the re-routes are deterministic).
     fn fail_inflight(&mut self, i: usize, now: f64, input: impl Fn(usize) -> FlowInput) {
-        let mut ids: Vec<u64> = self.slots[i].inflight.drain().map(|(_, id)| id).collect();
+        let mut ids: Vec<u64> = self.slots[i]
+            .inflight
+            .drain()
+            .map(|(_, a)| a.waiter)
+            .collect();
         ids.sort_unstable();
         for id in ids {
             let a = self.st.active.get_mut(&id).expect("in flight");
@@ -804,6 +823,7 @@ impl<E: FleetTime> Fleet<E> {
             mut ttfts,
             assignments,
             tier_lookups: [tier_misses, tier_hits],
+            replica_messages,
             ..
         } = std::mem::take(&mut self.st);
         ttfts.sort_by(f64::total_cmp);
@@ -850,6 +870,7 @@ impl<E: FleetTime> Fleet<E> {
             leaked_blocks: self.archived_leaks
                 + self.slots.iter().map(Slot::used_blocks).sum::<usize>(),
             token_fingerprint: fingerprint(&outcomes),
+            replica_messages,
         }
     }
 }
@@ -1132,6 +1153,21 @@ mod tests {
         assert_eq!(report.completed, 16);
         assert_eq!(fleet.router().num_alive(), 2, "restart rejoins the fleet");
         assert_eq!(report.leaked_blocks, 0);
+    }
+
+    #[test]
+    fn events_after_the_drain_do_not_fire() {
+        // The trace drains within a few dozen steps; a stall and a kill
+        // timed long after it must neither fire nor stretch the clock.
+        let plan = FaultPlan::new(0)
+            .with_event(500.0, 0, FaultKind::StallReplica { steps: 10 })
+            .with_event(1000.0, 1, FaultKind::KillReplica);
+        let mut fleet = mock_fleet(&ClusterConfig::new(2), false);
+        let report = fleet.run(Some(&plan), trace(8, 2.0));
+        assert_exactly_once(&report);
+        assert_eq!((report.faults_injected, report.kills), (0, 0));
+        assert!(report.duration < 100.0, "drained at {}", report.duration);
+        assert_eq!(fleet.router().num_alive(), 2);
     }
 
     #[test]

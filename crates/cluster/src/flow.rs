@@ -3,14 +3,17 @@
 //! [`RequestFlow`] owns every *decision* between "a request arrived" and
 //! "here is its one reply": whether it takes the two-phase prefill → decode
 //! path, the stub and decode request shapes, the block-aligned cut
-//! ([`handoff_cut`]), per-attempt engine ids and trace slots, tier lookup →
-//! install on the prefill side, export and publish, decode route, which
-//! blocks cross (those the decode replica's coverage does not show), their
-//! [`HandoffPayload`] wire round trip and install, the stitch of the stub's
-//! token and logprob, which failures retry, attempt counting, and the
-//! handoff counters and span tree ([`HandoffMetrics`]). There is nothing to
-//! release on any path: installed and computed KV sits in free blocks of
-//! the replica's content-addressed cache (`vllm_core::BlockSpaceManager`).
+//! ([`handoff_cut`]), per-attempt engine ids and trace slots, the tier
+//! lookup whose hit rides the stub, the export the stub carries and its
+//! publish, decode route, which blocks cross (those the decode replica's
+//! coverage does not show), their [`HandoffPayload`] wire round trip and the
+//! install that rides the decode submission, the stitch of the stub's token
+//! and logprob, which failures retry, attempt counting, and the handoff
+//! counters and span tree ([`HandoffMetrics`]). A two-phase request is two
+//! replica messages — the stub's [`Submission`] and the decode's — and a
+//! unified one is one. There is nothing to release on any path: installed
+//! and computed KV sits in free blocks of the replica's content-addressed
+//! cache (`vllm_core::BlockSpaceManager`).
 //!
 //! It performs no I/O and reads no clock. [`RequestFlow::on`] takes the
 //! answer to the previous [`FlowCommand`] (plus the driver's `now`) and
@@ -20,10 +23,10 @@
 //! back" until [`FlowCommand::Finish`]. Two drivers share it, each
 //! substituting only its world:
 //!
-//! | driver | clock | KV bodies | tier | `Transfer` | `Backoff` |
-//! |---|---|---|---|---|---|
-//! | `src/frontend.rs` (threads) | wall seconds | real | shared, locked | nothing to do: the payload already crossed the codec | sleeps `hint·2^attempt`, capped |
-//! | [`Fleet`](crate::Fleet) (one event loop) | the request's own virtual cursor on the fleet clock (cost-model seconds, or lockstep steps) | cost-model or mock engine, empty-bodied | its own; a hit advances the cursor by the fetch's [`FleetTime::transfer_time`](crate::FleetTime::transfer_time) | parks for the transfer time, then `ReplicaDied` if the target is down | parks for [`FleetTime::backoff_time`](crate::FleetTime::backoff_time) |
+//! | driver | clock | KV bodies | `Submit` | tier | `Transfer` | `Backoff` |
+//! |---|---|---|---|---|---|---|
+//! | `src/frontend.rs` (threads) | wall seconds | real | one message on the replica's channel: its loop installs, admits, and exports in the iteration that finishes the request | shared, locked | nothing to do: the payload already crossed the codec | sleeps `hint·2^attempt`, capped |
+//! | [`Fleet`](crate::Fleet) (one event loop) | the request's own virtual cursor on the fleet clock (cost-model seconds, or lockstep steps) | cost-model or mock engine, empty-bodied | parks at the cursor; installs and admits when woken, exports when the step that finishes it ends | its own; a hit advances the cursor by the fetch's [`FleetTime::transfer_time`](crate::FleetTime::transfer_time) | parks for the transfer time, then `ReplicaDied` if the target is down | parks for [`FleetTime::backoff_time`](crate::FleetTime::backoff_time) |
 //!
 //! The transition table — the specification the drivers and
 //! `tests/flow_exhaustive.rs` share — is in DESIGN.md §14.
@@ -34,7 +37,7 @@ use vllm_core::{
     TokenId, VllmError,
 };
 
-use crate::replica::{PrefixOp, PrefixReply};
+use crate::replica::{KvInstall, Replied, Submission};
 use crate::router::{covered_chunks, ReplicaSnapshot, Router};
 
 /// Tokens of the longest block-aligned *strict* prefix of a prompt: what the
@@ -76,10 +79,9 @@ pub enum FlowInput {
     /// Answers `TierLookup`: the longest run of the tokens' leading blocks
     /// the tier holds, or a miss (also the answer of a driver with no tier).
     Tier(Option<PrefixKv>),
-    /// Answers `PrefixOp`.
-    Prefix(Result<PrefixReply, VllmError>),
-    /// Answers `Submit`: the finished output or the typed failure.
-    Reply(Result<RequestOutput, VllmError>),
+    /// Answers `Submit`: the finished output with its install and export
+    /// outcomes, or the typed failure.
+    Reply(Result<Replied, VllmError>),
     /// Answers `Transfer` and `Backoff`: the wait is over.
     Done,
     /// Answers any command addressed to `replica`: it is gone, and the
@@ -106,30 +108,22 @@ pub enum FlowCommand {
         tokens: Vec<TokenId>,
     },
     /// Move `blocks` KV blocks to the decode `replica`; always followed by
-    /// the `Install` that lands them.
+    /// the decode `Submit` whose install lands them.
     Transfer {
         /// Receiving replica.
         replica: usize,
         /// Blocks on the wire.
         blocks: usize,
     },
-    /// Run a KV export or install on `replica`.
-    PrefixOp {
-        /// Target replica.
-        replica: usize,
-        /// The operation.
-        op: PrefixOp,
-    },
-    /// Submit a generation request and wait for its reply.
+    /// Send one submission to `replica` and wait for its reply: the
+    /// request (engine id unique per attempt and phase, trace context set
+    /// per attempt and phase), the KV it installs first, the cut it exports
+    /// when it finishes.
     Submit {
         /// Target replica.
         replica: usize,
-        /// Engine-side id, unique per attempt and phase.
-        engine_id: String,
-        /// Prompt tokens.
-        prompt: Vec<TokenId>,
-        /// The request (trace context set per attempt and phase).
-        request: GenerationRequest,
+        /// What the replica runs.
+        job: Submission,
     },
     /// A retryable failure ended attempt `attempt`: wait, then answer
     /// `Done`. Mapping `attempt` and `hint` to seconds or steps is the
@@ -177,8 +171,9 @@ pub struct HandoffRecord {
     /// Whether the prefill replica installed a tier hit instead of
     /// computing that part of the prompt.
     pub from_tier: bool,
-    /// Driver clock at: stub reply (export begins), prefill side done,
-    /// payload at the decode replica, install done.
+    /// Driver clock at: the stub's reply (its exported run in hand), the
+    /// decode replica picked, the payload at the decode replica, the decode
+    /// submission sent (the install rides it, so the last two coincide).
     pub marks: [f64; 4],
 }
 
@@ -244,7 +239,7 @@ impl HandoffMetrics {
             end,
             attrs,
         };
-        let [start, exported, arrived, end] = r.marks;
+        let [start, routed, arrived, end] = r.marks;
         let attrs = [
             ("dst", r.dst),
             ("kv_bytes", r.kv_bytes),
@@ -253,8 +248,8 @@ impl HandoffMetrics {
         .map(|(k, v)| (k.to_string(), v.to_string()));
         spans.record(span(r.ctx, "handoff", start, end, attrs.to_vec()));
         let child = |slot, name, s, e| span(r.ctx.child(slot), name, s, e, Vec::new());
-        spans.record(child(1, "handoff.export", start, exported));
-        spans.record(child(2, "handoff.transfer", exported, arrived));
+        spans.record(child(1, "handoff.export", start, routed));
+        spans.record(child(2, "handoff.transfer", routed, arrived));
         spans.record(child(3, "handoff.install", arrived, end));
     }
 }
@@ -270,13 +265,10 @@ enum Phase {
     Idle,
     Routing,
     TierLookup,
-    TierInstall,
     Unified,
     Stub,
-    Exporting,
     RoutingDecode,
     Transferring(HandoffPayload),
-    Installing,
     Decoding,
     Backoff,
     Finished,
@@ -367,6 +359,12 @@ impl RequestFlow {
         self.attempt
     }
 
+    /// Whether the request takes the two-phase prefill → decode path.
+    #[must_use]
+    pub fn is_two_phase(&self) -> bool {
+        self.two_phase
+    }
+
     /// Executes [`FlowCommand::Route`] on the driver's router and view of
     /// the fleet: the prefix-affinity pick for this prompt, counted as a
     /// retry (`vllm_cluster_retries_total`) on every attempt but the first.
@@ -400,7 +398,7 @@ impl RequestFlow {
     }
 
     fn step(&mut self, input: FlowInput) -> FlowCommand {
-        use {FlowCommand as C, FlowInput as I, Phase as P, PrefixReply as R};
+        use {FlowCommand as C, FlowInput as I, Phase as P};
         if let I::ReplicaDied { replica } = input {
             return self.fail(VllmError::Unavailable(format!("replica {replica} died")));
         }
@@ -411,113 +409,91 @@ impl RequestFlow {
                 (self.kv, self.from_tier, self.covered) = (None, false, 0);
                 if !self.two_phase {
                     let (prompt, max_tokens) = (self.prompt.clone(), self.request.max_tokens);
-                    self.submit(P::Unified, replica, "", prompt, max_tokens, SLOT_FIRST)
+                    let job = self.job("", prompt, max_tokens, SLOT_FIRST);
+                    self.go(P::Unified, C::Submit { replica, job })
                 } else if self.cut().is_empty() {
-                    self.submit_stub()
+                    self.submit_stub(None)
                 } else {
                     let tokens = self.cut().to_vec();
                     self.go(P::TierLookup, C::TierLookup { replica, tokens })
                 }
             }
-            (P::Unified, I::Reply(Ok(out))) => self.finish(Ok(out)),
+            (P::Unified, I::Reply(Ok(r))) => self.finish(Ok(r.output)),
             (P::Unified | P::Stub, I::Reply(Err(e))) => self.fail(e),
 
-            // Prefill side: a prefix published to the tier is installed
-            // first (skipping its recompute; the replica keeps whatever of
-            // it is already resident), then the stub computes what is left
-            // of the prompt. An install that fails only means the stub
-            // computes more.
-            (P::TierLookup, I::Tier(Some((tokens, blocks)))) => {
-                // Installed even when the replica's coverage already shows
-                // the run: skipping that install measured slower (DESIGN §14).
-                let (replica, op) = (self.prefill, PrefixOp::Install { tokens, blocks });
-                self.go(P::TierInstall, C::PrefixOp { replica, op })
-            }
-            (P::TierInstall, I::Prefix(reply)) => {
-                self.from_tier = reply.is_ok();
-                self.submit_stub()
-            }
-            (P::TierLookup, I::Tier(None)) => self.submit_stub(),
-
-            (P::Stub, I::Reply(Ok(stub))) => {
-                let first = stub.outputs.first().and_then(|c| c.tokens.first().copied());
-                let eos = !self.request.ignore_eos && self.request.eos_token_id == first;
+            // Prefill side: a prefix published to the tier rides the stub
+            // and is installed before it is admitted (skipping its
+            // recompute; the replica keeps whatever of it is already
+            // resident — and installs even when its coverage already shows
+            // the run: skipping that measured slower, DESIGN §14). An
+            // install that fails only means the stub computes more.
+            (P::TierLookup, I::Tier(hit)) => self.submit_stub(hit),
+            (P::Stub, I::Reply(Ok(r))) => {
+                self.from_tier = r.installed;
+                let first = r.output.outputs.first().and_then(|c| c.tokens.first());
+                let eos = !self.request.ignore_eos && self.request.eos_token_id == first.copied();
                 if first.is_none() || eos {
                     // No token sampled (deadline hit at admission) or EOS
                     // first: the stub is the whole answer, as on a unified
                     // replica.
-                    return self.finish(Ok(stub));
+                    return self.finish(Ok(r.output));
                 }
                 self.marks = [self.now; 4];
-                self.stub = Some(stub);
-                if self.cut().is_empty() {
-                    return self.hand_off();
-                }
-                // Export what of the cut the stub left resident.
-                let tokens = self.cut().to_vec();
-                let (replica, op) = (self.prefill, PrefixOp::Export { tokens });
-                self.go(P::Exporting, C::PrefixOp { replica, op })
-            }
-            (P::Exporting, I::Prefix(reply)) => {
-                if let Ok(R::Exported { tokens, blocks }) = reply {
-                    if !blocks.is_empty() {
-                        // Published on a tier miss only: a hit means the
-                        // tier holds the cut's first block, and so the
-                        // conversation's first cut; adding every turn's
-                        // blocks would grow the tier with each turn.
-                        if !self.from_tier {
-                            let (tokens, blocks) = (tokens.clone(), blocks.clone());
-                            self.effects
-                                .push(FlowEffect::PublishTier { tokens, blocks });
-                        }
-                        self.kv = Some((tokens, blocks));
+                self.stub = Some(r.output);
+                // The reply carries what of the cut the stub left resident.
+                let (tokens, blocks) = r.exported;
+                if !blocks.is_empty() {
+                    // Published on a tier miss only: a hit means the tier
+                    // holds the cut's first block, and so the
+                    // conversation's first cut; adding every turn's blocks
+                    // would grow the tier with each turn.
+                    if !self.from_tier {
+                        let (tokens, blocks) = (tokens.clone(), blocks.clone());
+                        self.effects
+                            .push(FlowEffect::PublishTier { tokens, blocks });
                     }
+                    self.kv = Some((tokens, blocks));
                 }
-                self.hand_off()
+                self.go(P::RoutingDecode, C::RouteDecode)
             }
 
             // Decode side.
             (P::RoutingDecode, I::Routed { replica }) => {
-                self.decode = replica;
+                (self.decode, self.marks[1]) = (replica, self.now);
                 match self.payload() {
                     Ok(Some(p)) => {
                         let blocks = p.blocks.len();
                         self.go(P::Transferring(p), C::Transfer { replica, blocks })
                     }
-                    Ok(None) => {
-                        (self.shipped, self.marks[2]) = ((0, 0), self.now);
-                        self.submit_decode()
-                    }
+                    Ok(None) => self.submit_decode(None),
                     Err(e) => self.fail(e),
                 }
             }
             (P::Transferring(p), I::Done) => {
-                (self.shipped, self.marks[2]) = ((p.blocks.len(), p.kv_bytes()), self.now);
-                // The payload's blocks end the run of tokens they extend.
+                self.shipped = (p.blocks.len(), p.kv_bytes());
+                // The payload's blocks end the run of tokens they extend. A
+                // refusal the decode replica could retry elsewhere fails the
+                // submission while attempts remain (a target lost
+                // mid-transfer restarts the whole flow; nothing reached the
+                // client yet); otherwise the decode replica admits the
+                // request without the prefix and recomputes it — degraded
+                // beats dropped. (A full pool is no refusal: it installs
+                // what fits.)
                 let run = self.covered * self.block_size + p.tokens.len();
-                let op = PrefixOp::Install {
+                let install = KvInstall {
                     tokens: self.prompt[..run].to_vec(),
                     blocks: p.blocks,
+                    required: self.attempts_remain(),
                 };
-                let replica = self.decode;
-                self.go(P::Installing, C::PrefixOp { replica, op })
+                self.submit_decode(Some(install))
             }
-            (P::Installing, I::Prefix(reply)) => match reply {
-                Ok(_) => self.submit_decode(),
-                // A target lost mid-transfer restarts the whole flow while
-                // attempts remain (nothing reached the client yet);
-                // otherwise, and on a non-retryable refusal, the decode
-                // replica recomputes the prompt — degraded beats dropped. (A
-                // full pool is no refusal: it installs what fits.)
-                Err(e) if e.is_retryable() && self.attempts_remain() => self.fail(e),
-                _ => {
-                    self.shipped = (0, 0);
-                    self.submit_decode()
-                }
-            },
             (P::Decoding, I::Reply(Err(e))) => self.fail(e),
-            (P::Decoding, I::Reply(Ok(mut out))) => {
+            (P::Decoding, I::Reply(Ok(r))) => {
+                if !r.installed {
+                    self.shipped = (0, 0);
+                }
                 let (t0, stub) = (self.t0(), self.stub.take().expect("the stub replied"));
+                let mut out = r.output;
                 let Some(c) = out.outputs.first_mut() else {
                     return self.finish(Ok(stub)); // decode produced nothing; TTFT stands
                 };
@@ -576,19 +552,11 @@ impl RequestFlow {
         self.root.child(100 + u64::from(self.attempt) * 8 + slot)
     }
 
-    /// Submits with a fresh engine-side id per attempt and phase, so a retry
-    /// never collides with stale state on a replica tried before: attempt 0
-    /// of the first phase keeps the bare request id (what `EVENTS` replays
-    /// by), later ones are `<id>.<tag><attempt>`.
-    fn submit(
-        &mut self,
-        phase: Phase,
-        replica: usize,
-        tag: &str,
-        prompt: Vec<TokenId>,
-        max_tokens: usize,
-        slot: u64,
-    ) -> FlowCommand {
+    /// A submission with a fresh engine-side id per attempt and phase, so a
+    /// retry never collides with stale state on a replica tried before:
+    /// attempt 0 of the first phase keeps the bare request id (what
+    /// `EVENTS` replays by), later ones are `<id>.<tag><attempt>`.
+    fn job(&self, tag: &str, prompt: Vec<TokenId>, max_tokens: usize, slot: u64) -> Submission {
         let engine_id = if self.attempt == 0 && slot == SLOT_FIRST {
             self.id.clone()
         } else {
@@ -597,26 +565,22 @@ impl RequestFlow {
         let mut request = self.request.clone();
         request.max_tokens = max_tokens;
         request.trace = Some(self.slot(slot));
-        let cmd = FlowCommand::Submit {
-            replica,
-            engine_id,
-            prompt,
-            request,
-        };
-        self.go(phase, cmd)
+        Submission::new(engine_id, prompt, request)
     }
 
     /// The prefill stub: the whole prompt, one token — prompt phase plus the
-    /// first sampled token (TTFT).
-    fn submit_stub(&mut self) -> FlowCommand {
-        let prompt = self.prompt.clone();
-        self.submit(Phase::Stub, self.prefill, "p", prompt, 1, SLOT_FIRST)
-    }
-
-    /// The prefill side is done: route the decode.
-    fn hand_off(&mut self) -> FlowCommand {
-        self.marks[1] = self.now;
-        self.go(Phase::RoutingDecode, FlowCommand::RouteDecode)
+    /// first sampled token (TTFT). It carries the tier's hit, if any, and
+    /// exports the cut when it finishes.
+    fn submit_stub(&mut self, hit: Option<PrefixKv>) -> FlowCommand {
+        let mut job = self.job("p", self.prompt.clone(), 1, SLOT_FIRST);
+        job.install = hit.map(|(tokens, blocks)| KvInstall {
+            tokens,
+            blocks,
+            required: false,
+        });
+        job.export = Some(self.cut().to_vec()).filter(|cut| !cut.is_empty());
+        let replica = self.prefill;
+        self.go(Phase::Stub, FlowCommand::Submit { replica, job })
     }
 
     /// The KV in hand as the decode replica receives it: the blocks past
@@ -644,15 +608,20 @@ impl RequestFlow {
         HandoffPayload::decode(&p.encode()).map(Some)
     }
 
-    /// The decode phase: greedy continuation from `prompt + [t0]` makes the
-    /// stitched stream token-identical to a unified run.
-    fn submit_decode(&mut self) -> FlowCommand {
-        self.marks[3] = self.now;
+    /// The decode phase, carrying the payload's install if anything
+    /// crossed: greedy continuation from `prompt + [t0]` makes the stitched
+    /// stream token-identical to a unified run.
+    fn submit_decode(&mut self, install: Option<KvInstall>) -> FlowCommand {
+        (self.marks[2], self.marks[3]) = (self.now, self.now);
+        if install.is_none() {
+            self.shipped = (0, 0);
+        }
         let mut prompt = self.prompt.clone();
         prompt.push(self.t0());
-        let max_tokens = self.request.max_tokens - 1;
-        let (phase, replica) = (Phase::Decoding, self.decode);
-        self.submit(phase, replica, "d", prompt, max_tokens, SLOT_DECODE)
+        let mut job = self.job("d", prompt, self.request.max_tokens - 1, SLOT_DECODE);
+        job.install = install;
+        let replica = self.decode;
+        self.go(Phase::Decoding, FlowCommand::Submit { replica, job })
     }
 
     fn t0(&self) -> TokenId {

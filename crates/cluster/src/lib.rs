@@ -18,9 +18,9 @@
 //!   to the shortest healthy queue when a replica backs up.
 //! * [`RequestFlow`] ([`flow`]) — one request's life across replicas as a
 //!   pure, I/O-free state machine: two-phase eligibility, the block-aligned
-//!   cut, engine ids and trace slots, tier lookup → install, export/publish,
-//!   the handoff wire round trip, decode install, stitch, retry
-//!   classification, and the handoff
+//!   cut, engine ids and trace slots, the tier hit and the export that ride
+//!   the stub, publish, the handoff wire round trip, the install that rides
+//!   the decode submission, stitch, retry classification, and the handoff
 //!   counters and span tree ([`HandoffMetrics`]). The TCP frontend (real
 //!   threads) and [`Fleet`] (virtual time) are its two drivers: each
 //!   performs the flow's effects and executes its commands in its own world,
@@ -67,10 +67,7 @@ pub use flow::{
     backoff_seconds, handoff_cut, FlowCommand, FlowEffect, FlowInput, HandoffMetrics,
     HandoffRecord, PrefixKv, RequestFlow, MAX_SUBMIT_ATTEMPTS,
 };
-pub use replica::{
-    apply_prefix_op, EngineCommand, EngineReply, EngineRequest, EngineStats, PrefixOp, PrefixReply,
-    PrefixRequest, Replica,
-};
+pub use replica::{EngineReply, EngineStats, KvInstall, Replica, Replied, Submission};
 pub use router::{ReplicaSnapshot, RouteDecision, RoutePolicy, Router, RouterConfig, RouterStats};
 pub use stats::{aggregate_stats, merge_labeled};
 pub use tier::{PrefixTier, TierMetrics};

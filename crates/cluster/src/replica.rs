@@ -40,6 +40,8 @@ use vllm_core::{
     GenerationRequest, KvBlockBytes, LlmEngine, ModelExecutor, RequestOutput, VllmError,
 };
 
+use crate::flow::PrefixKv;
+
 /// Default bound on requests a replica holds in flight (queued + running)
 /// before it answers submissions with [`VllmError::Rejected`].
 pub const DEFAULT_MAX_INFLIGHT: usize = 1024;
@@ -101,78 +103,99 @@ pub struct EngineStats {
 }
 
 /// The typed reply a submitted request eventually receives.
-pub type EngineReply = Result<RequestOutput, VllmError>;
+pub type EngineReply = Result<Replied, VllmError>;
 
-/// A generation request routed to an engine thread. The reply channel
-/// receives exactly one [`EngineReply`]: the finished output, or a typed
-/// error (admission failure, backpressure rejection, replica loss).
-pub struct EngineRequest {
-    /// Globally unique request id (also the engine-side id).
+/// KV computed elsewhere that rides a submission: installed into the
+/// replica's cache just before the request is admitted (blocks not resident
+/// yet are journaled as `CacheOps` installs and left cached).
+#[derive(Debug, Clone)]
+pub struct KvInstall {
+    /// Prefix tokens.
+    pub tokens: Vec<u32>,
+    /// Serialized KV of the prefix's last `blocks.len()` blocks: all of
+    /// them, or only the tail the sender believes is not resident yet.
+    pub blocks: Vec<KvBlockBytes>,
+    /// Whether a retryable refusal fails the submission (the sender will
+    /// retry elsewhere) instead of admitting the request without the prefix.
+    pub required: bool,
+}
+
+/// One submission to a replica: a generation request plus the KV work that
+/// travels with it, so a handoff phase is one replica message.
+#[derive(Debug, Clone)]
+pub struct Submission {
+    /// Engine-side request id.
     pub request_id: String,
     /// Tokenized prompt.
     pub prompt: Vec<u32>,
     /// Typed request description (decoding mode, limits, deadline,
     /// priority).
     pub request: GenerationRequest,
-    /// Where the finished output (or typed failure) goes.
-    pub reply: Sender<EngineReply>,
+    /// KV to install before admission.
+    pub install: Option<KvInstall>,
+    /// Tokens whose longest resident run of leading blocks is exported in
+    /// the iteration that finishes the request.
+    pub export: Option<Vec<u32>>,
 }
 
-/// A KV operation routed to an engine thread: the engine-side control plane
-/// of the KV handoff and the cluster-shared prefix tier. Unlike generation
-/// requests, prefix ops are handled synchronously at the next admission pass
-/// and are exempt from the in-flight bound — the control plane must not
-/// starve behind data-plane backpressure. Neither pins anything: what an
-/// install leaves behind sits in free blocks of the replica's cache.
+impl Submission {
+    /// A plain generation request: nothing to install, nothing to export.
+    #[must_use]
+    pub fn new(
+        request_id: impl Into<String>,
+        prompt: Vec<u32>,
+        request: GenerationRequest,
+    ) -> Self {
+        Self {
+            request_id: request_id.into(),
+            prompt,
+            request,
+            install: None,
+            export: None,
+        }
+    }
+}
+
+/// A replica's answer to a [`Submission`] that ran.
 #[derive(Debug, Clone)]
-pub enum PrefixOp {
-    /// Serialize the KV of the longest still-resident run of `tokens`'
-    /// leading blocks for a handoff.
-    Export {
-        /// The prefix wanted (a block-aligned cut of a prompt).
-        tokens: Vec<u32>,
-    },
-    /// Install KV computed elsewhere (the receiving half of a handoff:
-    /// blocks not resident yet are journaled as `CacheOps` installs).
-    Install {
-        /// Prefix tokens.
-        tokens: Vec<u32>,
-        /// Serialized KV of the prefix's last `blocks.len()` blocks: all of
-        /// them, or only the tail the sender believes is not resident yet.
-        blocks: Vec<KvBlockBytes>,
-    },
+pub struct Replied {
+    /// The finished output.
+    pub output: RequestOutput,
+    /// Whether the submission's install landed (`false` without one).
+    pub installed: bool,
+    /// The exported run: the tokens it covers and one serialized block
+    /// each — empty when nothing was resident or no export was asked.
+    pub exported: PrefixKv,
 }
 
-/// The reply to a [`PrefixOp`].
-#[derive(Debug, Clone)]
-pub enum PrefixReply {
-    /// `Export` serialized what was resident.
-    Exported {
-        /// The tokens the exported blocks cover (a prefix of those asked
-        /// for; empty when nothing was resident).
-        tokens: Vec<u32>,
-        /// Serialized KV, one entry per block.
-        blocks: Vec<KvBlockBytes>,
-    },
-    /// `Install` left the payload's blocks cached.
-    Installed,
+/// One command over a replica's channel: a submission, or a KV install
+/// outside any request (the `HANDOFF` verb's pre-seed; handled at the next
+/// admission pass and exempt from the in-flight bound — nothing is pinned).
+enum EngineCommand {
+    Generate(Queued),
+    Install(PrefixKv, Sender<Result<(), VllmError>>),
 }
 
-/// A prefix op plus its reply channel.
-pub struct PrefixRequest {
-    /// The operation.
-    pub op: PrefixOp,
-    /// Receives exactly one reply.
-    pub reply: Sender<Result<PrefixReply, VllmError>>,
+/// A submission on its way through a replica's channel. One the loop never
+/// takes — it exited, killed or drained, while the submission was still
+/// queued, and the channel dropped it — answers itself with a retryable
+/// [`VllmError::Unavailable`], so every reply sender is answered exactly
+/// once.
+struct Queued(Option<(Submission, Sender<EngineReply>)>);
+
+impl Queued {
+    fn take(mut self) -> (Submission, Sender<EngineReply>) {
+        self.0.take().expect("taken once")
+    }
 }
 
-/// One command over a replica's channel: data plane (generation) or control
-/// plane (prefix ops).
-pub enum EngineCommand {
-    /// Admit and run a generation request.
-    Generate(EngineRequest),
-    /// Execute a prefix-cache operation.
-    Prefix(PrefixRequest),
+impl Drop for Queued {
+    fn drop(&mut self) {
+        if let Some((_, reply)) = self.0.take() {
+            let gone = VllmError::Unavailable("replica exited with the request queued".into());
+            let _ = reply.send(Err(gone));
+        }
+    }
 }
 
 /// Handle to an engine running on its own thread.
@@ -253,37 +276,41 @@ impl Replica {
         self.id
     }
 
-    /// Submits one request to the engine loop. Returns the request back if
-    /// the replica's loop has already exited.
+    /// Sends one submission to the engine loop; `reply` receives exactly
+    /// one [`EngineReply`]: the finished output, or a typed error
+    /// (admission failure, backpressure rejection, refused install, replica
+    /// loss). Returns the submission back, unanswered, if the replica's loop
+    /// has already exited.
     ///
     /// # Errors
     ///
-    /// Returns `Err(req)` when the loop is no longer accepting work.
+    /// Returns `Err(job)` when the loop is no longer accepting work.
     #[allow(clippy::result_large_err)] // The caller needs the request back to report the failure.
-    pub fn submit(&self, req: EngineRequest) -> Result<(), EngineRequest> {
-        self.tx.send(EngineCommand::Generate(req)).map_err(|e| {
-            let EngineCommand::Generate(req) = e.0 else {
+    pub fn submit(&self, job: Submission, reply: Sender<EngineReply>) -> Result<(), Submission> {
+        let queued = EngineCommand::Generate(Queued(Some((job, reply))));
+        self.tx.send(queued).map_err(|e| {
+            let EngineCommand::Generate(queued) = e.0 else {
                 unreachable!("sent a Generate command");
             };
-            req
+            queued.take().0
         })
     }
 
-    /// Executes one prefix-cache operation on the engine thread and waits
-    /// for its reply (the control plane of KV handoffs and the shared
-    /// prefix tier).
+    /// Installs KV computed elsewhere into free blocks of the replica's
+    /// cache on the engine thread and waits for the outcome (the `HANDOFF`
+    /// verb; a handoff's own install rides its decode [`Submission`]).
     ///
     /// # Errors
     ///
     /// Returns a retryable [`VllmError::Unavailable`] when the loop is gone,
-    /// or the engine's own error for the operation.
-    pub fn prefix_op(&self, op: PrefixOp) -> Result<PrefixReply, VllmError> {
+    /// or the engine's own refusal.
+    pub fn install_kv(&self, tokens: Vec<u32>, blocks: Vec<KvBlockBytes>) -> Result<(), VllmError> {
         let (reply, rx) = mpsc::channel();
         self.tx
-            .send(EngineCommand::Prefix(PrefixRequest { op, reply }))
+            .send(EngineCommand::Install((tokens, blocks), reply))
             .map_err(|_| VllmError::Unavailable("replica not accepting work".into()))?;
         rx.recv()
-            .map_err(|_| VllmError::Unavailable("replica dropped the prefix op".into()))?
+            .map_err(|_| VllmError::Unavailable("replica dropped the install".into()))?
     }
 
     /// The latest published stats snapshot.
@@ -386,62 +413,106 @@ struct EngineLoopFlags<'a> {
 /// looks at the kill and shutdown flags again.
 const IDLE_WAIT: Duration = Duration::from_millis(5);
 
-/// Runs one KV operation on `engine` (what a replica thread does for a
-/// [`PrefixRequest`]; in-process drivers call it directly).
+/// What a replica does with a submission, on its thread or in a fleet:
+/// runs its install, then admits the request at `at`. Returns the engine id
+/// and what waits for the output. A refused install fails the submission
+/// only when it is `required` and the refusal retryable; otherwise the
+/// request is admitted without the prefix and computes it.
 ///
 /// # Errors
 ///
-/// Returns the engine's own error for the operation.
-pub fn apply_prefix_op<E: ModelExecutor>(
+/// Returns that refusal, or the admission's own error.
+pub(crate) fn admit<E: ModelExecutor, W>(
     engine: &mut LlmEngine<E>,
-    op: PrefixOp,
-) -> Result<PrefixReply, VllmError> {
-    match op {
-        PrefixOp::Export { tokens } => {
-            let (tokens, blocks) = engine.export_kv(&tokens);
-            Ok(PrefixReply::Exported { tokens, blocks })
-        }
-        PrefixOp::Install { tokens, blocks } => engine
-            .install_kv(&tokens, blocks)
-            .map(|()| PrefixReply::Installed),
+    job: Submission,
+    at: f64,
+    waiter: W,
+) -> Result<(String, Admitted<W>), VllmError> {
+    let installed = match job.install {
+        None => false,
+        Some(kv) => match engine.install_kv(&kv.tokens, kv.blocks) {
+            Ok(()) => true,
+            Err(e) if kv.required && e.is_retryable() => return Err(e),
+            Err(_) => false,
+        },
+    };
+    engine.add_generation_request_at(job.request_id.clone(), job.prompt, &job.request, at)?;
+    let export = job.export;
+    Ok((
+        job.request_id,
+        Admitted {
+            waiter,
+            installed,
+            export,
+        },
+    ))
+}
+
+/// A submission an engine admitted, until its output leaves: who waits for
+/// it (a reply channel, or a fleet's request id), whether its install
+/// landed, and what it exports.
+pub(crate) struct Admitted<W> {
+    pub(crate) waiter: W,
+    installed: bool,
+    export: Option<Vec<u32>>,
+}
+
+impl<W> Admitted<W> {
+    /// The reply to the finished request. Its cut is exported now, in the
+    /// iteration that finished it, while its blocks are certainly resident.
+    pub(crate) fn reply<E: ModelExecutor>(
+        self,
+        engine: &LlmEngine<E>,
+        output: RequestOutput,
+    ) -> (W, Replied) {
+        let exported = (self.export).map_or_else(PrefixKv::default, |t| engine.export_kv(&t));
+        let installed = self.installed;
+        (
+            self.waiter,
+            Replied {
+                output,
+                installed,
+                exported,
+            },
+        )
     }
 }
 
-/// Applies one command to the engine: a generation request is admitted (or
-/// answered with its rejection), a prefix operation runs synchronously.
-/// Returns whether a request joined the engine.
+/// What a replica thread has admitted, by engine id.
+type Pending = (String, Admitted<Sender<EngineReply>>);
+
+/// Applies one command to the engine: a submission's install runs and the
+/// request is admitted (or answered with its rejection); a bare install
+/// runs synchronously. Returns whether a request joined the engine.
 fn handle_command<E: ModelExecutor>(
     engine: &mut LlmEngine<E>,
-    pending: &mut Vec<(String, Sender<EngineReply>)>,
+    pending: &mut Vec<Pending>,
     flags: &EngineLoopFlags<'_>,
     cmd: EngineCommand,
 ) -> bool {
+    let before = pending.len();
     match cmd {
-        EngineCommand::Generate(req) => {
+        EngineCommand::Generate(queued) => {
+            let (job, reply) = queued.take();
             if pending.len() >= flags.max_inflight {
                 // Bounded admission: explicit backpressure instead of
                 // silent queueing.
-                let _ = req.reply.send(Err(VllmError::Rejected {
+                let _ = reply.send(Err(VllmError::Rejected {
                     retry_after: REJECT_RETRY_AFTER,
                 }));
                 return false;
             }
-            match engine.add_generation_request(req.request_id.clone(), req.prompt, &req.request) {
-                Ok(()) => {
-                    pending.push((req.request_id, req.reply));
-                    true
-                }
-                Err(e) => {
-                    let _ = req.reply.send(Err(e));
-                    false
-                }
+            let now = engine.clock();
+            match admit(engine, job, now, reply.clone()) {
+                Ok(admitted) => pending.push(admitted),
+                Err(e) => drop(reply.send(Err(e))),
             }
+            pending.len() > before
         }
-        EngineCommand::Prefix(p) => {
-            // Control plane: synchronous, exempt from the in-flight bound.
-            // It reads or rewrites free blocks and leaves them free, so
-            // nothing the stats snapshot shows has changed.
-            let _ = p.reply.send(apply_prefix_op(engine, p.op));
+        EngineCommand::Install((tokens, blocks), reply) => {
+            // It rewrites free blocks and leaves them free, so nothing the
+            // stats snapshot shows has changed.
+            let _ = reply.send(engine.install_kv(&tokens, blocks));
             false
         }
     }
@@ -467,7 +538,7 @@ fn engine_loop<E: ModelExecutor>(
     stats: &Mutex<EngineStats>,
     coverage: &Mutex<Arc<Vec<u64>>>,
 ) {
-    let mut pending: Vec<(String, Sender<EngineReply>)> = Vec::new();
+    let mut pending: Vec<Pending> = Vec::new();
     let mut finished_total: u64 = 0;
     let mut coverage_version: Option<u64> = None;
     // Seed the snapshot (and the registry's gauges) so load/metrics queries
@@ -476,25 +547,15 @@ fn engine_loop<E: ModelExecutor>(
     *stats.lock() = snapshot_stats(&engine, finished_total);
     loop {
         if flags.killed.load(Ordering::SeqCst) {
-            // Abrupt death: no drain. Everything in flight is answered with
-            // a retryable error so the caller can re-route, and anything
-            // still in the channel gets the same treatment.
-            for (_, reply) in pending.drain(..) {
-                let _ = reply.send(Err(VllmError::Unavailable("replica killed".into())));
-            }
-            while let Ok(cmd) = rx.try_recv() {
-                match cmd {
-                    EngineCommand::Generate(req) => {
-                        let _ = req
-                            .reply
-                            .send(Err(VllmError::Unavailable("replica killed".into())));
-                    }
-                    EngineCommand::Prefix(p) => {
-                        let _ = p
-                            .reply
-                            .send(Err(VllmError::Unavailable("replica killed".into())));
-                    }
-                }
+            // Abrupt death: no drain. Everything in flight is aborted (so
+            // the last snapshot holds no block) and answered with a
+            // retryable error so the caller can re-route; whatever is still
+            // in the channel answers itself as the channel drops (`Queued`).
+            let _ = engine.abort_all();
+            for (_, p) in pending.drain(..) {
+                let _ = p
+                    .waiter
+                    .send(Err(VllmError::Unavailable("replica killed".into())));
             }
             *stats.lock() = snapshot_stats(&engine, finished_total);
             return;
@@ -549,34 +610,38 @@ fn engine_loop<E: ModelExecutor>(
                 let msg = format!("engine step failed: {e}");
                 if engine.abort_all().is_err() {
                     // Accounting is corrupt; this loop cannot continue.
-                    for (_, reply) in pending.drain(..) {
-                        let _ = reply.send(Err(VllmError::Unavailable(msg.clone())));
+                    for (_, p) in pending.drain(..) {
+                        let _ = p.waiter.send(Err(VllmError::Unavailable(msg.clone())));
                     }
                     return;
                 }
                 // Deliver the aborted groups out of the scheduler.
                 let _ = engine.step();
-                for (_, reply) in pending.drain(..) {
-                    let _ = reply.send(Err(VllmError::Unavailable(msg.clone())));
+                for (_, p) in pending.drain(..) {
+                    let _ = p.waiter.send(Err(VllmError::Unavailable(msg.clone())));
                 }
                 *stats.lock() = snapshot_stats(&engine, finished_total);
                 continue;
             }
         };
         let mut ready = Vec::new();
-        for out in outputs {
+        for output in outputs {
             finished_total += 1;
-            if let Some(pos) = pending.iter().position(|(id, _)| *id == out.request_id) {
-                let (_, reply) = pending.swap_remove(pos);
-                ready.push((reply, out));
+            if let Some(pos) = pending.iter().position(|(id, _)| *id == output.request_id) {
+                ready.push((pending.swap_remove(pos).1, output));
             }
         }
         // Publish the post-step snapshot BEFORE answering the in-flight
         // replies: anyone who has received a completion must find it
-        // already reflected in the published stats.
+        // already reflected in the published stats. Replies that export
+        // nothing leave first, so no other request's token waits for a
+        // stub's export copy; the exports still run before the next
+        // admission can reuse their blocks.
         *stats.lock() = snapshot_stats(&engine, finished_total);
-        for (reply, out) in ready {
-            let _ = reply.send(Ok(out));
+        ready.sort_by_key(|(admitted, _)| admitted.export.is_some());
+        for (admitted, output) in ready {
+            let (reply, replied) = admitted.reply(&engine, output);
+            let _ = reply.send(Ok(replied));
         }
     }
     *stats.lock() = snapshot_stats(&engine, finished_total);
@@ -595,13 +660,19 @@ mod tests {
         LlmEngine::new(MockExecutor::new(1000), cache, sched)
     }
 
-    fn request(id: &str, max_tokens: usize, reply: Sender<EngineReply>) -> EngineRequest {
-        EngineRequest {
-            request_id: id.into(),
-            prompt: vec![1, 2, 3, 4, 5],
-            request: GenerationRequest::greedy(max_tokens),
-            reply,
-        }
+    fn request(id: &str, max_tokens: usize) -> Submission {
+        long_request(id, vec![1, 2, 3, 4, 5], max_tokens)
+    }
+
+    fn long_request(id: &str, prompt: Vec<u32>, max_tokens: usize) -> Submission {
+        Submission::new(id, prompt, GenerationRequest::greedy(max_tokens))
+    }
+
+    /// Submits `job` and waits for its reply.
+    fn run(replica: &Replica, job: Submission) -> EngineReply {
+        let (reply, rx) = mpsc::channel();
+        replica.submit(job, reply).expect("accepting");
+        rx.recv().expect("one reply")
     }
 
     #[test]
@@ -609,12 +680,12 @@ mod tests {
         let replica = Replica::spawn(0, small_engine());
         let (reply_tx, reply_rx) = mpsc::channel();
         replica
-            .submit(request("r0", 4, reply_tx))
-            .ok()
+            .submit(request("r0", 4), reply_tx)
             .expect("accepting");
         let out = reply_rx.recv().expect("one reply").expect("success");
-        assert_eq!(out.request_id, "r0");
-        assert_eq!(out.outputs.len(), 1);
+        assert_eq!(out.output.request_id, "r0");
+        assert_eq!(out.output.outputs.len(), 1);
+        assert!(!out.installed && out.exported.1.is_empty());
         // The published snapshot catches up with the completion.
         for _ in 0..200 {
             if replica.stats().finished == 1 {
@@ -632,15 +703,8 @@ mod tests {
         let mut replies = Vec::new();
         for i in 0..4 {
             let (reply_tx, reply_rx) = mpsc::channel();
-            replica
-                .submit(EngineRequest {
-                    request_id: format!("r{i}"),
-                    prompt: vec![1, 2, 3, 4, 5, 6, 7, 8],
-                    request: GenerationRequest::greedy(6),
-                    reply: reply_tx,
-                })
-                .ok()
-                .expect("accepting");
+            let req = long_request(&format!("r{i}"), vec![1, 2, 3, 4, 5, 6, 7, 8], 6);
+            replica.submit(req, reply_tx).expect("accepting");
             replies.push(reply_rx);
         }
         // Shut down immediately: every accepted request must still finish.
@@ -648,7 +712,7 @@ mod tests {
         replica.join();
         for rx in replies {
             let out = rx.recv().expect("drained reply").expect("success");
-            assert_eq!(out.outputs.len(), 1);
+            assert_eq!(out.output.outputs.len(), 1);
         }
         assert_eq!(replica.stats().finished, 4);
     }
@@ -656,17 +720,12 @@ mod tests {
     #[test]
     fn admission_failure_is_typed() {
         let replica = Replica::spawn(0, small_engine());
-        let (reply_tx, reply_rx) = mpsc::channel();
-        replica
-            .submit(EngineRequest {
-                request_id: "bad".into(),
-                prompt: Vec::new(), // Empty prompt: admission fails.
-                request: GenerationRequest::greedy(4),
-                reply: reply_tx,
-            })
-            .ok()
-            .expect("accepting");
-        let err = reply_rx.recv().expect("one reply").unwrap_err();
+        // Empty prompt: admission fails.
+        let err = run(
+            &replica,
+            Submission::new("bad", Vec::new(), GenerationRequest::greedy(4)),
+        )
+        .unwrap_err();
         assert!(!err.is_retryable());
     }
 
@@ -679,15 +738,8 @@ mod tests {
         let mut replies = Vec::new();
         for i in 0..6 {
             let (reply_tx, reply_rx) = mpsc::channel();
-            replica
-                .submit(EngineRequest {
-                    request_id: format!("r{i}"),
-                    prompt: vec![1, 2, 3, 4, 5, 6, 7, 8],
-                    request: GenerationRequest::greedy(32),
-                    reply: reply_tx,
-                })
-                .ok()
-                .expect("accepting");
+            let req = long_request(&format!("r{i}"), vec![1, 2, 3, 4, 5, 6, 7, 8], 32);
+            replica.submit(req, reply_tx).expect("accepting");
             replies.push(reply_rx);
         }
         replica.begin_shutdown();
@@ -710,15 +762,8 @@ mod tests {
         let mut replies = Vec::new();
         for i in 0..3 {
             let (reply_tx, reply_rx) = mpsc::channel();
-            replica
-                .submit(EngineRequest {
-                    request_id: format!("r{i}"),
-                    prompt: vec![1, 2, 3, 4, 5, 6, 7, 8],
-                    request: GenerationRequest::greedy(64),
-                    reply: reply_tx,
-                })
-                .ok()
-                .expect("accepting");
+            let req = long_request(&format!("r{i}"), vec![1, 2, 3, 4, 5, 6, 7, 8], 64);
+            replica.submit(req, reply_tx).expect("accepting");
             replies.push(reply_rx);
         }
         replica.inject_kill();
@@ -728,7 +773,7 @@ mod tests {
         // landed, or it carries a retryable unavailability error.
         for rx in replies {
             match rx.recv().expect("reply delivered") {
-                Ok(out) => assert_eq!(out.outputs.len(), 1),
+                Ok(out) => assert_eq!(out.output.outputs.len(), 1),
                 Err(e) => assert!(e.is_retryable()),
             }
         }
@@ -736,17 +781,15 @@ mod tests {
 
     #[test]
     fn idle_replica_wakes_on_arrival_not_on_a_timer() {
-        // 200 back-to-back control-plane round trips (exporting a prefix
-        // nobody computed: the cheapest op) against an idle engine loop.
-        // When the loop slept out a 1 ms tick between looks at its channel
-        // this took over 200 ms; woken by the arrival it is thread hand-offs
-        // only.
+        // 200 back-to-back control-plane round trips (installing an empty
+        // run: the cheapest command) against an idle engine loop. When the
+        // loop slept out a 1 ms tick between looks at its channel this took
+        // over 200 ms; woken by the arrival it is thread hand-offs only.
         let replica = Replica::spawn(0, small_engine());
-        let unknown = PrefixOp::Export { tokens: vec![9; 8] };
-        assert!(replica.prefix_op(unknown.clone()).is_ok()); // loop is up
+        assert!(replica.install_kv(Vec::new(), Vec::new()).is_ok()); // loop is up
         let start = std::time::Instant::now();
         for _ in 0..200 {
-            assert!(replica.prefix_op(unknown.clone()).is_ok());
+            assert!(replica.install_kv(Vec::new(), Vec::new()).is_ok());
         }
         let elapsed = start.elapsed();
         assert!(
@@ -756,46 +799,39 @@ mod tests {
     }
 
     #[test]
-    fn prefix_ops_round_trip_across_replicas() {
-        // A finished request's KV is exported from one replica and installed
-        // on another: the §4.4 handoff control plane over the command
-        // channel, with nothing to release on either side.
+    fn fused_submissions_hand_kv_across_replicas() {
+        // A stub exports its cut in the reply that carries its output, and
+        // a submission to another replica installs it before admission: the
+        // §4.4 handoff as two replica messages, with nothing to release on
+        // either side.
         let src = Replica::spawn(0, small_engine());
         let dst = Replica::spawn(1, small_engine());
         let tokens: Vec<u32> = (1..=32).collect();
-        let generate = |replica: &Replica, id: &str, prompt: Vec<u32>| {
-            let (reply_tx, reply_rx) = mpsc::channel();
-            let request = GenerationRequest::greedy(4);
-            let request = EngineRequest {
-                request_id: id.into(),
-                prompt,
-                request,
-                reply: reply_tx,
-            };
-            replica.submit(request).ok().expect("accepting");
-            reply_rx.recv().expect("reply").expect("success")
-        };
         let mut prompt = tokens.clone();
         prompt.extend([100, 101, 102]);
-        generate(&src, "warm", prompt.clone());
-        let export = PrefixOp::Export {
-            tokens: tokens.clone(),
+        let job = |id: &str, prompt: &[u32], install: Option<KvInstall>, export: &[u32]| {
+            let mut job = Submission::new(id, prompt.to_vec(), GenerationRequest::greedy(4));
+            job.install = install;
+            job.export = Some(export.to_vec()).filter(|t| !t.is_empty());
+            job
         };
-        let PrefixReply::Exported { tokens: t, blocks } =
-            src.prefix_op(export.clone()).expect("export")
-        else {
-            panic!("expected Exported");
+        let install = |(tokens, blocks): PrefixKv| {
+            let required = true;
+            Some(KvInstall {
+                tokens,
+                blocks,
+                required,
+            })
         };
-        assert_eq!(t, tokens);
-        assert_eq!(blocks.len(), 8); // 32 tokens / block size 4.
-        assert!(matches!(
-            dst.prefix_op(PrefixOp::Install { tokens: t, blocks }),
-            Ok(PrefixReply::Installed)
-        ));
-        // A request extending the installed prefix maps its blocks, and the
-        // installed blocks were free all along.
-        let out = generate(&dst, "r0", prompt);
-        assert_eq!(out.outputs.len(), 1);
+        let warm = run(&src, job("warm", &prompt, None, &tokens)).expect("success");
+        assert!(!warm.installed);
+        assert_eq!(warm.exported.0, tokens);
+        assert_eq!(warm.exported.1.len(), 8); // 32 tokens / block size 4.
+        let out = run(&dst, job("r0", &prompt, install(warm.exported), &[])).expect("success");
+        assert!(out.installed);
+        assert_eq!(out.output.outputs.len(), 1);
+        // The request mapped the installed prefix, and the installed blocks
+        // were free all along.
         for _ in 0..200 {
             if dst.stats().finished == 1 {
                 break;
@@ -809,47 +845,45 @@ mod tests {
         // last two blocks of a ten-block run extending the eight above.
         let mut longer = tokens.clone();
         longer.extend(200..208);
-        generate(&src, "longer", longer.clone());
-        let PrefixReply::Exported { mut blocks, .. } = src
-            .prefix_op(PrefixOp::Export {
-                tokens: longer.clone(),
-            })
-            .expect("export")
-        else {
-            panic!("expected Exported");
-        };
+        let mut longer_prompt = longer.clone();
+        longer_prompt.push(300);
+        let (_, mut blocks) = run(&src, job("longer", &longer_prompt, None, &longer))
+            .expect("success")
+            .exported;
         let tail = blocks.split_off(8);
-        let install = |tokens: &[u32], blocks: &[KvBlockBytes]| {
-            dst.prefix_op(PrefixOp::Install {
-                tokens: tokens.to_vec(),
-                blocks: blocks.to_vec(),
-            })
-        };
-        assert!(matches!(
-            install(&longer, &tail),
-            Ok(PrefixReply::Installed)
-        ));
-        let PrefixReply::Exported { tokens: held, .. } = dst
-            .prefix_op(PrefixOp::Export {
-                tokens: longer.clone(),
-            })
-            .expect("export")
-        else {
-            panic!("expected Exported");
-        };
-        assert_eq!(held, longer);
+        let shipped = (longer.clone(), tail.clone());
+        let out = run(&dst, job("r1", &longer_prompt, install(shipped), &longer));
+        let out = out.expect("success");
+        assert!(out.installed);
+        assert_eq!(out.exported.0, longer, "the whole run is resident");
+        // r1 mapped all ten blocks (40 tokens) instead of computing the
+        // tail: the shipped blocks landed.
+        let hit = dst.telemetry().registry().snapshot();
+        assert_eq!(hit.counter("vllm_cache_prefix_hit_tokens_total"), Some(72));
         // A tail whose prefix is not there (the sender's view was stale) is
-        // refused whole and for good; more blocks than tokens is malformed.
+        // refused whole and for good: the request runs without it. More
+        // blocks than tokens is malformed; the bare install reports it.
         let mut unknown = longer.clone();
         unknown[0] = 999;
-        for refused in [install(&unknown, &tail), install(&tokens[..4], &tail)] {
-            assert!(!refused.expect_err("nothing to extend").is_retryable());
-        }
-        // Ops against a dead replica degrade to a retryable error.
+        let stale = job(
+            "r2",
+            &unknown,
+            install((unknown.clone(), tail.clone())),
+            &[],
+        );
+        let out = run(&dst, stale).expect("admitted without the prefix");
+        assert!(!out.installed);
+        let refused = dst.install_kv(tokens[..4].to_vec(), tail);
+        assert!(!refused.expect_err("malformed").is_retryable());
+        // Both commands against a dead replica degrade to a retryable error.
         src.inject_kill();
         src.join();
-        let err = src.prefix_op(export).expect_err("dead replica");
-        assert!(err.is_retryable());
+        assert!(src
+            .install_kv(Vec::new(), Vec::new())
+            .unwrap_err()
+            .is_retryable());
+        let (reply, _rx) = mpsc::channel();
+        assert!(src.submit(job("late", &prompt, None, &[]), reply).is_err());
     }
 
     #[test]
@@ -868,8 +902,7 @@ mod tests {
         controls.fail_next_forwards(1);
         let (reply_tx, reply_rx) = mpsc::channel();
         replica
-            .submit(request("r0", 4, reply_tx))
-            .ok()
+            .submit(request("r0", 4), reply_tx)
             .expect("accepting");
         let err = reply_rx.recv().expect("reply").unwrap_err();
         assert!(err.is_retryable());
@@ -877,11 +910,10 @@ mod tests {
         // The loop survived: a follow-up request completes normally.
         let (reply_tx, reply_rx) = mpsc::channel();
         replica
-            .submit(request("r1", 4, reply_tx))
-            .ok()
+            .submit(request("r1", 4), reply_tx)
             .expect("accepting");
         let out = reply_rx.recv().expect("reply").expect("success");
-        assert_eq!(out.request_id, "r1");
-        assert_eq!(out.outputs.len(), 1);
+        assert_eq!(out.output.request_id, "r1");
+        assert_eq!(out.output.outputs.len(), 1);
     }
 }

@@ -1,17 +1,25 @@
 //! Exhaustive small-scope check of the pure request flow: no threads, no
 //! engines. For a unified and a disaggregated request (tier miss and tier
-//! hit), every failure the world can answer with — retryable error,
-//! non-retryable error, replica death, refused install — is tried at every
-//! command the flow emits, recursively through every attempt, and on every
-//! resulting path the contracts the drivers rely on are asserted: one
-//! terminal outcome, fresh engine ids, the stitched stream, bounded
-//! attempts, retry and handoff accounting. (There is no pin to balance: the
-//! flow asks replicas for nothing that has to be given back.)
+//! hit), every answer the world can give — retryable error, non-retryable
+//! error, replica death — is tried at every command the flow emits,
+//! recursively through every attempt. A two-phase request is two fused
+//! submissions, and each is also answered with every outcome of the KV work
+//! it carries: the stub's tier install refused while the stub succeeds, its
+//! export finding all, part or none of the cut resident; the decode
+//! submission's install landing or refused (a retryable refusal is the
+//! submission's error). A replica that dies after the stub's token but
+//! before its reply left, or between the decode install and its admission,
+//! answers the submission with its death. On every resulting path the
+//! contracts the drivers rely on are asserted: one terminal outcome, fresh
+//! engine ids, the stitched stream, bounded attempts, retry and handoff
+//! accounting, and exactly one replica message per phase. (There is no pin
+//! to balance: the flow asks replicas for nothing that has to be given
+//! back.)
 
 use std::collections::BTreeSet;
 
 use vllm_cluster::{
-    handoff_cut, FlowCommand, FlowEffect, FlowInput, PrefixOp, PrefixReply, RequestFlow,
+    handoff_cut, FlowCommand, FlowEffect, FlowInput, KvInstall, Replied, RequestFlow, Submission,
 };
 use vllm_core::{
     CompletionOutput, GenerationRequest, KvBlockBytes, RequestOutput, SequenceStatus, VllmError,
@@ -22,6 +30,10 @@ const EOS: u32 = 99;
 
 fn prompt() -> Vec<u32> {
     vec![1, 2, 3, 4, 5, 6] // block-aligned: the cut must drop the last block
+}
+
+fn cut() -> Vec<u32> {
+    prompt()[..handoff_cut(prompt().len(), BLOCK)].to_vec()
 }
 
 #[derive(Clone, Copy)]
@@ -41,6 +53,12 @@ struct World {
     backoffs: u32,
     handoffs: u32,
     handoff_retries: u32,
+    /// Replica messages (submissions) sent.
+    messages: u32,
+    /// Whether the last stub's install landed.
+    stub_installed: bool,
+    /// Blocks the last decode submission carried, and whether they landed.
+    decode_install: (usize, bool),
     /// Tokens the decode phase of the last attempt returned.
     decoded: Vec<u32>,
     depth: usize,
@@ -70,6 +88,19 @@ fn output(id: &str, tokens: Vec<u32>) -> RequestOutput {
     }
 }
 
+/// A replica's answer to a submission that ran.
+fn replied(job: &Submission, tokens: Vec<u32>, installed: bool, resident: usize) -> FlowInput {
+    let exported = (
+        cut()[..resident].to_vec(),
+        vec![KvBlockBytes::empty(); resident / BLOCK],
+    );
+    FlowInput::Reply(Ok(Replied {
+        output: output(&job.request_id, tokens),
+        installed,
+        exported,
+    }))
+}
+
 #[derive(Default)]
 struct Tally {
     paths: usize,
@@ -85,13 +116,16 @@ fn answers(sc: Scenario, cmd: &FlowCommand, w: &World) -> Vec<(World, FlowInput)
     let mut push = |w: World, i: FlowInput| out.push((w, i));
     // A command to a replica already known dead can only learn that again.
     let target = match cmd {
-        FlowCommand::Transfer { replica, .. }
-        | FlowCommand::PrefixOp { replica, .. }
-        | FlowCommand::Submit { replica, .. } => Some(*replica),
+        FlowCommand::Transfer { replica, .. } | FlowCommand::Submit { replica, .. } => {
+            Some(*replica)
+        }
         _ => None,
     };
     if let Some(r) = target {
         let mut d = w.clone();
+        if matches!(cmd, FlowCommand::Submit { .. }) {
+            d.messages += 1;
+        }
         let died = d.die(r);
         push(d, died);
         if w.dead.contains(&r) {
@@ -110,7 +144,7 @@ fn answers(sc: Scenario, cmd: &FlowCommand, w: &World) -> Vec<(World, FlowInput)
         }
         FlowCommand::TierLookup { replica, tokens } => {
             assert_eq!(*replica, 0, "the tier feeds the prefill replica");
-            assert_eq!(tokens.len(), handoff_cut(prompt().len(), BLOCK));
+            assert_eq!(tokens, &cut());
             // A hit on a shorter published prefix than asked for.
             let hit = (tokens[..BLOCK].to_vec(), vec![KvBlockBytes::empty()]);
             push(w.clone(), FlowInput::Tier(sc.tier_hit.then_some(hit)));
@@ -121,52 +155,75 @@ fn answers(sc: Scenario, cmd: &FlowCommand, w: &World) -> Vec<(World, FlowInput)
             n.backoffs += 1;
             push(n, FlowInput::Done);
         }
-        FlowCommand::PrefixOp { replica, op } => {
-            let cut = &prompt()[..handoff_cut(prompt().len(), BLOCK)];
-            let reply = match op {
-                PrefixOp::Export { tokens } => {
-                    assert_eq!(*replica, 0, "the prefill replica exports");
-                    assert_eq!(tokens, cut, "the export asks for the whole cut");
-                    // Everything resident, only the first block, nothing.
-                    for resident in [cut.len(), BLOCK, 0] {
-                        let tokens = cut[..resident].to_vec();
-                        let blocks = vec![KvBlockBytes::empty(); resident / BLOCK];
-                        let reply = PrefixReply::Exported { tokens, blocks };
-                        push(w.clone(), FlowInput::Prefix(Ok(reply)));
-                    }
-                    None
-                }
-                PrefixOp::Install { tokens, blocks } => {
-                    assert!(cut.starts_with(tokens), "installs a prefix of the cut");
-                    assert_eq!(tokens.len(), blocks.len() * BLOCK);
-                    Some(PrefixReply::Installed)
-                }
-            };
-            if let Some(reply) = reply {
-                push(w.clone(), FlowInput::Prefix(Ok(reply)));
-            }
-            push(w.clone(), FlowInput::Prefix(Err(retryable)));
-            push(w.clone(), FlowInput::Prefix(Err(terminal)));
-        }
-        FlowCommand::Submit {
-            engine_id,
-            prompt: p,
-            request,
-            ..
-        } => {
+        FlowCommand::Submit { replica, job } => {
             let mut n = w.clone();
+            n.messages += 1;
             assert!(
-                n.engine_ids.insert(engine_id.clone()),
-                "engine id {engine_id} reused"
+                n.engine_ids.insert(job.request_id.clone()),
+                "engine id {} reused",
+                job.request_id
             );
-            let decode = p.len() == prompt().len() + 1;
-            let tokens: Vec<u32> = (0..request.max_tokens as u32).map(|i| 10 + i).collect();
-            if decode {
-                assert_eq!(p.last(), Some(&10), "decode resumes from prompt + [t0]");
-                assert_eq!(request.max_tokens, 3, "decode budget is max_tokens - 1");
-                n.decoded = tokens.clone();
+            let install = job.install.as_ref();
+            let installs: &[bool] = if install.is_some() {
+                &[true, false]
+            } else {
+                &[false]
+            };
+            let decode = job.prompt.len() == prompt().len() + 1;
+            let stub = sc.disaggregated && !decode;
+            let tokens: Vec<u32> = (0..job.request.max_tokens as u32).map(|i| 10 + i).collect();
+            if stub {
+                assert_eq!(*replica, 0, "the stub runs on the prefill replica");
+                assert_eq!(job.request.max_tokens, 1, "the stub samples one token");
+                assert_eq!(job.export.as_ref(), Some(&cut()), "it exports the cut");
+                if let Some(KvInstall {
+                    tokens,
+                    blocks,
+                    required,
+                }) = install
+                {
+                    assert!(sc.tier_hit, "only a tier hit rides the stub");
+                    assert!(cut().starts_with(tokens), "installs a prefix of the cut");
+                    assert_eq!(tokens.len(), blocks.len() * BLOCK);
+                    assert!(!required, "a refused tier install only costs compute");
+                }
+                // Everything resident, only the first block, nothing.
+                for &installed in installs {
+                    for resident in [cut().len(), BLOCK, 0] {
+                        let mut s = n.clone();
+                        s.stub_installed = installed;
+                        push(s, replied(job, tokens.clone(), installed, resident));
+                    }
+                }
+            } else {
+                assert!(job.export.is_none(), "only the stub exports");
+                if decode {
+                    assert_eq!(
+                        job.prompt.last(),
+                        Some(&10),
+                        "decode resumes from prompt + [t0]"
+                    );
+                    assert_eq!(job.request.max_tokens, 3, "decode budget is max_tokens - 1");
+                    n.decoded = tokens.clone();
+                    if let Some(i) = install {
+                        assert!(cut().starts_with(&i.tokens), "installs a prefix of the cut");
+                        assert_eq!(i.tokens.len(), i.blocks.len() * BLOCK);
+                        assert_eq!(
+                            i.required,
+                            w.routes < sc.max_attempts,
+                            "a retryable refusal fails the submission while attempts remain"
+                        );
+                    }
+                } else {
+                    assert!(install.is_none(), "a unified run installs nothing");
+                }
+                let shipped = install.map_or(0, |i| i.blocks.len());
+                for &installed in installs {
+                    let mut d = n.clone();
+                    d.decode_install = (shipped, installed);
+                    push(d, replied(job, tokens.clone(), installed, 0));
+                }
             }
-            push(n.clone(), FlowInput::Reply(Ok(output(engine_id, tokens))));
             push(n.clone(), FlowInput::Reply(Err(retryable)));
             push(n, FlowInput::Reply(Err(terminal)));
         }
@@ -187,6 +244,7 @@ fn explore(sc: Scenario, flow: &RequestFlow, w: &World, input: FlowInput, tally:
             FlowEffect::PublishTier { tokens, blocks } => {
                 assert!(!blocks.is_empty(), "an empty export is not published");
                 assert_eq!(tokens.len(), blocks.len() * BLOCK);
+                assert!(!w.stub_installed, "published on a tier miss only");
             }
             FlowEffect::HandoffRetry => w.handoff_retries += 1,
             FlowEffect::Handoff(r) => {
@@ -196,6 +254,9 @@ fn explore(sc: Scenario, flow: &RequestFlow, w: &World, input: FlowInput, tally:
                     "marks {:?}",
                     r.marks
                 );
+                assert_eq!(r.from_tier, w.stub_installed);
+                let (shipped, landed) = w.decode_install;
+                assert_eq!(r.blocks, if landed { shipped } else { 0 });
             }
         }
     }
@@ -218,9 +279,15 @@ fn explore(sc: Scenario, flow: &RequestFlow, w: &World, input: FlowInput, tally:
         w.handoff_retries,
         if sc.disaggregated { w.backoffs } else { 0 }
     );
+    // One replica message per phase of every attempt, at most.
+    let phases = 1 + u32::from(sc.disaggregated);
+    assert!(w.messages <= phases * w.routes);
     match result {
         Ok(out) => {
             tally.ok += 1;
+            if w.routes == 1 {
+                assert_eq!(w.messages, phases, "one message per phase");
+            }
             let tokens = &out.outputs[0].tokens;
             if sc.disaggregated {
                 assert_eq!(
@@ -283,19 +350,32 @@ fn unified_flow_every_failure_at_every_command() {
 
 #[test]
 fn disaggregated_flow_every_failure_at_every_command() {
-    // A tier hit adds the prefill-side install (ok | retryable | terminal |
-    // died) in front of every stub, which widens the tree.
+    // A tier hit doubles the stub's successful answers (its install landed
+    // or refused), which widens the tree. The walk goes as deep as the
+    // drivers do: every attempt they would make.
     let mut paths = Vec::new();
     for tier_hit in [false, true] {
         let t = run(Scenario {
             disaggregated: true,
             tier_hit,
-            max_attempts: 3,
+            max_attempts: vllm_cluster::MAX_SUBMIT_ATTEMPTS,
         });
         assert!(t.paths > 5_000, "only {} paths (hit={tier_hit})", t.paths);
         paths.push(t.paths);
     }
     assert!(paths[1] > paths[0]);
+}
+
+/// A replica's answer when everything a submission carries lands: its
+/// install, and the whole of its export resident.
+fn all_landed(job: &Submission, tokens: Vec<u32>) -> Replied {
+    let export = job.export.clone().unwrap_or_default();
+    let blocks = vec![KvBlockBytes::empty(); export.len() / BLOCK];
+    Replied {
+        output: output(&job.request_id, tokens),
+        installed: job.install.is_some(),
+        exported: (export, blocks),
+    }
 }
 
 /// Drives one flow along the all-success path, answering the stub with
@@ -310,24 +390,15 @@ fn happy(prompt: Vec<u32>, stub_tokens: Vec<u32>, decode_outputs: bool) -> Reque
             FlowCommand::Route => FlowInput::Routed { replica: 0 },
             FlowCommand::RouteDecode => FlowInput::Routed { replica: 1 },
             FlowCommand::TierLookup { .. } => FlowInput::Tier(None),
-            FlowCommand::PrefixOp { op, .. } => FlowInput::Prefix(Ok(match op {
-                PrefixOp::Install { .. } => PrefixReply::Installed,
-                PrefixOp::Export { tokens } => PrefixReply::Exported {
-                    blocks: vec![KvBlockBytes::empty(); tokens.len() / BLOCK],
-                    tokens,
-                },
-            })),
-            FlowCommand::Submit {
-                engine_id, request, ..
-            } => {
-                let mut out = output(&engine_id, stub_tokens.clone());
-                if request.max_tokens != 1 {
-                    out = output(&engine_id, vec![20, 21, 22]);
+            FlowCommand::Submit { job, .. } => {
+                let mut r = all_landed(&job, stub_tokens.clone());
+                if job.request.max_tokens != 1 {
+                    r = all_landed(&job, vec![20, 21, 22]);
                     if !decode_outputs {
-                        out.outputs.clear();
+                        r.output.outputs.clear();
                     }
                 }
-                FlowInput::Reply(Ok(out))
+                FlowInput::Reply(Ok(r))
             }
             FlowCommand::Finish(result) => return result.expect("happy path"),
             _ => FlowInput::Done,
@@ -395,25 +466,16 @@ fn decode_coverage_trims_what_is_shipped() {
                     transferred = blocks;
                     FlowInput::Done
                 }
-                FlowCommand::PrefixOp { op, .. } => FlowInput::Prefix(Ok(match op {
-                    PrefixOp::Export { tokens } => PrefixReply::Exported {
-                        blocks: vec![KvBlockBytes::empty(); tokens.len() / BLOCK],
-                        tokens,
-                    },
-                    PrefixOp::Install { tokens, blocks } => {
-                        installed = vec![tokens.len(), blocks.len()];
-                        PrefixReply::Installed
-                    }
-                })),
-                FlowCommand::Submit {
-                    engine_id, request, ..
-                } => {
-                    let tokens = if request.max_tokens == 1 {
+                FlowCommand::Submit { job, .. } => {
+                    let tokens = if job.request.max_tokens == 1 {
                         vec![10]
                     } else {
+                        if let Some(i) = &job.install {
+                            installed = vec![i.tokens.len(), i.blocks.len()];
+                        }
                         vec![20, 21, 22]
                     };
-                    FlowInput::Reply(Ok(output(&engine_id, tokens)))
+                    FlowInput::Reply(Ok(all_landed(&job, tokens)))
                 }
                 FlowCommand::Backoff { .. } => unreachable!("nothing fails"),
                 FlowCommand::Finish(result) => break result.expect("happy path"),

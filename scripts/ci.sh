@@ -24,6 +24,9 @@ scripts/loc.sh || true
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> replica-channel stress (10 000 rounds of concurrent fused submissions racing a replica kill and the frontend's shutdown: every reply sender answered exactly once, no wait past its bound, no block held after the drain)"
+cargo test --release -q -p vllm --lib frontend::tests::fused_submissions_race_kill_and_shutdown -- --ignored --exact
+
 echo "==> telemetry consistency check"
 cargo run --release -q -p vllm-bench --bin telemetry -- --ci
 

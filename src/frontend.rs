@@ -51,9 +51,10 @@
 //! state machine that owns every decision of a request's life across
 //! replicas; this file is its thread-world driver (`serve`): each effect and
 //! command the flow emits is a blocking call on the connection's thread — a
-//! router pick under the router lock, a prefix-op or submit round trip over
-//! a replica's channel, a tier lookup or publish under the tier lock, a
-//! sleep for a backoff — and a command's answer is fed straight back.
+//! router pick under the router lock, a submission round trip over a
+//! replica's channel (its install, admission and export ride that one
+//! message), a tier lookup or publish under the tier lock, a sleep for a
+//! backoff — and a command's answer is fed straight back.
 //!
 //! [`Server::spawn_cluster`] takes a typed [`ClusterConfig`]: per-replica
 //! roles (prefill / decode / unified), the admission bound, and the shared
@@ -64,16 +65,18 @@
 //!    (prefix-affinity over the prefill pool). The longest run of leading
 //!    blocks of the prompt's longest block-aligned strict prefix
 //!    (`handoff_cut`) that the cluster-shared [`PrefixTier`] holds — found
-//!    by the walk the replica's own admission uses — is installed into the
-//!    replica's block cache first (skipping that recompute fleet-wide), and
-//!    a 1-token stub computes whatever of the prompt is not cached plus the
-//!    first sampled token (TTFT).
-//! 2. **Handoff + decode**: the cut is exported from the prefill replica's
-//!    cache as serialized KV blocks, published to the tier when the lookup
-//!    missed (the tier stores blocks, each once), round-tripped through the
-//!    [`HandoffPayload`] binary frame, and installed into a decode replica
-//!    (journaled as `CacheOps` installs); the request resumes there with
-//!    the stub token appended, and the streams are stitched. `handoff`/
+//!    by the walk the replica's own admission uses — rides a 1-token stub
+//!    and is installed into the replica's block cache just before the stub
+//!    is admitted (skipping that recompute fleet-wide); the stub computes
+//!    whatever of the prompt is not cached plus the first sampled token
+//!    (TTFT), and the iteration that finishes it exports the cut.
+//! 2. **Handoff + decode**: the stub's reply brings the cut as serialized
+//!    KV blocks, published to the tier when the lookup missed (the tier
+//!    stores blocks, each once), round-tripped through the
+//!    [`HandoffPayload`] binary frame, and carried by the decode submission,
+//!    which a decode replica installs (journaled as `CacheOps` installs)
+//!    and then admits with the stub token appended; the streams are
+//!    stitched. Two replica messages in all. `handoff`/
 //!    `handoff.{export,transfer,install}` spans land on the cluster track;
 //!    `vllm_cluster_handoff*_total` counters track volume and retries.
 //!
@@ -99,8 +102,8 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use vllm_cluster::{
-    aggregate_stats, backoff_seconds, merge_labeled, EngineRequest, FlowCommand, FlowEffect,
-    FlowInput, HandoffMetrics, PrefixOp, PrefixTier, Replica, ReplicaSnapshot, RequestFlow, Router,
+    aggregate_stats, backoff_seconds, merge_labeled, FlowCommand, FlowEffect, FlowInput,
+    HandoffMetrics, PrefixTier, Replica, ReplicaSnapshot, RequestFlow, Router, Submission,
     MAX_SUBMIT_ATTEMPTS,
 };
 use vllm_core::telemetry::{fnv1a, spans_to_json, EventQuery, Span, Telemetry};
@@ -431,25 +434,14 @@ fn metrics_snapshot(shared: &Shared) -> vllm_core::telemetry::MetricsSnapshot {
     merged
 }
 
-/// Submits one request to `replica` and blocks for the reply. A replica
+/// Sends one submission to `replica` and blocks for the reply. A replica
 /// that proves dead (its loop exited, or its reply channel dropped) is
 /// reported to the router so subsequent routes avoid it.
-fn await_reply(
-    shared: &Shared,
-    replica: usize,
-    engine_id: String,
-    prompt: Vec<u32>,
-    request: GenerationRequest,
-) -> FlowInput {
-    let (reply_tx, reply_rx) = mpsc::channel();
-    let sent = shared.replicas[replica].submit(EngineRequest {
-        request_id: engine_id,
-        prompt,
-        request,
-        reply: reply_tx,
-    });
-    // `None`: the loop is gone (killed, or the server is draining), or it
-    // dropped the reply channel without an answer.
+fn await_reply(shared: &Shared, replica: usize, job: Submission) -> FlowInput {
+    let (reply, reply_rx) = mpsc::channel();
+    let sent = shared.replicas[replica].submit(job, reply);
+    // `None`: the loop is gone (killed, or the server is draining), or its
+    // thread died with the reply channel unanswered.
     let Some(reply) = sent.ok().and_then(|()| reply_rx.recv().ok()) else {
         shared.router.lock().mark_dead(replica);
         return FlowInput::ReplicaDied { replica };
@@ -464,10 +456,10 @@ fn await_reply(
 
 /// Runs one request to its single outcome: the thread-world driver of
 /// [`RequestFlow`], which owns every decision (two-phase or not, cut, ids,
-/// tier and prefix-op order, stitch, retries). Each effect and
-/// command is a blocking call on this connection's thread; `Transfer` has
-/// nothing left to do because the payload crossed the binary frame inside
-/// the flow.
+/// what each submission installs and exports, stitch, retries). Each effect
+/// and command is a blocking call on this connection's thread; `Transfer`
+/// has nothing left to do because the payload crossed the binary frame
+/// inside the flow.
 fn serve(
     shared: &Shared,
     request_id: &str,
@@ -511,15 +503,7 @@ fn serve(
             FlowCommand::TierLookup { tokens, .. } => {
                 FlowInput::Tier(shared.tier.as_ref().and_then(|t| t.lock().fetch(&tokens)))
             }
-            FlowCommand::PrefixOp { replica, op } => {
-                FlowInput::Prefix(shared.replicas[replica].prefix_op(op))
-            }
-            FlowCommand::Submit {
-                replica,
-                engine_id,
-                prompt,
-                request,
-            } => await_reply(shared, replica, engine_id, prompt, request),
+            FlowCommand::Submit { replica, job } => await_reply(shared, replica, job),
             FlowCommand::Transfer { .. } => FlowInput::Done,
             FlowCommand::Backoff { attempt, hint } => {
                 std::thread::sleep(Duration::from_secs_f64(backoff_seconds(attempt, hint)));
@@ -541,10 +525,7 @@ fn install_handoff(shared: &Shared, payload: HandoffPayload) -> Result<Response,
         shared.router.lock().route_decode(&snaps)
     };
     let blocks = payload.blocks.len();
-    shared.replicas[replica].prefix_op(PrefixOp::Install {
-        tokens: payload.tokens.clone(),
-        blocks: payload.blocks.clone(),
-    })?;
+    shared.replicas[replica].install_kv(payload.tokens.clone(), payload.blocks.clone())?;
     if let Some(tier) = &shared.tier {
         tier.lock().publish(&payload.tokens, payload.blocks);
     }
@@ -918,5 +899,140 @@ impl Client {
         let mut line = String::new();
         self.reader.read_line(&mut line)?;
         Ok(line.trim_end().to_string())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
+    use vllm_cluster::{EngineReply, KvInstall};
+    use vllm_core::mock::MockExecutor;
+    use vllm_core::{CacheConfig, SchedulerConfig};
+
+    /// Rounds of the replica-channel stress test.
+    const STRESS_ROUNDS: u64 = 10_000;
+    /// Bound on any one wait for a reply: a hang fails the test instead.
+    const REPLY_BOUND: Duration = Duration::from_secs(10);
+
+    fn mock_engine() -> LlmEngine<MockExecutor> {
+        let cache = CacheConfig::new(4, 32, 8).expect("valid cache config");
+        let sched = SchedulerConfig::new(256, 8, 128).expect("valid scheduler config");
+        LlmEngine::new(MockExecutor::new(1000), cache, sched)
+    }
+
+    /// Spins for a round-dependent while, so the racing threads interleave
+    /// differently from round to round.
+    fn stagger(round: u64, salt: u64) {
+        for _ in 0..(round.wrapping_mul(2_654_435_761) ^ salt) % 2_000 {
+            std::hint::spin_loop();
+        }
+    }
+
+    /// Sends `job` to `replica` and waits (bounded) for its one reply.
+    /// `None` means the loop was gone and handed the request back — an
+    /// answer too. Every receiver is returned for the exactly-once check.
+    fn send(
+        shared: &Shared,
+        replica: usize,
+        job: Submission,
+        receivers: &mut Vec<Receiver<EngineReply>>,
+    ) -> Option<EngineReply> {
+        let (reply, rx) = mpsc::channel();
+        if shared.replicas[replica].submit(job, reply).is_err() {
+            return None;
+        }
+        let answer = match rx.recv_timeout(REPLY_BOUND) {
+            Ok(answer) => answer,
+            Err(RecvTimeoutError::Timeout) => panic!("a reply wait hung"),
+            Err(RecvTimeoutError::Disconnected) => panic!("a reply sender was dropped unanswered"),
+        };
+        receivers.push(rx);
+        Some(answer)
+    }
+
+    /// One client's two-phase request, as two fused submissions: a stub
+    /// that exports its cut (and, for odd clients, installs a one-block
+    /// run first), then a decode submission that installs the exported run.
+    fn two_phase(shared: &Shared, round: u64, client: u64) -> Vec<Receiver<EngineReply>> {
+        let mut receivers = Vec::new();
+        let prompt: Vec<u32> = (0..9)
+            .map(|i| 1 + (round * 7 + client * 13 + i) as u32 % 50)
+            .collect();
+        let id = format!("r{client}");
+        let mut stub = Submission::new(&id, prompt.clone(), GenerationRequest::greedy(1));
+        stub.export = Some(prompt[..8].to_vec());
+        stub.install = (client % 2 == 1).then(|| KvInstall {
+            tokens: prompt[..4].to_vec(),
+            blocks: vec![vllm_core::KvBlockBytes::empty()],
+            required: false,
+        });
+        let Some(Ok(stub)) = send(shared, 0, stub, &mut receivers) else {
+            return receivers;
+        };
+        let mut prompt = prompt;
+        prompt.push(stub.output.outputs[0].tokens[0]);
+        let mut decode = Submission::new(format!("{id}.d"), prompt, GenerationRequest::greedy(3));
+        let (tokens, blocks) = stub.exported;
+        decode.install = Some(KvInstall {
+            tokens,
+            blocks,
+            required: true,
+        });
+        send(shared, 1, decode, &mut receivers);
+        receivers
+    }
+
+    /// Concurrent fused submissions race a replica kill and the server's
+    /// shutdown. Every reply sender is answered exactly once, no wait
+    /// hangs, and after the drain every replica holds no block.
+    #[test]
+    #[ignore = "10 000 rounds: its own `scripts/ci.sh` stage runs it in release"]
+    fn fused_submissions_race_kill_and_shutdown() {
+        for round in 0..STRESS_ROUNDS {
+            let engines = vec![mock_engine(), mock_engine()];
+            let cfg = ClusterConfig::disaggregated(1, 1);
+            let server = Server::spawn_cluster("127.0.0.1:0", engines, cfg).expect("spawn");
+            let shared = Arc::clone(&server.shared);
+            let receivers: Vec<Receiver<EngineReply>> = std::thread::scope(|s| {
+                let shared = &shared;
+                let clients: Vec<_> = (0..3)
+                    .map(|client| s.spawn(move || two_phase(shared, round, client)))
+                    .collect();
+                // A third of the rounds kill the prefill replica, a third
+                // the decode replica.
+                if round % 3 < 2 {
+                    s.spawn(|| {
+                        stagger(round, 1);
+                        let i = (round % 3) as usize;
+                        shared.replicas[i].inject_kill();
+                        shared.router.lock().mark_dead(i);
+                    });
+                }
+                s.spawn(|| {
+                    stagger(round, 2);
+                    shared.begin_shutdown();
+                    shared.replicas.iter().for_each(Replica::begin_shutdown);
+                });
+                clients
+                    .into_iter()
+                    .flat_map(|c| c.join().expect("client"))
+                    .collect()
+            });
+            server.shutdown();
+            for rx in receivers {
+                match rx.try_recv() {
+                    Err(TryRecvError::Disconnected) => {}
+                    other => panic!("round {round}: a second answer or a live sender: {other:?}"),
+                }
+            }
+            for (i, r) in shared.replicas.iter().enumerate() {
+                let s = r.stats();
+                assert_eq!(
+                    s.free_blocks, s.total_blocks,
+                    "round {round}: replica {i} holds blocks"
+                );
+            }
+        }
     }
 }

@@ -150,7 +150,12 @@ fn run_mixed(budget: Option<usize>, trace: &Trace) -> MixedRow {
         p99_ttft: percentile(&all, 0.99),
         p99_short_ttft: percentile(&short, 0.99),
         throughput: tokens as f64 / makespan,
-        preemptions: sys.engine().scheduler().stats().num_preemptions,
+        preemptions: sys
+            .engine()
+            .engine_metrics()
+            .scheduler
+            .preemptions_total
+            .get(),
     }
 }
 

@@ -1400,7 +1400,7 @@ mod tests {
         let engine_spans: Vec<Span> = fleet.all_spans().into_iter().flat_map(|(_, s)| s).collect();
         for h in handoffs {
             assert_ne!(h.trace_id, 0, "handoffs belong to the request trace");
-            for name in ["handoff.export", "handoff.transfer", "handoff.install"] {
+            for name in ["handoff.export", "handoff.transfer"] {
                 let child = spans
                     .iter()
                     .find(|s| s.name == name && s.parent_span_id == h.span_id)
@@ -1417,10 +1417,14 @@ mod tests {
                 .find(|s| s.name == "handoff.transfer" && s.parent_span_id == h.span_id)
                 .expect("checked above");
             assert_eq!(transfer.duration(), 2.0);
+            // The install rides the decode submission: the handoff ends
+            // where the payload arrives, and has no install span.
+            assert_eq!(transfer.end, h.end);
+            assert!(!spans.iter().any(|s| s.name == "handoff.install"));
             // One slot numbering per attempt: the stub and decode attempts
             // on the engines are siblings of the handoff under the request
-            // root, so the decode span, which starts when the install ends,
-            // never overhangs a handoff span that would parent it.
+            // root, so the decode span, which starts when the payload
+            // arrives, never overhangs a handoff span that would parent it.
             let siblings = engine_spans
                 .iter()
                 .filter(|s| s.name == "attempt" && s.trace_id == h.trace_id)

@@ -172,9 +172,9 @@ pub struct HandoffRecord {
     /// computing that part of the prompt.
     pub from_tier: bool,
     /// Driver clock at: the stub's reply (its exported run in hand), the
-    /// decode replica picked, the payload at the decode replica, the decode
-    /// submission sent (the install rides it, so the last two coincide).
-    pub marks: [f64; 4],
+    /// decode replica picked, and the payload at the decode replica — where
+    /// the decode submission leaves, carrying the install.
+    pub marks: [f64; 3],
 }
 
 /// The handoff instruments: one meaning per series, shared by every driver.
@@ -213,9 +213,10 @@ impl HandoffMetrics {
 
     /// Counts what `effect` reports: a retried handoff attempt, or a
     /// completed handoff — whose span tree, for a sampled trace, is recorded
-    /// on `spans`: a `handoff` parent with `handoff.export`,
-    /// `handoff.transfer` and `handoff.install` children tiling it. The
-    /// other effects are the driver's and are ignored here.
+    /// on `spans`: a `handoff` parent with `handoff.export` and
+    /// `handoff.transfer` children tiling it (the install rides the decode
+    /// submission, so it has no span of its own). Other effects are ignored
+    /// here.
     pub fn observe(&self, spans: &SpanLog, effect: &FlowEffect) {
         let r = match effect {
             FlowEffect::HandoffRetry => return self.retries.inc(),
@@ -239,18 +240,17 @@ impl HandoffMetrics {
             end,
             attrs,
         };
-        let [start, routed, arrived, end] = r.marks;
+        let [start, routed, arrived] = r.marks;
         let attrs = [
             ("dst", r.dst),
             ("kv_bytes", r.kv_bytes),
             ("blocks", r.blocks),
         ]
         .map(|(k, v)| (k.to_string(), v.to_string()));
-        spans.record(span(r.ctx, "handoff", start, end, attrs.to_vec()));
+        spans.record(span(r.ctx, "handoff", start, arrived, attrs.to_vec()));
         let child = |slot, name, s, e| span(r.ctx.child(slot), name, s, e, Vec::new());
         spans.record(child(1, "handoff.export", start, routed));
         spans.record(child(2, "handoff.transfer", routed, arrived));
-        spans.record(child(3, "handoff.install", arrived, end));
     }
 }
 
@@ -302,7 +302,7 @@ pub struct RequestFlow {
     /// What becomes the attempt's [`HandoffRecord`].
     from_tier: bool,
     shipped: (usize, usize),
-    marks: [f64; 4],
+    marks: [f64; 3],
 }
 
 impl RequestFlow {
@@ -349,7 +349,7 @@ impl RequestFlow {
             stub: None,
             from_tier: false,
             shipped: (0, 0),
-            marks: [0.0; 4],
+            marks: [0.0; 3],
         }
     }
 
@@ -438,7 +438,7 @@ impl RequestFlow {
                     // replica.
                     return self.finish(Ok(r.output));
                 }
-                self.marks = [self.now; 4];
+                self.marks = [self.now; 3];
                 self.stub = Some(r.output);
                 // The reply carries what of the cut the stub left resident.
                 let (tokens, blocks) = r.exported;
@@ -612,7 +612,7 @@ impl RequestFlow {
     /// crossed: greedy continuation from `prompt + [t0]` makes the stitched
     /// stream token-identical to a unified run.
     fn submit_decode(&mut self, install: Option<KvInstall>) -> FlowCommand {
-        (self.marks[2], self.marks[3]) = (self.now, self.now);
+        self.marks[2] = self.now;
         if install.is_none() {
             self.shipped = (0, 0);
         }

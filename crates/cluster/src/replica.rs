@@ -35,7 +35,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use vllm_core::telemetry::Telemetry;
+use vllm_core::telemetry::{HistogramSnapshot, Telemetry};
 use vllm_core::{
     GenerationRequest, KvBlockBytes, LlmEngine, ModelExecutor, RequestOutput, VllmError,
 };
@@ -50,7 +50,10 @@ pub const DEFAULT_MAX_INFLIGHT: usize = 1024;
 pub const REJECT_RETRY_AFTER: f64 = 0.05;
 
 /// A snapshot of serving state published by a replica's engine loop after
-/// every iteration (the `/metrics` analog of production servers).
+/// every iteration (the `/metrics` analog of production servers). Queue and
+/// pool fields are read from the engine and `finished` is the loop's count;
+/// every other field is read from the engine's telemetry registry, so STATS
+/// and `METRICS` report one set of numbers: the series named on each field.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EngineStats {
     /// Queued requests not yet admitted.
@@ -68,37 +71,45 @@ pub struct EngineStats {
     pub total_blocks: usize,
     /// Requests completed since startup.
     pub finished: u64,
-    /// Preemptions since startup.
+    /// Preemptions since startup (`vllm_scheduler_preemptions_total`).
     pub preemptions: u64,
-    /// Engine steps executed since startup.
+    /// Engine steps executed since startup (`vllm_engine_steps_total`).
     pub steps: u64,
-    /// Tokens scheduled across all steps.
+    /// Tokens scheduled across all steps
+    /// (`vllm_engine_tokens_scheduled_total`).
     pub tokens_scheduled: u64,
-    /// Copy-on-write block copies across all steps.
+    /// GPU block copies — copy-on-write splits and eager-fork copies —
+    /// across all journals (`vllm_block_manager_cow_copies_total`).
     pub blocks_copied: u64,
-    /// Blocks swapped (in + out) across all steps.
+    /// Blocks swapped in + out across all journals
+    /// (`vllm_block_manager_swapped_{in,out}_blocks_total`).
     pub blocks_swapped: u64,
-    /// Cumulative host seconds in the schedule stage.
+    /// Cumulative host seconds in the schedule stage (the sum of
+    /// `vllm_step_schedule_seconds`).
     pub schedule_time: f64,
-    /// Cumulative host seconds in the prepare stage.
+    /// Cumulative host seconds in the prepare stage (`vllm_step_prepare_seconds`).
     pub prepare_time: f64,
-    /// Cumulative host seconds in the execute stage.
+    /// Cumulative host seconds in the execute stage, forward passes outside
+    /// steps included (`vllm_step_execute_seconds`).
     pub execute_time: f64,
-    /// Cumulative host seconds in the postprocess stage.
+    /// Cumulative host seconds in the postprocess stage
+    /// (`vllm_step_postprocess_seconds`).
     pub postprocess_time: f64,
-    /// Mean normalized latency over finished requests (s/token, §6.1).
+    /// Mean normalized latency over finished requests (s/token, §6.1;
+    /// `vllm_request_normalized_latency_seconds`).
     pub norm_lat_mean: f64,
-    /// Median normalized latency.
+    /// Median normalized latency (a histogram quantile).
     pub norm_lat_p50: f64,
-    /// 90th percentile normalized latency.
+    /// 90th percentile normalized latency (a histogram quantile).
     pub norm_lat_p90: f64,
-    /// 99th percentile normalized latency.
+    /// 99th percentile normalized latency (a histogram quantile).
     pub norm_lat_p99: f64,
-    /// Mean time to first token over finished requests.
+    /// Mean time to first token over requests that produced one
+    /// (`vllm_request_ttft_seconds`).
     pub ttft_mean: f64,
-    /// Median time to first token.
+    /// Median time to first token (a histogram quantile).
     pub ttft_p50: f64,
-    /// 99th percentile time to first token.
+    /// 99th percentile time to first token (a histogram quantile).
     pub ttft_p99: f64,
 }
 
@@ -368,13 +379,19 @@ impl Drop for Replica {
     }
 }
 
-/// Builds a serving snapshot from the engine's current state.
+/// Builds a serving snapshot from the engine's queues and pool and its
+/// registry: each cumulative field is a counter or a histogram sum, each mean
+/// a histogram's sum / count, each percentile a histogram quantile — the
+/// numbers `METRICS` reports.
 fn snapshot_stats<E: ModelExecutor>(engine: &LlmEngine<E>, finished_total: u64) -> EngineStats {
     let scheduler = engine.scheduler();
     let bm = scheduler.block_manager();
-    let trace = engine.trace_stats();
-    let stage_totals = trace.stage_totals();
-    let latency = engine.latency();
+    let m = engine.engine_metrics();
+    let stages = m.stage_totals();
+    let norm_lat = m.request_normalized_latency_seconds.snapshot();
+    let ttft = m.request_ttft_seconds.snapshot();
+    let quantile = |h: &HistogramSnapshot, q| h.quantile(q).unwrap_or(0.0);
+    let blocks = &m.block_manager;
     EngineStats {
         waiting: scheduler.num_waiting(),
         running: scheduler.num_running(),
@@ -383,22 +400,23 @@ fn snapshot_stats<E: ModelExecutor>(engine: &LlmEngine<E>, finished_total: u64) 
         free_blocks: bm.num_free_gpu_blocks(),
         total_blocks: bm.num_total_gpu_blocks(),
         finished: finished_total,
-        preemptions: scheduler.stats().num_preemptions,
-        steps: trace.num_steps(),
-        tokens_scheduled: trace.tokens_scheduled(),
-        blocks_copied: trace.blocks_copied(),
-        blocks_swapped: trace.blocks_swapped_in() + trace.blocks_swapped_out(),
-        schedule_time: stage_totals.schedule,
-        prepare_time: stage_totals.prepare,
-        execute_time: stage_totals.execute,
-        postprocess_time: stage_totals.postprocess,
-        norm_lat_mean: latency.mean_normalized_latency().unwrap_or(0.0),
-        norm_lat_p50: latency.percentile_normalized_latency(50.0).unwrap_or(0.0),
-        norm_lat_p90: latency.percentile_normalized_latency(90.0).unwrap_or(0.0),
-        norm_lat_p99: latency.percentile_normalized_latency(99.0).unwrap_or(0.0),
-        ttft_mean: latency.mean_ttft().unwrap_or(0.0),
-        ttft_p50: latency.percentile_ttft(50.0).unwrap_or(0.0),
-        ttft_p99: latency.percentile_ttft(99.0).unwrap_or(0.0),
+        preemptions: m.scheduler.preemptions_total.get(),
+        steps: m.steps_total.get(),
+        tokens_scheduled: m.tokens_scheduled_total.get(),
+        blocks_copied: blocks.cow_copies_total.get(),
+        blocks_swapped: blocks.swapped_in_blocks_total.get()
+            + blocks.swapped_out_blocks_total.get(),
+        schedule_time: stages.schedule,
+        prepare_time: stages.prepare,
+        execute_time: stages.execute,
+        postprocess_time: stages.postprocess,
+        norm_lat_mean: norm_lat.mean().unwrap_or(0.0),
+        norm_lat_p50: quantile(&norm_lat, 0.5),
+        norm_lat_p90: quantile(&norm_lat, 0.9),
+        norm_lat_p99: quantile(&norm_lat, 0.99),
+        ttft_mean: ttft.mean().unwrap_or(0.0),
+        ttft_p50: quantile(&ttft, 0.5),
+        ttft_p99: quantile(&ttft, 0.99),
     }
 }
 
@@ -915,5 +933,71 @@ mod tests {
         let out = reply_rx.recv().expect("reply").expect("success");
         assert_eq!(out.output.request_id, "r1");
         assert_eq!(out.output.outputs.len(), 1);
+    }
+
+    #[test]
+    fn stats_equal_the_registry() {
+        use vllm_core::{PreemptionMode, SamplingParams};
+        // Swap preemption, a compaction mid-run, and eager forks: block
+        // sharing off, so every fork copies its parent's blocks.
+        let cache = CacheConfig::new(4, 16, 32)
+            .unwrap()
+            .with_watermark(0.0)
+            .unwrap();
+        let sched = SchedulerConfig::new(512, 16, 256)
+            .unwrap()
+            .with_preemption_mode(PreemptionMode::Swap);
+        let mut e = LlmEngine::new(MockExecutor::new(1000), cache, sched);
+        e.set_block_sharing(false);
+        e.add_request("a", (0..6).collect(), SamplingParams::parallel(3, 12))
+            .unwrap();
+        e.add_request("b", (10..18).collect(), SamplingParams::greedy(12))
+            .unwrap();
+        e.add_request("c", (20..27).collect(), SamplingParams::parallel(2, 10))
+            .unwrap();
+        for step in 0.. {
+            if !e.has_unfinished() {
+                break;
+            }
+            if step == 6 {
+                e.compact_pools().unwrap();
+            }
+            e.step().unwrap();
+        }
+
+        let stats = snapshot_stats(&e, 0);
+        let snap = e.metrics_snapshot();
+        let counter = |name: &str| snap.counter(name).expect(name);
+        let sum = |name: &str| snap.histogram(name).expect(name).sum;
+        assert!(
+            stats.preemptions > 0 && stats.blocks_swapped > 0,
+            "{stats:?}"
+        );
+        assert!(
+            stats.blocks_copied > 0,
+            "eager forks copy blocks: {stats:?}"
+        );
+        assert_eq!(stats.steps, counter("vllm_engine_steps_total"));
+        assert_eq!(
+            stats.tokens_scheduled,
+            counter("vllm_engine_tokens_scheduled_total")
+        );
+        assert_eq!(
+            stats.preemptions,
+            counter("vllm_scheduler_preemptions_total")
+        );
+        assert_eq!(
+            stats.blocks_copied,
+            counter("vllm_block_manager_cow_copies_total")
+        );
+        assert_eq!(
+            stats.blocks_swapped,
+            counter("vllm_block_manager_swapped_in_blocks_total")
+                + counter("vllm_block_manager_swapped_out_blocks_total")
+        );
+        assert_eq!(stats.schedule_time, sum("vllm_step_schedule_seconds"));
+        assert_eq!(stats.prepare_time, sum("vllm_step_prepare_seconds"));
+        assert_eq!(stats.execute_time, sum("vllm_step_execute_seconds"));
+        assert_eq!(stats.postprocess_time, sum("vllm_step_postprocess_seconds"));
     }
 }

@@ -48,9 +48,10 @@ pub struct BlockCopy {
     pub dst: PhysicalBlockId,
 }
 
-/// Cached telemetry handles for the block manager's pool gauges and
-/// data-movement counters; registered once, updated every step via
-/// [`BlockSpaceManager::publish_metrics`].
+/// Cached telemetry handles for the block manager's pool gauges, set every
+/// step via [`BlockSpaceManager::publish_metrics`], and its data-movement and
+/// prefix-lookup counters, which the engine counts from each step's plan
+/// ([`crate::EngineMetrics`]).
 #[derive(Debug, Clone)]
 pub struct BlockManagerMetrics {
     /// `vllm_block_manager_gpu_blocks_free` gauge.
@@ -68,7 +69,9 @@ pub struct BlockManagerMetrics {
     pub fragmentation_ratio: vllm_telemetry::Gauge,
     /// `vllm_block_manager_sharing_savings` gauge (Fig. 15).
     pub sharing_savings: vllm_telemetry::Gauge,
-    /// `vllm_block_manager_cow_copies_total` counter.
+    /// `vllm_block_manager_cow_copies_total` counter: every GPU→GPU block
+    /// copy a journal carried (`CacheOps::copies`) — copy-on-write splits,
+    /// and eager-fork copies when block sharing is off.
     pub cow_copies_total: vllm_telemetry::Counter,
     /// `vllm_block_manager_swapped_out_blocks_total` counter.
     pub swapped_out_blocks_total: vllm_telemetry::Counter,
@@ -131,7 +134,7 @@ impl BlockManagerMetrics {
             ),
             cow_copies_total: r.counter(
                 "vllm_block_manager_cow_copies_total",
-                "Copy-on-write block copies performed.",
+                "GPU block copies performed (copy-on-write splits and eager forks).",
             ),
             swapped_out_blocks_total: r.counter(
                 "vllm_block_manager_swapped_out_blocks_total",
@@ -189,16 +192,6 @@ pub struct BlockSpaceManager {
     index: ContentIndex<PhysicalBlockId>,
     /// Whether blocks are indexed and admissions look the index up.
     prefix_caching: bool,
-    /// Cumulative prompt tokens looked up / found at admission (metrics).
-    num_lookup_tokens: u64,
-    num_hit_tokens: u64,
-    /// Cumulative count of copy-on-write events (metrics).
-    num_cow_copies: u64,
-    /// Cumulative count of blocks swapped out / in (metrics).
-    num_swapped_out_blocks: u64,
-    num_swapped_in_blocks: u64,
-    /// Cumulative count of blocks migrated by compaction (metrics).
-    num_block_migrations: u64,
     /// Cache operations produced since the last [`Self::take_pending`]:
     /// every mutation that requires data movement (CoW splits, eager-copy
     /// forks, swaps) records its ops here, so the scheduler can batch them
@@ -227,12 +220,6 @@ impl BlockSpaceManager {
             block_tables: HashMap::new(),
             index: ContentIndex::new(config.block_size),
             prefix_caching: true,
-            num_lookup_tokens: 0,
-            num_hit_tokens: 0,
-            num_cow_copies: 0,
-            num_swapped_out_blocks: 0,
-            num_swapped_in_blocks: 0,
-            num_block_migrations: 0,
             pending: CacheOps::default(),
             fanout_admission: false,
             swap_disabled: false,
@@ -296,10 +283,11 @@ impl BlockSpaceManager {
         self.gpu.num_cached_free()
     }
 
-    /// Cumulative `(looked up, found)` prompt tokens over admissions.
+    /// Whether blocks are indexed and single-sequence admissions look the
+    /// index up.
     #[must_use]
-    pub fn prefix_lookup_stats(&self) -> (u64, u64) {
-        (self.num_lookup_tokens, self.num_hit_tokens)
+    pub fn prefix_caching(&self) -> bool {
+        self.prefix_caching
     }
 
     /// KV block size in tokens.
@@ -332,34 +320,10 @@ impl BlockSpaceManager {
         self.gpu.num_blocks()
     }
 
-    /// Cumulative number of copy-on-write copies performed.
-    #[must_use]
-    pub fn num_cow_copies(&self) -> u64 {
-        self.num_cow_copies
-    }
-
-    /// Cumulative number of blocks swapped out to CPU.
-    #[must_use]
-    pub fn num_swapped_out_blocks(&self) -> u64 {
-        self.num_swapped_out_blocks
-    }
-
-    /// Cumulative number of blocks swapped back in.
-    #[must_use]
-    pub fn num_swapped_in_blocks(&self) -> u64 {
-        self.num_swapped_in_blocks
-    }
-
     /// Total CPU (swap) blocks in the pool.
     #[must_use]
     pub fn num_total_cpu_blocks(&self) -> usize {
         self.cpu.num_blocks()
-    }
-
-    /// Cumulative number of live blocks migrated by compaction.
-    #[must_use]
-    pub fn num_block_migrations(&self) -> u64 {
-        self.num_block_migrations
     }
 
     /// External-hole fragmentation of the GPU pool: the fraction of the
@@ -471,7 +435,6 @@ impl BlockSpaceManager {
             }
             mapping.insert(src, dst);
             self.pending.moves.push(BlockMove { device, src, dst });
-            self.num_block_migrations += 1;
         }
         if !mapping.is_empty() {
             // A shared block moved once; rewrite every table that names it.
@@ -507,23 +470,12 @@ impl BlockSpaceManager {
         };
         m.fragmentation_ratio.set(fragmentation);
         m.sharing_savings.set(self.sharing_savings());
-        m.cow_copies_total.set_to_at_least(self.num_cow_copies);
-        m.swapped_out_blocks_total
-            .set_to_at_least(self.num_swapped_out_blocks);
-        m.swapped_in_blocks_total
-            .set_to_at_least(self.num_swapped_in_blocks);
         m.pool_gpu_blocks.set(self.gpu.num_blocks() as f64);
         m.pool_cpu_blocks.set(self.cpu.num_blocks() as f64);
         m.pool_fragmentation_ratio
             .set(self.pool_fragmentation_ratio());
-        m.block_migrations_total
-            .set_to_at_least(self.num_block_migrations);
         m.gpu_blocks_cached_free
             .set(self.gpu.num_cached_free() as f64);
-        m.prefix_lookup_tokens_total
-            .set_to_at_least(self.num_lookup_tokens);
-        m.prefix_hit_tokens_total
-            .set_to_at_least(self.num_hit_tokens);
     }
 
     /// Drains the cache operations accumulated since the last call. The
@@ -595,8 +547,6 @@ impl BlockSpaceManager {
             let (blocks, hits) = self.map_blocks(hits, seq.num_logical_blocks())?;
             if lookup {
                 cached_tokens = hits * self.block_size;
-                self.num_lookup_tokens += seq.len() as u64;
-                self.num_hit_tokens += cached_tokens as u64;
             }
             let table = blocks.into_iter().map(PhysicalBlock::gpu).collect();
             self.block_tables.insert(seq.seq_id, table);
@@ -785,7 +735,6 @@ impl BlockSpaceManager {
                 .get_mut(&seq.seq_id)
                 .ok_or(VllmError::UnknownSequence(seq.seq_id))?;
             *table.last_mut().expect("table nonempty") = PhysicalBlock::gpu(fresh);
-            self.num_cow_copies += 1;
             let copy = BlockCopy {
                 src: last.id,
                 dst: fresh,
@@ -1022,7 +971,6 @@ impl BlockSpaceManager {
             }
             self.block_tables.insert(seq.seq_id, new_table);
         }
-        self.num_swapped_out_blocks += copies.len() as u64;
         self.pending.swap_out.extend_from_slice(&copies);
         Ok(copies)
     }
@@ -1068,7 +1016,6 @@ impl BlockSpaceManager {
             }
             self.block_tables.insert(seq.seq_id, new_table);
         }
-        self.num_swapped_in_blocks += copies.len() as u64;
         self.pending.swap_in.extend_from_slice(&copies);
         Ok(copies)
     }
@@ -1273,7 +1220,7 @@ mod tests {
         // Parent now appends into its (no longer shared) block: no copy.
         g.get_mut(0).unwrap().data.append_token(8);
         assert!(m.append_slot(g.get(0).unwrap()).unwrap().is_none());
-        assert_eq!(m.num_cow_copies(), 1);
+        assert_eq!(m.take_pending().copies, vec![cow], "one copy journaled");
         m.assert_consistent();
     }
 
@@ -1314,8 +1261,8 @@ mod tests {
         assert_eq!(back.len(), 2);
         assert_eq!(m.num_free_cpu_blocks(), 4);
         assert_eq!(m.num_free_gpu_blocks(), 2);
-        assert_eq!(m.num_swapped_out_blocks(), 2);
-        assert_eq!(m.num_swapped_in_blocks(), 2);
+        let ops = m.take_pending();
+        assert_eq!((ops.swap_out, ops.swap_in), (out, back));
         m.assert_consistent();
     }
 
@@ -1430,7 +1377,6 @@ mod tests {
             assert_eq!(mv.device, Device::Gpu);
             assert!(mv.src >= 2 && mv.dst < 2);
         }
-        assert_eq!(m.num_block_migrations(), 2);
         assert_eq!(m.pool_fragmentation_ratio(), 0.0);
         m.assert_consistent();
     }
@@ -1557,7 +1503,6 @@ mod tests {
         let mut g2 = group_with_prompt(2, 12);
         assert_eq!(prefill(&mut m, &mut g2), 8);
         assert_eq!(m.gpu_block_ids(2).unwrap()[..2], blocks0[..2]);
-        assert_eq!(m.prefix_lookup_stats(), (10 + 14 + 12, 8 + 8));
         m.assert_consistent();
     }
 

@@ -17,7 +17,8 @@
 //!
 //! Every step — including empty ones — emits a [`StepTrace`] with per-stage
 //! wall times and cache-op counts, queryable via [`LlmEngine::last_trace`]
-//! and aggregated by [`LlmEngine::trace_stats`]. Serving time stays virtual:
+//! and counted once into the telemetry registry ([`EngineMetrics`]), the
+//! engine's only cumulative books. Serving time stays virtual:
 //! the executor reports how long the iteration took (wall-clock for the
 //! numeric backend, modeled for the simulator), so the same engine drives
 //! both real inference and trace-driven evaluation.
@@ -35,7 +36,7 @@ use crate::env::Env;
 use crate::error::{Result, VllmError};
 use crate::executor::{ModelExecutor, SeqStepInput, StepResult};
 use crate::handoff::{KvBlockBytes, KvBlockInstall};
-use crate::metrics::{EngineMetrics, LatencyTracker, MemoryStats, StepSnapshot, TraceStats};
+use crate::metrics::EngineMetrics;
 use crate::plan::{materialize_batch, StageTimings, StepPlan, StepTrace};
 use crate::request::GenerationRequest;
 use crate::sampling::{DecodingMode, SamplingParams, TokenId};
@@ -103,25 +104,28 @@ pub struct EngineLoad {
     /// Estimated tokens of work still owed to admitted requests
     /// (see [`Scheduler::outstanding_tokens`]).
     pub outstanding_tokens: u64,
-    /// Median normalized latency over finished requests (s/token); 0 until
-    /// the first request finishes.
+    /// Median normalized latency over finished requests (s/token): the
+    /// quantile of `vllm_request_normalized_latency_seconds`; 0 until the
+    /// first request finishes. No routing policy reads it.
     pub norm_lat_p50: f64,
 }
 
 /// An executor call outside [`LlmEngine::step`] (a prefix warm-up, a KV
 /// install): it is no scheduler iteration — the step counters stay put — but
 /// it is execute time and model time, so it joins the same totals the
-/// per-replica wall identity sums.
-struct OutsideStep<'a, E>(&'a mut E, &'a mut TraceStats, &'a EngineMetrics);
+/// per-replica wall identity sums, and the block traffic of the journal it
+/// carries is counted like a step's.
+struct OutsideStep<'a, E>(&'a mut E, &'a EngineMetrics);
 
 impl<E: ModelExecutor> OutsideStep<'_, E> {
     fn begin_step(&mut self, plan: &StepPlan) -> Result<()> {
         let t = Instant::now();
         let result = self.0.begin_step(plan)?;
-        let execute = t.elapsed().as_secs_f64();
-        self.1.add_execute(execute);
-        self.2.step_execute_seconds.observe(execute);
-        self.2.step_model_seconds.observe(result.elapsed);
+        self.1
+            .step_execute_seconds
+            .observe(t.elapsed().as_secs_f64());
+        self.1.step_model_seconds.observe(result.elapsed);
+        self.1.observe_block_traffic(&StepTrace::from_plan(0, plan));
         Ok(())
     }
 }
@@ -134,8 +138,6 @@ pub struct LlmEngine<E: ModelExecutor> {
     pub(crate) cache_config: CacheConfig,
     pub(crate) next_seq_id: SeqId,
     pub(crate) clock: f64,
-    pub(crate) latency: LatencyTracker,
-    pub(crate) memory_stats: MemoryStats,
     /// Whether forked sequences share blocks (copy-on-write). Disabling
     /// this replicates blocks eagerly — the contiguous-system behaviour —
     /// for the sharing ablation.
@@ -144,8 +146,6 @@ pub struct LlmEngine<E: ModelExecutor> {
     step_counter: u64,
     /// Trace of the most recent step.
     last_trace: Option<StepTrace>,
-    /// Aggregate of all step traces.
-    trace_stats: TraceStats,
     /// Shared telemetry bundle (metrics registry + lifecycle event log).
     pub(crate) telemetry: Arc<Telemetry>,
     /// Cached engine/scheduler/block-manager instrument handles.
@@ -200,12 +200,9 @@ impl<E: ModelExecutor> LlmEngine<E> {
             cache_config,
             next_seq_id: 0,
             clock: 0.0,
-            latency: LatencyTracker::new(),
-            memory_stats: MemoryStats::new(),
             sharing_enabled: true,
             step_counter: 0,
             last_trace: None,
-            trace_stats: TraceStats::default(),
             telemetry,
             tmetrics,
             trace_sample: env.trace_sample,
@@ -278,8 +275,10 @@ impl<E: ModelExecutor> LlmEngine<E> {
             total_blocks: bm.num_total_gpu_blocks(),
             outstanding_tokens: self.scheduler.outstanding_tokens(),
             norm_lat_p50: self
-                .latency
-                .percentile_normalized_latency(50.0)
+                .tmetrics
+                .request_normalized_latency_seconds
+                .snapshot()
+                .quantile(0.5)
                 .unwrap_or(0.0),
         }
     }
@@ -313,18 +312,6 @@ impl<E: ModelExecutor> LlmEngine<E> {
         &mut self.executor
     }
 
-    /// Per-request latency metrics.
-    #[must_use]
-    pub fn latency(&self) -> &LatencyTracker {
-        &self.latency
-    }
-
-    /// Time-weighted memory/batch metrics.
-    #[must_use]
-    pub fn memory_stats(&self) -> &MemoryStats {
-        &self.memory_stats
-    }
-
     /// The shared telemetry bundle: metrics registry plus the per-request
     /// lifecycle event log. Clone the `Arc` to observe the engine from
     /// another thread (the frontend does this for `METRICS`/`EVENTS`).
@@ -333,7 +320,8 @@ impl<E: ModelExecutor> LlmEngine<E> {
         &self.telemetry
     }
 
-    /// Cached engine instrument handles (tests and embedding harnesses).
+    /// Cached engine instrument handles: the engine's cumulative counts and
+    /// latency distributions, read without a registry snapshot.
     #[must_use]
     pub fn engine_metrics(&self) -> &EngineMetrics {
         &self.tmetrics
@@ -364,12 +352,6 @@ impl<E: ModelExecutor> LlmEngine<E> {
     #[must_use]
     pub fn last_trace(&self) -> Option<&StepTrace> {
         self.last_trace.as_ref()
-    }
-
-    /// Aggregated per-stage timings and cache-op counts across all steps.
-    #[must_use]
-    pub fn trace_stats(&self) -> &TraceStats {
-        &self.trace_stats
     }
 
     /// Whether any request is queued, running, or swapped.
@@ -649,7 +631,7 @@ impl<E: ModelExecutor> LlmEngine<E> {
     /// Returns executor errors from the warm-up run.
     pub fn register_prefix(&mut self, tokens: &[TokenId]) -> Result<()> {
         let bs = self.cache_config.block_size;
-        let mut outside = OutsideStep(&mut self.executor, &mut self.trace_stats, &self.tmetrics);
+        let mut outside = OutsideStep(&mut self.executor, &self.tmetrics);
         let manager = self.scheduler.block_manager_mut();
         manager.cache_blocks(tokens, |cached_blocks, run, cache_ops| {
             let warmup = StepPlan {
@@ -723,7 +705,7 @@ impl<E: ModelExecutor> LlmEngine<E> {
                 tokens.len().div_ceil(bs)
             )));
         };
-        let mut outside = OutsideStep(&mut self.executor, &mut self.trace_stats, &self.tmetrics);
+        let mut outside = OutsideStep(&mut self.executor, &self.tmetrics);
         let manager = self.scheduler.block_manager_mut();
         manager.cache_blocks(tokens, |cached_blocks, run, mut cache_ops| {
             if cached_blocks < first_shipped {
@@ -819,7 +801,6 @@ impl<E: ModelExecutor> LlmEngine<E> {
 
         // Stage 4: postprocess (sampling bookkeeping, forks, stops, reap).
         let t = Instant::now();
-        self.record_step_metrics(&plan, result.elapsed);
         self.record_kernel_spans(&plan, &result, step_index);
         self.process_outputs(&plan, &result)?;
         let outs = self.reap()?;
@@ -856,7 +837,6 @@ impl<E: ModelExecutor> LlmEngine<E> {
     }
 
     fn finish_trace(&mut self, trace: StepTrace) {
-        self.trace_stats.observe(&trace);
         self.tmetrics.observe_trace(&trace);
         self.record_stage_spans(&trace);
         self.publish_gauges();
@@ -999,14 +979,26 @@ impl<E: ModelExecutor> LlmEngine<E> {
     }
 
     /// Records the lifecycle events and counters a freshly scheduled plan
-    /// implies: prompt admissions, preemptions, swap-ins, and rejections.
+    /// implies: prompt admissions with their prefix lookups, preemptions,
+    /// swap-ins, and rejections.
     fn record_plan_telemetry(&self, plan: &StepPlan) {
         let events = self.telemetry.events();
+        let lookups = self.scheduler.block_manager().prefix_caching();
+        let bm = &self.tmetrics.block_manager;
         for sg in &plan.scheduled {
             // A prompt's `Scheduled` event fires once, at admission: legacy
             // prefills always, chunked prefills on their first chunk only.
             if !sg.is_prompt || sg.chunk.is_some_and(|c| !c.is_first) {
                 continue;
+            }
+            // A single-sequence admission looked its tokens up in the block
+            // index, and its cached count is exactly what it found.
+            if let (true, &[seq_id]) = (lookups, sg.seq_ids.as_slice()) {
+                let group = self.scheduler.group(&sg.request_id);
+                let looked_up = group.and_then(|g| g.get(seq_id)).map_or(0, |s| s.len());
+                bm.prefix_lookup_tokens_total.inc_by(looked_up as u64);
+                bm.prefix_hit_tokens_total
+                    .inc_by(sg.num_cached_tokens as u64);
             }
             // For a chunked admission the event reports the whole prompt the
             // chunks will cover, not just the first chunk's slice.
@@ -1086,30 +1078,6 @@ impl<E: ModelExecutor> LlmEngine<E> {
             .requests_ignored_total
             .inc_by(plan.ignored.len() as u64);
     }
-
-    fn record_step_metrics(&mut self, plan: &StepPlan, elapsed: f64) {
-        let bm = self.scheduler.block_manager();
-        let groups = self.scheduler.running_groups();
-        let running_seqs: usize = groups
-            .iter()
-            .map(|g| g.seqs_with_status(SequenceStatus::Running).len())
-            .sum();
-        let all_seqs = groups.iter().flat_map(|g| g.seqs().into_iter());
-        let used_slots = bm.used_gpu_slots(all_seqs);
-        let bs = self.cache_config.block_size;
-        self.memory_stats.observe(&StepSnapshot {
-            duration: elapsed,
-            running_requests: groups.len(),
-            running_seqs,
-            batched_tokens: plan.budget.num_batched_tokens,
-            used_slots,
-            allocated_slots: bm.num_allocated_gpu_blocks() * bs,
-            total_slots: bm.num_total_gpu_blocks() * bs,
-            sharing_savings: bm.sharing_savings(),
-            logical_blocks: bm.num_logical_gpu_blocks(),
-            physical_blocks: bm.num_allocated_gpu_blocks(),
-        });
-    }
 }
 
 #[cfg(test)]
@@ -1172,7 +1140,9 @@ mod tests {
         // Both map the two prefix blocks and own one block for their suffix.
         assert_eq!(bm.num_allocated_gpu_blocks(), 4);
         assert_eq!(bm.num_logical_gpu_blocks(), 6);
-        assert_eq!(bm.prefix_lookup_stats(), (24, 16));
+        let m = &e.engine_metrics().block_manager;
+        assert_eq!(m.prefix_lookup_tokens_total.get(), 24);
+        assert_eq!(m.prefix_hit_tokens_total.get(), 16);
         assert_eq!(e.scheduler().group("r1").unwrap().cached_tokens, 8);
         let outs = e.run_to_completion().unwrap();
         assert_eq!(outs[0].outputs[0].tokens.len(), 4);
@@ -1226,21 +1196,30 @@ mod tests {
                 .unwrap();
             e.run_to_completion().unwrap();
         }
-        let bm = e.scheduler().block_manager();
-        assert_eq!(bm.prefix_lookup_stats(), (0, 0));
-        assert_eq!(bm.num_cached_free_gpu_blocks(), 0);
+        let m = &e.engine_metrics().block_manager;
+        assert_eq!(m.prefix_lookup_tokens_total.get(), 0);
+        assert_eq!(m.prefix_hit_tokens_total.get(), 0);
+        assert_eq!(
+            e.scheduler().block_manager().num_cached_free_gpu_blocks(),
+            0
+        );
         assert!(e.prefix_coverage().is_empty());
     }
 
     #[test]
-    fn latency_tracker_records_requests() {
+    fn finished_requests_reach_the_latency_histograms() {
         let mut e = engine(64, 0);
         e.add_request("r0", vec![1, 2, 3], SamplingParams::greedy(4))
             .unwrap();
-        e.run_to_completion().unwrap();
-        assert_eq!(e.latency().num_requests(), 1);
-        assert!(e.latency().mean_normalized_latency().unwrap() > 0.0);
-        assert!(e.memory_stats().num_steps() > 0);
+        let mut steps = 0;
+        while e.has_unfinished() {
+            e.step().unwrap();
+            steps += 1;
+        }
+        let m = e.engine_metrics();
+        assert_eq!(m.request_normalized_latency_seconds.count(), 1);
+        assert!(m.request_normalized_latency_seconds.sum() > 0.0);
+        assert_eq!(m.steps_total.get(), steps);
     }
 
     #[test]
@@ -1290,6 +1269,7 @@ mod tests {
         let outs = e.run_to_completion().unwrap();
         assert_eq!(outs.len(), 20);
         assert_eq!(e.scheduler().block_manager().num_free_gpu_blocks(), 128);
-        assert_eq!(e.latency().num_requests(), 20);
+        let m = e.engine_metrics();
+        assert_eq!(m.request_normalized_latency_seconds.count(), 20);
     }
 }

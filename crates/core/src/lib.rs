@@ -61,9 +61,7 @@ pub use error::{ErrorKind, Result, VllmError};
 pub use executor::{BlockMove, CacheOps, ModelExecutor, SeqStepInput, SeqStepOutput, StepResult};
 pub use fault::{FaultControls, FaultInjector};
 pub use handoff::{HandoffPayload, KvBlockBytes, KvBlockInstall};
-pub use metrics::{
-    EngineMetrics, LatencyTracker, MemoryStats, RequestLatency, StepSnapshot, TraceStats,
-};
+pub use metrics::{EngineMetrics, LatencyTracker};
 pub use plan::{
     materialize_batch, PreemptionEvent, PreemptionKind, StageTimings, StepBudget, StepPlan,
     StepTrace,
@@ -71,7 +69,7 @@ pub use plan::{
 pub use prefix::chunk_hashes;
 pub use request::{GenerationMode, GenerationRequest};
 pub use sampling::{DecodingMode, SamplingParams, TokenId};
-pub use scheduler::{ScheduledGroup, Scheduler, SchedulerMetrics, SchedulerStats};
+pub use scheduler::{ScheduledGroup, Scheduler, SchedulerMetrics};
 pub use sequence::{SeqId, Sequence, SequenceData, SequenceGroup, SequenceStatus};
 
 /// The telemetry subsystem (re-exported from `vllm-telemetry`): metrics

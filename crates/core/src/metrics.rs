@@ -1,6 +1,10 @@
-//! Serving metrics: normalized latency (§6.1), batch occupancy (Fig. 13),
-//! KV memory utilization (Fig. 2), sharing savings (Fig. 15), and aggregated
-//! per-stage pipeline timings ([`TraceStats`]).
+//! Serving metrics. [`EngineMetrics`] is the engine's one set of books:
+//! every step, preemption, block copy, swap, migration, prefix lookup and
+//! request latency is counted once, where the engine sees it, in the
+//! telemetry registry — the STATS line, routing loads and `METRICS` all read
+//! it there. [`LatencyTracker`] keeps per-request records for offline
+//! harnesses (`vllm_sim::run_trace`, a fleet's report) that need exact
+//! percentiles over a finished run (§6.1 normalized latency).
 
 use vllm_telemetry::{BucketSpec, Counter, Histogram, Telemetry};
 
@@ -8,29 +12,12 @@ use crate::block_manager::BlockManagerMetrics;
 use crate::plan::{StageTimings, StepTrace};
 use crate::scheduler::SchedulerMetrics;
 
-/// Per-request latency record.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RequestLatency {
-    /// Arrival time in seconds.
-    pub arrival_time: f64,
-    /// Completion time in seconds.
-    pub finish_time: f64,
-    /// Mean number of generated tokens per output sequence.
-    pub output_len: f64,
-    /// End-to-end latency divided by output length (§6.1 "normalized
-    /// latency", following Orca).
-    pub normalized_latency: f64,
-    /// Time to first token in seconds, if the request produced any output.
-    pub ttft: Option<f64>,
-    /// Absolute virtual time the first token was produced, on the same
-    /// serving clock as `arrival_time`/`finish_time` and span timestamps.
-    pub first_token_time: Option<f64>,
-}
-
-/// Collects per-request latencies and derives the paper's key metric.
+/// Collects finished requests' normalized latencies (§6.1: end-to-end
+/// latency divided by output length, following Orca) for exact means and
+/// percentiles over a finished run.
 #[derive(Debug, Clone, Default)]
 pub struct LatencyTracker {
-    records: Vec<RequestLatency>,
+    normalized: Vec<f64>,
 }
 
 impl LatencyTracker {
@@ -40,359 +27,38 @@ impl LatencyTracker {
         Self::default()
     }
 
-    /// Records one finished request.
+    /// Records one finished request; an empty output counts as one token.
     pub fn record(&mut self, arrival_time: f64, finish_time: f64, output_len: f64) {
-        self.record_with_ttft(arrival_time, finish_time, output_len, None);
-    }
-
-    /// Records one finished request with its time to first token, given as
-    /// a relative duration. Compatibility wrapper over
-    /// [`LatencyTracker::record_request`]; the absolute first-token
-    /// timestamp is reconstructed as `arrival_time + ttft`.
-    pub fn record_with_ttft(
-        &mut self,
-        arrival_time: f64,
-        finish_time: f64,
-        output_len: f64,
-        ttft: Option<f64>,
-    ) {
-        self.record_request(
-            arrival_time,
-            finish_time,
-            output_len,
-            ttft.map(|t| arrival_time + t),
-        );
-    }
-
-    /// Records one finished request from absolute serving-clock timestamps.
-    /// TTFT is derived here as `first_token_time - arrival_time`, so
-    /// percentiles come from the same clock as span timestamps and the
-    /// engine's event log.
-    pub fn record_request(
-        &mut self,
-        arrival_time: f64,
-        finish_time: f64,
-        output_len: f64,
-        first_token_time: Option<f64>,
-    ) {
-        let latency = finish_time - arrival_time;
-        let denom = output_len.max(1.0);
-        self.records.push(RequestLatency {
-            arrival_time,
-            finish_time,
-            output_len,
-            normalized_latency: latency / denom,
-            ttft: first_token_time.map(|t| t - arrival_time),
-            first_token_time,
-        });
+        self.normalized
+            .push((finish_time - arrival_time) / output_len.max(1.0));
     }
 
     /// Number of finished requests.
     #[must_use]
     pub fn num_requests(&self) -> usize {
-        self.records.len()
+        self.normalized.len()
     }
 
     /// Mean normalized latency in seconds per token (the y-axis of
     /// Figs. 12, 14, 16, 17). Returns `None` before any request finishes.
     #[must_use]
     pub fn mean_normalized_latency(&self) -> Option<f64> {
-        if self.records.is_empty() {
+        if self.normalized.is_empty() {
             return None;
         }
-        Some(
-            self.records
-                .iter()
-                .map(|r| r.normalized_latency)
-                .sum::<f64>()
-                / self.records.len() as f64,
-        )
+        Some(self.normalized.iter().sum::<f64>() / self.normalized.len() as f64)
     }
 
     /// p-th percentile (0–100) of normalized latency.
     #[must_use]
     pub fn percentile_normalized_latency(&self, p: f64) -> Option<f64> {
-        if self.records.is_empty() {
+        if self.normalized.is_empty() {
             return None;
         }
-        let mut v: Vec<f64> = self.records.iter().map(|r| r.normalized_latency).collect();
+        let mut v = self.normalized.clone();
         v.sort_by(f64::total_cmp);
         let idx = ((p / 100.0) * (v.len() - 1) as f64).round() as usize;
         Some(v[idx.min(v.len() - 1)])
-    }
-
-    /// Mean time to first token over requests that produced output.
-    #[must_use]
-    pub fn mean_ttft(&self) -> Option<f64> {
-        let ttfts: Vec<f64> = self.records.iter().filter_map(|r| r.ttft).collect();
-        if ttfts.is_empty() {
-            return None;
-        }
-        Some(ttfts.iter().sum::<f64>() / ttfts.len() as f64)
-    }
-
-    /// p-th percentile (0–100) of time to first token.
-    #[must_use]
-    pub fn percentile_ttft(&self, p: f64) -> Option<f64> {
-        let mut v: Vec<f64> = self.records.iter().filter_map(|r| r.ttft).collect();
-        if v.is_empty() {
-            return None;
-        }
-        v.sort_by(f64::total_cmp);
-        let idx = ((p / 100.0) * (v.len() - 1) as f64).round() as usize;
-        Some(v[idx.min(v.len() - 1)])
-    }
-
-    /// All records (for custom aggregation in harnesses).
-    #[must_use]
-    pub fn records(&self) -> &[RequestLatency] {
-        &self.records
-    }
-}
-
-/// One step's snapshot of memory/batch state, weighted by step duration when
-/// aggregated.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct StepSnapshot {
-    /// Wall/virtual duration of the step in seconds.
-    pub duration: f64,
-    /// Number of requests in the running queue.
-    pub running_requests: usize,
-    /// Number of running sequences (≥ requests with parallel decoding).
-    pub running_seqs: usize,
-    /// Tokens processed in this step.
-    pub batched_tokens: usize,
-    /// KV slots holding actual token state (Fig. 2 "token states").
-    pub used_slots: usize,
-    /// KV slots inside allocated blocks (used + internal fragmentation).
-    pub allocated_slots: usize,
-    /// Total KV slots in the GPU pool.
-    pub total_slots: usize,
-    /// Fraction of blocks saved by sharing (Fig. 15).
-    pub sharing_savings: f64,
-    /// Sum over sequences of logical GPU blocks (sharing denominator).
-    pub logical_blocks: usize,
-    /// Physical GPU blocks in use.
-    pub physical_blocks: usize,
-}
-
-/// Time-weighted aggregation of [`StepSnapshot`]s over a run.
-#[derive(Debug, Clone, Default)]
-pub struct MemoryStats {
-    total_time: f64,
-    w_running_requests: f64,
-    w_running_seqs: f64,
-    w_batched_tokens: f64,
-    w_used_slots: f64,
-    w_allocated_slots: f64,
-    w_total_slots: f64,
-    w_sharing: f64,
-    /// Time during which at least one block was allocated (sharing metric
-    /// denominators only count busy time).
-    busy_time: f64,
-    num_steps: u64,
-}
-
-impl MemoryStats {
-    /// Creates an empty aggregator.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one step's snapshot.
-    pub fn observe(&mut self, s: &StepSnapshot) {
-        let w = s.duration;
-        self.total_time += w;
-        self.num_steps += 1;
-        self.w_running_requests += w * s.running_requests as f64;
-        self.w_running_seqs += w * s.running_seqs as f64;
-        self.w_batched_tokens += w * s.batched_tokens as f64;
-        self.w_used_slots += w * s.used_slots as f64;
-        self.w_allocated_slots += w * s.allocated_slots as f64;
-        self.w_total_slots += w * s.total_slots as f64;
-        if s.physical_blocks > 0 {
-            self.busy_time += w;
-            self.w_sharing += w * s.sharing_savings;
-        }
-    }
-
-    /// Number of observed steps.
-    #[must_use]
-    pub fn num_steps(&self) -> u64 {
-        self.num_steps
-    }
-
-    /// Total observed (virtual) time.
-    #[must_use]
-    pub fn total_time(&self) -> f64 {
-        self.total_time
-    }
-
-    /// Time-weighted average number of batched requests (Fig. 13).
-    #[must_use]
-    pub fn avg_running_requests(&self) -> f64 {
-        if self.total_time == 0.0 {
-            return 0.0;
-        }
-        self.w_running_requests / self.total_time
-    }
-
-    /// Time-weighted average number of running sequences.
-    #[must_use]
-    pub fn avg_running_seqs(&self) -> f64 {
-        if self.total_time == 0.0 {
-            return 0.0;
-        }
-        self.w_running_seqs / self.total_time
-    }
-
-    /// Time-weighted average number of batched tokens per step.
-    #[must_use]
-    pub fn avg_batched_tokens(&self) -> f64 {
-        if self.total_time == 0.0 {
-            return 0.0;
-        }
-        self.w_batched_tokens / self.total_time
-    }
-
-    /// Fraction of *allocated* KV slots holding token state; the complement
-    /// is internal fragmentation (Fig. 2's vLLM bar decomposition).
-    #[must_use]
-    pub fn utilization_of_allocated(&self) -> f64 {
-        if self.w_allocated_slots == 0.0 {
-            return 1.0;
-        }
-        self.w_used_slots / self.w_allocated_slots
-    }
-
-    /// Time-weighted average fraction of the whole pool holding token state.
-    #[must_use]
-    pub fn utilization_of_pool(&self) -> f64 {
-        if self.w_total_slots == 0.0 {
-            return 0.0;
-        }
-        self.w_used_slots / self.w_total_slots
-    }
-
-    /// Time-weighted average sharing savings over busy time (Fig. 15).
-    #[must_use]
-    pub fn avg_sharing_savings(&self) -> f64 {
-        if self.busy_time == 0.0 {
-            return 0.0;
-        }
-        self.w_sharing / self.busy_time
-    }
-}
-
-/// Aggregation of [`StepTrace`]s across an engine's lifetime: cumulative
-/// per-stage host wall times, token/cache-op totals, and preemption counts.
-#[derive(Debug, Clone, Default)]
-pub struct TraceStats {
-    num_steps: u64,
-    num_prompt_runs: u64,
-    stage_totals: StageTimings,
-    tokens_scheduled: u64,
-    blocks_copied: u64,
-    blocks_swapped_in: u64,
-    blocks_swapped_out: u64,
-    blocks_migrated: u64,
-    num_preemptions: u64,
-    num_swap_preemptions: u64,
-    num_recompute_preemptions: u64,
-}
-
-impl TraceStats {
-    /// Adds one step's trace.
-    pub fn observe(&mut self, trace: &StepTrace) {
-        self.num_steps += 1;
-        if trace.is_prompt_run {
-            self.num_prompt_runs += 1;
-        }
-        self.stage_totals.schedule += trace.stages.schedule;
-        self.stage_totals.prepare += trace.stages.prepare;
-        self.stage_totals.execute += trace.stages.execute;
-        self.stage_totals.postprocess += trace.stages.postprocess;
-        self.tokens_scheduled += trace.tokens_scheduled as u64;
-        self.blocks_copied += trace.blocks_copied as u64;
-        self.blocks_swapped_in += trace.blocks_swapped_in as u64;
-        self.blocks_swapped_out += trace.blocks_swapped_out as u64;
-        self.blocks_migrated += trace.blocks_migrated as u64;
-        self.num_preemptions += trace.preemptions.len() as u64;
-        self.num_swap_preemptions += trace.num_swap_preemptions() as u64;
-        self.num_recompute_preemptions += trace.num_recompute_preemptions() as u64;
-    }
-
-    /// Adds execute-stage time spent outside any step (the KV-only warm-up
-    /// forward of a prefix registration, a KV install).
-    pub fn add_execute(&mut self, seconds: f64) {
-        self.stage_totals.execute += seconds;
-    }
-
-    /// Number of steps observed (prompt, decode, and empty steps alike).
-    #[must_use]
-    pub fn num_steps(&self) -> u64 {
-        self.num_steps
-    }
-
-    /// Number of prompt (prefill) iterations.
-    #[must_use]
-    pub fn num_prompt_runs(&self) -> u64 {
-        self.num_prompt_runs
-    }
-
-    /// Cumulative host wall time per pipeline stage.
-    #[must_use]
-    pub fn stage_totals(&self) -> StageTimings {
-        self.stage_totals
-    }
-
-    /// Total tokens scheduled across all steps.
-    #[must_use]
-    pub fn tokens_scheduled(&self) -> u64 {
-        self.tokens_scheduled
-    }
-
-    /// Total copy-on-write block copies carried by step plans.
-    #[must_use]
-    pub fn blocks_copied(&self) -> u64 {
-        self.blocks_copied
-    }
-
-    /// Total blocks swapped CPU→GPU.
-    #[must_use]
-    pub fn blocks_swapped_in(&self) -> u64 {
-        self.blocks_swapped_in
-    }
-
-    /// Total blocks swapped GPU→CPU.
-    #[must_use]
-    pub fn blocks_swapped_out(&self) -> u64 {
-        self.blocks_swapped_out
-    }
-
-    /// Total defragmentation block migrations carried by step plans.
-    #[must_use]
-    pub fn blocks_migrated(&self) -> u64 {
-        self.blocks_migrated
-    }
-
-    /// Total preemption events.
-    #[must_use]
-    pub fn num_preemptions(&self) -> u64 {
-        self.num_preemptions
-    }
-
-    /// Preemptions recovered by swapping.
-    #[must_use]
-    pub fn num_swap_preemptions(&self) -> u64 {
-        self.num_swap_preemptions
-    }
-
-    /// Preemptions recovered by recomputation.
-    #[must_use]
-    pub fn num_recompute_preemptions(&self) -> u64 {
-        self.num_recompute_preemptions
     }
 }
 
@@ -543,9 +209,11 @@ impl EngineMetrics {
         }
     }
 
-    /// Observes one completed step trace: step counters plus per-stage
-    /// timing histograms. Stages that did not run this step (zero duration)
-    /// are skipped so empty iterations don't skew the distributions.
+    /// Observes one completed step trace: the step, prompt-step and token
+    /// counters, the block traffic of the step's journal, the plan's
+    /// preemptions by kind, and the per-stage timing histograms. Stages that
+    /// did not run this step (zero duration) are skipped so empty iterations
+    /// don't skew the distributions.
     pub fn observe_trace(&self, trace: &StepTrace) {
         self.steps_total.inc();
         if trace.is_prompt_run {
@@ -553,6 +221,13 @@ impl EngineMetrics {
         }
         self.tokens_scheduled_total
             .inc_by(trace.tokens_scheduled as u64);
+        self.observe_block_traffic(trace);
+        let s = &self.scheduler;
+        s.preemptions_total.inc_by(trace.preemptions.len() as u64);
+        s.swap_preemptions_total
+            .inc_by(trace.num_swap_preemptions() as u64);
+        s.recompute_preemptions_total
+            .inc_by(trace.num_recompute_preemptions() as u64);
         for (hist, t) in [
             (&self.step_schedule_seconds, trace.stages.schedule),
             (&self.step_prepare_seconds, trace.stages.prepare),
@@ -562,6 +237,32 @@ impl EngineMetrics {
             if t > 0.0 {
                 hist.observe(t);
             }
+        }
+    }
+
+    /// Counts the block copies (copy-on-write splits and eager-fork copies
+    /// alike), swaps and migrations of a journal the executor applied — a
+    /// step's, or one applied outside any step.
+    pub fn observe_block_traffic(&self, trace: &StepTrace) {
+        let b = &self.block_manager;
+        b.cow_copies_total.inc_by(trace.blocks_copied as u64);
+        b.swapped_in_blocks_total
+            .inc_by(trace.blocks_swapped_in as u64);
+        b.swapped_out_blocks_total
+            .inc_by(trace.blocks_swapped_out as u64);
+        b.block_migrations_total
+            .inc_by(trace.blocks_migrated as u64);
+    }
+
+    /// Cumulative host seconds per pipeline stage: the sums of the stage
+    /// histograms.
+    #[must_use]
+    pub fn stage_totals(&self) -> StageTimings {
+        StageTimings {
+            schedule: self.step_schedule_seconds.sum(),
+            prepare: self.step_prepare_seconds.sum(),
+            execute: self.step_execute_seconds.sum(),
+            postprocess: self.step_postprocess_seconds.sum(),
         }
     }
 
@@ -608,47 +309,5 @@ mod tests {
         assert_eq!(t.percentile_normalized_latency(0.0), Some(1.0));
         assert_eq!(t.percentile_normalized_latency(100.0), Some(10.0));
         assert_eq!(t.percentile_normalized_latency(50.0), Some(2.0));
-    }
-
-    #[test]
-    fn memory_stats_time_weighted() {
-        let mut m = MemoryStats::new();
-        m.observe(&StepSnapshot {
-            duration: 1.0,
-            running_requests: 10,
-            used_slots: 50,
-            allocated_slots: 100,
-            total_slots: 200,
-            ..Default::default()
-        });
-        m.observe(&StepSnapshot {
-            duration: 3.0,
-            running_requests: 2,
-            used_slots: 100,
-            allocated_slots: 100,
-            total_slots: 200,
-            ..Default::default()
-        });
-        assert!((m.avg_running_requests() - 4.0).abs() < 1e-12);
-        assert!((m.utilization_of_allocated() - 0.875).abs() < 1e-12);
-        assert!((m.utilization_of_pool() - 0.4375).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sharing_only_counts_busy_time() {
-        let mut m = MemoryStats::new();
-        m.observe(&StepSnapshot {
-            duration: 1.0,
-            sharing_savings: 0.5,
-            physical_blocks: 10,
-            ..Default::default()
-        });
-        m.observe(&StepSnapshot {
-            duration: 9.0,
-            sharing_savings: 0.0,
-            physical_blocks: 0,
-            ..Default::default()
-        });
-        assert!((m.avg_sharing_savings() - 0.5).abs() < 1e-12);
     }
 }

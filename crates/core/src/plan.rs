@@ -16,8 +16,8 @@
 //!    beam updates, and stop conditions, then reaps finished requests.
 //!
 //! Every stage reports into a [`StepTrace`], the structured per-step record
-//! exposed through `LlmEngine::last_trace` and aggregated by
-//! [`crate::metrics::TraceStats`].
+//! exposed through `LlmEngine::last_trace` and counted into the telemetry
+//! registry by [`crate::metrics::EngineMetrics::observe_trace`].
 
 use crate::error::{Result, VllmError};
 use crate::executor::{CacheOps, SeqStepInput};
@@ -241,7 +241,8 @@ pub struct StepTrace {
     pub tokens_scheduled: usize,
     /// Sequences that ran in the iteration.
     pub num_seqs: usize,
-    /// Copy-on-write block copies carried by the step.
+    /// GPU block copies carried by the step: copy-on-write splits, and
+    /// eager-fork copies when block sharing is off.
     pub blocks_copied: usize,
     /// Blocks swapped CPU→GPU by the step.
     pub blocks_swapped_in: usize,

@@ -473,12 +473,6 @@ impl<E: ModelExecutor> LlmEngine<E> {
             let output = self.make_request_output(&group);
             if !output.outputs.is_empty() {
                 let e2e = output.finish_time - output.arrival_time;
-                self.latency.record_request(
-                    output.arrival_time,
-                    output.finish_time,
-                    output.mean_output_len(),
-                    output.first_token_time,
-                );
                 self.tmetrics
                     .observe_request(e2e, e2e / output.mean_output_len().max(1.0));
                 // The decode span is emitted exactly when the e2e histogram
@@ -676,7 +670,8 @@ mod tests {
         e.add_request("r0", (0..6).collect(), SamplingParams::parallel(2, 4))
             .unwrap();
         e.run_to_completion().unwrap();
-        assert!(e.scheduler().block_manager().num_cow_copies() >= 1);
+        let copies = &e.engine_metrics().block_manager.cow_copies_total;
+        assert!(copies.get() >= 1);
         assert_eq!(e.scheduler().block_manager().num_free_gpu_blocks(), 64);
     }
 

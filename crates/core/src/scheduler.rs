@@ -78,20 +78,9 @@ pub struct ScheduledGroup {
     pub trace: vllm_telemetry::TraceContext,
 }
 
-/// Counters exported for the evaluation harness.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SchedulerStats {
-    /// Total preemptions (swap + recompute).
-    pub num_preemptions: u64,
-    /// Preemptions recovered by swapping.
-    pub num_swap_preemptions: u64,
-    /// Preemptions recovered by recomputation.
-    pub num_recompute_preemptions: u64,
-}
-
-/// Cached telemetry handles for the scheduler's queue gauges and preemption
-/// counters; registered once, updated every step via
-/// [`Scheduler::publish_metrics`].
+/// Cached telemetry handles for the scheduler's queue gauges, set every step
+/// via [`Scheduler::publish_metrics`], and its preemption counters, which the
+/// engine counts from each plan's preemptions ([`crate::EngineMetrics`]).
 #[derive(Debug, Clone)]
 pub struct SchedulerMetrics {
     /// `vllm_scheduler_waiting_requests` gauge.
@@ -153,7 +142,6 @@ pub struct Scheduler {
     /// Sorted by arrival time (FCFS).
     swapped: VecDeque<SequenceGroup>,
     finished: Vec<SequenceGroup>,
-    stats: SchedulerStats,
 }
 
 impl Scheduler {
@@ -167,7 +155,6 @@ impl Scheduler {
             running: Vec::new(),
             swapped: VecDeque::new(),
             finished: Vec::new(),
-            stats: SchedulerStats::default(),
         }
     }
 
@@ -196,24 +183,11 @@ impl Scheduler {
         self.config.step_token_budget = budget.filter(|&b| b > 0);
     }
 
-    /// Scheduling counters.
-    #[must_use]
-    pub fn stats(&self) -> SchedulerStats {
-        self.stats
-    }
-
-    /// Publishes the current queue depths and cumulative preemption counts
-    /// to the cached telemetry handles.
+    /// Publishes the current queue depths to the cached telemetry handles.
     pub fn publish_metrics(&self, m: &SchedulerMetrics) {
         m.waiting_requests.set(self.waiting.len() as f64);
         m.running_requests.set(self.running.len() as f64);
         m.swapped_requests.set(self.swapped.len() as f64);
-        m.preemptions_total
-            .set_to_at_least(self.stats.num_preemptions);
-        m.swap_preemptions_total
-            .set_to_at_least(self.stats.num_swap_preemptions);
-        m.recompute_preemptions_total
-            .set_to_at_least(self.stats.num_recompute_preemptions);
     }
 
     /// Whether `a` ranks strictly after `b` in a scheduling queue: higher
@@ -881,7 +855,6 @@ impl Scheduler {
     }
 
     fn preempt(&mut self, mut group: SequenceGroup, plan: &mut StepPlan) -> Result<()> {
-        self.stats.num_preemptions += 1;
         group.num_preemptions += 1;
 
         // Single-sequence groups may use either recovery mode; groups with
@@ -895,7 +868,6 @@ impl Scheduler {
 
         match mode {
             PreemptionMode::Swap if self.block_manager.can_swap_out(&group) => {
-                self.stats.num_swap_preemptions += 1;
                 let copies = self.block_manager.swap_out(&group)?;
                 plan.preemptions.push(PreemptionEvent {
                     request_id: group.request_id.clone(),
@@ -914,7 +886,6 @@ impl Scheduler {
                 // Recompute: free all blocks and roll the sequences back to
                 // the waiting state with their outputs merged into the prompt
                 // (§4.5). Also the fallback when the CPU swap space is full.
-                self.stats.num_recompute_preemptions += 1;
                 plan.preemptions.push(PreemptionEvent {
                     request_id: group.request_id.clone(),
                     kind: PreemptionKind::Recompute,
@@ -1102,7 +1073,6 @@ mod tests {
         assert_eq!(out.scheduled.len(), 1);
         assert_eq!(out.scheduled[0].request_id, "r0");
         assert_eq!(s.num_waiting(), 1);
-        assert_eq!(s.stats().num_recompute_preemptions, 1);
         // The preempted sequence merged its output into the prompt.
         let g = s.group("r1").unwrap();
         assert_eq!(g.seqs()[0].data.prompt_len(), 9);
@@ -1128,7 +1098,6 @@ mod tests {
         assert_eq!(out.preemptions[0].blocks_swapped_out, 2);
         assert_eq!(s.num_swapped(), 1);
         assert_eq!(out.cache_ops.swap_out.len(), 2);
-        assert_eq!(s.stats().num_swap_preemptions, 1);
 
         // Finish request 0; its blocks free and r1 swaps back in.
         {

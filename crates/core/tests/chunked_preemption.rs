@@ -64,7 +64,7 @@ fn run(
         bm.num_total_cpu_blocks(),
         "CPU blocks leaked after chunked run under preemption"
     );
-    (tokens, e.scheduler().stats().num_preemptions)
+    (tokens, e.engine_metrics().scheduler.preemptions_total.get())
 }
 
 proptest! {
@@ -112,7 +112,7 @@ fn mid_prompt_preemption_restarts_from_chunk_cursor() {
         .unwrap();
         let outs = e.run_to_completion().unwrap();
         assert!(
-            e.scheduler().stats().num_preemptions > 0,
+            e.engine_metrics().scheduler.preemptions_total.get() > 0,
             "{mode:?}: the scenario must preempt"
         );
         let young = outs.iter().find(|o| o.request_id == "young").unwrap();

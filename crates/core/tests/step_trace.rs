@@ -44,7 +44,7 @@ fn recompute_preemption_preserves_output() {
         assert_eq!(o.outputs[0].tokens.len(), 12, "request {}", o.request_id);
     }
     // At least one preemption must have occurred.
-    assert!(e.scheduler().stats().num_preemptions > 0);
+    assert!(e.engine_metrics().scheduler.preemptions_total.get() > 0);
     assert_eq!(e.scheduler().block_manager().num_free_gpu_blocks(), 6);
 
     // Determinism: rerun without contention and compare request a.
@@ -65,7 +65,7 @@ fn swap_preemption_round_trip() {
         .unwrap();
     let outs = e.run_to_completion().unwrap();
     assert_eq!(outs.len(), 2);
-    assert!(e.scheduler().stats().num_swap_preemptions > 0);
+    assert!(e.engine_metrics().scheduler.swap_preemptions_total.get() > 0);
     for o in &outs {
         assert_eq!(o.outputs[0].tokens.len(), 12);
     }
@@ -95,12 +95,14 @@ fn swap_preemption_emits_trace_events() {
         }
     }
     assert!(saw_swap_event, "contended run must preempt via swap");
-    assert!(e.trace_stats().num_preemptions() > 0);
-    assert!(e.trace_stats().blocks_swapped_in() > 0);
-    assert_eq!(
-        e.trace_stats().blocks_swapped_in(),
-        e.trace_stats().blocks_swapped_out()
+    let m = e.engine_metrics();
+    assert!(m.scheduler.preemptions_total.get() > 0);
+    let (swapped_in, swapped_out) = (
+        m.block_manager.swapped_in_blocks_total.get(),
+        m.block_manager.swapped_out_blocks_total.get(),
     );
+    assert!(swapped_in > 0);
+    assert_eq!(swapped_in, swapped_out);
 }
 
 /// Recompute preemption must surface as a `Recompute` event with no swap
@@ -125,7 +127,8 @@ fn recompute_preemption_emits_trace_events() {
         assert_eq!(trace.blocks_swapped_out, 0);
     }
     assert!(saw_recompute_event, "contended run must preempt");
-    assert_eq!(e.trace_stats().blocks_swapped_out(), 0);
+    let swapped_out = &e.engine_metrics().block_manager.swapped_out_blocks_total;
+    assert_eq!(swapped_out.get(), 0);
 }
 
 /// Stage timings are non-negative and their cumulative ends are monotone for
@@ -160,8 +163,9 @@ fn trace_stage_timings_are_monotone() {
         assert!((ends[3] - s.total()).abs() < 1e-12);
         steps += 1;
     }
-    assert_eq!(e.trace_stats().num_steps(), steps);
-    assert!(e.trace_stats().tokens_scheduled() > 0);
+    let m = e.engine_metrics();
+    assert_eq!(m.steps_total.get(), steps);
+    assert!(m.tokens_scheduled_total.get() > 0);
 }
 
 /// Every step emits a trace, even when the scheduler finds no work.
@@ -174,5 +178,5 @@ fn empty_step_still_emits_trace() {
     assert_eq!(trace.step_index, 0);
     assert_eq!(trace.tokens_scheduled, 0);
     assert_eq!(trace.num_seqs, 0);
-    assert_eq!(e.trace_stats().num_steps(), 1);
+    assert_eq!(e.engine_metrics().steps_total.get(), 1);
 }

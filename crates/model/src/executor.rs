@@ -324,7 +324,7 @@ mod tests {
             .unwrap();
         let outs = e.run_to_completion().unwrap();
         assert!(
-            e.scheduler().stats().num_preemptions > 0,
+            e.engine_metrics().scheduler.preemptions_total.get() > 0,
             "test needs contention"
         );
         let a = outs.iter().find(|o| o.request_id == "a").unwrap();
@@ -360,7 +360,7 @@ mod tests {
             .unwrap();
         let outs = e.run_to_completion().unwrap();
         assert!(
-            e.scheduler().stats().num_swap_preemptions > 0,
+            e.engine_metrics().scheduler.swap_preemptions_total.get() > 0,
             "test needs swap preemption"
         );
         let a = outs.iter().find(|o| o.request_id == "a").unwrap();

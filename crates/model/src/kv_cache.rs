@@ -517,14 +517,6 @@ pub struct KvCache {
     pub gpu: KvPool,
     /// Swap-space (CPU-analog) pool.
     pub cpu: KvPool,
-    /// Cumulative number of block copies performed (metrics).
-    pub num_block_copies: u64,
-    /// Cumulative number of swap transfers performed (metrics).
-    pub num_swap_transfers: u64,
-    /// Cumulative number of defragmentation migrations performed (metrics).
-    pub num_block_migrations: u64,
-    /// Cumulative number of KV-handoff block installations applied (metrics).
-    pub num_block_installs: u64,
 }
 
 impl KvCache {
@@ -561,10 +553,6 @@ impl KvCache {
         Self {
             gpu: KvPool::with_element(n_layers, num_gpu_blocks, block_size, hidden, element),
             cpu: KvPool::with_element(n_layers, num_cpu_blocks, block_size, hidden, element),
-            num_block_copies: 0,
-            num_swap_transfers: 0,
-            num_block_migrations: 0,
-            num_block_installs: 0,
         }
     }
 
@@ -619,15 +607,10 @@ impl KvCache {
         }
         let mut rejected = None;
         for ins in &ops.installs {
-            if self.gpu.import_block_bytes(ins.dst, &ins.data) {
-                self.num_block_installs += 1;
-            } else {
+            if !self.gpu.import_block_bytes(ins.dst, &ins.data) {
                 rejected.get_or_insert(ins.dst);
             }
         }
-        self.num_swap_transfers += (ops.swap_in.len() + ops.swap_out.len()) as u64;
-        self.num_block_copies += ops.copies.len() as u64;
-        self.num_block_migrations += ops.moves.len() as u64;
         match rejected {
             None => Ok(()),
             Some(block) => Err(VllmError::Protocol(format!(
@@ -712,10 +695,6 @@ mod tests {
         let mut cache = KvCache {
             gpu,
             cpu: KvPool::new(2, 4, 2, 3),
-            num_block_copies: 0,
-            num_swap_transfers: 0,
-            num_block_migrations: 0,
-            num_block_installs: 0,
         };
         let original = cache.gpu.key(0, 3, 1).to_vec();
         cache
@@ -734,7 +713,6 @@ mod tests {
             })
             .unwrap();
         assert_eq!(cache.gpu.key(0, 0, 1), &original[..]);
-        assert_eq!(cache.num_swap_transfers, 2);
     }
 
     #[test]
@@ -857,10 +835,13 @@ mod tests {
     }
 
     #[test]
-    fn apply_counts_only_applied_installs() {
+    fn apply_lands_every_op_but_an_unfit_install() {
         use vllm_core::handoff::KvBlockInstall;
         let src = filled_pool();
-        let mut cache = KvCache::new(2, 4, 2, 2, 3);
+        let mut cache = KvCache {
+            gpu: filled_pool(),
+            cpu: KvPool::new(2, 2, 2, 3),
+        };
         let rejected = cache.apply(&CacheOps {
             copies: vec![BlockCopy { src: 2, dst: 3 }],
             installs: vec![
@@ -878,10 +859,11 @@ mod tests {
         let err = rejected.unwrap_err();
         assert!(matches!(err, VllmError::Protocol(_)), "{err:?}");
         assert!(err.to_string().contains("block 1"), "{err}");
-        // The copy and the install that fits were applied all the same.
-        assert_eq!(cache.num_block_copies, 1);
-        assert_eq!(cache.num_block_installs, 1);
+        // The copy and the install that fits were applied all the same; the
+        // unfit install left its block as it was.
+        assert_eq!(cache.gpu.key(0, 3, 1), src.key(0, 2, 1));
         assert_eq!(cache.gpu.key(0, 0, 1), src.key(0, 3, 1));
+        assert_eq!(cache.gpu.key(0, 1, 1), src.key(0, 1, 1));
         // A payload cut for another width is as unfit as an empty one.
         let narrow = KvPool::new(2, 4, 2, 2).export_block_bytes(0);
         let install = KvBlockInstall {
@@ -893,7 +875,7 @@ mod tests {
             ..Default::default()
         };
         assert!(cache.apply(&ops).is_err());
-        assert_eq!(cache.num_block_installs, 1);
+        assert_eq!(cache.gpu.key(0, 2, 1), src.key(0, 2, 1));
     }
 
     #[test]

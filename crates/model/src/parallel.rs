@@ -402,7 +402,7 @@ mod tests {
             .unwrap();
         let outs = e.run_to_completion().unwrap();
         assert_eq!(outs.len(), 2);
-        assert!(e.scheduler().stats().num_swap_preemptions > 0);
+        assert!(e.engine_metrics().scheduler.swap_preemptions_total.get() > 0);
 
         // Compare against an uncontended serial run.
         let cache2 = cache_cfg();

@@ -96,7 +96,12 @@ fn assert_elastic_cycle_is_invisible(kind: BackendKind) {
         assert!(elastic.has_unfinished());
         outs.extend(elastic.step().unwrap());
     }
-    let migrations_before = elastic.scheduler().block_manager().num_block_migrations();
+    let migrations = elastic
+        .engine_metrics()
+        .block_manager
+        .block_migrations_total
+        .clone();
+    let migrations_before = migrations.get();
     elastic.deflate_pool(0.0).unwrap();
     elastic.compact_pools().unwrap();
     for _ in 0..2 {
@@ -114,12 +119,12 @@ fn assert_elastic_cycle_is_invisible(kind: BackendKind) {
         kind.name()
     );
 
-    let bm = elastic.scheduler().block_manager();
     assert!(
-        bm.num_block_migrations() > migrations_before,
+        migrations.get() > migrations_before,
         "{}: the deflate must actually migrate blocks for this test to mean anything",
         kind.name()
     );
+    let bm = elastic.scheduler().block_manager();
     assert_eq!(
         bm.num_total_gpu_blocks(),
         GPU_BLOCKS,

@@ -454,11 +454,11 @@ impl BatchSystem for VllmSimSystem {
     }
 
     fn extra(&self) -> SystemExtra {
-        let stats = self.engine.scheduler().stats();
+        let counts = &self.engine.engine_metrics().scheduler;
         SystemExtra {
-            preemptions: stats.num_preemptions,
-            swap_preemptions: stats.num_swap_preemptions,
-            recompute_preemptions: stats.num_recompute_preemptions,
+            preemptions: counts.preemptions_total.get(),
+            swap_preemptions: counts.swap_preemptions_total.get(),
+            recompute_preemptions: counts.recompute_preemptions_total.get(),
             sharing_savings: self.engine.scheduler().block_manager().sharing_savings(),
         }
     }

@@ -125,6 +125,12 @@ impl Histogram {
         self.data.lock().count
     }
 
+    /// Sum of the recorded observations.
+    #[must_use]
+    pub fn sum(&self) -> f64 {
+        self.data.lock().sum
+    }
+
     /// A consistent point-in-time copy of the histogram state.
     #[must_use]
     pub fn snapshot(&self) -> HistogramSnapshot {

@@ -32,12 +32,6 @@ impl Counter {
         self.inc_by(1);
     }
 
-    /// Raises the counter to `v` if `v` is larger (for layers that already
-    /// track a cumulative total and republish it).
-    pub fn set_to_at_least(&self, v: u64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
-    }
-
     /// Current value.
     #[must_use]
     pub fn get(&self) -> u64 {
@@ -236,16 +230,13 @@ mod tests {
         let c = r.counter("vllm_test_total", "a counter");
         c.inc();
         c.inc_by(4);
-        c.set_to_at_least(3); // no-op: already past 3
         assert_eq!(c.get(), 5);
-        c.set_to_at_least(11);
-        assert_eq!(c.get(), 11);
         let g = r.gauge("vllm_test_gauge", "a gauge");
         g.set(-2.5);
         assert_eq!(g.get(), -2.5);
         // Re-registration returns the same instrument.
         r.counter("vllm_test_total", "ignored").inc();
-        assert_eq!(c.get(), 12);
+        assert_eq!(c.get(), 6);
         assert_eq!(r.len(), 2);
     }
 

@@ -50,7 +50,8 @@ fn main() {
          37.6%-66.3% for beam search workloads)",
         max_sharing * 100.0
     );
-    println!("copy-on-write events: {}", bm.num_cow_copies());
+    let copies = &engine.engine_metrics().block_manager.cow_copies_total;
+    println!("copy-on-write events: {}", copies.get());
     println!(
         "all {} blocks returned to the pool",
         bm.num_free_gpu_blocks()

@@ -48,9 +48,8 @@ fn main() {
             println!("  sample {i}: {:?}", tokenizer.decode(&completion.tokens));
         }
     }
-    let bm = engine.scheduler().block_manager();
     println!(
         "\ncopy-on-write events: {} (samples diverged out of the shared last block)",
-        bm.num_cow_copies()
+        engine.engine_metrics().block_manager.cow_copies_total.get()
     );
 }

@@ -27,13 +27,13 @@ fn run(
         .expect("accepted");
     let mut outs = engine.run_to_completion().expect("completes");
     outs.sort_by(|x, y| x.request_id.cmp(&y.request_id));
-    let stats = engine.scheduler().stats();
+    let counts = &engine.engine_metrics().scheduler;
     (
         outs.into_iter()
             .map(|o| o.outputs[0].tokens.clone())
             .collect(),
-        stats.num_recompute_preemptions,
-        stats.num_swap_preemptions,
+        counts.recompute_preemptions_total.get(),
+        counts.swap_preemptions_total.get(),
     )
 }
 

@@ -73,7 +73,11 @@ fn retained_reply_matches_unretained() {
         e.add_request("b", follow, SamplingParams::greedy(5))
             .unwrap();
         let second = e.run_to_completion().unwrap()[0].outputs[0].clone();
-        let hit = e.scheduler().block_manager().prefix_lookup_stats().1;
+        let hit = e
+            .engine_metrics()
+            .block_manager
+            .prefix_hit_tokens_total
+            .get();
         assert_eq!(hit > 0, retain, "the follow-up must hit iff caching is on");
         [first, second].map(|c| (c.tokens, c.cumulative_logprob.to_bits()))
     };
@@ -97,7 +101,9 @@ fn chained_promotions_release_cleanly() {
         // Every turn leaves the pool whole: nothing to release, ever.
         assert_whole(&e);
     }
-    let (looked_up, hit) = e.scheduler().block_manager().prefix_lookup_stats();
+    let counts = &e.engine_metrics().block_manager;
+    let looked_up = counts.prefix_lookup_tokens_total.get();
+    let hit = counts.prefix_hit_tokens_total.get();
     // Turns of 6, 11, 16 and 21 tokens; each later one maps every full
     // block the turn before computed (8, 12 and 16 tokens).
     assert_eq!((looked_up, hit), (6 + 11 + 16 + 21, 8 + 12 + 16));
@@ -135,7 +141,11 @@ fn forking_requests_share_cached_blocks_safely() {
         }
         assert_whole(&e);
         outs.sort_by(|a, b| a.request_id.cmp(&b.request_id));
-        let hit = e.scheduler().block_manager().prefix_lookup_stats().1;
+        let hit = e
+            .engine_metrics()
+            .block_manager
+            .prefix_hit_tokens_total
+            .get();
         let outs: Vec<_> = outs
             .iter()
             .flat_map(|o| &o.outputs)
@@ -190,8 +200,11 @@ fn promotion_survives_recompute_preemption() {
         e.scheduler().block_manager().assert_consistent();
         if let Some(g) = e.scheduler().group("keeper") {
             if g.num_preemptions > 0 {
-                keeper_hits_after_preemption =
-                    e.scheduler().block_manager().prefix_lookup_stats().1;
+                keeper_hits_after_preemption = e
+                    .engine_metrics()
+                    .block_manager
+                    .prefix_hit_tokens_total
+                    .get();
             }
         }
     }
@@ -200,7 +213,13 @@ fn promotion_survives_recompute_preemption() {
         keeper.num_preemptions > 0,
         "test must exercise preemption of the promoting sequence"
     );
-    assert!(e.scheduler().stats().num_recompute_preemptions > 0);
+    assert!(
+        e.engine_metrics()
+            .scheduler
+            .recompute_preemptions_total
+            .get()
+            > 0
+    );
     assert_eq!(
         keeper_hits_after_preemption, 0,
         "a recompute-preempted sequence must not revive its own blocks"
@@ -258,7 +277,7 @@ fn promotion_survives_swap_preemption() {
     }
     let keeper = outs.iter().find(|o| o.request_id == "keeper").unwrap();
     assert!(keeper.num_preemptions > 0, "keeper must get swapped out");
-    assert!(e.scheduler().stats().num_swap_preemptions > 0);
+    assert!(e.engine_metrics().scheduler.swap_preemptions_total.get() > 0);
     // GPU pool whole, swap space fully drained too.
     assert_whole(&e);
 }

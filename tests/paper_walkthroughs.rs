@@ -82,7 +82,8 @@ fn fig8_parallel_sampling_copy_on_write() {
     let t1 = bm.block_table(1).unwrap();
     assert_eq!(t0[0], t1[0], "full prompt block stays shared");
     assert_ne!(t0[1], t1[1], "partial block split by copy-on-write");
-    assert_eq!(bm.num_cow_copies(), 1);
+    let copies = &e.engine_metrics().block_manager.cow_copies_total;
+    assert_eq!(copies.get(), 1, "the step carried one block copy");
     let outs = e.run_to_completion().unwrap();
     assert_eq!(outs[0].outputs.len(), 2);
 }

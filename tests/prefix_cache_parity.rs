@@ -157,12 +157,12 @@ fn run(setup: Setup, prompts: &[Vec<TokenId>], cache_on: bool) -> Run {
             (o.request_id, seqs)
         })
         .collect();
-    let stats = e.scheduler().stats();
+    let counts = e.engine_metrics();
     Run {
         outputs,
-        hit_tokens: bm.prefix_lookup_stats().1,
-        swaps: stats.num_swap_preemptions,
-        recomputes: stats.num_recompute_preemptions,
+        hit_tokens: counts.block_manager.prefix_hit_tokens_total.get(),
+        swaps: counts.scheduler.swap_preemptions_total.get(),
+        recomputes: counts.scheduler.recompute_preemptions_total.get(),
     }
 }
 
@@ -243,7 +243,11 @@ fn blocks_reused_between_enqueue_and_admission_are_looked_up_not_remembered() {
             outs.extend(e.step().expect("step() never errors"));
             e.scheduler().block_manager().assert_consistent();
         }
-        let hit = e.scheduler().block_manager().prefix_lookup_stats().1;
+        let hit = e
+            .engine_metrics()
+            .block_manager
+            .prefix_hit_tokens_total
+            .get();
         assert_eq!(hit, 0, "nothing of the first prefix is left to hit");
         let c = &outs[0].outputs[0];
         (c.tokens.clone(), c.cumulative_logprob.to_bits())

@@ -147,7 +147,7 @@ fn staged_pipeline_matches_seed_engine_golden_outputs() {
         ("c".into(), vec![vec![826, 772, 449, 355, 480, 253]]),
     ];
     assert_eq!(got, want);
-    assert_eq!(e.scheduler().stats().num_preemptions, 8);
+    assert_eq!(e.engine_metrics().scheduler.preemptions_total.get(), 8);
 
     // W3: contended pool, swap preemption.
     let mut e = golden_engine(6, 16, PreemptionMode::Swap);
@@ -171,7 +171,7 @@ fn staged_pipeline_matches_seed_engine_golden_outputs() {
         ),
     ];
     assert_eq!(got, want);
-    assert_eq!(e.scheduler().stats().num_swap_preemptions, 1);
+    assert_eq!(e.engine_metrics().scheduler.swap_preemptions_total.get(), 1);
 }
 
 proptest! {

@@ -59,7 +59,7 @@ fn contended_outputs(
         outs.into_iter()
             .map(|o| o.outputs[0].tokens.clone())
             .collect(),
-        e.scheduler().stats().num_preemptions,
+        e.engine_metrics().scheduler.preemptions_total.get(),
     )
 }
 

@@ -42,7 +42,7 @@ fn run(sharing: bool) -> (Vec<Vec<Vec<u32>>>, u64, usize) {
             seqs
         })
         .collect();
-    let copies = e.executor().cache().num_block_copies;
+    let copies = e.engine_metrics().block_manager.cow_copies_total.get();
     assert_eq!(e.scheduler().block_manager().num_free_gpu_blocks(), 128);
     (tokens, copies, peak_allocated)
 }

@@ -1,5 +1,7 @@
 //! Chunked-prefill benchmark: scheduler-budgeted prefill admission
-//! (`VLLM_STEP_TOKEN_BUDGET`) against the all-or-nothing baseline.
+//! (`SchedulerConfig::step_token_budget`, set here through
+//! `LlmEngine::set_step_token_budget`) against the paper's all-or-nothing
+//! ordering.
 //!
 //! Three sections:
 //!
@@ -173,7 +175,9 @@ fn run_engine(kind: BackendKind, budget: Option<usize>) -> Vec<RequestOutput> {
     mc.backend = kind;
     let exec = CpuModelExecutor::from_config(mc, &cache);
     let mut e = LlmEngine::new(exec, cache, sched);
-    e.set_step_token_budget(budget);
+    if let Some(b) = budget {
+        e.set_step_token_budget(b);
+    }
     // A long prompt that chunks unevenly plus a short one arriving just
     // behind it, so chunks co-batch with the short request's decodes.
     let long: Vec<u32> = (0..23u32).map(|i| (i * 7 + 3) % 128).collect();

@@ -792,7 +792,7 @@ impl<E: FleetTime> Fleet<E> {
             FaultKind::StallPrefill { chunks } => {
                 self.faults.prefill_stalls.inc();
                 let budget = self.max_prompt_len.div_ceil((chunks as usize).max(1));
-                slot.engine.set_step_token_budget(Some(budget.max(1)));
+                slot.engine.set_step_token_budget(budget);
             }
             FaultKind::FailForwards { count } => controls.fail_next_forwards(count),
             FaultKind::ExhaustSwap => {

@@ -203,50 +203,13 @@ impl SchedulerConfig {
         })
     }
 
-    /// Creates a chunked-prefill scheduler configuration: prompts are split
-    /// into chunks of at most `step_token_budget` tokens, so — unlike
-    /// [`Self::new`] — `max_num_batched_tokens` may be smaller than
-    /// `max_model_len` (a full-length prompt no longer has to fit in one
-    /// iteration).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VllmError::InvalidConfig`] if any limit is zero or the
-    /// budget exceeds `max_num_batched_tokens`.
-    pub fn new_chunked(
-        max_num_batched_tokens: usize,
-        max_num_seqs: usize,
-        max_model_len: usize,
-        step_token_budget: usize,
-    ) -> Result<Self> {
-        if max_num_batched_tokens == 0
-            || max_num_seqs == 0
-            || max_model_len == 0
-            || step_token_budget == 0
-        {
-            return Err(VllmError::InvalidConfig(
-                "scheduler limits must be > 0".into(),
-            ));
-        }
-        if step_token_budget > max_num_batched_tokens {
-            return Err(VllmError::InvalidConfig(format!(
-                "step_token_budget ({step_token_budget}) must be <= max_num_batched_tokens ({max_num_batched_tokens})"
-            )));
-        }
-        Ok(Self {
-            max_num_batched_tokens,
-            max_num_seqs,
-            max_model_len,
-            preemption_mode: PreemptionMode::Recompute,
-            victim_policy: VictimPolicy::LatestArrival,
-            step_token_budget: Some(step_token_budget),
-        })
-    }
-
-    /// Sets (or clears) the chunked-prefill step token budget.
+    /// Turns on chunked prefill with a per-step budget of `budget` tokens,
+    /// clamped to `1..=max_num_batched_tokens` so a chunk never exceeds the
+    /// per-step batch cap. Leaving the budget unset keeps the paper's
+    /// ordering.
     #[must_use]
-    pub fn with_step_token_budget(mut self, budget: Option<usize>) -> Self {
-        self.step_token_budget = budget.filter(|&b| b > 0);
+    pub fn with_step_token_budget(mut self, budget: usize) -> Self {
+        self.step_token_budget = Some(budget.clamp(1, self.max_num_batched_tokens));
         self
     }
 
@@ -315,18 +278,13 @@ mod tests {
     }
 
     #[test]
-    fn chunked_scheduler_config_relaxes_prompt_budget() {
-        // With a step budget, a prompt no longer has to fit one iteration.
-        let cfg = SchedulerConfig::new_chunked(512, 64, 33_000, 256).unwrap();
-        assert_eq!(cfg.step_token_budget, Some(256));
-        assert!(cfg.max_num_batched_tokens < cfg.max_model_len);
-        assert!(SchedulerConfig::new_chunked(512, 64, 2048, 0).is_err());
-        assert!(SchedulerConfig::new_chunked(512, 64, 2048, 1024).is_err());
-        let legacy = SchedulerConfig::new(2048, 64, 2048)
-            .unwrap()
-            .with_step_token_budget(Some(128));
-        assert_eq!(legacy.step_token_budget, Some(128));
-        assert_eq!(legacy.with_step_token_budget(None).step_token_budget, None);
+    fn step_token_budget_is_clamped_to_the_batch_cap() {
+        let legacy = SchedulerConfig::new(2048, 64, 2048).unwrap();
+        assert_eq!(legacy.step_token_budget, None);
+        for (budget, kept) in [(128, 128), (4096, 2048), (0, 1)] {
+            let cfg = legacy.clone().with_step_token_budget(budget);
+            assert_eq!(cfg.step_token_budget, Some(kept), "budget {budget}");
+        }
     }
 
     #[test]

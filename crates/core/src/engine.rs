@@ -168,8 +168,8 @@ pub struct LlmEngine<E: ModelExecutor> {
 
 impl<E: ModelExecutor> LlmEngine<E> {
     /// Creates an engine over a fresh scheduler and block manager, taking
-    /// the step budget (when `scheduler_config` leaves it unset), trace
-    /// sampling, SLO objectives and log capacities from [`Env::global`].
+    /// trace sampling, SLO objectives and log capacities from
+    /// [`Env::global`].
     ///
     /// # Panics
     ///
@@ -177,15 +177,6 @@ impl<E: ModelExecutor> LlmEngine<E> {
     #[must_use]
     pub fn new(executor: E, cache_config: CacheConfig, scheduler_config: SchedulerConfig) -> Self {
         let env = Env::global();
-        // `VLLM_STEP_TOKEN_BUDGET` opts the engine into chunked prefill
-        // when the configuration did not choose explicitly, clamped so a
-        // chunk can never exceed the per-step batch cap.
-        let mut scheduler_config = scheduler_config;
-        if scheduler_config.step_token_budget.is_none() {
-            scheduler_config.step_token_budget = env
-                .step_token_budget
-                .map(|b| b.min(scheduler_config.max_num_batched_tokens));
-        }
         let scheduler = Scheduler::new(scheduler_config, &cache_config);
         let telemetry = Arc::new(env.telemetry());
         let tmetrics = EngineMetrics::register(&telemetry);
@@ -231,9 +222,9 @@ impl<E: ModelExecutor> LlmEngine<E> {
         self.scheduler.block_manager_mut().fanout_admission = !enabled;
     }
 
-    /// Enables (`Some`, non-zero) or disables (`None`) scheduler-budgeted
-    /// chunked prefill (see [`crate::env::STEP_TOKEN_BUDGET`]).
-    pub fn set_step_token_budget(&mut self, budget: Option<usize>) {
+    /// Turns on scheduler-budgeted chunked prefill, or changes its budget,
+    /// between steps (see [`Scheduler::set_step_token_budget`]).
+    pub fn set_step_token_budget(&mut self, budget: usize) {
         self.scheduler.set_step_token_budget(budget);
     }
 

@@ -10,8 +10,8 @@
 //! first use is not seen (a program that pins its environment does so before
 //! it builds an engine, a model or the kernel pool).
 //!
-//! The readers: [`crate::LlmEngine::new`] (step budget, trace sampling, SLO
-//! objectives, log capacities), the server's elastic attach
+//! The readers: [`crate::LlmEngine::new`] (trace sampling, SLO objectives,
+//! log capacities), the server's elastic attach
 //! ([`Env::elastic_config`]), `ClusterConfig::with_env` (replica roles, prefix
 //! tier), the model presets and checkpoint loader (kernel backend), and the
 //! kernel pool (thread count).
@@ -24,9 +24,6 @@ use vllm_telemetry::{SloObjectives, Telemetry, DEFAULT_EVENT_CAPACITY, DEFAULT_S
 use crate::elastic::ElasticConfig;
 use crate::error::{Result, VllmError};
 
-/// Per-step token budget of chunked prefill for engines whose
-/// [`crate::SchedulerConfig`] leaves it unset; `0` is off.
-pub const STEP_TOKEN_BUDGET: &str = "VLLM_STEP_TOKEN_BUDGET";
 /// Fraction of requests traced, in `[0, 1]`.
 pub const TRACE_SAMPLE: &str = "VLLM_TRACE_SAMPLE";
 /// TTFT p99 objective in seconds.
@@ -179,9 +176,6 @@ impl ElasticOverrides {
 /// Every `VLLM_*` variable, typed, with its default applied.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Env {
-    /// [`STEP_TOKEN_BUDGET`]; `None` (unset or `0`) leaves chunked prefill
-    /// off.
-    pub(crate) step_token_budget: Option<usize>,
     /// [`TRACE_SAMPLE`]; default 1.
     pub(crate) trace_sample: f64,
     /// [`SLO_TTFT_P99`], [`SLO_E2E_P99`] and [`SLO_DEADLINE_MISS_BUDGET`],
@@ -258,7 +252,6 @@ impl Env {
         let vars = Vars(lookup);
         let roles = "comma-separated prefill | decode | unified";
         Ok(Self {
-            step_token_budget: vars.count(STEP_TOKEN_BUDGET, 0)?.filter(|&b| b > 0),
             trace_sample: vars.fraction(TRACE_SAMPLE)?.unwrap_or(1.0),
             slo: SloObjectives {
                 ttft_p99: vars.positive(SLO_TTFT_P99)?,
@@ -371,13 +364,7 @@ mod tests {
     /// malformed or out-of-range value.
     type Case = (&'static str, &'static str, fn(&Env) -> bool, &'static str);
 
-    const CASES: [Case; 17] = [
-        (
-            STEP_TOKEN_BUDGET,
-            "256",
-            |e| e.step_token_budget == Some(256),
-            "-1",
-        ),
+    const CASES: [Case; 16] = [
         (TRACE_SAMPLE, "0.25", |e| e.trace_sample == 0.25, "5"),
         (SLO_TTFT_P99, "0.5", |e| e.slo.ttft_p99 == Some(0.5), "0.5s"),
         (SLO_E2E_P99, "2", |e| e.slo.e2e_p99 == Some(2.0), "0"),
@@ -459,7 +446,6 @@ mod tests {
     #[test]
     fn every_variable_is_unset_empty_valid_or_an_error_naming_it() {
         let defaults = parse(&[]).unwrap();
-        assert_eq!(defaults.step_token_budget, None);
         assert_eq!(defaults.trace_sample, 1.0);
         assert!(defaults.slo.is_empty());
         assert_eq!(defaults.event_log_capacity, DEFAULT_EVENT_CAPACITY);
@@ -506,12 +492,8 @@ mod tests {
     }
 
     #[test]
-    fn zero_step_budget_is_off_and_other_names_are_ignored() {
-        let env = parse(&[
-            (STEP_TOKEN_BUDGET, "0"),
-            ("VLLM_NOT_OURS", "x"),
-            ("PATH", "/"),
-        ]);
+    fn other_names_are_ignored() {
+        let env = parse(&[("VLLM_NOT_OURS", "x"), ("PATH", "/")]);
         assert_eq!(env, parse(&[]));
     }
 

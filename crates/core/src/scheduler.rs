@@ -8,13 +8,14 @@
 //! paper, no new request is admitted while any group remains swapped out.
 //!
 //! With a step token budget configured
-//! ([`SchedulerConfig::step_token_budget`], env `VLLM_STEP_TOKEN_BUDGET`),
-//! the prompt/generation dichotomy dissolves into **chunked prefill**: every
-//! step first schedules all decode-phase sequences, then spends the leftover
-//! budget advancing prompts in bounded chunks ([`PrefillChunk`]) co-batched
-//! into the same plan, so one long prompt no longer stalls the decoders
-//! behind it. Prompt *memory* is still reserved all-or-nothing at admission;
-//! only the compute is chunked, which keeps preemption accounting unchanged.
+//! ([`SchedulerConfig::step_token_budget`]), the prompt/generation
+//! dichotomy dissolves into **chunked prefill**: every step first schedules
+//! all decode-phase sequences, then spends the leftover budget advancing
+//! prompts in bounded chunks ([`PrefillChunk`]) co-batched into the same
+//! plan, so one long prompt no longer stalls the decoders behind it. Both
+//! orderings admit through one loop (`admit`). Prompt *memory* is still
+//! reserved all-or-nothing at admission; only the compute is chunked, which
+//! keeps preemption accounting unchanged.
 
 use std::collections::VecDeque;
 
@@ -175,12 +176,13 @@ impl Scheduler {
         &mut self.block_manager
     }
 
-    /// Enables (`Some`, non-zero) or disables (`None`) scheduler-budgeted
-    /// chunked prefill after construction. Safe to flip between steps:
-    /// chunked mode only changes how *new* compute is scheduled, never how
-    /// memory is accounted.
-    pub fn set_step_token_budget(&mut self, budget: Option<usize>) {
-        self.config.step_token_budget = budget.filter(|&b| b > 0);
+    /// Turns on scheduler-budgeted chunked prefill, or changes its budget,
+    /// between steps (see [`SchedulerConfig::with_step_token_budget`]). A
+    /// new budget only resizes the chunks still to come. There is no way
+    /// back to the legacy ordering: it would decode a half-prefilled group
+    /// over prompt rows whose KV was never written.
+    pub fn set_step_token_budget(&mut self, budget: usize) {
+        self.config = self.config.clone().with_step_token_budget(budget);
     }
 
     /// Publishes the current queue depths to the cached telemetry handles.
@@ -432,30 +434,27 @@ impl Scheduler {
             // inside one plan under a per-step token budget.
             self.schedule_chunked(budget, &mut plan)?;
         } else {
-            // Phase 1: admit new prompts, but only when nothing is swapped
+            // Phase 1: admit whole prompts, but only when nothing is swapped
             // out (§4.5: stop accepting new requests until preempted ones
-            // complete).
+            // complete). A step that admits runs prompts only.
             if self.swapped.is_empty() {
-                self.schedule_prompts(&mut plan)?;
-                if !plan.scheduled.is_empty() {
-                    plan.is_prompt_run = true;
-                    plan.cache_ops = self.block_manager.take_pending();
-                    return Ok(plan);
+                self.admit(&mut plan, self.config.max_num_batched_tokens, false)?;
+            }
+            plan.is_prompt_run = !plan.scheduled.is_empty();
+            if !plan.is_prompt_run {
+                // Phase 2: one generation step for every running sequence,
+                // preempting the lowest-priority groups if blocks run out.
+                self.schedule_decodes(&mut plan)?;
+
+                // Phase 3: swap groups back in while memory allows (FCFS).
+                // Skipped if this very step had to preempt.
+                if plan.preemptions.is_empty() {
+                    self.schedule_swap_in(&mut plan)?;
                 }
+
+                // Emit the generation-step plan.
+                self.emit_decode_groups(&mut plan);
             }
-
-            // Phase 2: one generation step for every running sequence,
-            // preempting the lowest-priority groups if blocks run out.
-            self.schedule_decodes(&mut plan)?;
-
-            // Phase 3: swap groups back in while memory allows (FCFS).
-            // Skipped if this very step had to preempt.
-            if plan.preemptions.is_empty() {
-                self.schedule_swap_in(&mut plan)?;
-            }
-
-            // Emit the generation-step plan.
-            self.emit_decode_groups(&mut plan);
         }
 
         // Batch every cache operation this round produced into the plan
@@ -493,58 +492,6 @@ impl Scheduler {
         Ok(plan)
     }
 
-    fn schedule_prompts(&mut self, plan: &mut StepPlan) -> Result<()> {
-        let mut num_batched_tokens = 0usize;
-        let mut num_seqs: usize = self
-            .running
-            .iter()
-            .map(|g| g.seqs_with_status(SequenceStatus::Running).len())
-            .sum();
-
-        while let Some(group) = self.waiting.front() {
-            let waiting_seqs = group.seqs_with_status(SequenceStatus::Waiting);
-            let prompt_len: usize = waiting_seqs.iter().map(|s| s.len()).sum();
-
-            // Reject prompts that can never run.
-            if prompt_len > self.config.max_model_len
-                || self.block_manager.can_allocate(group) == AllocStatus::Never
-            {
-                let mut group = self.waiting.pop_front().expect("front exists");
-                group.set_status_all(SequenceStatus::FinishedAborted);
-                plan.ignored.push(group.request_id.clone());
-                self.finished.push(group);
-                continue;
-            }
-            if self.block_manager.can_allocate(group) != AllocStatus::Ok {
-                break;
-            }
-            if num_batched_tokens + prompt_len > self.config.max_num_batched_tokens {
-                break;
-            }
-            if num_seqs + group.max_num_seqs() > self.config.max_num_seqs {
-                break;
-            }
-
-            let mut group = self.waiting.pop_front().expect("front exists");
-            let num_cached_tokens = self.block_manager.allocate(&group)?;
-            group.set_status_all(SequenceStatus::Running);
-            num_batched_tokens += prompt_len;
-            num_seqs += group.max_num_seqs();
-            plan.budget.num_batched_tokens += prompt_len;
-            plan.scheduled.push(ScheduledGroup {
-                request_id: group.request_id.clone(),
-                is_prompt: true,
-                seq_ids: group.seq_ids_with_status(SequenceStatus::Running),
-                num_tokens: prompt_len,
-                num_cached_tokens,
-                chunk: None,
-                trace: group.trace,
-            });
-            self.running.push(group);
-        }
-        Ok(())
-    }
-
     /// Whether any running sequence of `group` still has uncomputed prompt
     /// tokens (a partially prefilled group under chunked-prefill mode).
     fn group_in_prefill(group: &SequenceGroup) -> bool {
@@ -557,6 +504,10 @@ impl Scheduler {
     /// Emits one generation-step [`ScheduledGroup`] per running group whose
     /// prompt is fully computed.
     fn emit_decode_groups(&self, plan: &mut StepPlan) {
+        // This guard and the two like it stay conditional on the chunked
+        // ordering. Under the legacy one, a group still in prefill is one
+        // whose prompt step's forward failed (still `Running`, no rows
+        // computed), and the next step must schedule it again.
         let chunked = self.config.step_token_budget.is_some();
         for group in &self.running {
             if chunked && Self::group_in_prefill(group) {
@@ -662,33 +613,37 @@ impl Scheduler {
         // Phase 4: admit new prompts into the leftover budget (§4.5 gate:
         // nothing swapped out, and not on a step that had to preempt).
         if self.swapped.is_empty() && plan.preemptions.is_empty() {
-            self.admit_chunked(plan, &mut budget_left)?;
+            self.admit(plan, budget_left, true)?;
         }
 
         plan.is_prompt_run = plan.scheduled.iter().any(|sg| sg.is_prompt);
         Ok(())
     }
 
-    /// Admits waiting requests under chunked-prefill mode: each admission
-    /// allocates the prompt's full block table up front (the paper's
-    /// all-or-nothing *memory* reservation is kept — only the *compute* is
-    /// chunked) and schedules a first chunk sized to the remaining budget.
-    fn admit_chunked(&mut self, plan: &mut StepPlan, budget_left: &mut usize) -> Result<()> {
+    /// Admits waiting requests, in queue order, into `budget_left` tokens
+    /// of prompt work. Each admission allocates the prompt's full block
+    /// table up front (the paper's all-or-nothing *memory* reservation).
+    /// With `split` (chunked prefill) a single-sequence prompt runs a first
+    /// chunk sized to the budget left; otherwise, and always for a fan-out
+    /// group (a recompute-returned one, whose sequences carry independent
+    /// cursors a single chunk range cannot describe), the whole prompt must
+    /// fit the budget.
+    fn admit(&mut self, plan: &mut StepPlan, mut budget_left: usize, split: bool) -> Result<()> {
         let mut num_seqs: usize = self
             .running
             .iter()
             .map(|g| g.seqs_with_status(SequenceStatus::Running).len())
             .sum();
 
-        while *budget_left > 0 {
-            let Some(group) = self.waiting.front() else {
+        while let Some(group) = self.waiting.front() {
+            if split && budget_left == 0 {
                 break;
-            };
+            }
             let waiting_seqs = group.seqs_with_status(SequenceStatus::Waiting);
             let prompt_len: usize = waiting_seqs.iter().map(|s| s.len()).sum();
+            let whole = !split || waiting_seqs.len() > 1;
 
-            // Reject prompts that can never run (same rules as the legacy
-            // path).
+            // Reject prompts that can never run.
             if prompt_len > self.config.max_model_len
                 || self.block_manager.can_allocate(group) == AllocStatus::Never
             {
@@ -698,16 +653,10 @@ impl Scheduler {
                 self.finished.push(group);
                 continue;
             }
-            if self.block_manager.can_allocate(group) != AllocStatus::Ok {
-                break;
-            }
-            if num_seqs + group.max_num_seqs() > self.config.max_num_seqs {
-                break;
-            }
-            // Multi-sequence waiting groups (a recompute-returned fan-out)
-            // keep the legacy all-or-nothing form: their sequences carry
-            // independent cursors a single chunk range cannot describe.
-            if waiting_seqs.len() > 1 && prompt_len > *budget_left {
+            if self.block_manager.can_allocate(group) != AllocStatus::Ok
+                || (whole && prompt_len > budget_left)
+                || num_seqs + group.max_num_seqs() > self.config.max_num_seqs
+            {
                 break;
             }
 
@@ -715,44 +664,32 @@ impl Scheduler {
             let num_cached_tokens = self.block_manager.allocate(&group)?;
             group.set_status_all(SequenceStatus::Running);
             num_seqs += group.max_num_seqs();
-            let seq_ids = group.seq_ids_with_status(SequenceStatus::Running);
-
-            if seq_ids.len() > 1 {
-                // Legacy-form admission for fan-out groups (fits the budget,
-                // checked above).
-                *budget_left = budget_left.saturating_sub(prompt_len);
-                plan.budget.num_batched_tokens += prompt_len;
-                plan.scheduled.push(ScheduledGroup {
-                    request_id: group.request_id.clone(),
-                    is_prompt: true,
-                    seq_ids,
-                    num_tokens: prompt_len,
-                    num_cached_tokens,
-                    chunk: None,
-                    trace: group.trace,
-                });
+            let (num_tokens, num_cached_tokens, chunk) = if whole {
+                (prompt_len, num_cached_tokens, None)
             } else {
                 // At least one prompt row must run so a fully cached prompt
                 // still produces logits for its first sampled token.
                 let start = num_cached_tokens.min(prompt_len - 1);
-                let end = (start + *budget_left).min(prompt_len);
-                *budget_left -= end - start;
-                plan.budget.num_batched_tokens += end - start;
-                plan.scheduled.push(ScheduledGroup {
-                    request_id: group.request_id.clone(),
-                    is_prompt: true,
-                    seq_ids,
-                    num_tokens: end - start,
-                    num_cached_tokens: start,
-                    chunk: Some(PrefillChunk {
-                        start,
-                        end,
-                        is_first: true,
-                        is_final: end == prompt_len,
-                    }),
-                    trace: group.trace,
-                });
-            }
+                let end = (start + budget_left).min(prompt_len);
+                let chunk = PrefillChunk {
+                    start,
+                    end,
+                    is_first: true,
+                    is_final: end == prompt_len,
+                };
+                (end - start, start, Some(chunk))
+            };
+            budget_left -= num_tokens;
+            plan.budget.num_batched_tokens += num_tokens;
+            plan.scheduled.push(ScheduledGroup {
+                request_id: group.request_id.clone(),
+                is_prompt: true,
+                seq_ids: group.seq_ids_with_status(SequenceStatus::Running),
+                num_tokens,
+                num_cached_tokens,
+                chunk,
+                trace: group.trace,
+            });
             self.running.push(group);
         }
         Ok(())
@@ -770,6 +707,8 @@ impl Scheduler {
         let mut survivors: Vec<SequenceGroup> = Vec::with_capacity(self.running.len());
         let mut queue: VecDeque<SequenceGroup> = std::mem::take(&mut self.running).into();
 
+        // Chunked ordering only: a legacy group in prefill failed its prompt
+        // step and decodes again (see `emit_decode_groups`).
         let chunked = self.config.step_token_budget.is_some();
         'groups: while let Some(group) = queue.pop_front() {
             // Partially prefilled groups (chunked-prefill mode) hold their
@@ -838,7 +777,8 @@ impl Scheduler {
             // Reserve next-token slots for the newly resumed sequences. A
             // sequence swapped out mid-prefill (chunked mode) resumes from
             // its chunk cursor with its prompt allocation intact: nothing to
-            // reserve.
+            // reserve. Chunked ordering only, for the reason given in
+            // `emit_decode_groups`.
             let chunked = self.config.step_token_budget.is_some();
             for seq_id in group.seq_ids_with_status(SequenceStatus::Running) {
                 let seq = group
@@ -989,6 +929,19 @@ mod tests {
         )
     }
 
+    /// `make()` under each ordering: legacy, and chunked with a budget that
+    /// covers every prompt the admission tests queue, so both must admit and
+    /// ignore the same requests.
+    fn orderings(make: impl Fn() -> Scheduler) -> [(&'static str, Scheduler); 2] {
+        let mut chunked = make();
+        chunked.set_step_token_budget(2048);
+        [("legacy", make()), ("chunked", chunked)]
+    }
+
+    fn ids(scheduled: &[ScheduledGroup]) -> Vec<&str> {
+        scheduled.iter().map(|sg| sg.request_id.as_str()).collect()
+    }
+
     /// Appends a fake generated token to every running sequence of every
     /// running group (simulating one decode step's output).
     fn append_all(s: &mut Scheduler) {
@@ -1010,15 +963,15 @@ mod tests {
 
     #[test]
     fn prompt_step_admits_fcfs() {
-        let mut s = make_scheduler(16, 0);
-        s.add_group(group(0, 4, 0.0));
-        s.add_group(group(1, 4, 1.0));
-        let out = s.schedule().unwrap();
-        assert!(out.is_prompt_run);
-        assert_eq!(out.scheduled.len(), 2);
-        assert_eq!(out.scheduled[0].request_id, "r0");
-        assert_eq!(out.budget.num_batched_tokens, 8);
-        assert_eq!(s.num_running(), 2);
+        for (ordering, mut s) in orderings(|| make_scheduler(16, 0)) {
+            s.add_group(group(0, 4, 0.0));
+            s.add_group(group(1, 4, 1.0));
+            let out = s.schedule().unwrap();
+            assert!(out.is_prompt_run, "{ordering}");
+            assert_eq!(ids(&out.scheduled), ["r0", "r1"], "{ordering}");
+            assert_eq!(out.budget.num_batched_tokens, 8, "{ordering}");
+            assert_eq!(s.num_running(), 2, "{ordering}");
+        }
     }
 
     #[test]
@@ -1033,13 +986,16 @@ mod tests {
 
     #[test]
     fn oversized_prompt_ignored() {
-        let mut s = make_scheduler(2, 0);
-        s.add_group(group(0, 100, 0.0));
-        let out = s.schedule().unwrap();
-        assert_eq!(out.ignored, vec!["r0".to_string()]);
-        assert_eq!(s.num_running(), 0);
-        let done = s.reap_finished().unwrap();
-        assert_eq!(done.len(), 1);
+        for (ordering, mut s) in orderings(|| make_scheduler(2, 0)) {
+            s.add_group(group(0, 100, 0.0));
+            s.add_group(group(1, 4, 1.0));
+            let out = s.schedule().unwrap();
+            assert_eq!(out.ignored, ["r0"], "{ordering}");
+            assert_eq!(ids(&out.scheduled), ["r1"], "{ordering}");
+            assert_eq!(s.num_running(), 1, "{ordering}");
+            let done = s.reap_finished().unwrap();
+            assert_eq!(done.len(), 1, "{ordering}");
+        }
     }
 
     #[test]
@@ -1152,14 +1108,18 @@ mod tests {
 
     #[test]
     fn max_num_seqs_limits_admission() {
-        let cache = CacheConfig::new(BS, 1024, 0).unwrap();
-        let cfg = SchedulerConfig::new(4096, 2, 2048).unwrap();
-        let mut s = Scheduler::new(cfg, &cache);
-        for i in 0..3 {
-            s.add_group(group(i, 4, i as f64));
+        let make = || {
+            let cache = CacheConfig::new(BS, 1024, 0).unwrap();
+            Scheduler::new(SchedulerConfig::new(4096, 2, 2048).unwrap(), &cache)
+        };
+        for (ordering, mut s) in orderings(make) {
+            for i in 0..3 {
+                s.add_group(group(i, 4, i as f64));
+            }
+            let out = s.schedule().unwrap();
+            assert_eq!(ids(&out.scheduled), ["r0", "r1"], "{ordering}");
+            assert_eq!(s.num_waiting(), 1, "{ordering}");
         }
-        let out = s.schedule().unwrap();
-        assert_eq!(out.scheduled.len(), 2);
     }
 
     #[test]
@@ -1176,14 +1136,14 @@ mod tests {
 
     #[test]
     fn priority_outranks_arrival_in_admission() {
-        let mut s = make_scheduler(16, 0);
-        s.add_group(group(0, 4, 0.0));
-        let mut urgent = group(1, 4, 5.0);
-        urgent.priority = 3;
-        s.add_group(urgent);
-        let out = s.schedule().unwrap();
-        assert_eq!(out.scheduled[0].request_id, "r1");
-        assert_eq!(out.scheduled[1].request_id, "r0");
+        for (ordering, mut s) in orderings(|| make_scheduler(16, 0)) {
+            s.add_group(group(0, 4, 0.0));
+            let mut urgent = group(1, 4, 5.0);
+            urgent.priority = 3;
+            s.add_group(urgent);
+            let out = s.schedule().unwrap();
+            assert_eq!(ids(&out.scheduled), ["r1", "r0"], "{ordering}");
+        }
     }
 
     #[test]
@@ -1238,7 +1198,7 @@ mod tests {
             .unwrap();
         let sched_cfg = SchedulerConfig::new(2048, 64, 2048)
             .unwrap()
-            .with_step_token_budget(Some(budget));
+            .with_step_token_budget(budget);
         Scheduler::new(sched_cfg, &cache)
     }
 

@@ -26,7 +26,9 @@ fn engine(
         .unwrap()
         .with_preemption_mode(mode);
     let mut e = LlmEngine::new(MockExecutor::new(500), cache, sched);
-    e.set_step_token_budget(budget);
+    if let Some(b) = budget {
+        e.set_step_token_budget(b);
+    }
     e
 }
 

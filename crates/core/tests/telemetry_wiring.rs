@@ -148,7 +148,7 @@ fn ttft_closes_at_first_sampled_token_not_first_chunk_dispatch() {
     // TTFT must close when the final chunk samples the first token, not
     // when the first chunk is dispatched.
     let mut e = engine(64, 0);
-    e.set_step_token_budget(Some(4));
+    e.set_step_token_budget(4);
     e.add_request("a", (0..16).collect(), SamplingParams::greedy(4))
         .unwrap();
 

@@ -9,9 +9,10 @@
 //! - **Model level** (property test): random prompt splits — final-chunk
 //!   logits and the logits of a decode step performed on the resulting KV
 //!   cache must equal the unchunked run's bit for bit.
-//! - **Engine level**: random step-token budgets — greedy token streams and
-//!   cumulative logprobs (compared by bit pattern) must match the
-//!   unchunked engine on prompts that do not hit the prefix cache.
+//! - **Engine level**: random step-token budgets, and a budget changed
+//!   mid-prefill — greedy token streams and cumulative logprobs (compared
+//!   by bit pattern) must match the unchunked engine on prompts that do not
+//!   hit the prefix cache.
 
 use proptest::prelude::*;
 
@@ -132,10 +133,11 @@ proptest! {
     }
 }
 
-/// Full-engine greedy run for one backend, optionally chunked by a step
-/// budget. Prompts are fresh (no prefix registered), so none of them route
-/// through the prefix-cache 1-token-suffix decode path.
-fn greedy_outputs(kind: BackendKind, budget: Option<usize>) -> Vec<(Vec<u32>, u64)> {
+/// Full-engine greedy run for one backend: unchunked for no `budgets`,
+/// else chunked, each budget but the last held for one step and the last
+/// to the end. Prompts are fresh (no prefix registered), so none of them
+/// route through the prefix-cache 1-token-suffix decode path.
+fn greedy_outputs(kind: BackendKind, budgets: &[usize]) -> Vec<(Vec<u32>, u64)> {
     let cache = CacheConfig::new(BLOCK_SIZE, 64, 0)
         .unwrap()
         .with_watermark(0.0)
@@ -143,7 +145,6 @@ fn greedy_outputs(kind: BackendKind, budget: Option<usize>) -> Vec<(Vec<u32>, u6
     let sched = SchedulerConfig::new(512, 32, 512).unwrap();
     let exec = CpuModelExecutor::from_config(small_config(kind), &cache);
     let mut e = LlmEngine::new(exec, cache, sched);
-    e.set_step_token_budget(budget);
     let prompts: [&[u32]; 3] = [
         &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17],
         &[7, 11, 13],
@@ -158,6 +159,13 @@ fn greedy_outputs(kind: BackendKind, budget: Option<usize>) -> Vec<(Vec<u32>, u6
             i as f64 * 1e-6,
         )
         .unwrap();
+    }
+    if let Some((&last, held)) = budgets.split_last() {
+        for &budget in held {
+            e.set_step_token_budget(budget);
+            assert!(e.step().unwrap().is_empty(), "no request ends this early");
+        }
+        e.set_step_token_budget(last);
     }
     let mut outs = e.run_to_completion().unwrap();
     outs.sort_by(|a, b| a.request_id.cmp(&b.request_id));
@@ -180,12 +188,27 @@ proptest! {
     #[test]
     fn chunked_engine_greedy_bit_identical_across_budgets(budget in 2usize..24) {
         for kind in BackendKind::all() {
-            let want = greedy_outputs(kind, None);
-            let got = greedy_outputs(kind, Some(budget));
+            let want = greedy_outputs(kind, &[]);
+            let got = greedy_outputs(kind, &[budget]);
             prop_assert_eq!(
                 &want, &got,
                 "{}: budget {} diverged from unchunked", kind.name(), budget
             );
         }
+    }
+}
+
+/// The budget changed mid-prefill (4 → 2, as the fleet's `StallPrefill`
+/// fault does): the 17-token prompt has run one 4-row chunk, and the rest
+/// of it chunks by 2. Tokens and logprob bits match the unchunked engine.
+#[test]
+fn budget_change_mid_prefill_bit_identical() {
+    for kind in BackendKind::all() {
+        assert_eq!(
+            greedy_outputs(kind, &[]),
+            greedy_outputs(kind, &[4, 2]),
+            "{}",
+            kind.name()
+        );
     }
 }

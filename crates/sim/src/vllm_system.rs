@@ -296,7 +296,7 @@ impl VllmSimSystem {
     #[must_use]
     pub fn with_chunked_prefill(mut self, budget: usize) -> Self {
         assert!(budget > 0, "step token budget must be positive");
-        self.engine.set_step_token_budget(Some(budget));
+        self.engine.set_step_token_budget(budget);
         self.label = "vLLM (chunked)".to_string();
         self
     }

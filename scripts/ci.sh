@@ -18,10 +18,10 @@ for example in tensor_parallel preemption chatbot_kv_reuse mixed_decoding; do
     cargo run --release -q --example "$example" >/dev/null
 done
 
-echo "==> figure outputs (the fast deterministic harnesses rerun into target/figures and compared byte for byte with results/)"
+echo "==> figure outputs (the deterministic harnesses that take under a minute, fig16 and fig18b among them for the scheduler's two orderings, rerun into target/figures and compared byte for byte with results/)"
 cargo build --release -q -p vllm-bench
 mkdir -p target/figures
-for b in table1 fig01 fig02 fig11 fig13 fig15 fig17 fig19 ablation extension_burstiness extension_h100; do
+for b in table1 fig01 fig02 fig11 fig13 fig15 fig16 fig17 fig18b fig19 ablation extension_burstiness extension_h100; do
     ./target/release/"$b" > target/figures/"$b".txt 2>&1
     cmp target/figures/"$b".txt results/"$b".txt
 done

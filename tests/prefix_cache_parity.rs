@@ -91,10 +91,12 @@ struct Run {
 
 fn run(setup: Setup, prompts: &[Vec<TokenId>], cache_on: bool) -> Run {
     let cache = CacheConfig::new(BLOCK_SIZE, GPU_BLOCKS, CPU_BLOCKS).unwrap();
-    let sched = SchedulerConfig::new(512, 8, 512)
+    let mut sched = SchedulerConfig::new(512, 8, 512)
         .unwrap()
-        .with_preemption_mode(setup.mode)
-        .with_step_token_budget(setup.budget);
+        .with_preemption_mode(setup.mode);
+    if let Some(b) = setup.budget {
+        sched = sched.with_step_token_budget(b);
+    }
     let model = ModelConfig {
         backend: setup.backend,
         ..ModelConfig::tiny()

@@ -21,8 +21,9 @@
 //! concurrent batch a small engine simulation sustains. Three cells are
 //! backend-independent and repeat on every record of a set: the vector GELU
 //! beside the libm `tanh` form it replaced (`gelu_ns_per_element`, under
-//! the best instruction set), one `sample_candidates` call per decoding mode
-//! at both serving vocabularies (`sample_<mode>_v<V>_us`), and the
+//! the best instruction set), one `Sampler::sample` call per decoding mode
+//! at both serving vocabularies (`sample_<mode>_v<V>_us`, top-p at logit
+//! spread 8 and, as `top_p_flat`, at spread 2), and the
 //! `shared_prefix` GEMM shapes under every instruction set the CPU has
 //! (`gemm_<m>x<k>x<n>_<isa>_ns`).
 //!
@@ -112,6 +113,8 @@
 //!   to the portable one on every attention cell over both KV elements;
 //! - simd: the one-row GEMM ≥ 1.0× the portable instance (paired);
 //! - vector GELU ≥ 4× the libm `tanh` form (paired);
+//! - a top-p row (spread 8) ≤ 3.5× a greedy one at vocabulary 260
+//!   (paired);
 //! - simd: paged decode attention ≥ 2× the contiguous oracle at context
 //!   2048 and ≥ 1.5× at 32768 (see "What the numbers said" above for why
 //!   not 2× at both);
@@ -133,8 +136,8 @@ use vllm_model::backend::{self, BackendKind, KvElement, KvLayout};
 use vllm_model::gemm::{gemm, Panels};
 use vllm_model::ops::{self, timing};
 use vllm_model::{
-    contiguous_causal_attention, pool, sample_candidates, CpuModelExecutor, Isa, KvPool,
-    ModelConfig, PositionEncoding, SeqInput, SeqRows, Transformer, WorkerPool,
+    contiguous_causal_attention, pool, CpuModelExecutor, Isa, KvPool, ModelConfig,
+    PositionEncoding, Sampler, SeqInput, SeqRows, Transformer, WorkerPool,
 };
 
 /// Decode batch width the CI gate is defined over.
@@ -174,6 +177,9 @@ const GELU_ROWS: usize = 8;
 const GELU_GATE: f64 = 4.0;
 /// Vocabularies the sampler microbench runs at (the two serving models').
 const SAMPLE_VOCABS: [usize; 2] = [260, 2048];
+/// `--ci` ceiling for a top-p row (spread 8) against a greedy one at
+/// vocabulary 260 (paired); the heap-based nucleus measured 5.6x.
+const SAMPLE_TOP_P_GATE: f64 = 3.5;
 /// One attention microbench cell: `seqs` sequences of `ctx` positions, the
 /// last `rows` of each queried in one call (a decode call is one row at the
 /// end of the context, a prefill all of them).
@@ -416,12 +422,6 @@ fn interleaved_rounds_ns(cells: &mut [&mut dyn FnMut()], iters: usize) -> Vec<Ve
     vllm_bench::interleaved_rounds_ns(cells, iters, ROUNDS)
 }
 
-/// [`interleaved_rounds_ns`] reduced to each cell's best round.
-fn interleaved_min_ns(cells: &mut [&mut dyn FnMut()], iters: usize) -> Vec<f64> {
-    let rounds = interleaved_rounds_ns(cells, iters);
-    rounds.iter().map(|r| best_ns(r)).collect()
-}
-
 /// xorshift stream of values in `[-0.5, 0.5)`.
 fn fill(seed: u64, len: usize) -> Vec<f32> {
     let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
@@ -505,45 +505,45 @@ fn bench_gelu() -> Vec<Vec<f64>> {
     rounds.iter().map(per_element).collect()
 }
 
-/// One [`sample_candidates`] call per decoding mode at each vocabulary of
-/// [`SAMPLE_VOCABS`], interleaved; best microseconds per call, as
-/// `(record field, us)`.
-fn bench_sampler() -> Vec<(String, f64)> {
+/// One [`Sampler::sample`] call per decoding mode at each vocabulary of
+/// [`SAMPLE_VOCABS`], each cell on a sampler of its own that keeps its
+/// buffers between calls as an executor's does, interleaved: best
+/// microseconds per call, as `(record field, us)`, and the median of the
+/// rounds' paired ratios of top-p to greedy at vocabulary 260 (the gated
+/// [`SAMPLE_TOP_P_GATE`]). Two top-p rows: `top_p` at logit spread 8, and
+/// `top_p_flat` at spread 2, where most of the vocabulary is in the
+/// nucleus.
+fn bench_sampler() -> (Vec<(String, f64)>, f64) {
+    let top_p = DecodingMode::Random {
+        temperature: 0.8,
+        top_k: 0,
+        top_p: 0.95,
+    };
     let modes = [
-        ("greedy", DecodingMode::Greedy, 1),
-        ("beam8", DecodingMode::Beam { width: 8 }, 16),
-        (
-            "top_p",
-            DecodingMode::Random {
-                temperature: 0.8,
-                top_k: 0,
-                top_p: 0.95,
-            },
-            1,
-        ),
+        ("greedy", DecodingMode::Greedy, 1, 8.0),
+        ("beam8", DecodingMode::Beam { width: 8 }, 16, 8.0),
+        ("top_p", top_p, 1, 8.0),
+        ("top_p_flat", top_p, 1, 2.0),
     ];
-    let rows: Vec<Vec<f32>> = SAMPLE_VOCABS
-        .iter()
-        .map(|&v| fill(31, v).iter().map(|l| l * 8.0).collect())
-        .collect();
     let mut names = Vec::new();
-    let mut cells: Vec<Box<dyn FnMut() + '_>> = Vec::new();
-    for (logits, v) in rows.iter().zip(SAMPLE_VOCABS) {
-        for (name, mode, n) in modes {
+    let mut cells: Vec<Box<dyn FnMut()>> = Vec::new();
+    for v in SAMPLE_VOCABS {
+        for (name, mode, n, spread) in modes {
             names.push(format!("sample_{name}_v{v}_us"));
-            let mut seed = 0;
+            let logits: Vec<f32> = fill(31, v).iter().map(|l| l * spread).collect();
+            let (mut sampler, mut seed) = (Sampler::default(), 0);
             cells.push(Box::new(move || {
                 seed += 1;
-                std::hint::black_box(sample_candidates(logits, mode, n, seed));
+                std::hint::black_box(sampler.sample(&logits, mode, n, seed));
             }));
         }
     }
     let mut refs: Vec<&mut dyn FnMut()> = cells.iter_mut().map(|c| &mut **c as _).collect();
-    let best = interleaved_min_ns(&mut refs, 200);
-    names
-        .into_iter()
-        .zip(best.iter().map(|ns| ns / 1e3))
-        .collect()
+    let rounds = interleaved_rounds_ns(&mut refs, 200);
+    let (greedy, top_p) = (&rounds[0], &rounds[2]);
+    let top_p_vs_greedy = paired_speedup(top_p, greedy);
+    let best = rounds.iter().map(|r| best_ns(r) / 1e3);
+    (names.into_iter().zip(best).collect(), top_p_vs_greedy)
 }
 
 /// One attention cell's numbers for one backend.
@@ -992,7 +992,7 @@ fn main() {
         .unzip();
     let gemm_identical = gemm_same.iter().all(|&same| same);
     let gelu_rounds = bench_gelu();
-    let sample_us = bench_sampler();
+    let (sample_us, top_p_vs_greedy) = bench_sampler();
     let (attn, attn_identical) = bench_attention();
     let (_, simd_blocks) = capacity_at_budget(BackendKind::Simd);
 
@@ -1101,6 +1101,7 @@ fn main() {
             for (field, us) in &sample_us {
                 r.set(field, *us);
             }
+            r.set("sample_top_p_v260_paired_vs_greedy", top_p_vs_greedy);
             r.set("kv_bytes_per_block", bytes_per_block as f64);
             r.set("num_gpu_blocks_at_budget", blocks_at_budget as f64);
             r.set(
@@ -1126,6 +1127,7 @@ fn main() {
     for (field, us) in &sample_us {
         println!("{field}: {us:.2}");
     }
+    println!("top-p / greedy at vocabulary 260: {top_p_vs_greedy:.2}x (median of {ROUNDS} paired rounds)");
     for (m, k, n) in GEMM_SERVING {
         let per_isa: Vec<String> = isas()
             .iter()
@@ -1215,6 +1217,10 @@ fn main() {
             &format!("simd paged attention {name} is {vs_oracle:.2}x the contiguous oracle, below the {oracle_gate}x gate"),
         );
     }
+    check(
+        top_p_vs_greedy <= SAMPLE_TOP_P_GATE,
+        &format!("a top-p row costs {top_p_vs_greedy:.2}x a greedy one at vocabulary 260 (median of {ROUNDS} paired rounds), above the {SAMPLE_TOP_P_GATE}x gate"),
+    );
     let decode_ctl = simd.get("attn_decode_ctl_paired_speedup_vs_oracle");
     check(
         decode_ctl >= DECODE_CTL_ORACLE_GATE,

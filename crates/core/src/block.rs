@@ -75,6 +75,9 @@ pub struct BlockAllocator {
     cached_head: PhysicalBlockId,
     cached_tail: PhysicalBlockId,
     num_cached_free: usize,
+    /// One bit per block, set while its reference count is above 0, so
+    /// [`Self::highest_live`] reads a word per 64 blocks.
+    live: Vec<u64>,
 }
 
 impl BlockAllocator {
@@ -92,6 +95,17 @@ impl BlockAllocator {
             cached_head: NIL,
             cached_tail: NIL,
             num_cached_free: 0,
+            live: vec![0; num_blocks.div_ceil(64)],
+        }
+    }
+
+    /// Marks `id` live (its reference count left 0) or free (it reached 0).
+    fn set_live(&mut self, id: PhysicalBlockId, live: bool) {
+        let bit = 1u64 << (id % 64);
+        if live {
+            self.live[id / 64] |= bit;
+        } else {
+            self.live[id / 64] &= !bit;
         }
     }
 
@@ -150,6 +164,7 @@ impl BlockAllocator {
         };
         debug_assert_eq!(self.ref_counts[id], 0);
         self.ref_counts[id] = 1;
+        self.set_live(id, true);
         Ok((id, self.hashes[id].take()))
     }
 
@@ -183,6 +198,7 @@ impl BlockAllocator {
         }
         if self.ref_counts[id] == 0 {
             self.unlink(id);
+            self.set_live(id, true);
         }
         self.ref_counts[id] += 1;
         Ok(())
@@ -203,6 +219,7 @@ impl BlockAllocator {
         }
         self.ref_counts[id] -= 1;
         if self.ref_counts[id] == 0 {
+            self.set_live(id, false);
             if self.hashes[id].is_some() {
                 self.links[id] = [self.cached_tail, NIL];
                 match self.cached_tail {
@@ -299,6 +316,7 @@ impl BlockAllocator {
         self.ref_counts.resize(new_total, 0);
         self.hashes.resize(new_total, None);
         self.links.resize(new_total, [NIL; 2]);
+        self.live.resize(new_total.div_ceil(64), 0);
         self.num_blocks = new_total;
         Ok(())
     }
@@ -324,6 +342,7 @@ impl BlockAllocator {
         self.ref_counts.truncate(new_total);
         self.hashes.truncate(new_total);
         self.links.truncate(new_total);
+        self.live.truncate(new_total.div_ceil(64));
         self.num_blocks = new_total;
         Ok(dropped)
     }
@@ -347,9 +366,8 @@ impl BlockAllocator {
     /// Highest live block id, if any block is allocated.
     #[must_use]
     pub fn highest_live(&self) -> Option<PhysicalBlockId> {
-        (0..self.num_blocks)
-            .rev()
-            .find(|&id| self.ref_counts[id] > 0)
+        let (word, &bits) = self.live.iter().enumerate().rfind(|(_, &w)| w != 0)?;
+        Some(word * 64 + 63 - bits.leading_zeros() as usize)
     }
 
     /// Moves a live block's identity from `src` to the free block `dst`:
@@ -375,6 +393,8 @@ impl BlockAllocator {
         self.free_list.retain(|&id| id != dst);
         self.ref_counts[dst] = self.ref_counts[src];
         self.ref_counts[src] = 0;
+        self.set_live(dst, true);
+        self.set_live(src, false);
         self.hashes[dst] = self.hashes[src].take();
         self.free_list.push(src);
         Ok(evicted)
@@ -413,6 +433,20 @@ impl BlockAllocator {
         assert_eq!(walked, self.num_cached_free, "{name:?} cached length");
         let free = self.ref_counts.iter().filter(|&&c| c == 0).count();
         assert_eq!(self.num_free(), free, "{name:?} free blocks off a list");
+        assert_eq!(
+            self.live.len(),
+            self.num_blocks.div_ceil(64),
+            "{name:?} live words"
+        );
+        for (id, &count) in self.ref_counts.iter().enumerate() {
+            let live = self.live[id / 64] >> (id % 64) & 1 == 1;
+            assert_eq!(live, count > 0, "{name:?} block {id} live bit");
+        }
+        let past_pool = match (self.live.last(), self.num_blocks % 64) {
+            (Some(&word), used) if used > 0 => word >> used,
+            _ => 0,
+        };
+        assert_eq!(past_pool, 0, "{name:?} live bits past the pool");
     }
 
     fn check(&self, id: PhysicalBlockId) -> Result<()> {

@@ -17,6 +17,7 @@
 //! reference counts plus free-list order are the only lifetime rule — there
 //! is nothing to pin, release or evict by hand.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 use crate::block::{BlockAllocator, Device, PhysicalBlock, PhysicalBlockId};
@@ -187,6 +188,12 @@ pub struct BlockSpaceManager {
     gpu: BlockAllocator,
     cpu: BlockAllocator,
     block_tables: HashMap<SeqId, Vec<PhysicalBlock>>,
+    /// GPU entries over every block table, kept as the tables change
+    /// ([`Self::set_table`], [`Self::take_table`], appends).
+    logical_gpu_blocks: usize,
+    /// [`Self::used_gpu_slots`]' per-block fill counts, all zero between
+    /// calls, and the blocks it touched.
+    slot_scratch: RefCell<SlotScratch>,
     /// Every full, computed GPU block, by the hash of the prefix it
     /// completes.
     index: ContentIndex<PhysicalBlockId>,
@@ -207,6 +214,21 @@ pub struct BlockSpaceManager {
     swap_disabled: bool,
 }
 
+/// [`BlockSpaceManager::used_gpu_slots`]' reusable buffers, empty between
+/// calls.
+#[derive(Debug, Default)]
+struct SlotScratch {
+    /// The greatest fill any sequence gives each GPU block.
+    fill: Vec<usize>,
+    /// The blocks whose fill is set.
+    touched: Vec<PhysicalBlockId>,
+}
+
+/// The GPU-resident entries of a block table.
+fn gpu_entries(table: &[PhysicalBlock]) -> usize {
+    table.iter().filter(|b| b.device == Device::Gpu).count()
+}
+
 impl BlockSpaceManager {
     /// Creates a manager for the given cache configuration.
     #[must_use]
@@ -218,6 +240,8 @@ impl BlockSpaceManager {
             gpu: BlockAllocator::new(Device::Gpu, config.num_gpu_blocks),
             cpu: BlockAllocator::new(Device::Cpu, config.num_cpu_blocks),
             block_tables: HashMap::new(),
+            logical_gpu_blocks: 0,
+            slot_scratch: RefCell::default(),
             index: ContentIndex::new(config.block_size),
             prefix_caching: true,
             pending: CacheOps::default(),
@@ -549,7 +573,7 @@ impl BlockSpaceManager {
                 cached_tokens = hits * self.block_size;
             }
             let table = blocks.into_iter().map(PhysicalBlock::gpu).collect();
-            self.block_tables.insert(seq.seq_id, table);
+            self.set_table(seq.seq_id, table);
         }
         Ok(cached_tokens)
     }
@@ -721,6 +745,7 @@ impl BlockSpaceManager {
                 .get_mut(&seq.seq_id)
                 .ok_or(VllmError::UnknownSequence(seq.seq_id))?
                 .push(PhysicalBlock::gpu(id));
+            self.logical_gpu_blocks += 1;
             return Ok(None);
         }
         // The new token lands in the last existing block; if that block is
@@ -764,7 +789,7 @@ impl BlockSpaceManager {
                 Device::Cpu => self.cpu.incr_ref(block.id)?,
             }
         }
-        self.block_tables.insert(child_id, table);
+        self.set_table(child_id, table);
         Ok(())
     }
 
@@ -793,7 +818,7 @@ impl BlockSpaceManager {
             });
             new_table.push(PhysicalBlock::gpu(fresh));
         }
-        self.block_tables.insert(child_id, new_table);
+        self.set_table(child_id, new_table);
         self.pending.copies.extend_from_slice(&copies);
         Ok(copies)
     }
@@ -824,7 +849,7 @@ impl BlockSpaceManager {
     }
 
     fn release(&mut self, seq_id: SeqId, keep_cached: bool) -> Result<()> {
-        let Some(table) = self.block_tables.remove(&seq_id) else {
+        let Some(table) = self.take_table(seq_id) else {
             return Ok(());
         };
         // Tail first: a prefix's blocks are freed after — and so evicted
@@ -969,7 +994,7 @@ impl BlockSpaceManager {
                     Device::Cpu => new_table.push(block),
                 }
             }
-            self.block_tables.insert(seq.seq_id, new_table);
+            self.set_table(seq.seq_id, new_table);
         }
         self.pending.swap_out.extend_from_slice(&copies);
         Ok(copies)
@@ -1014,21 +1039,36 @@ impl BlockSpaceManager {
                     Device::Gpu => new_table.push(block),
                 }
             }
-            self.block_tables.insert(seq.seq_id, new_table);
+            self.set_table(seq.seq_id, new_table);
         }
         self.pending.swap_in.extend_from_slice(&copies);
         Ok(copies)
     }
 
+    /// Installs `table` as `seq_id`'s block table, replacing any it had,
+    /// and keeps the logical GPU block count.
+    fn set_table(&mut self, seq_id: SeqId, table: Vec<PhysicalBlock>) {
+        self.logical_gpu_blocks += gpu_entries(&table);
+        if let Some(old) = self.block_tables.insert(seq_id, table) {
+            self.logical_gpu_blocks -= gpu_entries(&old);
+        }
+    }
+
+    /// Removes `seq_id`'s block table, if any, and keeps the logical GPU
+    /// block count.
+    fn take_table(&mut self, seq_id: SeqId) -> Option<Vec<PhysicalBlock>> {
+        let table = self.block_tables.remove(&seq_id)?;
+        self.logical_gpu_blocks -= gpu_entries(&table);
+        Some(table)
+    }
+
     /// Sum over sequences of their logical block counts, for GPU-resident
     /// sequences. The difference to [`Self::num_allocated_gpu_blocks`] is the
-    /// number of blocks saved by sharing (Fig. 15).
+    /// number of blocks saved by sharing (Fig. 15). Kept as tables change,
+    /// so reading it costs nothing; [`Self::assert_consistent`] recounts it.
     #[must_use]
     pub fn num_logical_gpu_blocks(&self) -> usize {
-        self.block_tables
-            .values()
-            .map(|t| t.iter().filter(|b| b.device == Device::Gpu).count())
-            .sum()
+        self.logical_gpu_blocks
     }
 
     /// Fraction of blocks saved by sharing: `(logical - physical) / logical`
@@ -1046,13 +1086,16 @@ impl BlockSpaceManager {
     /// given the sequences' current lengths (Fig. 2 "token states" metric).
     ///
     /// A shared physical block stores one copy of its token states, so fill
-    /// counts are aggregated per physical block with `max`.
+    /// counts are aggregated per physical block with `max`, in a dense
+    /// per-block array the manager keeps between calls: no block is hashed
+    /// and nothing is allocated once the array has grown to the pool.
     #[must_use]
     pub fn used_gpu_slots<'a, I>(&self, seqs: I) -> usize
     where
         I: IntoIterator<Item = &'a Sequence>,
     {
-        let mut fill: HashMap<PhysicalBlockId, usize> = HashMap::new();
+        let scratch = &mut *self.slot_scratch.borrow_mut();
+        scratch.fill.resize(self.gpu.num_blocks(), 0);
         for seq in seqs {
             let Some(table) = self.block_tables.get(&seq.seq_id) else {
                 continue;
@@ -1063,11 +1106,19 @@ impl BlockSpaceManager {
                     continue;
                 }
                 let filled = len.saturating_sub(j * self.block_size).min(self.block_size);
-                let e = fill.entry(block.id).or_insert(0);
-                *e = (*e).max(filled);
+                let slot = &mut scratch.fill[block.id];
+                if *slot == 0 {
+                    scratch.touched.push(block.id);
+                }
+                *slot = (*slot).max(filled);
             }
         }
-        fill.values().sum()
+        let mut used = 0;
+        for &id in &scratch.touched {
+            used += std::mem::take(&mut scratch.fill[id]);
+        }
+        scratch.touched.clear();
+        used
     }
 
     /// Verifies internal consistency, exactly: every block's reference
@@ -1081,6 +1132,12 @@ impl BlockSpaceManager {
     ///
     /// Panics if the accounting is inconsistent.
     pub fn assert_consistent(&self) {
+        let logical: usize = self.block_tables.values().map(|t| gpu_entries(t)).sum();
+        assert_eq!(
+            self.logical_gpu_blocks, logical,
+            "logical GPU block count {} != {logical} table entries",
+            self.logical_gpu_blocks
+        );
         let mut gpu_refs: HashMap<PhysicalBlockId, u32> = HashMap::new();
         let mut cpu_refs: HashMap<PhysicalBlockId, u32> = HashMap::new();
         for table in self.block_tables.values() {
@@ -1127,6 +1184,10 @@ impl BlockSpaceManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{PreemptionMode, SchedulerConfig};
+    use crate::engine::LlmEngine;
+    use crate::handoff::KvBlockBytes;
+    use crate::mock::MockExecutor;
     use crate::sampling::SamplingParams;
     use crate::sequence::Sequence;
 
@@ -1598,5 +1659,173 @@ mod tests {
         assert_eq!(m.cached_blocks(&long, 9).len(), 5);
         assert_eq!(m.num_free_gpu_blocks(), 5);
         m.assert_consistent();
+    }
+
+    /// Every gauge [`BlockSpaceManager::publish_metrics`] sets, recounted the O(n) way
+    /// from the tables and the pools — per-block fills in a hash map, the
+    /// tables walked for the logical count, the pool scanned from the top
+    /// for its highest live block — as `(name, value)`, the oracle the
+    /// maintained counts are checked against.
+    fn gauge_recount<'a>(
+        bm: &BlockSpaceManager,
+        running: impl IntoIterator<Item = &'a Sequence>,
+    ) -> Vec<(&'static str, f64)> {
+        let mut fill: HashMap<PhysicalBlockId, usize> = HashMap::new();
+        for seq in running {
+            let Some(table) = bm.block_tables.get(&seq.seq_id) else {
+                continue;
+            };
+            for (j, block) in table.iter().enumerate() {
+                if block.device == Device::Gpu {
+                    let filled = seq.len().saturating_sub(j * bm.block_size);
+                    let e = fill.entry(block.id).or_insert(0);
+                    *e = (*e).max(filled.min(bm.block_size));
+                }
+            }
+        }
+        let used_slots: usize = fill.values().sum();
+        let live = |pool: &BlockAllocator| {
+            (0..pool.num_blocks())
+                .filter(|&id| pool.ref_count(id).expect("in range") > 0)
+                .collect::<Vec<_>>()
+        };
+        let gpu_live = live(&bm.gpu);
+        let allocated = gpu_live.len();
+        let logical: usize = bm.block_tables.values().map(|t| gpu_entries(t)).sum();
+        let allocated_slots = allocated * bm.block_size;
+        let fragmentation = if allocated_slots == 0 {
+            0.0
+        } else {
+            1.0 - (used_slots.min(allocated_slots) as f64 / allocated_slots as f64)
+        };
+        let savings = if logical == 0 {
+            0.0
+        } else {
+            (logical - allocated) as f64 / logical as f64
+        };
+        let pool_fragmentation = gpu_live.last().map_or(0.0, |&top| {
+            let span = top + 1;
+            (span - allocated.min(span)) as f64 / span as f64
+        });
+        let total = bm.gpu.num_blocks();
+        let cached_free = (0..total)
+            .filter(|&id| bm.gpu.ref_count(id).expect("in range") == 0 && bm.gpu.hash(id).is_some())
+            .count();
+        vec![
+            ("gpu_blocks_free", (total - allocated) as f64),
+            ("gpu_blocks_used", allocated as f64),
+            ("gpu_blocks_total", total as f64),
+            (
+                "cpu_blocks_free",
+                (bm.cpu.num_blocks() - live(&bm.cpu).len()) as f64,
+            ),
+            ("logical_blocks", logical as f64),
+            ("fragmentation_ratio", fragmentation),
+            ("sharing_savings", savings),
+            ("pool_gpu_blocks", total as f64),
+            ("pool_cpu_blocks", bm.cpu.num_blocks() as f64),
+            ("pool_fragmentation_ratio", pool_fragmentation),
+            ("gpu_blocks_cached_free", cached_free as f64),
+        ]
+    }
+
+    /// What [`BlockSpaceManager::publish_metrics`] last set, named as in
+    /// [`gauge_recount`].
+    fn published(m: &BlockManagerMetrics) -> Vec<(&'static str, f64)> {
+        vec![
+            ("gpu_blocks_free", m.gpu_blocks_free.get()),
+            ("gpu_blocks_used", m.gpu_blocks_used.get()),
+            ("gpu_blocks_total", m.gpu_blocks_total.get()),
+            ("cpu_blocks_free", m.cpu_blocks_free.get()),
+            ("logical_blocks", m.logical_blocks.get()),
+            ("fragmentation_ratio", m.fragmentation_ratio.get()),
+            ("sharing_savings", m.sharing_savings.get()),
+            ("pool_gpu_blocks", m.pool_gpu_blocks.get()),
+            ("pool_cpu_blocks", m.pool_cpu_blocks.get()),
+            ("pool_fragmentation_ratio", m.pool_fragmentation_ratio.get()),
+            ("gpu_blocks_cached_free", m.gpu_blocks_cached_free.get()),
+        ]
+    }
+
+    /// After every step of random workloads — parallel sampling forks,
+    /// beam search, swap and recompute preemption, prefix hits and the
+    /// evictions of cached blocks, pool resizes and handoff installs — every
+    /// block-manager gauge the step published equals its O(n) recount.
+    #[test]
+    fn published_block_gauges_equal_their_recount_after_every_step() {
+        let mut s = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |n: u64| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s % n
+        };
+        let (mut steps, mut seen) = (0, [0u64; 5]);
+        for case in 0..120u64 {
+            let gpu = 6 + next(30) as usize;
+            let cpu = next(24) as usize;
+            let mode = if case % 2 == 0 {
+                PreemptionMode::Swap
+            } else {
+                PreemptionMode::Recompute
+            };
+            let cache = CacheConfig::new(BS, gpu, cpu).unwrap();
+            let sched = SchedulerConfig::new(256, 16, 256)
+                .unwrap()
+                .with_preemption_mode(mode);
+            let mut e = LlmEngine::new(MockExecutor::new(300), cache, sched);
+            let prefixes: [Vec<TokenId>; 2] = [(0..9).collect(), (50..61).collect()];
+            for step in 0..60 {
+                if next(3) == 0 {
+                    let mut prompt = prefixes[next(2) as usize].clone();
+                    prompt.extend((0..next(6)).map(|i| 100 + i as TokenId));
+                    let max_tokens = 1 + next(12) as usize;
+                    let params = match next(3) {
+                        0 => SamplingParams::greedy(max_tokens),
+                        1 => SamplingParams::parallel(2 + next(3) as usize, max_tokens),
+                        _ => SamplingParams::beam(2 + next(2) as usize, max_tokens),
+                    };
+                    e.add_request(format!("c{case}s{step}"), prompt, params)
+                        .unwrap();
+                }
+                match next(12) {
+                    0 => {
+                        let live = e.scheduler().block_manager().num_allocated_gpu_blocks();
+                        let target = (live + 1 + next(12) as usize).max(4);
+                        e.resize_pools(target, cpu).unwrap();
+                    }
+                    1 => {
+                        let tokens: Vec<TokenId> = (200..200 + 2 * BS as TokenId).collect();
+                        let empty = || KvBlockBytes::F32 {
+                            k: Vec::new(),
+                            v: Vec::new(),
+                        };
+                        let _ = e.install_kv(&tokens, vec![empty(), empty()]);
+                    }
+                    _ => {}
+                }
+                if !e.has_unfinished() {
+                    continue;
+                }
+                e.step().unwrap();
+                steps += 1;
+                let bm = e.scheduler().block_manager();
+                let running = e.scheduler().running_groups().iter();
+                let recount = gauge_recount(bm, running.flat_map(|g| g.seqs()));
+                let published = published(&e.engine_metrics().block_manager);
+                assert_eq!(published, recount, "case {case} step {step}");
+                bm.assert_consistent();
+            }
+            let m = e.engine_metrics();
+            seen[0] += m.scheduler.swap_preemptions_total.get();
+            seen[1] += m.scheduler.recompute_preemptions_total.get();
+            seen[2] += m.block_manager.cow_copies_total.get();
+            seen[3] += m.block_manager.prefix_hit_tokens_total.get();
+            seen[4] += m.block_manager.block_migrations_total.get();
+        }
+        assert!(steps > 3000, "only {steps} steps ran");
+        // Swap and recompute preemptions, copy-on-write, prefix hits and
+        // shrink migrations all happened.
+        assert!(seen.iter().all(|&n| n > 0), "{seen:?}");
     }
 }

@@ -790,14 +790,16 @@ impl<E: ModelExecutor> LlmEngine<E> {
         self.clock += result.elapsed;
         self.tmetrics.step_model_seconds.observe(result.elapsed);
 
-        // Stage 4: postprocess (sampling bookkeeping, forks, stops, reap).
+        // Stage 4: postprocess (sampling bookkeeping, forks, stops, reap,
+        // and freeing the step's plan and results).
         let t = Instant::now();
         self.record_kernel_spans(&plan, &result, step_index);
         self.process_outputs(&plan, &result)?;
         let outs = self.reap()?;
+        let mut trace = StepTrace::from_plan(step_index, &plan);
+        drop((plan, result));
         let postprocess = t.elapsed().as_secs_f64();
 
-        let mut trace = StepTrace::from_plan(step_index, &plan);
         trace.stages = StageTimings {
             schedule,
             prepare,
@@ -837,40 +839,30 @@ impl<E: ModelExecutor> LlmEngine<E> {
     /// Emits untraced (`trace_id == 0`) per-step stage spans: the four
     /// pipeline stages laid sequentially from the step's virtual start so
     /// the exported timeline shows where host time went. Skipped for steps
-    /// that did no work.
+    /// that did no work. They are annotations, rendered when read, so a
+    /// step allocates nothing for them.
     fn record_stage_spans(&self, trace: &StepTrace) {
         if trace.tokens_scheduled == 0 && trace.stages.total() == 0.0 {
             return;
         }
-        let spans = self.telemetry.spans();
-        let names = [
-            "step.schedule",
-            "step.prepare",
-            "step.execute",
-            "step.postprocess",
-        ];
-        let durations = [
-            trace.stages.schedule,
-            trace.stages.prepare,
-            trace.stages.execute,
-            trace.stages.postprocess,
+        let stages = [
+            ("step.schedule", trace.stages.schedule),
+            ("step.prepare", trace.stages.prepare),
+            ("step.execute", trace.stages.execute),
+            ("step.postprocess", trace.stages.postprocess),
         ];
         let mut cursor = self.clock;
-        for (name, dur) in names.iter().zip(durations) {
-            if dur <= 0.0 {
-                continue;
-            }
-            spans.record(Span {
-                trace_id: 0,
-                span_id: 0,
-                parent_span_id: 0,
-                name: (*name).to_string(),
-                start: cursor,
-                end: cursor + dur,
-                attrs: vec![("step".to_string(), trace.step_index.to_string())],
+        let spans = stages
+            .into_iter()
+            .filter(|&(_, dur)| dur > 0.0)
+            .map(|(name, dur)| {
+                let start = cursor;
+                cursor += dur;
+                (name, start, cursor)
             });
-            cursor += dur;
-        }
+        self.telemetry
+            .spans()
+            .record_annotations(("step", trace.step_index), spans);
     }
 
     /// Sets each newly scheduled prompt group's `first_scheduled_time` and
@@ -912,7 +904,7 @@ impl<E: ModelExecutor> LlmEngine<E> {
         if result.kernels.is_empty() {
             return;
         }
-        let backend = self.executor.backend_label().to_string();
+        let backend = self.executor.backend_label();
         let t0 = self.clock - result.elapsed;
         let total: f64 = result.kernels.iter().map(|k| k.seconds).sum();
         let scale = if total > 0.0 {
@@ -950,7 +942,7 @@ impl<E: ModelExecutor> LlmEngine<E> {
                     name: format!("kernel:{}", timing.name),
                     start: cursor,
                     end: cursor + width,
-                    attrs: vec![("backend".to_string(), backend.clone())],
+                    attrs: vec![("backend".to_string(), backend.to_string())],
                 });
                 cursor += width;
             }
@@ -962,7 +954,7 @@ impl<E: ModelExecutor> LlmEngine<E> {
     fn publish_gauges(&self) {
         self.scheduler.publish_metrics(&self.tmetrics.scheduler);
         let groups = self.scheduler.running_groups();
-        let all_seqs = groups.iter().flat_map(|g| g.seqs().into_iter());
+        let all_seqs = groups.iter().flat_map(SequenceGroup::seqs_any_order);
         let used_slots = self.scheduler.block_manager().used_gpu_slots(all_seqs);
         self.scheduler
             .block_manager()

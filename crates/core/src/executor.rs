@@ -154,7 +154,7 @@ pub struct SeqStepOutput {
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelTiming {
     /// Kernel name (e.g. `matmul`, `paged_attention`, `forward`).
-    pub name: String,
+    pub name: &'static str,
     /// Time spent in the kernel this step, in seconds.
     pub seconds: f64,
 }

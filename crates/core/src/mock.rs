@@ -102,7 +102,7 @@ impl ModelExecutor for MockExecutor {
             outputs,
             elapsed: self.step_time,
             kernels: vec![KernelTiming {
-                name: "forward".to_string(),
+                name: "forward",
                 seconds: self.step_time,
             }],
         })

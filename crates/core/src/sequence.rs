@@ -345,6 +345,12 @@ impl SequenceGroup {
         self.seqs.remove(&seq_id)
     }
 
+    /// Every member sequence, in no particular order (allocates nothing,
+    /// unlike [`Self::seqs`]).
+    pub fn seqs_any_order(&self) -> impl Iterator<Item = &Sequence> {
+        self.seqs.values()
+    }
+
     /// All member sequences in ascending id order.
     #[must_use]
     pub fn seqs(&self) -> Vec<&Sequence> {

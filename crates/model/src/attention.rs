@@ -53,7 +53,8 @@ use wide::{exp_lane, f32x8};
 
 use crate::isa::{Isa, Kernel};
 use crate::kv_cache::{KvPool, KvTile};
-use crate::ops::{axpy, dot, softmax, timing};
+use crate::ops::timing::OpClock;
+use crate::ops::{axpy, dot, softmax};
 use crate::pool::WorkerPool;
 
 /// Multi-head causal attention over contiguous K/V buffers.
@@ -617,7 +618,24 @@ pub fn paged_attention(
     workers: &WorkerPool,
     out: &mut [f32],
 ) {
-    let start = std::time::Instant::now();
+    let mut clock = OpClock::start();
+    attend_all(isa, q, pool, layer, seqs, n_heads, head_dim, workers, out);
+    clock.attention();
+}
+
+/// [`paged_attention`]'s work, untimed: the caller's op clock charges it.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn attend_all(
+    isa: Isa,
+    q: &[f32],
+    pool: &KvPool,
+    layer: usize,
+    seqs: &[SeqRows<'_>],
+    n_heads: usize,
+    head_dim: usize,
+    workers: &WorkerPool,
+    out: &mut [f32],
+) {
     let hidden = n_heads * head_dim;
     assert_eq!(pool.hidden(), hidden);
     let bs = pool.block_size();
@@ -668,7 +686,6 @@ pub fn paged_attention(
             }
         });
     }
-    timing::record_attention(start.elapsed());
 }
 
 #[cfg(test)]

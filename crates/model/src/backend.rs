@@ -30,7 +30,7 @@ use crate::attention::{self, SeqRows};
 use crate::gemm::{self, Panels, PARALLEL_MATMUL_THRESHOLD, STRIPE};
 use crate::isa::Isa;
 use crate::kv_cache::KvPool;
-use crate::ops::timing;
+use crate::ops::timing::OpClock;
 use crate::pool::{self, WorkerPool};
 
 pub use vllm_core::env::BackendKind;
@@ -118,9 +118,20 @@ impl KernelBackend {
     /// Panics if `a` is not whole rows of `b.k()` or `out` does not hold
     /// `m × b.n()`.
     pub fn matmul(self, a: &[f32], b: &Panels, out: &mut [f32]) {
-        let start = std::time::Instant::now();
+        self.matmul_clocked(a, b, out, &mut OpClock::start());
+    }
+
+    /// [`Self::matmul`] timed from `clock`'s last mark: the forward pass's
+    /// one clock read per kernel boundary.
+    pub(crate) fn matmul_clocked(
+        self,
+        a: &[f32],
+        b: &Panels,
+        out: &mut [f32],
+        clock: &mut OpClock,
+    ) {
         self.pooled(a, b, pool::global(), out);
-        timing::record_matmul(start.elapsed());
+        clock.matmul();
     }
 
     /// [`Self::matmul`] recorded into the logits kernel counters: the LM
@@ -130,9 +141,19 @@ impl KernelBackend {
     ///
     /// As [`Self::matmul`].
     pub fn matmul_logits(self, a: &[f32], b: &Panels, out: &mut [f32]) {
-        let start = std::time::Instant::now();
+        self.matmul_logits_clocked(a, b, out, &mut OpClock::start());
+    }
+
+    /// [`Self::matmul_logits`] timed from `clock`'s last mark.
+    pub(crate) fn matmul_logits_clocked(
+        self,
+        a: &[f32],
+        b: &Panels,
+        out: &mut [f32],
+        clock: &mut OpClock,
+    ) {
         self.pooled(a, b, pool::global(), out);
-        timing::record_logits(start.elapsed());
+        clock.logits();
     }
 
     /// Serial below [`PARALLEL_MATMUL_THRESHOLD`] multiply-adds or on one
@@ -186,9 +207,28 @@ impl KernelBackend {
         workers: &WorkerPool,
         out: &mut [f32],
     ) {
-        attention::paged_attention(
+        let clock = &mut OpClock::start();
+        self.paged_attention_clocked(q, pool, layer, seqs, n_heads, head_dim, workers, out, clock);
+    }
+
+    /// [`Self::paged_attention`] timed from `clock`'s last mark.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn paged_attention_clocked(
+        self,
+        q: &[f32],
+        pool: &KvPool,
+        layer: usize,
+        seqs: &[SeqRows<'_>],
+        n_heads: usize,
+        head_dim: usize,
+        workers: &WorkerPool,
+        out: &mut [f32],
+        clock: &mut OpClock,
+    ) {
+        attention::attend_all(
             self.isa, q, pool, layer, seqs, n_heads, head_dim, workers, out,
         );
+        clock.attention();
     }
 }
 
@@ -208,6 +248,7 @@ pub fn by_kind(kind: BackendKind) -> KernelBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::timing;
 
     fn fill(seed: u64, len: usize) -> Vec<f32> {
         let mut s = seed | 1;

@@ -8,8 +8,8 @@ use vllm_core::plan::StepPlan;
 
 use crate::config::ModelConfig;
 use crate::kv_cache::KvCache;
-use crate::ops::timing;
-use crate::sampler::{mix_seed, sample_candidates};
+use crate::ops::timing::{self, OpClock};
+use crate::sampler::{mix_seed, Sampler};
 use crate::transformer::{SeqInput, Transformer};
 use vllm_core::config::CacheConfig;
 
@@ -77,14 +77,13 @@ pub(crate) fn step_inputs(plan: &StepPlan) -> Result<Vec<SeqInput<'_>>> {
 
 /// Runs a step's `inputs` through `forward` — multi-row inputs one sequence
 /// per call, in plan order, then every one-row input (generation steps,
-/// fully-cached prompts, one-token chunks) stacked in ONE call — and
-/// samples each item's candidates from its last-row logits.
+/// fully-cached prompts, one-token chunks) stacked in ONE call — and returns
+/// each input's last-row logits, `inputs.len() × vocab`.
 pub(crate) fn run_forwards(
-    plan: &StepPlan,
     inputs: &[SeqInput<'_>],
     vocab: usize,
     mut forward: impl FnMut(&[SeqInput<'_>]) -> Vec<f32>,
-) -> Vec<SeqStepOutput> {
+) -> Vec<f32> {
     let mut logits = vec![0.0f32; inputs.len() * vocab];
     let mut decode = Vec::new();
     for (i, input) in inputs.iter().enumerate() {
@@ -102,25 +101,39 @@ pub(crate) fn run_forwards(
             logits[i * vocab..(i + 1) * vocab].copy_from_slice(row);
         }
     }
-    let sampling_start = Instant::now();
+    logits
+}
+
+/// Samples each plan item's candidates from its row of `logits` through
+/// the executor's `sampler`, charged to `clock` as the step's sampling.
+/// What ran since the clock's last mark (the forwards' logits gathered
+/// into `logits`, their buffers freed) is buffer work: `elementwise`.
+pub(crate) fn sample_rows(
+    plan: &StepPlan,
+    logits: &[f32],
+    vocab: usize,
+    sampler: &mut Sampler,
+    clock: &mut OpClock,
+) -> Vec<SeqStepOutput> {
+    clock.elementwise();
     let sample = |(item, logits): (&SeqStepInput, &[f32])| {
         let seed = mix_seed(item.seed, item.sample_index, item.context_len());
         SeqStepOutput {
             seq_id: item.seq_id,
-            candidates: sample_candidates(logits, item.mode, item.num_candidates, seed),
+            candidates: sampler.sample(logits, item.mode, item.num_candidates, seed),
         }
     };
     let rows = plan.items.iter().zip(logits.chunks_exact(vocab));
     let outputs = rows.map(sample).collect();
-    timing::record_sampling(sampling_start.elapsed());
+    clock.sampling();
     outputs
 }
 
 /// Per-kernel time accumulated since `before`, as a step result reports it.
 pub(crate) fn kernel_timings(before: &timing::KernelSnapshot) -> Vec<KernelTiming> {
     let d = timing::snapshot().delta_since(before);
-    let entry = |((name, _), ns): (&(&str, &str), u64)| KernelTiming {
-        name: name.to_string(),
+    let entry = |(&(name, _), ns): (&(&'static str, &str), u64)| KernelTiming {
+        name,
         seconds: ns as f64 / 1e9,
     };
     timing::CLASSES.iter().zip(d.ns()).map(entry).collect()
@@ -136,6 +149,7 @@ pub struct CpuModelExecutor {
     /// Total iterations executed (metrics).
     pub steps: u64,
     telemetry: Option<ExecutorTelemetry>,
+    sampler: Sampler,
 }
 
 impl CpuModelExecutor {
@@ -159,6 +173,7 @@ impl CpuModelExecutor {
             tokens_processed: 0,
             steps: 0,
             telemetry: None,
+            sampler: Sampler::default(),
         }
     }
 
@@ -196,9 +211,14 @@ impl ModelExecutor for CpuModelExecutor {
             .map(|inp| inp.tokens.len() as u64)
             .sum::<u64>();
         let (model, kv) = (&self.model, &mut self.cache.gpu);
-        let outputs = run_forwards(plan, &inputs, model.config.vocab_size, |batch| {
-            model.forward(batch, kv)
+        let vocab = model.config.vocab_size;
+        // One op clock for the step's forwards and its sampling.
+        let mut clock = OpClock::start();
+        let logits = run_forwards(&inputs, vocab, |batch| {
+            model.forward_clocked(batch, kv, &mut clock)
         });
+        let outputs = sample_rows(plan, &logits, vocab, &mut self.sampler, &mut clock);
+        drop(clock);
         let elapsed = start.elapsed().as_secs_f64();
         if let Some(t) = &self.telemetry {
             t.forward_seconds.observe(elapsed);

@@ -50,6 +50,6 @@ pub use isa::Isa;
 pub use kv_cache::{KvCache, KvPool, KvTile};
 pub use parallel::TensorParallelExecutor;
 pub use pool::WorkerPool;
-pub use sampler::{mix_seed, sample_candidates};
+pub use sampler::{mix_seed, sample_candidates, Sampler};
 pub use tokenizer::{ByteTokenizer, BOS, EOS, PAD, VOCAB_SIZE};
 pub use transformer::{LayerShard, LayerWeights, SeqInput, Transformer};

@@ -21,6 +21,8 @@ pub mod timing {
     static ACTIVATION_NS: AtomicU64 = AtomicU64::new(0);
     static SAMPLING_NS: AtomicU64 = AtomicU64::new(0);
     static ELEMENTWISE_NS: AtomicU64 = AtomicU64::new(0);
+    static CLOCK_READS: AtomicU64 = AtomicU64::new(0);
+    static CLOCKS: AtomicU64 = AtomicU64::new(0);
 
     /// The op classes a step's time is attributed to: the name each one's
     /// telemetry series and step-result entry carry, and what it covers.
@@ -73,6 +75,12 @@ pub mod timing {
         /// layer norm, bias and residual adds, embedding, K/V writes and
         /// the buffers they work in.
         pub elementwise_ns: u64,
+        /// Counter reads the op clocks made to attribute these times: one
+        /// per kernel-call boundary.
+        pub clock_reads: u64,
+        /// Op clocks that made them (about one per forward pass and one per
+        /// step's sampling).
+        pub clocks: u64,
     }
 
     impl KernelSnapshot {
@@ -89,6 +97,8 @@ pub mod timing {
                 activation_ns: self.activation_ns.wrapping_sub(earlier.activation_ns),
                 sampling_ns: self.sampling_ns.wrapping_sub(earlier.sampling_ns),
                 elementwise_ns: self.elementwise_ns.wrapping_sub(earlier.elementwise_ns),
+                clock_reads: self.clock_reads.wrapping_sub(earlier.clock_reads),
+                clocks: self.clocks.wrapping_sub(earlier.clocks),
             }
         }
 
@@ -119,84 +129,160 @@ pub mod timing {
             activation_ns: ACTIVATION_NS.load(Ordering::Relaxed),
             sampling_ns: SAMPLING_NS.load(Ordering::Relaxed),
             elementwise_ns: ELEMENTWISE_NS.load(Ordering::Relaxed),
+            clock_reads: CLOCK_READS.load(Ordering::Relaxed),
+            clocks: CLOCKS.load(Ordering::Relaxed),
         }
     }
 
-    /// Records one dense matmul span.
-    pub fn record_matmul(elapsed: Duration) {
-        MATMUL_NS.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-        MATMUL_CALLS.fetch_add(1, Ordering::Relaxed);
+    /// The op classes' nanosecond counters, in the order of [`CLASSES`].
+    static CLASS_NS: [&AtomicU64; 6] = [
+        &MATMUL_NS,
+        &ATTENTION_NS,
+        &LOGITS_NS,
+        &ACTIVATION_NS,
+        &SAMPLING_NS,
+        &ELEMENTWISE_NS,
+    ];
+    /// The call counters of the first three classes (the kernels).
+    static CLASS_CALLS: [&AtomicU64; 3] = [&MATMUL_CALLS, &ATTENTION_CALLS, &LOGITS_CALLS];
+
+    /// What an [`OpClock`] mark reads: the time-stamp counter on x86-64,
+    /// where one read costs about half a monotonic clock read; elsewhere
+    /// nanoseconds since `origin`.
+    #[inline(always)]
+    fn ticks(origin: Instant) -> u64 {
+        #[cfg(target_arch = "x86_64")]
+        {
+            let _ = origin;
+            // SAFETY: RDTSC is part of every x86-64 CPU, has no operands
+            // and no preconditions; it only reads the time-stamp counter.
+            unsafe { std::arch::x86_64::_rdtsc() }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            origin.elapsed().as_nanos() as u64
+        }
     }
 
-    /// Records one PagedAttention decode span.
-    pub fn record_attention(elapsed: Duration) {
-        ATTENTION_NS.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-        ATTENTION_CALLS.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one logits-projection span.
-    pub fn record_logits(elapsed: Duration) {
-        LOGITS_NS.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-        LOGITS_CALLS.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one step's sampling span.
-    pub fn record_sampling(elapsed: Duration) {
-        SAMPLING_NS.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Attributes the stretches of a forward pass that lie *between* its
-    /// kernel calls. The kernels record themselves, so the caller marks
-    /// each boundary: [`Self::elementwise`] or [`Self::activation`] charges
-    /// everything since the previous mark to that class, [`Self::skip`]
-    /// drops it (a kernel ran). One clock read per mark; the totals reach
-    /// the process-wide counters once, when the clock is dropped.
+    /// Attributes a forward pass's time to op classes from one counter read
+    /// per boundary: each mark charges everything since the previous mark
+    /// to one class — [`Self::elementwise`] or [`Self::activation`] the
+    /// work between kernel calls, [`Self::matmul`], [`Self::attention`] or
+    /// [`Self::logits`] the kernel call that just returned, [`Self::skip`]
+    /// nothing (the stretch recorded itself). Marks read the cheap tick
+    /// counter of [`ticks`]; the clock reads the monotonic clock at its
+    /// start and its drop, turns its classes' ticks into nanoseconds of that
+    /// wall time, and adds them — with the kernels' calls and its counter
+    /// reads — to the process-wide counters once.
     #[derive(Debug)]
     pub(crate) struct OpClock {
-        mark: Instant,
-        activation_ns: u64,
-        elementwise_ns: u64,
+        origin: Instant,
+        first: u64,
+        mark: u64,
+        reads: u64,
+        ticks: [u64; 6],
+        calls: [u64; 3],
     }
 
     impl OpClock {
         /// Starts the first stretch.
         pub(crate) fn start() -> Self {
+            let origin = Instant::now();
+            let first = ticks(origin);
             Self {
-                mark: Instant::now(),
-                activation_ns: 0,
-                elementwise_ns: 0,
+                origin,
+                first,
+                mark: first,
+                reads: 1,
+                ticks: [0; 6],
+                calls: [0; 3],
             }
         }
 
-        fn lap(&mut self) -> u64 {
-            let now = Instant::now();
-            let ns = (now - self.mark).as_nanos() as u64;
+        /// Charges the stretch since the last mark to class `class` (an
+        /// index into [`CLASSES`]).
+        #[inline(always)]
+        fn lap(&mut self, class: usize) {
+            let now = ticks(self.origin);
+            self.ticks[class] += now.saturating_sub(self.mark);
             self.mark = now;
-            ns
+            self.reads += 1;
         }
 
-        /// The stretch since the last mark was a self-recording kernel.
+        /// The stretch since the last mark recorded itself (pool tasks with
+        /// clocks of their own ran).
         pub(crate) fn skip(&mut self) {
-            self.mark = Instant::now();
+            self.mark = ticks(self.origin);
+            self.reads += 1;
         }
 
         /// The stretch since the last mark was norm / bias / residual /
         /// embedding / K/V-write work.
         pub(crate) fn elementwise(&mut self) {
-            self.elementwise_ns += self.lap();
+            self.lap(5);
         }
 
         /// The stretch since the last mark was the activation function.
         pub(crate) fn activation(&mut self) {
-            self.activation_ns += self.lap();
+            self.lap(3);
+        }
+
+        /// The stretch since the last mark was one dense matmul.
+        pub(crate) fn matmul(&mut self) {
+            self.lap(0);
+            self.calls[0] += 1;
+        }
+
+        /// The stretch since the last mark was one PagedAttention call.
+        pub(crate) fn attention(&mut self) {
+            self.lap(1);
+            self.calls[1] += 1;
+        }
+
+        /// The stretch since the last mark was the logits projection.
+        pub(crate) fn logits(&mut self) {
+            self.lap(2);
+            self.calls[2] += 1;
+        }
+
+        /// The stretch since the last mark was a step's sampling.
+        pub(crate) fn sampling(&mut self) {
+            self.lap(4);
         }
     }
 
     impl Drop for OpClock {
         fn drop(&mut self) {
-            ACTIVATION_NS.fetch_add(self.activation_ns, Ordering::Relaxed);
-            ELEMENTWISE_NS.fetch_add(self.elementwise_ns, Ordering::Relaxed);
+            let wall_ns = self.origin.elapsed().as_nanos() as f64;
+            let span = ticks(self.origin).saturating_sub(self.first).max(1);
+            let ns_per_tick = wall_ns / span as f64;
+            for (counter, &t) in CLASS_NS.iter().zip(&self.ticks) {
+                if t > 0 {
+                    counter.fetch_add((t as f64 * ns_per_tick) as u64, Ordering::Relaxed);
+                }
+            }
+            for (counter, &n) in CLASS_CALLS.iter().zip(&self.calls) {
+                if n > 0 {
+                    counter.fetch_add(n, Ordering::Relaxed);
+                }
+            }
+            CLOCK_READS.fetch_add(self.reads, Ordering::Relaxed);
+            CLOCKS.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// Runs one op clock through `marks` marks charged to no class and
+    /// returns how long that took: what attributing `marks` kernel-call
+    /// boundaries of one forward pass costs, start and drop included.
+    #[must_use]
+    pub fn time_op_clock(marks: u64) -> Duration {
+        let start = Instant::now();
+        let mut clock = OpClock::start();
+        for _ in 1..marks {
+            clock.skip();
+        }
+        drop(clock);
+        start.elapsed()
     }
 }
 
@@ -256,6 +342,11 @@ pub fn add_inplace(a: &mut [f32], b: &[f32]) {
 /// Layer normalization of each `n`-sized row: `(x - mean) / sqrt(var + eps)
 /// * gamma + beta`.
 ///
+/// A row's two sums are serial chains, so rows go eight at a time (then
+/// four, two, one) with their chains side by side: each row still sums its
+/// own elements in order from `-0.0`, as `Iterator::sum` does, so every bit
+/// is the row-at-a-time result's, in any batch.
+///
 /// # Panics
 ///
 /// Panics if lengths disagree.
@@ -263,14 +354,71 @@ pub fn layer_norm(x: &mut [f32], gamma: &[f32], beta: &[f32], eps: f32) {
     let n = gamma.len();
     assert_eq!(beta.len(), n);
     assert_eq!(x.len() % n, 0);
-    for row in x.chunks_exact_mut(n) {
-        let mean = row.iter().sum::<f32>() / n as f32;
-        let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n as f32;
-        let inv = 1.0 / (var + eps).sqrt();
-        for ((v, g), b) in row.iter_mut().zip(gamma).zip(beta) {
-            *v = (*v - mean) * inv * g + b;
+    let mut groups = x.chunks_exact_mut(8 * n);
+    for rows in &mut groups {
+        layer_norm_rows::<8>(rows, gamma, beta, eps);
+    }
+    let mut rest = groups.into_remainder();
+    for r in [4, 2, 1] {
+        if rest.len() >= r * n {
+            let (rows, tail) = rest.split_at_mut(r * n);
+            match r {
+                4 => layer_norm_rows::<4>(rows, gamma, beta, eps),
+                2 => layer_norm_rows::<2>(rows, gamma, beta, eps),
+                _ => layer_norm_rows::<1>(rows, gamma, beta, eps),
+            }
+            rest = tail;
         }
     }
+}
+
+/// [`layer_norm`] of exactly `R` rows, their sums interleaved.
+#[inline(always)]
+fn layer_norm_rows<const R: usize>(x: &mut [f32], gamma: &[f32], beta: &[f32], eps: f32) {
+    let n = gamma.len();
+    let (mean, sq) = {
+        let rows: [&[f32]; R] = std::array::from_fn(|r| &x[r * n..][..n]);
+        let mean = row_sums(&rows, |v, _| v).map(|s| s / n as f32);
+        let sq = row_sums(&rows, |v, r| (v - mean[r]) * (v - mean[r]));
+        (mean, sq)
+    };
+    for ((row, s), m) in x.chunks_exact_mut(n).zip(sq).zip(mean) {
+        let inv = 1.0 / (s / n as f32 + eps).sqrt();
+        for ((v, g), b) in row.iter_mut().zip(gamma).zip(beta) {
+            *v = (*v - m) * inv * g + b;
+        }
+    }
+}
+
+/// Each row's sum of `term(element, row index)` over its elements, in
+/// order from `-0.0`. The rows' chains run side by side, eight columns at a
+/// time: the compiler turns each column of `R` rows into vector adds.
+#[inline(always)]
+fn row_sums<const R: usize>(rows: &[&[f32]; R], term: impl Fn(f32, usize) -> f32) -> [f32; R] {
+    const COLUMNS: usize = 8;
+    let mut sum = [-0.0f32; R];
+    let mut add = |column: [f32; R]| {
+        for (r, (s, v)) in sum.iter_mut().zip(column).enumerate() {
+            *s += term(v, r);
+        }
+    };
+    let n = rows[0].len();
+    let whole = n - n % COLUMNS;
+    for start in (0..whole).step_by(COLUMNS) {
+        let tile: [[f32; COLUMNS]; R] = std::array::from_fn(|r| {
+            let columns = &rows[r][start..][..COLUMNS];
+            columns.try_into().expect("COLUMNS columns")
+        });
+        let columns: [[f32; R]; COLUMNS] =
+            std::array::from_fn(|k| std::array::from_fn(|r| tile[r][k]));
+        for column in columns {
+            add(column);
+        }
+    }
+    for column in (whole..n).map(|j| std::array::from_fn(|r| rows[r][j])) {
+        add(column);
+    }
+    sum
 }
 
 /// `2·√(2/π)`: the tanh-GELU's inner scale, doubled (`tanh z = 2σ(2z) − 1`).
@@ -422,6 +570,45 @@ mod tests {
         log_softmax(&mut b);
         for (p, lp) in a.iter().zip(&b) {
             assert!((p.ln() - lp).abs() < 1e-5);
+        }
+    }
+
+    /// [`layer_norm`] one row at a time, as it was before its rows were
+    /// interleaved.
+    fn layer_norm_row_at_a_time(x: &mut [f32], gamma: &[f32], beta: &[f32], eps: f32) {
+        let n = gamma.len();
+        for row in x.chunks_exact_mut(n) {
+            let mean = row.iter().sum::<f32>() / n as f32;
+            let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n as f32;
+            let inv = 1.0 / (var + eps).sqrt();
+            for ((v, g), b) in row.iter_mut().zip(gamma).zip(beta) {
+                *v = (*v - mean) * inv * g + b;
+            }
+        }
+    }
+
+    #[test]
+    fn interleaved_layer_norm_matches_row_at_a_time_bits() {
+        for n in [1usize, 3, 64, 256] {
+            let gamma: Vec<f32> = (0..n).map(|i| 1.0 + (i % 7) as f32 * 0.1).collect();
+            let beta: Vec<f32> = (0..n).map(|i| (i % 5) as f32 * -0.03).collect();
+            for rows in 1..=40usize {
+                let mut s = (rows * 1000 + n) as u64 | 1;
+                let x: Vec<f32> = (0..rows * n)
+                    .map(|_| {
+                        s ^= s << 13;
+                        s ^= s >> 7;
+                        s ^= s << 17;
+                        ((s % 20_000) as f32 / 1000.0 - 10.0)
+                            * if s.is_multiple_of(3) { 1e-3 } else { 1.0 }
+                    })
+                    .collect();
+                let (mut got, mut want) = (x.clone(), x);
+                layer_norm(&mut got, &gamma, &beta, 1e-5);
+                layer_norm_row_at_a_time(&mut want, &gamma, &beta, 1e-5);
+                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{rows} rows of {n}");
+            }
         }
     }
 
@@ -612,7 +799,7 @@ mod tests {
         // Nothing reaches the process-wide counters before the drop. (Other
         // tests' forwards may add to them at any time, so only lower bounds
         // can be asserted after it.)
-        let marks = 100_000;
+        let marks = 100_000u32;
         let start = std::time::Instant::now();
         for _ in 0..marks {
             clock.elementwise();
@@ -621,23 +808,39 @@ mod tests {
         drop(clock);
         let d = timing::snapshot().delta_since(&before);
         assert!(d.elementwise_ns >= 2_000_000 && d.activation_ns >= 2_000_000);
-        // A forward makes 9 marks per layer + 2: what the attribution costs.
-        // Measured 34 ns per mark in a release build: 1.3 us of a 400 us
-        // decode step on the 4-layer serving model.
+        assert!(
+            d.clock_reads > u64::from(marks),
+            "every mark is one counted read"
+        );
+        // A decode step makes 45 marks on the 4-layer serving model, one
+        // per kernel boundary (a kernel call is timed by the marks on
+        // either side of it): what the attribution costs. Measured about
+        // 25 ns per mark (a time-stamp read) in a release build: about
+        // 1.2 us of a 400 us decode step.
         assert!(per_mark < 1_000.0, "{per_mark:.0} ns per mark");
     }
 
     #[test]
     fn kernel_timing_counters_advance() {
         let before = timing::snapshot();
-        timing::record_matmul(std::time::Duration::from_nanos(7));
-        timing::record_logits(std::time::Duration::from_nanos(9));
-        timing::record_attention(std::time::Duration::from_nanos(11));
-        timing::record_sampling(std::time::Duration::from_nanos(13));
+        let mut clock = timing::OpClock::start();
+        let pause = std::time::Duration::from_micros(50);
+        for mark in [
+            timing::OpClock::matmul,
+            timing::OpClock::logits,
+            timing::OpClock::attention,
+            timing::OpClock::sampling,
+        ] {
+            std::thread::sleep(pause);
+            mark(&mut clock);
+        }
+        drop(clock);
         let delta = timing::snapshot().delta_since(&before);
-        assert!(delta.matmul_calls >= 1 && delta.matmul_ns >= 7);
-        assert!(delta.logits_calls >= 1 && delta.logits_ns >= 9);
-        assert!(delta.attention_calls >= 1 && delta.attention_ns >= 11);
-        assert!(delta.sampling_ns >= 13);
+        let least = pause.as_nanos() as u64;
+        assert!(delta.matmul_calls >= 1 && delta.matmul_ns >= least);
+        assert!(delta.logits_calls >= 1 && delta.logits_ns >= least);
+        assert!(delta.attention_calls >= 1 && delta.attention_ns >= least);
+        assert!(delta.sampling_ns >= least);
+        assert!(delta.clocks >= 1 && delta.clock_reads >= 5);
     }
 }

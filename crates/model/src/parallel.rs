@@ -18,11 +18,12 @@ use vllm_core::error::Result;
 use vllm_core::executor::{ModelExecutor, StepResult};
 use vllm_core::plan::StepPlan;
 
-use crate::executor::{kernel_timings, run_forwards, step_inputs, KernelTelemetry};
+use crate::executor::{kernel_timings, run_forwards, sample_rows, step_inputs, KernelTelemetry};
 use crate::gemm::Panels;
 use crate::kv_cache::KvCache;
-use crate::ops::timing;
+use crate::ops::timing::{self, OpClock};
 use crate::pool;
+use crate::sampler::Sampler;
 use crate::transformer::{LayerShard, SeqInput, Shard, Transformer};
 
 /// Worker `w` of `n`'s part of `full`, a whole layer of a model `h` wide.
@@ -73,6 +74,7 @@ pub struct TensorParallelExecutor {
     /// Total iterations executed.
     pub steps: u64,
     telemetry: Option<TpTelemetry>,
+    sampler: Sampler,
 }
 
 impl TensorParallelExecutor {
@@ -118,6 +120,7 @@ impl TensorParallelExecutor {
             num_all_reduces: 0,
             steps: 0,
             telemetry: None,
+            sampler: Sampler::default(),
         }
     }
 
@@ -134,7 +137,7 @@ impl TensorParallelExecutor {
     }
 
     /// [`Transformer::forward`] over the workers' shards.
-    fn forward(&mut self, inputs: &[SeqInput<'_>]) -> Vec<f32> {
+    fn forward(&mut self, inputs: &[SeqInput<'_>], clock: &mut OpClock) -> Vec<f32> {
         let mut shards: Vec<Shard<'_>> = self
             .workers
             .iter_mut()
@@ -146,7 +149,7 @@ impl TensorParallelExecutor {
         let (all_reduces, telemetry) = (&mut self.num_all_reduces, &self.telemetry);
         let be = self.model.backend();
         self.model
-            .forward_shards(be, inputs, &mut shards, |summed| {
+            .forward_shards(be, inputs, &mut shards, clock, |summed| {
                 *all_reduces += 1;
                 if let Some(t) = telemetry {
                     t.all_reduce_seconds.observe(summed.as_secs_f64());
@@ -180,7 +183,11 @@ impl ModelExecutor for TensorParallelExecutor {
         }
         applied.into_iter().collect::<Result<()>>()?;
         let vocab = self.model.config.vocab_size;
-        let outputs = run_forwards(plan, &inputs, vocab, |batch| self.forward(batch));
+        // One op clock for the step's forwards and its sampling.
+        let mut clock = OpClock::start();
+        let logits = run_forwards(&inputs, vocab, |batch| self.forward(batch, &mut clock));
+        let outputs = sample_rows(plan, &logits, vocab, &mut self.sampler, &mut clock);
+        drop(clock);
         let elapsed = start.elapsed().as_secs_f64();
         if let Some(t) = &self.telemetry {
             t.forward_seconds.observe(elapsed);
@@ -297,7 +304,8 @@ mod tests {
             ];
             for workers in [1, 2, 4] {
                 let mut tp = TensorParallelExecutor::new(model.clone(), workers, &cache_cfg());
-                let got = [tp.forward(&first), tp.forward(&mixed)];
+                let clock = &mut OpClock::start();
+                let got = [tp.forward(&first, clock), tp.forward(&mixed, clock)];
                 let at = format!("{cfg:?} on {workers} workers");
                 assert_eq!(tp.num_all_reduces, 2 * 2 * cfg.n_layers as u64, "{at}");
                 for (expect, got) in expect.iter().zip(&got) {

@@ -155,12 +155,16 @@ where
 /// adds the result onto the residual stream `x`. Returns how long the
 /// summation took.
 fn all_reduce(bufs: &mut [Buffers], bias: &[f32], x: &mut [f32]) -> Duration {
-    let start = Instant::now();
     let (sum, rest) = bufs.split_first_mut().expect("at least one shard");
-    for buf in rest {
-        add_inplace(&mut sum.out, &buf.out);
-    }
-    let summed = start.elapsed();
+    let summed = if rest.is_empty() {
+        Duration::ZERO
+    } else {
+        let start = Instant::now();
+        for buf in rest {
+            add_inplace(&mut sum.out, &buf.out);
+        }
+        start.elapsed()
+    };
     add_bias(&mut sum.out, bias);
     add_inplace(x, &sum.out);
     summed
@@ -288,17 +292,34 @@ impl Transformer {
     /// Panics on shape violations (no inputs, an empty sequence, positions
     /// beyond `max_position`, a block table too short for its context).
     pub fn forward(&self, inputs: &[SeqInput<'_>], kv: &mut KvPool) -> Vec<f32> {
-        self.forward_on(self.backend(), inputs, kv)
+        self.forward_clocked(inputs, kv, &mut OpClock::start())
     }
 
-    /// [`Self::forward`] on `be`'s kernels, which need not be this model's
-    /// backend: the tests run the portable instance through here.
-    fn forward_on(&self, be: KernelBackend, inputs: &[SeqInput<'_>], kv: &mut KvPool) -> Vec<f32> {
+    /// [`Self::forward`] charging its time to `clock`'s op classes from the
+    /// clock's last mark: an executor runs a whole step on one clock.
+    pub(crate) fn forward_clocked(
+        &self,
+        inputs: &[SeqInput<'_>],
+        kv: &mut KvPool,
+        clock: &mut OpClock,
+    ) -> Vec<f32> {
+        self.forward_on(self.backend(), inputs, kv, clock)
+    }
+
+    /// [`Self::forward_clocked`] on `be`'s kernels, which need not be this
+    /// model's backend: the tests run the portable instance through here.
+    fn forward_on(
+        &self,
+        be: KernelBackend,
+        inputs: &[SeqInput<'_>],
+        kv: &mut KvPool,
+        clock: &mut OpClock,
+    ) -> Vec<f32> {
         let shard = Shard {
             layers: &self.shard,
             kv,
         };
-        self.forward_shards(be, inputs, &mut [shard], |_| {})
+        self.forward_shards(be, inputs, &mut [shard], clock, |_| {})
     }
 
     /// [`Self::forward`] over `shards`, the model split on the head
@@ -310,7 +331,8 @@ impl Transformer {
     /// output projection and after the MLP down projection, and
     /// `on_all_reduce` hears how long each summation took. One shard that is
     /// the whole model runs inline and sums nothing: that is
-    /// [`Self::forward`], op for op.
+    /// [`Self::forward`], op for op. Time between kernel calls is charged to
+    /// `clock`'s op classes, from its last mark; the kernels mark it too.
     ///
     /// # Panics
     ///
@@ -321,12 +343,10 @@ impl Transformer {
         be: KernelBackend,
         inputs: &[SeqInput<'_>],
         shards: &mut [Shard<'_>],
+        clock: &mut OpClock,
         mut on_all_reduce: impl FnMut(Duration),
     ) -> Vec<f32> {
         assert!(!inputs.is_empty(), "empty batch");
-        // Everything between two kernel calls is charged to an op class;
-        // the kernels record themselves.
-        let mut clock = OpClock::start();
         let h = self.config.hidden;
         let w = h / shards.len();
         let even = |s: &Shard<'_>| s.kv.hidden() * shards.len() == h;
@@ -383,10 +403,9 @@ impl Transformer {
             }
             clock.elementwise();
             let (hst, rows, seqs) = (&hst, &rows, &seqs);
-            each_shard(shards, &mut bufs, &mut clock, |shard, buf, clock| {
+            each_shard(shards, &mut bufs, clock, |shard, buf, clock| {
                 let layer = &shard.layers[layer_idx];
-                be.matmul(hst, &layer.w_qkv, &mut buf.qkv);
-                clock.skip();
+                be.matmul_clocked(hst, &layer.w_qkv, &mut buf.qkv, clock);
                 add_bias(&mut buf.qkv, &layer.b_qkv);
                 // Fused reshape-and-block-write (§5.1): store every row's
                 // K/V as it is produced (keys post-rotation for rotary
@@ -414,7 +433,7 @@ impl Transformer {
                     buf.out.truncate(n * h);
                 }
                 clock.elementwise();
-                be.paged_attention(
+                be.paged_attention_clocked(
                     &buf.q,
                     shard.kv,
                     layer_idx,
@@ -423,9 +442,9 @@ impl Transformer {
                     hd,
                     pool::global(),
                     &mut buf.attn,
+                    clock,
                 );
-                be.matmul(&buf.attn, &layer.w_o, &mut buf.out);
-                clock.skip();
+                be.matmul_clocked(&buf.attn, &layer.w_o, &mut buf.out, clock);
             });
             on_all_reduce(all_reduce(&mut bufs, &lw.b_o, &mut x));
 
@@ -434,16 +453,14 @@ impl Transformer {
             layer_norm(&mut hst, &lw.ln2_g, &lw.ln2_b, LN_EPS);
             clock.elementwise();
             let hst = &hst;
-            each_shard(shards, &mut bufs, &mut clock, |shard, buf, clock| {
+            each_shard(shards, &mut bufs, clock, |shard, buf, clock| {
                 let layer = &shard.layers[layer_idx];
-                be.matmul(hst, &layer.w_fc, &mut buf.mid);
-                clock.skip();
+                be.matmul_clocked(hst, &layer.w_fc, &mut buf.mid, clock);
                 add_bias(&mut buf.mid, &layer.b_fc);
                 clock.elementwise();
                 gelu(be.isa(), &mut buf.mid);
                 clock.activation();
-                be.matmul(&buf.mid, &layer.w_proj, &mut buf.out);
-                clock.skip();
+                be.matmul_clocked(&buf.mid, &layer.w_proj, &mut buf.out, clock);
             });
             on_all_reduce(all_reduce(&mut bufs, &lw.b_proj, &mut x));
         }
@@ -454,7 +471,7 @@ impl Transformer {
         let vocab = self.config.vocab_size;
         let mut logits = vec![0.0f32; inputs.len() * vocab];
         clock.elementwise();
-        be.matmul_logits(&x, &self.lm_head, &mut logits);
+        be.matmul_logits_clocked(&x, &self.lm_head, &mut logits, clock);
         logits
     }
 
@@ -662,7 +679,7 @@ mod tests {
                 first_position: 0,
                 block_table,
             };
-            logits.extend(model.forward_on(be, &[prefill], &mut kv));
+            logits.extend(model.forward_on(be, &[prefill], &mut kv, &mut OpClock::start()));
         }
         let decode: Vec<SeqInput<'_>> = prompts
             .iter()
@@ -673,7 +690,7 @@ mod tests {
                 block_table,
             })
             .collect();
-        logits.extend(model.forward_on(be, &decode, &mut kv));
+        logits.extend(model.forward_on(be, &decode, &mut kv, &mut OpClock::start()));
         logits.iter().map(|v| v.to_bits()).collect()
     }
 

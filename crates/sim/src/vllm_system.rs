@@ -140,7 +140,7 @@ impl ModelExecutor for SimExecutor {
             outputs,
             elapsed,
             kernels: vec![KernelTiming {
-                name: "forward".to_string(),
+                name: "forward",
                 seconds: elapsed,
             }],
         })

@@ -58,15 +58,26 @@ impl BucketSpec {
             self.start > 0.0 && self.octaves > 0 && self.sub_buckets > 0,
             "degenerate bucket spec {self:?}"
         );
-        let mut bounds = Vec::with_capacity(1 + (self.octaves * self.sub_buckets) as usize);
-        bounds.push(self.start);
-        for octave in 0..self.octaves {
-            let base = self.start * 2f64.powi(octave as i32);
-            for sub in 1..=self.sub_buckets {
-                bounds.push(base * (1.0 + f64::from(sub) / f64::from(self.sub_buckets)));
-            }
+        (0..self.num_bounds()).map(|i| self.bound(i)).collect()
+    }
+
+    /// How many bounds the layout has.
+    fn num_bounds(&self) -> usize {
+        1 + (self.octaves * self.sub_buckets) as usize
+    }
+
+    /// Bound `i` of [`Self::bounds`], computed rather than looked up: `start`,
+    /// then octave `o`'s `start · 2^o · (1 + sub / sub_buckets)` for
+    /// `sub = 1 ..= sub_buckets`.
+    fn bound(&self, i: usize) -> f64 {
+        if i == 0 {
+            return self.start;
         }
-        bounds
+        let sub_buckets = self.sub_buckets as usize;
+        let (octave, sub) = ((i - 1) / sub_buckets, (i - 1) % sub_buckets + 1);
+        // 2^octave, exactly.
+        let scale = f64::from_bits((1023 + octave as u64) << 52);
+        self.start * scale * (1.0 + sub as f64 / f64::from(self.sub_buckets))
     }
 }
 
@@ -82,6 +93,7 @@ struct HistData {
 /// A concurrent log-linear histogram. Clones share the same storage.
 #[derive(Debug, Clone)]
 pub struct Histogram {
+    spec: BucketSpec,
     bounds: Arc<Vec<f64>>,
     data: Arc<Mutex<HistData>>,
 }
@@ -93,6 +105,7 @@ impl Histogram {
         let bounds = spec.bounds();
         let n = bounds.len() + 1;
         Self {
+            spec,
             bounds: Arc::new(bounds),
             data: Arc::new(Mutex::new(HistData {
                 counts: vec![0; n],
@@ -110,13 +123,42 @@ impl Histogram {
         if !value.is_finite() {
             return;
         }
-        let idx = self.bounds.partition_point(|b| *b < value);
+        let idx = self.bucket(value);
         let mut d = self.data.lock();
         d.counts[idx] += 1;
         d.count += 1;
         d.sum += value;
         d.min = d.min.min(value);
         d.max = d.max.max(value);
+    }
+
+    /// The bucket `value` lands in: the first bound at or above it, or the
+    /// overflow bucket past the last — `bounds.partition_point(|b| *b <
+    /// value)`. The layout's arithmetic guesses it from the value's binary
+    /// exponent and mantissa, and the bounds next to the guess, computed as
+    /// [`BucketSpec::bounds`] computes them, settle it: an observation reads
+    /// no bound from memory (cold lines, when a step observes after a
+    /// forward pass), where a binary search read seven.
+    fn bucket(&self, value: f64) -> usize {
+        let (spec, len) = (&self.spec, self.bounds.len());
+        let ratio = value / spec.start;
+        let mut idx = if ratio.is_normal() && ratio > 1.0 {
+            let bits = ratio.to_bits();
+            let octave = (bits >> 52) as usize - 1023;
+            let mantissa = f64::from_bits(bits & ((1 << 52) - 1) | (1023 << 52));
+            let sub_buckets = f64::from(spec.sub_buckets);
+            let sub = ((mantissa - 1.0) * sub_buckets).ceil() as usize;
+            (octave * spec.sub_buckets as usize + sub).min(len)
+        } else {
+            0
+        };
+        while idx > 0 && spec.bound(idx - 1) >= value {
+            idx -= 1;
+        }
+        while idx < len && spec.bound(idx) < value {
+            idx += 1;
+        }
+        idx
     }
 
     /// Number of recorded observations.
@@ -264,6 +306,45 @@ mod tests {
             start: 1.0,
             octaves: 3,
             sub_buckets: 2,
+        }
+    }
+
+    #[test]
+    fn computed_bounds_are_the_layout_loop_bits() {
+        for spec in [BucketSpec::seconds(), BucketSpec::ratio(), tiny_spec()] {
+            let mut want = vec![spec.start];
+            for octave in 0..spec.octaves {
+                let base = spec.start * 2f64.powi(octave as i32);
+                for sub in 1..=spec.sub_buckets {
+                    want.push(base * (1.0 + f64::from(sub) / f64::from(spec.sub_buckets)));
+                }
+            }
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(bits(spec.bounds()), bits(want), "{spec:?}");
+        }
+    }
+
+    #[test]
+    fn bucket_is_the_bounds_partition_point() {
+        for spec in [BucketSpec::seconds(), BucketSpec::ratio(), tiny_spec()] {
+            let h = Histogram::new(spec);
+            let bounds = spec.bounds();
+            let mut values = vec![0.0, -1.0, f64::MIN_POSITIVE, 1e300, -0.0];
+            for &b in &bounds {
+                values.extend([b, b.next_up(), b.next_down(), b * 0.999, b * 1.001]);
+            }
+            let mut s = 0x2545_f491_4f6c_dd1du64;
+            for _ in 0..10_000 {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                // Log-uniform over 1e-9 .. 1e6.
+                values.push(10f64.powf((s >> 11) as f64 / (1u64 << 53) as f64 * 15.0 - 9.0));
+            }
+            for v in values {
+                let want = bounds.partition_point(|b| *b < v);
+                assert_eq!(h.bucket(v), want, "{spec:?}: value {v:e}");
+            }
         }
     }
 

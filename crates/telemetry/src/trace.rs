@@ -189,9 +189,53 @@ impl Span {
     }
 }
 
+/// A retained span: a whole [`Span`], or an untraced annotation with a
+/// static name and one numeric attribute, kept without allocating
+/// ([`SpanLog::record_annotations`]) and rendered as a [`Span`] on read.
+#[derive(Debug)]
+enum Entry {
+    /// Boxed, so an annotation entry stays one cache line.
+    Span(Box<Span>),
+    Annotation {
+        name: &'static str,
+        attr: (&'static str, u64),
+        start: f64,
+        end: f64,
+    },
+}
+
+impl Entry {
+    fn trace_id(&self) -> u64 {
+        match self {
+            Self::Span(span) => span.trace_id,
+            Self::Annotation { .. } => 0,
+        }
+    }
+
+    fn to_span(&self) -> Span {
+        match *self {
+            Self::Span(ref span) => Span::clone(span),
+            Self::Annotation {
+                name,
+                attr: (key, value),
+                start,
+                end,
+            } => Span {
+                trace_id: 0,
+                span_id: 0,
+                parent_span_id: 0,
+                name: name.to_string(),
+                start,
+                end,
+                attrs: vec![(key.to_string(), value.to_string())],
+            },
+        }
+    }
+}
+
 #[derive(Debug)]
 struct SpanBuf {
-    spans: VecDeque<Span>,
+    spans: VecDeque<Entry>,
     total: u64,
     dropped: u64,
 }
@@ -232,19 +276,45 @@ impl SpanLog {
 
     /// Appends a span, evicting the oldest one if the buffer is full.
     pub fn record(&self, span: Span) {
+        self.push(&mut self.buf.lock(), Entry::Span(Box::new(span)));
+    }
+
+    /// Appends the untraced spans `(name, start, end)`, in order, each with
+    /// the one attribute `attr` (`key=value`) — the spans [`Self::record`]
+    /// would keep for `Span { trace_id: 0, span_id: 0, parent_span_id: 0,
+    /// .. }` — under one lock and without allocating: they are rendered
+    /// when read. Per-step annotations (the engine's stage spans) come this
+    /// way.
+    pub fn record_annotations(
+        &self,
+        attr: (&'static str, u64),
+        spans: impl IntoIterator<Item = (&'static str, f64, f64)>,
+    ) {
         let mut buf = self.buf.lock();
+        for (name, start, end) in spans {
+            let entry = Entry::Annotation {
+                name,
+                attr,
+                start,
+                end,
+            };
+            self.push(&mut buf, entry);
+        }
+    }
+
+    fn push(&self, buf: &mut SpanBuf, entry: Entry) {
         if buf.spans.len() == self.capacity {
             buf.spans.pop_front();
             buf.dropped += 1;
         }
-        buf.spans.push_back(span);
+        buf.spans.push_back(entry);
         buf.total += 1;
     }
 
     /// All retained spans, in append order.
     #[must_use]
     pub fn snapshot(&self) -> Vec<Span> {
-        self.buf.lock().spans.iter().cloned().collect()
+        self.buf.lock().spans.iter().map(Entry::to_span).collect()
     }
 
     /// All retained spans belonging to `trace_id`, in append order.
@@ -254,8 +324,8 @@ impl SpanLog {
             .lock()
             .spans
             .iter()
-            .filter(|s| s.trace_id == trace_id)
-            .cloned()
+            .filter(|s| s.trace_id() == trace_id)
+            .map(Entry::to_span)
             .collect()
     }
 
@@ -526,6 +596,34 @@ mod tests {
         assert_eq!(retained[0].span_id, 3);
         assert_eq!(log.spans_for_trace(7).len(), 3);
         assert_eq!(log.spans_for_trace(8).len(), 0);
+    }
+
+    #[test]
+    fn annotations_read_back_as_the_spans_they_stand_for() {
+        let log = SpanLog::with_capacity(3);
+        log.record(span(1, 0, "s", 0.0, 1.0));
+        log.record_annotations(("step", 41), [("step.execute", 1.0, 2.5)]);
+        let want = Span {
+            trace_id: 0,
+            span_id: 0,
+            parent_span_id: 0,
+            name: "step.execute".to_string(),
+            start: 1.0,
+            end: 2.5,
+            attrs: vec![("step".to_string(), "41".to_string())],
+        };
+        assert_eq!(log.snapshot()[1], want);
+        assert_eq!(log.spans_for_trace(0), vec![want]);
+        assert_eq!(log.spans_for_trace(7).len(), 1);
+        // Annotations evict and count like any span.
+        for i in 0..3 {
+            log.record_annotations(("step", i), [("step.schedule", 0.0, 0.0)]);
+        }
+        assert_eq!(
+            (log.len(), log.total_recorded(), log.total_dropped()),
+            (3, 5, 2)
+        );
+        assert!(log.snapshot().iter().all(|s| s.name == "step.schedule"));
     }
 
     #[test]

@@ -35,13 +35,13 @@ cargo test --workspace -q
 echo "==> replica-channel stress (10 000 rounds of concurrent fused submissions racing a replica kill and the frontend's shutdown: every reply sender answered exactly once, no wait past its bound, no block held after the drain)"
 cargo test --release -q -p vllm --lib frontend::tests::fused_submissions_race_kill_and_shutdown -- --ignored --exact
 
-echo "==> telemetry consistency check"
+echo "==> telemetry consistency check + instrument budget (a decode_heavy step's time outside its four stages plus its op clocks <= 1.5 % of the step, median of paired rounds)"
 cargo run --release -q -p vllm-bench --bin telemetry -- --ci
 
 echo "==> cluster routing check + handoff codec gate (binary round trip >= 5x the hex edge on 32 KB and 64 KB blocks, median of paired rounds)"
 cargo run --release -q -p vllm-bench --bin cluster -- --ci
 
-echo "==> kernel bench gate (simd batched >= 2x seed; every ISA's GEMM and every ISA's paged attention on both KV elements bit-identical to the portable one, each timed per ISA; simd one-row GEMM >= 1.0x portable and vector GELU >= 4x libm as medians of paired rounds, simd paged attention >= 2x the contiguous oracle at 2k / 1.5x at 32k, >= 3.5x the oracle on the decode_heavy batch as a median of paired rounds, quant-kv8 blocks >= 1.8x simd's at equal bytes)"
+echo "==> kernel bench gate (simd batched >= 2x seed; every ISA's GEMM and every ISA's paged attention on both KV elements bit-identical to the portable one, each timed per ISA; simd one-row GEMM >= 1.0x portable and vector GELU >= 4x libm and a top-p row <= 3.5x a greedy one at vocabulary 260 as medians of paired rounds, simd paged attention >= 2x the contiguous oracle at 2k / 1.5x at 32k, >= 3.5x the oracle on the decode_heavy batch as a median of paired rounds, quant-kv8 blocks >= 1.8x simd's at equal bytes)"
 cargo run --release -q -p vllm-bench --bin kernels -- --ci
 
 echo "==> fault-injection soak gate (kill/swap-exhaust, zero loss, deterministic)"

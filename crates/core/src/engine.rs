@@ -124,7 +124,7 @@ impl<E: ModelExecutor> OutsideStep<'_, E> {
         self.1
             .step_execute_seconds
             .observe(t.elapsed().as_secs_f64());
-        self.1.step_model_seconds.observe(result.elapsed);
+        self.1.executor_forward_seconds.observe(result.elapsed);
         self.1.observe_block_traffic(&StepTrace::from_plan(0, plan));
         Ok(())
     }
@@ -788,7 +788,9 @@ impl<E: ModelExecutor> LlmEngine<E> {
         let result = self.executor.begin_step(&plan)?;
         let execute = t.elapsed().as_secs_f64();
         self.clock += result.elapsed;
-        self.tmetrics.step_model_seconds.observe(result.elapsed);
+        self.tmetrics
+            .executor_forward_seconds
+            .observe(result.elapsed);
 
         // Stage 4: postprocess (sampling bookkeeping, forks, stops, reap,
         // and freeing the step's plan and results).

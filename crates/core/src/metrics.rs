@@ -99,9 +99,10 @@ pub struct EngineMetrics {
     pub step_execute_seconds: Histogram,
     /// `vllm_step_postprocess_seconds` histogram (host wall time).
     pub step_postprocess_seconds: Histogram,
-    /// `vllm_step_model_seconds` histogram: the executor-reported iteration
-    /// time (wall-clock for numeric backends, modeled for the simulator).
-    pub step_model_seconds: Histogram,
+    /// `vllm_executor_forward_seconds` histogram: the executor-reported
+    /// time of each executor call, a step's or one outside any step
+    /// (wall-clock for numeric backends, modeled for the simulator).
+    pub executor_forward_seconds: Histogram,
     /// `vllm_request_ttft_seconds` histogram (serving-clock time).
     pub request_ttft_seconds: Histogram,
     /// `vllm_request_e2e_seconds` histogram (serving-clock time).
@@ -179,9 +180,9 @@ impl EngineMetrics {
                 "Postprocess-stage host wall time per step.",
                 secs(),
             ),
-            step_model_seconds: r.histogram(
-                "vllm_step_model_seconds",
-                "Executor-reported model iteration time per step.",
+            executor_forward_seconds: r.histogram(
+                "vllm_executor_forward_seconds",
+                "Executor-reported model time per executor call (wall clock, or modeled GPU time for the simulator).",
                 secs(),
             ),
             request_ttft_seconds: r.histogram(

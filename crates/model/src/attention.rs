@@ -53,7 +53,7 @@ use wide::{exp_lane, f32x8};
 
 use crate::isa::{Isa, Kernel};
 use crate::kv_cache::{KvPool, KvTile};
-use crate::ops::timing::OpClock;
+use crate::ops::timing;
 use crate::ops::{axpy, dot, softmax};
 use crate::pool::WorkerPool;
 
@@ -618,9 +618,10 @@ pub fn paged_attention(
     workers: &WorkerPool,
     out: &mut [f32],
 ) {
-    let mut clock = OpClock::start();
-    attend_all(isa, q, pool, layer, seqs, n_heads, head_dim, workers, out);
-    clock.attention();
+    timing::alone(|clock| {
+        attend_all(isa, q, pool, layer, seqs, n_heads, head_dim, workers, out);
+        clock.attention();
+    });
 }
 
 /// [`paged_attention`]'s work, untimed: the caller's op clock charges it.

@@ -30,7 +30,7 @@ use crate::attention::{self, SeqRows};
 use crate::gemm::{self, Panels, PARALLEL_MATMUL_THRESHOLD, STRIPE};
 use crate::isa::Isa;
 use crate::kv_cache::KvPool;
-use crate::ops::timing::OpClock;
+use crate::ops::timing::{self, OpClock};
 use crate::pool::{self, WorkerPool};
 
 pub use vllm_core::env::BackendKind;
@@ -118,7 +118,7 @@ impl KernelBackend {
     /// Panics if `a` is not whole rows of `b.k()` or `out` does not hold
     /// `m × b.n()`.
     pub fn matmul(self, a: &[f32], b: &Panels, out: &mut [f32]) {
-        self.matmul_clocked(a, b, out, &mut OpClock::start());
+        timing::alone(|clock| self.matmul_clocked(a, b, out, clock));
     }
 
     /// [`Self::matmul`] timed from `clock`'s last mark: the forward pass's
@@ -141,7 +141,7 @@ impl KernelBackend {
     ///
     /// As [`Self::matmul`].
     pub fn matmul_logits(self, a: &[f32], b: &Panels, out: &mut [f32]) {
-        self.matmul_logits_clocked(a, b, out, &mut OpClock::start());
+        timing::alone(|clock| self.matmul_logits_clocked(a, b, out, clock));
     }
 
     /// [`Self::matmul_logits`] timed from `clock`'s last mark.
@@ -207,8 +207,9 @@ impl KernelBackend {
         workers: &WorkerPool,
         out: &mut [f32],
     ) {
-        let clock = &mut OpClock::start();
-        self.paged_attention_clocked(q, pool, layer, seqs, n_heads, head_dim, workers, out, clock);
+        attention::paged_attention(
+            self.isa, q, pool, layer, seqs, n_heads, head_dim, workers, out,
+        );
     }
 
     /// [`Self::paged_attention`] timed from `clock`'s last mark.
@@ -248,7 +249,6 @@ pub fn by_kind(kind: BackendKind) -> KernelBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::timing;
 
     fn fill(seed: u64, len: usize) -> Vec<f32> {
         let mut s = seed | 1;

@@ -13,46 +13,34 @@ use crate::sampler::{mix_seed, Sampler};
 use crate::transformer::{SeqInput, Transformer};
 use vllm_core::config::CacheConfig;
 
-/// Cached telemetry handles for the CPU executor, registered lazily when the
-/// engine attaches its telemetry bundle.
-#[derive(Debug, Clone)]
-struct ExecutorTelemetry {
-    forward_seconds: vllm_telemetry::Histogram,
-    tokens_total: vllm_telemetry::Counter,
-    steps_total: vllm_telemetry::Counter,
-    kernels: KernelTelemetry,
+/// Registers the per-class kernel histograms of the CPU and TP executors
+/// (`vllm_model_kernel_*_seconds`, in the order of [`timing::CLASSES`]),
+/// labeled with the kernel backend serving the model (`{backend="simd"}`
+/// etc.).
+pub(crate) fn kernel_histograms(
+    r: &vllm_telemetry::MetricsRegistry,
+    backend: &str,
+) -> Vec<vllm_telemetry::Histogram> {
+    let histogram = |&(name, help): &(&str, &str)| {
+        let name = format!("vllm_model_kernel_{name}_seconds{{backend=\"{backend}\"}}");
+        r.histogram(&name, help, vllm_telemetry::BucketSpec::seconds())
+    };
+    timing::CLASSES.iter().map(histogram).collect()
 }
 
-/// Per-kernel timing histograms shared by the CPU and TP executors, in the
-/// order of [`timing::CLASSES`].
-#[derive(Debug, Clone)]
-pub(crate) struct KernelTelemetry {
-    seconds: Vec<vllm_telemetry::Histogram>,
-}
-
-impl KernelTelemetry {
-    /// Registers the `vllm_model_kernel_*` histograms, labeled with the
-    /// kernel backend serving the model (`{backend="simd"}` etc.).
-    pub(crate) fn register(r: &vllm_telemetry::MetricsRegistry, backend: &str) -> Self {
-        let seconds = timing::CLASSES.iter().map(|(name, help)| {
-            r.histogram(
-                &format!("vllm_model_kernel_{name}_seconds{{backend=\"{backend}\"}}"),
-                help,
-                vllm_telemetry::BucketSpec::seconds(),
-            )
-        });
-        Self {
-            seconds: seconds.collect(),
-        }
+/// A step's kernel books from its op clock's `reading`: observed into the
+/// executor's kernel `histograms` (none before telemetry is attached), and
+/// returned as the step result's per-class timings.
+pub(crate) fn book_kernels(
+    reading: &timing::KernelSnapshot,
+    histograms: &[vllm_telemetry::Histogram],
+) -> Vec<KernelTiming> {
+    let seconds = reading.ns().map(|ns| ns as f64 / 1e9);
+    for (histogram, &s) in histograms.iter().zip(&seconds) {
+        histogram.observe(s);
     }
-
-    /// Observes the kernel-time deltas accumulated during one step.
-    pub(crate) fn observe_step(&self, before: &timing::KernelSnapshot) {
-        let d = timing::snapshot().delta_since(before);
-        for (histogram, ns) in self.seconds.iter().zip(d.ns()) {
-            histogram.observe(ns as f64 / 1e9);
-        }
-    }
+    let entry = |(&(name, _), seconds)| KernelTiming { name, seconds };
+    timing::CLASSES.iter().zip(seconds).map(entry).collect()
 }
 
 /// The forward inputs of a step: for each plan item the rows past what its
@@ -129,16 +117,6 @@ pub(crate) fn sample_rows(
     outputs
 }
 
-/// Per-kernel time accumulated since `before`, as a step result reports it.
-pub(crate) fn kernel_timings(before: &timing::KernelSnapshot) -> Vec<KernelTiming> {
-    let d = timing::snapshot().delta_since(before);
-    let entry = |(&(name, _), ns): (&(&'static str, &str), u64)| KernelTiming {
-        name,
-        seconds: ns as f64 / 1e9,
-    };
-    timing::CLASSES.iter().zip(d.ns()).map(entry).collect()
-}
-
 /// Executes scheduled iterations on a CPU transformer with a paged KV cache.
 #[derive(Debug)]
 pub struct CpuModelExecutor {
@@ -148,7 +126,9 @@ pub struct CpuModelExecutor {
     pub tokens_processed: u64,
     /// Total iterations executed (metrics).
     pub steps: u64,
-    telemetry: Option<ExecutorTelemetry>,
+    /// The `vllm_model_kernel_*` histograms, registered when the engine
+    /// attaches its telemetry bundle (none before).
+    kernels: Vec<vllm_telemetry::Histogram>,
     sampler: Sampler,
 }
 
@@ -172,7 +152,7 @@ impl CpuModelExecutor {
             cache,
             tokens_processed: 0,
             steps: 0,
-            telemetry: None,
+            kernels: Vec::new(),
             sampler: Sampler::default(),
         }
     }
@@ -199,7 +179,6 @@ impl CpuModelExecutor {
 impl ModelExecutor for CpuModelExecutor {
     fn begin_step(&mut self, plan: &StepPlan) -> Result<StepResult> {
         let start = Instant::now();
-        let kernels_before = timing::snapshot();
         self.steps += 1;
         // Cache operations first (§4.3: memory-management instructions
         // arrive with the step's control message).
@@ -218,39 +197,20 @@ impl ModelExecutor for CpuModelExecutor {
             model.forward_clocked(batch, kv, &mut clock)
         });
         let outputs = sample_rows(plan, &logits, vocab, &mut self.sampler, &mut clock);
-        drop(clock);
+        // Freed within the forward time: what follows it is instruments.
+        drop((logits, inputs));
+        let reading = clock.finish();
         let elapsed = start.elapsed().as_secs_f64();
-        if let Some(t) = &self.telemetry {
-            t.forward_seconds.observe(elapsed);
-            t.tokens_total.inc_by(plan.num_tokens() as u64);
-            t.steps_total.inc();
-            t.kernels.observe_step(&kernels_before);
-        }
         Ok(StepResult {
             outputs,
             elapsed,
-            kernels: kernel_timings(&kernels_before),
+            kernels: book_kernels(&reading, &self.kernels),
         })
     }
 
     fn attach_telemetry(&mut self, telemetry: &std::sync::Arc<vllm_telemetry::Telemetry>) {
-        let r = telemetry.registry();
-        self.telemetry = Some(ExecutorTelemetry {
-            forward_seconds: r.histogram(
-                "vllm_executor_forward_seconds",
-                "Model forward pass wall time per step (CPU backend).",
-                vllm_telemetry::BucketSpec::seconds(),
-            ),
-            tokens_total: r.counter(
-                "vllm_executor_tokens_total",
-                "Tokens run through the model executor.",
-            ),
-            steps_total: r.counter(
-                "vllm_executor_steps_total",
-                "Iterations executed by the model executor.",
-            ),
-            kernels: KernelTelemetry::register(r, self.model.config.backend.name()),
-        });
+        let backend = self.model.config.backend.name();
+        self.kernels = kernel_histograms(telemetry.registry(), backend);
     }
 
     fn backend_label(&self) -> &str {

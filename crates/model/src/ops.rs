@@ -7,20 +7,16 @@ use wide::f32x8;
 
 use crate::isa::{Isa, Kernel};
 
-/// Kernel timing accumulators (see [`timing`]).
+/// Kernel timing: a step's op clock, and the process-wide sum of every
+/// finished clock (see [`timing::snapshot`]).
 pub mod timing {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::{Duration, Instant};
 
-    static MATMUL_NS: AtomicU64 = AtomicU64::new(0);
-    static MATMUL_CALLS: AtomicU64 = AtomicU64::new(0);
-    static ATTENTION_NS: AtomicU64 = AtomicU64::new(0);
-    static ATTENTION_CALLS: AtomicU64 = AtomicU64::new(0);
-    static LOGITS_NS: AtomicU64 = AtomicU64::new(0);
-    static LOGITS_CALLS: AtomicU64 = AtomicU64::new(0);
-    static ACTIVATION_NS: AtomicU64 = AtomicU64::new(0);
-    static SAMPLING_NS: AtomicU64 = AtomicU64::new(0);
-    static ELEMENTWISE_NS: AtomicU64 = AtomicU64::new(0);
+    /// Each class's nanoseconds, in the order of [`CLASSES`].
+    static NS: [AtomicU64; 6] = [const { AtomicU64::new(0) }; 6];
+    /// The calls of the first three classes (the kernels).
+    static CALLS: [AtomicU64; 3] = [const { AtomicU64::new(0) }; 3];
     static CLOCK_READS: AtomicU64 = AtomicU64::new(0);
     static CLOCKS: AtomicU64 = AtomicU64::new(0);
 
@@ -47,9 +43,9 @@ pub mod timing {
         ),
     ];
 
-    /// Cumulative process-wide kernel counters. Executors snapshot these
-    /// around a step and observe the deltas into their telemetry
-    /// histograms; benches read them for per-kernel nanosecond reports.
+    /// Kernel counters: what one op clock read when it finished, or the
+    /// process-wide sum of every finished clock ([`snapshot`]), which
+    /// benches difference around a run for per-kernel nanosecond reports.
     ///
     /// Times are summed across threads (worker-pool tasks record their own
     /// spans), so they measure kernel CPU time, not wall time.
@@ -78,28 +74,47 @@ pub mod timing {
         /// Counter reads the op clocks made to attribute these times: one
         /// per kernel-call boundary.
         pub clock_reads: u64,
-        /// Op clocks that made them (about one per forward pass and one per
-        /// step's sampling).
+        /// Op clocks that made them (about one per step, plus one per pool
+        /// task of a tensor-parallel forward).
         pub clocks: u64,
     }
 
     impl KernelSnapshot {
+        fn from_parts(ns: [u64; 6], calls: [u64; 3], clock_reads: u64, clocks: u64) -> Self {
+            let [matmul_ns, attention_ns, logits_ns, activation_ns, sampling_ns, elementwise_ns] =
+                ns;
+            let [matmul_calls, attention_calls, logits_calls] = calls;
+            Self {
+                matmul_ns,
+                matmul_calls,
+                attention_ns,
+                attention_calls,
+                logits_ns,
+                logits_calls,
+                activation_ns,
+                sampling_ns,
+                elementwise_ns,
+                clock_reads,
+                clocks,
+            }
+        }
+
+        /// `f` of every counter and its counterpart in `other`.
+        fn zip(&self, other: &Self, f: impl Fn(u64, u64) -> u64) -> Self {
+            let (ns, other_ns) = (self.ns(), other.ns());
+            let (calls, other_calls) = (self.calls(), other.calls());
+            Self::from_parts(
+                std::array::from_fn(|i| f(ns[i], other_ns[i])),
+                std::array::from_fn(|i| f(calls[i], other_calls[i])),
+                f(self.clock_reads, other.clock_reads),
+                f(self.clocks, other.clocks),
+            )
+        }
+
         /// Counter increments since `earlier`.
         #[must_use]
         pub fn delta_since(&self, earlier: &Self) -> Self {
-            Self {
-                matmul_ns: self.matmul_ns.wrapping_sub(earlier.matmul_ns),
-                matmul_calls: self.matmul_calls.wrapping_sub(earlier.matmul_calls),
-                attention_ns: self.attention_ns.wrapping_sub(earlier.attention_ns),
-                attention_calls: self.attention_calls.wrapping_sub(earlier.attention_calls),
-                logits_ns: self.logits_ns.wrapping_sub(earlier.logits_ns),
-                logits_calls: self.logits_calls.wrapping_sub(earlier.logits_calls),
-                activation_ns: self.activation_ns.wrapping_sub(earlier.activation_ns),
-                sampling_ns: self.sampling_ns.wrapping_sub(earlier.sampling_ns),
-                elementwise_ns: self.elementwise_ns.wrapping_sub(earlier.elementwise_ns),
-                clock_reads: self.clock_reads.wrapping_sub(earlier.clock_reads),
-                clocks: self.clocks.wrapping_sub(earlier.clocks),
-            }
+            self.zip(earlier, u64::wrapping_sub)
         }
 
         /// Every class's nanoseconds, in the order of [`CLASSES`].
@@ -114,37 +129,24 @@ pub mod timing {
                 self.elementwise_ns,
             ]
         }
-    }
 
-    /// Reads the current cumulative counters.
-    #[must_use]
-    pub fn snapshot() -> KernelSnapshot {
-        KernelSnapshot {
-            matmul_ns: MATMUL_NS.load(Ordering::Relaxed),
-            matmul_calls: MATMUL_CALLS.load(Ordering::Relaxed),
-            attention_ns: ATTENTION_NS.load(Ordering::Relaxed),
-            attention_calls: ATTENTION_CALLS.load(Ordering::Relaxed),
-            logits_ns: LOGITS_NS.load(Ordering::Relaxed),
-            logits_calls: LOGITS_CALLS.load(Ordering::Relaxed),
-            activation_ns: ACTIVATION_NS.load(Ordering::Relaxed),
-            sampling_ns: SAMPLING_NS.load(Ordering::Relaxed),
-            elementwise_ns: ELEMENTWISE_NS.load(Ordering::Relaxed),
-            clock_reads: CLOCK_READS.load(Ordering::Relaxed),
-            clocks: CLOCKS.load(Ordering::Relaxed),
+        /// The kernel classes' calls, in the order of [`CLASSES`].
+        fn calls(&self) -> [u64; 3] {
+            [self.matmul_calls, self.attention_calls, self.logits_calls]
         }
     }
 
-    /// The op classes' nanosecond counters, in the order of [`CLASSES`].
-    static CLASS_NS: [&AtomicU64; 6] = [
-        &MATMUL_NS,
-        &ATTENTION_NS,
-        &LOGITS_NS,
-        &ACTIVATION_NS,
-        &SAMPLING_NS,
-        &ELEMENTWISE_NS,
-    ];
-    /// The call counters of the first three classes (the kernels).
-    static CLASS_CALLS: [&AtomicU64; 3] = [&MATMUL_CALLS, &ATTENTION_CALLS, &LOGITS_CALLS];
+    /// Reads the process-wide sum of every finished op clock.
+    #[must_use]
+    pub fn snapshot() -> KernelSnapshot {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        KernelSnapshot::from_parts(
+            NS.each_ref().map(load),
+            CALLS.each_ref().map(load),
+            load(&CLOCK_READS),
+            load(&CLOCKS),
+        )
+    }
 
     /// What an [`OpClock`] mark reads: the time-stamp counter on x86-64,
     /// where one read costs about half a monotonic clock read; elsewhere
@@ -164,16 +166,17 @@ pub mod timing {
         }
     }
 
-    /// Attributes a forward pass's time to op classes from one counter read
-    /// per boundary: each mark charges everything since the previous mark
-    /// to one class — [`Self::elementwise`] or [`Self::activation`] the
-    /// work between kernel calls, [`Self::matmul`], [`Self::attention`] or
+    /// Attributes a step's time to op classes from one counter read per
+    /// boundary: each mark charges everything since the previous mark to
+    /// one class — [`Self::elementwise`] or [`Self::activation`] the work
+    /// between kernel calls, [`Self::matmul`], [`Self::attention`] or
     /// [`Self::logits`] the kernel call that just returned, [`Self::skip`]
-    /// nothing (the stretch recorded itself). Marks read the cheap tick
-    /// counter of [`ticks`]; the clock reads the monotonic clock at its
-    /// start and its drop, turns its classes' ticks into nanoseconds of that
-    /// wall time, and adds them — with the kernels' calls and its counter
-    /// reads — to the process-wide counters once.
+    /// nothing (pool tasks on clocks of their own ran, and reported to this
+    /// one through [`Self::absorb`]). Marks read the cheap tick counter of
+    /// [`ticks`]; the clock reads the monotonic clock at its start and when
+    /// it is read, and turns its classes' ticks into nanoseconds of that
+    /// wall time. [`Self::finish`] returns the reading to the clock's owner
+    /// and adds it to the process-wide sum, once.
     #[derive(Debug)]
     pub(crate) struct OpClock {
         origin: Instant,
@@ -182,6 +185,8 @@ pub mod timing {
         reads: u64,
         ticks: [u64; 6],
         calls: [u64; 3],
+        /// The readings of the pool tasks' clocks that reported here.
+        tasks: KernelSnapshot,
     }
 
     impl OpClock {
@@ -196,6 +201,7 @@ pub mod timing {
                 reads: 1,
                 ticks: [0; 6],
                 calls: [0; 3],
+                tasks: KernelSnapshot::default(),
             }
         }
 
@@ -249,31 +255,54 @@ pub mod timing {
         pub(crate) fn sampling(&mut self) {
             self.lap(4);
         }
-    }
 
-    impl Drop for OpClock {
-        fn drop(&mut self) {
+        /// A pool task's clock ended: its reading becomes part of this
+        /// clock's, which marked the task's stretch with [`Self::skip`].
+        pub(crate) fn absorb(&mut self, task: Self) {
+            self.tasks = self.tasks.zip(&task.read(), u64::wrapping_add);
+        }
+
+        /// This clock's own classes as nanoseconds of its wall time so far,
+        /// plus the readings its pool tasks reported.
+        fn read(&self) -> KernelSnapshot {
             let wall_ns = self.origin.elapsed().as_nanos() as f64;
             let span = ticks(self.origin).saturating_sub(self.first).max(1);
             let ns_per_tick = wall_ns / span as f64;
-            for (counter, &t) in CLASS_NS.iter().zip(&self.ticks) {
-                if t > 0 {
-                    counter.fetch_add((t as f64 * ns_per_tick) as u64, Ordering::Relaxed);
-                }
-            }
-            for (counter, &n) in CLASS_CALLS.iter().zip(&self.calls) {
+            let ns = self.ticks.map(|t| (t as f64 * ns_per_tick) as u64);
+            let own = KernelSnapshot::from_parts(ns, self.calls, self.reads, 1);
+            own.zip(&self.tasks, u64::wrapping_add)
+        }
+
+        /// Ends the clock: returns its reading (per-class nanoseconds,
+        /// kernel calls, counter reads) to its owner and adds it to the
+        /// process-wide sum [`snapshot`] reads.
+        pub(crate) fn finish(self) -> KernelSnapshot {
+            let reading = self.read();
+            let counters = NS.iter().zip(reading.ns());
+            for (counter, n) in counters.chain(CALLS.iter().zip(reading.calls())) {
                 if n > 0 {
                     counter.fetch_add(n, Ordering::Relaxed);
                 }
             }
-            CLOCK_READS.fetch_add(self.reads, Ordering::Relaxed);
-            CLOCKS.fetch_add(1, Ordering::Relaxed);
+            CLOCK_READS.fetch_add(reading.clock_reads, Ordering::Relaxed);
+            CLOCKS.fetch_add(reading.clocks, Ordering::Relaxed);
+            reading
         }
+    }
+
+    /// Runs `f` on an op clock of its own and finishes it: a kernel or
+    /// forward call from outside a step, which feeds the process-wide sum
+    /// alone.
+    pub(crate) fn alone<R>(f: impl FnOnce(&mut OpClock) -> R) -> R {
+        let mut clock = OpClock::start();
+        let out = f(&mut clock);
+        clock.finish();
+        out
     }
 
     /// Runs one op clock through `marks` marks charged to no class and
     /// returns how long that took: what attributing `marks` kernel-call
-    /// boundaries of one forward pass costs, start and drop included.
+    /// boundaries of one forward pass costs, start and finish included.
     #[must_use]
     pub fn time_op_clock(marks: u64) -> Duration {
         let start = Instant::now();
@@ -281,7 +310,7 @@ pub mod timing {
         for _ in 1..marks {
             clock.skip();
         }
-        drop(clock);
+        clock.finish();
         start.elapsed()
     }
 }
@@ -788,7 +817,6 @@ mod tests {
     #[test]
     fn op_clock_charges_each_stretch_to_one_class() {
         let pause = std::time::Duration::from_millis(2);
-        let before = timing::snapshot();
         let mut clock = timing::OpClock::start();
         std::thread::sleep(pause);
         clock.elementwise();
@@ -796,20 +824,18 @@ mod tests {
         clock.skip();
         std::thread::sleep(pause);
         clock.activation();
-        // Nothing reaches the process-wide counters before the drop. (Other
-        // tests' forwards may add to them at any time, so only lower bounds
-        // can be asserted after it.)
         let marks = 100_000u32;
         let start = std::time::Instant::now();
         for _ in 0..marks {
             clock.elementwise();
         }
         let per_mark = start.elapsed().as_nanos() as f64 / f64::from(marks);
-        drop(clock);
-        let d = timing::snapshot().delta_since(&before);
-        assert!(d.elementwise_ns >= 2_000_000 && d.activation_ns >= 2_000_000);
-        assert!(
-            d.clock_reads > u64::from(marks),
+        let reading = clock.finish();
+        assert!(reading.elementwise_ns >= 2_000_000 && reading.activation_ns >= 2_000_000);
+        assert_eq!(reading.ns()[..3], [0; 3], "no kernel stretch was marked");
+        assert_eq!(
+            reading.clock_reads,
+            u64::from(marks) + 4,
             "every mark is one counted read"
         );
         // A decode step makes 45 marks on the 4-layer serving model, one
@@ -834,13 +860,47 @@ mod tests {
             std::thread::sleep(pause);
             mark(&mut clock);
         }
-        drop(clock);
-        let delta = timing::snapshot().delta_since(&before);
+        let reading = clock.finish();
         let least = pause.as_nanos() as u64;
-        assert!(delta.matmul_calls >= 1 && delta.matmul_ns >= least);
-        assert!(delta.logits_calls >= 1 && delta.logits_ns >= least);
-        assert!(delta.attention_calls >= 1 && delta.attention_ns >= least);
-        assert!(delta.sampling_ns >= least);
+        assert_eq!(
+            [
+                reading.matmul_calls,
+                reading.logits_calls,
+                reading.attention_calls
+            ],
+            [1; 3]
+        );
+        assert!(reading.matmul_ns >= least && reading.logits_ns >= least);
+        assert!(reading.attention_ns >= least && reading.sampling_ns >= least);
+        assert_eq!((reading.clocks, reading.clock_reads), (1, 5));
+        // Other tests' clocks may finish at any time: the process-wide sum
+        // holds at least this one's reading.
+        let delta = timing::snapshot().delta_since(&before);
+        for (sum, own) in delta.ns().into_iter().zip(reading.ns()) {
+            assert!(sum >= own);
+        }
         assert!(delta.clocks >= 1 && delta.clock_reads >= 5);
+    }
+
+    #[test]
+    fn a_pool_task_clock_reports_to_its_caller() {
+        let pause = std::time::Duration::from_micros(200);
+        let mut caller = timing::OpClock::start();
+        let mut task = timing::OpClock::start();
+        std::thread::sleep(pause);
+        task.matmul();
+        caller.absorb(task);
+        caller.skip();
+        std::thread::sleep(pause);
+        caller.elementwise();
+        let reading = caller.finish();
+        assert_eq!((reading.matmul_calls, reading.clocks), (1, 2));
+        assert_eq!(
+            reading.clock_reads,
+            2 + 3,
+            "the task's reads and the caller's"
+        );
+        let least = pause.as_nanos() as u64;
+        assert!(reading.matmul_ns >= least && reading.elementwise_ns >= least);
     }
 }

@@ -18,10 +18,10 @@ use vllm_core::error::Result;
 use vllm_core::executor::{ModelExecutor, StepResult};
 use vllm_core::plan::StepPlan;
 
-use crate::executor::{kernel_timings, run_forwards, sample_rows, step_inputs, KernelTelemetry};
+use crate::executor::{book_kernels, kernel_histograms, run_forwards, sample_rows, step_inputs};
 use crate::gemm::Panels;
 use crate::kv_cache::KvCache;
-use crate::ops::timing::{self, OpClock};
+use crate::ops::timing::OpClock;
 use crate::pool;
 use crate::sampler::Sampler;
 use crate::transformer::{LayerShard, SeqInput, Shard, Transformer};
@@ -55,12 +55,10 @@ struct Worker {
 /// when the engine attaches its telemetry bundle.
 #[derive(Debug, Clone)]
 struct TpTelemetry {
-    forward_seconds: vllm_telemetry::Histogram,
     all_reduce_seconds: vllm_telemetry::Histogram,
     cache_op_seconds: vllm_telemetry::Histogram,
     all_reduces_total: vllm_telemetry::Counter,
-    steps_total: vllm_telemetry::Counter,
-    kernels: KernelTelemetry,
+    kernels: Vec<vllm_telemetry::Histogram>,
 }
 
 /// Tensor-parallel CPU executor over `num_workers` head shards.
@@ -162,7 +160,6 @@ impl TensorParallelExecutor {
 impl ModelExecutor for TensorParallelExecutor {
     fn begin_step(&mut self, plan: &StepPlan) -> Result<StepResult> {
         let start = Instant::now();
-        let kernels_before = timing::snapshot();
         self.steps += 1;
         let inputs = step_inputs(plan)?;
         // Every worker applies the same cache operations to its shard (block
@@ -187,28 +184,23 @@ impl ModelExecutor for TensorParallelExecutor {
         let mut clock = OpClock::start();
         let logits = run_forwards(&inputs, vocab, |batch| self.forward(batch, &mut clock));
         let outputs = sample_rows(plan, &logits, vocab, &mut self.sampler, &mut clock);
-        drop(clock);
+        // Freed within the forward time: what follows it is instruments.
+        drop((logits, inputs));
+        let reading = clock.finish();
         let elapsed = start.elapsed().as_secs_f64();
-        if let Some(t) = &self.telemetry {
-            t.forward_seconds.observe(elapsed);
-            t.steps_total.inc();
-            t.kernels.observe_step(&kernels_before);
-        }
         Ok(StepResult {
             outputs,
             elapsed,
-            kernels: kernel_timings(&kernels_before),
+            kernels: book_kernels(
+                &reading,
+                self.telemetry.as_ref().map_or(&[], |t| &t.kernels),
+            ),
         })
     }
 
     fn attach_telemetry(&mut self, telemetry: &std::sync::Arc<vllm_telemetry::Telemetry>) {
         let r = telemetry.registry();
         self.telemetry = Some(TpTelemetry {
-            forward_seconds: r.histogram(
-                "vllm_executor_forward_seconds",
-                "Model forward pass wall time per step (tensor-parallel backend).",
-                vllm_telemetry::BucketSpec::seconds(),
-            ),
             all_reduce_seconds: r.histogram(
                 "vllm_executor_all_reduce_seconds",
                 "Wall time of each all-reduce (partial summation) across workers.",
@@ -223,11 +215,7 @@ impl ModelExecutor for TensorParallelExecutor {
                 "vllm_executor_all_reduces_total",
                 "All-reduce operations performed (two per layer per forward).",
             ),
-            steps_total: r.counter(
-                "vllm_executor_steps_total",
-                "Iterations executed by the model executor.",
-            ),
-            kernels: KernelTelemetry::register(r, self.model.config.backend.name()),
+            kernels: kernel_histograms(r, self.model.config.backend.name()),
         });
     }
 

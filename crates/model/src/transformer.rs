@@ -13,9 +13,10 @@ use crate::backend::{self, KernelBackend};
 use crate::config::{ModelConfig, PositionEncoding};
 use crate::gemm::Panels;
 use crate::kv_cache::KvPool;
-use crate::ops::timing::OpClock;
+use crate::ops::timing::{self, OpClock};
 use crate::ops::{add_bias, add_inplace, gelu, layer_norm};
 use crate::pool;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 const LN_EPS: f32 = 1e-5;
@@ -132,7 +133,8 @@ impl Buffers {
 }
 
 /// Runs `phase` once per shard: inline on the caller for one shard, else
-/// one pool task per shard, each charging an op clock of its own.
+/// one pool task per shard, each charging an op clock of its own that
+/// reports to the caller's `clock` when the task ends.
 fn each_shard<F>(shards: &mut [Shard<'_>], bufs: &mut [Buffers], clock: &mut OpClock, phase: F)
 where
     F: Fn(&mut Shard<'_>, &mut Buffers, &mut OpClock) + Sync,
@@ -141,13 +143,18 @@ where
         phase(shard, buf, clock);
         return;
     }
+    let caller = Mutex::new(clock);
     pool::global().scoped(|s| {
         for (shard, buf) in shards.iter_mut().zip(bufs.iter_mut()) {
-            let phase = &phase;
-            s.spawn(move || phase(shard, buf, &mut OpClock::start()));
+            let (phase, caller) = (&phase, &caller);
+            s.spawn(move || {
+                let mut own = OpClock::start();
+                phase(shard, buf, &mut own);
+                caller.lock().expect("a shard task panicked").absorb(own);
+            });
         }
     });
-    clock.skip();
+    caller.into_inner().expect("a shard task panicked").skip();
 }
 
 /// The all-reduce (§4.6): sums the shards' outputs into the first — a lone
@@ -292,7 +299,7 @@ impl Transformer {
     /// Panics on shape violations (no inputs, an empty sequence, positions
     /// beyond `max_position`, a block table too short for its context).
     pub fn forward(&self, inputs: &[SeqInput<'_>], kv: &mut KvPool) -> Vec<f32> {
-        self.forward_clocked(inputs, kv, &mut OpClock::start())
+        timing::alone(|clock| self.forward_clocked(inputs, kv, clock))
     }
 
     /// [`Self::forward`] charging its time to `clock`'s op classes from the

@@ -1,58 +1,147 @@
-//! The six `vllm_model_kernel_*_seconds` series account for the executor's
-//! step time: nothing is counted twice and little is left over.
-//!
-//! Alone in its test binary on purpose: the counters behind the series are
-//! process-wide, so a model running on another test thread would leak into
-//! this engine's deltas.
+//! The six `vllm_model_kernel_*_seconds` series account for an engine's own
+//! step time: nothing is counted twice, little is left over, and nothing an
+//! engine on another thread ran is counted, because a step's op clock
+//! reports its reading to the executor that owns it.
+
+use std::sync::{Barrier, Mutex, PoisonError};
 
 use vllm_core::config::{CacheConfig, SchedulerConfig};
 use vllm_core::engine::LlmEngine;
+use vllm_core::executor::ModelExecutor;
 use vllm_core::sampling::SamplingParams;
-use vllm_model::{BackendKind, CpuModelExecutor, ModelConfig};
+use vllm_core::telemetry::MetricsSnapshot;
+use vllm_model::ops::timing;
+use vllm_model::{BackendKind, CpuModelExecutor, ModelConfig, TensorParallelExecutor, Transformer};
 
-#[test]
-fn kernel_series_sum_to_the_forward_time() {
-    let cache = CacheConfig::new(16, 128, 0).unwrap();
+/// Held by each test here: the process-wide kernel sum counts every clock
+/// in this test binary, and one test compares it with its engines' books.
+static PROCESS_SUM: Mutex<()> = Mutex::new(());
+
+const CLASSES: [&str; 6] = [
+    "matmul",
+    "paged_attention",
+    "logits",
+    "activation",
+    "sampling",
+    "elementwise",
+];
+
+fn cache() -> CacheConfig {
+    CacheConfig::new(16, 128, 0).unwrap()
+}
+
+fn model() -> ModelConfig {
+    ModelConfig {
+        backend: BackendKind::Simd,
+        ..ModelConfig::small()
+    }
+}
+
+/// An engine over `exec` with a sampled, a beam and a greedy request of
+/// `tokens` tokens queued.
+fn engine<E: ModelExecutor>(exec: E, tokens: usize) -> LlmEngine<E> {
     let sched = SchedulerConfig::new(2048, 16, 2048).unwrap();
-    let mut config = ModelConfig::small();
-    config.backend = BackendKind::Simd;
-    let exec = CpuModelExecutor::from_config(config, &cache);
-    let mut engine = LlmEngine::new(exec, cache, sched);
+    let mut engine = LlmEngine::new(exec, cache(), sched);
     let prompt = |seed: u32| (0..8).map(|i| (seed * 31 + i * 7) % 250 + 1).collect();
-    let sampled = SamplingParams::parallel(2, 200).with_seed(3);
+    let sampled = SamplingParams::parallel(2, tokens).with_seed(3);
     engine.add_request("sampled", prompt(1), sampled).unwrap();
-    let beam = SamplingParams::beam(2, 30);
+    let beam = SamplingParams::beam(2, tokens.min(30));
     engine.add_request("beam", prompt(2), beam).unwrap();
-    let greedy = SamplingParams::greedy(30);
+    let greedy = SamplingParams::greedy(tokens.min(30));
     engine.add_request("greedy", prompt(3), greedy).unwrap();
-    engine.run_to_completion().unwrap();
+    engine
+}
 
-    let snap = engine.metrics_snapshot();
+/// An engine's books: its six class series' sums and its forward time.
+struct Books {
+    classes: [f64; 6],
+    forward: f64,
+}
+
+fn books(snap: &MetricsSnapshot) -> Books {
     let forward = snap.histogram("vllm_executor_forward_seconds").unwrap();
-    assert!(forward.count >= 200, "only {} steps ran", forward.count);
-    let classes = [
-        "matmul",
-        "paged_attention",
-        "logits",
-        "activation",
-        "sampling",
-        "elementwise",
-    ];
-    let mut attributed = 0.0;
-    for class in classes {
+    assert!(forward.count >= 50, "only {} steps ran", forward.count);
+    let classes = CLASSES.map(|class| {
         let name = format!("vllm_model_kernel_{class}_seconds{{backend=\"simd\"}}");
         let series = snap
             .histogram(&name)
             .unwrap_or_else(|| panic!("{name} not registered"));
         assert_eq!(series.count, forward.count, "{name}: one sample per step");
         assert!(series.sum > 0.0, "{name} never advanced");
-        attributed += series.sum;
+        series.sum
+    });
+    Books {
+        classes,
+        forward: forward.sum,
     }
-    let share = attributed / forward.sum;
+}
+
+/// Asserts the six classes cover 90–100 % of the engine's forward time.
+fn assert_covered(books: &Books, who: &str) {
+    let attributed: f64 = books.classes.iter().sum();
+    let share = attributed / books.forward;
     assert!(
         (0.90..=1.0).contains(&share),
-        "the six classes cover {:.1} % of vllm_executor_forward_seconds ({attributed:.4} of {:.4} s)",
+        "{who}: the six classes cover {:.1} % of vllm_executor_forward_seconds ({attributed:.4} of {:.4} s)",
         share * 100.0,
-        forward.sum,
+        books.forward,
     );
+}
+
+#[test]
+fn kernel_series_sum_to_the_forward_time() {
+    let _alone = PROCESS_SUM.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut engine = engine(CpuModelExecutor::from_config(model(), &cache()), 200);
+    engine.run_to_completion().unwrap();
+    let books = books(&engine.metrics_snapshot());
+    assert_covered(&books, "one engine");
+}
+
+/// Runs `engine` to completion once every engine at `start` is ready.
+fn run<E: ModelExecutor>(start: &Barrier, mut engine: LlmEngine<E>) -> Books {
+    start.wait();
+    engine.run_to_completion().unwrap();
+    books(&engine.metrics_snapshot())
+}
+
+#[test]
+fn concurrent_engines_keep_their_own_books() {
+    let _alone = PROCESS_SUM.lock().unwrap_or_else(PoisonError::into_inner);
+    const SHARDS: usize = 2;
+    let cpu = || engine(CpuModelExecutor::from_config(model(), &cache()), 120);
+    let (a, b) = (cpu(), cpu());
+    let tp = TensorParallelExecutor::new(Transformer::new(model()), SHARDS, &cache());
+    let tp = engine(tp, 120);
+    let before = timing::snapshot();
+    let start = Barrier::new(3);
+    let (a, b, tp) = std::thread::scope(|s| {
+        let a = s.spawn(|| run(&start, a));
+        let b = s.spawn(|| run(&start, b));
+        let tp = s.spawn(|| run(&start, tp));
+        let join = |h: std::thread::ScopedJoinHandle<'_, Books>| h.join().unwrap();
+        (join(a), join(b), join(tp))
+    });
+    let delta = timing::snapshot().delta_since(&before);
+
+    assert_covered(&a, "CPU engine a");
+    assert_covered(&b, "CPU engine b");
+    // A tensor-parallel step's shard tasks run side by side, each on a
+    // clock of its own: together they hold at most one step per shard.
+    let tp_attributed: f64 = tp.classes.iter().sum();
+    assert!(
+        tp_attributed <= tp.forward * SHARDS as f64,
+        "TP engine: the six classes hold {tp_attributed:.4} s, over {SHARDS} x its {:.4} s forward time",
+        tp.forward,
+    );
+
+    // Every clock in the process was one of these engines' steps: the
+    // process-wide sum is their books added up, to rounding.
+    for (i, class) in CLASSES.iter().enumerate() {
+        let books: f64 = [&a, &b, &tp].iter().map(|e| e.classes[i]).sum();
+        let process = delta.ns()[i] as f64 / 1e9;
+        assert!(
+            (books - process).abs() <= 1e-6,
+            "{class}: the engines' books hold {books:.6} s, the process-wide sum {process:.6} s",
+        );
+    }
 }

@@ -38,14 +38,6 @@ pub fn sim_prompt_tokens(request_id: u64, len: usize) -> Vec<TokenId> {
         .collect()
 }
 
-/// Cached telemetry handles for the simulated executor.
-#[derive(Debug, Clone)]
-struct SimExecutorTelemetry {
-    forward_seconds: vllm_telemetry::Histogram,
-    tokens_total: vllm_telemetry::Counter,
-    steps_total: vllm_telemetry::Counter,
-}
-
 /// Executor that models latency and scripts token values.
 #[derive(Debug)]
 pub struct SimExecutor {
@@ -55,7 +47,6 @@ pub struct SimExecutor {
     pub last_work: StepWork,
     /// Cumulative modeled GPU time.
     pub busy_time: f64,
-    telemetry: Option<SimExecutorTelemetry>,
 }
 
 impl SimExecutor {
@@ -66,7 +57,6 @@ impl SimExecutor {
             cost,
             last_work: StepWork::default(),
             busy_time: 0.0,
-            telemetry: None,
         }
     }
 }
@@ -131,11 +121,6 @@ impl ModelExecutor for SimExecutor {
             })
             .collect();
         self.last_work = work;
-        if let Some(t) = &self.telemetry {
-            t.forward_seconds.observe(elapsed);
-            t.tokens_total.inc_by(plan.num_tokens() as u64);
-            t.steps_total.inc();
-        }
         Ok(StepResult {
             outputs,
             elapsed,
@@ -144,25 +129,6 @@ impl ModelExecutor for SimExecutor {
                 seconds: elapsed,
             }],
         })
-    }
-
-    fn attach_telemetry(&mut self, telemetry: &std::sync::Arc<vllm_telemetry::Telemetry>) {
-        let r = telemetry.registry();
-        self.telemetry = Some(SimExecutorTelemetry {
-            forward_seconds: r.histogram(
-                "vllm_executor_forward_seconds",
-                "Modeled GPU time per executed step (simulated backend).",
-                vllm_telemetry::BucketSpec::seconds(),
-            ),
-            tokens_total: r.counter(
-                "vllm_executor_tokens_total",
-                "Tokens run through the model executor.",
-            ),
-            steps_total: r.counter(
-                "vllm_executor_steps_total",
-                "Iterations executed by the model executor.",
-            ),
-        });
     }
 
     fn backend_label(&self) -> &str {

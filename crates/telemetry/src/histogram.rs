@@ -73,11 +73,13 @@ impl BucketSpec {
         if i == 0 {
             return self.start;
         }
-        let sub_buckets = self.sub_buckets as usize;
-        let (octave, sub) = ((i - 1) / sub_buckets, (i - 1) % sub_buckets + 1);
+        // In 32 bits: a 64-bit division costs an observation several times
+        // as much.
+        let i = (i - 1) as u32;
+        let (octave, sub) = (i / self.sub_buckets, i % self.sub_buckets + 1);
         // 2^octave, exactly.
-        let scale = f64::from_bits((1023 + octave as u64) << 52);
-        self.start * scale * (1.0 + sub as f64 / f64::from(self.sub_buckets))
+        let scale = f64::from_bits((1023 + u64::from(octave)) << 52);
+        self.start * scale * (1.0 + f64::from(sub) / f64::from(self.sub_buckets))
     }
 }
 
@@ -94,7 +96,6 @@ struct HistData {
 #[derive(Debug, Clone)]
 pub struct Histogram {
     spec: BucketSpec,
-    bounds: Arc<Vec<f64>>,
     data: Arc<Mutex<HistData>>,
 }
 
@@ -102,11 +103,9 @@ impl Histogram {
     /// Creates an empty histogram with the given bucket layout.
     #[must_use]
     pub fn new(spec: BucketSpec) -> Self {
-        let bounds = spec.bounds();
-        let n = bounds.len() + 1;
+        let n = spec.bounds().len() + 1;
         Self {
             spec,
-            bounds: Arc::new(bounds),
             data: Arc::new(Mutex::new(HistData {
                 counts: vec![0; n],
                 count: 0,
@@ -140,7 +139,7 @@ impl Histogram {
     /// no bound from memory (cold lines, when a step observes after a
     /// forward pass), where a binary search read seven.
     fn bucket(&self, value: f64) -> usize {
-        let (spec, len) = (&self.spec, self.bounds.len());
+        let (spec, len) = (&self.spec, self.spec.num_bounds());
         let ratio = value / spec.start;
         let mut idx = if ratio.is_normal() && ratio > 1.0 {
             let bits = ratio.to_bits();
@@ -178,7 +177,7 @@ impl Histogram {
     pub fn snapshot(&self) -> HistogramSnapshot {
         let d = self.data.lock();
         HistogramSnapshot {
-            bounds: self.bounds.as_ref().clone(),
+            bounds: self.spec.bounds(),
             counts: d.counts.clone(),
             count: d.count,
             sum: d.sum,

@@ -35,7 +35,7 @@ cargo test --workspace -q
 echo "==> replica-channel stress (10 000 rounds of concurrent fused submissions racing a replica kill and the frontend's shutdown: every reply sender answered exactly once, no wait past its bound, no block held after the drain)"
 cargo test --release -q -p vllm --lib frontend::tests::fused_submissions_race_kill_and_shutdown -- --ignored --exact
 
-echo "==> telemetry consistency check + instrument budget (a decode_heavy step's time outside its four stages plus its op clocks <= 1.5 % of the step, median of paired rounds)"
+echo "==> telemetry consistency check + instrument budget (a decode_heavy step's time outside its four stages, plus the executor's instruments inside its execute stage, plus its op clocks <= 1.5 % of the step, median of paired rounds)"
 cargo run --release -q -p vllm-bench --bin telemetry -- --ci
 
 echo "==> cluster routing check + handoff codec gate (binary round trip >= 5x the hex edge on 32 KB and 64 KB blocks, median of paired rounds)"

@@ -63,11 +63,13 @@ const REQUIRED_METRICS: &[&str] = &[
 /// Most of a step's wall time the instruments may take (median of paired
 /// rounds): the engine's outside the four stage timers, the executor's
 /// inside the execute stage, and the op clocks. All three measured
-/// 1.29–1.41 % on a 2-vCPU host, short of a 1 % target: what is left is
-/// the cache lines a step touches after the forward pass has pushed them
-/// out of the near caches — the running block tables and per-block fills
-/// of the used-slot recount, the histograms, the gauges, the span log, the
-/// counters — plus 45 counter reads.
+/// 0.92–1.53 % (medians 1.35–1.41 % in three sittings of alternated runs,
+/// 360–540 µs steps) and 1.10–1.16 % (5 runs, 240 µs steps) on a 2-vCPU
+/// host, short of a 1 % target: what is left
+/// is 45 counter reads and the cache lines a step touches after the
+/// forward pass has pushed them out of the near caches — the histograms,
+/// the span log, the running tables' tails of the used-slot count, the
+/// gauges, the counters.
 const INSTRUMENT_BUDGET: f64 = 0.015;
 /// Paired rounds of the instrument budget, and engine steps per round.
 const BUDGET_ROUNDS: usize = 21;

@@ -19,6 +19,7 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::block::{BlockAllocator, Device, PhysicalBlock, PhysicalBlockId};
 use crate::config::CacheConfig;
@@ -187,11 +188,11 @@ pub struct BlockSpaceManager {
     watermark_blocks: usize,
     gpu: BlockAllocator,
     cpu: BlockAllocator,
-    block_tables: HashMap<SeqId, Vec<PhysicalBlock>>,
+    block_tables: HashMap<SeqId, Vec<PhysicalBlock>, BuildHasherDefault<SeqIdHasher>>,
     /// GPU entries over every block table, kept as the tables change
     /// ([`Self::set_table`], [`Self::take_table`], appends).
     logical_gpu_blocks: usize,
-    /// [`Self::used_gpu_slots`]' per-block fill counts, all zero between
+    /// [`Self::used_gpu_slots`]' per-block fill marks, all zero between
     /// calls, and the blocks it touched.
     slot_scratch: RefCell<SlotScratch>,
     /// Every full, computed GPU block, by the hash of the prefix it
@@ -218,10 +219,32 @@ pub struct BlockSpaceManager {
 /// calls.
 #[derive(Debug, Default)]
 struct SlotScratch {
-    /// The greatest fill any sequence gives each GPU block.
+    /// One more than the greatest fill any sequence gives each tail block.
     fill: Vec<usize>,
     /// The blocks whose fill is set.
     touched: Vec<PhysicalBlockId>,
+}
+
+/// Hashes the [`SeqId`]s that key the block tables with one multiply: they
+/// are counters, not adversarial input, and a step looks a table up per
+/// sequence more than once.
+#[derive(Debug, Default)]
+struct SeqIdHasher(u64);
+
+impl Hasher for SeqIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = (self.0 ^ id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
 }
 
 /// The GPU-resident entries of a block table.
@@ -239,7 +262,7 @@ impl BlockSpaceManager {
             watermark_blocks: config.watermark_blocks(),
             gpu: BlockAllocator::new(Device::Gpu, config.num_gpu_blocks),
             cpu: BlockAllocator::new(Device::Cpu, config.num_cpu_blocks),
-            block_tables: HashMap::new(),
+            block_tables: HashMap::default(),
             logical_gpu_blocks: 0,
             slot_scratch: RefCell::default(),
             index: ContentIndex::new(config.block_size),
@@ -1083,17 +1106,26 @@ impl BlockSpaceManager {
     }
 
     /// Number of KV token slots actually holding token state in the GPU pool,
-    /// given the sequences' current lengths (Fig. 2 "token states" metric).
+    /// given the sequences' current lengths (Fig. 2 "token states" metric),
+    /// for sequences that hold every GPU block table, as the running
+    /// sequences do between steps.
     ///
-    /// A shared physical block stores one copy of its token states, so fill
-    /// counts are aggregated per physical block with `max`, in a dense
-    /// per-block array the manager keeps between calls: no block is hashed
-    /// and nothing is allocated once the array has grown to the pool.
+    /// A shared physical block stores one copy of its token states. Every
+    /// allocated block is full but those a table holds at or past its
+    /// sequence's length, and a block held so is full in no other table (an
+    /// append copies a shared block before it writes). So the count starts
+    /// from the allocated blocks, all full, and reads only the tables'
+    /// tails: what each tail block leaves empty at its greatest fill, kept
+    /// in a dense per-block array the manager keeps between calls, comes
+    /// off. No block is hashed and nothing is allocated once the array has
+    /// grown to the pool. A block held by a sequence not passed counts as
+    /// full.
     #[must_use]
     pub fn used_gpu_slots<'a, I>(&self, seqs: I) -> usize
     where
         I: IntoIterator<Item = &'a Sequence>,
     {
+        let bs = self.block_size;
         let scratch = &mut *self.slot_scratch.borrow_mut();
         scratch.fill.resize(self.gpu.num_blocks(), 0);
         for seq in seqs {
@@ -1101,21 +1133,21 @@ impl BlockSpaceManager {
                 continue;
             };
             let len = seq.len();
-            for (j, block) in table.iter().enumerate() {
+            for (j, block) in table.iter().enumerate().skip(len / bs) {
                 if block.device != Device::Gpu {
                     continue;
                 }
-                let filled = len.saturating_sub(j * self.block_size).min(self.block_size);
+                // One more than the fill, so that an empty block is marked.
                 let slot = &mut scratch.fill[block.id];
                 if *slot == 0 {
                     scratch.touched.push(block.id);
                 }
-                *slot = (*slot).max(filled);
+                *slot = (*slot).max(len.saturating_sub(j * bs) + 1);
             }
         }
-        let mut used = 0;
+        let mut used = self.gpu.num_allocated() * bs;
         for &id in &scratch.touched {
-            used += std::mem::take(&mut scratch.fill[id]);
+            used = used.saturating_sub(bs + 1 - std::mem::take(&mut scratch.fill[id]));
         }
         scratch.touched.clear();
         used

@@ -99,22 +99,17 @@ pub mod timing {
             }
         }
 
-        /// `f` of every counter and its counterpart in `other`.
-        fn zip(&self, other: &Self, f: impl Fn(u64, u64) -> u64) -> Self {
-            let (ns, other_ns) = (self.ns(), other.ns());
-            let (calls, other_calls) = (self.calls(), other.calls());
-            Self::from_parts(
-                std::array::from_fn(|i| f(ns[i], other_ns[i])),
-                std::array::from_fn(|i| f(calls[i], other_calls[i])),
-                f(self.clock_reads, other.clock_reads),
-                f(self.clocks, other.clocks),
-            )
-        }
-
         /// Counter increments since `earlier`.
         #[must_use]
         pub fn delta_since(&self, earlier: &Self) -> Self {
-            self.zip(earlier, u64::wrapping_sub)
+            let (ns, earlier_ns) = (self.ns(), earlier.ns());
+            let (calls, earlier_calls) = (self.calls(), earlier.calls());
+            Self::from_parts(
+                std::array::from_fn(|i| ns[i].wrapping_sub(earlier_ns[i])),
+                std::array::from_fn(|i| calls[i].wrapping_sub(earlier_calls[i])),
+                self.clock_reads.wrapping_sub(earlier.clock_reads),
+                self.clocks.wrapping_sub(earlier.clocks),
+            )
         }
 
         /// Every class's nanoseconds, in the order of [`CLASSES`].
@@ -173,20 +168,19 @@ pub mod timing {
     /// [`Self::logits`] the kernel call that just returned, [`Self::skip`]
     /// nothing (pool tasks on clocks of their own ran, and reported to this
     /// one through [`Self::absorb`]). Marks read the cheap tick counter of
-    /// [`ticks`]; the clock reads the monotonic clock at its start and when
-    /// it is read, and turns its classes' ticks into nanoseconds of that
-    /// wall time. [`Self::finish`] returns the reading to the clock's owner
-    /// and adds it to the process-wide sum, once.
+    /// [`ticks`]; the clock reads the monotonic clock at its start and at
+    /// [`Self::finish`], which returns its reading to the clock's owner and
+    /// adds it to the process-wide sum, once.
     #[derive(Debug)]
     pub(crate) struct OpClock {
         origin: Instant,
         first: u64,
         mark: u64,
         reads: u64,
+        /// This clock and the pool tasks' clocks that reported to it.
+        clocks: u64,
         ticks: [u64; 6],
         calls: [u64; 3],
-        /// The readings of the pool tasks' clocks that reported here.
-        tasks: KernelSnapshot,
     }
 
     impl OpClock {
@@ -199,9 +193,9 @@ pub mod timing {
                 first,
                 mark: first,
                 reads: 1,
+                clocks: 1,
                 ticks: [0; 6],
                 calls: [0; 3],
-                tasks: KernelSnapshot::default(),
             }
         }
 
@@ -256,36 +250,35 @@ pub mod timing {
             self.lap(4);
         }
 
-        /// A pool task's clock ended: its reading becomes part of this
-        /// clock's, which marked the task's stretch with [`Self::skip`].
+        /// A pool task's clock ended: its ticks, calls and reads become
+        /// this clock's, which marked the task's stretch with
+        /// [`Self::skip`]. Both count the same ticks: the time-stamp counter
+        /// on x86-64, elsewhere nanoseconds.
         pub(crate) fn absorb(&mut self, task: Self) {
-            self.tasks = self.tasks.zip(&task.read(), u64::wrapping_add);
+            self.ticks = std::array::from_fn(|i| self.ticks[i] + task.ticks[i]);
+            self.calls = std::array::from_fn(|i| self.calls[i] + task.calls[i]);
+            self.reads += task.reads;
+            self.clocks += task.clocks;
         }
 
-        /// This clock's own classes as nanoseconds of its wall time so far,
-        /// plus the readings its pool tasks reported.
-        fn read(&self) -> KernelSnapshot {
+        /// Ends the clock: turns its classes' ticks into nanoseconds of its
+        /// wall time, returns that reading (with the kernel calls and
+        /// counter reads) to its owner and adds it to the process-wide sum
+        /// [`snapshot`] reads.
+        pub(crate) fn finish(self) -> KernelSnapshot {
             let wall_ns = self.origin.elapsed().as_nanos() as f64;
             let span = ticks(self.origin).saturating_sub(self.first).max(1);
             let ns_per_tick = wall_ns / span as f64;
             let ns = self.ticks.map(|t| (t as f64 * ns_per_tick) as u64);
-            let own = KernelSnapshot::from_parts(ns, self.calls, self.reads, 1);
-            own.zip(&self.tasks, u64::wrapping_add)
-        }
-
-        /// Ends the clock: returns its reading (per-class nanoseconds,
-        /// kernel calls, counter reads) to its owner and adds it to the
-        /// process-wide sum [`snapshot`] reads.
-        pub(crate) fn finish(self) -> KernelSnapshot {
-            let reading = self.read();
-            let counters = NS.iter().zip(reading.ns());
-            for (counter, n) in counters.chain(CALLS.iter().zip(reading.calls())) {
+            let reading = KernelSnapshot::from_parts(ns, self.calls, self.reads, self.clocks);
+            let counters = NS.iter().zip(ns);
+            for (counter, n) in counters.chain(CALLS.iter().zip(self.calls)) {
                 if n > 0 {
                     counter.fetch_add(n, Ordering::Relaxed);
                 }
             }
-            CLOCK_READS.fetch_add(reading.clock_reads, Ordering::Relaxed);
-            CLOCKS.fetch_add(reading.clocks, Ordering::Relaxed);
+            CLOCK_READS.fetch_add(self.reads, Ordering::Relaxed);
+            CLOCKS.fetch_add(self.clocks, Ordering::Relaxed);
             reading
         }
     }

@@ -58,7 +58,6 @@ struct TpTelemetry {
     all_reduce_seconds: vllm_telemetry::Histogram,
     cache_op_seconds: vllm_telemetry::Histogram,
     all_reduces_total: vllm_telemetry::Counter,
-    kernels: Vec<vllm_telemetry::Histogram>,
 }
 
 /// Tensor-parallel CPU executor over `num_workers` head shards.
@@ -72,6 +71,9 @@ pub struct TensorParallelExecutor {
     /// Total iterations executed.
     pub steps: u64,
     telemetry: Option<TpTelemetry>,
+    /// The `vllm_model_kernel_*` histograms, registered with the rest of
+    /// the telemetry (none before).
+    kernels: Vec<vllm_telemetry::Histogram>,
     sampler: Sampler,
 }
 
@@ -118,6 +120,7 @@ impl TensorParallelExecutor {
             num_all_reduces: 0,
             steps: 0,
             telemetry: None,
+            kernels: Vec::new(),
             sampler: Sampler::default(),
         }
     }
@@ -191,10 +194,7 @@ impl ModelExecutor for TensorParallelExecutor {
         Ok(StepResult {
             outputs,
             elapsed,
-            kernels: book_kernels(
-                &reading,
-                self.telemetry.as_ref().map_or(&[], |t| &t.kernels),
-            ),
+            kernels: book_kernels(&reading, &self.kernels),
         })
     }
 
@@ -215,8 +215,8 @@ impl ModelExecutor for TensorParallelExecutor {
                 "vllm_executor_all_reduces_total",
                 "All-reduce operations performed (two per layer per forward).",
             ),
-            kernels: kernel_histograms(r, self.model.config.backend.name()),
         });
+        self.kernels = kernel_histograms(r, self.model.config.backend.name());
     }
 
     fn backend_label(&self) -> &str {

@@ -58,9 +58,14 @@ struct Books {
     forward: f64,
 }
 
-fn books(snap: &MetricsSnapshot) -> Books {
+/// The books of an engine that ran at least `min_steps` steps.
+fn books(snap: &MetricsSnapshot, min_steps: u64) -> Books {
     let forward = snap.histogram("vllm_executor_forward_seconds").unwrap();
-    assert!(forward.count >= 50, "only {} steps ran", forward.count);
+    assert!(
+        forward.count >= min_steps,
+        "only {} steps ran",
+        forward.count
+    );
     let classes = CLASSES.map(|class| {
         let name = format!("vllm_model_kernel_{class}_seconds{{backend=\"simd\"}}");
         let series = snap
@@ -93,25 +98,34 @@ fn kernel_series_sum_to_the_forward_time() {
     let _alone = PROCESS_SUM.lock().unwrap_or_else(PoisonError::into_inner);
     let mut engine = engine(CpuModelExecutor::from_config(model(), &cache()), 200);
     engine.run_to_completion().unwrap();
-    let books = books(&engine.metrics_snapshot());
+    let books = books(&engine.metrics_snapshot(), 200);
     assert_covered(&books, "one engine");
 }
 
-/// Runs `engine` to completion once every engine at `start` is ready.
+/// Runs `engine` to completion once every engine at `start` is ready: its
+/// sampled request's [`CONCURRENT_TOKENS`] tokens take a step each.
 fn run<E: ModelExecutor>(start: &Barrier, mut engine: LlmEngine<E>) -> Books {
     start.wait();
     engine.run_to_completion().unwrap();
-    books(&engine.metrics_snapshot())
+    books(&engine.metrics_snapshot(), CONCURRENT_TOKENS as u64)
 }
+
+/// The output length of the concurrent engines' sampled requests.
+const CONCURRENT_TOKENS: usize = 120;
 
 #[test]
 fn concurrent_engines_keep_their_own_books() {
     let _alone = PROCESS_SUM.lock().unwrap_or_else(PoisonError::into_inner);
     const SHARDS: usize = 2;
-    let cpu = || engine(CpuModelExecutor::from_config(model(), &cache()), 120);
+    let cpu = || {
+        engine(
+            CpuModelExecutor::from_config(model(), &cache()),
+            CONCURRENT_TOKENS,
+        )
+    };
     let (a, b) = (cpu(), cpu());
     let tp = TensorParallelExecutor::new(Transformer::new(model()), SHARDS, &cache());
-    let tp = engine(tp, 120);
+    let tp = engine(tp, CONCURRENT_TOKENS);
     let before = timing::snapshot();
     let start = Barrier::new(3);
     let (a, b, tp) = std::thread::scope(|s| {

@@ -137,7 +137,10 @@ impl Histogram {
     /// exponent and mantissa, and the bounds next to the guess, computed as
     /// [`BucketSpec::bounds`] computes them, settle it: an observation reads
     /// no bound from memory (cold lines, when a step observes after a
-    /// forward pass), where a binary search read seven.
+    /// forward pass), where a binary search read seven. A guess whose
+    /// position within its octave is far from whole, by many times what the
+    /// few roundings in the ratio and the bounds can move it, is the bucket,
+    /// and no bound is computed.
     fn bucket(&self, value: f64) -> usize {
         let (spec, len) = (&self.spec, self.spec.num_bounds());
         let ratio = value / spec.start;
@@ -146,8 +149,14 @@ impl Histogram {
             let octave = (bits >> 52) as usize - 1023;
             let mantissa = f64::from_bits(bits & ((1 << 52) - 1) | (1023 << 52));
             let sub_buckets = f64::from(spec.sub_buckets);
-            let sub = ((mantissa - 1.0) * sub_buckets).ceil() as usize;
-            (octave * spec.sub_buckets as usize + sub).min(len)
+            let position = (mantissa - 1.0) * sub_buckets;
+            let sub = position.ceil();
+            let idx = octave * spec.sub_buckets as usize + sub as usize;
+            let margin = sub_buckets * 1e-12;
+            if idx < len && sub - position > margin && sub - position < 1.0 - margin {
+                return idx;
+            }
+            idx.min(len)
         } else {
             0
         };

@@ -22,9 +22,12 @@ use crate::histogram::{BucketSpec, Histogram};
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// Adds `n` to the counter.
+    /// Adds `n` to the counter. Adding nothing leaves its cache line alone:
+    /// a step adds zero to most of its counters.
     pub fn inc_by(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        if n > 0 {
+            self.0.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     /// Adds 1 to the counter.

@@ -903,7 +903,8 @@ impl<E: ModelExecutor> LlmEngine<E> {
     /// volume, kernels are attributed only to a group's prefill steps and
     /// its first decode step.
     fn record_kernel_spans(&self, plan: &StepPlan, result: &StepResult, step_index: u64) {
-        if result.kernels.is_empty() {
+        let traced = plan.scheduled.iter().any(|sg| sg.trace.is_active());
+        if !traced || result.kernels.is_empty() {
             return;
         }
         let backend = self.executor.backend_label();

@@ -179,8 +179,7 @@ impl Scheduler {
     /// Turns on scheduler-budgeted chunked prefill, or changes its budget,
     /// between steps (see [`SchedulerConfig::with_step_token_budget`]). A
     /// new budget only resizes the chunks still to come. There is no way
-    /// back to the legacy ordering: it would decode a half-prefilled group
-    /// over prompt rows whose KV was never written.
+    /// back to the legacy ordering.
     pub fn set_step_token_budget(&mut self, budget: usize) {
         self.config = self.config.clone().with_step_token_budget(budget);
     }
@@ -434,11 +433,14 @@ impl Scheduler {
             // inside one plan under a per-step token budget.
             self.schedule_chunked(budget, &mut plan)?;
         } else {
-            // Phase 1: admit whole prompts, but only when nothing is swapped
-            // out (§4.5: stop accepting new requests until preempted ones
-            // complete). A step that admits runs prompts only.
+            // Phase 1: rerun any prompt whose forward failed, then admit
+            // whole prompts, but only when nothing is swapped out (§4.5:
+            // stop accepting new requests until preempted ones complete).
+            // A step that runs prompts runs nothing else.
+            let budget =
+                self.continue_prefills(&mut plan, self.config.max_num_batched_tokens, false)?;
             if self.swapped.is_empty() {
-                self.admit(&mut plan, self.config.max_num_batched_tokens, false)?;
+                self.admit(&mut plan, budget, false)?;
             }
             plan.is_prompt_run = !plan.scheduled.is_empty();
             if !plan.is_prompt_run {
@@ -504,13 +506,8 @@ impl Scheduler {
     /// Emits one generation-step [`ScheduledGroup`] per running group whose
     /// prompt is fully computed.
     fn emit_decode_groups(&self, plan: &mut StepPlan) {
-        // This guard and the two like it stay conditional on the chunked
-        // ordering. Under the legacy one, a group still in prefill is one
-        // whose prompt step's forward failed (still `Running`, no rows
-        // computed), and the next step must schedule it again.
-        let chunked = self.config.step_token_budget.is_some();
         for group in &self.running {
-            if chunked && Self::group_in_prefill(group) {
+            if Self::group_in_prefill(group) {
                 continue;
             }
             let seq_ids = group.seq_ids_with_status(SequenceStatus::Running);
@@ -554,35 +551,77 @@ impl Scheduler {
             .filter(|sg| !sg.is_prompt)
             .map(|sg| sg.num_tokens)
             .sum();
-        let mut budget_left = budget.saturating_sub(decode_tokens);
+        let budget_left = budget.saturating_sub(decode_tokens);
 
-        // Phase 3: advance in-flight partial prefills (FCFS — the running
-        // queue is already in (priority, arrival) order after phase 1).
-        //
-        // Fairness cap: when requests are waiting and this step could admit
-        // (nothing swapped, no preemption), each continuation chunk takes at
-        // most half the then-remaining budget, leaving room for the queue
-        // head to start its own prefill. Without the cap a long in-flight
-        // prompt absorbs every step's full budget and short requests behind
-        // it see the same TTFT as under all-or-nothing admission.
+        // Phase 3: advance in-flight partial prefills. When requests are
+        // waiting and this step could admit (nothing swapped, no
+        // preemption), each continuation chunk takes at most half the
+        // then-remaining budget, leaving room for the queue head to start
+        // its own prefill. Without the cap a long in-flight prompt absorbs
+        // every step's full budget and short requests behind it see the
+        // same TTFT as under all-or-nothing admission.
         let reserve_for_admission =
             !self.waiting.is_empty() && self.swapped.is_empty() && plan.preemptions.is_empty();
-        for i in 0..self.running.len() {
+        let budget_left = self.continue_prefills(plan, budget_left, reserve_for_admission)?;
+
+        // Phase 4: admit new prompts into the leftover budget (§4.5 gate:
+        // nothing swapped out, and not on a step that had to preempt).
+        if self.swapped.is_empty() && plan.preemptions.is_empty() {
+            self.admit(plan, budget_left, true)?;
+        }
+
+        plan.is_prompt_run = plan.scheduled.iter().any(|sg| sg.is_prompt);
+        Ok(())
+    }
+
+    /// Schedules the uncomputed prompt rows of every running group still in
+    /// prefill (FCFS: the running queue is in (priority, arrival) order)
+    /// as continuation chunks, out of `budget_left` tokens, and returns the
+    /// budget left. Such a group is mid-way through a chunked prefill, or
+    /// its prompt step's forward failed and its prompt runs again (either
+    /// ordering). With `reserve_for_admission` a chunk takes at most half
+    /// the budget left.
+    fn continue_prefills(
+        &self,
+        plan: &mut StepPlan,
+        mut budget_left: usize,
+        reserve_for_admission: bool,
+    ) -> Result<usize> {
+        for group in &self.running {
             if budget_left == 0 {
                 break;
             }
-            let group = &self.running[i];
             if !Self::group_in_prefill(group) {
                 continue;
             }
             let seq_ids = group.seq_ids_with_status(SequenceStatus::Running);
-            if seq_ids.is_empty() {
-                continue;
-            }
-            debug_assert_eq!(seq_ids.len(), 1, "prefill groups are single-sequence");
-            let seq = group
-                .get(seq_ids[0])
-                .ok_or(VllmError::UnknownSequence(seq_ids[0]))?;
+            let seq = match seq_ids[..] {
+                [] => continue,
+                [seq_id] => group
+                    .get(seq_id)
+                    .ok_or(VllmError::UnknownSequence(seq_id))?,
+                _ => {
+                    // A fan-out group was admitted whole (see `admit`) and
+                    // its prompt step failed: it runs whole again.
+                    let running = group.seqs_with_status(SequenceStatus::Running);
+                    let num_tokens: usize = running.iter().map(|s| s.len()).sum();
+                    if num_tokens > budget_left {
+                        break;
+                    }
+                    budget_left -= num_tokens;
+                    plan.budget.num_batched_tokens += num_tokens;
+                    plan.scheduled.push(ScheduledGroup {
+                        request_id: group.request_id.clone(),
+                        is_prompt: true,
+                        seq_ids,
+                        num_tokens,
+                        num_cached_tokens: 0,
+                        chunk: None,
+                        trace: group.trace,
+                    });
+                    continue;
+                }
+            };
             let start = seq.data.num_computed_tokens();
             let prompt_len = seq.data.prompt_len();
             let share = if reserve_for_admission {
@@ -609,15 +648,7 @@ impl Scheduler {
                 trace: group.trace,
             });
         }
-
-        // Phase 4: admit new prompts into the leftover budget (§4.5 gate:
-        // nothing swapped out, and not on a step that had to preempt).
-        if self.swapped.is_empty() && plan.preemptions.is_empty() {
-            self.admit(plan, budget_left, true)?;
-        }
-
-        plan.is_prompt_run = plan.scheduled.iter().any(|sg| sg.is_prompt);
-        Ok(())
+        Ok(budget_left)
     }
 
     /// Admits waiting requests, in queue order, into `budget_left` tokens
@@ -707,14 +738,11 @@ impl Scheduler {
         let mut survivors: Vec<SequenceGroup> = Vec::with_capacity(self.running.len());
         let mut queue: VecDeque<SequenceGroup> = std::mem::take(&mut self.running).into();
 
-        // Chunked ordering only: a legacy group in prefill failed its prompt
-        // step and decodes again (see `emit_decode_groups`).
-        let chunked = self.config.step_token_budget.is_some();
         'groups: while let Some(group) = queue.pop_front() {
-            // Partially prefilled groups (chunked-prefill mode) hold their
-            // full prompt allocation from admission: no next-token slot to
-            // reserve. They stay eligible as preemption victims below.
-            if chunked && Self::group_in_prefill(&group) {
+            // Groups still in prefill hold their full prompt allocation
+            // from admission: no next-token slot to reserve. They stay
+            // eligible as preemption victims below.
+            if Self::group_in_prefill(&group) {
                 survivors.push(group);
                 continue;
             }
@@ -777,14 +805,12 @@ impl Scheduler {
             // Reserve next-token slots for the newly resumed sequences. A
             // sequence swapped out mid-prefill (chunked mode) resumes from
             // its chunk cursor with its prompt allocation intact: nothing to
-            // reserve. Chunked ordering only, for the reason given in
-            // `emit_decode_groups`.
-            let chunked = self.config.step_token_budget.is_some();
+            // reserve.
             for seq_id in group.seq_ids_with_status(SequenceStatus::Running) {
                 let seq = group
                     .get(seq_id)
                     .ok_or(VllmError::UnknownSequence(seq_id))?;
-                if chunked && seq.data.in_prefill() {
+                if seq.data.in_prefill() {
                     continue;
                 }
                 self.block_manager.append_slot(seq)?;
@@ -1366,6 +1392,32 @@ mod tests {
             .unwrap();
         assert_eq!(cont.chunk.unwrap().len(), 7, "budget 8 - 1 decode token");
         apply_plan(&mut s, &out);
+    }
+
+    #[test]
+    fn a_failed_prompt_step_runs_again_under_both_orderings() {
+        // A prompt step whose forward fails leaves its groups running with
+        // nothing computed: the next step runs their prompts again (one
+        // sequence's as a chunk from its cursor, a fan-out group's whole)
+        // and decodes nothing.
+        for (ordering, mut s) in orderings(|| make_scheduler(16, 0)) {
+            s.add_group(group(0, 6, 0.0));
+            let mut fan_out = group(1, 5, 1.0);
+            fan_out.add(Sequence::new(2, (0..7).collect(), BS));
+            s.add_group(fan_out);
+            let failed = s.schedule().unwrap();
+            assert_eq!(ids(&failed.scheduled), ["r0", "r1"], "{ordering}");
+            let again = s.schedule().unwrap();
+            assert!(again.is_prompt_run, "{ordering}");
+            assert_eq!(ids(&again.scheduled), ["r0", "r1"], "{ordering}");
+            let chunk = again.scheduled[0].chunk.unwrap();
+            assert_eq!((chunk.start, chunk.end), (0, 6), "{ordering}");
+            assert!(chunk.is_final, "{ordering}");
+            let whole = &again.scheduled[1];
+            assert_eq!(whole.chunk, None, "{ordering}");
+            assert_eq!(whole.num_tokens, 12, "{ordering}");
+            assert_eq!(whole.seq_ids, [1, 2], "{ordering}");
+        }
     }
 
     #[test]

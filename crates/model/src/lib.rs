@@ -2,9 +2,9 @@
 //!
 //! The numeric substrate of the PagedAttention reproduction: a pure-Rust
 //! CPU transformer (§2.1) with paged KV storage (§4.2), real PagedAttention
-//! kernels (§4.1, §5.1), sampling/beam candidate extraction, and executors
-//! (single-worker and Megatron-style tensor-parallel, §4.6) that plug into
-//! [`vllm_core::LlmEngine`].
+//! kernels (§4.1, §5.1), sampling/beam candidate extraction, and the
+//! executor that plugs them into [`vllm_core::LlmEngine`], over one worker
+//! or N Megatron-style tensor-parallel ones (§4.6).
 //!
 //! # Examples
 //!
@@ -33,7 +33,6 @@ pub mod gemm;
 pub mod isa;
 pub mod kv_cache;
 pub mod ops;
-pub mod parallel;
 pub mod pool;
 pub mod sampler;
 pub mod tokenizer;
@@ -48,7 +47,6 @@ pub use executor::CpuModelExecutor;
 pub use gemm::Panels;
 pub use isa::Isa;
 pub use kv_cache::{KvCache, KvPool, KvTile};
-pub use parallel::TensorParallelExecutor;
 pub use pool::WorkerPool;
 pub use sampler::{mix_seed, sample_candidates, Sampler};
 pub use tokenizer::{ByteTokenizer, BOS, EOS, PAD, VOCAB_SIZE};

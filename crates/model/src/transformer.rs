@@ -6,7 +6,7 @@
 //! prefill (new positions attend to cached blocks), and single-token decode
 //! — stacked in any mix, all through the one PagedAttention kernel. The
 //! same pass runs over N head shards for tensor-parallel execution (§4.6,
-//! [`crate::parallel`]); one worker is the case of one shard.
+//! [`crate::executor`]); one worker is the case of one shard.
 
 use crate::attention::SeqRows;
 use crate::backend::{self, KernelBackend};
@@ -17,7 +17,6 @@ use crate::ops::timing::{self, OpClock};
 use crate::ops::{add_bias, add_inplace, gelu, layer_norm};
 use crate::pool;
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 const LN_EPS: f32 = 1e-5;
 /// Base of the rotary frequency spectrum (the standard 10_000).
@@ -61,7 +60,7 @@ pub struct LayerWeights {
 /// units' worth of heads, and a `4w` slice of the MLP. A lone worker's
 /// shard is the whole layer (`w = hidden`). The projections are stored only
 /// packed, in the GEMM's stripe-major panels.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerShard {
     /// Fused QKV projection, `hidden × 3w` (columns: Q, K, V).
     pub w_qkv: Panels,
@@ -93,7 +92,8 @@ pub struct Transformer {
     /// Decoder layers' replicated weights.
     pub layers: Vec<LayerWeights>,
     /// Decoder layers' projections over all heads: the model as one
-    /// worker's shard.
+    /// worker's shard. An executor takes them for its workers
+    /// ([`crate::CpuModelExecutor::sharded`]).
     pub shard: Vec<LayerShard>,
     /// Final layer-norm gain.
     pub ln_f_g: Vec<f32>,
@@ -159,22 +159,14 @@ where
 
 /// The all-reduce (§4.6): sums the shards' outputs into the first — a lone
 /// shard's output is its own sum — adds the replicated `bias` once, and
-/// adds the result onto the residual stream `x`. Returns how long the
-/// summation took.
-fn all_reduce(bufs: &mut [Buffers], bias: &[f32], x: &mut [f32]) -> Duration {
+/// adds the result onto the residual stream `x`.
+fn all_reduce(bufs: &mut [Buffers], bias: &[f32], x: &mut [f32]) {
     let (sum, rest) = bufs.split_first_mut().expect("at least one shard");
-    let summed = if rest.is_empty() {
-        Duration::ZERO
-    } else {
-        let start = Instant::now();
-        for buf in rest {
-            add_inplace(&mut sum.out, &buf.out);
-        }
-        start.elapsed()
-    };
+    for buf in rest {
+        add_inplace(&mut sum.out, &buf.out);
+    }
     add_bias(&mut sum.out, bias);
     add_inplace(x, &sum.out);
-    summed
 }
 
 /// SplitMix64 stream used for deterministic weight initialization.
@@ -299,22 +291,12 @@ impl Transformer {
     /// Panics on shape violations (no inputs, an empty sequence, positions
     /// beyond `max_position`, a block table too short for its context).
     pub fn forward(&self, inputs: &[SeqInput<'_>], kv: &mut KvPool) -> Vec<f32> {
-        timing::alone(|clock| self.forward_clocked(inputs, kv, clock))
+        timing::alone(|clock| self.forward_on(self.backend(), inputs, kv, clock))
     }
 
-    /// [`Self::forward`] charging its time to `clock`'s op classes from the
-    /// clock's last mark: an executor runs a whole step on one clock.
-    pub(crate) fn forward_clocked(
-        &self,
-        inputs: &[SeqInput<'_>],
-        kv: &mut KvPool,
-        clock: &mut OpClock,
-    ) -> Vec<f32> {
-        self.forward_on(self.backend(), inputs, kv, clock)
-    }
-
-    /// [`Self::forward_clocked`] on `be`'s kernels, which need not be this
-    /// model's backend: the tests run the portable instance through here.
+    /// [`Self::forward`] on `be`'s kernels, which need not be this model's
+    /// backend (the tests run the portable instance through here), charging
+    /// its time to `clock`.
     fn forward_on(
         &self,
         be: KernelBackend,
@@ -326,7 +308,7 @@ impl Transformer {
             layers: &self.shard,
             kv,
         };
-        self.forward_shards(be, inputs, &mut [shard], clock, |_| {})
+        self.forward_shards(be, inputs, &mut [shard], clock)
     }
 
     /// [`Self::forward`] over `shards`, the model split on the head
@@ -335,9 +317,8 @@ impl Transformer {
     /// under the shared block tables; the replicated rest — embedding,
     /// layer norms, residual, the output biases, pruning, the final norm and
     /// the LM head — runs once. The shards' outputs are summed after the
-    /// output projection and after the MLP down projection, and
-    /// `on_all_reduce` hears how long each summation took. One shard that is
-    /// the whole model runs inline and sums nothing: that is
+    /// output projection and after the MLP down projection. One shard that
+    /// is the whole model runs inline and sums nothing: that is
     /// [`Self::forward`], op for op. Time between kernel calls is charged to
     /// `clock`'s op classes, from its last mark; the kernels mark it too.
     ///
@@ -351,7 +332,6 @@ impl Transformer {
         inputs: &[SeqInput<'_>],
         shards: &mut [Shard<'_>],
         clock: &mut OpClock,
-        mut on_all_reduce: impl FnMut(Duration),
     ) -> Vec<f32> {
         assert!(!inputs.is_empty(), "empty batch");
         let h = self.config.hidden;
@@ -453,7 +433,7 @@ impl Transformer {
                 );
                 be.matmul_clocked(&buf.attn, &layer.w_o, &mut buf.out, clock);
             });
-            on_all_reduce(all_reduce(&mut bufs, &lw.b_o, &mut x));
+            all_reduce(&mut bufs, &lw.b_o, &mut x);
 
             // MLP block.
             let mut hst = x.clone();
@@ -469,7 +449,7 @@ impl Transformer {
                 clock.activation();
                 be.matmul_clocked(&buf.mid, &layer.w_proj, &mut buf.out, clock);
             });
-            on_all_reduce(all_reduce(&mut bufs, &lw.b_proj, &mut x));
+            all_reduce(&mut bufs, &lw.b_proj, &mut x);
         }
 
         // Final norm + tied-embedding LM head on each sequence's last row

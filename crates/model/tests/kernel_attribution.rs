@@ -11,7 +11,7 @@ use vllm_core::executor::ModelExecutor;
 use vllm_core::sampling::SamplingParams;
 use vllm_core::telemetry::MetricsSnapshot;
 use vllm_model::ops::timing;
-use vllm_model::{BackendKind, CpuModelExecutor, ModelConfig, TensorParallelExecutor, Transformer};
+use vllm_model::{BackendKind, CpuModelExecutor, ModelConfig, Transformer};
 
 /// Held by each test here: the process-wide kernel sum counts every clock
 /// in this test binary, and one test compares it with its engines' books.
@@ -117,14 +117,14 @@ const CONCURRENT_TOKENS: usize = 120;
 fn concurrent_engines_keep_their_own_books() {
     let _alone = PROCESS_SUM.lock().unwrap_or_else(PoisonError::into_inner);
     const SHARDS: usize = 2;
-    let cpu = || {
+    let one_worker = || {
         engine(
             CpuModelExecutor::from_config(model(), &cache()),
             CONCURRENT_TOKENS,
         )
     };
-    let (a, b) = (cpu(), cpu());
-    let tp = TensorParallelExecutor::new(Transformer::new(model()), SHARDS, &cache());
+    let (a, b) = (one_worker(), one_worker());
+    let tp = CpuModelExecutor::sharded(Transformer::new(model()), SHARDS, &cache());
     let tp = engine(tp, CONCURRENT_TOKENS);
     let before = timing::snapshot();
     let start = Barrier::new(3);
@@ -137,14 +137,14 @@ fn concurrent_engines_keep_their_own_books() {
     });
     let delta = timing::snapshot().delta_since(&before);
 
-    assert_covered(&a, "CPU engine a");
-    assert_covered(&b, "CPU engine b");
+    assert_covered(&a, "one-worker engine a");
+    assert_covered(&b, "one-worker engine b");
     // A tensor-parallel step's shard tasks run side by side, each on a
     // clock of its own: together they hold at most one step per shard.
     let tp_attributed: f64 = tp.classes.iter().sum();
     assert!(
         tp_attributed <= tp.forward * SHARDS as f64,
-        "TP engine: the six classes hold {tp_attributed:.4} s, over {SHARDS} x its {:.4} s forward time",
+        "{SHARDS}-worker engine: the six classes hold {tp_attributed:.4} s, over {SHARDS} x its {:.4} s forward time",
         tp.forward,
     );
 

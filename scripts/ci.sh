@@ -13,7 +13,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> examples that assert (tensor_parallel: TP == serial at 1/2/4/8 workers; preemption, chatbot_kv_reuse, mixed_decoding)"
+echo "==> examples that assert (tensor_parallel: N workers == one worker at 2/4/8; preemption, chatbot_kv_reuse, mixed_decoding)"
 for example in tensor_parallel preemption chatbot_kv_reuse mixed_decoding; do
     cargo run --release -q --example "$example" >/dev/null
 done

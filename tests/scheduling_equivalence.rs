@@ -123,3 +123,64 @@ fn parallel_sampling_stable_under_contention() {
     };
     assert_eq!(run(256), run(16));
 }
+
+/// A request's outputs (tokens and cumulative-logprob bits, sorted), the
+/// tokens its engine computed, and its free GPU blocks at the end, on an
+/// engine whose first `failures` forwards fail while the caller keeps
+/// stepping. `budget` picks the ordering: `None` for legacy, `Some` for
+/// chunked prefill.
+fn recovered_run(
+    params: &SamplingParams,
+    budget: Option<usize>,
+    failures: u32,
+) -> (Vec<(Vec<TokenId>, u64)>, u64, usize) {
+    use vllm::core::{FaultControls, FaultInjector, VllmError};
+    let cache = CacheConfig::new(4, 64, 16).unwrap();
+    let sched = SchedulerConfig::new(512, 32, 512).unwrap();
+    let controls = FaultControls::new();
+    let exec = CpuModelExecutor::from_config(ModelConfig::small(), &cache);
+    let mut e = LlmEngine::new(FaultInjector::new(exec, controls.clone()), cache, sched);
+    if let Some(budget) = budget {
+        e.set_step_token_budget(budget);
+    }
+    e.add_request("r", (40..49).collect(), params.clone())
+        .unwrap();
+    controls.fail_next_forwards(failures);
+    let mut outs = Vec::new();
+    while e.has_unfinished() {
+        match e.step() {
+            Ok(done) => outs.extend(done),
+            Err(VllmError::Executor(_)) => {}
+            Err(err) => panic!("{err}"),
+        }
+    }
+    assert_eq!(controls.num_forward_failures(), u64::from(failures));
+    let mut samples: Vec<(Vec<TokenId>, u64)> = outs[0]
+        .outputs
+        .iter()
+        .map(|o| (o.tokens.clone(), o.cumulative_logprob.to_bits()))
+        .collect();
+    samples.sort();
+    let free = e.scheduler().block_manager().num_free_gpu_blocks();
+    (samples, e.executor().inner().tokens_processed, free)
+}
+
+#[test]
+fn failed_prompt_forward_reruns_the_prompt_under_both_orderings() {
+    // The caller keeps stepping after a failed prompt forward: the prompt
+    // must run again, so the request's outputs, the tokens computed and
+    // the free pool equal those of a run that never failed.
+    let modes = [
+        SamplingParams::greedy(6),
+        SamplingParams::beam(2, 6),
+        SamplingParams::parallel(2, 5).with_seed(7),
+    ];
+    for params in &modes {
+        for budget in [None, Some(4)] {
+            let at = format!("{:?} under budget {budget:?}", params.mode);
+            let clean = recovered_run(params, budget, 0);
+            assert_eq!(clean.2, 64, "{at}: clean run leaked blocks");
+            assert_eq!(recovered_run(params, budget, 1), clean, "{at}");
+        }
+    }
+}

@@ -495,12 +495,12 @@ impl Scheduler {
     }
 
     /// Whether any running sequence of `group` still has uncomputed prompt
-    /// tokens (a partially prefilled group under chunked-prefill mode).
+    /// tokens: a partially prefilled group under chunked-prefill mode, or
+    /// one whose prompt step's forward failed.
     fn group_in_prefill(group: &SequenceGroup) -> bool {
         group
-            .seqs_with_status(SequenceStatus::Running)
-            .iter()
-            .any(|s| s.data.in_prefill())
+            .seqs_any_order()
+            .any(|s| s.status == SequenceStatus::Running && s.data.in_prefill())
     }
 
     /// Emits one generation-step [`ScheduledGroup`] per running group whose

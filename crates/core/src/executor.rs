@@ -187,6 +187,10 @@ pub trait ModelExecutor {
     /// # Errors
     ///
     /// Returns [`crate::error::VllmError::Executor`] on backend failure.
+    /// An error in applying the plan's cache operations may leave them
+    /// partly applied; any later error leaves them all applied, because
+    /// the scheduler has already moved the block tables they serve and a
+    /// retried step reads through those tables.
     fn begin_step(&mut self, plan: &StepPlan) -> Result<StepResult>;
 
     /// Hands the executor the engine's telemetry bundle so it can register

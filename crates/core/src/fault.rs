@@ -125,6 +125,14 @@ impl<E: ModelExecutor> FaultInjector<E> {
 impl<E: ModelExecutor> ModelExecutor for FaultInjector<E> {
     fn begin_step(&mut self, plan: &StepPlan) -> Result<StepResult> {
         if self.controls.take_forward_failure() {
+            // A forward fails after the cache operations ran: the scheduler
+            // has already moved the block tables they serve.
+            let cache_ops_only = StepPlan {
+                cache_ops: plan.cache_ops.clone(),
+                block_size: plan.block_size,
+                ..StepPlan::default()
+            };
+            self.inner.begin_step(&cache_ops_only)?;
             return Err(VllmError::Executor("injected forward fault".into()));
         }
         let mut result = self.inner.begin_step(plan)?;

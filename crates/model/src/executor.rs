@@ -62,39 +62,10 @@ fn step_inputs(plan: &StepPlan) -> Result<Vec<SeqInput<'_>>> {
         .collect()
 }
 
-/// Runs a step's `inputs` through `forward` — multi-row inputs one sequence
-/// per call, in plan order, then every one-row input (generation steps,
-/// fully-cached prompts, one-token chunks) stacked in ONE call — and returns
-/// each input's last-row logits, `inputs.len() × vocab`.
-fn run_forwards(
-    inputs: &[SeqInput<'_>],
-    vocab: usize,
-    mut forward: impl FnMut(&[SeqInput<'_>]) -> Vec<f32>,
-) -> Vec<f32> {
-    let mut logits = vec![0.0f32; inputs.len() * vocab];
-    let mut decode = Vec::new();
-    for (i, input) in inputs.iter().enumerate() {
-        if input.tokens.len() == 1 {
-            decode.push(i);
-        } else {
-            let row = forward(std::slice::from_ref(input));
-            logits[i * vocab..(i + 1) * vocab].copy_from_slice(&row);
-        }
-    }
-    if !decode.is_empty() {
-        let stacked: Vec<SeqInput<'_>> = decode.iter().map(|&i| inputs[i]).collect();
-        let rows = forward(&stacked);
-        for (row, &i) in rows.chunks_exact(vocab).zip(&decode) {
-            logits[i * vocab..(i + 1) * vocab].copy_from_slice(row);
-        }
-    }
-    logits
-}
-
 /// Samples each plan item's candidates from its row of `logits` through
 /// the executor's `sampler`, charged to `clock` as the step's sampling.
-/// What ran since the clock's last mark (the forwards' logits gathered
-/// into `logits`, their buffers freed) is buffer work: `elementwise`.
+/// What ran since the clock's last mark (the forward's buffers freed) is
+/// buffer work: `elementwise`.
 fn sample_rows(
     plan: &StepPlan,
     logits: &[f32],
@@ -160,8 +131,6 @@ pub struct CpuModelExecutor {
     workers: Vec<Worker>,
     /// Total tokens whose KV cache was computed (metrics).
     pub tokens_processed: u64,
-    /// Total iterations executed (metrics).
-    pub steps: u64,
     /// The `vllm_model_kernel_*` histograms, registered when the engine
     /// attaches its telemetry bundle (none before).
     kernels: Vec<vllm_telemetry::Histogram>,
@@ -226,7 +195,6 @@ impl CpuModelExecutor {
             model,
             workers,
             tokens_processed: 0,
-            steps: 0,
             kernels: Vec::new(),
             sampler: Sampler::default(),
         }
@@ -236,7 +204,6 @@ impl CpuModelExecutor {
 impl ModelExecutor for CpuModelExecutor {
     fn begin_step(&mut self, plan: &StepPlan) -> Result<StepResult> {
         let start = Instant::now();
-        self.steps += 1;
         // Cache operations first (§4.3: memory-management instructions
         // arrive with the step's control message). Every worker applies
         // them to its pools (block ids are shared, the data is its heads'
@@ -261,11 +228,15 @@ impl ModelExecutor for CpuModelExecutor {
             .sum::<u64>();
         let (model, mut shards) = (&self.model, shards(&mut self.workers));
         let (be, vocab) = (model.backend(), model.config.vocab_size);
-        // One op clock for the step's forwards and its sampling.
+        // One op clock for the step's forward and its sampling. The forward
+        // is every input of the step stacked (§4.3); a plan with no items
+        // (installs, swap-only steps) runs none.
         let mut clock = OpClock::start();
-        let logits = run_forwards(&inputs, vocab, |batch| {
-            model.forward_shards(be, batch, &mut shards, &mut clock)
-        });
+        let logits = if inputs.is_empty() {
+            Vec::new()
+        } else {
+            model.forward_shards(be, &inputs, &mut shards, &mut clock)
+        };
         let outputs = sample_rows(plan, &logits, vocab, &mut self.sampler, &mut clock);
         // Freed within the forward time: what follows it is instruments.
         drop((logits, inputs, shards));

@@ -112,9 +112,11 @@ pub(crate) struct Shard<'a> {
 /// and width `w`; the last layer's pruning shrinks them to the inputs'
 /// last rows.
 struct Buffers {
-    qkv: Vec<f32>,
     q: Vec<f32>,
     attn: Vec<f32>,
+    /// `n × 4w`: the QKV projection (`n × 3w` of it), then the MLP's
+    /// intermediate. The two are never live together: K/V are written and
+    /// Q copied out before the MLP runs.
     mid: Vec<f32>,
     /// `n × hidden`: the shard's share of the attention or MLP output.
     out: Vec<f32>,
@@ -123,7 +125,6 @@ struct Buffers {
 impl Buffers {
     fn new(n: usize, w: usize, h: usize) -> Self {
         Self {
-            qkv: vec![0.0; n * 3 * w],
             q: vec![0.0; n * w],
             attn: vec![0.0; n * w],
             mid: vec![0.0; n * 4 * w],
@@ -392,13 +393,14 @@ impl Transformer {
             let (hst, rows, seqs) = (&hst, &rows, &seqs);
             each_shard(shards, &mut bufs, clock, |shard, buf, clock| {
                 let layer = &shard.layers[layer_idx];
-                be.matmul_clocked(hst, &layer.w_qkv, &mut buf.qkv, clock);
-                add_bias(&mut buf.qkv, &layer.b_qkv);
+                let qkv = &mut buf.mid[..rows.len() * 3 * w];
+                be.matmul_clocked(hst, &layer.w_qkv, qkv, clock);
+                add_bias(qkv, &layer.b_qkv);
                 // Fused reshape-and-block-write (§5.1): store every row's
                 // K/V as it is produced (keys post-rotation for rotary
                 // models), then one PagedAttention call over all rows.
                 for (i, &(_, pos, block_table)) in rows.iter().enumerate() {
-                    let row = &mut buf.qkv[i * 3 * w..(i + 1) * 3 * w];
+                    let row = &mut qkv[i * 3 * w..(i + 1) * 3 * w];
                     if rotary {
                         let (q_part, kv_part) = row.split_at_mut(w);
                         apply_rope(q_part, pos, hd);

@@ -159,3 +159,30 @@ fn concurrent_engines_keep_their_own_books() {
         );
     }
 }
+
+/// The LM-head calls `engine`'s steps make, over the steps it runs to
+/// completion.
+fn logits_calls_per_step<E: ModelExecutor>(mut engine: LlmEngine<E>) -> (u64, u64) {
+    let before = timing::snapshot().logits_calls;
+    let mut steps = 0;
+    while engine.has_unfinished() {
+        engine.step().unwrap();
+        steps += 1;
+    }
+    (timing::snapshot().logits_calls - before, steps)
+}
+
+#[test]
+fn a_step_is_one_forward() {
+    let _alone = PROCESS_SUM.lock().unwrap_or_else(PoisonError::into_inner);
+    // Step 0 holds the three queued prompts.
+    let queued = engine(CpuModelExecutor::from_config(model(), &cache()), 6);
+    let (calls, steps) = logits_calls_per_step(queued);
+    assert_eq!(calls, steps, "three prompts, then decodes");
+    // A budget of 12 tokens splits the second prompt into chunks that
+    // share their steps with the first request's decode rows.
+    let mut budgeted = engine(CpuModelExecutor::from_config(model(), &cache()), 6);
+    budgeted.set_step_token_budget(12);
+    let (calls, steps) = logits_calls_per_step(budgeted);
+    assert_eq!(calls, steps, "prompt chunks beside decode rows");
+}

@@ -55,6 +55,6 @@ fn main() {
     println!(
         "executor processed {} tokens over {} iterations",
         engine.executor().tokens_processed,
-        engine.executor().steps
+        engine.engine_metrics().steps_total.get()
     );
 }

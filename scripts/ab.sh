@@ -18,7 +18,8 @@
 # more than the bound; "unresolved" — either side's inter-quartile range is
 # wider than the bound and not every run of the change beats every run of
 # the parent; "better" — the change wins at least nine tenths of the pairs
-# (ties count for neither) and the medians differ by more than the parent's
+# in which both sides reported the metric (ties count for neither) and the
+# medians differ by more than the parent's
 # inter-quartile range; otherwise "unchanged". AB_WORKLOADS="a b" restricts
 # the workloads. Two cores: nothing else should be running.
 set -euo pipefail
@@ -85,9 +86,9 @@ def quartiles(xs):
     at = lambda q: xs[min(len(xs) - 1, max(0, round(q * (len(xs) - 1))))]
     return at(0.25), at(0.5), at(0.75)
 
-def values(workload, side, name):
-    return [r["metrics"][name]["value"] for _, _, r in sorted(runs[(workload, side)], key=lambda t: t[0])
-            if name in r["metrics"]]
+def values(workload, side, name):  # pair -> value, for the runs that report `name`
+    return {pair: r["metrics"][name]["value"] for pair, _, r in runs[(workload, side)]
+            if name in r["metrics"]}
 
 log = lambda *a: print(*a, file=sys.stderr)
 record = {"bench": "serve_bench_e2e", "parent": sha, "pairs": pairs}
@@ -99,21 +100,22 @@ for workload in sorted({w for w, _ in runs}, key=[w["name"] for w in bench["work
         if not p or not c:
             log(f"{workload:14} {name:13} no successful runs on one side")
             continue
-        (p1, pm, p3), (c1, cm, c3) = quartiles(p), quartiles(c)
+        (p1, pm, p3), (c1, cm, c3) = quartiles(p.values()), quartiles(c.values())
         record[f"{workload}.{name}"] = cm
         delta = (cm - pm) / pm if pm else 0.0
         worse = delta if lower else -delta
         beats = lambda a, b: a < b if lower else a > b
-        wins = sum(beats(x, y) for x, y in zip(c, p))
-        losses = sum(beats(y, x) for x, y in zip(c, p))
+        both = sorted(p.keys() & c.keys())  # only pairs where both sides ran
+        wins = sum(beats(c[k], p[k]) for k in both)
+        losses = sum(beats(p[k], c[k]) for k in both)
         spread = max((p3 - p1) / pm if pm else 0.0, (c3 - c1) / cm if cm else 0.0)
-        dominates = all(beats(x, y) for x in c for y in p)
+        dominates = all(beats(x, y) for x in c.values() for y in p.values())
         if worse > m["bound"]:
             verdict = "REGRESSION"
         elif spread > m["bound"] and not dominates:
             verdict = f"unresolved (spread {spread:.0%})"
-        elif wins >= 0.9 * len(p) and abs(cm - pm) > p3 - p1:
-            verdict = f"better ({wins}/{len(p)} pairs)"
+        elif both and wins >= 0.9 * len(both) and abs(cm - pm) > p3 - p1:
+            verdict = f"better ({wins}/{len(both)} pairs)"
         else:
             verdict = f"unchanged ({wins} won, {losses} lost)"
         fmt = lambda a, b, c_: f"{a:9.3f}/{b:9.3f}/{c_:9.3f}"
@@ -123,9 +125,10 @@ for workload in sorted({w for w, _ in runs}, key=[w["name"] for w in bench["work
         failed = sum(r["failed"] for _, _, r in runs[(workload, side)])
         bad = [pair for pair, status, r in runs[(workload, side)] if status or not r["correct"]]
         log(f"{workload:14} {side}: {failed} of {attempted} requests failed; runs not correct: {bad or 'none'}")
-log("\nevery run, in pair order (parent / change):")
+log("\nevery run, in pair order (parent / change; - where the run reported nothing):")
 for (workload, side), rs in sorted(runs.items()):
     for m in metrics:
-        log(f"{workload:14} {side:6} {m['name']:13} " + " ".join(f"{v:.3f}" for v in values(workload, side, m["name"])))
+        v = values(workload, side, m["name"])
+        log(f"{workload:14} {side:6} {m['name']:13} " + " ".join(f"{v[k]:.3f}" if k in v else "-" for k in range(pairs)))
 print(json.dumps(record))
 PY

@@ -126,13 +126,14 @@ fn parallel_sampling_stable_under_contention() {
 
 /// A request's outputs (tokens and cumulative-logprob bits, sorted), the
 /// tokens its engine computed, and its free GPU blocks at the end, on an
-/// engine whose first `failures` forwards fail while the caller keeps
-/// stepping. `budget` picks the ordering: `None` for legacy, `Some` for
-/// chunked prefill.
+/// engine whose `failures` forwards from step `fail_at` on fail while the
+/// caller keeps stepping. `budget` picks the ordering: `None` for legacy,
+/// `Some` for chunked prefill.
 fn recovered_run(
     params: &SamplingParams,
     budget: Option<usize>,
     failures: u32,
+    fail_at: usize,
 ) -> (Vec<(Vec<TokenId>, u64)>, u64, usize) {
     use vllm::core::{FaultControls, FaultInjector, VllmError};
     let cache = CacheConfig::new(4, 64, 16).unwrap();
@@ -145,9 +146,12 @@ fn recovered_run(
     }
     e.add_request("r", (40..49).collect(), params.clone())
         .unwrap();
-    controls.fail_next_forwards(failures);
-    let mut outs = Vec::new();
+    let (mut outs, mut step) = (Vec::new(), 0);
     while e.has_unfinished() {
+        if step == fail_at {
+            controls.fail_next_forwards(failures);
+        }
+        step += 1;
         match e.step() {
             Ok(done) => outs.extend(done),
             Err(VllmError::Executor(_)) => {}
@@ -178,9 +182,30 @@ fn failed_prompt_forward_reruns_the_prompt_under_both_orderings() {
     for params in &modes {
         for budget in [None, Some(4)] {
             let at = format!("{:?} under budget {budget:?}", params.mode);
-            let clean = recovered_run(params, budget, 0);
+            let clean = recovered_run(params, budget, 0, 0);
             assert_eq!(clean.2, 64, "{at}: clean run leaked blocks");
-            assert_eq!(recovered_run(params, budget, 1), clean, "{at}");
+            assert_eq!(recovered_run(params, budget, 1, 0), clean, "{at}");
+        }
+    }
+}
+
+#[test]
+fn failed_decode_step_keeps_its_cache_operations() {
+    // The first decode after the fork splits the shared last block copy on
+    // write. A failure of that step must still apply the copy: the retried
+    // step reads the new block, so outputs equal a run that never failed.
+    let modes = [
+        SamplingParams::beam(2, 6),
+        SamplingParams::parallel(2, 5).with_seed(7),
+    ];
+    for params in &modes {
+        for (budget, fail_at) in [(None, 1), (Some(4), 3)] {
+            let at = format!(
+                "{:?} under budget {budget:?} at step {fail_at}",
+                params.mode
+            );
+            let clean = recovered_run(params, budget, 0, fail_at);
+            assert_eq!(recovered_run(params, budget, 1, fail_at), clean, "{at}");
         }
     }
 }

@@ -19,9 +19,9 @@
 # wider than the bound and not every run of the change beats every run of
 # the parent; "better" — the change wins at least nine tenths of the pairs
 # in which both sides reported the metric (ties count for neither) and the
-# medians differ by more than the parent's
-# inter-quartile range; otherwise "unchanged". AB_WORKLOADS="a b" restricts
-# the workloads. Two cores: nothing else should be running.
+# medians differ by more than the parent's inter-quartile range; otherwise
+# "unchanged". AB_WORKLOADS="a b" restricts the workloads. Two cores:
+# nothing else should be running.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 ref=${1:?usage: scripts/ab.sh <parent-ref> [pairs=10]}
@@ -105,7 +105,7 @@ for workload in sorted({w for w, _ in runs}, key=[w["name"] for w in bench["work
         delta = (cm - pm) / pm if pm else 0.0
         worse = delta if lower else -delta
         beats = lambda a, b: a < b if lower else a > b
-        both = sorted(p.keys() & c.keys())  # only pairs where both sides ran
+        both = p.keys() & c.keys()  # only pairs where both sides ran
         wins = sum(beats(c[k], p[k]) for k in both)
         losses = sum(beats(p[k], c[k]) for k in both)
         spread = max((p3 - p1) / pm if pm else 0.0, (c3 - c1) / cm if cm else 0.0)

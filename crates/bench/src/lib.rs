@@ -152,20 +152,6 @@ pub fn sweep(
         .collect()
 }
 
-/// Runs one system over an explicit request list.
-#[must_use]
-pub fn run_one(
-    kind: SystemKind,
-    server: ServerConfig,
-    block_size: usize,
-    requests: &[vllm_baselines::SimRequest],
-    rate: f64,
-) -> RunReport {
-    let cost = CostModel::contiguous(server);
-    let mut system = kind.build(server, block_size);
-    run_trace(system.as_mut(), requests, &cost, rate)
-}
-
 /// Prints a header line for a figure harness.
 pub fn print_figure_header(figure: &str, description: &str) {
     println!("=== {figure} ===");

@@ -84,18 +84,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Overrides every replica's role at once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `roles` is empty.
-    #[must_use]
-    pub fn with_roles(mut self, roles: Vec<ReplicaRole>) -> Self {
-        assert!(!roles.is_empty(), "cluster needs at least one replica");
-        self.roles = roles;
-        self
-    }
-
     /// Overrides the per-replica in-flight bound.
     #[must_use]
     pub fn with_max_inflight(mut self, max_inflight: usize) -> Self {

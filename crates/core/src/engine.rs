@@ -333,12 +333,6 @@ impl<E: ModelExecutor> LlmEngine<E> {
         snap
     }
 
-    /// The SLO monitor configured from `VLLM_SLO_*`, if any.
-    #[must_use]
-    pub fn slo_monitor(&self) -> Option<&SloMonitor> {
-        self.slo.as_ref()
-    }
-
     /// The structured trace of the most recent step, if any step has run.
     #[must_use]
     pub fn last_trace(&self) -> Option<&StepTrace> {

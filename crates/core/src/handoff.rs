@@ -47,7 +47,7 @@
 //! validity check per frame). The hex doubles the bytes and costs 50–80 µs
 //! per 32 KB block there and back; no disaggregated request pays it.
 //!
-//! The payload respects the backend's [`KvElement`]-style storage layout:
+//! The payload respects the backend's `KvElement`-style storage layout:
 //! plain `f32` K/V, or int8-quantized K/V with one `f32` dequantization
 //! scale per stored vector (`quant-kv8`). Scales travel with the values, so
 //! a quantized block reinstalls bit-identically on the target.

@@ -21,12 +21,6 @@ pub struct MockExecutor {
     /// If set, sequences emit this token at positions where
     /// `position % eos_period == 0` (used to exercise eos stop paths).
     pub eos_token: Option<(TokenId, usize)>,
-    /// Number of executed steps.
-    pub steps: u64,
-    /// Number of block copies observed (copy-on-write + swaps).
-    pub copies_seen: u64,
-    /// Number of KV-handoff block installations observed.
-    pub installs_seen: u64,
     /// When set, tokens depend only on `(seed, position)` — not the
     /// engine-local `seq_id`. Real logits are a function of the tokens and
     /// positions, never of an engine's internal sequence counter, so this
@@ -44,9 +38,6 @@ impl MockExecutor {
             vocab_size,
             step_time: 0.01,
             eos_token: None,
-            steps: 0,
-            copies_seen: 0,
-            installs_seen: 0,
             seq_invariant: false,
         }
     }
@@ -77,12 +68,6 @@ impl MockExecutor {
 
 impl ModelExecutor for MockExecutor {
     fn begin_step(&mut self, plan: &StepPlan) -> Result<StepResult> {
-        self.steps += 1;
-        self.copies_seen += (plan.cache_ops.copies.len()
-            + plan.cache_ops.swap_in.len()
-            + plan.cache_ops.swap_out.len()
-            + plan.cache_ops.moves.len()) as u64;
-        self.installs_seen += plan.cache_ops.installs.len() as u64;
         let mut outputs = Vec::with_capacity(plan.items.len());
         for item in &plan.items {
             let next_pos = item.context_len();

@@ -1,8 +1,9 @@
 //! Typed generation-request API.
 //!
 //! [`GenerationRequest`] is the serving-facing request description: what to
-//! decode ([`GenerationMode`] + knobs), how much ([`max_tokens`], `n`), and
-//! under which service constraints (deadline, priority). It replaces the
+//! decode ([`GenerationMode`] + knobs), how much
+//! ([`max_tokens`](GenerationRequest::max_tokens), `n`), and under which
+//! service constraints (deadline, priority). It replaces the
 //! positional `GENERATE\t<max_tokens>\t<n>\t<mode>` wire fields with a
 //! builder that all entry points share — the frontend parser, the replica
 //! admission loop, and the simulator's trace loader — so validation and the
@@ -192,13 +193,6 @@ impl GenerationRequest {
     #[must_use]
     pub fn with_ignore_eos(mut self) -> Self {
         self.ignore_eos = true;
-        self
-    }
-
-    /// Sets the tracing context to propagate with this request.
-    #[must_use]
-    pub fn with_trace(mut self, trace: TraceContext) -> Self {
-        self.trace = Some(trace);
         self
     }
 

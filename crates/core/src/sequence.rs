@@ -161,12 +161,6 @@ impl SequenceData {
         self.num_computed_tokens < self.prompt_len
     }
 
-    /// Prompt rows still to compute before the sequence can decode.
-    #[must_use]
-    pub fn remaining_prompt_tokens(&self) -> usize {
-        self.prompt_len.saturating_sub(self.num_computed_tokens)
-    }
-
     /// Merges generated tokens into the prompt and resets the computed-token
     /// counter, preparing the sequence for recomputation (§4.5).
     pub fn reset_for_recompute(&mut self) {

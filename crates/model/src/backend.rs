@@ -29,7 +29,7 @@
 use crate::attention::{self, SeqRows};
 use crate::gemm::{self, Panels, PARALLEL_MATMUL_THRESHOLD, STRIPE};
 use crate::isa::Isa;
-use crate::kv_cache::KvPool;
+use crate::kv_cache::{token_bytes, KvPool};
 use crate::ops::timing::{self, OpClock};
 use crate::pool::{self, WorkerPool};
 
@@ -60,9 +60,8 @@ impl KvLayout {
     #[must_use]
     pub const fn bytes_per_token(&self, hidden: usize) -> usize {
         match self.element {
-            KvElement::F32 => 2 * hidden * std::mem::size_of::<f32>(),
-            // K and V vectors at 1 byte/element, plus one f32 scale each.
-            KvElement::Int8Scaled => 2 * (hidden + std::mem::size_of::<f32>()),
+            KvElement::F32 => token_bytes::<f32>(hidden),
+            KvElement::Int8Scaled => token_bytes::<i8>(hidden),
         }
     }
 

@@ -2,7 +2,7 @@
 //! CPU is asked which of them it has.
 //!
 //! A kernel is written once, as plain loops over fixed-size arrays, and
-//! implements [`Kernel`]. [`Isa::run`] calls it through a trampoline built
+//! implements `Kernel`. `Isa::run` calls it through a trampoline built
 //! with that instruction set's target features, so LLVM vectorises the one
 //! body at 128, 256 or 512 bits. Every instance does the same operations in
 //! the same order — a multiply and an add are two roundings, never one FMA,

@@ -1,21 +1,29 @@
 //! Paged KV cache storage (§4.2, §5.1).
 //!
-//! A [`KvPool`] owns one contiguous allocation per layer ("the block engine
-//! allocates a contiguous chunk and divides it into physical KV blocks") and
-//! addresses token slots by `(physical block, offset)`. Within a block the
+//! A [`KvPool`] holds two planes per layer, one for K and one for V, each a
+//! contiguous allocation divided into physical KV blocks ("the block engine
+//! allocates a contiguous chunk and divides it into physical KV blocks"),
+//! and addresses token slots by `(physical block, offset)`. Every plane is
+//! allocated zeroed and never written at construction, so its pages are
+//! committed on first write, not when the pool is built. Within a block the
 //! two tiles are laid out for the way the attention kernel reads them (the
 //! "memory layout optimized for block read" of §5.1): **V slot-major**
 //! (`[slot][hidden]`, the weighted sum runs across `hidden`) and **K
 //! dimension-major** (`[hidden][slot]`, as in vLLM's own K cache, so the
-//! score pass reads the slots of a block as contiguous lanes). Block copies,
-//! swaps and handoff payloads move whole tiles and never look inside. The
-//! element type of the stored K/V scalars is chosen by the kernel backend's
+//! score pass reads the slots of a block as contiguous lanes). The element
+//! type of the stored K/V scalars is chosen by the kernel backend's
 //! [`KvElement`] layout: plain `f32`, or `i8` with one `f32` dequantization
 //! scale per stored vector (`quant-kv8`), which shrinks bytes-per-block and
-//! therefore buys more blocks per memory budget. [`KvCache`] pairs a GPU
-//! pool with a CPU pool (swap space) and applies the scheduler's cache
-//! operations: batched copy-on-write copies ("fused block copy", §5.1) and
-//! swap transfers (§4.5).
+//! therefore buys more blocks per memory budget. A plane keeps those scales
+//! beside its elements (`KvScalar` says how many per slot), so block
+//! copies, swaps, resizes and handoff payloads are each one body over the
+//! planes, whatever the element, and never look inside a tile. [`KvCache`]
+//! pairs a GPU pool with a CPU pool (swap space) and applies the scheduler's
+//! cache operations: batched copy-on-write copies ("fused block copy", §5.1)
+//! and swap transfers (§4.5).
+
+use std::cmp::Ordering;
+use std::ops::Range;
 
 use vllm_core::block::Device;
 use vllm_core::error::{Result, VllmError};
@@ -24,20 +32,107 @@ use vllm_core::handoff::KvBlockBytes;
 
 use crate::backend::KvElement;
 
-/// Backing storage for one pool, one variant per [`KvElement`].
-#[derive(Debug, Clone)]
-enum KvStorage {
-    /// Plain f32 K/V: `num_blocks * block_size * hidden` floats per layer.
-    F32 { k: Vec<Vec<f32>>, v: Vec<Vec<f32>> },
-    /// int8 K/V with one f32 scale per stored vector: values are
-    /// `num_blocks * block_size * hidden` bytes per layer, scales are
-    /// `num_blocks * block_size` floats per layer (slot-major).
-    Int8 {
-        k: Vec<Vec<i8>>,
-        v: Vec<Vec<i8>>,
-        k_scale: Vec<Vec<f32>>,
-        v_scale: Vec<Vec<f32>>,
-    },
+/// How one K/V vector is stored in a plane: the element type, the scales a
+/// slot keeps beside its elements, and the element's variant of the kernel's
+/// [`KvTile`] and of the handoff's [`KvBlockBytes`].
+pub(crate) trait KvScalar: Copy + Default {
+    /// `f32` scales stored per slot: 0 for a plain element, 1 for a
+    /// quantized one.
+    const SCALES: usize;
+
+    /// Stores one vector, element `i` landing at `dst[i * stride]`, and its
+    /// [`Self::SCALES`] scales into `scales`.
+    fn store(src: &[f32], dst: &mut [Self], stride: usize, scales: &mut [f32]);
+
+    /// The kernel's view of one tile and its per-slot scales.
+    fn tile<'a>(q: &'a [Self], scales: &'a [f32]) -> KvTile<'a>;
+
+    /// A handoff block from its layer-major K and V elements and scales.
+    fn to_bytes(k: (Vec<Self>, Vec<f32>), v: (Vec<Self>, Vec<f32>)) -> KvBlockBytes;
+
+    /// The K and V elements and scales of a handoff block of this element,
+    /// or `None` for another element's block.
+    fn from_bytes(data: &KvBlockBytes) -> Option<[(&[Self], &[f32]); 2]>;
+}
+
+impl KvScalar for f32 {
+    const SCALES: usize = 0;
+
+    fn store(src: &[f32], dst: &mut [f32], stride: usize, _: &mut [f32]) {
+        if stride == 1 {
+            dst[..src.len()].copy_from_slice(src);
+        } else {
+            for (d, &x) in dst.iter_mut().step_by(stride).zip(src) {
+                *d = x;
+            }
+        }
+    }
+
+    fn tile<'a>(q: &'a [f32], _: &'a [f32]) -> KvTile<'a> {
+        KvTile::F32(q)
+    }
+
+    fn to_bytes((k, _): (Vec<f32>, Vec<f32>), (v, _): (Vec<f32>, Vec<f32>)) -> KvBlockBytes {
+        KvBlockBytes::F32 { k, v }
+    }
+
+    fn from_bytes(data: &KvBlockBytes) -> Option<[(&[f32], &[f32]); 2]> {
+        match data {
+            KvBlockBytes::F32 { k, v } => Some([(k, &[]), (v, &[])]),
+            KvBlockBytes::Int8 { .. } => None,
+        }
+    }
+}
+
+impl KvScalar for i8 {
+    const SCALES: usize = 1;
+
+    /// Quantizes: `scale = max|x| / 127`, elements `round(x / scale)`. The
+    /// scale is 0 for an all-zero vector, whose dequantization is exactly
+    /// zero. Reconstruction error per element is at most `scale / 2`.
+    fn store(src: &[f32], dst: &mut [i8], stride: usize, scales: &mut [f32]) {
+        let max_abs = src.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
+        let inv = if max_abs == 0.0 { 0.0 } else { 127.0 / max_abs };
+        for (d, &x) in dst.iter_mut().step_by(stride).zip(src) {
+            *d = (x * inv).round().clamp(-127.0, 127.0) as i8;
+        }
+        scales[0] = max_abs / 127.0;
+    }
+
+    fn tile<'a>(q: &'a [i8], scales: &'a [f32]) -> KvTile<'a> {
+        KvTile::Int8 { q, scales }
+    }
+
+    fn to_bytes(
+        (k, k_scales): (Vec<i8>, Vec<f32>),
+        (v, v_scales): (Vec<i8>, Vec<f32>),
+    ) -> KvBlockBytes {
+        KvBlockBytes::Int8 {
+            k,
+            v,
+            k_scales,
+            v_scales,
+        }
+    }
+
+    fn from_bytes(data: &KvBlockBytes) -> Option<[(&[i8], &[f32]); 2]> {
+        match data {
+            KvBlockBytes::Int8 {
+                k,
+                v,
+                k_scales,
+                v_scales,
+            } => Some([(k, k_scales), (v, v_scales)]),
+            KvBlockBytes::F32 { .. } => None,
+        }
+    }
+}
+
+/// Bytes one token occupies in one layer when stored as `E`: its K and V
+/// vectors plus their scales.
+#[must_use]
+pub(crate) const fn token_bytes<E: KvScalar>(hidden: usize) -> usize {
+    2 * (hidden * size_of::<E>() + E::SCALES * size_of::<f32>())
 }
 
 /// One K or V block of one layer — the tile the PagedAttention kernel
@@ -56,27 +151,159 @@ pub enum KvTile<'a> {
     },
 }
 
-/// Per-layer paged key/value storage for one device.
-#[derive(Debug, Clone)]
-pub struct KvPool {
-    storage: KvStorage,
+/// Where a pool's blocks sit in its planes: `block_size × hidden` elements
+/// and `block_size × SCALES` scales per block, K planes of layers
+/// `0..n_layers` first, then the V planes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Geometry {
     n_layers: usize,
-    num_blocks: usize,
     block_size: usize,
     hidden: usize,
 }
 
-/// Quantizes one vector into int8, element `i` landing at `dst[i * stride]`:
-/// `scale = max|x| / 127`, elements `round(x / scale)`. Returns the scale (0
-/// for an all-zero vector, whose dequantization is exactly zero).
-/// Reconstruction error per element is at most `scale / 2`.
-fn quantize_slot(src: &[f32], dst: &mut [i8], stride: usize) -> f32 {
-    let max_abs = src.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
-    let inv = if max_abs == 0.0 { 0.0 } else { 127.0 / max_abs };
-    for (d, &x) in dst.iter_mut().step_by(stride).zip(src) {
-        *d = (x * inv).round().clamp(-127.0, 127.0) as i8;
+impl Geometry {
+    fn tile(self, block: usize) -> Range<usize> {
+        let n = self.block_size * self.hidden;
+        block * n..(block + 1) * n
     }
-    max_abs / 127.0
+
+    fn scales<E: KvScalar>(self, block: usize) -> Range<usize> {
+        let n = self.block_size * E::SCALES;
+        block * n..(block + 1) * n
+    }
+}
+
+/// One layer's K or V: every block's tile, then every slot's scales.
+#[derive(Debug, Clone)]
+struct Plane<E> {
+    data: Vec<E>,
+    scales: Vec<f32>,
+}
+
+impl<E: KvScalar> Plane<E> {
+    /// The planes of a pool, each its own zeroed allocation: nothing writes
+    /// them here, so their pages are committed on first write.
+    fn zeroed(g: Geometry, num_blocks: usize) -> Vec<Self> {
+        let plane = || Self {
+            data: vec![E::default(); g.tile(num_blocks).start],
+            scales: vec![0.0; g.scales::<E>(num_blocks).start],
+        };
+        (0..2 * g.n_layers).map(|_| plane()).collect()
+    }
+
+    fn block(&self, g: Geometry, block: usize) -> (&[E], &[f32]) {
+        let (data, scales) = (g.tile(block), g.scales::<E>(block));
+        (&self.data[data], &self.scales[scales])
+    }
+
+    fn block_mut(&mut self, g: Geometry, block: usize) -> (&mut [E], &mut [f32]) {
+        let (data, scales) = (g.tile(block), g.scales::<E>(block));
+        (&mut self.data[data], &mut self.scales[scales])
+    }
+
+    /// Overwrites `block` with another plane's block (elements and scales).
+    fn put(&mut self, g: Geometry, block: usize, (data, scales): (&[E], &[f32])) {
+        let (to_data, to_scales) = self.block_mut(g, block);
+        to_data.copy_from_slice(data);
+        to_scales.copy_from_slice(scales);
+    }
+
+    fn tile(&self, g: Geometry, block: usize) -> KvTile<'_> {
+        let (q, scales) = self.block(g, block);
+        E::tile(q, scales)
+    }
+
+    /// Stores `slot`'s vector `x` into `block`, element `i` at tile offset
+    /// `start + i * stride` for `at = (start, stride)`.
+    fn store(&mut self, g: Geometry, block: usize, slot: usize, x: &[f32], at: (usize, usize)) {
+        let (data, scales) = self.block_mut(g, block);
+        let slot_scales = &mut scales[slot * E::SCALES..][..E::SCALES];
+        E::store(x, &mut data[at.0..], at.1, slot_scales);
+    }
+
+    fn copy_within(&mut self, g: Geometry, src: usize, dst: usize) {
+        self.data.copy_within(g.tile(src), g.tile(dst).start);
+        let scales = g.scales::<E>(src);
+        self.scales.copy_within(scales, g.scales::<E>(dst).start);
+    }
+
+    fn resize(&mut self, g: Geometry, num_blocks: usize) {
+        self.data.resize(g.tile(num_blocks).start, E::default());
+        self.scales.resize(g.scales::<E>(num_blocks).start, 0.0);
+    }
+
+    fn num_bytes(&self) -> usize {
+        self.data.len() * size_of::<E>() + self.scales.len() * size_of::<f32>()
+    }
+
+    /// Copies block `src` of every plane in `from` into block `dst` of the
+    /// matching plane in `to`.
+    fn copy(g: Geometry, from: &[Self], src: usize, to: &mut [Self], dst: usize) {
+        for (from, to) in from.iter().zip(to) {
+            to.put(g, dst, from.block(g, src));
+        }
+    }
+
+    /// Block `block` of every plane, K then V, each layer-major.
+    fn export(g: Geometry, planes: &[Self], block: usize) -> KvBlockBytes {
+        let gather = |planes: &[Self]| {
+            let mut data = Vec::with_capacity(g.n_layers * g.tile(1).start);
+            let mut scales = Vec::with_capacity(g.n_layers * g.scales::<E>(1).start);
+            for (d, s) in planes.iter().map(|p| p.block(g, block)) {
+                data.extend_from_slice(d);
+                scales.extend_from_slice(s);
+            }
+            (data, scales)
+        };
+        let (k, v) = planes.split_at(g.n_layers);
+        E::to_bytes(gather(k), gather(v))
+    }
+
+    /// Writes an exported block into block `block` of every plane, if it
+    /// has this element and this pool's shape.
+    fn import(g: Geometry, planes: &mut [Self], block: usize, data: &KvBlockBytes) -> bool {
+        let (tile, scale) = (g.tile(1).start, g.scales::<E>(1).start);
+        let Some(parts) = E::from_bytes(data) else {
+            return false;
+        };
+        let fits =
+            |(d, s): &(&[E], &[f32])| d.len() == g.n_layers * tile && s.len() == g.n_layers * scale;
+        if !parts.iter().all(fits) {
+            return false;
+        }
+        for (i, p) in planes.iter_mut().enumerate() {
+            let ((d, s), layer) = (parts[i / g.n_layers], i % g.n_layers);
+            let part = (&d[layer * tile..][..tile], &s[layer * scale..][..scale]);
+            p.put(g, block, part);
+        }
+        true
+    }
+}
+
+/// A pool's planes, of whichever element its backend reads.
+#[derive(Debug, Clone)]
+enum KvStorage {
+    F32(Vec<Plane<f32>>),
+    Int8(Vec<Plane<i8>>),
+}
+
+/// Runs `$body` with `$planes` bound to the storage's planes, whatever
+/// their element: each block operation is written once, generic over it.
+macro_rules! with_planes {
+    ($storage:expr, $planes:ident => $body:expr) => {
+        match $storage {
+            KvStorage::F32($planes) => $body,
+            KvStorage::Int8($planes) => $body,
+        }
+    };
+}
+
+/// Per-layer paged key/value storage for one device.
+#[derive(Debug, Clone)]
+pub struct KvPool {
+    storage: KvStorage,
+    geometry: Geometry,
+    num_blocks: usize,
 }
 
 impl KvPool {
@@ -97,25 +324,19 @@ impl KvPool {
         hidden: usize,
         element: KvElement,
     ) -> Self {
-        let layer_len = num_blocks * block_size * hidden;
+        let g = Geometry {
+            n_layers,
+            block_size,
+            hidden,
+        };
         let storage = match element {
-            KvElement::F32 => KvStorage::F32 {
-                k: vec![vec![0.0; layer_len]; n_layers],
-                v: vec![vec![0.0; layer_len]; n_layers],
-            },
-            KvElement::Int8Scaled => KvStorage::Int8 {
-                k: vec![vec![0; layer_len]; n_layers],
-                v: vec![vec![0; layer_len]; n_layers],
-                k_scale: vec![vec![0.0; num_blocks * block_size]; n_layers],
-                v_scale: vec![vec![0.0; num_blocks * block_size]; n_layers],
-            },
+            KvElement::F32 => KvStorage::F32(Plane::zeroed(g, num_blocks)),
+            KvElement::Int8Scaled => KvStorage::Int8(Plane::zeroed(g, num_blocks)),
         };
         Self {
             storage,
-            n_layers,
+            geometry: g,
             num_blocks,
-            block_size,
-            hidden,
         }
     }
 
@@ -123,8 +344,8 @@ impl KvPool {
     #[must_use]
     pub fn element(&self) -> KvElement {
         match &self.storage {
-            KvStorage::F32 { .. } => KvElement::F32,
-            KvStorage::Int8 { .. } => KvElement::Int8Scaled,
+            KvStorage::F32(_) => KvElement::F32,
+            KvStorage::Int8(_) => KvElement::Int8Scaled,
         }
     }
 
@@ -137,13 +358,13 @@ impl KvPool {
     /// Tokens per block.
     #[must_use]
     pub fn block_size(&self) -> usize {
-        self.block_size
+        self.geometry.block_size
     }
 
     /// K/V vector width.
     #[must_use]
     pub fn hidden(&self) -> usize {
-        self.hidden
+        self.geometry.hidden
     }
 
     /// Total bytes of K+V storage including any per-vector scales
@@ -151,22 +372,7 @@ impl KvPool {
     /// [`crate::backend::KvLayout::bytes_per_block`]).
     #[must_use]
     pub fn num_bytes(&self) -> usize {
-        let slots = self.num_blocks * self.block_size;
-        match &self.storage {
-            KvStorage::F32 { .. } => {
-                2 * self.n_layers * slots * self.hidden * std::mem::size_of::<f32>()
-            }
-            KvStorage::Int8 { .. } => {
-                2 * self.n_layers * slots * (self.hidden + std::mem::size_of::<f32>())
-            }
-        }
-    }
-
-    #[inline]
-    fn offset(&self, block: usize, slot: usize) -> usize {
-        debug_assert!(block < self.num_blocks, "block {block} out of range");
-        debug_assert!(slot < self.block_size, "slot {slot} out of range");
-        (block * self.block_size + slot) * self.hidden
+        with_planes!(&self.storage, p => p.iter().map(Plane::num_bytes).sum())
     }
 
     /// Writes the key/value vectors of one token into `(block, slot)` for
@@ -179,38 +385,22 @@ impl KvPool {
     ///
     /// Panics (debug) on out-of-range indices or wrong vector widths.
     pub fn write(&mut self, layer: usize, block: usize, slot: usize, key: &[f32], value: &[f32]) {
-        debug_assert_eq!(key.len(), self.hidden);
-        debug_assert_eq!(value.len(), self.hidden);
-        let (h, bs) = (self.hidden, self.block_size);
-        let tile = self.offset(block, 0);
-        let row = self.offset(block, slot);
-        match &mut self.storage {
-            KvStorage::F32 { k, v } => {
-                let column = k[layer][tile + slot..tile + bs * h].iter_mut().step_by(bs);
-                for (dst, &x) in column.zip(key) {
-                    *dst = x;
-                }
-                v[layer][row..row + h].copy_from_slice(value);
-            }
-            KvStorage::Int8 {
-                k,
-                v,
-                k_scale,
-                v_scale,
-            } => {
-                let si = block * bs + slot;
-                k_scale[layer][si] =
-                    quantize_slot(key, &mut k[layer][tile + slot..tile + bs * h], bs);
-                v_scale[layer][si] = quantize_slot(value, &mut v[layer][row..row + h], 1);
-            }
-        }
+        let g = self.geometry;
+        debug_assert!(block < self.num_blocks, "block {block} out of range");
+        debug_assert!(slot < g.block_size, "slot {slot} out of range");
+        debug_assert_eq!(key.len(), g.hidden);
+        debug_assert_eq!(value.len(), g.hidden);
+        with_planes!(&mut self.storage, p => {
+            p[layer].store(g, block, slot, key, (slot, g.block_size));
+            p[g.n_layers + layer].store(g, block, slot, value, (slot * g.hidden, 1));
+        });
     }
 
     /// The key vector stored at `(layer, block, slot)`, dequantized if the
     /// pool is int8 (tests and the oracle path; the kernel reads tiles).
     #[must_use]
     pub fn key(&self, layer: usize, block: usize, slot: usize) -> Vec<f32> {
-        let column = (0..self.hidden).map(|d| d * self.block_size + slot);
+        let column = (0..self.hidden()).map(|d| d * self.block_size() + slot);
         match self.key_tile(layer, block) {
             KvTile::F32(k) => column.map(|i| k[i]).collect(),
             KvTile::Int8 { q, scales } => column.map(|i| f32::from(q[i]) * scales[slot]).collect(),
@@ -221,7 +411,7 @@ impl KvPool {
     /// the pool is int8.
     #[must_use]
     pub fn value(&self, layer: usize, block: usize, slot: usize) -> Vec<f32> {
-        let row = slot * self.hidden..(slot + 1) * self.hidden;
+        let row = slot * self.hidden()..(slot + 1) * self.hidden();
         match self.value_tile(layer, block) {
             KvTile::F32(v) => v[row].to_vec(),
             KvTile::Int8 { q, scales } => q[row]
@@ -235,71 +425,22 @@ impl KvPool {
     /// dimension-major, element `d` of slot `s` at `d * block_size + s`.
     #[must_use]
     pub fn key_tile(&self, layer: usize, block: usize) -> KvTile<'_> {
-        let o = self.offset(block, 0);
-        let len = self.block_size * self.hidden;
-        let so = block * self.block_size;
-        match &self.storage {
-            KvStorage::F32 { k, .. } => KvTile::F32(&k[layer][o..o + len]),
-            KvStorage::Int8 { k, k_scale, .. } => KvTile::Int8 {
-                q: &k[layer][o..o + len],
-                scales: &k_scale[layer][so..so + self.block_size],
-            },
-        }
+        with_planes!(&self.storage, p => p[layer].tile(self.geometry, block))
     }
 
     /// The value tile `(layer, block)`: slot-major, element `d` of slot `s`
     /// at `s * hidden + d`.
     #[must_use]
     pub fn value_tile(&self, layer: usize, block: usize) -> KvTile<'_> {
-        let o = self.offset(block, 0);
-        let len = self.block_size * self.hidden;
-        let so = block * self.block_size;
-        match &self.storage {
-            KvStorage::F32 { v, .. } => KvTile::F32(&v[layer][o..o + len]),
-            KvStorage::Int8 { v, v_scale, .. } => KvTile::Int8 {
-                q: &v[layer][o..o + len],
-                scales: &v_scale[layer][so..so + self.block_size],
-            },
-        }
+        let g = self.geometry;
+        with_planes!(&self.storage, p => p[g.n_layers + layer].tile(g, block))
     }
 
     /// Copies a whole block (all layers, K and V, and any scales) within
     /// this pool.
     pub fn copy_block_within(&mut self, src: usize, dst: usize) {
-        if src == dst {
-            return;
-        }
-        let len = self.block_size * self.hidden;
-        let s = self.offset(src, 0);
-        let d = self.offset(dst, 0);
-        let ss = src * self.block_size;
-        let sd = dst * self.block_size;
-        let bs = self.block_size;
-        for layer in 0..self.n_layers {
-            match &mut self.storage {
-                KvStorage::F32 { k, v } => {
-                    let (k_src, k_dst) = split_two(&mut k[layer], s, d, len);
-                    k_dst.copy_from_slice(k_src);
-                    let (v_src, v_dst) = split_two(&mut v[layer], s, d, len);
-                    v_dst.copy_from_slice(v_src);
-                }
-                KvStorage::Int8 {
-                    k,
-                    v,
-                    k_scale,
-                    v_scale,
-                } => {
-                    let (k_src, k_dst) = split_two(&mut k[layer], s, d, len);
-                    k_dst.copy_from_slice(k_src);
-                    let (v_src, v_dst) = split_two(&mut v[layer], s, d, len);
-                    v_dst.copy_from_slice(v_src);
-                    let (ks_src, ks_dst) = split_two(&mut k_scale[layer], ss, sd, bs);
-                    ks_dst.copy_from_slice(ks_src);
-                    let (vs_src, vs_dst) = split_two(&mut v_scale[layer], ss, sd, bs);
-                    vs_dst.copy_from_slice(vs_src);
-                }
-            }
-        }
+        let g = self.geometry;
+        with_planes!(&mut self.storage, p => p.iter_mut().for_each(|p| p.copy_within(g, src, dst)));
     }
 
     /// Copies a whole block from `self` into `other` (swap transfer).
@@ -309,43 +450,12 @@ impl KvPool {
     /// Panics if the pools disagree on layer count, block size, width, or
     /// element type.
     pub fn copy_block_to(&self, src: usize, other: &mut KvPool, dst: usize) {
-        assert_eq!(self.n_layers, other.n_layers);
-        assert_eq!(self.block_size, other.block_size);
-        assert_eq!(self.hidden, other.hidden);
-        assert_eq!(self.element(), other.element(), "pool element mismatch");
-        let len = self.block_size * self.hidden;
-        let s = self.offset(src, 0);
-        let d = other.offset(dst, 0);
-        let ss = src * self.block_size;
-        let sd = dst * self.block_size;
-        let bs = self.block_size;
-        for layer in 0..self.n_layers {
-            match (&self.storage, &mut other.storage) {
-                (KvStorage::F32 { k, v }, KvStorage::F32 { k: ok, v: ov }) => {
-                    ok[layer][d..d + len].copy_from_slice(&k[layer][s..s + len]);
-                    ov[layer][d..d + len].copy_from_slice(&v[layer][s..s + len]);
-                }
-                (
-                    KvStorage::Int8 {
-                        k,
-                        v,
-                        k_scale,
-                        v_scale,
-                    },
-                    KvStorage::Int8 {
-                        k: ok,
-                        v: ov,
-                        k_scale: oks,
-                        v_scale: ovs,
-                    },
-                ) => {
-                    ok[layer][d..d + len].copy_from_slice(&k[layer][s..s + len]);
-                    ov[layer][d..d + len].copy_from_slice(&v[layer][s..s + len]);
-                    oks[layer][sd..sd + bs].copy_from_slice(&k_scale[layer][ss..ss + bs]);
-                    ovs[layer][sd..sd + bs].copy_from_slice(&v_scale[layer][ss..ss + bs]);
-                }
-                _ => unreachable!("element types checked above"),
-            }
+        let g = self.geometry;
+        assert_eq!(g, other.geometry, "pool shape mismatch");
+        match (&self.storage, &mut other.storage) {
+            (KvStorage::F32(from), KvStorage::F32(to)) => Plane::copy(g, from, src, to, dst),
+            (KvStorage::Int8(from), KvStorage::Int8(to)) => Plane::copy(g, from, src, to, dst),
+            _ => panic!("pool element mismatch"),
         }
     }
 
@@ -354,31 +464,8 @@ impl KvPool {
     /// guarantees every id at or above the new bound was vacated by the
     /// compaction moves applied before the shrink.
     pub fn resize(&mut self, num_blocks: usize) {
-        if num_blocks == self.num_blocks {
-            return;
-        }
-        let layer_len = num_blocks * self.block_size * self.hidden;
-        let slots = num_blocks * self.block_size;
-        match &mut self.storage {
-            KvStorage::F32 { k, v } => {
-                for l in k.iter_mut().chain(v.iter_mut()) {
-                    l.resize(layer_len, 0.0);
-                }
-            }
-            KvStorage::Int8 {
-                k,
-                v,
-                k_scale,
-                v_scale,
-            } => {
-                for l in k.iter_mut().chain(v.iter_mut()) {
-                    l.resize(layer_len, 0);
-                }
-                for l in k_scale.iter_mut().chain(v_scale.iter_mut()) {
-                    l.resize(slots, 0.0);
-                }
-            }
-        }
+        let g = self.geometry;
+        with_planes!(&mut self.storage, p => p.iter_mut().for_each(|p| p.resize(g, num_blocks)));
         self.num_blocks = num_blocks;
     }
 
@@ -387,44 +474,7 @@ impl KvPool {
     /// matching [`Self::import_block_bytes`].
     #[must_use]
     pub fn export_block_bytes(&self, block: usize) -> KvBlockBytes {
-        let len = self.block_size * self.hidden;
-        let o = self.offset(block, 0);
-        let so = block * self.block_size;
-        let bs = self.block_size;
-        match &self.storage {
-            KvStorage::F32 { k, v } => {
-                let mut ko = Vec::with_capacity(self.n_layers * len);
-                let mut vo = Vec::with_capacity(self.n_layers * len);
-                for layer in 0..self.n_layers {
-                    ko.extend_from_slice(&k[layer][o..o + len]);
-                    vo.extend_from_slice(&v[layer][o..o + len]);
-                }
-                KvBlockBytes::F32 { k: ko, v: vo }
-            }
-            KvStorage::Int8 {
-                k,
-                v,
-                k_scale,
-                v_scale,
-            } => {
-                let mut ko = Vec::with_capacity(self.n_layers * len);
-                let mut vo = Vec::with_capacity(self.n_layers * len);
-                let mut ks = Vec::with_capacity(self.n_layers * bs);
-                let mut vs = Vec::with_capacity(self.n_layers * bs);
-                for layer in 0..self.n_layers {
-                    ko.extend_from_slice(&k[layer][o..o + len]);
-                    vo.extend_from_slice(&v[layer][o..o + len]);
-                    ks.extend_from_slice(&k_scale[layer][so..so + bs]);
-                    vs.extend_from_slice(&v_scale[layer][so..so + bs]);
-                }
-                KvBlockBytes::Int8 {
-                    k: ko,
-                    v: vo,
-                    k_scales: ks,
-                    v_scales: vs,
-                }
-            }
-        }
+        with_planes!(&self.storage, p => Plane::export(self.geometry, p, block))
     }
 
     /// Writes a serialized block produced by [`Self::export_block_bytes`]
@@ -435,49 +485,8 @@ impl KvPool {
     /// backend without KV storage exports — is left unapplied (`false`);
     /// [`KvCache::apply`] turns that into an error.
     pub fn import_block_bytes(&mut self, block: usize, data: &KvBlockBytes) -> bool {
-        let len = self.block_size * self.hidden;
-        let total = self.n_layers * len;
-        let o = self.offset(block, 0);
-        let so = block * self.block_size;
-        let bs = self.block_size;
-        match (&mut self.storage, data) {
-            (KvStorage::F32 { k, v }, KvBlockBytes::F32 { k: ki, v: vi })
-                if ki.len() == total && vi.len() == total =>
-            {
-                for layer in 0..self.n_layers {
-                    k[layer][o..o + len].copy_from_slice(&ki[layer * len..(layer + 1) * len]);
-                    v[layer][o..o + len].copy_from_slice(&vi[layer * len..(layer + 1) * len]);
-                }
-                true
-            }
-            (
-                KvStorage::Int8 {
-                    k,
-                    v,
-                    k_scale,
-                    v_scale,
-                },
-                KvBlockBytes::Int8 {
-                    k: ki,
-                    v: vi,
-                    k_scales: ksi,
-                    v_scales: vsi,
-                },
-            ) if ki.len() == total
-                && vi.len() == total
-                && ksi.len() == self.n_layers * bs
-                && vsi.len() == self.n_layers * bs =>
-            {
-                for layer in 0..self.n_layers {
-                    k[layer][o..o + len].copy_from_slice(&ki[layer * len..(layer + 1) * len]);
-                    v[layer][o..o + len].copy_from_slice(&vi[layer * len..(layer + 1) * len]);
-                    k_scale[layer][so..so + bs].copy_from_slice(&ksi[layer * bs..(layer + 1) * bs]);
-                    v_scale[layer][so..so + bs].copy_from_slice(&vsi[layer * bs..(layer + 1) * bs]);
-                }
-                true
-            }
-            _ => false,
-        }
+        let g = self.geometry;
+        with_planes!(&mut self.storage, p => Plane::import(g, p, block, data))
     }
 
     /// Gathers the K and V vectors of positions `0..len` addressed through a
@@ -487,26 +496,15 @@ impl KvPool {
     /// tests and benches.
     #[must_use]
     pub fn gather(&self, layer: usize, block_table: &[usize], len: usize) -> (Vec<f32>, Vec<f32>) {
-        let mut ks = Vec::with_capacity(len * self.hidden);
-        let mut vs = Vec::with_capacity(len * self.hidden);
+        let (bs, hidden) = (self.block_size(), self.hidden());
+        let mut ks = Vec::with_capacity(len * hidden);
+        let mut vs = Vec::with_capacity(len * hidden);
         for t in 0..len {
-            let (block, slot) = (block_table[t / self.block_size], t % self.block_size);
+            let (block, slot) = (block_table[t / bs], t % bs);
             ks.extend(self.key(layer, block, slot));
             vs.extend(self.value(layer, block, slot));
         }
         (ks, vs)
-    }
-}
-
-/// Splits one buffer into a `(src, dst)` pair of non-overlapping regions.
-fn split_two<T>(buf: &mut [T], src: usize, dst: usize, len: usize) -> (&[T], &mut [T]) {
-    assert!(src.abs_diff(dst) >= len, "regions must not overlap");
-    if src < dst {
-        let (a, b) = buf.split_at_mut(dst);
-        (&a[src..src + len], &mut b[..len])
-    } else {
-        let (a, b) = buf.split_at_mut(src);
-        (&b[..len], &mut a[dst..dst + len])
     }
 }
 
@@ -556,6 +554,19 @@ impl KvCache {
         }
     }
 
+    /// Resizes each pool whose capacity in `ops` compares with its current
+    /// one as `way`: growth lands before the moves, shrinkage after them.
+    fn resize_if(&mut self, ops: &CacheOps, way: Ordering) {
+        for (pool, n) in [
+            (&mut self.gpu, ops.gpu_capacity),
+            (&mut self.cpu, ops.cpu_capacity),
+        ] {
+            if let Some(n) = n.filter(|&n| n.cmp(&pool.num_blocks()) == way) {
+                pool.resize(n);
+            }
+        }
+    }
+
     /// Applies the scheduler's cache operations for a step, in the
     /// [`CacheOps`] ordering contract: pool growth, defragmentation moves,
     /// pool shrinkage, then swap-out, swap-in, the batched copy-on-write
@@ -568,32 +579,14 @@ impl KvCache {
     /// Every other operation is applied all the same: the block manager has
     /// already committed them.
     pub fn apply(&mut self, ops: &CacheOps) -> Result<()> {
-        if let Some(n) = ops.gpu_capacity {
-            if n > self.gpu.num_blocks() {
-                self.gpu.resize(n);
-            }
-        }
-        if let Some(n) = ops.cpu_capacity {
-            if n > self.cpu.num_blocks() {
-                self.cpu.resize(n);
-            }
-        }
+        self.resize_if(ops, Ordering::Greater);
         for m in &ops.moves {
             match m.device {
                 Device::Gpu => self.gpu.copy_block_within(m.src, m.dst),
                 Device::Cpu => self.cpu.copy_block_within(m.src, m.dst),
             }
         }
-        if let Some(n) = ops.gpu_capacity {
-            if n < self.gpu.num_blocks() {
-                self.gpu.resize(n);
-            }
-        }
-        if let Some(n) = ops.cpu_capacity {
-            if n < self.cpu.num_blocks() {
-                self.cpu.resize(n);
-            }
-        }
+        self.resize_if(ops, Ordering::Less);
         for c in &ops.swap_out {
             self.gpu.copy_block_to(c.src, &mut self.cpu, c.dst);
         }
@@ -616,9 +609,9 @@ impl KvCache {
             Some(block) => Err(VllmError::Protocol(format!(
                 "KV install into block {block}: the payload does not fit this pool \
                  ({} layers x {} slots x {} wide, {:?})",
-                self.gpu.n_layers,
-                self.gpu.block_size,
-                self.gpu.hidden,
+                self.gpu.geometry.n_layers,
+                self.gpu.block_size(),
+                self.gpu.hidden(),
                 self.gpu.element()
             ))),
         }

@@ -32,7 +32,7 @@ fn mix64(mut z: u64) -> u64 {
 
 /// Deterministic synthetic long-context prompt of `len` tokens.
 ///
-/// The prompt is structured as a run of [`SEGMENT_LEN`]-token
+/// The prompt is structured as a run of 512-token (`SEGMENT_LEN`)
 /// pseudo-documents, each drawn from its own hash stream, separated by a
 /// per-prompt sentinel token — mimicking retrieval-style contexts (many
 /// stitched documents) rather than uniform noise, while staying fully

@@ -119,15 +119,6 @@ impl Trace {
     pub fn duration(&self) -> f64 {
         self.requests.last().map_or(0.0, |r| r.arrival)
     }
-
-    /// Total prompt + output tokens of the trace.
-    #[must_use]
-    pub fn total_tokens(&self) -> usize {
-        self.requests
-            .iter()
-            .map(|r| r.input_len + r.output_len)
-            .sum()
-    }
 }
 
 #[cfg(test)]

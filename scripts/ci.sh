@@ -10,6 +10,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -- -D warnings (clippy.toml: only vllm_core::env reads the process environment)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps with RUSTDOCFLAGS=-D warnings (no unresolved or private intra-doc link)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo build --release"
 cargo build --release
 
